@@ -13,10 +13,10 @@ optionally tamed by the weight w = 1 / (1 + tam * |x-y|^te), it returns
 
 with the diagonal j = i included (its contribution is exactly zero).
 
-Bit-compatibility contract (kept in sync with _pairwise.pyx):
+Bit-compatibility contract (kept in sync with pairwise.c):
   - squared radius r2 = sum_c dx_c^2 accumulated over components in
-    ascending order (exact for d <= 7, where numpy's axis reduction is
-    sequential);
+    ascending order, as an explicit loop (numpy's axis reduction is not
+    sequential for d >= 8);
   - exponent special cases: power 2 -> r2, power 4 -> r2*r2, power 0 -> 1,
     anything else -> libm pow(r, e);
   - tam == 0 short-circuits w to exactly 1.0 (avoids 0*inf at overflow);
@@ -54,7 +54,9 @@ def pair_aggregate(X, kf1, kfq, qf, cg, tam, te, tame_g=1.0):
         return np.zeros((n, d)), np.zeros((n, d))
 
     dx = X[:, None, :] - X[None, :, :]
-    r2 = (dx * dx).sum(axis=-1)
+    r2 = dx[..., 0] * dx[..., 0]
+    for c in range(1, d):
+        r2 = r2 + dx[..., c] * dx[..., c]
 
     if qf == 2.0:
         rq = r2

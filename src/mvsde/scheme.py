@@ -11,7 +11,7 @@ Nothing reads the updated buffer during a step, so the result does not
 depend on particle evaluation order; the kernel sums use a fixed
 ascending-j accumulation per particle (see mvsde._core), which makes whole
 trajectories reproducible bit for bit, including across the compiled and
-fallback backends.
+fallback backends at every d when the kernel exponents are 0, 2 or 4.
 """
 
 import os

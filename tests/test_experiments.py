@@ -151,7 +151,7 @@ def test_poc_rate_structure(tmp_path):
     assert data["config"]["experiment"] == "poc-rate"
     assert "threads" not in data["config"]
     assert "out_dir" not in data["config"]
-    assert data["config"]["backend"] in ("cython", "numpy")
+    assert data["config"]["backend"] in ("c", "numpy")
     assert data["config"]["software_version"]
 
 
