@@ -22,53 +22,15 @@ cli          the `mvsde` command-line entry point
 
 from ._core import backend_name
 from ._version import VERSION as __version__
-from .config import (CONFIG_VERSION, EXPERIMENTS, ConfigError, RunConfig,
-                     emit_config, make_config, parse_config)
-from .ensemble import (EmpiricalMeasure, ParticleEnsemble, center_of_mass,
-                       empirical_moment, make_ensemble, particle_norms,
-                       snapshot_csv, w2_to_origin)
-from .experiments import (DIVERGENCE_NORM, ErgodicReport, RateReport,
-                          StabilityReport, check_step_bound,
-                          run_ergodic_contraction, run_moment_stability,
-                          run_poc_rate, run_simulate, run_strong_rate,
-                          theoretical_constants)
-from .metrics import (EXACT_ASSIGNMENT_CAP, RateFit, fit_loglog_slope, w2,
-                      w2_sliced)
-from .model import (FAMILIES, MEASURE_MODES, CoefficientModel, eval_drift_b,
-                    eval_kernel_f, eval_kernel_g, eval_pair_drift,
-                    eval_pair_sigma, eval_sigma, make_model)
-from .probes import (DOCUMENTED_SETS, PROBE_SETS, AssumptionReport,
-                     documented_sets, probe_assumptions)
-from .rng import (QUANT, BrownianTableau, increments_at_level, initial_law,
-                  level_increments, make_tableau, parse_initial,
-                  sample_initial)
-from .scheme import (SCHEME_KINDS, MomentTracker, SnapshotWriter,
-                     StateRecorder, TimeGrid, make_grid, simulate, step)
-from .taming import (VARIANTS, TamedModel, kernel_weight, self_denominator,
-                     tamed_drift_b, tamed_kernel_f, tamed_kernel_g,
-                     tamed_sigma, taming_parameters)
-from .cli import main
+from .config import emit_config
+from .experiments import theoretical_constants
+from .metrics import EXACT_ASSIGNMENT_CAP, w2
+from .model import make_model
+from .taming import TamedModel
 
+# the names the README documents; everything else is reached through
+# its submodule
 __all__ = [
-    "AssumptionReport", "BrownianTableau", "CONFIG_VERSION",
-    "CoefficientModel", "ConfigError", "DIVERGENCE_NORM",
-    "DOCUMENTED_SETS", "EXACT_ASSIGNMENT_CAP", "EXPERIMENTS",
-    "EmpiricalMeasure", "ErgodicReport", "FAMILIES", "MEASURE_MODES",
-    "MomentTracker", "PROBE_SETS", "ParticleEnsemble", "QUANT",
-    "RateFit", "RateReport", "RunConfig", "SCHEME_KINDS",
-    "SnapshotWriter", "StabilityReport", "StateRecorder", "TamedModel",
-    "TimeGrid", "VARIANTS", "backend_name", "center_of_mass",
-    "check_step_bound", "documented_sets", "emit_config",
-    "empirical_moment", "eval_drift_b", "eval_kernel_f", "eval_kernel_g",
-    "eval_pair_drift", "eval_pair_sigma", "eval_sigma",
-    "fit_loglog_slope", "increments_at_level", "initial_law",
-    "level_increments", "main", "make_config", "make_ensemble",
-    "make_grid", "make_model", "make_tableau", "parse_config",
-    "parse_initial", "particle_norms", "probe_assumptions",
-    "run_ergodic_contraction", "run_moment_stability", "run_poc_rate",
-    "run_simulate", "run_strong_rate", "sample_initial", "simulate",
-    "snapshot_csv", "step", "tamed_drift_b", "tamed_kernel_f",
-    "tamed_kernel_g", "tamed_sigma", "taming_parameters",
-    "theoretical_constants", "w2", "w2_sliced", "w2_to_origin",
-    "__version__",
+    "EXACT_ASSIGNMENT_CAP", "TamedModel", "backend_name", "emit_config",
+    "make_model", "theoretical_constants", "w2", "__version__",
 ]

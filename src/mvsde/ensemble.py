@@ -71,11 +71,6 @@ class ParticleEnsemble:
                 % (self.N, self.d, self.t_index, self.overflow_flag))
 
 
-def make_ensemble(states):
-    """Wrap an (N, d) array of initial positions in a ParticleEnsemble."""
-    return ParticleEnsemble(states)
-
-
 def particle_norms(states):
     """Euclidean norm per particle: (N,) array (inf after overflow)."""
     states = np.asarray(states, dtype=np.float64)

@@ -55,7 +55,7 @@ from .ensemble import snapshot_csv
 from .metrics import fit_loglog_slope, w2
 from .model import make_model
 from .rng import make_tableau, parse_initial
-from .scheme import MomentTracker, StateRecorder, make_grid, simulate
+from .scheme import MomentTracker, StateRecorder, TimeGrid, simulate
 from .taming import TamedModel
 
 # particle norm beyond which a run counts as diverged even while finite
@@ -354,7 +354,7 @@ def run_strong_rate(cfg):
         tab = make_tableau(cfg.seed + m, cfg.N, model.l, T, n_max)
         rec = StateRecorder(steps=rec_steps)
         ref = simulate(TamedModel(model, n_max, cfg.variant),
-                       make_grid(T, n_max), tab, initial=law,
+                       TimeGrid(T, n_max), tab, initial=law,
                        callbacks=[rec])
         if ref.overflow_flag:
             return [(None, 1) for _ in levels]
@@ -363,7 +363,7 @@ def run_strong_rate(cfg):
         for n in levels:
             rec_c = StateRecorder(stride=1)
             ens = simulate(TamedModel(model, n, cfg.variant),
-                           make_grid(T, n), tab, initial=law,
+                           TimeGrid(T, n), tab, initial=law,
                            callbacks=[rec_c])
             if ens.overflow_flag:
                 out.append((None, 1))
@@ -444,13 +444,12 @@ def run_poc_rate(cfg):
     T = float(cfg.T)
     p = float(cfg.p)
     n = int(cfg.n)
-    grid = make_grid(T, n)
+    grid = TimeGrid(T, n)
     probe_count = int(cfg.probe_count)
-    tm_n = n
 
     def one_rep(m):
         tab = make_tableau(cfg.seed + m, n_ref, model.l, T, n)
-        tm = TamedModel(model, tm_n, cfg.variant)
+        tm = TamedModel(model, n, cfg.variant)
         return _poc_single_rep(tm, grid, tab, sizes, n_ref, probe_count,
                                law, p)
 
@@ -511,7 +510,7 @@ def run_moment_stability(cfg):
     model = make_model(cfg.family, d=cfg.d, l=cfg.l, params=cfg.params)
     n = int(cfg.n)
     T = float(cfg.T)
-    grid = make_grid(T, n)
+    grid = TimeGrid(T, n)
     if cfg.constants:
         check_step_bound(1.0 / n, cfg.constants)
     law_a = parse_initial(cfg.initial)
@@ -620,7 +619,7 @@ def run_ergodic_contraction(cfg):
                          "'ergodic', got %r" % (cfg.variant,))
     n = int(cfg.n)
     T = float(cfg.T)
-    grid = make_grid(T, n)
+    grid = TimeGrid(T, n)
     total = grid.total_steps
     constants = None
     if cfg.constants:
@@ -734,7 +733,7 @@ def run_simulate(cfg):
     model = make_model(cfg.family, d=cfg.d, l=cfg.l, params=cfg.params)
     n = int(cfg.n)
     T = float(cfg.T)
-    grid = make_grid(T, n)
+    grid = TimeGrid(T, n)
     if cfg.constants:
         check_step_bound(1.0 / n, cfg.constants)
     law = parse_initial(cfg.initial)

@@ -44,25 +44,21 @@ class CoefficientModel:
     measure_mode : str
         "functional" (coefficients read the measure through its mean) or
         "pairwise" (b and sigma are atom averages of two-argument maps).
-    f_antisymmetric : bool
-        Whether f(x, y) == -f(y, x) holds exactly.
     """
 
     __slots__ = (
         "family_id", "d", "l", "q", "params", "measure_mode",
-        "f_antisymmetric", "beta1", "betaq", "q_b", "lam", "kap_pair",
+        "beta1", "betaq", "q_b", "lam", "kap_pair",
         "s0", "s1", "c_s", "kf1", "kfq", "q_f", "c_g",
     )
 
-    def __init__(self, family_id, d, l, q, params, measure_mode,
-                 f_antisymmetric, canon):
+    def __init__(self, family_id, d, l, q, params, measure_mode, canon):
         self.family_id = family_id
         self.d = int(d)
         self.l = int(l)
         self.q = float(q)
         self.params = dict(params)
         self.measure_mode = measure_mode
-        self.f_antisymmetric = bool(f_antisymmetric)
         for name in ("beta1", "betaq", "q_b", "lam", "kap_pair", "s0",
                      "s1", "c_s", "kf1", "kfq", "q_f", "c_g"):
             object.__setattr__(self, name, float(canon.get(name, 0.0)))
@@ -76,9 +72,6 @@ class CoefficientModel:
         return ("CoefficientModel(family_id=%r, d=%d, l=%d, q=%g, "
                 "measure_mode=%r)" % (self.family_id, self.d, self.l,
                                       self.q, self.measure_mode))
-
-    def has_interaction_kernel(self):
-        return self.kf1 != 0.0 or self.kfq != 0.0 or self.c_g != 0.0
 
 
 def _canon_cubic_mean_field(p):
@@ -114,32 +107,32 @@ FAMILIES = {
     "cubic-mean-field": dict(
         defaults=dict(q=2.0, lam=0.5, sigma0=0.3, c_f=1.0, c_g=1.0),
         canon=_canon_cubic_mean_field,
-        measure_mode="functional", f_antisymmetric=True),
+        measure_mode="functional"),
     # fully dissipative drift and kernel with multiplicative noise; decays
     # toward a unique stationary law, used by the contraction experiment
     "ergodic-dissipative": dict(
         defaults=dict(q=2.0, eps=0.2, kappa1=0.5, kappaq=0.5),
         canon=_canon_ergodic_dissipative,
-        measure_mode="functional", f_antisymmetric=True),
+        measure_mode="functional"),
     # two-argument drift/diffusion averaged over atoms; exercises the
     # pairwise measure mode for particle-count convergence runs
     "pairwise-vlasov": dict(
         defaults=dict(q=2.0, a1=0.5, a3=1.0, kappa=0.5, c_s=0.2, nu=0.0,
                       c_f=1.0, c_g=0.2),
         canon=_canon_pairwise_vlasov,
-        measure_mode="pairwise", f_antisymmetric=True),
+        measure_mode="pairwise"),
     # globally Lipschitz control family (q = 0)
     "lipschitz-baseline": dict(
         defaults=dict(q=0.0, a=1.0, lam=0.3, sigma0=0.5, kappa=0.5,
                       c_g=0.2),
         canon=_canon_lipschitz_baseline,
-        measure_mode="functional", f_antisymmetric=True),
+        measure_mode="functional"),
     # drift +x|x|^q violates one-sided Lipschitz dissipativity; exists so
     # negative probe tests have something to fail on
     "anti-dissipative": dict(
         defaults=dict(q=2.0, sigma0=0.5),
         canon=_canon_anti_dissipative,
-        measure_mode="functional", f_antisymmetric=True),
+        measure_mode="functional"),
 }
 
 
@@ -178,8 +171,7 @@ def make_model(family_id, d=1, l=None, params=None):
         raise ValueError("dimensions must be >= 1, got d=%d l=%d" % (d, l))
     canon = spec["canon"](merged)
     model = CoefficientModel(family_id, d, l, merged["q"], merged,
-                             spec["measure_mode"], spec["f_antisymmetric"],
-                             canon)
+                             spec["measure_mode"], canon)
     if l != d and (model.s1 != 0.0 or model.c_s != 0.0
                    or model.c_g != 0.0):
         raise ValueError("diagonal noise terms require l == d "

@@ -12,10 +12,9 @@ summation order, which makes refinement couplings reproducible to the bit.
 
 Levels n must divide n_max; the increment at level n for step k is the sum
 of the n_max/n finest increments it covers. On [0, T] the finest table has
-n_max*T rows per particle; with policy "store" the whole (S, N, l) block is
-materialized (subject to an element cap), with "regenerate" rows are
-recomputed on demand through Philox counter offsets, which yields the same
-bits as the stored pass.
+n_max*T rows per particle, and the whole (S, N, l) block is materialized up
+front; a table above ELEMENT_CAP float64 values is refused before any
+allocation.
 """
 
 import math
@@ -30,7 +29,8 @@ _U_FLOOR = 2.0 ** -54
 _MASK64 = (1 << 64) - 1
 # key whitening for the initial-condition streams
 _INIT_SALT = 0x9E3779B97F4A7C15
-DEFAULT_ELEMENT_CAP = 2 ** 24
+# largest stored table, in float64 values (128 MiB)
+ELEMENT_CAP = 2 ** 24
 
 
 class BrownianTableau:
@@ -48,30 +48,22 @@ class BrownianTableau:
     n_max : int
         Finest level; increments at the finest level have variance 1/n_max
         (up to quantization).
-    policy : str
-        "store" or "regenerate".
     """
 
-    __slots__ = ("seed", "N", "l", "T", "n_max", "policy", "element_cap",
-                 "total_steps", "_store", "_cache_key", "_cache_arr")
+    __slots__ = ("seed", "N", "l", "T", "n_max", "total_steps", "_store")
 
-    def __init__(self, seed, N, l, T, n_max, policy, element_cap):
+    def __init__(self, seed, N, l, T, n_max):
         self.seed = int(seed)
         self.N = int(N)
         self.l = int(l)
         self.T = float(T)
         self.n_max = int(n_max)
-        self.policy = policy
-        self.element_cap = int(element_cap)
         self.total_steps = _whole_steps(self.n_max, self.T)
         self._store = None
-        self._cache_key = None
-        self._cache_arr = None
 
     def __repr__(self):
-        return ("BrownianTableau(seed=%d, N=%d, l=%d, T=%g, n_max=%d, "
-                "policy=%r)" % (self.seed, self.N, self.l, self.T,
-                                self.n_max, self.policy))
+        return ("BrownianTableau(seed=%d, N=%d, l=%d, T=%g, n_max=%d)"
+                % (self.seed, self.N, self.l, self.T, self.n_max))
 
 
 def _whole_steps(n, T):
@@ -83,40 +75,25 @@ def _whole_steps(n, T):
     return int(rounded)
 
 
-def _philox(key_lo, key_hi, block_start):
+def _stream_doubles(key_lo, key_hi, count):
+    """The first `count` doubles of the Philox stream keyed by (lo, hi)."""
     key = np.array([key_lo & _MASK64, key_hi & _MASK64], dtype=np.uint64)
     counter = np.zeros(4, dtype=np.uint64)
-    counter[0] = block_start & _MASK64
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    gen = np.random.Generator(np.random.Philox(counter=counter, key=key))
+    return gen.random(count)
 
 
-def _stream_doubles(key_lo, key_hi, start, count):
-    """Doubles [start, start+count) of the keyed stream, via counter offset.
-
-    Philox yields 4 usable doubles per 128-bit counter block, so a window
-    is realized by starting the counter at start // 4 and discarding the
-    in-block remainder. This reproduces the same values a single front-to-
-    back pass would produce.
-    """
-    block, offset = divmod(start, 4)
-    gen = _philox(key_lo, key_hi, block)
-    vals = gen.random(offset + count)
-    return vals[offset:] if offset else vals
-
-
-def _finest_chunk(tab, particle_i, s0, s1):
-    """Quantized finest increments, rows [s0, s1) of particle i: (s1-s0, l)."""
-    count = (s1 - s0) * tab.l
-    u = _stream_doubles(tab.seed, particle_i, s0 * tab.l, count)
+def _finest_rows(tab, particle_i):
+    """Quantized finest increments of particle i: (total_steps, l)."""
+    u = _stream_doubles(tab.seed, particle_i, tab.total_steps * tab.l)
     u = np.where(u < _U_FLOOR, _U_FLOOR, u)
     z = ndtri(u)
     scale = math.sqrt(1.0 / tab.n_max)
     w = np.rint(z * scale / QUANT) * QUANT
-    return w.reshape(s1 - s0, tab.l)
+    return w.reshape(tab.total_steps, tab.l)
 
 
-def make_tableau(seed, N, l, T, n_max, policy="store",
-                 element_cap=DEFAULT_ELEMENT_CAP):
+def make_tableau(seed, N, l, T, n_max):
     """Create a Brownian increment table.
 
     Parameters
@@ -131,34 +108,29 @@ def make_tableau(seed, N, l, T, n_max, policy="store",
         Horizon; n_max * T must be integral.
     n_max : int
         Finest level.
-    policy : str
-        "store" materializes the finest table up front; "regenerate"
-        recomputes windows on demand (same bits, less memory).
-    element_cap : int
-        Maximum stored float64 count; a "store" table larger than this
-        raises instead of allocating.
 
     Returns
     -------
     BrownianTableau
+
+    Raises
+    ------
+    ValueError
+        When the table would hold more than ELEMENT_CAP values
+        (n_max * T * N * l); nothing is allocated then.
     """
-    if policy not in ("store", "regenerate"):
-        raise ValueError("policy must be 'store' or 'regenerate', got %r"
-                         % (policy,))
     if N < 1 or l < 1 or n_max < 1:
         raise ValueError("N, l, n_max must be >= 1")
-    tab = BrownianTableau(seed, N, l, T, n_max, policy, element_cap)
+    tab = BrownianTableau(seed, N, l, T, n_max)
     elements = tab.total_steps * tab.N * tab.l
-    if policy == "store":
-        if elements > tab.element_cap:
-            raise ValueError(
-                "tableau needs %d stored elements which exceeds the cap %d; "
-                "raise element_cap or use policy='regenerate'"
-                % (elements, tab.element_cap))
-        store = np.empty((tab.total_steps, tab.N, tab.l))
-        for i in range(tab.N):
-            store[:, i, :] = _finest_chunk(tab, i, 0, tab.total_steps)
-        tab._store = store
+    if elements > ELEMENT_CAP:
+        raise ValueError(
+            "Brownian tableau needs %d stored values (n_max*T*N*l), above "
+            "the cap of %d; lower N, T or n_max" % (elements, ELEMENT_CAP))
+    store = np.empty((tab.total_steps, tab.N, tab.l))
+    for i in range(tab.N):
+        store[:, i, :] = _finest_rows(tab, i)
+    tab._store = store
     return tab
 
 
@@ -168,20 +140,6 @@ def _level_ratio(tab, n):
         raise ValueError("level n=%d must divide n_max=%d" % (n, tab.n_max))
     _whole_steps(n, tab.T)
     return tab.n_max // n
-
-
-def _particle_finest(tab, particle_i, s0, s1):
-    if tab._store is not None:
-        return tab._store[s0:s1, particle_i, :]
-    key = particle_i
-    if tab._cache_key == key and tab._cache_arr is not None:
-        return tab._cache_arr[s0:s1]
-    if tab.total_steps * tab.l <= tab.element_cap:
-        arr = _finest_chunk(tab, particle_i, 0, tab.total_steps)
-        tab._cache_key = key
-        tab._cache_arr = arr
-        return arr[s0:s1]
-    return _finest_chunk(tab, particle_i, s0, s1)
 
 
 def increments_at_level(tab, n, particle_i, step_k):
@@ -201,7 +159,7 @@ def increments_at_level(tab, n, particle_i, step_k):
         raise ValueError("particle index out of range")
     if not 0 <= step_k < steps:
         raise ValueError("step index out of range at level n=%d" % n)
-    rows = _particle_finest(tab, particle_i, step_k * r, (step_k + 1) * r)
+    rows = tab._store[step_k * r:(step_k + 1) * r, particle_i, :]
     return rows.sum(axis=0)
 
 
@@ -217,15 +175,8 @@ def level_increments(tab, n, step_lo=0, step_hi=None):
         step_hi = steps
     if not 0 <= step_lo <= step_hi <= steps:
         raise ValueError("step window out of range at level n=%d" % n)
-    count = step_hi - step_lo
-    if tab._store is not None:
-        block = tab._store[step_lo * r:step_hi * r]
-        return block.reshape(count, r, tab.N, tab.l).sum(axis=1)
-    out = np.empty((count, tab.N, tab.l))
-    for i in range(tab.N):
-        rows = _finest_chunk(tab, i, step_lo * r, step_hi * r)
-        out[:, i, :] = rows.reshape(count, r, tab.l).sum(axis=1)
-    return out
+    block = tab._store[step_lo * r:step_hi * r]
+    return block.reshape(step_hi - step_lo, r, tab.N, tab.l).sum(axis=1)
 
 
 def initial_law(kind="point", center=0.0, scale=1.0, radius=1.0):
@@ -290,7 +241,7 @@ def sample_initial(tab, n_particles, d, law):
         return out
     draws = d if kind == "gaussian" else d + 1
     for i in range(n_particles):
-        u = _stream_doubles(tab.seed ^ _INIT_SALT, i, 0, draws)
+        u = _stream_doubles(tab.seed ^ _INIT_SALT, i, draws)
         u = np.where(u < _U_FLOOR, _U_FLOOR, u)
         z = ndtri(u[:d])
         if kind == "gaussian":

@@ -14,17 +14,13 @@ trajectories reproducible bit for bit, including across the compiled and
 fallback backends at every d when the kernel exponents are 0, 2 or 4.
 """
 
-import os
-
 import numpy as np
 
 from . import model as model_mod
 from . import rng as rng_mod
-from .ensemble import make_ensemble, empirical_moment, snapshot_csv
-from .taming import TamedModel, taming_parameters, _rpow
+from .ensemble import ParticleEnsemble, empirical_moment
+from .taming import taming_parameters, _rpow
 from ._core import pair_aggregate
-
-SCHEME_KINDS = ("tamed_euler", "plain_euler")
 
 # target float64 count per pulled increment block
 _CHUNK_ELEMENTS = 1 << 22
@@ -46,10 +42,6 @@ class TimeGrid:
         self.h = 1.0 / self.n
         self.total_steps = rng_mod._whole_steps(self.n, self.T)
 
-    def k_n(self, t):
-        """Last grid point at or before t: floor(n t) / n."""
-        return np.floor(self.n * np.asarray(t, dtype=np.float64)) / self.n
-
     def t_at(self, k):
         return np.asarray(k, dtype=np.float64) / self.n
 
@@ -57,33 +49,16 @@ class TimeGrid:
         return "TimeGrid(T=%g, n=%d)" % (self.T, self.n)
 
 
-def make_grid(T, n):
-    return TimeGrid(T, n)
-
-
-def _effective_taming(tm, kind):
-    if kind not in SCHEME_KINDS:
-        raise ValueError("unknown scheme kind %r; known: %s"
-                         % (kind, ", ".join(SCHEME_KINDS)))
-    if kind == "plain_euler" and tm.variant != "off":
-        return TamedModel(tm.base, tm.n, "off")
-    return tm
-
-
-def step(ens, tm, grid, tableau=None, kind="tamed_euler", dW=None):
+def step(ens, tm, grid, dW):
     """Advance the ensemble by one step of the explicit scheme.
 
     Parameters
     ----------
     ens : ParticleEnsemble
     tm : TamedModel
+        Taming variant "off" gives plain Euler.
     grid : TimeGrid
-    tableau : BrownianTableau, optional
-        Source of the increment when dW is not given.
-    kind : str
-        "tamed_euler" uses the wrapped taming variant, "plain_euler"
-        forces taming off.
-    dW : (N, l) array, optional
+    dW : (N, l) array
         Increment block for this step (first N rows of the tableau level).
 
     Returns
@@ -93,18 +68,10 @@ def step(ens, tm, grid, tableau=None, kind="tamed_euler", dW=None):
     """
     if ens.overflow_flag:
         return False
-    tm = _effective_taming(tm, kind)
     base = tm.base
     par = taming_parameters(tm)
     x = ens.states
     n_part = ens.N
-
-    if dW is None:
-        if tableau is None:
-            raise ValueError("need a tableau or an explicit dW")
-        block = rng_mod.level_increments(tableau, grid.n, ens.t_index,
-                                         ens.t_index + 1)
-        dW = block[0, :n_part, :]
 
     # self part and measure coupling, all from the old state; inf/nan
     # propagate silently into the overflow flag below
@@ -149,8 +116,8 @@ def step(ens, tm, grid, tableau=None, kind="tamed_euler", dW=None):
     return True
 
 
-def simulate(tm, grid, tableau, kind="tamed_euler", initial=None,
-             initial_states=None, n_particles=None, callbacks=()):
+def simulate(tm, grid, tableau, initial=None, initial_states=None,
+             n_particles=None, callbacks=()):
     """Run the explicit scheme over the whole grid.
 
     Parameters
@@ -159,8 +126,6 @@ def simulate(tm, grid, tableau, kind="tamed_euler", initial=None,
     grid : TimeGrid
         grid.n must divide tableau.n_max and grid.T must not exceed the
         tableau horizon.
-    kind : str
-        Scheme kind, see `step`.
     initial : dict, optional
         Initial law (see rng.initial_law); defaults to a point mass at 0.
     initial_states : (N, d) array, optional
@@ -193,7 +158,7 @@ def simulate(tm, grid, tableau, kind="tamed_euler", initial=None,
     else:
         law = initial if initial is not None else rng_mod.initial_law()
         states = rng_mod.sample_initial(tableau, n_part, d, law)
-    ens = make_ensemble(states)
+    ens = ParticleEnsemble(states)
     for cb in callbacks:
         cb.observe(ens, grid)
 
@@ -205,8 +170,7 @@ def simulate(tm, grid, tableau, kind="tamed_euler", initial=None,
         hi = min(total, k + chunk)
         block = rng_mod.level_increments(tableau, grid.n, k, hi)
         for j in range(k, hi):
-            alive = step(ens, tm, grid, kind=kind,
-                         dW=block[j - k, :n_part, :])
+            alive = step(ens, tm, grid, block[j - k, :n_part, :])
             for cb in callbacks:
                 cb.observe(ens, grid)
             if not alive:
@@ -252,22 +216,3 @@ class StateRecorder:
             self.recorded_steps.append(k)
             self.states.append(ens.states.copy())
 
-
-class SnapshotWriter:
-    """Writes CSV snapshots at selected step indices."""
-
-    def __init__(self, out_dir, steps, prefix="snapshot"):
-        self.out_dir = out_dir
-        self.steps = set(int(s) for s in steps)
-        self.prefix = prefix
-        self.written = []
-        os.makedirs(out_dir, exist_ok=True)
-
-    def observe(self, ens, grid):
-        k = ens.t_index
-        if k in self.steps:
-            t = float(grid.t_at(k))
-            path = os.path.join(self.out_dir,
-                                "%s_step%06d.csv" % (self.prefix, k))
-            snapshot_csv(ens, path, t)
-            self.written.append(path)

@@ -1,6 +1,7 @@
 """CLI exit codes, overrides, worker-count resolution, output text."""
 
 import json
+import time
 
 import pytest
 
@@ -158,6 +159,27 @@ def test_threads_must_be_positive(tmp_path, capsys):
                   _tiny_rate_ini(str(tmp_path / "out")))
     assert main(["strong-rate", "--config", path, "--threads", "0"]) == 1
     assert "threads must be >= 1" in capsys.readouterr().err
+
+
+def test_strong_rate_help_explains_default_range(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["strong-rate", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "p <= p0/(3q+1) = 4/7" in out
+
+
+def test_tableau_over_cap_exits_1(tmp_path, capsys):
+    # the default N = 64 at T = 300, n_max = 1024 needs 19660800 stored
+    # increments; the run must stop before simulating anything
+    ini = ("[run]\nexperiment = strong-rate\nout_dir = %s\n"
+           "[grid]\nT = 300.0\nn_max = 1024\n" % str(tmp_path / "out"))
+    path = _write(tmp_path, "big.ini", ini)
+    t0 = time.monotonic()
+    assert main(["strong-rate", "--config", path]) == 1
+    assert time.monotonic() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert "19660800" in err and "lower N, T or n_max" in err
 
 
 def test_ergodic_cli_output(tmp_path, capsys):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mvsde.ensemble import make_ensemble
+from mvsde.ensemble import ParticleEnsemble
 from mvsde.metrics import (EXACT_ASSIGNMENT_CAP, W2_METHODS,
                            fit_loglog_slope, w2, w2_sliced)
 
@@ -109,8 +109,8 @@ def test_sliced_stderr_positive_in_higher_dim():
 
 def test_accepts_ensembles_and_measures():
     states = np.array([[0.0], [2.0]])
-    ens_a = make_ensemble(states)
-    ens_b = make_ensemble(states + 1.0)
+    ens_a = ParticleEnsemble(states)
+    ens_b = ParticleEnsemble(states + 1.0)
     raw = w2(states, states + 1.0)
     assert w2(ens_a, ens_b) == raw
     assert w2(ens_a.measure(), ens_b.measure()) == raw

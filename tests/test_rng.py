@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvsde.rng import (QUANT, increments_at_level, initial_law,
+from mvsde.rng import (ELEMENT_CAP, QUANT, increments_at_level, initial_law,
                        level_increments, make_tableau, parse_initial,
                        sample_initial)
 
@@ -138,6 +138,15 @@ def test_tableau_validation():
         make_tableau(1, 2, 1, 1.0, 0)
     with pytest.raises(ValueError):
         level_increments(make_tableau(1, 2, 1, 1.0, 8), 3)  # not a divisor
+
+
+def test_tableau_over_cap_refused_with_remedy():
+    # 300 * 1024 steps * 64 particles * 1 noise component
+    with pytest.raises(ValueError) as exc:
+        make_tableau(1, 64, 1, 300.0, 1024)
+    msg = str(exc.value)
+    assert "19660800" in msg and str(ELEMENT_CAP) in msg
+    assert "lower N, T or n_max" in msg
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from mvsde.ensemble import make_ensemble
-from mvsde.model import make_model
+from mvsde.ensemble import ParticleEnsemble
+from mvsde.model import FAMILIES, make_model
 from mvsde.rng import initial_law, make_tableau
-from mvsde.scheme import (SCHEME_KINDS, MomentTracker, StateRecorder,
-                          TimeGrid, make_grid, simulate, step)
-from mvsde.taming import TamedModel
+from mvsde.scheme import MomentTracker, StateRecorder, TimeGrid, simulate, step
+from mvsde.taming import (VARIANTS, TamedModel, tamed_drift_b,
+                          tamed_kernel_f, tamed_kernel_g, tamed_sigma)
 
 
 def _pure_cubic(**extra):
@@ -18,13 +18,12 @@ def _pure_cubic(**extra):
 
 
 def test_grid_basics():
-    g = make_grid(2.0, 4)
+    g = TimeGrid(2.0, 4)
     assert g.h == 0.25 and g.total_steps == 8
     assert g.t_at(3) == 0.75
-    assert g.k_n(0.8) == 0.75
-    assert make_grid(1.5, 2).total_steps == 3
+    assert TimeGrid(1.5, 2).total_steps == 3
     with pytest.raises(ValueError):
-        make_grid(1.3, 2)  # n T not whole
+        TimeGrid(1.3, 2)  # n T not whole
     with pytest.raises(ValueError):
         TimeGrid(1.0, 0)
 
@@ -37,9 +36,9 @@ def test_single_step_oracle():
     """
     m = _pure_cubic(sigma0=0.5)
     tm = TamedModel(m, 4, "finite")
-    ens = make_ensemble(np.array([[1.0]]))
-    grid = make_grid(1.0, 4)
-    step(ens, tm, grid, dW=np.array([[0.75]]), kind="tamed_euler")
+    ens = ParticleEnsemble(np.array([[1.0]]))
+    grid = TimeGrid(1.0, 4)
+    step(ens, tm, grid, np.array([[0.75]]))
     want = 1.0 + 0.25 * (-1.0 / 1.5) + (0.5 / 1.5) * 0.75
     assert ens.states[0, 0] == pytest.approx(want, rel=1e-15)
     assert ens.t_index == 1
@@ -53,41 +52,56 @@ def test_two_particle_kernel_step():
     """
     m = _pure_cubic(c_f=1.0)
     tm = TamedModel(m, 1, "off")
-    ens = make_ensemble(np.array([[1.0], [-1.0]]))
-    grid = make_grid(1.0, 1)
+    ens = ParticleEnsemble(np.array([[1.0], [-1.0]]))
+    grid = TimeGrid(1.0, 1)
     step(ens, tm, grid, dW=np.zeros((2, 1)))
     assert ens.states[0, 0] == -4.0
     assert ens.states[1, 0] == 4.0
 
 
-def test_step_needs_noise_source():
-    m = _pure_cubic()
-    ens = make_ensemble(np.zeros((1, 1)))
-    with pytest.raises(ValueError):
-        step(ens, TamedModel(m, 4), make_grid(1.0, 4))
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_step_matches_explicit_euler_update(family, variant):
+    """One step equals the Euler update built from the tamed coefficients:
+
+    x + h (b_n(x, mu) + mean_j f_n(x, x_j))
+      + (diag sigma_n(x, mu) + mean_j diag g_n(x, x_j)) dW,
+
+    with mu the empirical measure of the old state.
+    """
+    n_part, n = 7, 16
+    rng = np.random.default_rng(20261017)
+    for d in (1, 2, 3):
+        tm = TamedModel(make_model(family, d=d), n, variant)
+        x = rng.normal(scale=1.2, size=(n_part, d))
+        dW = rng.normal(scale=n ** -0.5, size=(n_part, d))
+        xi, xj = x[:, None, :], x[None, :, :]
+        drift = (tamed_drift_b(tm, 0.0, x, x)
+                 + tamed_kernel_f(tm, xi, xj).mean(axis=1))
+        diffusion = (np.diagonal(tamed_sigma(tm, 0.0, x, x), axis1=-2,
+                                 axis2=-1)
+                     + np.diagonal(tamed_kernel_g(tm, xi, xj).mean(axis=1),
+                                   axis1=-2, axis2=-1))
+        want = x + drift / n + diffusion * dW
+        ens = ParticleEnsemble(x)
+        assert step(ens, tm, TimeGrid(1.0, n), dW)
+        np.testing.assert_allclose(ens.states, want, rtol=1e-12,
+                                   atol=1e-14)
 
 
-def test_scheme_kinds():
-    assert SCHEME_KINDS == ("tamed_euler", "plain_euler")
-    ens = make_ensemble(np.zeros((1, 1)))
-    with pytest.raises(ValueError):
-        step(ens, TamedModel(_pure_cubic(), 4), make_grid(1.0, 4),
-             dW=np.zeros((1, 1)), kind="heun")
-
-
-def test_plain_euler_blowup_iterates():
+def test_untamed_blowup_iterates():
     """x0=3, h=0.5, b=-x^3: first iterates -10.5, 568.3125, then overflow."""
     m = _pure_cubic()
-    tm = TamedModel(m, 2, "finite")
-    grid = make_grid(100.0, 2)
-    ens = make_ensemble(np.full((4, 1), 3.0))
-    step(ens, tm, grid, dW=np.zeros((4, 1)), kind="plain_euler")
+    tm = TamedModel(m, 2, "off")
+    grid = TimeGrid(100.0, 2)
+    ens = ParticleEnsemble(np.full((4, 1), 3.0))
+    step(ens, tm, grid, np.zeros((4, 1)))
     assert (ens.states == -10.5).all()
-    step(ens, tm, grid, dW=np.zeros((4, 1)), kind="plain_euler")
+    step(ens, tm, grid, np.zeros((4, 1)))
     assert (ens.states == 568.3125).all()
     k = 2
     while not ens.overflow_flag and k < 20:
-        step(ens, tm, grid, dW=np.zeros((4, 1)), kind="plain_euler")
+        step(ens, tm, grid, np.zeros((4, 1)))
         k += 1
     assert ens.overflow_flag and ens.diverged_step is not None
     assert ens.diverged_step <= 20
@@ -96,7 +110,7 @@ def test_plain_euler_blowup_iterates():
 def test_tamed_same_start_stays_finite():
     m = _pure_cubic()
     tm = TamedModel(m, 2, "finite")
-    grid = make_grid(100.0, 2)
+    grid = TimeGrid(100.0, 2)
     tab = make_tableau(1, 4, 1, 100.0, 2)
     ens = simulate(tm, grid, tab, initial=initial_law("point", center=3.0))
     assert not ens.overflow_flag
@@ -107,7 +121,7 @@ def test_simulate_reproducible_and_level_consistent():
     m = make_model("cubic-mean-field", d=2)
     tab = make_tableau(21, 8, 2, 1.0, 32)
     tm = TamedModel(m, 32, "finite")
-    grid = make_grid(1.0, 32)
+    grid = TimeGrid(1.0, 32)
     law = initial_law("gaussian")
     a = simulate(tm, grid, tab, initial=law)
     b = simulate(tm, grid, tab, initial=law)
@@ -118,7 +132,7 @@ def test_simulate_callbacks_and_trackers():
     m = _pure_cubic(sigma0=0.2)
     tab = make_tableau(3, 4, 1, 1.0, 8)
     tm = TamedModel(m, 8, "finite")
-    grid = make_grid(1.0, 8)
+    grid = TimeGrid(1.0, 8)
     mom = MomentTracker(2.0)
     rec = StateRecorder(stride=4)
     simulate(tm, grid, tab, initial=initial_law("point", center=1.0),
@@ -138,7 +152,7 @@ def test_simulate_prefix_particles_share_noise():
     m = _pure_cubic(sigma0=0.5)
     tab = make_tableau(17, 16, 1, 1.0, 16)
     tm = TamedModel(m, 16, "finite")
-    grid = make_grid(1.0, 16)
+    grid = TimeGrid(1.0, 16)
     law = initial_law("gaussian")
     small = simulate(tm, grid, tab, initial=law, n_particles=4)
     big = simulate(tm, grid, tab, initial=law, n_particles=16)
@@ -153,7 +167,7 @@ def test_center_of_mass_nearly_conserved():
                                sigma0=0.0, c_g=0.0))
     tab = make_tableau(9, 32, 1, 1.0, 64)
     tm = TamedModel(m, 64, "off")
-    grid = make_grid(1.0, 64)
+    grid = TimeGrid(1.0, 64)
     rec = StateRecorder(stride=64)
     simulate(tm, grid, tab, initial=initial_law("gaussian"),
              callbacks=(rec,))
@@ -167,23 +181,22 @@ def test_simulate_argument_validation():
     tab = make_tableau(1, 4, 1, 1.0, 8)
     tm = TamedModel(m, 8)
     with pytest.raises(ValueError):
-        simulate(tm, make_grid(1.0, 3), tab)  # 3 does not divide 8
+        simulate(tm, TimeGrid(1.0, 3), tab)  # 3 does not divide 8
     with pytest.raises(ValueError):
-        simulate(tm, make_grid(1.0, 8), tab, n_particles=5)
+        simulate(tm, TimeGrid(1.0, 8), tab, n_particles=5)
     with pytest.raises(ValueError):
-        simulate(tm, make_grid(2.0, 8), tab)  # beyond the horizon
+        simulate(tm, TimeGrid(2.0, 8), tab)  # beyond the horizon
     with pytest.raises(ValueError):
-        simulate(tm, make_grid(1.0, 8), tab,
+        simulate(tm, TimeGrid(1.0, 8), tab,
                  initial_states=np.zeros((2, 1)), n_particles=4)
 
 
 def test_divergence_freezes_state():
     m = _pure_cubic()
-    tm = TamedModel(m, 2, "finite")
-    grid = make_grid(100.0, 2)
+    tm = TamedModel(m, 2, "off")
+    grid = TimeGrid(100.0, 2)
     tab = make_tableau(1, 2, 1, 100.0, 2)
-    ens = simulate(tm, grid, tab, kind="plain_euler",
-                   initial=initial_law("point", center=3.0))
+    ens = simulate(tm, grid, tab, initial=initial_law("point", center=3.0))
     assert ens.overflow_flag
     assert ens.t_index == ens.diverged_step
     assert ens.t_index < grid.total_steps
