@@ -118,7 +118,12 @@ def _resolve_config(args):
     if args.threads is not None:
         cfg.threads = int(args.threads)
     elif os.environ.get("MVSDE_THREADS"):
-        cfg.threads = int(os.environ["MVSDE_THREADS"])
+        raw = os.environ["MVSDE_THREADS"]
+        try:
+            cfg.threads = int(raw)
+        except ValueError:
+            raise config_mod.ConfigError(
+                "MVSDE_THREADS must be a whole number, got %r" % raw)
     if cfg.threads < 1:
         raise config_mod.ConfigError("threads must be >= 1, got %d"
                                      % cfg.threads)

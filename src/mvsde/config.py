@@ -2,7 +2,10 @@
 
 Grammar (config_version 1)
 --------------------------
-Eight sections, all keys single-valued; '#' and ';' start comments.
+The RunConfig field table below is the single source of the keys: each
+field declares its section, its type and its base default, and parsing,
+emission and the report's config echo all follow it. Eight sections,
+all keys single-valued; '#' and ';' start comments.
 
 [run]        config_version, experiment (simulate | strong-rate |
              poc-rate | moment-stability | ergodic), seed, reps,
@@ -32,7 +35,7 @@ and never affect any numeric output.
 
 import configparser
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .experiments import (OPTIONAL_CONSTANTS, REQUIRED_CONSTANTS,
                           check_step_bound)
@@ -51,40 +54,66 @@ class ConfigError(ValueError):
     """Syntax error or the full list of violated constraints."""
 
 
-_BASE_DEFAULTS = dict(
-    config_version=CONFIG_VERSION,
-    seed=12345,
-    reps=32,
-    threads=1,
-    out_dir="out",
-    p=2.0,
-    p0=4.0,
-    family="cubic-mean-field",
-    d=1,
-    l=None,
-    measure_mode=None,
-    params={},
-    T=1.0,
-    n=128,
-    levels=(),
-    n_max=1024,
-    N=64,
-    N_levels=(),
-    N_ref=1024,
-    probe_count=16,
-    initial="gaussian 0.0 1.0",
-    initial_b=None,
-    variant="finite",
-    method="sorted_1d",
-    projections=64,
-    cap=512,
-    slope_lo=0.40,
-    slope_hi=0.60,
-    r2_min=0.95,
-    ratio_max=0.05,
-    max_divergence_step=20,
-    constants=None,
-)
+def _key(section, default, **meta):
+    return field(default=default, metadata=dict(meta, section=section))
+
+
+def _constant_rank(name):
+    # documented constants in listing order, then unknown ones by name
+    known = REQUIRED_CONSTANTS + OPTIONAL_CONSTANTS
+    return (known.index(name) if name in known else len(known), name)
+
+
+@dataclass
+class RunConfig:
+    """Fully resolved run configuration (canonical values).
+
+    This field table is the config schema: each field's metadata names
+    its INI section, its annotation is the parsed type and its default is
+    the base default (None where it is derived from other keys or the
+    section is absent). Field order is the order of the report's config
+    echo and, with config_version moved first, of the emitted INI. A dict
+    field collects its section's remaining keys as floats.
+    """
+
+    experiment: str = _key("run", "strong-rate")
+    config_version: int = _key("run", CONFIG_VERSION)
+    seed: int = _key("run", 12345)
+    reps: int = _key("run", 32)
+    threads: int = _key("run", 1)
+    out_dir: str = _key("run", "out")
+    p: float = _key("run", 2.0)
+    p0: float = _key("run", 4.0)
+    family: str = _key("model", "cubic-mean-field")
+    d: int = _key("model", 1)
+    l: int = _key("model", None)
+    measure_mode: str = _key("model", None)
+    params: dict = field(default_factory=dict, metadata=dict(
+        section="model", what="model parameter"))
+    T: float = _key("grid", 1.0)
+    n: int = _key("grid", 128)
+    levels: tuple = _key("grid", ())
+    n_max: int = _key("grid", 1024)
+    N: int = _key("ensemble", 64)
+    N_levels: tuple = _key("ensemble", ())
+    N_ref: int = _key("ensemble", 1024)
+    probe_count: int = _key("ensemble", 16)
+    initial: str = _key("ensemble", "gaussian 0.0 1.0")
+    initial_b: str = _key("ensemble", None)
+    variant: str = _key("taming", "finite")
+    method: str = _key("metric", "sorted_1d")
+    projections: int = _key("metric", 64)
+    cap: int = _key("metric", 512)
+    slope_lo: float = _key("bands", 0.40)
+    slope_hi: float = _key("bands", 0.60)
+    r2_min: float = _key("bands", 0.95)
+    ratio_max: float = _key("bands", 0.05)
+    max_divergence_step: int = _key("bands", 20)
+    constants: dict = _key("constants", None, what="constant",
+                           order=_constant_rank)
+
+
+_FIELDS = fields(RunConfig)
 
 _EXPERIMENT_DEFAULTS = {
     "simulate": dict(reps=1),
@@ -101,45 +130,6 @@ _EXPERIMENT_DEFAULTS = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved run configuration (canonical values)."""
-
-    experiment: str
-    config_version: int
-    seed: int
-    reps: int
-    threads: int
-    out_dir: str
-    p: float
-    p0: float
-    family: str
-    d: int
-    l: int
-    measure_mode: str
-    params: dict
-    T: float
-    n: int
-    levels: tuple
-    n_max: int
-    N: int
-    N_levels: tuple
-    N_ref: int
-    probe_count: int
-    initial: str
-    initial_b: str
-    variant: str
-    method: str
-    projections: int
-    cap: int
-    slope_lo: float
-    slope_hi: float
-    r2_min: float
-    ratio_max: float
-    max_divergence_step: int
-    constants: object = None
-
-
 def _canonical_law(text):
     law = parse_initial(text)
     if law["kind"] == "point":
@@ -148,20 +138,14 @@ def _canonical_law(text):
     return "%s %r %r" % (law["kind"], float(law["center"]), float(spread))
 
 
-def make_config(experiment="strong-rate", **overrides):
-    """Build a validated RunConfig from per-experiment defaults.
-
-    Unknown keyword names raise; constraint violations raise
-    ConfigError listing every problem. Pass validate=False to skip the
-    cross-field checks (used by the parser to collect its own list).
-    """
-    validate = overrides.pop("validate", True)
-    merged = dict(_BASE_DEFAULTS)
-    merged.update(_EXPERIMENT_DEFAULTS.get(experiment, {}))
+def _resolve(experiment, overrides):
+    """RunConfig from defaults and overrides, derived values filled in."""
+    merged = vars(RunConfig())  # a fresh copy of the base defaults
     unknown = [k for k in overrides if k not in merged]
     if unknown:
         raise ConfigError("unknown config keys: %s"
                           % ", ".join(sorted(unknown)))
+    merged.update(_EXPERIMENT_DEFAULTS.get(experiment, {}))
     merged.update(overrides)
     merged["experiment"] = experiment
 
@@ -190,16 +174,27 @@ def make_config(experiment="strong-rate", **overrides):
         pass  # reported by _violations
     if merged["measure_mode"] is None:
         merged["measure_mode"] = ""
+    return RunConfig(**merged)
 
-    cfg = RunConfig(**merged)
-    if validate:
-        problems = _violations(cfg)
-        if problems:
-            raise ConfigError(
-                "invalid configuration (%d problem%s):\n%s"
-                % (len(problems), "s" if len(problems) != 1 else "",
-                   "\n".join("  - " + p for p in problems)))
+
+def _checked(cfg, problems=()):
+    """cfg, or ConfigError listing problems plus every violation."""
+    problems = list(problems) + _violations(cfg)
+    if problems:
+        raise ConfigError(
+            "invalid configuration (%d problem%s):\n%s"
+            % (len(problems), "s" if len(problems) != 1 else "",
+               "\n".join("  - " + p for p in problems)))
     return cfg
+
+
+def make_config(experiment="strong-rate", **overrides):
+    """Build a validated RunConfig from per-experiment defaults.
+
+    Unknown keyword names raise; constraint violations raise
+    ConfigError listing every problem.
+    """
+    return _checked(_resolve(experiment, overrides))
 
 
 def _whole(x):
@@ -355,42 +350,16 @@ def _violations(cfg):
     return problems
 
 
-_SECTIONS = {
-    "run": ("config_version", "experiment", "seed", "reps", "threads",
-            "out_dir", "p", "p0"),
-    "model": ("family", "d", "l", "measure_mode"),
-    "grid": ("T", "n", "levels", "n_max"),
-    "ensemble": ("N", "N_levels", "N_ref", "probe_count", "initial",
-                 "initial_b"),
-    "taming": ("variant",),
-    "metric": ("method", "projections", "cap"),
-    "bands": ("slope_lo", "slope_hi", "r2_min", "ratio_max",
-              "max_divergence_step"),
-}
-
-_INT_KEYS = {"config_version", "seed", "reps", "threads", "d", "l", "n",
-             "n_max", "N", "N_ref", "probe_count", "projections", "cap",
-             "max_divergence_step"}
-_FLOAT_KEYS = {"p", "p0", "T", "slope_lo", "slope_hi", "r2_min",
-               "ratio_max"}
-_LIST_KEYS = {"levels", "N_levels"}
+def _parse_value(kind, raw):
+    if kind is tuple:
+        return tuple(int(s) for s in raw.split(",")) if raw else ()
+    return kind(raw)
 
 
-def _parse_scalar(key, raw, problems):
-    raw = raw.strip()
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _LIST_KEYS:
-            if not raw:
-                return ()
-            return tuple(int(s.strip()) for s in raw.split(","))
-    except ValueError:
-        problems.append("key %r: cannot parse %r" % (key, raw))
-        return None
-    return raw
+def _fmt(kind, value):
+    if kind is tuple:
+        return ",".join(str(int(u)) for u in value)
+    return repr(kind(value)) if kind in (int, float) else str(value)
 
 
 def parse_config(text):
@@ -410,111 +379,51 @@ def parse_config(text):
     problems = []
     overrides = {}
     for section in cp.sections():
-        if section == "constants":
-            consts = {}
-            for key, raw in cp.items(section):
-                try:
-                    consts[key] = float(raw)
-                except ValueError:
-                    problems.append("constant %r: cannot parse %r"
-                                    % (key, raw.strip()))
-            overrides["constants"] = consts
-            continue
-        if section not in _SECTIONS:
+        known = {f.name: f for f in _FIELDS
+                 if f.metadata["section"] == section}
+        if not known:
             problems.append("unknown section [%s]" % section)
             continue
-        known = _SECTIONS[section]
+        bag = next((f for f in known.values() if f.type is dict), None)
+        if bag is not None:
+            overrides[bag.name] = {}
         for key, raw in cp.items(section):
-            if key in known:
-                val = _parse_scalar(key, raw, problems)
-                if val is not None:
-                    overrides[key] = val
-            elif section == "model":
+            raw = raw.strip()
+            f = known.get(key)
+            if f is not None and f is not bag:
                 try:
-                    overrides.setdefault("params", {})[key] = float(raw)
+                    overrides[key] = _parse_value(f.type, raw)
                 except ValueError:
-                    problems.append("model parameter %r: cannot parse "
-                                    "%r" % (key, raw.strip()))
+                    problems.append("key %r: cannot parse %r" % (key, raw))
+            elif bag is not None:
+                try:
+                    overrides[bag.name][key] = float(raw)
+                except ValueError:
+                    problems.append("%s %r: cannot parse %r"
+                                    % (bag.metadata["what"], key, raw))
             else:
                 problems.append("unknown key %r in section [%s]"
                                 % (key, section))
 
-    experiment = overrides.pop("experiment", "strong-rate")
-    try:
-        cfg = make_config(experiment, validate=False, **overrides)
-        problems.extend(_violations(cfg))
-    except ConfigError as exc:
-        problems.append(str(exc))
-        cfg = None
-    if problems:
-        raise ConfigError(
-            "invalid configuration (%d problem%s):\n%s"
-            % (len(problems), "s" if len(problems) != 1 else "",
-               "\n".join("  - " + p for p in problems)))
-    return cfg
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, tuple):
-        return ",".join(str(int(u)) for u in v)
-    return str(v)
+    experiment = overrides.pop("experiment", RunConfig.experiment)
+    return _checked(_resolve(experiment, overrides), problems)
 
 
 def emit_config(cfg):
     """Canonical INI text for a RunConfig; parse_config round-trips it."""
-    lines = ["[run]",
-             "config_version = %d" % cfg.config_version,
-             "experiment = %s" % cfg.experiment,
-             "seed = %d" % cfg.seed,
-             "reps = %d" % cfg.reps,
-             "threads = %d" % cfg.threads,
-             "out_dir = %s" % cfg.out_dir,
-             "p = %s" % _fmt(cfg.p),
-             "p0 = %s" % _fmt(cfg.p0),
-             "",
-             "[model]",
-             "family = %s" % cfg.family,
-             "d = %d" % cfg.d,
-             "l = %d" % cfg.l,
-             "measure_mode = %s" % cfg.measure_mode]
-    for key in sorted(cfg.params):
-        lines.append("%s = %s" % (key, _fmt(float(cfg.params[key]))))
-    lines += ["",
-              "[grid]",
-              "T = %s" % _fmt(cfg.T),
-              "n = %d" % cfg.n,
-              "levels = %s" % _fmt(cfg.levels),
-              "n_max = %d" % cfg.n_max,
-              "",
-              "[ensemble]",
-              "N = %d" % cfg.N,
-              "N_levels = %s" % _fmt(cfg.N_levels),
-              "N_ref = %d" % cfg.N_ref,
-              "probe_count = %d" % cfg.probe_count,
-              "initial = %s" % cfg.initial,
-              "initial_b = %s" % cfg.initial_b,
-              "",
-              "[taming]",
-              "variant = %s" % cfg.variant,
-              "",
-              "[metric]",
-              "method = %s" % cfg.method,
-              "projections = %d" % cfg.projections,
-              "cap = %d" % cfg.cap,
-              "",
-              "[bands]",
-              "slope_lo = %s" % _fmt(cfg.slope_lo),
-              "slope_hi = %s" % _fmt(cfg.slope_hi),
-              "r2_min = %s" % _fmt(cfg.r2_min),
-              "ratio_max = %s" % _fmt(cfg.ratio_max),
-              "max_divergence_step = %d" % cfg.max_divergence_step]
-    if cfg.constants is not None:
-        lines += ["", "[constants]"]
-        order = [k for k in REQUIRED_CONSTANTS if k in cfg.constants]
-        order += [k for k in OPTIONAL_CONSTANTS if k in cfg.constants]
-        order += sorted(set(cfg.constants) - set(order))
-        for key in order:
-            lines.append("%s = %s" % (key, _fmt(float(cfg.constants[key]))))
-    return "\n".join(lines) + "\n"
+    lines = []
+    section = None
+    # the [run] section leads with the format version
+    for f in sorted(_FIELDS, key=lambda f: f.name != "config_version"):
+        value = getattr(cfg, f.name)
+        if value is None:
+            continue
+        if f.metadata["section"] != section:
+            section = f.metadata["section"]
+            lines += ["", "[%s]" % section]
+        if f.type is dict:
+            for key in sorted(value, key=f.metadata.get("order")):
+                lines.append("%s = %s" % (key, _fmt(float, value[key])))
+        else:
+            lines.append("%s = %s" % (f.name, _fmt(f.type, value)))
+    return "\n".join(lines[1:]) + "\n"

@@ -45,7 +45,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -184,27 +184,19 @@ class ErgodicReport:
     json_path: str = ""
 
 
-_ECHO_FIELDS = (
-    "experiment", "config_version", "seed", "reps", "p", "p0",
-    "family", "d", "l", "measure_mode", "params",
-    "T", "n", "levels", "n_max",
-    "N", "N_levels", "N_ref", "probe_count", "initial", "initial_b",
-    "variant", "method", "projections", "cap",
-    "slope_lo", "slope_hi", "r2_min", "ratio_max",
-    "max_divergence_step", "constants")
-
-
 def _config_echo(cfg):
-    # threads and out_dir deliberately absent: neither may change a byte
-    # of the report
+    # every config field in declaration order, except threads and
+    # out_dir: neither may change a byte of the report
     echo = {}
-    for name in _ECHO_FIELDS:
-        v = getattr(cfg, name, None)
+    for f in fields(cfg):
+        if f.name in ("threads", "out_dir"):
+            continue
+        v = getattr(cfg, f.name)
         if isinstance(v, tuple):
             v = list(v)
         elif isinstance(v, dict):
             v = {k: v[k] for k in sorted(v)}
-        echo[name] = v
+        echo[f.name] = v
     echo["software_version"] = VERSION
     echo["backend"] = backend_name()
     return echo
@@ -225,11 +217,11 @@ def _jsonable(v):
 
 
 def _fit_dict(fit):
+    # reports order the fit's keys this way, not as RateFit declares them
     if fit is None:
         return None
-    return {"slope": fit.slope, "intercept": fit.intercept,
-            "r_squared": fit.r_squared,
-            "points": [[a, b] for a, b in fit.points]}
+    return {k: getattr(fit, k)
+            for k in ("slope", "intercept", "r_squared", "points")}
 
 
 def _cell(v):
@@ -240,20 +232,32 @@ def _cell(v):
     return repr(float(v))
 
 
-def _emit(cfg, name, rows, report_dict):
-    """Write <name>_errors.csv and <name>_report.json under out_dir."""
+def _write_json(path, body):
+    with open(path, "w") as fh:
+        json.dump(_jsonable(body), fh, indent=2)
+        fh.write("\n")
+
+
+def _emit(cfg, report, rows):
+    """Write <kind>_errors.csv and <kind>_report.json under out_dir.
+
+    The JSON holds the report's fields in declaration order without the
+    *_path fields, which are set here; fit goes through _fit_dict.
+    """
     os.makedirs(cfg.out_dir, exist_ok=True)
-    csv_path = os.path.join(cfg.out_dir, name + "_errors.csv")
-    json_path = os.path.join(cfg.out_dir, name + "_report.json")
-    with open(csv_path, "w") as fh:
+    report.csv_path = os.path.join(cfg.out_dir, report.kind + "_errors.csv")
+    report.json_path = os.path.join(cfg.out_dir,
+                                    report.kind + "_report.json")
+    with open(report.csv_path, "w") as fh:
         fh.write("level,error,stderr,diverged_count\n")
         for level, err, se, cnt in rows:
             fh.write("%s,%s,%s,%d\n" % (_cell(level), _cell(err),
                                         _cell(se), int(cnt)))
-    with open(json_path, "w") as fh:
-        json.dump(_jsonable(report_dict), fh, indent=2)
-        fh.write("\n")
-    return csv_path, json_path
+    body = {f.name: getattr(report, f.name) for f in fields(report)
+            if not f.name.endswith("_path")}
+    if "fit" in body:
+        body["fit"] = _fit_dict(body["fit"])
+    _write_json(report.json_path, body)
 
 
 def _map_reps(worker, reps, threads):
@@ -314,6 +318,18 @@ def _rate_verdict(xs, errors, diverged, cfg, exploratory=False):
     verdict = {"status": status, "slope_in_band": slope_ok,
                "r2_ok": r2_ok, "no_divergence": no_div}
     return fit, verdict
+
+
+def _rate_report(cfg, kind, levels, xs, results, exploratory=False):
+    """Aggregate, fit, report and emit: the tail of both rate drivers."""
+    errors, stderrs, diverged = _aggregate_levels(results, len(levels),
+                                                  float(cfg.p))
+    fit, verdict = _rate_verdict(xs, errors, diverged, cfg, exploratory)
+    report = RateReport(kind=kind, levels=levels, errors=errors,
+                        stderrs=stderrs, diverged=diverged, fit=fit,
+                        verdict=verdict, config=_config_echo(cfg))
+    _emit(cfg, report, zip(levels, errors, stderrs, diverged))
+    return report
 
 
 def run_strong_rate(cfg):
@@ -377,20 +393,8 @@ def run_strong_rate(cfg):
         return out
 
     results = _map_reps(one_rep, int(cfg.reps), int(cfg.threads))
-    errors, stderrs, diverged = _aggregate_levels(results, len(levels), p)
-    fit, verdict = _rate_verdict([1.0 / n for n in levels], errors,
-                                 diverged, cfg)
-    report = RateReport(kind="strong_rate", levels=levels, errors=errors,
-                        stderrs=stderrs, diverged=diverged, fit=fit,
-                        verdict=verdict, config=_config_echo(cfg))
-    rows = list(zip(levels, errors, stderrs, diverged))
-    body = {"kind": report.kind, "levels": report.levels,
-            "errors": report.errors, "stderrs": report.stderrs,
-            "diverged": report.diverged, "fit": _fit_dict(fit),
-            "verdict": verdict, "config": report.config}
-    report.csv_path, report.json_path = _emit(cfg, "strong_rate", rows,
-                                              body)
-    return report
+    return _rate_report(cfg, "strong_rate", levels,
+                        [1.0 / n for n in levels], results)
 
 
 def _poc_single_rep(tm, grid, tab, sizes, n_ref, probe_count, law, p):
@@ -454,21 +458,8 @@ def run_poc_rate(cfg):
                                law, p)
 
     results = _map_reps(one_rep, int(cfg.reps), int(cfg.threads))
-    errors, stderrs, diverged = _aggregate_levels(results, len(sizes), p)
-    fit, verdict = _rate_verdict(
-        sizes, errors, diverged, cfg,
-        exploratory=(model.measure_mode != "pairwise"))
-    report = RateReport(kind="poc_rate", levels=sizes, errors=errors,
-                        stderrs=stderrs, diverged=diverged, fit=fit,
-                        verdict=verdict, config=_config_echo(cfg))
-    rows = list(zip(sizes, errors, stderrs, diverged))
-    body = {"kind": report.kind, "levels": report.levels,
-            "errors": report.errors, "stderrs": report.stderrs,
-            "diverged": report.diverged, "fit": _fit_dict(fit),
-            "verdict": verdict, "config": report.config}
-    report.csv_path, report.json_path = _emit(cfg, "poc_rate", rows,
-                                              body)
-    return report
+    return _rate_report(cfg, "poc_rate", sizes, sizes, results,
+                        exploratory=(model.measure_mode != "pairwise"))
 
 
 class _DivergenceTracker:
@@ -559,14 +550,7 @@ def run_moment_stability(cfg):
                              diverged=div_counts,
                              divergence_steps=div_steps, series=series,
                              verdict=verdict, config=_config_echo(cfg))
-    rows = list(zip(labels, sups, stderrs, div_counts))
-    body = {"kind": report.kind, "arms": labels,
-            "sup_moments": sups, "stderrs": stderrs,
-            "diverged": div_counts, "divergence_steps": div_steps,
-            "series": series, "verdict": verdict,
-            "config": report.config}
-    report.csv_path, report.json_path = _emit(cfg, "moment_stability",
-                                              rows, body)
+    _emit(cfg, report, zip(labels, sups, stderrs, div_counts))
     return report
 
 
@@ -712,15 +696,8 @@ def run_ergodic_contraction(cfg):
                            w2_last=w2_last, stabilization=stab_entries,
                            constants=constants, verdict=verdict,
                            config=_config_echo(cfg))
-    rows = [(t, e, s, n_div)
-            for t, e, s in zip(times, report.w2, report.stderrs)]
-    body = {"kind": report.kind, "times": report.times, "w2": report.w2,
-            "stderrs": report.stderrs, "diverged": n_div,
-            "decay_rate": decay_rate, "r_squared": r_squared,
-            "w2_first": w2_first, "w2_last": w2_last,
-            "stabilization": stab_entries, "constants": constants,
-            "verdict": verdict, "config": report.config}
-    report.csv_path, report.json_path = _emit(cfg, "ergodic", rows, body)
+    _emit(cfg, report, [(t, e, s, n_div) for t, e, s
+                        in zip(times, report.w2, report.stderrs)])
     return report
 
 
@@ -753,9 +730,7 @@ def run_simulate(cfg):
             "steps_run": int(ens.t_index), "verdict": verdict,
             "config": _config_echo(cfg)}
     json_path = os.path.join(cfg.out_dir, "simulate_report.json")
-    with open(json_path, "w") as fh:
-        json.dump(_jsonable(body), fh, indent=2)
-        fh.write("\n")
+    _write_json(json_path, body)
     body["snapshot_path"] = snap_path
     body["json_path"] = json_path
     return body

@@ -31,7 +31,6 @@ whose reference constants are derived for the quadratic-index structure
 other models rather than report margins against invalid references.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,11 +194,6 @@ def _fit_min(lhs, factor):
 
 def _pos(v):
     return max(0.0, v)
-
-
-def _coupling(model):
-    # magnitude of the measure coupling, whichever mode carries it
-    return abs(model.lam) + abs(model.kap_pair)
 
 
 # ---------------------------------------------------------------- finite

@@ -194,3 +194,16 @@ def test_ergodic_cli_output(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "W2" in out and "fitted decay rate" in out
     assert "verdict: pass" in out
+
+
+@pytest.mark.parametrize("value, message", [
+    ("abc", "MVSDE_THREADS must be a whole number, got 'abc'"),
+    ("0", "threads must be >= 1, got 0")])
+def test_threads_variable_refused(tmp_path, monkeypatch, capsys, value,
+                                  message):
+    monkeypatch.setenv("MVSDE_THREADS", value)
+    out_dir = tmp_path / "out"
+    path = _write(tmp_path, "rate.ini", _tiny_rate_ini(str(out_dir)))
+    assert main(["strong-rate", "--config", path]) == 1
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()

@@ -1,0 +1,120 @@
+"""Report and config layout: key order is part of the output bytes.
+
+The round-trip tests in test_config.py and digests that sort keys do
+not see a reordering, so these tests pin the JSON key order of every
+driver's report (top level, fit and config echo) and the canonical
+INI text of one resolved config.
+"""
+
+import json
+import warnings
+
+import pytest
+
+from mvsde.config import emit_config, make_config
+from mvsde.experiments import (run_ergodic_contraction,
+                               run_moment_stability, run_poc_rate,
+                               run_simulate, run_strong_rate)
+
+ECHO_KEYS = [
+    "experiment", "config_version", "seed", "reps", "p", "p0",
+    "family", "d", "l", "measure_mode", "params",
+    "T", "n", "levels", "n_max",
+    "N", "N_levels", "N_ref", "probe_count", "initial", "initial_b",
+    "variant", "method", "projections", "cap",
+    "slope_lo", "slope_hi", "r2_min", "ratio_max",
+    "max_divergence_step", "constants", "software_version", "backend"]
+
+RATE_KEYS = ["kind", "levels", "errors", "stderrs", "diverged", "fit",
+             "verdict", "config"]
+
+FIT_KEYS = ["slope", "intercept", "r_squared", "points"]
+
+# the assumption constants in their documented order, dyadic values
+DYADIC = dict(
+    Lhat_bsig_1=4.0, Lhat_bsig_2=0.5, L_b_1=0.25, L_b_2=0.25,
+    L_f_1=0.125, L_bsig_1=1.0, L_bsig_2=0.125, L_bsig_3=0.5,
+    L_bsig_4=0.25, L_bsig_5=0.125, L_fg_1=0.25, L_fg_2=0.125,
+    L_fg_3=0.0625, L_b_3=0.25, L_b_4=0.25, L_f_2=0.125)
+
+CASES = {
+    "simulate": (
+        run_simulate, dict(N=4, n=8),
+        ["kind", "final_moment", "sup_moment", "divergence_step",
+         "steps_run", "verdict", "config"]),
+    "strong-rate": (
+        run_strong_rate,
+        dict(reps=2, levels=(4, 8), n_max=16, N=4, p0=16.0),
+        RATE_KEYS),
+    "poc-rate": (
+        run_poc_rate,
+        dict(reps=2, N_levels=(4, 8), N_ref=16, n=8, probe_count=4),
+        RATE_KEYS),
+    "moment-stability": (
+        run_moment_stability, dict(reps=1, T=2.0, n=4, N=4),
+        ["kind", "arms", "sup_moments", "stderrs", "diverged",
+         "divergence_steps", "series", "verdict", "config"]),
+    "ergodic": (
+        run_ergodic_contraction,
+        dict(reps=1, T=2.0, n=20, N=16, initial_b="gaussian 2.0 1.0"),
+        ["kind", "times", "w2", "stderrs", "diverged", "decay_rate",
+         "r_squared", "w2_first", "w2_last", "stabilization",
+         "constants", "verdict", "config"]),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(CASES))
+def test_report_key_order(experiment, tmp_path):
+    runner, overrides, top_keys = CASES[experiment]
+    cfg = make_config(experiment, out_dir=str(tmp_path), **overrides)
+    with warnings.catch_warnings():
+        # the default p lies outside the proven rate range and warns
+        warnings.simplefilter("ignore")
+        runner(cfg)
+    name = experiment.replace("-", "_")
+    with open(tmp_path / ("%s_report.json" % name)) as fh:
+        data = json.load(fh)
+    assert list(data) == top_keys
+    assert list(data["config"]) == ECHO_KEYS
+    if "fit" in data:
+        assert list(data["fit"]) == FIT_KEYS
+
+
+POC_RATE_INI = (
+    "[run]", "config_version = 1", "experiment = poc-rate",
+    "seed = 12345", "reps = 16", "threads = 1", "out_dir = out",
+    "p = 2.0", "p0 = 4.0", "",
+    "[model]", "family = pairwise-vlasov", "d = 1", "l = 1",
+    "measure_mode = pairwise", "a1 = 0.5", "a3 = 1.0", "c_f = 1.0",
+    "c_g = 0.2", "c_s = 0.2", "kappa = 0.5", "nu = 0.0", "q = 2.0", "",
+    "[grid]", "T = 1.0", "n = 64", "levels = ", "n_max = 1024", "",
+    "[ensemble]", "N = 64", "N_levels = 16,32,64,128,256",
+    "N_ref = 1024", "probe_count = 16", "initial = gaussian 0.0 1.0",
+    "initial_b = gaussian 0.0 1.0", "",
+    "[taming]", "variant = finite", "",
+    "[metric]", "method = sorted_1d", "projections = 64", "cap = 512", "",
+    "[bands]", "slope_lo = -0.65", "slope_hi = -0.35", "r2_min = 0.0",
+    "ratio_max = 0.05", "max_divergence_step = 20")
+
+
+def test_emitted_poc_rate_config_text():
+    text = emit_config(make_config("poc-rate"))
+    assert text == "\n".join(POC_RATE_INI) + "\n"
+
+
+def test_constants_keep_their_orders(tmp_path):
+    # the report keeps the supplied order, the echo sorts, and the INI
+    # lists the constants in their documented order
+    given = dict(reversed(list(DYADIC.items())))
+    cfg = make_config("ergodic", reps=1, T=2.0, n=20, N=8,
+                      initial_b="gaussian 2.0 1.0", constants=given,
+                      out_dir=str(tmp_path))
+    run_ergodic_contraction(cfg)
+    with open(tmp_path / "ergodic_report.json") as fh:
+        data = json.load(fh)
+    assert list(data["constants"]) == list(given) + ["rho1", "rho2",
+                                                     "h_star"]
+    assert list(data["config"]["constants"]) == sorted(given)
+    text = emit_config(cfg)
+    section = text[text.index("[constants]\n"):].splitlines()[1:]
+    assert [line.split(" = ")[0] for line in section] == list(DYADIC)
