@@ -1,11 +1,13 @@
-"""Backend selection for the O(N^2) pairwise kernels.
+"""Backend selection for the compiled kernels.
 
-Prefers the compiled C kernel (pairwise.c, built by setup.py and loaded with
-ctypes) when the build produced one and falls back to the pure numpy
-implementation otherwise. Both expose the same ``pair_aggregate`` contract
-and are bit-identical for the exponents 0, 2 and 4; tests and the benchmark
-rely on that. Set MVSDE_FORCE_FALLBACK=1 to skip the compiled kernel without
-rebuilding.
+Prefers the compiled C kernels (pairwise.c, built by setup.py and loaded
+with ctypes) when the build produced them and falls back to the pure numpy
+implementation otherwise. ``pair_aggregate`` has the same contract on both
+backends and is bit-identical for the exponents 0, 2 and 4; tests and the
+benchmark rely on that. ``bind_advance`` is the fused multi-step kernel that
+mvsde.scheme.simulate uses on the C backend; it is None on the numpy
+backend, where simulate runs scheme.step. Set MVSDE_FORCE_FALLBACK=1 to skip
+the compiled kernels without rebuilding.
 """
 
 import ctypes
@@ -22,18 +24,38 @@ pair_aggregate_naive = pairwise_py.pair_aggregate_naive
 _HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-def load_compiled(path):
-    """Bind the C kernel in the shared library at path.
+class _Coeffs(ctypes.Structure):
+    """struct mvsde_coeffs of pairwise.c, field for field."""
 
-    Returns a function with the signature and results of
-    pairwise_py.pair_aggregate. Raises OSError when the library cannot be
-    loaded and AttributeError when it lacks the kernel symbol.
+    _fields_ = ([(name, ctypes.c_double) for name in (
+        "h", "beta1", "betaq", "q_b", "lam", "kap_pair", "s0", "s1", "c_s",
+        "gamma", "e_self", "tame_sigma", "kf1", "kfq", "q_f", "c_g",
+        "e_kernel", "tame_g")]
+        + [("k_noise", ctypes.c_ssize_t)])
+
+
+def load_compiled(path):
+    """Bind both C kernels in the shared library at path.
+
+    Returns (pair_aggregate, bind_advance). pair_aggregate has the signature
+    and results of pairwise_py.pair_aggregate; bind_advance is described in
+    its own docstring. Raises OSError when the library cannot be loaded and
+    AttributeError when it lacks either kernel symbol, so a stale library
+    never provides one kernel without the other.
     """
-    kernel = ctypes.CDLL(path).mvsde_pair_aggregate
-    kernel.restype = None
-    kernel.argtypes = ([ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t]
-                       + [ctypes.c_double] * 7
-                       + [ctypes.c_void_p, ctypes.c_void_p])
+    lib = ctypes.CDLL(path)
+    pair_kernel = lib.mvsde_pair_aggregate
+    step_kernel = lib.mvsde_advance
+    pair_kernel.restype = None
+    pair_kernel.argtypes = ([ctypes.c_void_p, ctypes.c_ssize_t,
+                             ctypes.c_ssize_t]
+                            + [ctypes.c_double] * 7
+                            + [ctypes.c_void_p, ctypes.c_void_p])
+    step_kernel.restype = ctypes.c_ssize_t
+    step_kernel.argtypes = ([ctypes.POINTER(_Coeffs), ctypes.c_void_p,
+                             ctypes.c_void_p]
+                            + [ctypes.c_ssize_t] * 2 + [ctypes.c_void_p]
+                            + [ctypes.c_ssize_t] * 3 + [ctypes.c_void_p])
 
     def pair_aggregate(X, kf1, kfq, qf, cg, tam, te, tame_g=1.0):
         """See pairwise_py.pair_aggregate for the reference semantics."""
@@ -48,11 +70,70 @@ def load_compiled(path):
             return f_arr, g_arr
         # a CDLL call releases the GIL, so the kernel calls of reps on
         # other threads run in parallel
-        kernel(X.ctypes.data, n, d, kf1, kfq, qf, cg, tam, te, tame_g,
-               f_arr.ctypes.data, g_arr.ctypes.data)
+        pair_kernel(X.ctypes.data, n, d, kf1, kfq, qf, cg, tam, te, tame_g,
+                    f_arr.ctypes.data, g_arr.ctypes.data)
         return f_arr, g_arr
 
-    return pair_aggregate
+    def bind_advance(coeffs, states, scratch):
+        """_BoundAdvance over this library's mvsde_advance.
+
+        coeffs maps every _Coeffs field name to its value.
+        """
+        return _BoundAdvance(step_kernel, _Coeffs(**coeffs), states, scratch)
+
+    return pair_aggregate, bind_advance
+
+
+class _BoundAdvance:
+    """mvsde_advance bound to one run's coefficients and state buffers.
+
+    states and scratch are the C-contiguous (N, d) float64 buffers of the
+    ensemble. Calling it with (block, first, steps) advances states in place
+    by up to `steps` steps whose noise rows are
+    block[first:first + steps, :N, :k_noise] of a C-contiguous (S, N', l)
+    float64 block with N' >= N and l >= k_noise. It returns the number of
+    steps with a finite result; a return r < steps means step r + 1 was
+    done and overflowed.
+    """
+
+    def __init__(self, kernel, coeffs, states, scratch):
+        n, d = states.shape
+        for buf in (states, scratch):
+            if (buf.shape != (n, d) or buf.dtype != np.float64
+                    or not buf.flags.c_contiguous):
+                raise ValueError("state buffers must be C-contiguous "
+                                 "(%d, %d) float64 arrays" % (n, d))
+        work = np.empty(2 * n * d + 2 * d)
+        self._kernel = kernel
+        self._n = n
+        self._k_noise = coeffs.k_noise
+        # the kernel writes through raw pointers into these, so this object
+        # keeps them alive
+        self._buffers = (coeffs, states, scratch, work)
+        self._head = (ctypes.byref(coeffs), states.ctypes.data,
+                      scratch.ctypes.data, n, d)
+        self._work = work.ctypes.data
+        # simulate passes one block for many calls: check it and look up
+        # its address once, and hold it while its address is in use
+        self._block = None
+        self._noise = None
+
+    def __call__(self, block, first, steps):
+        if block is not self._block:
+            _, rows, width = block.shape
+            if (block.dtype != np.float64 or not block.flags.c_contiguous
+                    or rows < self._n or width < self._k_noise):
+                raise ValueError("noise block of shape %r does not cover %d "
+                                 "particles" % (block.shape, self._n))
+            self._block = block
+            self._noise = (block.ctypes.data, rows * width, width)
+        if not 0 <= first <= first + steps <= len(block):
+            raise ValueError("steps %d to %d are outside the noise block of "
+                             "%d steps" % (first, first + steps, len(block)))
+        ptr, row, width = self._noise
+        # a CDLL call releases the GIL, like the pair kernel's
+        return self._kernel(*self._head, ptr + 8 * first * row, row, width,
+                            steps, self._work)
 
 
 def _built_library():
@@ -64,18 +145,25 @@ def _built_library():
     return None
 
 
-pair_aggregate = pair_aggregate_py
-_BACKEND = "numpy"
-if os.environ.get("MVSDE_FORCE_FALLBACK", "") in ("", "0"):
-    _path = _built_library()
-    if _path is not None:
+def _select_backend(path):
+    """(pair_aggregate, bind_advance, backend name) for a library path.
+
+    Both kernels come from the library, or the numpy pair kernel and no
+    fused kernel when path is None or the library lacks either symbol.
+    """
+    if path is not None:
         try:
-            pair_aggregate = load_compiled(_path)
-            _BACKEND = "c"
+            return load_compiled(path) + ("c",)
         except (OSError, AttributeError):
             pass
+    return pair_aggregate_py, None, "numpy"
+
+
+_FORCED = os.environ.get("MVSDE_FORCE_FALLBACK", "") not in ("", "0")
+pair_aggregate, bind_advance, _BACKEND = _select_backend(
+    None if _FORCED else _built_library())
 
 
 def backend_name():
-    """Identifier of the active pairwise backend: 'c' or 'numpy'."""
+    """Identifier of the active backend: 'c' or 'numpy'."""
     return _BACKEND

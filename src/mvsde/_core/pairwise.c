@@ -1,22 +1,33 @@
-/* Compiled pairwise-interaction aggregation.
+/* Compiled pair kernel and fused step kernel.
  *
- * Bit-identical twin of mvsde._core.pairwise_py.pair_aggregate: same
- * per-pair expression tree, same ascending-partner accumulation order per
- * row, same final division by N. Each unordered pair is evaluated once and
- * mirrored by negation, which IEEE-754 makes exact; the skipped diagonal
- * contributes an exact zero in the reference, so the sums agree bit for
- * bit. Build with floating-point contraction disabled (-ffp-contract=off),
- * otherwise fused multiply-adds break the equality.
+ * mvsde_pair_aggregate is the bit-identical twin of
+ * mvsde._core.pairwise_py.pair_aggregate: same per-pair expression tree,
+ * same ascending-partner accumulation order per row, same final division
+ * by N. Each unordered pair is evaluated once and mirrored by negation,
+ * which IEEE-754 makes exact; the skipped diagonal contributes an exact
+ * zero in the reference, so the sums agree bit for bit.
  *
- * Plain C with no Python or NumPy headers; mvsde._core loads it with
- * ctypes. X, F and G are C-contiguous n x d float64 arrays, and F and G
- * must be zero on entry. The all-zero-kernel short-circuit is done by the
- * caller.
+ * mvsde_advance runs whole steps of mvsde.scheme.step for a block of steps
+ * with no Python in the loop, bit for bit. It repeats step's NumPy
+ * operation order: x.mean(axis=0) and np.sum(x * x, axis=-1) as NumPy's
+ * add.reduce sums them (np_sum below), the self drift and diffusion
+ * diagonal term by term, the pair sums from mvsde_pair_aggregate, then
+ * x + (b + F) h and + (s + G) dW. The caller passes only self exponents
+ * whose NumPy power this reproduces: q_b in {0, 1, 2} (or betaq == 0) and
+ * e_self in {0, 2, 4} (or gamma == 0); every other configuration stays on
+ * scheme.step.
+ *
+ * Build with floating-point contraction disabled (-ffp-contract=off),
+ * otherwise fused multiply-adds break the equality. Plain C with no Python
+ * or NumPy headers; mvsde._core loads it with ctypes.
  */
 
 #include <math.h>
 #include <stddef.h>
+#include <string.h>
 
+/* X, F and G are C-contiguous n x d float64 arrays, and F and G must be
+ * zero on entry. The all-zero-kernel short-circuit is done by the caller. */
 void mvsde_pair_aggregate(const double *restrict X, ptrdiff_t n,
                           ptrdiff_t d, double kf1, double kfq, double qf,
                           double cg, double tam, double te, double tame_g,
@@ -69,4 +80,156 @@ void mvsde_pair_aggregate(const double *restrict X, ptrdiff_t n,
         F[i] = F[i] / dn;
         G[i] = G[i] / dn;
     }
+}
+
+/* Coefficients of one run of the scheme; mirrored by mvsde._core._Coeffs.
+ * The self drift is beta1 x + betaq x |x|^q_b plus lam * mean (functional
+ * measure mode) or kap_pair * (mean - x) (pairwise mode; the caller zeroes
+ * the other one). The diffusion diagonal s0 + s1 x + c_s (mean - x) covers
+ * the first k_noise = min(d, l) components. Both are divided by
+ * 1 + gamma |x|^e_self when gamma != 0 (the diffusion only if tame_sigma).
+ * The pair kernel arguments are those of mvsde_pair_aggregate. */
+struct mvsde_coeffs {
+    double h;
+    double beta1, betaq, q_b, lam, kap_pair;
+    double s0, s1, c_s;
+    double gamma, e_self, tame_sigma;
+    double kf1, kfq, q_f, c_g, e_kernel, tame_g;
+    ptrdiff_t k_noise;
+};
+
+/* NumPy's pairwise summation, the inner loop of add.reduce: sequential
+ * below 8 terms, 8 accumulators up to 128, above that split in two halves
+ * at n/2 rounded down to a multiple of 8. */
+static double np_sum(const double *a, ptrdiff_t n)
+{
+    ptrdiff_t i, j, n2;
+    double r[8], res;
+
+    if (n < 8) {
+        res = 0.0;
+        for (i = 0; i < n; i++)
+            res = res + a[i];
+        return res;
+    }
+    if (n <= 128) {
+        for (j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (j = 0; j < 8; j++)
+                r[j] = r[j] + a[i + j];
+        res = ((r[0] + r[1]) + (r[2] + r[3]))
+              + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res = res + a[i];
+        return res;
+    }
+    n2 = n / 2;
+    n2 -= n2 % 8;
+    return np_sum(a, n2) + np_sum(a + n2, n - n2);
+}
+
+/* One step from x into y; work holds F and G (n x d each), the mean (d)
+ * and the squares of one row (d). Returns 0 when y holds a non-finite
+ * value. */
+static int step_once(const struct mvsde_coeffs *cf, const double *x,
+                     double *y, ptrdiff_t n, ptrdiff_t d, const double *dw,
+                     ptrdiff_t dw_row, double *work)
+{
+    double *F = work, *G = work + n * d, *mean = G + n * d, *sq = mean + d;
+    double dn = (double)n, r2 = 0.0, r, pw = 1.0, den = 1.0, v, b, s, out;
+    int finite = 1;
+    ptrdiff_t i, c;
+
+    if (cf->lam != 0.0 || cf->kap_pair != 0.0 || cf->c_s != 0.0) {
+        /* x.mean(axis=0): one pairwise reduction at d == 1, an ascending
+         * loop per component otherwise, both from 0.0 */
+        if (d == 1) {
+            mean[0] = (0.0 + np_sum(x, n)) / dn;
+        } else {
+            for (c = 0; c < d; c++)
+                mean[c] = 0.0;
+            for (i = 0; i < n; i++)
+                for (c = 0; c < d; c++)
+                    mean[c] = mean[c] + x[i * d + c];
+            for (c = 0; c < d; c++)
+                mean[c] = mean[c] / dn;
+        }
+    }
+    memset(F, 0, 2 * (size_t)(n * d) * sizeof(double));
+    if (cf->kf1 != 0.0 || cf->kfq != 0.0 || cf->c_g != 0.0)
+        mvsde_pair_aggregate(x, n, d, cf->kf1, cf->kfq, cf->q_f, cf->c_g,
+                             cf->gamma, cf->e_kernel, cf->tame_g, F, G);
+
+    for (i = 0; i < n; i++) {
+        const double *xi = x + i * d;
+        if (cf->betaq != 0.0 || cf->gamma != 0.0) {
+            for (c = 0; c < d; c++)
+                sq[c] = xi[c] * xi[c];
+            r2 = 0.0 + np_sum(sq, d);
+        }
+        if (cf->betaq != 0.0) {
+            /* NumPy's power for a scalar exponent 2, 1 or 0 */
+            r = sqrt(r2);
+            pw = cf->q_b == 2.0 ? r * r : (cf->q_b == 1.0 ? r : 1.0);
+        }
+        if (cf->gamma != 0.0)
+            den = 1.0 + cf->gamma * (cf->e_self == 2.0 ? r2
+                                     : (cf->e_self == 4.0 ? r2 * r2 : 1.0));
+        for (c = 0; c < d; c++) {
+            v = xi[c];
+            b = cf->beta1 * v;
+            if (cf->betaq != 0.0)
+                b = b + cf->betaq * v * pw;
+            if (cf->kap_pair != 0.0)
+                b = b + cf->kap_pair * (mean[c] - v);
+            if (cf->lam != 0.0)
+                b = b + cf->lam * mean[c];
+            if (cf->gamma != 0.0)
+                b = b / den;
+            /* F and G are added even when zero: b + 0.0 makes -0.0 +0.0 */
+            out = v + (b + F[i * d + c]) * cf->h;
+            if (c < cf->k_noise) {
+                s = cf->s0;
+                if (cf->s1 != 0.0)
+                    s = s + cf->s1 * v;
+                if (cf->c_s != 0.0)
+                    s = s + cf->c_s * (mean[c] - v);
+                if (cf->gamma != 0.0 && cf->tame_sigma != 0.0)
+                    s = s / den;
+                out = out + (s + G[i * d + c]) * dw[i * dw_row + c];
+            }
+            y[i * d + c] = out;
+            if (!isfinite(out))
+                finite = 0;
+        }
+    }
+    return finite;
+}
+
+/* Advance the n x d ensemble in X by up to `steps` steps, alternating
+ * between X and Y, and leave the last state in X. Step s reads its noise
+ * row of particle i at dw[s * dw_step + i * dw_row]. Stops after the first
+ * step that produces a non-finite value. Returns the number of steps with
+ * a finite result: a return r < steps means step r + 1 was done and
+ * overflowed. work holds 2 n d + 2 d doubles. */
+ptrdiff_t mvsde_advance(const struct mvsde_coeffs *cf, double *X, double *Y,
+                        ptrdiff_t n, ptrdiff_t d, const double *dw,
+                        ptrdiff_t dw_step, ptrdiff_t dw_row, ptrdiff_t steps,
+                        double *work)
+{
+    double *cur = X, *next = Y, *tmp;
+    ptrdiff_t s;
+    int finite = 1;
+
+    for (s = 0; s < steps && finite; s++) {
+        finite = step_once(cf, cur, next, n, d, dw + s * dw_step, dw_row,
+                           work);
+        tmp = cur;
+        cur = next;
+        next = tmp;
+    }
+    if (cur != X)
+        memcpy(X, cur, (size_t)(n * d) * sizeof(double));
+    return finite ? s : s - 1;
 }

@@ -368,8 +368,12 @@ def parse_config(text):
     Raises ConfigError with the parser's line number on syntax errors,
     or with every violated constraint listed on semantic errors.
     """
+    # no header can name the empty default section, so [DEFAULT] parses
+    # as an ordinary section instead of having its keys copied into every
+    # other one
     cp = configparser.ConfigParser(interpolation=None,
-                                   inline_comment_prefixes=("#", ";"))
+                                   inline_comment_prefixes=("#", ";"),
+                                   default_section="")
     cp.optionxform = str  # constants are case-sensitive
     try:
         cp.read_string(text)
@@ -379,6 +383,10 @@ def parse_config(text):
     problems = []
     overrides = {}
     for section in cp.sections():
+        if section == "DEFAULT":
+            problems.append("section [DEFAULT] is not supported; put each "
+                            "key in its own section")
+            continue
         known = {f.name: f for f in _FIELDS
                  if f.metadata["section"] == section}
         if not known:

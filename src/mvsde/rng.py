@@ -75,17 +75,36 @@ def _whole_steps(n, T):
     return int(rounded)
 
 
-def _stream_doubles(key_lo, key_hi, count):
-    """The first `count` doubles of the Philox stream keyed by (lo, hi)."""
-    key = np.array([key_lo & _MASK64, key_hi & _MASK64], dtype=np.uint64)
-    counter = np.zeros(4, dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(counter=counter, key=key))
+def _philox():
+    """A generator for _stream_doubles to re-key.
+
+    Re-keying mutates it, so make one per call and never share it across
+    threads. The fixed seed draws no OS entropy; every stream replaces the
+    key it derives.
+    """
+    return np.random.Generator(np.random.Philox(0))
+
+
+def _stream_doubles(gen, key_lo, key_hi, count):
+    """The first `count` doubles of the Philox stream keyed by (lo, hi).
+
+    Re-keys gen in place: counter, key and output buffer are reset to
+    those of a fresh Philox(counter=0, key=(lo, hi)), so the doubles are
+    the same.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([key_lo & _MASK64, key_hi & _MASK64],
+                                  dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
     return gen.random(count)
 
 
-def _finest_rows(tab, particle_i):
+def _finest_rows(tab, gen, particle_i):
     """Quantized finest increments of particle i: (total_steps, l)."""
-    u = _stream_doubles(tab.seed, particle_i, tab.total_steps * tab.l)
+    u = _stream_doubles(gen, tab.seed, particle_i, tab.total_steps * tab.l)
     u = np.where(u < _U_FLOOR, _U_FLOOR, u)
     z = ndtri(u)
     scale = math.sqrt(1.0 / tab.n_max)
@@ -128,8 +147,9 @@ def make_tableau(seed, N, l, T, n_max):
             "Brownian tableau needs %d stored values (n_max*T*N*l), above "
             "the cap of %d; lower N, T or n_max" % (elements, ELEMENT_CAP))
     store = np.empty((tab.total_steps, tab.N, tab.l))
+    gen = _philox()
     for i in range(tab.N):
-        store[:, i, :] = _finest_rows(tab, i)
+        store[:, i, :] = _finest_rows(tab, gen, i)
     tab._store = store
     return tab
 
@@ -240,8 +260,9 @@ def sample_initial(tab, n_particles, d, law):
         out[:] = center
         return out
     draws = d if kind == "gaussian" else d + 1
+    gen = _philox()
     for i in range(n_particles):
-        u = _stream_doubles(tab.seed ^ _INIT_SALT, i, draws)
+        u = _stream_doubles(gen, tab.seed ^ _INIT_SALT, i, draws)
         u = np.where(u < _U_FLOOR, _U_FLOOR, u)
         z = ndtri(u[:d])
         if kind == "gaussian":

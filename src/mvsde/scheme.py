@@ -12,7 +12,16 @@ depend on particle evaluation order; the kernel sums use a fixed
 ascending-j accumulation per particle (see mvsde._core), which makes whole
 trajectories reproducible bit for bit, including across the compiled and
 fallback backends at every d when the kernel exponents are 0, 2 or 4.
+
+`step` is the NumPy reference. On the C backend `simulate` runs the fused
+kernel of mvsde._core instead, which repeats step's operation order and
+advances the ensemble from one observed step to the next in one call with
+no Python in the loop; it gives the same bits as `step`. It covers the self
+exponents whose NumPy power it reproduces, q_b in {0, 1, 2} and taming
+exponent e_self in {0, 2, 4}; other models run `step` on every backend.
 """
+
+import bisect
 
 import numpy as np
 
@@ -20,10 +29,15 @@ from . import model as model_mod
 from . import rng as rng_mod
 from .ensemble import ParticleEnsemble, empirical_moment
 from .taming import taming_parameters, _rpow
-from ._core import pair_aggregate
+from ._core import bind_advance, pair_aggregate
 
 # target float64 count per pulled increment block
 _CHUNK_ELEMENTS = 1 << 22
+# self exponents whose np.power the fused kernel reproduces bit for bit:
+# NumPy's power special-cases a scalar exponent 0, 1 or 2, and _rpow the
+# taming exponents 0, 2 and 4; libm pow differs from both in the last bit
+_FUSED_Q_B = (0.0, 1.0, 2.0)
+_FUSED_E_SELF = (0.0, 2.0, 4.0)
 
 
 class TimeGrid:
@@ -136,7 +150,10 @@ def simulate(tm, grid, tableau, initial=None, initial_states=None,
         larger ones.
     callbacks : iterable
         Objects whose observe(ens, grid) is called after initialization
-        and after every step.
+        and after every step. A callback with a next_step(k, total)
+        method (StateRecorder) is only sure to be called at the steps
+        that method names; the fused kernel runs through the steps no
+        callback needs in one call.
 
     Returns
     -------
@@ -162,6 +179,7 @@ def simulate(tm, grid, tableau, initial=None, initial_states=None,
     for cb in callbacks:
         cb.observe(ens, grid)
 
+    run = _fused_kernel(tm, grid, ens)
     total = grid.total_steps
     chunk = max(1, _CHUNK_ELEMENTS
                 // max(1, (tableau.n_max // grid.n) * tableau.N * tableau.l))
@@ -169,14 +187,64 @@ def simulate(tm, grid, tableau, initial=None, initial_states=None,
     while k < total and not ens.overflow_flag:
         hi = min(total, k + chunk)
         block = rng_mod.level_increments(tableau, grid.n, k, hi)
-        for j in range(k, hi):
-            alive = step(ens, tm, grid, block[j - k, :n_part, :])
+        j = k
+        while j < hi:
+            if run is None:
+                alive = step(ens, tm, grid, block[j - k, :n_part, :])
+            else:
+                stop = min([hi] + [cb.next_step(j, total)
+                                   if hasattr(cb, "next_step") else j + 1
+                                   for cb in callbacks])
+                alive = _advance_fused(ens, run, block, j - k, stop - j)
+            j = ens.t_index
             for cb in callbacks:
                 cb.observe(ens, grid)
             if not alive:
                 break
         k = hi
     return ens
+
+
+def _fused_kernel(tm, grid, ens):
+    """The fused C kernel bound to ens, or None where simulate runs step.
+
+    None on the numpy backend and for self exponents outside _FUSED_Q_B /
+    _FUSED_E_SELF. The kernel evaluates step's coefficients from these
+    values: lam only in the functional measure mode and kap_pair only in
+    the pairwise one, as step does.
+    """
+    base = tm.base
+    par = taming_parameters(tm)
+    if (bind_advance is None
+            or (base.betaq != 0.0 and base.q_b not in _FUSED_Q_B)
+            or (par["gamma"] != 0.0 and par["e_self"] not in _FUSED_E_SELF)):
+        return None
+    pairwise = base.measure_mode == "pairwise"
+    return bind_advance(dict(
+        h=grid.h, beta1=base.beta1, betaq=base.betaq, q_b=base.q_b,
+        lam=0.0 if pairwise else base.lam,
+        kap_pair=base.kap_pair if pairwise else 0.0,
+        s0=base.s0, s1=base.s1, c_s=base.c_s,
+        gamma=par["gamma"], e_self=par["e_self"],
+        tame_sigma=1.0 if par["tame_sigma"] else 0.0,
+        kf1=base.kf1, kfq=base.kfq, q_f=base.q_f, c_g=base.c_g,
+        e_kernel=par["e_kernel"], tame_g=1.0 if par["tame_g"] else 0.0,
+        k_noise=min(base.d, base.l)), ens.states, ens.scratch)
+
+
+def _advance_fused(ens, run, block, first, steps):
+    """`steps` steps in one kernel call, with step's bookkeeping.
+
+    Returns False once the ensemble has overflowed, True otherwise.
+    """
+    done = run(block, first, steps)
+    if done < steps:
+        ens.t_index += done + 1
+        ens.overflow_flag = True
+        ens.diverged_step = ens.t_index
+        return False
+    ens.t_index += steps
+    return True
 
 
 class MomentTracker:
@@ -201,14 +269,23 @@ class StateRecorder:
 
     def __init__(self, stride=1, steps=None):
         self.stride = int(stride)
-        self.steps = None if steps is None else set(int(s) for s in steps)
+        self.steps = (None if steps is None
+                      else sorted(set(int(s) for s in steps)))
         self.recorded_steps = []
         self.states = []
 
     def _want(self, k, total):
         if self.steps is not None:
-            return k in self.steps
+            i = bisect.bisect_left(self.steps, k)
+            return i < len(self.steps) and self.steps[i] == k
         return k % self.stride == 0 or k == total
+
+    def next_step(self, k, total):
+        """First step after k, at most total, whose state this copies."""
+        if self.steps is not None:
+            i = bisect.bisect_right(self.steps, k)
+            return min(total, self.steps[i]) if i < len(self.steps) else total
+        return min(total, (k // self.stride + 1) * self.stride)
 
     def observe(self, ens, grid):
         k = ens.t_index

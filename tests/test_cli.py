@@ -60,6 +60,18 @@ def test_invalid_config_exit_1(tmp_path, capsys):
     assert "reps must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", ["", "[grid]\nlevels = 4,8\n"])
+def test_default_section_exits_1(tmp_path, capsys, extra):
+    path = _write(tmp_path, "default.ini",
+                  "[run]\nexperiment = strong-rate\nout_dir = %s\n"
+                  "[DEFAULT]\nseed = 3\n%s" % (tmp_path / "out", extra))
+    assert main(["strong-rate", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert "section [DEFAULT] is not supported" in err
+    assert "in section [grid]" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_with_overrides(tmp_path, capsys):
     ini = ("[run]\nexperiment = simulate\nout_dir = %s\n"
            "[grid]\nT = 1.0\nn = 8\n[ensemble]\nN = 4\n"

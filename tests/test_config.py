@@ -110,6 +110,18 @@ def test_unknown_sections_and_keys():
     assert "unknown key 'bogus' in section [metric]" in msg
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nseed = 3\n",
+    "[DEFAULT]\nseed = 3\n[grid]\nn = 8\n",
+])
+def test_default_section_refused(text):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    msg = str(err.value)
+    assert "section [DEFAULT] is not supported" in msg
+    assert "[grid]" not in msg
+
+
 def test_model_params_flow_through():
     cfg = parse_config("[model]\nfamily = cubic-mean-field\nlam = 0.25\n")
     assert cfg.params["lam"] == 0.25

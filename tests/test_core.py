@@ -1,26 +1,20 @@
-"""Cross-backend bit identity of the pairwise kernel.
+"""Cross-backend bit identity of the pairwise kernel, and the loader.
 
-pairwise.c is compiled here with the interpreter's own C compiler and
-loaded through the loader mvsde._core uses at import, so the comparison
-runs whether or not setup.py built the package in place.
+pairwise.c is compiled here (conftest.py) and loaded through the loader
+mvsde._core uses at import, so the comparison runs whether or not setup.py
+built the package in place.
 """
 
 import os
-import shlex
-import shutil
 import subprocess
 import sys
-import sysconfig
 
 import numpy as np
 import pytest
 
 import mvsde
-from mvsde._core import (load_compiled, pair_aggregate_naive,
-                         pair_aggregate_py)
-
-SOURCE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "mvsde",
-                      "_core", "pairwise.c")
+from mvsde._core import (_select_backend, load_compiled,
+                         pair_aggregate_naive, pair_aggregate_py)
 
 # (kf1, kfq, qf, cg, tam, te, tame_g)
 SPECIAL = {
@@ -40,14 +34,8 @@ SIZES = (1, 2, 7, 33, 64)
 
 
 @pytest.fixture(scope="module")
-def compiled(tmp_path_factory):
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    if shutil.which(cc[0]) is None:
-        pytest.skip("no C compiler found (%s)" % cc[0])
-    lib = str(tmp_path_factory.mktemp("kernel") / "pairwise.so")
-    subprocess.run(cc + ["-O2", "-ffp-contract=off", "-shared", "-fPIC",
-                         "-o", lib, SOURCE], check=True)
-    return load_compiled(lib)
+def compiled(compiled_library):
+    return load_compiled(compiled_library)[0]
 
 
 def _assert_same(got, want, what):
@@ -92,6 +80,26 @@ def test_force_fallback_selects_numpy():
     src = os.path.dirname(os.path.dirname(mvsde.__file__))
     env = dict(os.environ, MVSDE_FORCE_FALLBACK="1", PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", "import mvsde; print(mvsde.backend_name())"],
+        [sys.executable, "-c",
+         "import mvsde, mvsde._core as c; "
+         "print(mvsde.backend_name(), c.bind_advance, "
+         "c.pair_aggregate is c.pair_aggregate_py)"],
         env=env, check=True, capture_output=True, text=True).stdout
-    assert out.strip() == "numpy"
+    assert out.split() == ["numpy", "None", "True"]
+
+
+def test_loader_binds_both_kernels_or_neither(compiled_library,
+                                              build_library, tmp_path):
+    pair, advance, name = _select_backend(compiled_library)
+    assert name == "c" and pair is not pair_aggregate_py
+    assert callable(advance)
+    # a stale library from before the fused kernel has only the pair kernel
+    stub = tmp_path / "stale.c"
+    stub.write_text("void mvsde_pair_aggregate(void) {}\n")
+    stale = build_library(str(stub), "stale.so")
+    with pytest.raises(AttributeError, match="mvsde_advance"):
+        load_compiled(stale)
+    assert _select_backend(stale) == (pair_aggregate_py, None, "numpy")
+    assert _select_backend(str(tmp_path / "missing.so")) == (
+        pair_aggregate_py, None, "numpy")
+    assert _select_backend(None) == (pair_aggregate_py, None, "numpy")

@@ -1,11 +1,14 @@
 """Brownian tableau: refinement coupling, prefixes, initial laws."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvsde.rng import (ELEMENT_CAP, QUANT, increments_at_level, initial_law,
+from mvsde.rng import (ELEMENT_CAP, QUANT, _INIT_SALT, _philox,
+                       _stream_doubles, increments_at_level, initial_law,
                        level_increments, make_tableau, parse_initial,
                        sample_initial)
 
@@ -159,3 +162,39 @@ def test_refinement_property(seed, chain):
     coarse = level_increments(tab, lo)
     assert np.array_equal(coarse, fine.reshape(lo, hi // lo, 2, 1)
                           .sum(axis=1))
+
+
+def _fresh_stream(key_lo, key_hi, count):
+    key = np.array([key_lo & (2 ** 64 - 1), key_hi & (2 ** 64 - 1)],
+                   dtype=np.uint64)
+    bits = np.random.Philox(counter=np.zeros(4, dtype=np.uint64), key=key)
+    return np.random.Generator(bits).random(count)
+
+
+def test_rekeyed_stream_matches_fresh_philox():
+    gen = _philox()
+    # odd counts leave the output buffer part used before the next re-key
+    for key_lo, key_hi, count in ((12345, 0, 7), (12345, 63, 1),
+                                  (12345 ^ _INIT_SALT, 5, 3), (-1, 2, 9),
+                                  (12345, 0, 7)):
+        got = _stream_doubles(gen, key_lo, key_hi, count)
+        assert np.array_equal(got, _fresh_stream(key_lo, key_hi, count))
+
+
+def test_tableau_draws_no_os_entropy():
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.append(frame.f_code.co_name)
+        elif event == "c_call":
+            seen.append(getattr(arg, "__name__", ""))
+
+    sys.setprofile(profile)
+    try:
+        tab = make_tableau(3, 8, 2, 1.0, 4)
+        sample_initial(tab, 8, 2, initial_law("gaussian"))
+    finally:
+        sys.setprofile(None)
+    assert "_stream_doubles" in seen
+    assert not {"urandom", "getrandbits"} & set(seen)
