@@ -4,10 +4,11 @@ Prefers the compiled C kernels (pairwise.c, built by setup.py and loaded
 with ctypes) when the build produced them and falls back to the pure numpy
 implementation otherwise. ``pair_aggregate`` has the same contract on both
 backends and is bit-identical for the exponents 0, 2 and 4; tests and the
-benchmark rely on that. ``bind_advance`` is the fused multi-step kernel that
-mvsde.scheme.simulate uses on the C backend; it is None on the numpy
-backend, where simulate runs scheme.step. Set MVSDE_FORCE_FALLBACK=1 to skip
-the compiled kernels without rebuilding.
+benchmark rely on that. ``fsum_rows``, the correctly rounded row sum of the
+moment observers, gives the same bits on both. ``bind_advance`` is the
+fused multi-step kernel that mvsde.scheme.simulate uses on the C backend; it
+is None on the numpy backend, where simulate runs scheme.step. Set
+MVSDE_FORCE_FALLBACK=1 to skip the compiled kernels without rebuilding.
 """
 
 import ctypes
@@ -20,6 +21,7 @@ from . import pairwise_py
 
 pair_aggregate_py = pairwise_py.pair_aggregate
 pair_aggregate_naive = pairwise_py.pair_aggregate_naive
+fsum_rows_py = pairwise_py.fsum_rows
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -35,17 +37,19 @@ class _Coeffs(ctypes.Structure):
 
 
 def load_compiled(path):
-    """Bind both C kernels in the shared library at path.
+    """Bind every C kernel in the shared library at path.
 
-    Returns (pair_aggregate, bind_advance). pair_aggregate has the signature
-    and results of pairwise_py.pair_aggregate; bind_advance is described in
-    its own docstring. Raises OSError when the library cannot be loaded and
-    AttributeError when it lacks either kernel symbol, so a stale library
-    never provides one kernel without the other.
+    Returns (pair_aggregate, bind_advance, fsum_rows). pair_aggregate and
+    fsum_rows have the signatures and results of their pairwise_py
+    namesakes; bind_advance is described in its own docstring. Raises
+    OSError when the library cannot be loaded and AttributeError when it
+    lacks any kernel symbol, so a stale library never provides some kernels
+    without the others.
     """
     lib = ctypes.CDLL(path)
     pair_kernel = lib.mvsde_pair_aggregate
     step_kernel = lib.mvsde_advance
+    sum_kernel = lib.mvsde_fsum_rows
     pair_kernel.restype = None
     pair_kernel.argtypes = ([ctypes.c_void_p, ctypes.c_ssize_t,
                              ctypes.c_ssize_t]
@@ -55,7 +59,11 @@ def load_compiled(path):
     step_kernel.argtypes = ([ctypes.POINTER(_Coeffs), ctypes.c_void_p,
                              ctypes.c_void_p]
                             + [ctypes.c_ssize_t] * 2 + [ctypes.c_void_p]
-                            + [ctypes.c_ssize_t] * 3 + [ctypes.c_void_p])
+                            + [ctypes.c_ssize_t] * 3
+                            + [ctypes.c_void_p] * 2)
+    sum_kernel.restype = None
+    sum_kernel.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t,
+                           ctypes.c_ssize_t, ctypes.c_void_p]
 
     def pair_aggregate(X, kf1, kfq, qf, cg, tam, te, tame_g=1.0):
         """See pairwise_py.pair_aggregate for the reference semantics."""
@@ -81,7 +89,17 @@ def load_compiled(path):
         """
         return _BoundAdvance(step_kernel, _Coeffs(**coeffs), states, scratch)
 
-    return pair_aggregate, bind_advance
+    def fsum_rows(a):
+        """See pairwise_py.fsum_rows for the reference semantics."""
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        if a.ndim != 2:
+            raise ValueError("fsum_rows needs a 2-D array, got shape %r"
+                             % (a.shape,))
+        out = np.empty(a.shape[0])
+        sum_kernel(a.ctypes.data, a.shape[0], a.shape[1], out.ctypes.data)
+        return out
+
+    return pair_aggregate, bind_advance, fsum_rows
 
 
 class _BoundAdvance:
@@ -93,7 +111,9 @@ class _BoundAdvance:
     block[first:first + steps, :N, :k_noise] of a C-contiguous (S, N', l)
     float64 block with N' >= N and l >= k_noise. It returns the number of
     steps with a finite result; a return r < steps means step r + 1 was
-    done and overflowed.
+    done and overflowed. With obs, a C-contiguous (R, N) float64 array with
+    R >= steps, row s of obs receives the squared particle norms after step
+    s + 1 for every step done, the overflowing one included.
     """
 
     def __init__(self, kernel, coeffs, states, scratch):
@@ -118,7 +138,7 @@ class _BoundAdvance:
         self._block = None
         self._noise = None
 
-    def __call__(self, block, first, steps):
+    def __call__(self, block, first, steps, obs=None):
         if block is not self._block:
             _, rows, width = block.shape
             if (block.dtype != np.float64 or not block.flags.c_contiguous
@@ -130,10 +150,18 @@ class _BoundAdvance:
         if not 0 <= first <= first + steps <= len(block):
             raise ValueError("steps %d to %d are outside the noise block of "
                              "%d steps" % (first, first + steps, len(block)))
+        if obs is not None and (
+                obs.dtype != np.float64 or not obs.flags.c_contiguous
+                or obs.ndim != 2 or obs.shape[1] != self._n
+                or obs.shape[0] < steps):
+            raise ValueError("observation buffer of shape %r does not hold "
+                             "%d steps of %d particles"
+                             % (obs.shape, steps, self._n))
         ptr, row, width = self._noise
         # a CDLL call releases the GIL, like the pair kernel's
         return self._kernel(*self._head, ptr + 8 * first * row, row, width,
-                            steps, self._work)
+                            steps, self._work,
+                            None if obs is None else obs.ctypes.data)
 
 
 def _built_library():
@@ -146,21 +174,21 @@ def _built_library():
 
 
 def _select_backend(path):
-    """(pair_aggregate, bind_advance, backend name) for a library path.
+    """(pair_aggregate, bind_advance, fsum_rows, backend name) for a path.
 
-    Both kernels come from the library, or the numpy pair kernel and no
-    fused kernel when path is None or the library lacks either symbol.
+    Every kernel comes from the library, or the numpy kernels and no fused
+    kernel when path is None or the library lacks any symbol.
     """
     if path is not None:
         try:
             return load_compiled(path) + ("c",)
         except (OSError, AttributeError):
             pass
-    return pair_aggregate_py, None, "numpy"
+    return pair_aggregate_py, None, fsum_rows_py, "numpy"
 
 
 _FORCED = os.environ.get("MVSDE_FORCE_FALLBACK", "") not in ("", "0")
-pair_aggregate, bind_advance, _BACKEND = _select_backend(
+pair_aggregate, bind_advance, fsum_rows, _BACKEND = _select_backend(
     None if _FORCED else _built_library())
 
 

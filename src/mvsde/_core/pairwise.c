@@ -1,4 +1,4 @@
-/* Compiled pair kernel and fused step kernel.
+/* Compiled pair kernel, fused step kernel and correctly rounded row sum.
  *
  * mvsde_pair_aggregate is the bit-identical twin of
  * mvsde._core.pairwise_py.pair_aggregate: same per-pair expression tree,
@@ -15,7 +15,16 @@
  * x + (b + F) h and + (s + G) dW. The caller passes only self exponents
  * whose NumPy power this reproduces: q_b in {0, 1, 2} (or betaq == 0) and
  * e_self in {0, 2, 4} (or gamma == 0); every other configuration stays on
- * scheme.step.
+ * scheme.step. On request it also writes the squared norm of every
+ * particle after every step, as np.sum(x * x, axis=-1) gives it, so the
+ * observers that need every step (the moment and divergence trackers)
+ * read a block of steps per call instead of stopping the kernel after
+ * each one.
+ *
+ * mvsde_fsum_rows sums each row of a matrix correctly rounded with
+ * math.fsum's algorithm (Shewchuk's nonoverlapping expansions, "Adaptive
+ * precision floating-point arithmetic", DCG 18, 1997), so the moment rows
+ * get fsum's bits without a Python call per row.
  *
  * Build with floating-point contraction disabled (-ffp-contract=off),
  * otherwise fused multiply-adds break the equality. Plain C with no Python
@@ -129,12 +138,24 @@ static double np_sum(const double *a, ptrdiff_t n)
     return np_sum(a, n2) + np_sum(a + n2, n - n2);
 }
 
+/* Squared norm of a row as np.sum(x * x, axis=-1) gives it; sq holds d
+ * doubles. */
+static double row_r2(const double *row, ptrdiff_t d, double *sq)
+{
+    ptrdiff_t c;
+
+    for (c = 0; c < d; c++)
+        sq[c] = row[c] * row[c];
+    return 0.0 + np_sum(sq, d);
+}
+
 /* One step from x into y; work holds F and G (n x d each), the mean (d)
- * and the squares of one row (d). Returns 0 when y holds a non-finite
+ * and the squares of one row (d). When r2_out is not NULL it receives the
+ * squared norm of every row of y. Returns 0 when y holds a non-finite
  * value. */
 static int step_once(const struct mvsde_coeffs *cf, const double *x,
                      double *y, ptrdiff_t n, ptrdiff_t d, const double *dw,
-                     ptrdiff_t dw_row, double *work)
+                     ptrdiff_t dw_row, double *work, double *r2_out)
 {
     double *F = work, *G = work + n * d, *mean = G + n * d, *sq = mean + d;
     double dn = (double)n, r2 = 0.0, r, pw = 1.0, den = 1.0, v, b, s, out;
@@ -163,11 +184,8 @@ static int step_once(const struct mvsde_coeffs *cf, const double *x,
 
     for (i = 0; i < n; i++) {
         const double *xi = x + i * d;
-        if (cf->betaq != 0.0 || cf->gamma != 0.0) {
-            for (c = 0; c < d; c++)
-                sq[c] = xi[c] * xi[c];
-            r2 = 0.0 + np_sum(sq, d);
-        }
+        if (cf->betaq != 0.0 || cf->gamma != 0.0)
+            r2 = row_r2(xi, d, sq);
         if (cf->betaq != 0.0) {
             /* NumPy's power for a scalar exponent 2, 1 or 0 */
             r = sqrt(r2);
@@ -203,6 +221,8 @@ static int step_once(const struct mvsde_coeffs *cf, const double *x,
             if (!isfinite(out))
                 finite = 0;
         }
+        if (r2_out != NULL)
+            r2_out[i] = row_r2(y + i * d, d, sq);
     }
     return finite;
 }
@@ -212,11 +232,14 @@ static int step_once(const struct mvsde_coeffs *cf, const double *x,
  * row of particle i at dw[s * dw_step + i * dw_row]. Stops after the first
  * step that produces a non-finite value. Returns the number of steps with
  * a finite result: a return r < steps means step r + 1 was done and
- * overflowed. work holds 2 n d + 2 d doubles. */
+ * overflowed. work holds 2 n d + 2 d doubles. When obs is not NULL
+ * (steps x n), row s receives the squared particle norms of the state that
+ * step s of the call produced, for every step done, the overflowing one
+ * included. */
 ptrdiff_t mvsde_advance(const struct mvsde_coeffs *cf, double *X, double *Y,
                         ptrdiff_t n, ptrdiff_t d, const double *dw,
                         ptrdiff_t dw_step, ptrdiff_t dw_row, ptrdiff_t steps,
-                        double *work)
+                        double *work, double *obs)
 {
     double *cur = X, *next = Y, *tmp;
     ptrdiff_t s;
@@ -224,7 +247,7 @@ ptrdiff_t mvsde_advance(const struct mvsde_coeffs *cf, double *X, double *Y,
 
     for (s = 0; s < steps && finite; s++) {
         finite = step_once(cf, cur, next, n, d, dw + s * dw_step, dw_row,
-                           work);
+                           work, obs != NULL ? obs + s * n : NULL);
         tmp = cur;
         cur = next;
         next = tmp;
@@ -232,4 +255,91 @@ ptrdiff_t mvsde_advance(const struct mvsde_coeffs *cf, double *X, double *Y,
     if (cur != X)
         memcpy(X, cur, (size_t)(n * d) * sizeof(double));
     return finite ? s : s - 1;
+}
+
+/* Partials of a correctly rounded sum: Shewchuk's expansions are
+ * nonoverlapping, so they never hold more values than there are bit
+ * positions from 2^-1074 to 2^1023. */
+#define FSUM_PARTIALS 2100
+
+/* Correctly rounded sum of one row, math.fsum's algorithm: Shewchuk's
+ * grow-expansion over the terms, then the partials added from the top with
+ * fsum's correction for round-half-even across partials. */
+static double fsum_row(const double *a, ptrdiff_t n)
+{
+    double p[FSUM_PARTIALS], x, y, t, hi, yr, lo = 0.0, xsave;
+    double special = 0.0, inf_sum = 0.0;
+    ptrdiff_t i, j, k, m = 0;
+
+    for (k = 0; k < n; k++) {
+        x = a[k];
+        xsave = x;
+        for (i = j = 0; j < m; j++) {
+            y = p[j];
+            if (fabs(x) < fabs(y)) {
+                t = x;
+                x = y;
+                y = t;
+            }
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                p[i++] = lo;
+            x = hi;
+        }
+        m = i;
+        if (x != 0.0) {
+            if (!isfinite(x)) {
+                /* finite terms overflowed: fsum raises OverflowError */
+                if (isfinite(xsave))
+                    return INFINITY;
+                if (isinf(xsave))
+                    inf_sum += xsave;
+                special += xsave;
+                m = 0;
+            } else {
+                p[m++] = x;
+            }
+        }
+    }
+    if (special != 0.0)
+        /* inf and -inf in one row (fsum raises ValueError) give nan */
+        return isnan(inf_sum) ? NAN : special;
+
+    hi = 0.0;
+    if (m > 0) {
+        hi = p[--m];
+        while (m > 0) {
+            x = hi;
+            y = p[--m];
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                break;
+        }
+        if (m > 0 && ((lo < 0.0 && p[m - 1] < 0.0)
+                      || (lo > 0.0 && p[m - 1] > 0.0))) {
+            y = lo * 2.0;
+            x = hi + y;
+            yr = x - hi;
+            if (y == yr)
+                hi = x;
+        }
+    }
+    return hi;
+}
+
+/* out[r] = the correctly rounded sum of row r of the C-contiguous
+ * rows x cols array a: math.fsum's value where fsum returns one, +inf
+ * where it raises OverflowError (finite terms whose sum leaves the float
+ * range) and nan where it raises ValueError (inf and -inf in one row). */
+void mvsde_fsum_rows(const double *a, ptrdiff_t rows, ptrdiff_t cols,
+                     double *out)
+{
+    ptrdiff_t r;
+
+    for (r = 0; r < rows; r++)
+        out[r] = fsum_row(a + r * cols, cols);
 }

@@ -27,7 +27,11 @@ Bit-compatibility contract (kept in sync with pairwise.c):
 The antisymmetric-pair trick used by the compiled twin (evaluate each pair
 once, negate for the mirrored entry) produces identical bits because IEEE-754
 negation is exact and every factor in the expression is symmetric in (i, j).
+
+fsum_rows is the reference of the compiled correctly rounded row sum.
 """
+
+import math
 
 import numpy as np
 
@@ -142,3 +146,22 @@ def pair_aggregate_naive(X, kf1, kfq, qf, cg, tam, te, tame_g=1.0):
             f_out[i, c] = f_out[i, c] / float(n)
             g_out[i, c] = g_out[i, c] / float(n)
     return f_out, g_out
+
+
+def fsum_rows(a):
+    """Correctly rounded sum of every row of a 2-D array: (rows,) array.
+
+    Row r is math.fsum(a[r]), +inf where fsum raises OverflowError (finite
+    terms whose sum leaves the float range) and nan where it raises
+    ValueError (inf and -inf in one row). The reference for
+    mvsde_fsum_rows in pairwise.c.
+    """
+    out = np.empty(len(a))
+    for r, row in enumerate(np.asarray(a, dtype=np.float64).tolist()):
+        try:
+            out[r] = math.fsum(row)
+        except OverflowError:
+            out[r] = math.inf
+        except ValueError:
+            out[r] = math.nan
+    return out

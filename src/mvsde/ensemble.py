@@ -1,15 +1,17 @@
 """Particle ensemble state and empirical-measure statistics.
 
-Reductions over particles (moments, center of mass, distance to the
-origin) go through math.fsum, which returns the exactly rounded sum of its
-inputs. Exact rounding makes the results invariant under particle
+The empirical moment sums over particles with a correctly rounded sum
+(math.fsum's value; mvsde._core.fsum_rows computes it in C on the compiled
+backend). Exact rounding makes the result invariant under particle
 relabeling to the last bit, which is the exchangeability contract the
-tests pin down.
+tests pin down, and the same on both backends.
 """
 
 import math
 
 import numpy as np
+
+from ._core import fsum_rows
 
 
 class EmpiricalMeasure:
@@ -44,10 +46,15 @@ class ParticleEnsemble:
     scratch : (N, d) float64 array
         Write buffer for the next state, swapped with `states` after each
         step so no allocation happens in the loop.
+    r2_block : (k, N) float64 array or None
+        Squared particle norms, np.sum(x * x, axis=-1), of the states
+        after steps t_index - k + 1 .. t_index: the steps run since the
+        callbacks of mvsde.scheme.simulate last observed. simulate fills it
+        only when a callback observes every step; None otherwise.
     """
 
     __slots__ = ("N", "d", "states", "t_index", "overflow_flag",
-                 "diverged_step", "scratch")
+                 "diverged_step", "scratch", "r2_block")
 
     def __init__(self, states):
         states = np.array(states, dtype=np.float64, order="C", copy=True)
@@ -59,6 +66,7 @@ class ParticleEnsemble:
         self.overflow_flag = False
         self.diverged_step = None
         self.scratch = np.empty_like(states)
+        self.r2_block = None
 
     def swap_buffers(self):
         self.states, self.scratch = self.scratch, self.states
@@ -78,37 +86,33 @@ def particle_norms(states):
         return np.sqrt(np.sum(states * states, axis=-1))
 
 
+def moments_from_r2(r2, p):
+    """p-th empirical moments from squared particle norms.
+
+    r2 is a (k, N) array with one row of squared norms per ensemble state.
+    Returns the (k,) array whose entry i is (1/N) sum_j |X^j|^p for state
+    i: the correctly rounded sum of np.power(np.sqrt(r2[i]), p), divided
+    by N. A row with a non-finite norm (an overflowed ensemble) gives inf,
+    and so does a row whose p-th power sum exceeds the float range.
+    """
+    r2 = np.asarray(r2, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = fsum_rows(np.power(np.sqrt(r2), p))
+    sums[~np.isfinite(r2).all(axis=1)] = math.inf
+    return sums / r2.shape[1]
+
+
 def empirical_moment(ens, p):
     """p-th moment of the empirical measure: (1/N) sum_i |X^i|^p.
 
-    Exactly rounded over particles, so invariant under relabeling.
-    Returns inf when the ensemble overflowed.
+    The one-row case of moments_from_r2: correctly rounded over particles,
+    so invariant under relabeling; inf when the ensemble overflowed or the
+    p-th power sum exceeds the float range.
     """
-    states = ens.states if hasattr(ens, "states") else np.asarray(ens)
-    norms = particle_norms(states)
-    if not np.all(np.isfinite(norms)):
-        return float("inf")
-    with np.errstate(over="ignore"):
-        return math.fsum(np.power(norms, p)) / norms.shape[0]
-
-
-def w2_to_origin(ens):
-    """Quadratic Wasserstein distance from the empirical measure to delta_0.
-
-    Equals the root mean squared particle norm.
-    """
-    states = ens.states if hasattr(ens, "states") else np.asarray(ens)
-    norms = particle_norms(states)
-    if not np.all(np.isfinite(norms)):
-        return float("inf")
-    return math.sqrt(math.fsum(norms * norms) / norms.shape[0])
-
-
-def center_of_mass(ens):
-    """Exactly rounded per-component particle average: (d,) array."""
-    states = ens.states if hasattr(ens, "states") else np.asarray(ens)
-    n, d = states.shape
-    return np.array([math.fsum(states[:, c]) for c in range(d)]) / n
+    states = np.asarray(getattr(ens, "states", ens), dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2 = np.sum(states * states, axis=-1)
+    return float(moments_from_r2(r2[None], p)[0])
 
 
 def _fmt(v):

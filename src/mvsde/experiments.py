@@ -49,6 +49,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import rng as rng_mod
 from ._core import backend_name
 from ._version import VERSION
 from .ensemble import snapshot_csv
@@ -402,15 +403,19 @@ def _poc_single_rep(tm, grid, tab, sizes, n_ref, probe_count, law, p):
 
     Returns [(mean |X_T^{i,N} - X_T^{i,n_ref}|^p over probed i, 0)] per
     size, or (None, 1) where either run diverged. Exposed separately so
-    the N = n_ref coupling identity is directly checkable.
+    the N = n_ref coupling identity is directly checkable. The initial
+    states are drawn once, at n_ref; every size runs from their prefix,
+    which is what sample_initial draws for that size.
     """
-    ref = simulate(tm, grid, tab, initial=law, n_particles=n_ref)
+    states = rng_mod.sample_initial(tab, n_ref, tm.base.d, law)
+    ref = simulate(tm, grid, tab, initial_states=states, n_particles=n_ref)
     out = []
     for size in sizes:
         if ref.overflow_flag:
             out.append((None, 1))
             continue
-        ens = simulate(tm, grid, tab, initial=law, n_particles=size)
+        ens = simulate(tm, grid, tab, initial_states=states[:size],
+                       n_particles=size)
         if ens.overflow_flag:
             out.append((None, 1))
             continue
@@ -463,7 +468,12 @@ def run_poc_rate(cfg):
 
 
 class _DivergenceTracker:
-    """First step index outside the trust region (non-finite or huge)."""
+    """First step index outside the trust region (non-finite or huge).
+
+    Each observe call takes the block of steps in ens.r2_block (see
+    scheme.simulate). A state leaves the trust region when a squared norm
+    is not <= threshold**2: a non-finite state has an inf or nan one.
+    """
 
     def __init__(self, threshold=DIVERGENCE_NORM):
         self.threshold = float(threshold)
@@ -472,13 +482,11 @@ class _DivergenceTracker:
     def observe(self, ens, grid):
         if self.step is not None:
             return
-        x = ens.states
-        if not np.isfinite(x).all():
-            self.step = ens.t_index
-            return
-        r2 = np.sum(x * x, axis=-1).max()
-        if r2 > self.threshold * self.threshold:
-            self.step = ens.t_index
+        r2 = ens.r2_block
+        bad = np.flatnonzero(
+            ~(r2 <= self.threshold * self.threshold).all(axis=1))
+        if bad.size:
+            self.step = ens.t_index - len(r2) + 1 + int(bad[0])
 
 
 def run_moment_stability(cfg):

@@ -19,6 +19,11 @@ advances the ensemble from one observed step to the next in one call with
 no Python in the loop; it gives the same bits as `step`. It covers the self
 exponents whose NumPy power it reproduces, q_b in {0, 1, 2} and taming
 exponent e_self in {0, 2, 4}; other models run `step` on every backend.
+
+Observers that need every step (MomentTracker and the divergence tracker
+of mvsde.experiments) read a block of steps per call: the squared particle
+norms of each state, which the fused kernel writes as it steps and the
+step path computes with the same NumPy reduction.
 """
 
 import bisect
@@ -27,7 +32,7 @@ import numpy as np
 
 from . import model as model_mod
 from . import rng as rng_mod
-from .ensemble import ParticleEnsemble, empirical_moment
+from .ensemble import ParticleEnsemble, moments_from_r2
 from .taming import taming_parameters, _rpow
 from ._core import bind_advance, pair_aggregate
 
@@ -38,6 +43,9 @@ _CHUNK_ELEMENTS = 1 << 22
 # taming exponents 0, 2 and 4; libm pow differs from both in the last bit
 _FUSED_Q_B = (0.0, 1.0, 2.0)
 _FUSED_E_SELF = (0.0, 2.0, 4.0)
+# cap on the float64 count of one block of observed squared norms: steps
+# per observation block times N, about 0.5 MB
+_OBS_ELEMENTS = 1 << 16
 
 
 class TimeGrid:
@@ -150,10 +158,14 @@ def simulate(tm, grid, tableau, initial=None, initial_states=None,
         larger ones.
     callbacks : iterable
         Objects whose observe(ens, grid) is called after initialization
-        and after every step. A callback with a next_step(k, total)
-        method (StateRecorder) is only sure to be called at the steps
-        that method names; the fused kernel runs through the steps no
-        callback needs in one call.
+        and after each block of steps. A callback with a next_step(k,
+        total) method (StateRecorder) is sure to be called at the steps
+        that method names and reads ens.states there. Any other callback
+        observes every step: it reads ens.r2_block, the squared particle
+        norms after each step of the block (after initialization, of the
+        initial state), and a block then holds at most
+        _OBS_ELEMENTS // N steps. Both backends observe the same blocks;
+        the fused kernel runs each block in one call.
 
     Returns
     -------
@@ -176,6 +188,11 @@ def simulate(tm, grid, tableau, initial=None, initial_states=None,
         law = initial if initial is not None else rng_mod.initial_law()
         states = rng_mod.sample_initial(tableau, n_part, d, law)
     ens = ParticleEnsemble(states)
+    obs = None
+    if any(not hasattr(cb, "next_step") for cb in callbacks):
+        obs = np.empty((max(1, _OBS_ELEMENTS // n_part), n_part))
+        _squared_norms(ens.states, obs[0])
+        ens.r2_block = obs[:1]
     for cb in callbacks:
         cb.observe(ens, grid)
 
@@ -189,13 +206,18 @@ def simulate(tm, grid, tableau, initial=None, initial_states=None,
         block = rng_mod.level_increments(tableau, grid.n, k, hi)
         j = k
         while j < hi:
+            stop = min([hi] + [cb.next_step(j, total) for cb in callbacks
+                               if hasattr(cb, "next_step")])
+            if obs is not None:
+                stop = min(stop, j + len(obs))
             if run is None:
-                alive = step(ens, tm, grid, block[j - k, :n_part, :])
+                alive = _advance_steps(ens, tm, grid, block[:, :n_part],
+                                       j - k, stop - j, obs)
             else:
-                stop = min([hi] + [cb.next_step(j, total)
-                                   if hasattr(cb, "next_step") else j + 1
-                                   for cb in callbacks])
-                alive = _advance_fused(ens, run, block, j - k, stop - j)
+                alive = _advance_fused(ens, run, block, j - k, stop - j,
+                                       obs)
+            if obs is not None:
+                ens.r2_block = obs[:ens.t_index - j]
             j = ens.t_index
             for cb in callbacks:
                 cb.observe(ens, grid)
@@ -203,6 +225,28 @@ def simulate(tm, grid, tableau, initial=None, initial_states=None,
                 break
         k = hi
     return ens
+
+
+def _squared_norms(x, out):
+    """np.sum(x * x, axis=-1) into out; inf or nan for a non-finite row."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[:] = np.sum(x * x, axis=-1)
+
+
+def _advance_steps(ens, tm, grid, block, first, steps, obs):
+    """`steps` calls of step, writing observation rows as the kernel does.
+
+    Row s of obs, if given, receives the squared particle norms after the
+    step with noise block[first + s], the overflowing step included.
+    Returns False once the ensemble has overflowed, True otherwise.
+    """
+    for s in range(steps):
+        alive = step(ens, tm, grid, block[first + s])
+        if obs is not None:
+            _squared_norms(ens.states, obs[s])
+        if not alive:
+            return False
+    return True
 
 
 def _fused_kernel(tm, grid, ens):
@@ -232,12 +276,13 @@ def _fused_kernel(tm, grid, ens):
         k_noise=min(base.d, base.l)), ens.states, ens.scratch)
 
 
-def _advance_fused(ens, run, block, first, steps):
+def _advance_fused(ens, run, block, first, steps, obs):
     """`steps` steps in one kernel call, with step's bookkeeping.
 
+    The kernel writes the observation rows into obs when it is given.
     Returns False once the ensemble has overflowed, True otherwise.
     """
-    done = run(block, first, steps)
+    done = run(block, first, steps, obs)
     if done < steps:
         ens.t_index += done + 1
         ens.overflow_flag = True
@@ -248,7 +293,11 @@ def _advance_fused(ens, run, block, first, steps):
 
 
 class MomentTracker:
-    """Records (t, p-th empirical moment) after every step."""
+    """Records (t, p-th empirical moment) after every step.
+
+    Each observe call takes the block of steps in ens.r2_block (see
+    simulate); the moments are those of ensemble.empirical_moment.
+    """
 
     def __init__(self, p):
         self.p = float(p)
@@ -256,8 +305,10 @@ class MomentTracker:
         self.values = []
 
     def observe(self, ens, grid):
-        self.times.append(float(grid.t_at(ens.t_index)))
-        self.values.append(empirical_moment(ens, self.p))
+        r2 = ens.r2_block
+        self.times.extend(grid.t_at(
+            np.arange(ens.t_index - len(r2) + 1, ens.t_index + 1)).tolist())
+        self.values.extend(moments_from_r2(r2, self.p).tolist())
 
 
 class StateRecorder:

@@ -102,6 +102,24 @@ def test_moment_stability_cli(tmp_path, capsys):
     assert "verdict: pass" in out
 
 
+def test_moment_beyond_float_range_counts_as_unbounded(tmp_path, capsys):
+    # the plain arm from 2.008 lands one iterate in [2.9e76, 1.16e77]:
+    # every 4th power is finite but their sum over 256 particles is not
+    ini = ("[run]\nexperiment = moment-stability\nseed = 1\nreps = 1\n"
+           "p0 = 4.0\nout_dir = %s\n"
+           "[model]\nfamily = cubic-mean-field\n"
+           "lam = 0.0\nsigma0 = 0.0\nc_f = 0.0\nc_g = 0.0\n"
+           "[grid]\nT = 10.0\nn = 2\n"
+           "[ensemble]\nN = 256\ninitial = point 3.0\n"
+           "initial_b = point 2.008\n" % str(tmp_path / "out"))
+    path = _write(tmp_path, "overflow.ini", ini)
+    assert main(["moment-stability", "--config", path]) in (0, 2)
+    report = json.load(open(tmp_path / "out" /
+                            "moment_stability_report.json"))
+    assert report["sup_moments"][1] == "inf"
+    capsys.readouterr()
+
+
 def test_failing_verdict_exits_2(tmp_path, capsys):
     # slope band far from any achievable rate forces a fail verdict
     ini = ("[run]\nexperiment = strong-rate\nreps = 2\nout_dir = %s\n"

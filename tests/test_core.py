@@ -5,6 +5,7 @@ mvsde._core uses at import, so the comparison runs whether or not setup.py
 built the package in place.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import mvsde
-from mvsde._core import (_select_backend, load_compiled,
+from mvsde._core import (_select_backend, fsum_rows_py, load_compiled,
                          pair_aggregate_naive, pair_aggregate_py)
 
 # (kf1, kfq, qf, cg, tam, te, tame_g)
@@ -83,23 +84,91 @@ def test_force_fallback_selects_numpy():
         [sys.executable, "-c",
          "import mvsde, mvsde._core as c; "
          "print(mvsde.backend_name(), c.bind_advance, "
-         "c.pair_aggregate is c.pair_aggregate_py)"],
+         "c.pair_aggregate is c.pair_aggregate_py, "
+         "c.fsum_rows is c.fsum_rows_py)"],
         env=env, check=True, capture_output=True, text=True).stdout
-    assert out.split() == ["numpy", "None", "True"]
+    assert out.split() == ["numpy", "None", "True", "True"]
 
 
-def test_loader_binds_both_kernels_or_neither(compiled_library,
-                                              build_library, tmp_path):
-    pair, advance, name = _select_backend(compiled_library)
+def test_loader_binds_every_kernel_or_none(compiled_library, build_library,
+                                           tmp_path):
+    pair, advance, row_sum, name = _select_backend(compiled_library)
     assert name == "c" and pair is not pair_aggregate_py
-    assert callable(advance)
-    # a stale library from before the fused kernel has only the pair kernel
-    stub = tmp_path / "stale.c"
-    stub.write_text("void mvsde_pair_aggregate(void) {}\n")
-    stale = build_library(str(stub), "stale.so")
-    with pytest.raises(AttributeError, match="mvsde_advance"):
-        load_compiled(stale)
-    assert _select_backend(stale) == (pair_aggregate_py, None, "numpy")
-    assert _select_backend(str(tmp_path / "missing.so")) == (
-        pair_aggregate_py, None, "numpy")
-    assert _select_backend(None) == (pair_aggregate_py, None, "numpy")
+    assert callable(advance) and row_sum is not fsum_rows_py
+    numpy_backend = (pair_aggregate_py, None, fsum_rows_py, "numpy")
+    # stale libraries from before the fused kernel and the row sum
+    for missing, symbols in (
+            ("mvsde_advance", ["mvsde_pair_aggregate"]),
+            ("mvsde_fsum_rows", ["mvsde_pair_aggregate", "mvsde_advance"])):
+        stub = tmp_path / ("stale_%s.c" % missing)
+        stub.write_text("".join("void %s(void) {}\n" % sym
+                                for sym in symbols))
+        stale = build_library(str(stub), stub.stem + ".so")
+        with pytest.raises(AttributeError, match=missing):
+            load_compiled(stale)
+        assert _select_backend(stale) == numpy_backend
+    assert _select_backend(str(tmp_path / "missing.so")) == numpy_backend
+    assert _select_backend(None) == numpy_backend
+
+
+@pytest.fixture(scope="module")
+def compiled_fsum_rows(compiled_library):
+    return load_compiled(compiled_library)[2]
+
+
+def _fsum_or_exception(row):
+    try:
+        return math.fsum(row)
+    except OverflowError:
+        return math.inf
+    except ValueError:
+        return math.nan
+
+
+_TINY = 5e-324
+FSUM_ROWS = {
+    "mixed signs": [1.5, -2.25, 1e16, 3.0, -1e16, 0.1],
+    "cancellation": [1e100, 1.0, -1e100, 1e-100],
+    "half-even across partials": [1e-16, 1.0, 1e16],
+    "subnormals": [_TINY, _TINY * 3, -_TINY, 2.2250738585072014e-308,
+                   -1e-310],
+    "signed zeros": [-0.0, -0.0],
+    "inf": [1.0, math.inf, 2.0],
+    "-inf": [-math.inf, 1e308, -math.inf],
+    "inf + -inf": [math.inf, 1.0, -math.inf],
+    "nan": [1.0, math.nan, 2.0],
+    "nan and inf": [math.inf, math.nan],
+    "overflow": [1.7e308, 1e308],
+    "negative overflow": [-1.7e308, -1e308],
+    "overflow after inf": [math.inf, 1.7e308, 1e308],
+    "near DBL_MAX": [1.7976931348623157e308, -1e292, 1e292],
+    "long equal": [81.0] * 256,
+}
+
+
+@pytest.mark.parametrize("label", sorted(FSUM_ROWS))
+def test_fsum_rows_matches_math_fsum(compiled_fsum_rows, label):
+    row = FSUM_ROWS[label]
+    want = _fsum_or_exception(row)
+    for fsum_rows in (compiled_fsum_rows, fsum_rows_py):
+        got = fsum_rows(np.array([row]))
+        assert got.shape == (1,)
+        assert np.array_equal(got, [want], equal_nan=True), label
+        assert np.signbit(got[0]) == (math.copysign(1.0, want) < 0), label
+
+
+def test_fsum_rows_random_and_empty(compiled_fsum_rows):
+    rng = np.random.default_rng(11)
+    rows = (rng.standard_cauchy((200, 33))
+            * 10.0 ** rng.integers(-300, 300, (200, 33)))
+    rows[::7] = np.abs(rng.normal(size=(33,))) ** 4
+    want = [_fsum_or_exception(row) for row in rows.tolist()]
+    for fsum_rows in (compiled_fsum_rows, fsum_rows_py):
+        assert np.array_equal(fsum_rows(rows), want, equal_nan=True)
+        assert fsum_rows(rows.T[::2]).tolist() == [
+            _fsum_or_exception(row) for row in rows.T[::2].tolist()]
+        empty = fsum_rows(np.zeros((3, 0)))
+        assert empty.tolist() == [0.0] * 3 and not np.signbit(empty).any()
+        assert fsum_rows(np.zeros((0, 4))).shape == (0,)
+    with pytest.raises(ValueError):
+        compiled_fsum_rows(np.zeros(4))

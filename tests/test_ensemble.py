@@ -1,13 +1,14 @@
 """Particle-cloud statistics and snapshot output."""
 
 import io
+import math
 
 import numpy as np
 import pytest
 
 from mvsde.ensemble import (EmpiricalMeasure, ParticleEnsemble,
-                            center_of_mass, empirical_moment, particle_norms,
-                            snapshot_csv, w2_to_origin)
+                            empirical_moment, moments_from_r2,
+                            particle_norms, snapshot_csv)
 
 
 def test_empirical_moment_value():
@@ -20,15 +21,24 @@ def test_empirical_moment_mixed():
     assert empirical_moment(ens, 2.0) == 2.0  # (0 + 4) / 2
 
 
-def test_w2_to_origin_value():
-    ens = ParticleEnsemble(np.array([[0.0], [4.0]]))
-    # sqrt((0 + 16)/2) = sqrt(8)
-    assert w2_to_origin(ens) == 2.8284271247461903
+def test_empirical_moment_beyond_float_range_is_inf():
+    # every 4th power (1e308) is finite, their sum is not: fsum raises
+    # OverflowError there, the moment is inf
+    ens = ParticleEnsemble(np.full((256, 1), 1e77))
+    assert empirical_moment(ens, 4.0) == math.inf
+    assert math.isfinite(empirical_moment(ens.states[:1], 4.0))
 
 
-def test_center_of_mass_and_norms():
+def test_moments_from_r2_rows():
+    r2 = np.array([[9.0, 16.0], [0.0, 4.0], [1.0, np.inf], [np.nan, 0.0]])
+    assert moments_from_r2(r2, 2.0).tolist() == [12.5, 2.0, math.inf,
+                                                 math.inf]
+    assert moments_from_r2(r2[:2], 4.0).tolist() == [(81.0 + 256.0) / 2,
+                                                     8.0]
+
+
+def test_particle_norms():
     ens = ParticleEnsemble(np.array([[1.0, 0.0], [3.0, 4.0]]))
-    assert np.array_equal(center_of_mass(ens), np.array([2.0, 2.0]))
     assert np.array_equal(particle_norms(ens.states),
                           np.array([1.0, 5.0]))
 

@@ -6,12 +6,19 @@ sign bits. The kernel is compiled here (conftest.py) and switched in and
 out through scheme.bind_advance, so these tests run on either backend.
 """
 
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from mvsde import scheme
+import mvsde
+from mvsde import ensemble, scheme
 from mvsde._core import _Coeffs, load_compiled, pair_aggregate_py
-from mvsde.experiments import _DivergenceTracker
+from mvsde.cli import main
+from mvsde.experiments import DIVERGENCE_NORM, _DivergenceTracker
 from mvsde.model import FAMILIES, make_model
 from mvsde.rng import initial_law, make_tableau
 from mvsde.taming import TamedModel
@@ -105,6 +112,134 @@ def test_fused_overflow_matches_step(monkeypatch, advance, callbacks):
     assert fused_tracked == ref_tracked
     ens = fused[0]
     assert ens.overflow_flag and ens.diverged_step == ens.t_index < 80
+
+
+class _Blocks:
+    """Callback that observes every step and records each block it gets."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def observe(self, ens, grid):
+        self.blocks.append((ens.t_index, ens.r2_block.copy()))
+
+
+def _per_step_observers(rec, grid, powers):
+    """Moments and divergence step recomputed from every recorded state.
+
+    These are the per-state formulas the observers applied after every step
+    before they observed blocks: math.fsum over np.power of the norms, inf
+    for a non-finite norm, and the first state with a non-finite entry or a
+    squared norm above DIVERGENCE_NORM**2.
+    """
+    times = [float(grid.t_at(k)) for k in rec.recorded_steps]
+    moments = {p: [] for p in powers}
+    diverged = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, x in zip(rec.recorded_steps, rec.states):
+            norms = np.sqrt(np.sum(x * x, axis=-1))
+            for p in powers:
+                if not np.isfinite(norms).all():
+                    moments[p].append(math.inf)
+                    continue
+                try:
+                    moments[p].append(math.fsum(np.power(norms, p))
+                                      / len(x))
+                except OverflowError:
+                    moments[p].append(math.inf)
+            if diverged is None and (
+                    not np.isfinite(x).all()
+                    or np.sum(x * x, axis=-1).max()
+                    > DIVERGENCE_NORM * DIVERGENCE_NORM):
+                diverged = k
+    return times, moments, diverged
+
+
+POWERS = (1.5, 2.0, 3.0, 4.0)
+
+
+@pytest.mark.parametrize("rows", (2, 3, None))
+@pytest.mark.parametrize("size", (1, 7, 257))
+@pytest.mark.parametrize("d", (1, 3, 9))
+def test_block_observers_match_per_step(monkeypatch, advance, d, size,
+                                        rows):
+    if rows is not None:
+        # small blocks, so they split mid-run and around the overflow step
+        monkeypatch.setattr(scheme, "_OBS_ELEMENTS", rows * size)
+    cubic = make_model("cubic-mean-field", d=d, params=dict(
+        lam=0.0, sigma0=0.0, c_f=0.0, c_g=0.0))
+    cases = (  # a tamed run with noise, and plain Euler from 3.0 overflowing
+        (TamedModel(make_model("cubic-mean-field", d=d), 8, "finite"),
+         2.0, initial_law("gaussian", 0.0, 1.5)),
+        (TamedModel(cubic, 2, "off"), 40.0, initial_law("point", 3.0)))
+    for tm, T, law in cases:
+        tab = make_tableau(13, size, tm.base.l, T, tm.n)
+        grid = scheme.TimeGrid(T, tm.n)
+        runs = []
+        for kernel in (advance, None):
+            moments = [scheme.MomentTracker(p) for p in POWERS]
+            diverge, blocks = _DivergenceTracker(), _Blocks()
+            ens = _simulate(monkeypatch, kernel, tm, T, tm.n, tab, law,
+                            callbacks=moments + [diverge, blocks])
+            runs.append((ens, moments, diverge, blocks))
+        rec = scheme.StateRecorder(stride=1)
+        _simulate(monkeypatch, None, tm, T, tm.n, tab, law, callbacks=[rec])
+        times, want, diverged = _per_step_observers(rec, grid, POWERS)
+        (ens, moments, diverge, blocks), ref = runs
+        assert (ens.t_index, ens.diverged_step) == (ref[0].t_index,
+                                                    ref[0].diverged_step)
+        assert len(blocks.blocks) == len(ref[3].blocks)
+        for (k_a, r2_a), (k_b, r2_b) in zip(blocks.blocks, ref[3].blocks):
+            assert k_a == k_b
+            _assert_same_arrays(r2_a, r2_b)
+        # the blocks cover steps 0 .. t_index once each, in order
+        ends = [k for k, _ in blocks.blocks]
+        sizes = [len(r2) for _, r2 in blocks.blocks]
+        assert ends[0] == 0 and sizes[0] == 1
+        assert [a + b for a, b in zip(ends, sizes[1:])] == ends[1:]
+        assert ends[-1] == ens.t_index
+        if rows is not None:
+            assert max(sizes) == min(rows, ens.t_index)
+        assert rec.recorded_steps == list(range(ens.t_index + 1))
+        for tracker, other, p in zip(moments, ref[1], POWERS):
+            assert tracker.times == other.times == times
+            assert np.array_equal(tracker.values, want[p])
+            assert np.array_equal(other.values, want[p])
+        assert diverge.step == ref[2].step == diverged
+    # the plain arm crossed the trust region before it overflowed
+    assert diverged is not None and ens.overflow_flag
+    assert diverged < ens.diverged_step
+
+
+def test_divergence_tracker_boundary(monkeypatch, advance):
+    threshold2 = DIVERGENCE_NORM * DIVERGENCE_NORM
+    assert threshold2 == 1e20  # 1e10 squared is exact
+    above = np.nextafter(threshold2, np.inf)
+    grid = scheme.TimeGrid(1.0, 1)
+    ens = scheme.ParticleEnsemble(np.zeros((2, 1)))
+    ens.t_index = 6
+    ens.r2_block = np.array([[0.0, threshold2], [threshold2, 1.0],
+                             [above, 0.0]])  # steps 4, 5, 6
+    tracker = _DivergenceTracker()
+    tracker.observe(ens, grid)
+    assert tracker.step == 6
+    ens.r2_block = ens.r2_block[:2]
+    tracker = _DivergenceTracker()
+    tracker.observe(ens, grid)
+    assert tracker.step is None
+    # through simulate on both backends: a model that never moves, at
+    # norm 1e10 (not flagged) and one ulp above it (flagged at step 0)
+    frozen = make_model("lipschitz-baseline", d=1, params=dict(
+        a=0.0, lam=0.0, kappa=0.0, sigma0=0.0, c_g=0.0))
+    tm = TamedModel(frozen, 2, "off")
+    tab = make_tableau(1, 3, 1, 2.0, 2)
+    for start, step in ((DIVERGENCE_NORM, None),
+                        (np.nextafter(DIVERGENCE_NORM, np.inf), 0)):
+        for kernel in (advance, None):
+            tracker = _DivergenceTracker()
+            _simulate(monkeypatch, kernel, tm, 2.0, 2, tab,
+                      initial_law("point", start), callbacks=[tracker])
+            assert tracker.step == step
 
 
 def _one_step(advance, x, **coeffs):
@@ -209,3 +344,58 @@ def test_bound_kernel_refuses_noise_it_would_overrun(advance):
             run(block, first, steps)
     with pytest.raises(ValueError, match="C-contiguous"):
         advance(values, states, np.empty((2, 4)).T)
+
+
+_TINY_STABILITY = ("[run]\nexperiment = moment-stability\nreps = 2\n"
+                   "out_dir = %s\n[model]\nd = 3\n[grid]\nT = 50.0\n"
+                   "n = 2\n[ensemble]\nN = 33\n"
+                   "initial = gaussian 0.0 1.0\n")
+
+
+def _outputs(out_dir):
+    with open(os.path.join(out_dir, "moment_stability_errors.csv"),
+              "rb") as fh:
+        csv_bytes = fh.read()
+    with open(os.path.join(out_dir, "moment_stability_report.json"),
+              "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    backend = [ln for ln in lines if ln.lstrip().startswith(b'"backend"')]
+    return csv_bytes, [ln for ln in lines if ln not in backend], backend
+
+
+def test_driver_bytes_match_across_backends(monkeypatch, compiled_library,
+                                            tmp_path, capsys):
+    """moment-stability writes the same bytes on C and on NumPy.
+
+    The C run has every compiled kernel switched in, the NumPy run is a
+    fresh interpreter with MVSDE_FORCE_FALLBACK=1; only the config echo's
+    backend line may differ. This pins the C row sum of the moments to
+    math.fsum at driver level, overflowing plain arm included.
+    """
+    pair, advance, fsum_rows = load_compiled(compiled_library)
+    monkeypatch.setattr(scheme, "bind_advance", advance)
+    monkeypatch.setattr(scheme, "pair_aggregate", pair)
+    monkeypatch.setattr(ensemble, "fsum_rows", fsum_rows)
+    runs = []
+    for label in ("c", "numpy"):
+        out_dir = str(tmp_path / label)
+        path = tmp_path / ("%s.ini" % label)
+        path.write_text(_TINY_STABILITY % out_dir)
+        argv = ["moment-stability", "--config", str(path)]
+        if label == "c":
+            assert main(argv) in (0, 2)
+            capsys.readouterr()
+        else:
+            src = os.path.dirname(os.path.dirname(mvsde.__file__))
+            env = dict(os.environ, MVSDE_FORCE_FALLBACK="1", PYTHONPATH=src)
+            code = subprocess.run([sys.executable, "-m", "mvsde"] + argv,
+                                  env=env, capture_output=True,
+                                  timeout=300).returncode
+            assert code in (0, 2)
+        runs.append(_outputs(out_dir))
+    (csv_c, json_c, _), (csv_numpy, json_numpy, backend) = runs
+    assert csv_c == csv_numpy
+    assert json_c == json_numpy
+    assert backend == [b'    "backend": "numpy"\n']
+    assert b'"inf"' in b"".join(json_c)  # the plain arm overflowed
+
