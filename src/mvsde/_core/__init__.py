@@ -5,10 +5,12 @@ with ctypes) when the build produced them and falls back to the pure numpy
 implementation otherwise. ``pair_aggregate`` has the same contract on both
 backends and is bit-identical for the exponents 0, 2 and 4; tests and the
 benchmark rely on that. ``fsum_rows``, the correctly rounded row sum of the
-moment observers, gives the same bits on both. ``bind_advance`` is the
-fused multi-step kernel that mvsde.scheme.simulate uses on the C backend; it
-is None on the numpy backend, where simulate runs scheme.step. Set
-MVSDE_FORCE_FALLBACK=1 to skip the compiled kernels without rebuilding.
+moment observers, and ``philox_uniforms``, the per-particle Philox streams
+of the Brownian tableau and the initial states, give the same bits on both.
+``bind_advance`` is the fused multi-step kernel that mvsde.scheme.simulate
+uses on the C backend; it is None on the numpy backend, where simulate runs
+scheme.step. Set MVSDE_FORCE_FALLBACK=1 to skip the compiled kernels
+without rebuilding.
 """
 
 import ctypes
@@ -22,6 +24,7 @@ from . import pairwise_py
 pair_aggregate_py = pairwise_py.pair_aggregate
 pair_aggregate_naive = pairwise_py.pair_aggregate_naive
 fsum_rows_py = pairwise_py.fsum_rows
+philox_uniforms_py = pairwise_py.philox_uniforms
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -39,17 +42,18 @@ class _Coeffs(ctypes.Structure):
 def load_compiled(path):
     """Bind every C kernel in the shared library at path.
 
-    Returns (pair_aggregate, bind_advance, fsum_rows). pair_aggregate and
-    fsum_rows have the signatures and results of their pairwise_py
-    namesakes; bind_advance is described in its own docstring. Raises
-    OSError when the library cannot be loaded and AttributeError when it
-    lacks any kernel symbol, so a stale library never provides some kernels
-    without the others.
+    Returns (pair_aggregate, bind_advance, fsum_rows, philox_uniforms).
+    All but bind_advance have the signatures and results of their
+    pairwise_py namesakes; bind_advance is described in its own docstring.
+    Raises OSError when the library cannot be loaded and AttributeError
+    when it lacks any kernel symbol, so a stale library never provides some
+    kernels without the others.
     """
     lib = ctypes.CDLL(path)
     pair_kernel = lib.mvsde_pair_aggregate
     step_kernel = lib.mvsde_advance
     sum_kernel = lib.mvsde_fsum_rows
+    uniform_kernel = lib.mvsde_philox_uniforms
     pair_kernel.restype = None
     pair_kernel.argtypes = ([ctypes.c_void_p, ctypes.c_ssize_t,
                              ctypes.c_ssize_t]
@@ -64,6 +68,9 @@ def load_compiled(path):
     sum_kernel.restype = None
     sum_kernel.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t,
                            ctypes.c_ssize_t, ctypes.c_void_p]
+    uniform_kernel.restype = None
+    uniform_kernel.argtypes = ([ctypes.c_uint64] + [ctypes.c_ssize_t] * 3
+                               + [ctypes.c_void_p])
 
     def pair_aggregate(X, kf1, kfq, qf, cg, tam, te, tame_g=1.0):
         """See pairwise_py.pair_aggregate for the reference semantics."""
@@ -99,7 +106,15 @@ def load_compiled(path):
         sum_kernel(a.ctypes.data, a.shape[0], a.shape[1], out.ctypes.data)
         return out
 
-    return pair_aggregate, bind_advance, fsum_rows
+    def philox_uniforms(key0, shape):
+        """See pairwise_py.philox_uniforms for the reference semantics."""
+        s, n, l = shape
+        out = np.empty((s, n, l))
+        # released GIL: tableaux of reps on other threads draw in parallel
+        uniform_kernel(key0 & pairwise_py.MASK64, n, s, l, out.ctypes.data)
+        return out
+
+    return pair_aggregate, bind_advance, fsum_rows, philox_uniforms
 
 
 class _BoundAdvance:
@@ -174,7 +189,8 @@ def _built_library():
 
 
 def _select_backend(path):
-    """(pair_aggregate, bind_advance, fsum_rows, backend name) for a path.
+    """(pair_aggregate, bind_advance, fsum_rows, philox_uniforms, backend
+    name) for a path.
 
     Every kernel comes from the library, or the numpy kernels and no fused
     kernel when path is None or the library lacks any symbol.
@@ -184,12 +200,13 @@ def _select_backend(path):
             return load_compiled(path) + ("c",)
         except (OSError, AttributeError):
             pass
-    return pair_aggregate_py, None, fsum_rows_py, "numpy"
+    return (pair_aggregate_py, None, fsum_rows_py, philox_uniforms_py,
+            "numpy")
 
 
 _FORCED = os.environ.get("MVSDE_FORCE_FALLBACK", "") not in ("", "0")
-pair_aggregate, bind_advance, fsum_rows, _BACKEND = _select_backend(
-    None if _FORCED else _built_library())
+(pair_aggregate, bind_advance, fsum_rows, philox_uniforms,
+ _BACKEND) = _select_backend(None if _FORCED else _built_library())
 
 
 def backend_name():

@@ -1,4 +1,5 @@
-/* Compiled pair kernel, fused step kernel and correctly rounded row sum.
+/* Compiled pair kernel, fused step kernel, correctly rounded row sum and
+ * Philox stream block.
  *
  * mvsde_pair_aggregate is the bit-identical twin of
  * mvsde._core.pairwise_py.pair_aggregate: same per-pair expression tree,
@@ -26,13 +27,23 @@
  * precision floating-point arithmetic", DCG 18, 1997), so the moment rows
  * get fsum's bits without a Python call per row.
  *
+ * mvsde_philox_uniforms fills a block of uniform doubles from one
+ * Philox4x64-10 stream per particle (Salmon, Moraes, Dror and Shaw,
+ * "Parallel random numbers: as easy as 1, 2, 3", SC'11), exactly as
+ * numpy.random.Philox and Generator.random produce them, so the Brownian
+ * tableau and the initial states get the streams' bits with no Python
+ * loop over particles.
+ *
  * Build with floating-point contraction disabled (-ffp-contract=off),
  * otherwise fused multiply-adds break the equality. Plain C with no Python
- * or NumPy headers; mvsde._core loads it with ctypes.
+ * or NumPy headers, apart from the unsigned __int128 of the Philox
+ * multiplications, which GCC and Clang provide; mvsde._core loads it with
+ * ctypes.
  */
 
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 #include <string.h>
 
 /* X, F and G are C-contiguous n x d float64 arrays, and F and G must be
@@ -342,4 +353,70 @@ void mvsde_fsum_rows(const double *a, ptrdiff_t rows, ptrdiff_t cols,
 
     for (r = 0; r < rows; r++)
         out[r] = fsum_row(a + r * cols, cols);
+}
+
+/* Philox4x64-10 multipliers and Weyl key increments, as in numpy's
+ * philox.h */
+#define PHILOX_M0 0xD2E7470EE14C6C93ULL
+#define PHILOX_M1 0xCA5A826395121157ULL
+#define PHILOX_W0 0x9E3779B97F4A7C15ULL
+#define PHILOX_W1 0xBB67AE8584CAA73BULL
+
+/* The 4 words of one Philox4x64-10 block at counter (ctr, 0, 0, 0) and
+ * key (k0, k1): ten rounds, the key bumped before every round but the
+ * first. */
+static void philox_block(uint64_t ctr, uint64_t k0, uint64_t k1,
+                         uint64_t out[4])
+{
+    uint64_t c0 = ctr, c1 = 0, c2 = 0, c3 = 0;
+    unsigned __int128 p0, p1;
+    int round;
+
+    for (round = 0; round < 10; round++) {
+        if (round > 0) {
+            k0 += PHILOX_W0;
+            k1 += PHILOX_W1;
+        }
+        p0 = (unsigned __int128)PHILOX_M0 * c0;
+        p1 = (unsigned __int128)PHILOX_M1 * c2;
+        c0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0;
+        c1 = (uint64_t)p1;
+        c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;
+        c3 = (uint64_t)p0;
+    }
+    out[0] = c0;
+    out[1] = c1;
+    out[2] = c2;
+    out[3] = c3;
+}
+
+/* Stream i (0 <= i < n) is numpy.random.Philox(counter=0, key=(key0, i)):
+ * the counter's low word is incremented before each 4-word block, and its
+ * j-th double, (word >> 11) * 2^-53 as Generator.random gives it, goes to
+ * out[j / l][i][j % l] of the C-contiguous s x n x l array out. A stream
+ * holds s * l doubles, far fewer than the 2^66 at which the counter's low
+ * word would carry. */
+void mvsde_philox_uniforms(uint64_t key0, ptrdiff_t n, ptrdiff_t s,
+                           ptrdiff_t l, double *out)
+{
+    uint64_t words[4], ctr;
+    ptrdiff_t i, r, c;
+    int pos;
+    double *row;
+
+    for (i = 0; i < n; i++) {
+        ctr = 0;
+        pos = 4;
+        for (r = 0; r < s; r++) {
+            row = out + (r * n + i) * l;
+            for (c = 0; c < l; c++) {
+                if (pos == 4) {
+                    philox_block(++ctr, key0, (uint64_t)i, words);
+                    pos = 0;
+                }
+                row[c] = (double)(words[pos++] >> 11)
+                         * (1.0 / 9007199254740992.0);
+            }
+        }
+    }
 }

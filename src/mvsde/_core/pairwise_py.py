@@ -28,12 +28,16 @@ The antisymmetric-pair trick used by the compiled twin (evaluate each pair
 once, negate for the mirrored entry) produces identical bits because IEEE-754
 negation is exact and every factor in the expression is symmetric in (i, j).
 
-fsum_rows is the reference of the compiled correctly rounded row sum.
+fsum_rows is the reference of the compiled correctly rounded row sum, and
+philox_uniforms that of the compiled Philox stream block.
 """
 
 import math
 
 import numpy as np
+
+# Philox keys are taken modulo 2^64
+MASK64 = (1 << 64) - 1
 
 
 def pair_aggregate(X, kf1, kfq, qf, cg, tam, te, tame_g=1.0):
@@ -164,4 +168,29 @@ def fsum_rows(a):
             out[r] = math.inf
         except ValueError:
             out[r] = math.nan
+    return out
+
+
+def philox_uniforms(key0, shape):
+    """Uniform doubles from one Philox stream per particle: (s, n, l) array.
+
+    Stream i is numpy.random.Philox(counter=0, key=(key0, i)), key0 taken
+    modulo 2^64, and its j-th Generator.random double lands at
+    [j // l, i, j % l]. The reference for mvsde_philox_uniforms in
+    pairwise.c. Re-keys one generator per stream; its fixed seed draws no
+    OS entropy, and every stream replaces the key it derives.
+    """
+    s, n, l = shape
+    out = np.empty((s, n, l))
+    gen = np.random.Generator(np.random.Philox(0))
+    for i in range(n):
+        # counter, key and output buffer of a fresh Philox(counter=0,
+        # key=(key0, i))
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64),
+                      "key": np.array([key0 & MASK64, i], dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+        out[:, i, :] = gen.random(s * l).reshape(s, l)
     return out

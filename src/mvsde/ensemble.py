@@ -79,13 +79,6 @@ class ParticleEnsemble:
                 % (self.N, self.d, self.t_index, self.overflow_flag))
 
 
-def particle_norms(states):
-    """Euclidean norm per particle: (N,) array (inf after overflow)."""
-    states = np.asarray(states, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.sqrt(np.sum(states * states, axis=-1))
-
-
 def moments_from_r2(r2, p):
     """p-th empirical moments from squared particle norms.
 

@@ -1,20 +1,26 @@
 """Deterministic Brownian increment tables with exact refinement.
 
-Every particle owns a counter-based Philox stream keyed by (seed, particle
-index), so the table's contents depend only on (seed, N, l, T, n_max) and
-never on evaluation order, thread count, or which subsets are requested.
-Uniform draws are mapped through the inverse normal CDF and then snapped to
-the grid 2^-26 Z. Quantized increments at the finest level are integer
-multiples of 2^-26 with magnitude far below 2^27, so any partial sum of up
-to ~2^21 of them is exactly representable in float64: coarse-level
-increments (sums of consecutive finest ones) are exact and independent of
-summation order, which makes refinement couplings reproducible to the bit.
+Every particle owns a counter-based Philox4x64-10 stream keyed by (seed,
+particle index), so the table's contents depend only on (seed, N, l, T,
+n_max) and never on evaluation order, thread count, or which subsets are
+requested. mvsde._core.philox_uniforms draws the streams of all particles
+into one (S, N, l) block in a single call: in C with the GIL released on
+the compiled backend, by re-keying numpy.random.Philox per stream on the
+numpy one, with the same bits. The floor, the inverse normal CDF and the
+snap to the grid 2^-26 Z then run once over the whole block, in place;
+they are elementwise, so each value is what a per-stream draw gives.
+Quantized increments at the finest level are integer multiples of 2^-26
+with magnitude far below 2^27, so any partial sum of up to ~2^21 of them
+is exactly representable in float64: coarse-level increments (sums of
+consecutive finest ones) are exact and independent of summation order,
+which makes refinement couplings reproducible to the bit.
 
 Levels n must divide n_max; the increment at level n for step k is the sum
-of the n_max/n finest increments it covers. On [0, T] the finest table has
-n_max*T rows per particle, and the whole (S, N, l) block is materialized up
-front; a table above ELEMENT_CAP float64 values is refused before any
-allocation.
+of the n_max/n finest increments it covers. The finest level is a
+read-only view of the table, which holds no -0.0, so it has the bits the
+identity-started sum gives. On [0, T] the finest table has n_max*T rows
+per particle, and the whole (S, N, l) block is materialized up front; a
+table above ELEMENT_CAP float64 values is refused before any allocation.
 """
 
 import math
@@ -22,11 +28,12 @@ import math
 import numpy as np
 from scipy.special import ndtri
 
+from ._core import philox_uniforms
+
 # grid spacing for increment quantization
 QUANT = 2.0 ** -26
 # smallest uniform fed to ndtri (Generator.random can return exactly 0)
 _U_FLOOR = 2.0 ** -54
-_MASK64 = (1 << 64) - 1
 # key whitening for the initial-condition streams
 _INIT_SALT = 0x9E3779B97F4A7C15
 # largest stored table, in float64 values (128 MiB)
@@ -75,43 +82,6 @@ def _whole_steps(n, T):
     return int(rounded)
 
 
-def _philox():
-    """A generator for _stream_doubles to re-key.
-
-    Re-keying mutates it, so make one per call and never share it across
-    threads. The fixed seed draws no OS entropy; every stream replaces the
-    key it derives.
-    """
-    return np.random.Generator(np.random.Philox(0))
-
-
-def _stream_doubles(gen, key_lo, key_hi, count):
-    """The first `count` doubles of the Philox stream keyed by (lo, hi).
-
-    Re-keys gen in place: counter, key and output buffer are reset to
-    those of a fresh Philox(counter=0, key=(lo, hi)), so the doubles are
-    the same.
-    """
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([key_lo & _MASK64, key_hi & _MASK64],
-                                  dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0}
-    return gen.random(count)
-
-
-def _finest_rows(tab, gen, particle_i):
-    """Quantized finest increments of particle i: (total_steps, l)."""
-    u = _stream_doubles(gen, tab.seed, particle_i, tab.total_steps * tab.l)
-    u = np.where(u < _U_FLOOR, _U_FLOOR, u)
-    z = ndtri(u)
-    scale = math.sqrt(1.0 / tab.n_max)
-    w = np.rint(z * scale / QUANT) * QUANT
-    return w.reshape(tab.total_steps, tab.l)
-
-
 def make_tableau(seed, N, l, T, n_max):
     """Create a Brownian increment table.
 
@@ -146,10 +116,17 @@ def make_tableau(seed, N, l, T, n_max):
         raise ValueError(
             "Brownian tableau needs %d stored values (n_max*T*N*l), above "
             "the cap of %d; lower N, T or n_max" % (elements, ELEMENT_CAP))
-    store = np.empty((tab.total_steps, tab.N, tab.l))
-    gen = _philox()
-    for i in range(tab.N):
-        store[:, i, :] = _finest_rows(tab, gen, i)
+    store = philox_uniforms(tab.seed, (tab.total_steps, tab.N, tab.l))
+    np.maximum(store, _U_FLOOR, out=store)
+    ndtri(store, out=store)
+    # rint(z * scale / QUANT) * QUANT, and + 0.0 so that no entry is -0.0:
+    # level_increments returns the finest level unsummed
+    store *= math.sqrt(1.0 / tab.n_max)
+    store /= QUANT
+    np.rint(store, out=store)
+    store *= QUANT
+    store += 0.0
+    store.flags.writeable = False
     tab._store = store
     return tab
 
@@ -162,32 +139,12 @@ def _level_ratio(tab, n):
     return tab.n_max // n
 
 
-def increments_at_level(tab, n, particle_i, step_k):
-    """Brownian increment of particle i over [step_k/n, (step_k+1)/n).
-
-    The value is the exact float64 sum of the finest-level increments the
-    interval covers, hence independent of the level at which overlapping
-    windows are read.
-
-    Returns
-    -------
-    (l,) float64 array
-    """
-    r = _level_ratio(tab, n)
-    steps = _whole_steps(n, tab.T)
-    if not 0 <= particle_i < tab.N:
-        raise ValueError("particle index out of range")
-    if not 0 <= step_k < steps:
-        raise ValueError("step index out of range at level n=%d" % n)
-    rows = tab._store[step_k * r:(step_k + 1) * r, particle_i, :]
-    return rows.sum(axis=0)
-
-
 def level_increments(tab, n, step_lo=0, step_hi=None):
     """Increments for all particles at level n: (steps, N, l) block.
 
     Sums of quantized finest increments are exact, so the result does not
-    depend on reduction order.
+    depend on reduction order. At the finest level (n == n_max) the block
+    is a read-only view of the table.
     """
     r = _level_ratio(tab, n)
     steps = _whole_steps(n, tab.T)
@@ -196,6 +153,8 @@ def level_increments(tab, n, step_lo=0, step_hi=None):
     if not 0 <= step_lo <= step_hi <= steps:
         raise ValueError("step window out of range at level n=%d" % n)
     block = tab._store[step_lo * r:step_hi * r]
+    if r == 1:
+        return block
     return block.reshape(step_hi - step_lo, r, tab.N, tab.l).sum(axis=1)
 
 
@@ -243,7 +202,9 @@ def sample_initial(tab, n_particles, d, law):
 
     Each particle uses its own keyed stream (independent of the Brownian
     streams), so the first n_particles draws agree across runs that share
-    a seed regardless of ensemble size.
+    a seed regardless of ensemble size. A gaussian particle takes d draws
+    through the inverse normal CDF; a uniform_ball particle takes d + 1,
+    the direction from the first d and the radius from the last.
 
     Returns
     -------
@@ -255,24 +216,24 @@ def sample_initial(tab, n_particles, d, law):
     kind = law["kind"]
     center = np.broadcast_to(np.asarray(law.get("center", 0.0),
                                         dtype=np.float64), (d,))
-    out = np.empty((n_particles, d))
     if kind == "point":
+        out = np.empty((n_particles, d))
         out[:] = center
         return out
     draws = d if kind == "gaussian" else d + 1
-    gen = _philox()
-    for i in range(n_particles):
-        u = _stream_doubles(gen, tab.seed ^ _INIT_SALT, i, draws)
-        u = np.where(u < _U_FLOOR, _U_FLOOR, u)
-        z = ndtri(u[:d])
-        if kind == "gaussian":
-            out[i] = center + law["scale"] * z
-        else:
-            nrm = math.sqrt(float(np.sum(z * z)))
-            if nrm == 0.0:
-                direction = np.zeros(d)
-                direction[0] = 1.0
-            else:
-                direction = z / nrm
-            out[i] = center + law["radius"] * (u[d] ** (1.0 / d)) * direction
-    return out
+    u = philox_uniforms(tab.seed ^ _INIT_SALT, (1, n_particles, draws))[0]
+    np.maximum(u, _U_FLOOR, out=u)
+    if kind == "gaussian":
+        return center + law["scale"] * ndtri(u, out=u)
+    z = ndtri(u[:, :d])
+    nrm = np.sqrt(np.sum(z * z, axis=-1))
+    at_origin = nrm == 0.0
+    with np.errstate(invalid="ignore"):
+        direction = z / nrm[:, None]
+    direction[at_origin] = 0.0
+    direction[at_origin, 0] = 1.0
+    # scalar libm pow per particle: numpy's vectorised power may round
+    # differently in the last bit
+    power = 1.0 / d
+    reach = [law["radius"] * math.pow(v, power) for v in u[:, d].tolist()]
+    return center + np.array(reach)[:, None] * direction

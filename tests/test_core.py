@@ -15,7 +15,8 @@ import pytest
 
 import mvsde
 from mvsde._core import (_select_backend, fsum_rows_py, load_compiled,
-                         pair_aggregate_naive, pair_aggregate_py)
+                         pair_aggregate_naive, pair_aggregate_py,
+                         philox_uniforms_py)
 
 # (kf1, kfq, qf, cg, tam, te, tame_g)
 SPECIAL = {
@@ -85,21 +86,27 @@ def test_force_fallback_selects_numpy():
          "import mvsde, mvsde._core as c; "
          "print(mvsde.backend_name(), c.bind_advance, "
          "c.pair_aggregate is c.pair_aggregate_py, "
-         "c.fsum_rows is c.fsum_rows_py)"],
+         "c.fsum_rows is c.fsum_rows_py, "
+         "c.philox_uniforms is c.philox_uniforms_py)"],
         env=env, check=True, capture_output=True, text=True).stdout
-    assert out.split() == ["numpy", "None", "True", "True"]
+    assert out.split() == ["numpy", "None", "True", "True", "True"]
 
 
 def test_loader_binds_every_kernel_or_none(compiled_library, build_library,
                                            tmp_path):
-    pair, advance, row_sum, name = _select_backend(compiled_library)
+    pair, advance, row_sum, uniforms, name = _select_backend(compiled_library)
     assert name == "c" and pair is not pair_aggregate_py
     assert callable(advance) and row_sum is not fsum_rows_py
-    numpy_backend = (pair_aggregate_py, None, fsum_rows_py, "numpy")
-    # stale libraries from before the fused kernel and the row sum
+    assert uniforms is not philox_uniforms_py
+    numpy_backend = (pair_aggregate_py, None, fsum_rows_py,
+                     philox_uniforms_py, "numpy")
+    # stale libraries from before the fused kernel, the row sum and the
+    # Philox streams
+    older = ["mvsde_pair_aggregate", "mvsde_advance", "mvsde_fsum_rows"]
     for missing, symbols in (
-            ("mvsde_advance", ["mvsde_pair_aggregate"]),
-            ("mvsde_fsum_rows", ["mvsde_pair_aggregate", "mvsde_advance"])):
+            ("mvsde_advance", older[:1]),
+            ("mvsde_fsum_rows", older[:2]),
+            ("mvsde_philox_uniforms", older)):
         stub = tmp_path / ("stale_%s.c" % missing)
         stub.write_text("".join("void %s(void) {}\n" % sym
                                 for sym in symbols))

@@ -8,7 +8,7 @@ import pytest
 
 from mvsde.ensemble import (EmpiricalMeasure, ParticleEnsemble,
                             empirical_moment, moments_from_r2,
-                            particle_norms, snapshot_csv)
+                            snapshot_csv)
 
 
 def test_empirical_moment_value():
@@ -35,12 +35,6 @@ def test_moments_from_r2_rows():
                                                  math.inf]
     assert moments_from_r2(r2[:2], 4.0).tolist() == [(81.0 + 256.0) / 2,
                                                      8.0]
-
-
-def test_particle_norms():
-    ens = ParticleEnsemble(np.array([[1.0, 0.0], [3.0, 4.0]]))
-    assert np.array_equal(particle_norms(ens.states),
-                          np.array([1.0, 5.0]))
 
 
 def test_measure_view_shares_atoms():

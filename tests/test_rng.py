@@ -1,16 +1,27 @@
 """Brownian tableau: refinement coupling, prefixes, initial laws."""
 
+import math
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
-from mvsde.rng import (ELEMENT_CAP, QUANT, _INIT_SALT, _philox,
-                       _stream_doubles, increments_at_level, initial_law,
+from mvsde import rng
+from mvsde._core import load_compiled, philox_uniforms_py
+from mvsde.rng import (ELEMENT_CAP, QUANT, _INIT_SALT, initial_law,
                        level_increments, make_tableau, parse_initial,
                        sample_initial)
+
+
+@pytest.fixture(params=["c", "numpy"])
+def uniforms(request):
+    """philox_uniforms of one backend; the C one compiled for the test."""
+    if request.param == "numpy":
+        return philox_uniforms_py
+    return load_compiled(request.getfixturevalue("compiled_library"))[3]
 
 
 def test_refinement_exact_zero_tolerance():
@@ -51,14 +62,41 @@ def test_increment_moments_sane():
 
 
 def test_random_access_matches_bulk():
-    """Single (particle, step) reads agree with the bulk pull bitwise."""
+    """One-step windows agree bitwise with the bulk pull and with the sum
+    of the finest increments they cover."""
     tab = make_tableau(31, 5, 2, 1.0, 32)
+    fine = level_increments(tab, 32)
     for n in (4, 32):
         bulk = level_increments(tab, n)
+        r = 32 // n
         for i in (0, 3, 4):
             for k in (0, 1, n - 1):
-                got = increments_at_level(tab, n, i, k)
+                got = level_increments(tab, n, k, k + 1)[0, i]
                 assert np.array_equal(got, bulk[k, i])
+                assert np.array_equal(got, fine[k * r:(k + 1) * r, i]
+                                      .sum(axis=0))
+
+
+def test_finest_level_is_the_summed_form():
+    """The finest level is a read-only view with the bits of the sum."""
+    tab = make_tableau(5, 7, 3, 2.0, 16)
+    for lo, hi in ((0, 32), (3, 9)):
+        fine = level_increments(tab, 16, lo, hi)
+        summed = fine.reshape(hi - lo, 1, 7, 3).sum(axis=1)
+        assert np.array_equal(fine, summed)
+        assert np.array_equal(np.signbit(fine), np.signbit(summed))
+        assert not fine.flags.writeable
+
+
+def test_finest_level_holds_no_negative_zero(monkeypatch):
+    # just below 1/2, ndtri is a tiny negative number that rounds to -0.0
+    # on the grid; the summed form would give +0.0 there
+    below_half = 0.5 - 2.0 ** -53
+    monkeypatch.setattr(rng, "philox_uniforms",
+                        lambda key0, shape: np.full(shape, below_half))
+    tab = make_tableau(1, 3, 2, 1.0, 4)
+    fine = level_increments(tab, 4)
+    assert (fine == 0.0).all() and not np.signbit(fine).any()
 
 
 def test_particle_prefix_property():
@@ -164,24 +202,71 @@ def test_refinement_property(seed, chain):
                           .sum(axis=1))
 
 
-def _fresh_stream(key_lo, key_hi, count):
-    key = np.array([key_lo & (2 ** 64 - 1), key_hi & (2 ** 64 - 1)],
-                   dtype=np.uint64)
+def _fresh_stream(key0, i, count):
+    key = np.array([key0 & (2 ** 64 - 1), i], dtype=np.uint64)
     bits = np.random.Philox(counter=np.zeros(4, dtype=np.uint64), key=key)
     return np.random.Generator(bits).random(count)
 
 
-def test_rekeyed_stream_matches_fresh_philox():
-    gen = _philox()
-    # odd counts leave the output buffer part used before the next re-key
-    for key_lo, key_hi, count in ((12345, 0, 7), (12345, 63, 1),
-                                  (12345 ^ _INIT_SALT, 5, 3), (-1, 2, 9),
-                                  (12345, 0, 7)):
-        got = _stream_doubles(gen, key_lo, key_hi, count)
-        assert np.array_equal(got, _fresh_stream(key_lo, key_hi, count))
+def test_philox_uniforms_match_fresh_philox(uniforms):
+    # keys are taken modulo 2^64; stream lengths s * l of 1 to 21 doubles,
+    # most of them no multiple of the 4 words of a Philox block
+    for key0 in (0, 12345, -1, 2 ** 64 - 1, 2 ** 70 + 3, 12345 ^ _INIT_SALT):
+        for n in (1, 5, 64):
+            for s, l in ((1, 1), (7, 1), (3, 2), (1, 3), (5, 3), (7, 3)):
+                got = uniforms(key0, (s, n, l))
+                assert got.shape == (s, n, l) and got.flags.c_contiguous
+                for i in range(n):
+                    assert np.array_equal(got[:, i, :].ravel(),
+                                          _fresh_stream(key0, i, s * l))
 
 
-def test_tableau_draws_no_os_entropy():
+def test_backends_draw_identical_tables(compiled_library, monkeypatch):
+    c_uniforms = load_compiled(compiled_library)[3]
+    laws = [initial_law("gaussian", center=1.0, scale=0.5),
+            initial_law("uniform_ball", center=-2.0, radius=3.0),
+            initial_law("point", center=0.25)]
+    draws = {}
+    for label, uniforms in (("c", c_uniforms), ("numpy", philox_uniforms_py)):
+        monkeypatch.setattr(rng, "philox_uniforms", uniforms)
+        tab = make_tableau(2024, 33, 3, 2.0, 8)
+        draws[label] = [level_increments(tab, n) for n in (8, 2)] + [
+            sample_initial(tab, 33, d, law)
+            for d in (1, 3, 8, 9, 12) for law in laws]
+    for got, want in zip(draws["c"], draws["numpy"]):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("d", [1, 3, 8, 9, 12])
+def test_uniform_ball_matches_per_particle_formula(uniforms, monkeypatch,
+                                                   d):
+    """The block draw gives each particle's own-stream formula bit for bit:
+    the row norm is np.sum over that row, the radius scalar libm pow."""
+    monkeypatch.setattr(rng, "philox_uniforms", uniforms)
+    tab = make_tableau(77, 64, 1, 1.0, 2)
+    got = sample_initial(tab, 64, d, initial_law("uniform_ball",
+                                                 center=0.5, radius=2.0))
+    for i in range(64):
+        u = np.maximum(_fresh_stream(77 ^ _INIT_SALT, i, d + 1), 2.0 ** -54)
+        z = ndtri(u[:d])
+        direction = z / math.sqrt(float(np.sum(z * z)))
+        want = 0.5 + 2.0 * (float(u[d]) ** (1.0 / d)) * direction
+        assert np.array_equal(got[i], want), i
+
+
+def test_uniform_ball_at_the_origin_points_along_the_first_axis(
+        monkeypatch):
+    # u = 1/2 maps to z = 0, so the direction falls back to e_1
+    monkeypatch.setattr(rng, "philox_uniforms",
+                        lambda key0, shape: np.full(shape, 0.5))
+    tab = make_tableau(1, 4, 1, 1.0, 2)
+    x = sample_initial(tab, 4, 3, initial_law("uniform_ball", radius=2.0))
+    want = 2.0 * 0.5 ** (1.0 / 3.0)
+    assert np.array_equal(x, np.tile([want, 0.0, 0.0], (4, 1)))
+
+
+def test_tableau_draws_no_os_entropy(compiled_library, monkeypatch):
     seen = []
 
     def profile(frame, event, arg):
@@ -190,11 +275,13 @@ def test_tableau_draws_no_os_entropy():
         elif event == "c_call":
             seen.append(getattr(arg, "__name__", ""))
 
-    sys.setprofile(profile)
-    try:
-        tab = make_tableau(3, 8, 2, 1.0, 4)
-        sample_initial(tab, 8, 2, initial_law("gaussian"))
-    finally:
-        sys.setprofile(None)
-    assert "_stream_doubles" in seen
-    assert not {"urandom", "getrandbits"} & set(seen)
+    for uniforms in (load_compiled(compiled_library)[3], philox_uniforms_py):
+        monkeypatch.setattr(rng, "philox_uniforms", uniforms)
+        sys.setprofile(profile)
+        try:
+            tab = make_tableau(3, 8, 2, 1.0, 4)
+            sample_initial(tab, 8, 2, initial_law("gaussian"))
+        finally:
+            sys.setprofile(None)
+        assert seen and not {"urandom", "getrandbits"} & set(seen)
+        seen.clear()
