@@ -2,15 +2,17 @@
 
 ``python3 setup.py build_ext --inplace`` compiles the hand-written
 src/mvsde/_core/pairwise.c (the pair kernel, the fused step kernel, the
-correctly rounded row sum of the moment observers and the Philox streams
-of the Brownian tableau and the initial states) into a shared library
-next to it, which mvsde._core loads with ctypes. It needs GCC or Clang and
-nothing else: the file includes no Python or NumPy headers. The kernels
-are a pure speedup: if the compiler is missing, the build warns and the
-package runs mvsde.scheme.step with the numpy pair kernel and the numpy
-Philox re-keying in mvsde._core.pairwise_py, which give the same bits for
-the exponents 0, 2 and 4. Floating-point contraction is disabled so that
-no fused multiply-add changes a rounding.
+correctly rounded row sum of the moment observers, the Philox streams of
+the Brownian tableau and the initial states, and the inverse normal CDF
+applied to them) into a shared library next to it, which mvsde._core loads
+with ctypes. It needs GCC or Clang and nothing else: the file includes no
+Python or NumPy headers. The kernels are a pure speedup: if the compiler
+is missing, the build warns and the package runs mvsde.scheme.step with
+the numpy pair kernel, the numpy Philox re-keying and scipy.special.ndtri
+in mvsde._core.pairwise_py, which give the same bits for the exponents 0,
+2 and 4. With the library built, a run imports no SciPy module unless it
+asks for the exact_assignment W2 route. Floating-point contraction is
+disabled so that no fused multiply-add changes a rounding.
 """
 
 from setuptools import Extension, setup

@@ -5,8 +5,11 @@ with ctypes) when the build produced them and falls back to the pure numpy
 implementation otherwise. ``pair_aggregate`` has the same contract on both
 backends and is bit-identical for the exponents 0, 2 and 4; tests and the
 benchmark rely on that. ``fsum_rows``, the correctly rounded row sum of the
-moment observers, and ``philox_uniforms``, the per-particle Philox streams
-of the Brownian tableau and the initial states, give the same bits on both.
+moment observers, ``philox_uniforms``, the per-particle Philox streams of
+the Brownian tableau and the initial states, and ``ndtri``, the inverse
+normal CDF applied to those streams, give the same bits on both. On the C
+backend nothing here imports SciPy; the numpy ``ndtri`` is
+scipy.special.ndtri, imported on its first call.
 ``bind_advance`` is the fused multi-step kernel that mvsde.scheme.simulate
 uses on the C backend; it is None on the numpy backend, where simulate runs
 scheme.step. Set MVSDE_FORCE_FALLBACK=1 to skip the compiled kernels
@@ -25,6 +28,7 @@ pair_aggregate_py = pairwise_py.pair_aggregate
 pair_aggregate_naive = pairwise_py.pair_aggregate_naive
 fsum_rows_py = pairwise_py.fsum_rows
 philox_uniforms_py = pairwise_py.philox_uniforms
+ndtri_py = pairwise_py.ndtri
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -42,7 +46,8 @@ class _Coeffs(ctypes.Structure):
 def load_compiled(path):
     """Bind every C kernel in the shared library at path.
 
-    Returns (pair_aggregate, bind_advance, fsum_rows, philox_uniforms).
+    Returns (pair_aggregate, bind_advance, fsum_rows, philox_uniforms,
+    ndtri).
     All but bind_advance have the signatures and results of their
     pairwise_py namesakes; bind_advance is described in its own docstring.
     Raises OSError when the library cannot be loaded and AttributeError
@@ -54,6 +59,7 @@ def load_compiled(path):
     step_kernel = lib.mvsde_advance
     sum_kernel = lib.mvsde_fsum_rows
     uniform_kernel = lib.mvsde_philox_uniforms
+    ndtri_kernel = lib.mvsde_ndtri
     pair_kernel.restype = None
     pair_kernel.argtypes = ([ctypes.c_void_p, ctypes.c_ssize_t,
                              ctypes.c_ssize_t]
@@ -71,6 +77,8 @@ def load_compiled(path):
     uniform_kernel.restype = None
     uniform_kernel.argtypes = ([ctypes.c_uint64] + [ctypes.c_ssize_t] * 3
                                + [ctypes.c_void_p])
+    ndtri_kernel.restype = None
+    ndtri_kernel.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t]
 
     def pair_aggregate(X, kf1, kfq, qf, cg, tam, te, tame_g=1.0):
         """See pairwise_py.pair_aggregate for the reference semantics."""
@@ -114,7 +122,21 @@ def load_compiled(path):
         uniform_kernel(key0 & pairwise_py.MASK64, n, s, l, out.ctypes.data)
         return out
 
-    return pair_aggregate, bind_advance, fsum_rows, philox_uniforms
+    def ndtri(a, out=None):
+        """See pairwise_py.ndtri for the reference semantics; out, when
+        given, must be a itself (an in-place call)."""
+        if out is None:
+            # a C-contiguous copy, also of a strided view such as u[:, :d]
+            out = np.array(a, dtype=np.float64, order="C")
+        elif (out is not a or out.dtype != np.float64
+                or not out.flags.c_contiguous or not out.flags.writeable):
+            raise ValueError("ndtri writes in place only into its own "
+                             "writeable C-contiguous float64 input")
+        # released GIL, like the Philox kernel's
+        ndtri_kernel(out.ctypes.data, out.size)
+        return out
+
+    return pair_aggregate, bind_advance, fsum_rows, philox_uniforms, ndtri
 
 
 class _BoundAdvance:
@@ -189,8 +211,8 @@ def _built_library():
 
 
 def _select_backend(path):
-    """(pair_aggregate, bind_advance, fsum_rows, philox_uniforms, backend
-    name) for a path.
+    """(pair_aggregate, bind_advance, fsum_rows, philox_uniforms, ndtri,
+    backend name) for a path.
 
     Every kernel comes from the library, or the numpy kernels and no fused
     kernel when path is None or the library lacks any symbol.
@@ -201,11 +223,11 @@ def _select_backend(path):
         except (OSError, AttributeError):
             pass
     return (pair_aggregate_py, None, fsum_rows_py, philox_uniforms_py,
-            "numpy")
+            ndtri_py, "numpy")
 
 
 _FORCED = os.environ.get("MVSDE_FORCE_FALLBACK", "") not in ("", "0")
-(pair_aggregate, bind_advance, fsum_rows, philox_uniforms,
+(pair_aggregate, bind_advance, fsum_rows, philox_uniforms, ndtri,
  _BACKEND) = _select_backend(None if _FORCED else _built_library())
 
 

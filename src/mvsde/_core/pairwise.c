@@ -1,5 +1,5 @@
-/* Compiled pair kernel, fused step kernel, correctly rounded row sum and
- * Philox stream block.
+/* Compiled pair kernel, fused step kernel, correctly rounded row sum,
+ * Philox stream block and inverse normal CDF.
  *
  * mvsde_pair_aggregate is the bit-identical twin of
  * mvsde._core.pairwise_py.pair_aggregate: same per-pair expression tree,
@@ -33,6 +33,13 @@
  * numpy.random.Philox and Generator.random produce them, so the Brownian
  * tableau and the initial states get the streams' bits with no Python
  * loop over particles.
+ *
+ * mvsde_ndtri is the inverse standard normal CDF, in place: Stephen L.
+ * Moshier's Cephes ndtri transcribed term for term from the copy SciPy
+ * 1.17 ships (xsf, cephes/ndtri.h and cephes/polevl.h), so the tableau and
+ * the gaussian initial states get scipy.special.ndtri's bits without
+ * importing SciPy. Only the NumPy fallback's ndtri and the exact_assignment
+ * W2 route import SciPy.
  *
  * Build with floating-point contraction disabled (-ffp-contract=off),
  * otherwise fused multiply-adds break the equality. Plain C with no Python
@@ -372,6 +379,8 @@ static void philox_block(uint64_t ctr, uint64_t k0, uint64_t k1,
     unsigned __int128 p0, p1;
     int round;
 
+    /* unrolled, the rounds' multiplications overlap */
+#pragma GCC unroll 10
     for (round = 0; round < 10; round++) {
         if (round > 0) {
             k0 += PHILOX_W0;
@@ -419,4 +428,115 @@ void mvsde_philox_uniforms(uint64_t key0, ptrdiff_t n, ptrdiff_t s,
             }
         }
     }
+}
+
+/* Cephes ndtri's rational approximations: P0/Q0 for |y - 1/2| <= 3/8 in
+ * y^2, P1/Q1 for z = 1/sqrt(-2 log y) with y between exp(-32) and exp(-2),
+ * P2/Q2 below exp(-32). The Q tables omit their leading coefficient 1. */
+static const double NDTRI_P0[5] = {
+    -5.99633501014107895267E1, 9.80010754185999661536E1,
+    -5.66762857469070293439E1, 1.39312609387279679503E1,
+    -1.23916583867381258016E0,
+};
+static const double NDTRI_Q0[8] = {
+    1.95448858338141759834E0, 4.67627912898881538453E0,
+    8.63602421390890590575E1, -2.25462687854119370527E2,
+    2.00260212380060660359E2, -8.20372256168333339912E1,
+    1.59056225126211695515E1, -1.18331621121330003142E0,
+};
+static const double NDTRI_P1[9] = {
+    4.05544892305962419923E0, 3.15251094599893866154E1,
+    5.71628192246421288162E1, 4.40805073893200834700E1,
+    1.46849561928858024014E1, 2.18663306850790267539E0,
+    -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+    -8.57456785154685413611E-4,
+};
+static const double NDTRI_Q1[8] = {
+    1.57799883256466749731E1, 4.53907635128879210584E1,
+    4.13172038254672030440E1, 1.50425385692907503408E1,
+    2.50464946208309415979E0, -1.42182922854787788574E-1,
+    -3.80806407691578277194E-2, -9.33259480895457427372E-4,
+};
+static const double NDTRI_P2[9] = {
+    3.23774891776946035970E0, 6.91522889068984211695E0,
+    3.93881025292474443415E0, 1.33303460815807542389E0,
+    2.01485389549179081538E-1, 1.23716634817820021358E-2,
+    3.01581553508235416007E-4, 2.65806974686737550832E-6,
+    6.23974539184983293730E-9,
+};
+static const double NDTRI_Q2[8] = {
+    6.02427039364742014255E0, 3.67983563856160859403E0,
+    1.37702099489081330271E0, 2.16236993594496635890E-1,
+    1.34204006088543189037E-2, 3.28014464682127739104E-4,
+    2.89247864745380683936E-6, 6.79019408009981274425E-9,
+};
+
+/* Cephes polevl: coef[0] x^deg + ... + coef[deg] in Horner's order */
+static inline double polevl(double x, const double *coef, int deg)
+{
+    double ans = coef[0];
+    int i;
+
+#pragma GCC unroll 8
+    for (i = 1; i <= deg; i++)
+        ans = ans * x + coef[i];
+    return ans;
+}
+
+/* Cephes p1evl: polevl with a leading coefficient 1 that coef omits */
+static inline double p1evl(double x, const double *coef, int deg)
+{
+    double ans = x + coef[0];
+    int i;
+
+#pragma GCC unroll 8
+    for (i = 1; i < deg; i++)
+        ans = ans * x + coef[i];
+    return ans;
+}
+
+/* Cephes ndtri of one y0 in [0, 1] */
+static double ndtri_one(double y0)
+{
+    double x, y, z, y2, x0, x1;
+    int code = 1;
+
+    if (y0 == 0.0)
+        return -INFINITY;
+    if (y0 == 1.0)
+        return INFINITY;
+    if (y0 < 0.0 || y0 > 1.0)
+        return NAN;
+    y = y0;
+    if (y > 1.0 - 0.13533528323661269189) { /* exp(-2) */
+        y = 1.0 - y;
+        code = 0;
+    }
+    if (y > 0.13533528323661269189) {
+        y = y - 0.5;
+        y2 = y * y;
+        x = y + y * (y2 * polevl(y2, NDTRI_P0, 4) / p1evl(y2, NDTRI_Q0, 8));
+        return x * 2.50662827463100050242E0; /* sqrt(2 pi) */
+    }
+    x = sqrt(-2.0 * log(y));
+    x0 = x - log(x) / x;
+    z = 1.0 / x;
+    if (x < 8.0) /* y > exp(-32) */
+        x1 = z * polevl(z, NDTRI_P1, 8) / p1evl(z, NDTRI_Q1, 8);
+    else
+        x1 = z * polevl(z, NDTRI_P2, 8) / p1evl(z, NDTRI_Q2, 8);
+    x = x0 - x1;
+    if (code != 0)
+        x = -x;
+    return x;
+}
+
+/* a[i] = ndtri(a[i]) for the n doubles of a: scipy.special.ndtri's value,
+ * -inf at 0, +inf at 1 and nan outside [0, 1]. */
+void mvsde_ndtri(double *a, ptrdiff_t n)
+{
+    ptrdiff_t i;
+
+    for (i = 0; i < n; i++)
+        a[i] = ndtri_one(a[i]);
 }

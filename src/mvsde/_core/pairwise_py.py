@@ -28,8 +28,9 @@ The antisymmetric-pair trick used by the compiled twin (evaluate each pair
 once, negate for the mirrored entry) produces identical bits because IEEE-754
 negation is exact and every factor in the expression is symmetric in (i, j).
 
-fsum_rows is the reference of the compiled correctly rounded row sum, and
-philox_uniforms that of the compiled Philox stream block.
+fsum_rows is the reference of the compiled correctly rounded row sum,
+philox_uniforms that of the compiled Philox stream block and ndtri that of
+the compiled inverse normal CDF.
 """
 
 import math
@@ -194,3 +195,16 @@ def philox_uniforms(key0, shape):
             "has_uint32": 0, "uinteger": 0}
         out[:, i, :] = gen.random(s * l).reshape(s, l)
     return out
+
+
+def ndtri(a, out=None):
+    """Inverse standard normal CDF, elementwise: scipy.special.ndtri.
+
+    The reference for mvsde_ndtri in pairwise.c, which transcribes the
+    same Cephes routine. SciPy is imported here, on the first call, so
+    that the C backend never loads it; it stays SciPy because NumPy's
+    vectorised log is not libm's and would change the last bit.
+    """
+    from scipy.special import ndtri as scipy_ndtri
+
+    return scipy_ndtri(a, out=out)

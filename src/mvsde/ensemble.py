@@ -14,21 +14,6 @@ import numpy as np
 from ._core import fsum_rows
 
 
-class EmpiricalMeasure:
-    """Uniform empirical measure carried by an atom array (M, d)."""
-
-    __slots__ = ("atoms",)
-
-    def __init__(self, atoms):
-        self.atoms = np.asarray(atoms, dtype=np.float64)
-
-    def mean(self):
-        return self.atoms.mean(axis=0)
-
-    def __len__(self):
-        return self.atoms.shape[0]
-
-
 class ParticleEnsemble:
     """Mutable state of an interacting particle system.
 
@@ -70,9 +55,6 @@ class ParticleEnsemble:
 
     def swap_buffers(self):
         self.states, self.scratch = self.scratch, self.states
-
-    def measure(self):
-        return EmpiricalMeasure(self.states)
 
     def __repr__(self):
         return ("ParticleEnsemble(N=%d, d=%d, t_index=%d, overflow=%s)"

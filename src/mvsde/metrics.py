@@ -7,7 +7,8 @@ Three W2 routes with different cost/assumption trade-offs:
                    refinement of quantile levels.
   exact_assignment exact in any dimension for equal atom counts, solving
                    the assignment problem on the squared-distance matrix;
-                   guarded by an atom-count cap.
+                   guarded by an atom-count cap. The only route that
+                   needs SciPy, which it imports on first use.
   sliced           Monte Carlo average of one-dimensional distances over
                    seeded random projections; returns a standard error
                    alongside the value via w2_sliced.
@@ -22,18 +23,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 W2_METHODS = ("sorted_1d", "exact_assignment", "sliced")
 EXACT_ASSIGNMENT_CAP = 512
 
 
 def _coerce(a):
-    atoms = getattr(a, "atoms", None)
-    if atoms is None:
-        atoms = getattr(a, "states", a)
-    atoms = np.asarray(atoms, dtype=np.float64)
+    atoms = np.asarray(getattr(a, "states", a), dtype=np.float64)
     if atoms.ndim == 1:
         atoms = atoms[:, None]
     if atoms.ndim != 2 or atoms.shape[0] < 1:
@@ -104,7 +100,7 @@ def w2(a, b, method="sorted_1d", n_projections=64, seed=2024,
 
     Parameters
     ----------
-    a, b : (M, d) array, EmpiricalMeasure or ParticleEnsemble
+    a, b : (M, d) array or ParticleEnsemble
     method : str
         One of W2_METHODS.
     n_projections, seed : sliced-method controls
@@ -136,6 +132,10 @@ def w2(a, b, method="sorted_1d", n_projections=64, seed=2024,
         if a.shape[0] > cap:
             raise ValueError("exact_assignment capped at %d atoms, got %d"
                              % (cap, a.shape[0]))
+        # imported here so that no other route loads SciPy
+        from scipy.optimize import linear_sum_assignment
+        from scipy.spatial.distance import cdist
+
         cost = cdist(a, b, metric="sqeuclidean")
         rows, cols = linear_sum_assignment(cost)
         return math.sqrt(math.fsum(cost[rows, cols]) / a.shape[0])

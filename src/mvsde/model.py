@@ -183,8 +183,7 @@ def _atoms(mu):
     """Atom array of an empirical measure: (..., M, d)."""
     if mu is None:
         return None
-    atoms = getattr(mu, "atoms", mu)
-    return np.asarray(atoms, dtype=np.float64)
+    return np.asarray(mu, dtype=np.float64)
 
 
 def _measure_mean(model, mu):
@@ -219,7 +218,7 @@ def eval_drift_b(model, t, x, mu=None):
         Ignored by the built-in families (autonomous coefficients).
     x : (..., d) array
     mu : measure, optional
-        Atom array (..., M, d) or object with an ``atoms`` attribute.
+        Atom array (..., M, d).
         Batch axes must broadcast against those of x.
 
     Returns

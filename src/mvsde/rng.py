@@ -6,9 +6,11 @@ n_max) and never on evaluation order, thread count, or which subsets are
 requested. mvsde._core.philox_uniforms draws the streams of all particles
 into one (S, N, l) block in a single call: in C with the GIL released on
 the compiled backend, by re-keying numpy.random.Philox per stream on the
-numpy one, with the same bits. The floor, the inverse normal CDF and the
-snap to the grid 2^-26 Z then run once over the whole block, in place;
-they are elementwise, so each value is what a per-stream draw gives.
+numpy one, with the same bits. The floor, the inverse normal CDF
+(mvsde._core.ndtri: Cephes ndtri in C, scipy.special.ndtri on the numpy
+backend, the same bits) and the snap to the grid 2^-26 Z then run once
+over the whole block, in place; they are elementwise, so each value is
+what a per-stream draw gives.
 Quantized increments at the finest level are integer multiples of 2^-26
 with magnitude far below 2^27, so any partial sum of up to ~2^21 of them
 is exactly representable in float64: coarse-level increments (sums of
@@ -26,9 +28,8 @@ table above ELEMENT_CAP float64 values is refused before any allocation.
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
-from ._core import philox_uniforms
+from ._core import ndtri, philox_uniforms
 
 # grid spacing for increment quantization
 QUANT = 2.0 ** -26

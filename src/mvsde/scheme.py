@@ -296,7 +296,7 @@ class MomentTracker:
     """Records (t, p-th empirical moment) after every step.
 
     Each observe call takes the block of steps in ens.r2_block (see
-    simulate); the moments are those of ensemble.empirical_moment.
+    simulate) and turns it into moments with ensemble.moments_from_r2.
     """
 
     def __init__(self, p):

@@ -1,4 +1,4 @@
-"""Cross-backend bit identity of the pairwise kernel, and the loader.
+"""Cross-backend bit identity of the compiled kernels, and the loader.
 
 pairwise.c is compiled here (conftest.py) and loaded through the loader
 mvsde._core uses at import, so the comparison runs whether or not setup.py
@@ -15,7 +15,7 @@ import pytest
 
 import mvsde
 from mvsde._core import (_select_backend, fsum_rows_py, load_compiled,
-                         pair_aggregate_naive, pair_aggregate_py,
+                         ndtri_py, pair_aggregate_naive, pair_aggregate_py,
                          philox_uniforms_py)
 
 # (kf1, kfq, qf, cg, tam, te, tame_g)
@@ -87,26 +87,30 @@ def test_force_fallback_selects_numpy():
          "print(mvsde.backend_name(), c.bind_advance, "
          "c.pair_aggregate is c.pair_aggregate_py, "
          "c.fsum_rows is c.fsum_rows_py, "
-         "c.philox_uniforms is c.philox_uniforms_py)"],
+         "c.philox_uniforms is c.philox_uniforms_py, "
+         "c.ndtri is c.pairwise_py.ndtri)"],
         env=env, check=True, capture_output=True, text=True).stdout
-    assert out.split() == ["numpy", "None", "True", "True", "True"]
+    assert out.split() == ["numpy", "None", "True", "True", "True", "True"]
 
 
 def test_loader_binds_every_kernel_or_none(compiled_library, build_library,
                                            tmp_path):
-    pair, advance, row_sum, uniforms, name = _select_backend(compiled_library)
+    (pair, advance, row_sum, uniforms, inverse_cdf,
+     name) = _select_backend(compiled_library)
     assert name == "c" and pair is not pair_aggregate_py
     assert callable(advance) and row_sum is not fsum_rows_py
-    assert uniforms is not philox_uniforms_py
+    assert uniforms is not philox_uniforms_py and inverse_cdf is not ndtri_py
     numpy_backend = (pair_aggregate_py, None, fsum_rows_py,
-                     philox_uniforms_py, "numpy")
-    # stale libraries from before the fused kernel, the row sum and the
-    # Philox streams
-    older = ["mvsde_pair_aggregate", "mvsde_advance", "mvsde_fsum_rows"]
+                     philox_uniforms_py, ndtri_py, "numpy")
+    # stale libraries from before the fused kernel, the row sum, the
+    # Philox streams and the inverse normal CDF
+    older = ["mvsde_pair_aggregate", "mvsde_advance", "mvsde_fsum_rows",
+             "mvsde_philox_uniforms"]
     for missing, symbols in (
             ("mvsde_advance", older[:1]),
             ("mvsde_fsum_rows", older[:2]),
-            ("mvsde_philox_uniforms", older)):
+            ("mvsde_philox_uniforms", older[:3]),
+            ("mvsde_ndtri", older)):
         stub = tmp_path / ("stale_%s.c" % missing)
         stub.write_text("".join("void %s(void) {}\n" % sym
                                 for sym in symbols))
@@ -179,3 +183,134 @@ def test_fsum_rows_random_and_empty(compiled_fsum_rows):
         assert fsum_rows(np.zeros((0, 4))).shape == (0,)
     with pytest.raises(ValueError):
         compiled_fsum_rows(np.zeros(4))
+
+
+@pytest.fixture(scope="module")
+def compiled_ndtri(compiled_library):
+    return load_compiled(compiled_library)[4]
+
+
+def _ndtri_inputs():
+    """Uniforms as the tableau floors them, dyadic grids at both ends, the
+    tails and the edges of every branch of Cephes ndtri."""
+    k = np.arange(1, 4097) * 2.0 ** -53
+    edges = []
+    # exp(-2) splits the central approximation from the tails, y near
+    # exp(-32) is where x = sqrt(-2 log y) crosses 8 (P1/Q1 to P2/Q2)
+    for edge in (0.1353352832366127, 1.0 - 0.1353352832366127,
+                 math.exp(-32.0), 1.0 - math.exp(-32.0)):
+        for toward in (0.0, 1.0):
+            v = edge
+            for _ in range(64):
+                v = math.nextafter(v, toward)
+                edges.append(v)
+        edges.append(edge)
+    uniforms = np.random.default_rng(8).random(10 ** 6)
+    return np.concatenate([
+        np.maximum(uniforms, 2.0 ** -54), k, 1.0 - k,
+        2.0 ** -np.arange(1.0, 61.0), edges,
+        [0.5, 0.0, 1.0, math.nextafter(1.0, 0.0), 2.0 ** -54]])
+
+
+def _same_bits(got, want):
+    return np.array_equal(np.asarray(got).view(np.int64),
+                          np.asarray(want).view(np.int64))
+
+
+def test_ndtri_matches_scipy_bit_for_bit(compiled_ndtri):
+    from scipy.special import ndtri
+
+    y = _ndtri_inputs()
+    want = ndtri(y)
+    got = compiled_ndtri(y)
+    assert got is not y and got.shape == y.shape
+    mismatch = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert mismatch.size == 0, [(y[i], got[i], want[i])
+                                for i in mismatch[:5]]
+    assert got[-5:-2].tolist() == [0.0, -math.inf, math.inf]
+    assert not np.signbit(got[-5])
+    # in place, as make_tableau calls it
+    buf = y.copy()
+    assert compiled_ndtri(buf, out=buf) is buf and _same_bits(buf, want)
+    assert _same_bits(ndtri_py(y), want)
+
+
+def test_ndtri_takes_strided_input(compiled_ndtri):
+    # sample_initial passes the u[:, :d] columns of a block
+    u = np.random.default_rng(9).random((33, 4))
+    got = compiled_ndtri(u[:, :3])
+    assert got.shape == (33, 3) and got.flags.c_contiguous
+    assert _same_bits(got, ndtri_py(u[:, :3]))
+    assert _same_bits(compiled_ndtri(u.T), ndtri_py(u.T))
+    strided = u.T
+    for v, out in ((strided, strided), (u, u.copy())):
+        with pytest.raises(ValueError, match="in place"):
+            compiled_ndtri(v, out=out)
+
+
+# drives the CLI on the compiled kernels in a fresh interpreter, then
+# prints every SciPy module it loaded
+_RUN_WITHOUT_SCIPY = """
+import contextlib, io, sys
+
+import mvsde.cli
+from mvsde import _core, ensemble, rng, scheme
+
+(scheme.pair_aggregate, scheme.bind_advance, ensemble.fsum_rows,
+ rng.philox_uniforms, rng.ndtri) = _core.load_compiled(sys.argv[1])
+for command, ini in zip(("strong-rate", "moment-stability"), sys.argv[2:]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = mvsde.cli.main([command, "--config", ini])
+    assert code in (0, 2), (command, code)
+print(" ".join(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+_EXACT_ASSIGNMENT = """
+import itertools, math, sys
+
+import numpy as np
+from mvsde.metrics import w2
+
+assert not [m for m in sys.modules if m.startswith("scipy")]
+gen = np.random.default_rng(11)
+a, b = gen.normal(size=(6, 2)), gen.normal(size=(6, 2))
+brute = min(sum(float(np.sum((a[i] - b[j]) ** 2)) for i, j in enumerate(p))
+            for p in itertools.permutations(range(6)))
+got = w2(a, b, method="exact_assignment")
+assert abs(got - math.sqrt(brute / 6)) < 1e-12, (got, brute)
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def _run_python(code, *args):
+    src = os.path.dirname(os.path.dirname(mvsde.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("MVSDE_FORCE_FALLBACK", None)
+    return subprocess.run([sys.executable, "-c", code] + list(args),
+                          env=env, check=True, capture_output=True,
+                          text=True, timeout=300).stdout
+
+
+def test_compiled_run_imports_no_scipy(compiled_library, tmp_path):
+    """A strong-rate and a moment-stability run on the compiled kernels
+    load no SciPy module: the inverse normal CDF is the C one, and only
+    the exact_assignment W2 route would import the assignment solver."""
+    configs = []
+    for name, body in (
+            ("strong", "[run]\nexperiment = strong-rate\nreps = 2\n"
+                       "p0 = 16.0\nout_dir = %s\n[grid]\nlevels = 4,8\n"
+                       "n_max = 32\nT = 1.0\n[ensemble]\nN = 8\n"
+                       "initial = gaussian 0.0 1.0\n"),
+            ("moment", "[run]\nexperiment = moment-stability\nreps = 2\n"
+                       "out_dir = %s\n[model]\nd = 3\n[grid]\nT = 5.0\n"
+                       "n = 2\n[ensemble]\nN = 9\n"
+                       "initial = uniform_ball 0.0 1.0\n")):
+        path = tmp_path / (name + ".ini")
+        path.write_text(body % (tmp_path / name))
+        configs.append(str(path))
+    out = _run_python(_RUN_WITHOUT_SCIPY, compiled_library, *configs)
+    assert out.split() == []
+
+
+def test_exact_assignment_imports_its_solver_on_demand():
+    assert _run_python(_EXACT_ASSIGNMENT).split() == ["True"]

@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from mvsde.ensemble import (EmpiricalMeasure, ParticleEnsemble,
-                            empirical_moment, moments_from_r2,
-                            snapshot_csv)
+from mvsde.ensemble import (ParticleEnsemble, empirical_moment,
+                            moments_from_r2, snapshot_csv)
 
 
 def test_empirical_moment_value():
@@ -35,13 +34,6 @@ def test_moments_from_r2_rows():
                                                  math.inf]
     assert moments_from_r2(r2[:2], 4.0).tolist() == [(81.0 + 256.0) / 2,
                                                      8.0]
-
-
-def test_measure_view_shares_atoms():
-    ens = ParticleEnsemble(np.zeros((3, 2)))
-    mu = ens.measure()
-    assert isinstance(mu, EmpiricalMeasure)
-    assert mu.atoms is ens.states
 
 
 def test_states_validated():

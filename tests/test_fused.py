@@ -372,11 +372,13 @@ def test_driver_bytes_match_across_backends(monkeypatch, compiled_library,
     backend line may differ. This pins the C row sum of the moments to
     math.fsum at driver level, overflowing plain arm included.
     """
-    pair, advance, fsum_rows, uniforms = load_compiled(compiled_library)
+    pair, advance, fsum_rows, uniforms, ndtri = load_compiled(
+        compiled_library)
     monkeypatch.setattr(scheme, "bind_advance", advance)
     monkeypatch.setattr(scheme, "pair_aggregate", pair)
     monkeypatch.setattr(ensemble, "fsum_rows", fsum_rows)
     monkeypatch.setattr("mvsde.rng.philox_uniforms", uniforms)
+    monkeypatch.setattr("mvsde.rng.ndtri", ndtri)
     runs = []
     for label in ("c", "numpy"):
         out_dir = str(tmp_path / label)

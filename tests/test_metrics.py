@@ -107,13 +107,13 @@ def test_sliced_stderr_positive_in_higher_dim():
     assert v > 0.0 and se > 0.0
 
 
-def test_accepts_ensembles_and_measures():
+def test_accepts_ensembles_and_arrays():
     states = np.array([[0.0], [2.0]])
     ens_a = ParticleEnsemble(states)
     ens_b = ParticleEnsemble(states + 1.0)
     raw = w2(states, states + 1.0)
     assert w2(ens_a, ens_b) == raw
-    assert w2(ens_a.measure(), ens_b.measure()) == raw
+    assert w2(ens_a, states + 1.0) == raw
     # bare 1-d vectors are promoted to columns
     assert w2(states.ravel(), states.ravel() + 1.0) == raw
 

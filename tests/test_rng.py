@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from mvsde import rng
-from mvsde._core import load_compiled, philox_uniforms_py
+from mvsde._core import load_compiled, ndtri_py, philox_uniforms_py
 from mvsde.rng import (ELEMENT_CAP, QUANT, _INIT_SALT, initial_law,
                        level_increments, make_tableau, parse_initial,
                        sample_initial)
@@ -222,13 +222,15 @@ def test_philox_uniforms_match_fresh_philox(uniforms):
 
 
 def test_backends_draw_identical_tables(compiled_library, monkeypatch):
-    c_uniforms = load_compiled(compiled_library)[3]
+    c_kernels = load_compiled(compiled_library)[3:]
     laws = [initial_law("gaussian", center=1.0, scale=0.5),
             initial_law("uniform_ball", center=-2.0, radius=3.0),
             initial_law("point", center=0.25)]
     draws = {}
-    for label, uniforms in (("c", c_uniforms), ("numpy", philox_uniforms_py)):
+    for label, (uniforms, ndtri_kernel) in (
+            ("c", c_kernels), ("numpy", (philox_uniforms_py, ndtri_py))):
         monkeypatch.setattr(rng, "philox_uniforms", uniforms)
+        monkeypatch.setattr(rng, "ndtri", ndtri_kernel)
         tab = make_tableau(2024, 33, 3, 2.0, 8)
         draws[label] = [level_increments(tab, n) for n in (8, 2)] + [
             sample_initial(tab, 33, d, law)
