@@ -146,7 +146,8 @@ class _BoundAdvance:
     ensemble. Calling it with (block, first, steps) advances states in place
     by up to `steps` steps whose noise rows are
     block[first:first + steps, :N, :k_noise] of a C-contiguous (S, N', l)
-    float64 block with N' >= N and l >= k_noise. It returns the number of
+    float64 block with N' >= N and l >= k_noise (l = 0 for a model with no
+    noise, whose k_noise is 0). It returns the number of
     steps with a finite result; a return r < steps means step r + 1 was
     done and overflowed. With obs, a C-contiguous (R, N) float64 array with
     R >= steps, row s of obs receives the squared particle norms after step

@@ -404,27 +404,31 @@ static void philox_block(uint64_t ctr, uint64_t k0, uint64_t k1,
  * j-th double, (word >> 11) * 2^-53 as Generator.random gives it, goes to
  * out[j / l][i][j % l] of the C-contiguous s x n x l array out. A stream
  * holds s * l doubles, far fewer than the 2^66 at which the counter's low
- * word would carry. */
+ * word would carry. The loop runs over the blocks, then over the streams,
+ * so at l = 1 the 4 words of each stream's block land in 4 rows that the
+ * streams fill side by side, not 4 rows apart in one column. */
 void mvsde_philox_uniforms(uint64_t key0, ptrdiff_t n, ptrdiff_t s,
                            ptrdiff_t l, double *out)
 {
-    uint64_t words[4], ctr;
-    ptrdiff_t i, r, c;
-    int pos;
-    double *row;
+    uint64_t words[4];
+    ptrdiff_t total = s * l, j0, r0, c0, r, c, i;
+    int w, width;
 
-    for (i = 0; i < n; i++) {
-        ctr = 0;
-        pos = 4;
-        for (r = 0; r < s; r++) {
-            row = out + (r * n + i) * l;
-            for (c = 0; c < l; c++) {
-                if (pos == 4) {
-                    philox_block(++ctr, key0, (uint64_t)i, words);
-                    pos = 0;
+    for (j0 = 0; j0 < total; j0 += 4) {
+        width = total - j0 < 4 ? (int)(total - j0) : 4;
+        r0 = j0 / l;
+        c0 = j0 % l;
+        for (i = 0; i < n; i++) {
+            philox_block((uint64_t)(j0 / 4 + 1), key0, (uint64_t)i, words);
+            r = r0;
+            c = c0;
+            for (w = 0; w < width; w++) {
+                out[(r * n + i) * l + c] = (double)(words[w] >> 11)
+                                           * (1.0 / 9007199254740992.0);
+                if (++c == l) {
+                    c = 0;
+                    r++;
                 }
-                row[c] = (double)(words[pos++] >> 11)
-                         * (1.0 / 9007199254740992.0);
             }
         }
     }

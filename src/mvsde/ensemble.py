@@ -77,19 +77,6 @@ def moments_from_r2(r2, p):
     return sums / r2.shape[1]
 
 
-def empirical_moment(ens, p):
-    """p-th moment of the empirical measure: (1/N) sum_i |X^i|^p.
-
-    The one-row case of moments_from_r2: correctly rounded over particles,
-    so invariant under relabeling; inf when the ensemble overflowed or the
-    p-th power sum exceeds the float range.
-    """
-    states = np.asarray(getattr(ens, "states", ens), dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r2 = np.sum(states * states, axis=-1)
-    return float(moments_from_r2(r2[None], p)[0])
-
-
 def _fmt(v):
     if math.isinf(v):
         return "inf" if v > 0 else "-inf"

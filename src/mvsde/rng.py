@@ -21,8 +21,10 @@ Levels n must divide n_max; the increment at level n for step k is the sum
 of the n_max/n finest increments it covers. The finest level is a
 read-only view of the table, which holds no -0.0, so it has the bits the
 identity-started sum gives. On [0, T] the finest table has n_max*T rows
-per particle, and the whole (S, N, l) block is materialized up front; a
-table above ELEMENT_CAP float64 values is refused before any allocation.
+per particle. make_tableau refuses a table above ELEMENT_CAP float64
+values and allocates nothing; the whole (S, N, l) block is drawn on first
+read, by level_increments, and kept on the handle. A run whose model has
+no noise never reads its table, so it draws none.
 """
 
 import math
@@ -84,7 +86,14 @@ def _whole_steps(n, T):
 
 
 def make_tableau(seed, N, l, T, n_max):
-    """Create a Brownian increment table.
+    """Create a Brownian increment table, drawn on first read.
+
+    The arguments are checked here, the increments drawn by the first
+    level_increments call and kept on the handle for the calls after it.
+    The draw is deterministic, so the values do not depend on when, or by
+    which thread, the table is first read; every driver gives each
+    repetition its own table, and two threads that raced on a first read
+    would store the same bits.
 
     Parameters
     ----------
@@ -117,6 +126,11 @@ def make_tableau(seed, N, l, T, n_max):
         raise ValueError(
             "Brownian tableau needs %d stored values (n_max*T*N*l), above "
             "the cap of %d; lower N, T or n_max" % (elements, ELEMENT_CAP))
+    return tab
+
+
+def _draw(tab):
+    """The finest increments of tab: a read-only (S, N, l) float64 block."""
     store = philox_uniforms(tab.seed, (tab.total_steps, tab.N, tab.l))
     np.maximum(store, _U_FLOOR, out=store)
     ndtri(store, out=store)
@@ -128,8 +142,7 @@ def make_tableau(seed, N, l, T, n_max):
     store *= QUANT
     store += 0.0
     store.flags.writeable = False
-    tab._store = store
-    return tab
+    return store
 
 
 def _level_ratio(tab, n):
@@ -145,7 +158,7 @@ def level_increments(tab, n, step_lo=0, step_hi=None):
 
     Sums of quantized finest increments are exact, so the result does not
     depend on reduction order. At the finest level (n == n_max) the block
-    is a read-only view of the table.
+    is a read-only view of the table. The first call draws the table.
     """
     r = _level_ratio(tab, n)
     steps = _whole_steps(n, tab.T)
@@ -153,7 +166,10 @@ def level_increments(tab, n, step_lo=0, step_hi=None):
         step_hi = steps
     if not 0 <= step_lo <= step_hi <= steps:
         raise ValueError("step window out of range at level n=%d" % n)
-    block = tab._store[step_lo * r:step_hi * r]
+    store = tab._store
+    if store is None:
+        store = tab._store = _draw(tab)
+    block = store[step_lo * r:step_hi * r]
     if r == 1:
         return block
     return block.reshape(step_hi - step_lo, r, tab.N, tab.l).sum(axis=1)

@@ -24,6 +24,11 @@ Observers that need every step (MomentTracker and the divergence tracker
 of mvsde.experiments) read a block of steps per call: the squared particle
 norms of each state, which the fused kernel writes as it steps and the
 step path computes with the same NumPy reduction.
+
+A model with no noise (s0, s1, c_s and c_g all zero) reads no Brownian
+increments: both paths skip its noise term, which is +-0 there and would
+change no bit (see _noise_width), and simulate never asks the tableau for
+a block, so the tableau is never drawn.
 """
 
 import bisect
@@ -71,6 +76,22 @@ class TimeGrid:
         return "TimeGrid(T=%g, n=%d)" % (self.T, self.n)
 
 
+def _noise_width(base):
+    """Number of noise components step adds: min(d, l), or 0 without noise.
+
+    With s0 = s1 = c_s = c_g = 0 the noise term (s + G) dW of a finite
+    state is +-0: s is zero, or zero over a taming denominator of at least
+    1, and G is a sum of zeros. The value it would be added to,
+    x + (b + F) h, is never -0.0 (F starts from +0.0, and b + F turns a
+    -0.0 into +0.0) unless x is -0.0 and a subnormal drift times h
+    underflows to -0.0. But for that case, skipping the term changes no
+    bit, non-finite values included, and such a model needs no increments.
+    """
+    if base.s0 == base.s1 == base.c_s == base.c_g == 0.0:
+        return 0
+    return min(base.d, base.l)
+
+
 def step(ens, tm, grid, dW):
     """Advance the ensemble by one step of the explicit scheme.
 
@@ -80,8 +101,9 @@ def step(ens, tm, grid, dW):
     tm : TamedModel
         Taming variant "off" gives plain Euler.
     grid : TimeGrid
-    dW : (N, l) array
-        Increment block for this step (first N rows of the tableau level).
+    dW : (N, l') array
+        Increment block for this step (first N rows of the tableau level);
+        l' >= _noise_width(tm.base), so (N, 0) for a model with no noise.
 
     Returns
     -------
@@ -106,7 +128,7 @@ def step(ens, tm, grid, dW):
         elif base.lam != 0.0:
             b = b + base.lam * mean
 
-        k = min(base.d, base.l)
+        k = _noise_width(base)
         s_diag = np.full((n_part, k), base.s0)
         if base.s1 != 0.0:
             s_diag = s_diag + base.s1 * x[:, :k]
@@ -147,7 +169,10 @@ def simulate(tm, grid, tableau, initial=None, initial_states=None,
     tm : TamedModel
     grid : TimeGrid
         grid.n must divide tableau.n_max and grid.T must not exceed the
-        tableau horizon.
+        tableau horizon; both are checked before the first step.
+    tableau : rng.BrownianTableau
+        Source of the increments. A model with no noise (s0, s1, c_s and
+        c_g all zero) reads none of them, so its tableau is never drawn.
     initial : dict, optional
         Initial law (see rng.initial_law); defaults to a point mass at 0.
     initial_states : (N, d) array, optional
@@ -187,6 +212,11 @@ def simulate(tm, grid, tableau, initial=None, initial_states=None,
     else:
         law = initial if initial is not None else rng_mod.initial_law()
         states = rng_mod.sample_initial(tableau, n_part, d, law)
+    r = rng_mod._level_ratio(tableau, grid.n)
+    if grid.total_steps * r > tableau.total_steps:
+        raise ValueError("grid horizon T=%g exceeds the tableau horizon "
+                         "T=%g" % (grid.T, tableau.T))
+    noisy = _noise_width(tm.base) > 0
     ens = ParticleEnsemble(states)
     obs = None
     if any(not hasattr(cb, "next_step") for cb in callbacks):
@@ -198,12 +228,14 @@ def simulate(tm, grid, tableau, initial=None, initial_states=None,
 
     run = _fused_kernel(tm, grid, ens)
     total = grid.total_steps
-    chunk = max(1, _CHUNK_ELEMENTS
-                // max(1, (tableau.n_max // grid.n) * tableau.N * tableau.l))
+    chunk = max(1, _CHUNK_ELEMENTS // (r * tableau.N * tableau.l))
     k = 0
     while k < total and not ens.overflow_flag:
         hi = min(total, k + chunk)
-        block = rng_mod.level_increments(tableau, grid.n, k, hi)
+        if noisy:
+            block = rng_mod.level_increments(tableau, grid.n, k, hi)
+        else:
+            block = np.empty((hi - k, tableau.N, 0))
         j = k
         while j < hi:
             stop = min([hi] + [cb.next_step(j, total) for cb in callbacks
@@ -273,7 +305,7 @@ def _fused_kernel(tm, grid, ens):
         tame_sigma=1.0 if par["tame_sigma"] else 0.0,
         kf1=base.kf1, kfq=base.kfq, q_f=base.q_f, c_g=base.c_g,
         e_kernel=par["e_kernel"], tame_g=1.0 if par["tame_g"] else 0.0,
-        k_noise=min(base.d, base.l)), ens.states, ens.scratch)
+        k_noise=_noise_width(base)), ens.states, ens.scratch)
 
 
 def _advance_fused(ens, run, block, first, steps, obs):

@@ -1,10 +1,15 @@
-"""Shared fixture: the C kernels compiled into a temporary directory.
+"""Shared fixtures: the C kernels compiled into a temporary directory.
 
-pairwise.c is compiled with the interpreter's own C compiler, with the
-flags setup.py uses, so the compiled kernels are tested whether or not
-setup.py built the package in place and whatever MVSDE_FORCE_FALLBACK says.
+pairwise.c is compiled with the interpreter's own C compiler and the
+extra_compile_args that setup.py passes (read from setup.py with ast, so
+the tests build what the package builds), so the compiled kernels are
+tested whether or not setup.py built the package in place and whatever
+MVSDE_FORCE_FALLBACK says. On an x86-64 CPU with FMA the same flags plus
+-mfma give a second library, on which a contraction the flags failed to
+forbid would change bits.
 """
 
+import ast
 import os
 import shlex
 import shutil
@@ -13,22 +18,45 @@ import sysconfig
 
 import pytest
 
-SOURCE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "mvsde",
-                      "_core", "pairwise.c")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SOURCE = os.path.join(ROOT, "src", "mvsde", "_core", "pairwise.c")
+SETUP = os.path.join(ROOT, "setup.py")
 
 
 @pytest.fixture(scope="session")
-def build_library(tmp_path_factory):
-    """build(source, name) -> path of a shared library compiled from it."""
+def setup_flags():
+    """The extra_compile_args list of the extension in setup.py."""
+    with open(SETUP) as fh:
+        tree = ast.parse(fh.read(), SETUP)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg == "extra_compile_args":
+            return ast.literal_eval(node.value)
+    raise LookupError("setup.py passes no extra_compile_args")
+
+
+def _cpu_has_fma():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return any(line.startswith("flags") and "fma" in line.split()
+                       for line in fh)
+    except OSError:
+        return False
+
+
+@pytest.fixture(scope="session")
+def build_library(tmp_path_factory, setup_flags):
+    """build(source, name, extra=()) -> path of a shared library compiled
+    from source with setup.py's flags followed by extra."""
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     if shutil.which(cc[0]) is None:
         pytest.skip("no C compiler found (%s)" % cc[0])
     out_dir = tmp_path_factory.mktemp("kernel")
 
-    def build(source, name):
+    def build(source, name, extra=()):
         lib = str(out_dir / name)
-        subprocess.run(cc + ["-O2", "-ffp-contract=off", "-shared", "-fPIC",
-                             "-o", lib, source], check=True)
+        subprocess.run(cc + setup_flags + list(extra)
+                       + ["-shared", "-fPIC", "-o", lib, source],
+                       check=True, capture_output=True)
         return lib
 
     return build
@@ -38,3 +66,15 @@ def build_library(tmp_path_factory):
 def compiled_library(build_library):
     """Path of pairwise.c compiled into a shared library."""
     return build_library(SOURCE, "pairwise.so")
+
+
+@pytest.fixture(scope="session")
+def fma_library(build_library):
+    """Path of pairwise.c compiled with -mfma as well, where the CPU has
+    FMA and the compiler takes the flag."""
+    if not _cpu_has_fma():
+        pytest.skip("the CPU lists no fma flag")
+    try:
+        return build_library(SOURCE, "pairwise_fma.so", ["-mfma"])
+    except subprocess.CalledProcessError:
+        pytest.skip("the C compiler refuses -mfma")

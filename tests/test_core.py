@@ -217,22 +217,37 @@ def _same_bits(got, want):
                           np.asarray(want).view(np.int64))
 
 
-def test_ndtri_matches_scipy_bit_for_bit(compiled_ndtri):
+def _assert_ndtri_matches_scipy(kernel):
     from scipy.special import ndtri
 
     y = _ndtri_inputs()
     want = ndtri(y)
-    got = compiled_ndtri(y)
+    got = kernel(y)
     assert got is not y and got.shape == y.shape
     mismatch = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
     assert mismatch.size == 0, [(y[i], got[i], want[i])
                                 for i in mismatch[:5]]
     assert got[-5:-2].tolist() == [0.0, -math.inf, math.inf]
     assert not np.signbit(got[-5])
-    # in place, as make_tableau calls it
+    # in place, as the tableau draw calls it
     buf = y.copy()
-    assert compiled_ndtri(buf, out=buf) is buf and _same_bits(buf, want)
+    assert kernel(buf, out=buf) is buf and _same_bits(buf, want)
     assert _same_bits(ndtri_py(y), want)
+
+
+def test_ndtri_matches_scipy_bit_for_bit(compiled_ndtri):
+    _assert_ndtri_matches_scipy(compiled_ndtri)
+
+
+def test_setup_builds_without_contraction(setup_flags):
+    # the tests build with setup.py's own flags (conftest.py); without
+    # this one a compiler may fuse a multiply and an add, which rounds once
+    # where NumPy and SciPy round twice
+    assert "-ffp-contract=off" in setup_flags
+
+
+def test_ndtri_built_with_fma_matches_scipy(fma_library):
+    _assert_ndtri_matches_scipy(load_compiled(fma_library)[4])
 
 
 def test_ndtri_takes_strided_input(compiled_ndtri):

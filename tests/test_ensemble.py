@@ -6,26 +6,24 @@ import math
 import numpy as np
 import pytest
 
-from mvsde.ensemble import (ParticleEnsemble, empirical_moment,
-                            moments_from_r2, snapshot_csv)
+from mvsde.ensemble import ParticleEnsemble, moments_from_r2, snapshot_csv
 
 
-def test_empirical_moment_value():
-    ens = ParticleEnsemble(np.array([[3.0]]))
-    assert empirical_moment(ens, 4.0) == 81.0
+def test_moments_from_r2_one_row_value():
+    assert moments_from_r2([[9.0]], 4.0).tolist() == [81.0]
 
 
-def test_empirical_moment_mixed():
-    ens = ParticleEnsemble(np.array([[0.0], [2.0]]))
-    assert empirical_moment(ens, 2.0) == 2.0  # (0 + 4) / 2
+def test_moments_from_r2_one_row_mixed():
+    assert moments_from_r2([[0.0, 4.0]], 2.0).tolist() == [2.0]  # (0 + 4) / 2
 
 
-def test_empirical_moment_beyond_float_range_is_inf():
+def test_moments_from_r2_one_row_beyond_float_range_is_inf():
     # every 4th power (1e308) is finite, their sum is not: fsum raises
     # OverflowError there, the moment is inf
-    ens = ParticleEnsemble(np.full((256, 1), 1e77))
-    assert empirical_moment(ens, 4.0) == math.inf
-    assert math.isfinite(empirical_moment(ens.states[:1], 4.0))
+    x = np.full(256, 1e77)
+    r2 = (x * x)[None]
+    assert moments_from_r2(r2, 4.0).tolist() == [math.inf]
+    assert math.isfinite(moments_from_r2(r2[:, :1], 4.0)[0])
 
 
 def test_moments_from_r2_rows():

@@ -15,10 +15,12 @@ import numpy as np
 import pytest
 
 import mvsde
-from mvsde import ensemble, scheme
+from mvsde import ensemble, rng, scheme
 from mvsde._core import _Coeffs, load_compiled, pair_aggregate_py
 from mvsde.cli import main
-from mvsde.experiments import DIVERGENCE_NORM, _DivergenceTracker
+from mvsde.config import make_config
+from mvsde.experiments import (DIVERGENCE_NORM, _DivergenceTracker,
+                               run_moment_stability, run_strong_rate)
 from mvsde.model import FAMILIES, make_model
 from mvsde.rng import initial_law, make_tableau
 from mvsde.taming import TamedModel
@@ -66,9 +68,7 @@ def _covered(monkeypatch, advance, tm):
     return scheme._fused_kernel(tm, grid, ens) is not None
 
 
-@pytest.mark.parametrize("d", (1, 2, 3, 8, 9))
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_fused_simulate_matches_step(monkeypatch, advance, family, d):
+def _assert_fused_matches_step(monkeypatch, advance, family, d):
     model = make_model(family, d=d)
     law = initial_law("gaussian", 0.0, 1.5)
     n, T = 8, 1.0
@@ -91,6 +91,22 @@ def test_fused_simulate_matches_step(monkeypatch, advance, family, d):
             full += runs[0][0].t_index == n
     assert ran >= 15  # off, finite and ergodic at least
     assert full >= ran - 5  # only plain Euler at the larger sizes diverges
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 8, 9))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_fused_simulate_matches_step(monkeypatch, advance, family, d):
+    _assert_fused_matches_step(monkeypatch, advance, family, d)
+
+
+@pytest.mark.parametrize("d", (1, 3, 9))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_fused_kernel_built_with_fma_matches_step(monkeypatch, fma_library,
+                                                  family, d):
+    # with FMA instructions available, only -ffp-contract=off keeps the
+    # compiler from fusing the kernel's multiplies and adds
+    _assert_fused_matches_step(monkeypatch, load_compiled(fma_library)[1],
+                               family, d)
 
 
 @pytest.mark.parametrize("callbacks", ["none", "recorder", "trackers"])
@@ -240,6 +256,108 @@ def test_divergence_tracker_boundary(monkeypatch, advance):
             _simulate(monkeypatch, kernel, tm, 2.0, 2, tab,
                       initial_law("point", start), callbacks=[tracker])
             assert tracker.step == step
+
+
+# criterion 3's model: pure cubic drift, no diffusion and no kernel
+_PURE_CUBIC = dict(lam=0.0, sigma0=0.0, c_f=0.0, c_g=0.0)
+
+
+def _counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper; returns the list of its calls."""
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("backend", ["c", "numpy"])
+def test_noise_free_stability_run_draws_no_increments(monkeypatch, advance,
+                                                      tmp_path, backend):
+    kernel = advance if backend == "c" else None
+    monkeypatch.setattr(scheme, "bind_advance", kernel)
+    draws = _counted(monkeypatch, rng, "philox_uniforms")
+    cfg = make_config("moment-stability", params=dict(_PURE_CUBIC),
+                      N=64, T=100.0, n=2, p0=4.0, initial="point 3.0",
+                      initial_b="point 3.0", out_dir=str(tmp_path))
+    rep = run_moment_stability(cfg)
+    assert rep.verdict["contrast"] is True
+    assert draws == []
+
+
+@pytest.mark.parametrize("backend", ["c", "numpy"])
+def test_noisy_rep_draws_its_table_once(monkeypatch, advance, tmp_path,
+                                        backend):
+    kernel = advance if backend == "c" else None
+    monkeypatch.setattr(scheme, "bind_advance", kernel)
+    tables = _counted(monkeypatch, rng, "_draw")
+    reads = _counted(monkeypatch, rng, "level_increments")
+    cfg = make_config("strong-rate", reps=2, threads=1, levels=[4, 8],
+                      n_max=32, T=1.0, N=8, p0=16.0,
+                      initial="gaussian 0.0 1.0",
+                      out_dir=str(tmp_path))
+    run_strong_rate(cfg)
+    # the reference and both levels of a rep read one table, drawn once
+    assert len(tables) == 2 and tables[0][0] is not tables[1][0]
+    assert len(reads) >= 6
+
+
+def _noise_free_cases():
+    """(tm, T, law) for plain and tamed arms at d in {1, 3}, with and
+    without the pair kernel, overflowing, finite and from -0.0."""
+    for d in (1, 3):
+        for c_f in (0.0, 1.0):
+            model = make_model("cubic-mean-field", d=d,
+                               params=dict(_PURE_CUBIC, c_f=c_f))
+            for variant in ("off", "finite"):
+                for n, T, law in (
+                        (2, 40.0, initial_law("point", 3.0)),
+                        (8, 2.0, initial_law("gaussian", 0.0, 1.5)),
+                        (4, 1.0, initial_law("point", -0.0))):
+                    yield TamedModel(model, n, variant), T, law
+
+
+def test_noise_free_runs_match_the_noise_path(monkeypatch, advance):
+    """Skipping the noise of a model without it changes no bit.
+
+    The reference adds (s + G) dW = +-0 at every step with a drawn table,
+    as every run did before noise-free models stopped reading one."""
+    widths = (scheme._noise_width, lambda base: min(base.d, base.l))
+    overflowed = 0
+    for tm, T, law in _noise_free_cases():
+        assert widths[0](tm.base) == 0
+        for kernel in (advance, None):
+            runs = []
+            for width in widths:
+                monkeypatch.setattr(scheme, "_noise_width", width)
+                tab = make_tableau(11, 17, tm.base.l, T, tm.n)
+                moments, blocks = scheme.MomentTracker(4.0), _Blocks()
+                diverge = _DivergenceTracker()
+                ens = _simulate(monkeypatch, kernel, tm, T, tm.n, tab, law,
+                                callbacks=[moments, diverge, blocks])
+                runs.append((ens, moments, diverge, blocks, tab))
+            (ens, moments, diverge, blocks, tab), ref = runs
+            assert tab._store is None and ref[4]._store is not None
+            assert (ens.t_index, ens.overflow_flag, ens.diverged_step) == (
+                ref[0].t_index, ref[0].overflow_flag, ref[0].diverged_step)
+            _assert_same_arrays(ens.states, ref[0].states)
+            assert len(blocks.blocks) == len(ref[3].blocks)
+            for (k_a, r2_a), (k_b, r2_b) in zip(blocks.blocks,
+                                                ref[3].blocks):
+                assert k_a == k_b
+                _assert_same_arrays(r2_a, r2_b)
+            assert moments.times == ref[1].times
+            _assert_same_arrays(np.array(moments.values),
+                                np.array(ref[1].values))
+            assert diverge.step == ref[2].step
+            overflowed += ens.overflow_flag
+    # on both backends: the four plain arms from 3.0, and at d = 3 with
+    # the pair kernel the plain arm from the gaussian
+    assert overflowed == 10
 
 
 def _one_step(advance, x, **coeffs):

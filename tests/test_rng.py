@@ -181,6 +181,23 @@ def test_tableau_validation():
         level_increments(make_tableau(1, 2, 1, 1.0, 8), 3)  # not a divisor
 
 
+def test_tableau_drawn_on_first_read_and_kept(monkeypatch):
+    calls = []
+    draw = rng._draw
+    monkeypatch.setattr(rng, "_draw",
+                        lambda tab: calls.append(tab) or draw(tab))
+    tab = make_tableau(6, 5, 2, 2.0, 8)
+    assert calls == [] and tab._store is None
+    fine = level_increments(tab, 8)
+    coarse = level_increments(tab, 2, 1, 3)
+    assert calls == [tab] and fine.base is tab._store
+    assert not fine.flags.writeable
+    # the same bits as a table drawn by its own first read at a coarse level
+    other = make_tableau(6, 5, 2, 2.0, 8)
+    assert np.array_equal(level_increments(other, 2)[1:3], coarse)
+    assert np.array_equal(other._store, tab._store)
+
+
 def test_tableau_over_cap_refused_with_remedy():
     # 300 * 1024 steps * 64 particles * 1 noise component
     with pytest.raises(ValueError) as exc:
@@ -282,6 +299,7 @@ def test_tableau_draws_no_os_entropy(compiled_library, monkeypatch):
         sys.setprofile(profile)
         try:
             tab = make_tableau(3, 8, 2, 1.0, 4)
+            level_increments(tab, 4)
             sample_initial(tab, 8, 2, initial_law("gaussian"))
         finally:
             sys.setprofile(None)

@@ -6,7 +6,8 @@ import pytest
 from mvsde.ensemble import ParticleEnsemble
 from mvsde.model import FAMILIES, make_model
 from mvsde.rng import initial_law, make_tableau
-from mvsde.scheme import MomentTracker, StateRecorder, TimeGrid, simulate, step
+from mvsde.scheme import (MomentTracker, StateRecorder, TimeGrid,
+                          _noise_width, simulate, step)
 from mvsde.taming import (VARIANTS, TamedModel, tamed_drift_b,
                           tamed_kernel_f, tamed_kernel_g, tamed_sigma)
 
@@ -176,19 +177,38 @@ def test_center_of_mass_nearly_conserved():
     assert abs(last - first) < 1e-12
 
 
+@pytest.mark.parametrize("family, name", [
+    ("cubic-mean-field", "sigma0"), ("cubic-mean-field", "c_g"),
+    ("ergodic-dissipative", "eps"), ("pairwise-vlasov", "nu"),
+    ("pairwise-vlasov", "c_s")])
+def test_noise_width_sees_every_diffusion_coefficient(family, name):
+    # s0, s1, c_s and c_g: each one alone makes the model read its noise
+    silent = {"cubic-mean-field": dict(sigma0=0.0, c_g=0.0),
+              "ergodic-dissipative": dict(eps=0.0),
+              "pairwise-vlasov": dict(nu=0.0, c_s=0.0, c_g=0.0)}[family]
+    assert _noise_width(make_model(family, d=3, params=silent)) == 0
+    noisy = make_model(family, d=3, params=dict(silent, **{name: 0.25}))
+    assert _noise_width(noisy) == 3
+
+
 def test_simulate_argument_validation():
-    m = _pure_cubic()
-    tab = make_tableau(1, 4, 1, 1.0, 8)
-    tm = TamedModel(m, 8)
-    with pytest.raises(ValueError):
-        simulate(tm, TimeGrid(1.0, 3), tab)  # 3 does not divide 8
-    with pytest.raises(ValueError):
-        simulate(tm, TimeGrid(1.0, 8), tab, n_particles=5)
-    with pytest.raises(ValueError):
-        simulate(tm, TimeGrid(2.0, 8), tab)  # beyond the horizon
-    with pytest.raises(ValueError):
-        simulate(tm, TimeGrid(1.0, 8), tab,
-                 initial_states=np.zeros((2, 1)), n_particles=4)
+    # the noise-free model reads no increments, the noisy one does: both
+    # have the grid checked against the tableau
+    for m in (_pure_cubic(), _pure_cubic(sigma0=0.5)):
+        tab = make_tableau(1, 4, 1, 1.0, 8)
+        tm = TamedModel(m, 8)
+        with pytest.raises(ValueError):
+            simulate(tm, TimeGrid(1.0, 3), tab)  # 3 does not divide 8
+        with pytest.raises(ValueError):
+            simulate(tm, TimeGrid(1.0, 8), tab, n_particles=5)
+        with pytest.raises(ValueError, match="exceeds the tableau horizon"):
+            simulate(tm, TimeGrid(2.0, 8), tab)
+        with pytest.raises(ValueError, match="exceeds the tableau horizon"):
+            simulate(tm, TimeGrid(1.5, 2), tab)  # coarser, still beyond
+        with pytest.raises(ValueError):
+            simulate(tm, TimeGrid(1.0, 8), tab,
+                     initial_states=np.zeros((2, 1)), n_particles=4)
+        assert tab._store is None  # refused before any step
 
 
 def test_divergence_freezes_state():
