@@ -9,8 +9,8 @@ with ctypes. It needs GCC or Clang and nothing else: the file includes no
 Python or NumPy headers. The kernels are a pure speedup: if the compiler
 is missing, the build warns and the package runs mvsde.scheme.step with
 the numpy pair kernel, the numpy Philox re-keying and scipy.special.ndtri
-in mvsde._core.pairwise_py, which give the same bits for the exponents 0,
-2 and 4. With the library built, a run imports no SciPy module unless it
+in mvsde._core.pairwise_py, which give the same bits at every exponent.
+With the library built, a run imports no SciPy module unless it
 asks for the exact_assignment W2 route. Floating-point contraction is
 disabled so that no fused multiply-add changes a rounding.
 """

@@ -2,18 +2,22 @@
 
 Prefers the compiled C kernels (pairwise.c, built by setup.py and loaded
 with ctypes) when the build produced them and falls back to the pure numpy
-implementation otherwise. ``pair_aggregate`` has the same contract on both
-backends and is bit-identical for the exponents 0, 2 and 4; tests and the
-benchmark rely on that. ``fsum_rows``, the correctly rounded row sum of the
-moment observers, ``philox_uniforms``, the per-particle Philox streams of
-the Brownian tableau and the initial states, and ``ndtri``, the inverse
-normal CDF applied to those streams, give the same bits on both. On the C
-backend nothing here imports SciPy; the numpy ``ndtri`` is
-scipy.special.ndtri, imported on its first call.
-``bind_advance`` is the fused multi-step kernel that mvsde.scheme.simulate
-uses on the C backend; it is None on the numpy backend, where simulate runs
-scheme.step. Set MVSDE_FORCE_FALLBACK=1 to skip the compiled kernels
-without rebuilding.
+implementation otherwise. ``bind_advance`` is the fused multi-step kernel
+that mvsde.scheme.simulate runs on the C backend for every model; it is
+None on the numpy backend, where simulate runs scheme.step. ``fsum_rows``,
+the correctly rounded row sum of the moment observers,
+``philox_uniforms``, the per-particle Philox streams of the Brownian
+tableau and the initial states, and ``ndtri``, the inverse normal CDF
+applied to those streams, give the same bits on both. On the C backend
+nothing here imports SciPy; the numpy ``ndtri`` is scipy.special.ndtri,
+imported on its first call.
+
+``pair_aggregate`` is the numpy pair kernel on both backends: scheme.step
+calls it, and the fused kernel calls its C twin mvsde_pair_aggregate,
+which gives the same bits. ``power`` is the one power rule of both
+backends: outside each power site's special cases an exponent goes to
+libm pow, so the backends agree at every exponent. Set
+MVSDE_FORCE_FALLBACK=1 to skip the compiled kernels without rebuilding.
 """
 
 import ctypes
@@ -24,11 +28,12 @@ import numpy as np
 
 from . import pairwise_py
 
-pair_aggregate_py = pairwise_py.pair_aggregate
+pair_aggregate = pair_aggregate_py = pairwise_py.pair_aggregate
 pair_aggregate_naive = pairwise_py.pair_aggregate_naive
 fsum_rows_py = pairwise_py.fsum_rows
 philox_uniforms_py = pairwise_py.philox_uniforms
 ndtri_py = pairwise_py.ndtri
+power = pairwise_py.power
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -46,25 +51,18 @@ class _Coeffs(ctypes.Structure):
 def load_compiled(path):
     """Bind every C kernel in the shared library at path.
 
-    Returns (pair_aggregate, bind_advance, fsum_rows, philox_uniforms,
-    ndtri).
-    All but bind_advance have the signatures and results of their
+    Returns (bind_advance, fsum_rows, philox_uniforms, ndtri). All but
+    bind_advance have the signatures and results of their
     pairwise_py namesakes; bind_advance is described in its own docstring.
     Raises OSError when the library cannot be loaded and AttributeError
     when it lacks any kernel symbol, so a stale library never provides some
     kernels without the others.
     """
     lib = ctypes.CDLL(path)
-    pair_kernel = lib.mvsde_pair_aggregate
     step_kernel = lib.mvsde_advance
     sum_kernel = lib.mvsde_fsum_rows
     uniform_kernel = lib.mvsde_philox_uniforms
     ndtri_kernel = lib.mvsde_ndtri
-    pair_kernel.restype = None
-    pair_kernel.argtypes = ([ctypes.c_void_p, ctypes.c_ssize_t,
-                             ctypes.c_ssize_t]
-                            + [ctypes.c_double] * 7
-                            + [ctypes.c_void_p, ctypes.c_void_p])
     step_kernel.restype = ctypes.c_ssize_t
     step_kernel.argtypes = ([ctypes.POINTER(_Coeffs), ctypes.c_void_p,
                              ctypes.c_void_p]
@@ -79,23 +77,6 @@ def load_compiled(path):
                                + [ctypes.c_void_p])
     ndtri_kernel.restype = None
     ndtri_kernel.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t]
-
-    def pair_aggregate(X, kf1, kfq, qf, cg, tam, te, tame_g=1.0):
-        """See pairwise_py.pair_aggregate for the reference semantics."""
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError("X must be an (N, d) array, got shape %r"
-                             % (X.shape,))
-        n, d = X.shape
-        f_arr = np.zeros((n, d))
-        g_arr = np.zeros((n, d))
-        if kf1 == 0.0 and kfq == 0.0 and cg == 0.0:
-            return f_arr, g_arr
-        # a CDLL call releases the GIL, so the kernel calls of reps on
-        # other threads run in parallel
-        pair_kernel(X.ctypes.data, n, d, kf1, kfq, qf, cg, tam, te, tame_g,
-                    f_arr.ctypes.data, g_arr.ctypes.data)
-        return f_arr, g_arr
 
     def bind_advance(coeffs, states, scratch):
         """_BoundAdvance over this library's mvsde_advance.
@@ -136,7 +117,7 @@ def load_compiled(path):
         ndtri_kernel(out.ctypes.data, out.size)
         return out
 
-    return pair_aggregate, bind_advance, fsum_rows, philox_uniforms, ndtri
+    return bind_advance, fsum_rows, philox_uniforms, ndtri
 
 
 class _BoundAdvance:
@@ -196,7 +177,8 @@ class _BoundAdvance:
                              "%d steps of %d particles"
                              % (obs.shape, steps, self._n))
         ptr, row, width = self._noise
-        # a CDLL call releases the GIL, like the pair kernel's
+        # a CDLL call releases the GIL, so the kernel calls of reps on
+        # other threads run in parallel
         return self._kernel(*self._head, ptr + 8 * first * row, row, width,
                             steps, self._work,
                             None if obs is None else obs.ctypes.data)
@@ -212,8 +194,8 @@ def _built_library():
 
 
 def _select_backend(path):
-    """(pair_aggregate, bind_advance, fsum_rows, philox_uniforms, ndtri,
-    backend name) for a path.
+    """(bind_advance, fsum_rows, philox_uniforms, ndtri, backend name) for
+    a path.
 
     Every kernel comes from the library, or the numpy kernels and no fused
     kernel when path is None or the library lacks any symbol.
@@ -223,12 +205,11 @@ def _select_backend(path):
             return load_compiled(path) + ("c",)
         except (OSError, AttributeError):
             pass
-    return (pair_aggregate_py, None, fsum_rows_py, philox_uniforms_py,
-            ndtri_py, "numpy")
+    return None, fsum_rows_py, philox_uniforms_py, ndtri_py, "numpy"
 
 
 _FORCED = os.environ.get("MVSDE_FORCE_FALLBACK", "") not in ("", "0")
-(pair_aggregate, bind_advance, fsum_rows, philox_uniforms, ndtri,
+(bind_advance, fsum_rows, philox_uniforms, ndtri,
  _BACKEND) = _select_backend(None if _FORCED else _built_library())
 
 

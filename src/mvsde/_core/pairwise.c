@@ -3,6 +3,7 @@
  *
  * mvsde_pair_aggregate is the bit-identical twin of
  * mvsde._core.pairwise_py.pair_aggregate: same per-pair expression tree,
+ * same exponent special cases with libm pow for every other exponent,
  * same ascending-partner accumulation order per row, same final division
  * by N. Each unordered pair is evaluated once and mirrored by negation,
  * which IEEE-754 makes exact; the skipped diagonal contributes an exact
@@ -13,14 +14,14 @@
  * operation order: x.mean(axis=0) and np.sum(x * x, axis=-1) as NumPy's
  * add.reduce sums them (np_sum below), the self drift and diffusion
  * diagonal term by term, the pair sums from mvsde_pair_aggregate, then
- * x + (b + F) h and + (s + G) dW. The caller passes only self exponents
- * whose NumPy power this reproduces: q_b in {0, 1, 2} (or betaq == 0) and
- * e_self in {0, 2, 4} (or gamma == 0); every other configuration stays on
- * scheme.step. On request it also writes the squared norm of every
- * particle after every step, as np.sum(x * x, axis=-1) gives it, so the
- * observers that need every step (the moment and divergence trackers)
- * read a block of steps per call instead of stopping the kernel after
- * each one.
+ * x + (b + F) h and + (s + G) dW. It runs every model: each power site
+ * keeps step's special cases (q_b in {0, 1, 2} gives 1, r and r * r, the
+ * taming exponent e_self in {0, 2, 4} gives 1, r2 and r2 * r2) and sends
+ * any other exponent to libm pow, as mvsde._core.power does on the NumPy
+ * side. On request it also writes the squared norm of every particle
+ * after every step, as np.sum(x * x, axis=-1) gives it, so the observers
+ * that need every step (the moment and divergence trackers) read a block
+ * of steps per call instead of stopping the kernel after each one.
  *
  * mvsde_fsum_rows sums each row of a matrix correctly rounded with
  * math.fsum's algorithm (Shewchuk's nonoverlapping expansions, "Adaptive
@@ -205,13 +206,27 @@ static int step_once(const struct mvsde_coeffs *cf, const double *x,
         if (cf->betaq != 0.0 || cf->gamma != 0.0)
             r2 = row_r2(xi, d, sq);
         if (cf->betaq != 0.0) {
-            /* NumPy's power for a scalar exponent 2, 1 or 0 */
             r = sqrt(r2);
-            pw = cf->q_b == 2.0 ? r * r : (cf->q_b == 1.0 ? r : 1.0);
+            if (cf->q_b == 2.0)
+                pw = r * r;
+            else if (cf->q_b == 1.0)
+                pw = r;
+            else if (cf->q_b == 0.0)
+                pw = 1.0;
+            else
+                pw = pow(r, cf->q_b);
         }
-        if (cf->gamma != 0.0)
-            den = 1.0 + cf->gamma * (cf->e_self == 2.0 ? r2
-                                     : (cf->e_self == 4.0 ? r2 * r2 : 1.0));
+        if (cf->gamma != 0.0) {
+            if (cf->e_self == 2.0)
+                den = r2;
+            else if (cf->e_self == 4.0)
+                den = r2 * r2;
+            else if (cf->e_self == 0.0)
+                den = 1.0;
+            else
+                den = pow(sqrt(r2), cf->e_self);
+            den = 1.0 + cf->gamma * den;
+        }
         for (c = 0; c < d; c++) {
             v = xi[c];
             b = cf->beta1 * v;

@@ -17,8 +17,9 @@ Bit-compatibility contract (kept in sync with pairwise.c):
   - squared radius r2 = sum_c dx_c^2 accumulated over components in
     ascending order, as an explicit loop (numpy's axis reduction is not
     sequential for d >= 8);
-  - exponent special cases: power 2 -> r2, power 4 -> r2*r2, power 0 -> 1,
-    anything else -> libm pow(r, e);
+  - exponent special cases: power 2 -> r2, power 0 -> 1 for |x-y|^qf;
+    power 2 -> r2, power 4 -> r2*r2, power 0 -> 1 for the taming weight;
+    any other exponent -> libm pow(r, e) (see `power`);
   - tam == 0 short-circuits w to exactly 1.0 (avoids 0*inf at overflow);
   - per-row accumulation in ascending partner order, one scalar
     accumulator per component; division by N at the end;
@@ -27,6 +28,9 @@ Bit-compatibility contract (kept in sync with pairwise.c):
 The antisymmetric-pair trick used by the compiled twin (evaluate each pair
 once, negate for the mirrored entry) produces identical bits because IEEE-754
 negation is exact and every factor in the expression is symmetric in (i, j).
+
+`power` is the one rule every NumPy power site follows outside its
+special cases, so that NumPy and C give the same bits at every exponent.
 
 fsum_rows is the reference of the compiled correctly rounded row sum,
 philox_uniforms that of the compiled Philox stream block and ndtri that of
@@ -39,6 +43,35 @@ import numpy as np
 
 # Philox keys are taken modulo 2^64
 MASK64 = (1 << 64) - 1
+
+
+def _libm_pow(r, e):
+    try:
+        return math.pow(r, e)
+    except OverflowError:
+        return math.inf
+
+
+_LIBM_POW = np.frompyfunc(_libm_pow, 2, 1)
+
+
+def power(r, e):
+    """r ** e per element for norms r >= 0 and a scalar exponent e >= 0.
+
+    Exponents 0, 1 and 2 give 1, r and r * r, which is what np.power
+    returns for them; any other exponent gives libm pow, through math.pow
+    per element, with an overflow as +inf. The compiled kernels call the
+    same pow, whereas np.power's vectorised loop differs from it in the
+    last bit for some values. It takes about 0.2 s per 10^6 values on a
+    2-vCPU Xeon VM, against 5 ms for np.power.
+    """
+    if e == 0.0:
+        return np.ones_like(r)
+    if e == 1.0:
+        return r
+    if e == 2.0:
+        return r * r
+    return np.asarray(_LIBM_POW(r, e), dtype=np.float64)
 
 
 def pair_aggregate(X, kf1, kfq, qf, cg, tam, te, tame_g=1.0):
@@ -72,7 +105,7 @@ def pair_aggregate(X, kf1, kfq, qf, cg, tam, te, tame_g=1.0):
     elif qf == 0.0:
         rq = np.ones_like(r2)
     else:
-        rq = np.power(np.sqrt(r2), qf)
+        rq = power(np.sqrt(r2), qf)
 
     if tam == 0.0:
         w = np.ones_like(r2)
@@ -84,7 +117,7 @@ def pair_aggregate(X, kf1, kfq, qf, cg, tam, te, tame_g=1.0):
         elif te == 0.0:
             rte = np.ones_like(r2)
         else:
-            rte = np.power(np.sqrt(r2), te)
+            rte = power(np.sqrt(r2), te)
         w = 1.0 / (1.0 + tam * rte)
 
     coeff = (kf1 + kfq * rq) * w

@@ -1,4 +1,4 @@
-"""Command-line surface: config-driven experiments and quick checks.
+"""Command-line surface: config-driven experiments and assumption probes.
 
 Subcommands
 -----------
@@ -10,8 +10,6 @@ moment-stability   tamed versus plain arms on a coarse grid
 ergodic            synchronous-coupling contraction run
 probe-assumptions  evaluates the documented inequality sets for a
                    family on random clouds
-selftest           fast invariant suite (taming dominance,
-                   antisymmetry, W2 oracles, refinement coupling)
 
 Exit codes: 0 on a passing verdict or plain completion, 2 on a failing
 verdict (including any probe inequality that does not hold), 1 on
@@ -22,20 +20,14 @@ config in place.
 """
 
 import argparse
-import math
 import os
 import sys
-
-import numpy as np
 
 from . import config as config_mod
 from .experiments import (run_ergodic_contraction, run_moment_stability,
                           run_poc_rate, run_simulate, run_strong_rate)
-from .metrics import w2
-from .model import FAMILIES, eval_drift_b, eval_kernel_f, make_model
+from .model import FAMILIES, make_model
 from .probes import documented_sets, probe_assumptions
-from .rng import level_increments, make_tableau
-from .taming import TamedModel, tamed_drift_b, tamed_kernel_f
 
 _EXPERIMENT_RUNNERS = {
     "simulate": run_simulate,
@@ -96,8 +88,6 @@ def _build_parser():
     pp.add_argument("--count", type=int, default=10000)
     pp.add_argument("--radius", type=float, default=5.0)
     pp.add_argument("--seed", type=int, default=97)
-
-    sub.add_parser("selftest", help="fast invariant suite")
     return parser
 
 
@@ -190,87 +180,10 @@ def _run_probes(args):
     return 2 if failed else 0
 
 
-def _selftest():
-    """Fast invariant suite; prints one line per block."""
-    rng = np.random.default_rng(20240817)
-    failures = []
-
-    def check(name, ok):
-        print("%-24s %s" % (name, "ok" if ok else "FAIL"))
-        if not ok:
-            failures.append(name)
-
-    # taming dominance: |b^n| <= |b|, scaled bound, off-variant identity
-    ok = True
-    for family in ("cubic-mean-field", "ergodic-dissipative"):
-        model = make_model(family, d=2)
-        xs = rng.normal(scale=3.0, size=(400, 2))
-        tm = TamedModel(model, 64, "finite")
-        off = TamedModel(model, 64, "off")
-        b_raw = eval_drift_b(model, 0.0, xs, xs)
-        b_tam = tamed_drift_b(tm, 0.0, xs, xs)
-        b_off = tamed_drift_b(off, 0.0, xs, xs)
-        nr = np.sqrt((b_raw * b_raw).sum(-1))
-        nt = np.sqrt((b_tam * b_tam).sum(-1))
-        ok = ok and bool((nt <= nr).all()) and np.array_equal(b_off, b_raw)
-        r = np.sqrt((xs * xs).sum(-1))
-        mask = r > 0
-        bound = math.sqrt(64.0) * nr[mask] / r[mask] ** (2 * model.q)
-        ok = ok and bool((nt[mask] <= bound).all())
-    check("taming dominance", ok)
-
-    # kernel antisymmetry survives taming exactly
-    model = make_model("cubic-mean-field", d=3)
-    tm = TamedModel(model, 16, "finite")
-    x = rng.normal(size=(300, 3))
-    y = rng.normal(size=(300, 3))
-    fs = tamed_kernel_f(tm, x, y) + tamed_kernel_f(tm, y, x)
-    raw = eval_kernel_f(model, x, y) + eval_kernel_f(model, y, x)
-    check("kernel antisymmetry",
-          bool((fs == 0.0).all()) and bool((raw == 0.0).all()))
-
-    # W2 oracles: interleaved pair, two-atom closed form, identity
-    a = np.array([[0.0], [2.0]])
-    b = np.array([[1.0], [3.0]])
-    ok = w2(a, b) == 1.0 and w2(a, a) == 0.0
-    c = np.array([[0.0, 0.0], [1.0, 1.0]])
-    d = np.array([[2.0, 0.0], [0.0, 1.0]])
-    straight = 4.0 + 1.0
-    crossed = 1.0 + 2.0
-    ok = ok and abs(w2(c, d, method="exact_assignment")
-                    - math.sqrt(min(straight, crossed) / 2.0)) < 1e-12
-    for _ in range(5):
-        u = rng.normal(size=(16, 1))
-        v = rng.normal(size=(16, 1))
-        ok = ok and abs(w2(u, v, method="sorted_1d")
-                        - w2(u, v, method="exact_assignment")) < 1e-10
-    check("W2 oracles", ok)
-
-    # refinement coupling: coarse increments are exact fine sums and
-    # the total Brownian motion is level-independent
-    tab = make_tableau(7, 3, 2, 1.0, 64)
-    fine = level_increments(tab, 64)
-    ok = True
-    for n in (8, 16, 32):
-        coarse = level_increments(tab, n)
-        folded = fine.reshape(n, 64 // n, 3, 2).sum(axis=1)
-        ok = ok and np.array_equal(coarse, folded)
-        ok = ok and np.array_equal(coarse.sum(axis=0), fine.sum(axis=0))
-    check("refinement coupling", ok)
-
-    if failures:
-        print("selftest FAILED: %s" % ", ".join(failures))
-        return 2
-    print("selftest passed")
-    return 0
-
-
 def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "selftest":
-            return _selftest()
         if args.command == "probe-assumptions":
             return _run_probes(args)
         return _run_experiment(args)

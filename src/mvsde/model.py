@@ -23,6 +23,8 @@ Diagonal terms (s1, c_s, c_g) require a square noise, l == d.
 
 import numpy as np
 
+from ._core import power
+
 MEASURE_MODES = ("functional", "pairwise")
 
 
@@ -148,7 +150,8 @@ def make_model(family_id, d=1, l=None, params=None):
     l : int, optional
         Noise dimension; defaults to d.
     params : dict, optional
-        Overrides merged into the family defaults. Unknown keys raise.
+        Overrides merged into the family defaults. Unknown keys raise, and
+        so does a growth order q < 0.
 
     Returns
     -------
@@ -165,6 +168,10 @@ def make_model(family_id, d=1, l=None, params=None):
                              % (family_id, key,
                                 ", ".join(sorted(merged))))
         merged[key] = float(val)
+    if not merged["q"] >= 0.0:
+        raise ValueError("growth order q must be >= 0, got %r (a negative "
+                         "q divides by zero where two particles "
+                         "coincide); set q to 0 or more" % merged["q"])
     d = int(d)
     l = d if l is None else int(l)
     if d < 1 or l < 1:
@@ -204,7 +211,7 @@ def _self_drift(model, x):
     out = model.beta1 * x
     if model.betaq != 0.0:
         r = _norm(x)
-        out = out + model.betaq * x * np.power(r, model.q_b)[..., None]
+        out = out + model.betaq * x * power(r, model.q_b)[..., None]
     return out
 
 
@@ -276,7 +283,7 @@ def eval_kernel_f(model, x, y):
     dx = x - y
     coeff = np.full(dx.shape[:-1], model.kf1)
     if model.kfq != 0.0:
-        coeff = coeff + model.kfq * np.power(_norm(dx), model.q_f)
+        coeff = coeff + model.kfq * power(_norm(dx), model.q_f)
     return coeff[..., None] * dx
 
 

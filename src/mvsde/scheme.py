@@ -11,14 +11,14 @@ Nothing reads the updated buffer during a step, so the result does not
 depend on particle evaluation order; the kernel sums use a fixed
 ascending-j accumulation per particle (see mvsde._core), which makes whole
 trajectories reproducible bit for bit, including across the compiled and
-fallback backends at every d when the kernel exponents are 0, 2 or 4.
+fallback backends at every d and every growth order q: outside its special
+cases every power goes to libm pow on both (mvsde._core.power).
 
 `step` is the NumPy reference. On the C backend `simulate` runs the fused
-kernel of mvsde._core instead, which repeats step's operation order and
-advances the ensemble from one observed step to the next in one call with
-no Python in the loop; it gives the same bits as `step`. It covers the self
-exponents whose NumPy power it reproduces, q_b in {0, 1, 2} and taming
-exponent e_self in {0, 2, 4}; other models run `step` on every backend.
+kernel of mvsde._core instead, for every model, which repeats step's
+operation order and advances the ensemble from one observed step to the
+next in one call with no Python in the loop; it gives the same bits as
+`step`.
 
 Observers that need every step (MomentTracker and the divergence tracker
 of mvsde.experiments) read a block of steps per call: the squared particle
@@ -43,11 +43,6 @@ from ._core import bind_advance, pair_aggregate
 
 # target float64 count per pulled increment block
 _CHUNK_ELEMENTS = 1 << 22
-# self exponents whose np.power the fused kernel reproduces bit for bit:
-# NumPy's power special-cases a scalar exponent 0, 1 or 2, and _rpow the
-# taming exponents 0, 2 and 4; libm pow differs from both in the last bit
-_FUSED_Q_B = (0.0, 1.0, 2.0)
-_FUSED_E_SELF = (0.0, 2.0, 4.0)
 # cap on the float64 count of one block of observed squared norms: steps
 # per observation block times N, about 0.5 MB
 _OBS_ELEMENTS = 1 << 16
@@ -282,19 +277,16 @@ def _advance_steps(ens, tm, grid, block, first, steps, obs):
 
 
 def _fused_kernel(tm, grid, ens):
-    """The fused C kernel bound to ens, or None where simulate runs step.
+    """The fused C kernel bound to ens, or None on the numpy backend.
 
-    None on the numpy backend and for self exponents outside _FUSED_Q_B /
-    _FUSED_E_SELF. The kernel evaluates step's coefficients from these
-    values: lam only in the functional measure mode and kap_pair only in
-    the pairwise one, as step does.
+    The kernel evaluates step's coefficients from these values: lam only
+    in the functional measure mode and kap_pair only in the pairwise one,
+    as step does.
     """
+    if bind_advance is None:
+        return None
     base = tm.base
     par = taming_parameters(tm)
-    if (bind_advance is None
-            or (base.betaq != 0.0 and base.q_b not in _FUSED_Q_B)
-            or (par["gamma"] != 0.0 and par["e_self"] not in _FUSED_E_SELF)):
-        return None
     pairwise = base.measure_mode == "pairwise"
     return bind_advance(dict(
         h=grid.h, beta1=base.beta1, betaq=base.betaq, q_b=base.q_b,

@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 from . import model as model_mod
+from ._core import power
 
 VARIANTS = ("finite", "ergodic", "strong_order_candidate", "off")
 
@@ -75,14 +76,16 @@ def taming_parameters(tm):
 
 
 def _rpow(r2, e):
-    # special-cased like the pairwise backend: exact for e in {0, 2, 4}
+    # |x|^e from the squared norm r2, as the C kernels take it: r2 and
+    # r2 * r2 for e in {2, 4}, 1 for e = 0, any other e by the one power
+    # rule of mvsde._core.power
     if e == 2.0:
         return r2
     if e == 4.0:
         return r2 * r2
     if e == 0.0:
         return np.ones_like(r2)
-    return np.power(np.sqrt(r2), e)
+    return power(np.sqrt(r2), e)
 
 
 def self_denominator(tm, x):

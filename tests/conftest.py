@@ -6,16 +6,20 @@ the tests build what the package builds), so the compiled kernels are
 tested whether or not setup.py built the package in place and whatever
 MVSDE_FORCE_FALLBACK says. On an x86-64 CPU with FMA the same flags plus
 -mfma give a second library, on which a contraction the flags failed to
-forbid would change bits.
+forbid would change bits. The package binds the C pair routine only
+inside the fused kernel; c_pair_aggregate binds it here, so the tests can
+compare it with the numpy kernel directly.
 """
 
 import ast
+import ctypes
 import os
 import shlex
 import shutil
 import subprocess
 import sysconfig
 
+import numpy as np
 import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -78,3 +82,28 @@ def fma_library(build_library):
         return build_library(SOURCE, "pairwise_fma.so", ["-mfma"])
     except subprocess.CalledProcessError:
         pytest.skip("the C compiler refuses -mfma")
+
+
+@pytest.fixture(scope="session")
+def c_pair_aggregate(compiled_library):
+    """mvsde_pair_aggregate with the signature of pairwise_py.pair_aggregate.
+
+    Like the fused kernel, it passes zeroed F and G and leaves the
+    all-zero kernel to the caller's short circuit.
+    """
+    kernel = ctypes.CDLL(compiled_library).mvsde_pair_aggregate
+    kernel.restype = None
+    kernel.argtypes = ([ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t]
+                       + [ctypes.c_double] * 7
+                       + [ctypes.c_void_p, ctypes.c_void_p])
+
+    def pair_aggregate(X, kf1, kfq, qf, cg, tam, te, tame_g=1.0):
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        n, d = X.shape
+        f_arr, g_arr = np.zeros((n, d)), np.zeros((n, d))
+        if kf1 != 0.0 or kfq != 0.0 or cg != 0.0:
+            kernel(X.ctypes.data, n, d, kf1, kfq, qf, cg, tam, te, tame_g,
+                   f_arr.ctypes.data, g_arr.ctypes.data)
+        return f_arr, g_arr
+
+    return pair_aggregate

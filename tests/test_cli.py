@@ -26,13 +26,14 @@ def _tiny_rate_ini(out_dir, extra_bands=""):
             "%s" % (out_dir, extra_bands))
 
 
-def test_selftest_passes(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "selftest passed" in out
-    for block in ("taming dominance", "kernel antisymmetry",
-                  "W2 oracles", "refinement coupling"):
-        assert "%-24s ok" % block in out
+def test_negative_growth_order_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = _write(tmp_path, "negative_q.ini",
+                  "[run]\nexperiment = simulate\nout_dir = %s\n"
+                  "[model]\nq = -1\n" % out)
+    assert main(["simulate", "--config", path]) == 1
+    assert "q must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_errors_exit_1(capsys):

@@ -2,9 +2,12 @@
 
 pairwise.c is compiled here (conftest.py) and loaded through the loader
 mvsde._core uses at import, so the comparison runs whether or not setup.py
-built the package in place.
+built the package in place. The C pair routine, which the package calls
+only from the fused kernel, is bound by the c_pair_aggregate fixture.
 """
 
+import ctypes
+import ctypes.util
 import math
 import os
 import subprocess
@@ -15,8 +18,10 @@ import pytest
 
 import mvsde
 from mvsde._core import (_select_backend, fsum_rows_py, load_compiled,
-                         ndtri_py, pair_aggregate_naive, pair_aggregate_py,
-                         philox_uniforms_py)
+                         ndtri_py, pair_aggregate, pair_aggregate_naive,
+                         pair_aggregate_py, philox_uniforms_py, power)
+from mvsde.model import make_model
+from mvsde.taming import VARIANTS, TamedModel, taming_parameters
 
 # (kf1, kfq, qf, cg, tam, te, tame_g)
 SPECIAL = {
@@ -27,17 +32,12 @@ SPECIAL = {
     "q_f = 0": (-0.5, 0.0, 0.0, 0.2, 0.125, 0.0, 1.0),
     "all-zero kernel": (0.0, 0.0, 2.0, 0.0, 0.125, 4.0, 1.0),
 }
-# libm pow in C and in the oracle's scalar **; numpy's vectorised power
-# may round differently in the last bit
+# exponents outside the special cases: libm pow in C, in the numpy
+# kernel (mvsde._core.power) and in the oracle's scalar **
 NON_SPECIAL = (-0.5, -1.0, 3.0, 0.2, 0.3, 6.0, 1.0)
 
 DIMS = range(1, 13)
 SIZES = (1, 2, 7, 33, 64)
-
-
-@pytest.fixture(scope="module")
-def compiled(compiled_library):
-    return load_compiled(compiled_library)[0]
 
 
 def _assert_same(got, want, what):
@@ -57,25 +57,64 @@ def _clouds(n, d):
 
 @pytest.mark.parametrize("d", DIMS)
 @pytest.mark.parametrize("n", SIZES)
-def test_compiled_matches_fallback_and_oracle(compiled, n, d):
+def test_compiled_matches_fallback_and_oracle(c_pair_aggregate, n, d):
     for cloud, x in _clouds(n, d).items():
-        for label, kernel in SPECIAL.items():
+        for label, kernel in dict(SPECIAL, non_special=NON_SPECIAL).items():
             what = "%s, %s cloud" % (label, cloud)
-            got = compiled(x, *kernel)
+            got = c_pair_aggregate(x, *kernel)
             _assert_same(got, pair_aggregate_py(x, *kernel), what)
             _assert_same(got, pair_aggregate_naive(x, *kernel), what)
-        _assert_same(compiled(x, *NON_SPECIAL),
-                     pair_aggregate_naive(x, *NON_SPECIAL),
-                     "non-special exponents, %s cloud" % cloud)
 
 
-def test_compiled_accepts_any_layout(compiled):
+def test_compiled_accepts_any_layout(c_pair_aggregate):
+    # mvsde._core.pair_aggregate, the numpy kernel on both backends
     x = np.random.default_rng(7).normal(size=(3, 9)).T  # Fortran order
     kernel = SPECIAL["poc-rate"]
-    _assert_same(compiled(x, *kernel), pair_aggregate_py(x, *kernel),
+    _assert_same(pair_aggregate(x, *kernel),
+                 c_pair_aggregate(np.ascontiguousarray(x), *kernel),
                  "transposed input")
     with pytest.raises(ValueError):
-        compiled(np.zeros(4), *kernel)
+        pair_aggregate(np.zeros(4), *kernel)
+
+
+@pytest.mark.parametrize("d", (1, 3, 9))
+@pytest.mark.parametrize("q", (1.0, 1.5, 3.0))
+def test_pair_sums_agree_at_every_q(c_pair_aggregate, q, d):
+    """The kernel arguments of every taming variant at growth order q: C,
+    numpy and the oracle agree bit for bit, sign bits included."""
+    for family in ("cubic-mean-field", "ergodic-dissipative"):
+        model = make_model(family, d=d, params={"q": q})
+        for variant in VARIANTS:
+            par = taming_parameters(TamedModel(model, 16, variant))
+            kernel = (model.kf1, model.kfq, model.q_f, model.c_g,
+                      par["gamma"], par["e_kernel"],
+                      1.0 if par["tame_g"] else 0.0)
+            for cloud, x in _clouds(17, d).items():
+                what = "%s, %s, %s cloud" % (family, variant, cloud)
+                got = c_pair_aggregate(x, *kernel)
+                _assert_same(got, pair_aggregate_py(x, *kernel), what)
+                _assert_same(got, pair_aggregate_naive(x, *kernel), what)
+
+
+def test_power_is_libm_pow_outside_its_special_cases():
+    """power gives np.power's 1, r and r * r at 0, 1 and 2 and the C
+    library's pow elsewhere, the pow the compiled kernels call, with an
+    overflow as +inf."""
+    libm = ctypes.CDLL(ctypes.util.find_library("m"))
+    libm.pow.restype = ctypes.c_double
+    libm.pow.argtypes = [ctypes.c_double, ctypes.c_double]
+    r = np.concatenate([np.random.default_rng(3).lognormal(0.0, 3.0, 4000),
+                        [0.0, 1.0, 5e-324, 1e200, np.inf, np.nan]])
+    with np.errstate(over="ignore"):
+        for e in (0.0, 1.0, 2.0):
+            assert np.array_equal(power(r, e), np.power(r, e),
+                                  equal_nan=True), e
+        for e in (0.5, 1.5, 3.0, 4.0, 6.0, 8.0):
+            got = power(r, e)
+            want = np.array([libm.pow(v, e) for v in r.tolist()])
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want, equal_nan=True), e
+            assert got[-2] == np.inf and (e < 2.0 or got[-3] == np.inf)
 
 
 def test_force_fallback_selects_numpy():
@@ -95,13 +134,12 @@ def test_force_fallback_selects_numpy():
 
 def test_loader_binds_every_kernel_or_none(compiled_library, build_library,
                                            tmp_path):
-    (pair, advance, row_sum, uniforms, inverse_cdf,
-     name) = _select_backend(compiled_library)
-    assert name == "c" and pair is not pair_aggregate_py
-    assert callable(advance) and row_sum is not fsum_rows_py
+    advance, row_sum, uniforms, inverse_cdf, name = _select_backend(
+        compiled_library)
+    assert name == "c" and callable(advance) and row_sum is not fsum_rows_py
     assert uniforms is not philox_uniforms_py and inverse_cdf is not ndtri_py
-    numpy_backend = (pair_aggregate_py, None, fsum_rows_py,
-                     philox_uniforms_py, ndtri_py, "numpy")
+    numpy_backend = (None, fsum_rows_py, philox_uniforms_py, ndtri_py,
+                     "numpy")
     # stale libraries from before the fused kernel, the row sum, the
     # Philox streams and the inverse normal CDF
     older = ["mvsde_pair_aggregate", "mvsde_advance", "mvsde_fsum_rows",
@@ -124,7 +162,7 @@ def test_loader_binds_every_kernel_or_none(compiled_library, build_library,
 
 @pytest.fixture(scope="module")
 def compiled_fsum_rows(compiled_library):
-    return load_compiled(compiled_library)[2]
+    return load_compiled(compiled_library)[1]
 
 
 def _fsum_or_exception(row):
@@ -187,7 +225,7 @@ def test_fsum_rows_random_and_empty(compiled_fsum_rows):
 
 @pytest.fixture(scope="module")
 def compiled_ndtri(compiled_library):
-    return load_compiled(compiled_library)[4]
+    return load_compiled(compiled_library)[3]
 
 
 def _ndtri_inputs():
@@ -247,7 +285,7 @@ def test_setup_builds_without_contraction(setup_flags):
 
 
 def test_ndtri_built_with_fma_matches_scipy(fma_library):
-    _assert_ndtri_matches_scipy(load_compiled(fma_library)[4])
+    _assert_ndtri_matches_scipy(load_compiled(fma_library)[3])
 
 
 def test_ndtri_takes_strided_input(compiled_ndtri):
@@ -271,8 +309,8 @@ import contextlib, io, sys
 import mvsde.cli
 from mvsde import _core, ensemble, rng, scheme
 
-(scheme.pair_aggregate, scheme.bind_advance, ensemble.fsum_rows,
- rng.philox_uniforms, rng.ndtri) = _core.load_compiled(sys.argv[1])
+(scheme.bind_advance, ensemble.fsum_rows, rng.philox_uniforms,
+ rng.ndtri) = _core.load_compiled(sys.argv[1])
 for command, ini in zip(("strong-rate", "moment-stability"), sys.argv[2:]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = mvsde.cli.main([command, "--config", ini])

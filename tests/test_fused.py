@@ -1,9 +1,10 @@
 """The fused C step kernel against the NumPy step, bit for bit.
 
-simulate runs mvsde_advance on the C backend and scheme.step otherwise;
-both must give the same trajectories, step counters, overflow flags and
-sign bits. The kernel is compiled here (conftest.py) and switched in and
-out through scheme.bind_advance, so these tests run on either backend.
+simulate runs mvsde_advance on the C backend, for every model, and
+scheme.step otherwise; both must give the same trajectories, step
+counters, overflow flags and sign bits at every growth order q. The
+kernel is compiled here (conftest.py) and switched in and out through
+scheme.bind_advance, so these tests run on either backend.
 """
 
 import math
@@ -31,7 +32,7 @@ COEFF_NAMES = [name for name, _ in _Coeffs._fields_]
 
 @pytest.fixture(scope="module")
 def advance(compiled_library):
-    return load_compiled(compiled_library)[1]
+    return load_compiled(compiled_library)[0]
 
 
 def _simulate(monkeypatch, advance, tm, T, n, tab, law, n_particles=None,
@@ -60,14 +61,6 @@ def _assert_same_run(got, want):
             _assert_same_arrays(x, y)
 
 
-def _covered(monkeypatch, advance, tm):
-    """Whether simulate would run tm on the fused kernel."""
-    monkeypatch.setattr(scheme, "bind_advance", advance)
-    ens = scheme.ParticleEnsemble(np.zeros((1, tm.base.d)))
-    grid = scheme.TimeGrid(1.0, tm.n)
-    return scheme._fused_kernel(tm, grid, ens) is not None
-
-
 def _assert_fused_matches_step(monkeypatch, advance, family, d):
     model = make_model(family, d=d)
     law = initial_law("gaussian", 0.0, 1.5)
@@ -75,8 +68,6 @@ def _assert_fused_matches_step(monkeypatch, advance, family, d):
     ran = full = 0
     for variant in VARIANTS:
         tm = TamedModel(model, n, variant)
-        if not _covered(monkeypatch, advance, tm):
-            continue
         for size in (1, 7, 64, 130, 300):
             # two spare streams, so noise rows are strided
             tab = make_tableau(7, size + 2, model.l, T, n)
@@ -89,7 +80,7 @@ def _assert_fused_matches_step(monkeypatch, advance, family, d):
             _assert_same_run(*runs)
             ran += 1
             full += runs[0][0].t_index == n
-    assert ran >= 15  # off, finite and ergodic at least
+    assert ran == 20  # every variant at every size
     assert full >= ran - 5  # only plain Euler at the larger sizes diverges
 
 
@@ -105,7 +96,7 @@ def test_fused_kernel_built_with_fma_matches_step(monkeypatch, fma_library,
                                                   family, d):
     # with FMA instructions available, only -ffp-contract=off keeps the
     # compiler from fusing the kernel's multiplies and adds
-    _assert_fused_matches_step(monkeypatch, load_compiled(fma_library)[1],
+    _assert_fused_matches_step(monkeypatch, load_compiled(fma_library)[0],
                                family, d)
 
 
@@ -408,34 +399,52 @@ def test_fused_adds_short_circuited_pair_sums(advance):
     assert not np.signbit(got).any()
 
 
+def _counted_runs(monkeypatch, advance, tm, T, tab, law):
+    """C and NumPy runs of tm with a recorder, and the step calls of each."""
+    step_calls = _counted(monkeypatch, scheme, "step")
+    runs, calls = [], []
+    for kernel in (advance, None):
+        before = len(step_calls)
+        rec = scheme.StateRecorder(stride=3)
+        ens = _simulate(monkeypatch, kernel, tm, T, tm.n, tab, law,
+                        callbacks=[rec])
+        runs.append((ens, [rec]))
+        calls.append(len(step_calls) - before)
+    return runs, calls
+
+
 @pytest.mark.parametrize("family, q, variant", [
     ("cubic-mean-field", 3.0, "finite"),  # q_b = 3
     ("cubic-mean-field", 2.0, "strong_order_candidate"),  # e_self = 8
     ("pairwise-vlasov", 2.0, "strong_order_candidate"),
 ])
-def test_uncovered_exponents_take_step_path(monkeypatch, advance, family, q,
-                                            variant):
+def test_non_special_exponents_run_fused(monkeypatch, advance, family, q,
+                                         variant):
+    # exponents outside every special case: libm pow on both backends
     model = make_model(family, d=2, params={"q": q})
     tm = TamedModel(model, 8, variant)
-    assert not _covered(monkeypatch, advance, tm)
-    calls = []
-    step = scheme.step
-
-    def counted(*args):
-        calls.append(1)
-        return step(*args)
-
-    monkeypatch.setattr(scheme, "step", counted)
     tab = make_tableau(5, 9, 2, 1.0, 8)
-    law = initial_law("gaussian", 0.0, 1.0)
-    runs = []
-    for kernel in (advance, None):
-        rec = scheme.StateRecorder(stride=3)
-        ens = _simulate(monkeypatch, kernel, tm, 1.0, 8, tab, law,
-                        callbacks=[rec])
-        runs.append((ens, [rec]))
-    assert len(calls) == 16  # every step of both runs went through step
+    runs, calls = _counted_runs(monkeypatch, advance, tm, 1.0, tab,
+                                initial_law("gaussian", 0.0, 1.0))
+    assert calls == [0, 8]  # C never calls step, NumPy every step
     _assert_same_run(*runs)
+
+
+@pytest.mark.parametrize("d", (1, 3, 9))
+@pytest.mark.parametrize("q", (1.0, 1.5, 3.0))
+def test_backends_agree_at_every_q(monkeypatch, advance, q, d):
+    """Whole runs at growth order q, every taming variant, both measure
+    modes: the fused kernel and step agree bit for bit."""
+    law = initial_law("gaussian", 0.0, 1.5)
+    for family in ("cubic-mean-field", "pairwise-vlasov"):
+        model = make_model(family, d=d, params={"q": q})
+        tab = make_tableau(17, 19, model.l, 1.0, 8)
+        for variant in VARIANTS:
+            tm = TamedModel(model, 8, variant)
+            runs, calls = _counted_runs(monkeypatch, advance, tm, 1.0, tab,
+                                        law)
+            assert calls[0] == 0
+            _assert_same_run(*runs)
 
 
 def test_recorder_next_step():
@@ -464,59 +473,71 @@ def test_bound_kernel_refuses_noise_it_would_overrun(advance):
         advance(values, states, np.empty((2, 4)).T)
 
 
-_TINY_STABILITY = ("[run]\nexperiment = moment-stability\nreps = 2\n"
-                   "out_dir = %s\n[model]\nd = 3\n[grid]\nT = 50.0\n"
-                   "n = 2\n[ensemble]\nN = 33\n"
-                   "initial = gaussian 0.0 1.0\n")
+# (command, INI, data file, report file); the simulate config runs q = 3,
+# an exponent outside NumPy's power fast path
+_DRIVER_CONFIGS = (
+    ("moment-stability",
+     "[run]\nexperiment = moment-stability\nreps = 2\nout_dir = %s\n"
+     "[model]\nd = 3\n[grid]\nT = 50.0\nn = 2\n[ensemble]\nN = 33\n"
+     "initial = gaussian 0.0 1.0\n",
+     "moment_stability_errors.csv", "moment_stability_report.json"),
+    ("simulate",
+     "[run]\nexperiment = simulate\nout_dir = %s\n[model]\nd = 3\n"
+     "q = 3.0\n[grid]\nT = 1.0\nn = 32\n[ensemble]\nN = 33\n"
+     "initial = gaussian 0.0 1.0\n",
+     "simulate_final.csv", "simulate_report.json"),
+)
 
 
-def _outputs(out_dir):
-    with open(os.path.join(out_dir, "moment_stability_errors.csv"),
-              "rb") as fh:
-        csv_bytes = fh.read()
-    with open(os.path.join(out_dir, "moment_stability_report.json"),
-              "rb") as fh:
+def _outputs(out_dir, data, report):
+    with open(os.path.join(out_dir, data), "rb") as fh:
+        data_bytes = fh.read()
+    with open(os.path.join(out_dir, report), "rb") as fh:
         lines = fh.read().splitlines(keepends=True)
     backend = [ln for ln in lines if ln.lstrip().startswith(b'"backend"')]
-    return csv_bytes, [ln for ln in lines if ln not in backend], backend
+    return data_bytes, [ln for ln in lines if ln not in backend], backend
 
 
 def test_driver_bytes_match_across_backends(monkeypatch, compiled_library,
                                             tmp_path, capsys):
-    """moment-stability writes the same bytes on C and on NumPy.
+    """moment-stability and a q = 3 simulate write the same bytes on C and
+    on NumPy.
 
     The C run has every compiled kernel switched in, the NumPy run is a
     fresh interpreter with MVSDE_FORCE_FALLBACK=1; only the config echo's
     backend line may differ. This pins the C row sum of the moments to
-    math.fsum at driver level, overflowing plain arm included.
+    math.fsum at driver level, overflowing plain arm included, and the
+    power rule of both backends at an exponent outside {0, 1, 2, 4}.
     """
-    pair, advance, fsum_rows, uniforms, ndtri = load_compiled(
-        compiled_library)
+    advance, fsum_rows, uniforms, ndtri = load_compiled(compiled_library)
     monkeypatch.setattr(scheme, "bind_advance", advance)
-    monkeypatch.setattr(scheme, "pair_aggregate", pair)
     monkeypatch.setattr(ensemble, "fsum_rows", fsum_rows)
     monkeypatch.setattr("mvsde.rng.philox_uniforms", uniforms)
     monkeypatch.setattr("mvsde.rng.ndtri", ndtri)
-    runs = []
-    for label in ("c", "numpy"):
-        out_dir = str(tmp_path / label)
-        path = tmp_path / ("%s.ini" % label)
-        path.write_text(_TINY_STABILITY % out_dir)
-        argv = ["moment-stability", "--config", str(path)]
-        if label == "c":
-            assert main(argv) in (0, 2)
-            capsys.readouterr()
-        else:
-            src = os.path.dirname(os.path.dirname(mvsde.__file__))
-            env = dict(os.environ, MVSDE_FORCE_FALLBACK="1", PYTHONPATH=src)
-            code = subprocess.run([sys.executable, "-m", "mvsde"] + argv,
-                                  env=env, capture_output=True,
-                                  timeout=300).returncode
-            assert code in (0, 2)
-        runs.append(_outputs(out_dir))
-    (csv_c, json_c, _), (csv_numpy, json_numpy, backend) = runs
-    assert csv_c == csv_numpy
-    assert json_c == json_numpy
-    assert backend == [b'    "backend": "numpy"\n']
-    assert b'"inf"' in b"".join(json_c)  # the plain arm overflowed
-
+    reports = []
+    for command, ini, data, report in _DRIVER_CONFIGS:
+        runs = []
+        for label in ("c", "numpy"):
+            out_dir = str(tmp_path / command / label)
+            path = tmp_path / ("%s-%s.ini" % (command, label))
+            path.write_text(ini % out_dir)
+            argv = [command, "--config", str(path)]
+            if label == "c":
+                assert main(argv) in (0, 2)
+                capsys.readouterr()
+            else:
+                src = os.path.dirname(os.path.dirname(mvsde.__file__))
+                env = dict(os.environ, MVSDE_FORCE_FALLBACK="1",
+                           PYTHONPATH=src)
+                code = subprocess.run(
+                    [sys.executable, "-m", "mvsde"] + argv, env=env,
+                    capture_output=True, timeout=300).returncode
+                assert code in (0, 2)
+            runs.append(_outputs(out_dir, data, report))
+        (data_c, json_c, _), (data_numpy, json_numpy, backend) = runs
+        assert data_c == data_numpy, command
+        assert json_c == json_numpy, command
+        assert backend == [b'    "backend": "numpy"\n'], command
+        reports.append(b"".join(json_c))
+    assert b'"inf"' in reports[0]  # the plain arm overflowed
+    assert b'"q": 3.0' in reports[1]

@@ -1,5 +1,7 @@
 """Coefficient family oracles and model construction rules."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,32 @@ def test_unknown_family_and_params():
         make_model("no-such-family")
     with pytest.raises(ValueError, match="has no parameter"):
         make_model("cubic-mean-field", params={"zap": 1.0})
+
+
+@pytest.mark.parametrize("q", (-1.0, -0.5, float("nan")))
+def test_negative_growth_order_refused(q):
+    # 0 ** q at a coincident pair would be infinite
+    with pytest.raises(ValueError, match="q must be >= 0.*set q to 0"):
+        make_model("cubic-mean-field", params={"q": q})
+
+
+@pytest.mark.parametrize("q", (1.5, 3.0))
+def test_coefficients_take_libm_pow(q):
+    """Outside the exponents 0, 1 and 2, |x|^q_b and |x - y|^q_f are
+    scalar libm pow, the pow of the compiled kernels."""
+    m = make_model("ergodic-dissipative", d=3, params={"q": q})
+    rng = np.random.default_rng(5)
+    x = rng.normal(scale=2.0, size=(2000, 3))
+    y = rng.normal(scale=2.0, size=(2000, 3))
+
+    def pw(v):
+        norms = np.sqrt(np.sum(v * v, axis=-1))
+        return np.array([math.pow(r, q) for r in norms.tolist()])
+
+    want_b = m.beta1 * x + m.betaq * x * pw(x)[:, None]
+    want_f = (m.kf1 + m.kfq * pw(x - y))[:, None] * (x - y)
+    assert np.array_equal(eval_drift_b(m, 0.0, x), want_b)
+    assert np.array_equal(eval_kernel_f(m, x, y), want_f)
 
 
 def test_rectangular_noise_needs_zero_diagonals():

@@ -21,7 +21,7 @@ def uniforms(request):
     """philox_uniforms of one backend; the C one compiled for the test."""
     if request.param == "numpy":
         return philox_uniforms_py
-    return load_compiled(request.getfixturevalue("compiled_library"))[3]
+    return load_compiled(request.getfixturevalue("compiled_library"))[2]
 
 
 def test_refinement_exact_zero_tolerance():
@@ -239,7 +239,7 @@ def test_philox_uniforms_match_fresh_philox(uniforms):
 
 
 def test_backends_draw_identical_tables(compiled_library, monkeypatch):
-    c_kernels = load_compiled(compiled_library)[3:]
+    c_kernels = load_compiled(compiled_library)[2:]
     laws = [initial_law("gaussian", center=1.0, scale=0.5),
             initial_law("uniform_ball", center=-2.0, radius=3.0),
             initial_law("point", center=0.25)]
@@ -294,7 +294,7 @@ def test_tableau_draws_no_os_entropy(compiled_library, monkeypatch):
         elif event == "c_call":
             seen.append(getattr(arg, "__name__", ""))
 
-    for uniforms in (load_compiled(compiled_library)[3], philox_uniforms_py):
+    for uniforms in (load_compiled(compiled_library)[2], philox_uniforms_py):
         monkeypatch.setattr(rng, "philox_uniforms", uniforms)
         sys.setprofile(profile)
         try:
