@@ -8,8 +8,8 @@ handled by taming, never by implicit solves.
 
 Layout
 ------
-model        coefficient families and raw evaluation
-taming       tamed wrappers around the raw coefficients
+model        coefficient families and the scheme's coefficient algebra
+taming       taming variants and their parameters
 rng          counter-based Brownian tableau, refinement-coupled
 ensemble     particle-cloud container and empirical statistics
 scheme       one-step maps and the simulation loop

@@ -14,9 +14,10 @@ imported on its first call.
 
 ``pair_aggregate`` is the numpy pair kernel on both backends: scheme.step
 calls it, and the fused kernel calls its C twin mvsde_pair_aggregate,
-which gives the same bits. ``power`` is the one power rule of both
-backends: outside each power site's special cases an exponent goes to
-libm pow, so the backends agree at every exponent. Set
+which gives the same bits. Both follow pairwise_py.pair_factors, the
+per-pair algebra of the scheme. ``pairwise_py.power`` is the one power
+rule of both backends: outside each power site's special cases an
+exponent goes to libm pow, so the backends agree at every exponent. Set
 MVSDE_FORCE_FALLBACK=1 to skip the compiled kernels without rebuilding.
 """
 
@@ -28,12 +29,11 @@ import numpy as np
 
 from . import pairwise_py
 
-pair_aggregate = pair_aggregate_py = pairwise_py.pair_aggregate
+pair_aggregate = pairwise_py.pair_aggregate
 pair_aggregate_naive = pairwise_py.pair_aggregate_naive
 fsum_rows_py = pairwise_py.fsum_rows
 philox_uniforms_py = pairwise_py.philox_uniforms
 ndtri_py = pairwise_py.ndtri
-power = pairwise_py.power
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 

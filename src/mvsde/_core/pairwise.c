@@ -17,7 +17,7 @@
  * x + (b + F) h and + (s + G) dW. It runs every model: each power site
  * keeps step's special cases (q_b in {0, 1, 2} gives 1, r and r * r, the
  * taming exponent e_self in {0, 2, 4} gives 1, r2 and r2 * r2) and sends
- * any other exponent to libm pow, as mvsde._core.power does on the NumPy
+ * any other exponent to libm pow, as pairwise_py.power does on the NumPy
  * side. On request it also writes the squared norm of every particle
  * after every step, as np.sum(x * x, axis=-1) gives it, so the observers
  * that need every step (the moment and divergence trackers) read a block

@@ -14,11 +14,16 @@ optionally tamed by the weight w = 1 / (1 + tam * |x-y|^te), it returns
 with the diagonal j = i included (its contribution is exactly zero).
 
 Bit-compatibility contract (kept in sync with pairwise.c):
+  - `pair_factors` is the per-pair algebra: the f and g factors of one
+    pair from its squared radius, in the order (c * w) * v; the scheme's
+    own pair coefficients (model.pair_terms) and the probes' eval_kernel_*
+    call it too;
   - squared radius r2 = sum_c dx_c^2 accumulated over components in
-    ascending order, as an explicit loop (numpy's axis reduction is not
-    sequential for d >= 8);
+    ascending order, as an explicit loop (`pair_r2`; numpy's axis
+    reduction is not sequential for d >= 8);
   - exponent special cases: power 2 -> r2, power 0 -> 1 for |x-y|^qf;
-    power 2 -> r2, power 4 -> r2*r2, power 0 -> 1 for the taming weight;
+    power 2 -> r2, power 4 -> r2*r2, power 0 -> 1 for the taming weight
+    (`tame_power`, also the rule of the self-term denominator);
     any other exponent -> libm pow(r, e) (see `power`);
   - tam == 0 short-circuits w to exactly 1.0 (avoids 0*inf at overflow);
   - per-row accumulation in ascending partner order, one scalar
@@ -74,6 +79,44 @@ def power(r, e):
     return np.asarray(_LIBM_POW(r, e), dtype=np.float64)
 
 
+def tame_power(r2, e):
+    """|x|^e from the squared norm r2 at a taming exponent e, self or pair:
+    r2, r2 * r2 and 1 at e = 2, 4 and 0, `power` otherwise."""
+    if e == 2.0:
+        return r2
+    if e == 4.0:
+        return r2 * r2
+    if e == 0.0:
+        return np.ones_like(r2)
+    return power(np.sqrt(r2), e)
+
+
+def pair_r2(dx):
+    """Sum of dx (..., d) squared over its components, in ascending order."""
+    r2 = dx[..., 0] * dx[..., 0]
+    for c in range(1, dx.shape[-1]):
+        r2 = r2 + dx[..., c] * dx[..., c]
+    return r2
+
+
+def pair_factors(r2, kf1, kfq, qf, cg, tam, te, tame_g):
+    """(cf, cgw) with f(x, y) = cf * (x - y) and g(x, y) = cgw * diag(x - y)
+    at squared radii r2: cf = (kf1 + kfq * r^qf) * w, cgw = cg * w if
+    tame_g else cg, w = 1 / (1 + tam * r^te), exactly 1 when tam == 0."""
+    if qf == 2.0:
+        rq = r2
+    elif qf == 0.0:
+        rq = np.ones_like(r2)
+    else:
+        rq = power(np.sqrt(r2), qf)
+    if tam == 0.0:
+        w = np.ones_like(r2)
+    else:
+        w = 1.0 / (1.0 + tam * tame_power(r2, te))
+    cgw = cg * w if tame_g != 0.0 else np.full_like(r2, cg)
+    return (kf1 + kfq * rq) * w, cgw
+
+
 def pair_aggregate(X, kf1, kfq, qf, cg, tam, te, tame_g=1.0):
     """Tamed pairwise kernel sums for every particle.
 
@@ -96,36 +139,9 @@ def pair_aggregate(X, kf1, kfq, qf, cg, tam, te, tame_g=1.0):
         return np.zeros((n, d)), np.zeros((n, d))
 
     dx = X[:, None, :] - X[None, :, :]
-    r2 = dx[..., 0] * dx[..., 0]
-    for c in range(1, d):
-        r2 = r2 + dx[..., c] * dx[..., c]
-
-    if qf == 2.0:
-        rq = r2
-    elif qf == 0.0:
-        rq = np.ones_like(r2)
-    else:
-        rq = power(np.sqrt(r2), qf)
-
-    if tam == 0.0:
-        w = np.ones_like(r2)
-    else:
-        if te == 2.0:
-            rte = r2
-        elif te == 4.0:
-            rte = r2 * r2
-        elif te == 0.0:
-            rte = np.ones_like(r2)
-        else:
-            rte = power(np.sqrt(r2), te)
-        w = 1.0 / (1.0 + tam * rte)
-
-    coeff = (kf1 + kfq * rq) * w
-    kf = coeff[:, :, None] * dx
-    if tame_g != 0.0:
-        kg = (cg * w)[:, :, None] * dx
-    else:
-        kg = cg * dx
+    cf, cgw = pair_factors(pair_r2(dx), kf1, kfq, qf, cg, tam, te, tame_g)
+    kf = cf[:, :, None] * dx
+    kg = cgw[:, :, None] * dx
 
     # ascending-j fold: the fixed accumulation order shared with the
     # compiled backend

@@ -565,7 +565,9 @@ def run_moment_stability(cfg):
 def _semilog_fit(ts, ys):
     """OLS of log(y) against t; returns (slope, intercept, r_squared)."""
     t = np.asarray(ts, dtype=np.float64)
-    y = np.log(np.asarray(ys, dtype=np.float64))
+    # libm log per element, as in metrics.fit_loglog_slope
+    y = np.array([math.log(v)
+                  for v in np.asarray(ys, dtype=np.float64).tolist()])
     mt = float(np.mean(t))
     my = float(np.mean(y))
     vt = float(np.sum((t - mt) ** 2))

@@ -169,8 +169,10 @@ def fit_loglog_slope(xs, ys):
     if int(keep.sum()) < 2:
         raise ValueError("need at least two positive finite points, "
                          "got %d" % int(keep.sum()))
-    x = np.log(xs[keep])
-    y = np.log(ys[keep])
+    # libm log per element: NumPy's vectorised log is not libm's on every
+    # CPU, and a fit takes only a few dozen values
+    x = np.array([math.log(v) for v in xs[keep].tolist()])
+    y = np.array([math.log(v) for v in ys[keep].tolist()])
     mx = float(np.mean(x))
     my = float(np.mean(y))
     vx = float(np.sum((x - mx) ** 2))

@@ -15,17 +15,23 @@ family in this module is expressed through one canonical parameterization:
 
 with coupling = lam * mean(mu) in "functional" measure mode and
 kap_pair * (mean(mu) - x) in "pairwise" mode (where b and sigma are averages
-of two-argument maps over the atoms). All maps are autonomous; the time
-argument is accepted for interface uniformity.
+of two-argument maps over the atoms, evaluated through the atom mean as
+above). All maps are autonomous; the time argument is accepted for
+interface uniformity.
+
+self_terms and pair_terms are the scheme's tamed coefficients, the
+algebra scheme.step and the pair kernel run; eval_* are both untamed.
 
 Diagonal terms (s1, c_s, c_g) require a square noise, l == d.
 """
 
 import numpy as np
 
-from ._core import power
+from ._core.pairwise_py import pair_factors, pair_r2, power, tame_power
 
-MEASURE_MODES = ("functional", "pairwise")
+# taming_parameters of the variant "off": the untamed coefficients
+_UNTAMED = dict(gamma=0.0, e_self=0.0, e_kernel=0.0, tame_sigma=False,
+                tame_g=False)
 
 
 class CoefficientModel:
@@ -186,119 +192,100 @@ def make_model(family_id, d=1, l=None, params=None):
     return model
 
 
-def _atoms(mu):
-    """Atom array of an empirical measure: (..., M, d)."""
-    if mu is None:
-        return None
-    return np.asarray(mu, dtype=np.float64)
-
-
 def _measure_mean(model, mu):
-    atoms = _atoms(mu)
-    if atoms is None:
+    """Mean of the atoms (..., M, d) of an empirical measure: (..., d)."""
+    if mu is None:
         if model.lam != 0.0 or model.kap_pair != 0.0 or model.c_s != 0.0:
             raise ValueError("model %r requires a measure argument"
                              % model.family_id)
         return None
-    return atoms.mean(axis=-2)
-
-
-def _norm(x):
-    return np.sqrt(np.sum(x * x, axis=-1))
+    return np.asarray(mu, dtype=np.float64).mean(axis=-2)
 
 
 def _self_drift(model, x):
     out = model.beta1 * x
     if model.betaq != 0.0:
-        r = _norm(x)
+        r = np.sqrt(np.sum(x * x, axis=-1))
         out = out + model.betaq * x * power(r, model.q_b)[..., None]
     return out
 
 
-def eval_drift_b(model, t, x, mu=None):
-    """Measure-dependent drift b(t, x, mu).
+def self_terms(model, par, x, mean, k):
+    """Self drift b_n (..., d) and noise diagonal sigma_n (..., k) of the
+    scheme at states x (..., d), for taming parameters par
+    (taming.taming_parameters) and the measure's mean (None if unread).
 
-    Parameters
-    ----------
-    model : CoefficientModel
-    t : float or array
-        Ignored by the built-in families (autonomous coefficients).
-    x : (..., d) array
-    mu : measure, optional
-        Atom array (..., M, d).
-        Batch axes must broadcast against those of x.
-
-    Returns
-    -------
-    (..., d) array
+    In scheme.step's order, which the fused kernel repeats: the coupling,
+    kap_pair * (mean - x) in pairwise mode and lam * mean otherwise, joins
+    the self drift before the division by 1 + gamma |x|^e_self.
     """
-    x = np.asarray(x, dtype=np.float64)
+    b = _self_drift(model, x)
     if model.measure_mode == "pairwise":
-        atoms = _atoms(mu)
-        if atoms is None:
-            if model.kap_pair != 0.0:
-                raise ValueError("model %r requires a measure argument"
-                                 % model.family_id)
-            return _self_drift(model, x)
-        # literal atom average so it reproduces mean-over-atoms of
-        # eval_pair_drift bit for bit
-        return eval_pair_drift(model, t, x[..., None, :], atoms).mean(axis=-2)
-    out = _self_drift(model, x)
-    mean = _measure_mean(model, mu)
-    if mean is not None and model.lam != 0.0:
-        out = out + model.lam * mean
-    return out
-
-
-def eval_sigma(model, t, x, mu=None):
-    """Measure-dependent diffusion sigma(t, x, mu) as a (..., d, l) matrix."""
-    x = np.asarray(x, dtype=np.float64)
-    if model.measure_mode == "pairwise":
-        atoms = _atoms(mu)
-        if atoms is None:
-            if model.c_s != 0.0:
-                raise ValueError("model %r requires a measure argument"
-                                 % model.family_id)
-            return eval_pair_sigma(model, t, x, x)
-        # literal atom average of the two-argument diffusion
-        return eval_pair_sigma(model, t, x[..., None, :], atoms).mean(axis=-3)
-    batch = x.shape[:-1]
-    out = np.zeros(batch + (model.d, model.l))
-    k = min(model.d, model.l)
-    idx = np.arange(k)
-    diag = np.full(batch + (k,), model.s0)
+        if model.kap_pair != 0.0:
+            b = b + model.kap_pair * (mean - x)
+    elif model.lam != 0.0:
+        b = b + model.lam * mean
+    diag = np.full(x.shape[:-1] + (k,), model.s0)
     if model.s1 != 0.0:
         diag = diag + model.s1 * x[..., :k]
     if model.c_s != 0.0:
-        mean = _measure_mean(model, mu)
         diag = diag + model.c_s * (mean - x)[..., :k]
+    if par["gamma"] != 0.0:
+        den = 1.0 + par["gamma"] * tame_power(np.sum(x * x, axis=-1),
+                                              par["e_self"])
+        b = b / den[..., None]
+        if par["tame_sigma"]:
+            diag = diag / den[..., None]
+    return b, diag
+
+
+def pair_terms(model, par, x, y, k):
+    """Per-pair drift f_n (..., d) and noise diagonal g_n (..., k) of the
+    scheme: pair_factors, the pair kernel's algebra, at the sequential
+    squared radius of x - y; par as in self_terms."""
+    dx = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
+    cf, cgw = pair_factors(pair_r2(dx), model.kf1, model.kfq, model.q_f,
+                           model.c_g, par["gamma"], par["e_kernel"],
+                           1.0 if par["tame_g"] else 0.0)
+    return cf[..., None] * dx, cgw[..., None] * dx[..., :k]
+
+
+def _diagonal(model, diag):
+    # (..., d, l) matrix with diag on its leading diagonal
+    out = np.zeros(diag.shape[:-1] + (model.d, model.l))
+    idx = np.arange(diag.shape[-1])
     out[..., idx, idx] = diag
     return out
 
 
-def eval_kernel_f(model, x, y):
-    """Interaction drift kernel f(x, y) = (kf1 + kfq |x-y|^q_f)(x - y)."""
+def eval_drift_b(model, t, x, mu=None):
+    """Measure-dependent drift b(t, x, mu), (..., d): self_terms' untamed
+    drift. t is ignored (autonomous coefficients); mu is an atom array
+    (..., M, d) whose batch axes broadcast against those of x."""
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    dx = x - y
-    coeff = np.full(dx.shape[:-1], model.kf1)
-    if model.kfq != 0.0:
-        coeff = coeff + model.kfq * power(_norm(dx), model.q_f)
-    return coeff[..., None] * dx
+    return self_terms(model, _UNTAMED, x, _measure_mean(model, mu), 0)[0]
+
+
+def eval_sigma(model, t, x, mu=None):
+    """Measure-dependent diffusion sigma(t, x, mu) as a (..., d, l) matrix:
+    self_terms' untamed noise diagonal."""
+    x = np.asarray(x, dtype=np.float64)
+    return _diagonal(model, self_terms(model, _UNTAMED, x,
+                                       _measure_mean(model, mu),
+                                       min(model.d, model.l))[1])
+
+
+def eval_kernel_f(model, x, y):
+    """Interaction drift kernel f(x, y) = (kf1 + kfq |x-y|^q_f)(x - y):
+    pair_terms' untamed drift."""
+    return pair_terms(model, _UNTAMED, x, y, 0)[0]
 
 
 def eval_kernel_g(model, x, y):
-    """Interaction diffusion kernel g(x, y) = c_g diag(x - y), (..., d, l)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    dx = x - y
-    batch = dx.shape[:-1]
-    out = np.zeros(batch + (model.d, model.l))
-    if model.c_g != 0.0:
-        k = min(model.d, model.l)
-        idx = np.arange(k)
-        out[..., idx, idx] = model.c_g * dx[..., :k]
-    return out
+    """Interaction diffusion kernel g(x, y) = c_g diag(x - y), (..., d, l):
+    pair_terms' untamed noise diagonal."""
+    return _diagonal(model, pair_terms(model, _UNTAMED, x, y,
+                                       min(model.d, model.l))[1])
 
 
 def eval_pair_drift(model, t, x, y):
@@ -317,11 +304,7 @@ def eval_pair_sigma(model, t, x, y):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     batch = np.broadcast_shapes(x.shape, y.shape)[:-1]
-    out = np.zeros(batch + (model.d, model.l))
-    k = min(model.d, model.l)
-    idx = np.arange(k)
-    diag = np.full(batch + (k,), model.s0)
+    diag = np.full(batch + (min(model.d, model.l),), model.s0)
     if model.c_s != 0.0:
-        diag = diag + model.c_s * (y - x)[..., :k]
-    out[..., idx, idx] = diag
-    return out
+        diag = diag + model.c_s * (y - x)[..., :diag.shape[-1]]
+    return _diagonal(model, diag)

@@ -6,13 +6,16 @@ the old ensemble state and the old empirical measure:
     X'_i = X_i + (b_n(X_i, mu) + (1/N) sum_j f_n(X_i, X_j)) h
                + (sigma_n(X_i, mu) + (1/N) sum_j g_n(X_i, X_j)) dW_i
 
-where the _n subscript is the taming transform of the wrapped model.
+where the _n subscript is the taming transform of the wrapped model. The
+coefficients follow two functions, the contract the fused C kernel
+repeats: model.self_terms for b_n and sigma_n, and the per-pair factors
+mvsde._core.pairwise_py.pair_factors of f_n and g_n (model.pair_terms).
 Nothing reads the updated buffer during a step, so the result does not
 depend on particle evaluation order; the kernel sums use a fixed
 ascending-j accumulation per particle (see mvsde._core), which makes whole
 trajectories reproducible bit for bit, including across the compiled and
 fallback backends at every d and every growth order q: outside its special
-cases every power goes to libm pow on both (mvsde._core.power).
+cases every power goes to libm pow on both (mvsde._core.pairwise_py.power).
 
 `step` is the NumPy reference. On the C backend `simulate` runs the fused
 kernel of mvsde._core instead, for every model, which repeats step's
@@ -38,7 +41,7 @@ import numpy as np
 from . import model as model_mod
 from . import rng as rng_mod
 from .ensemble import ParticleEnsemble, moments_from_r2
-from .taming import taming_parameters, _rpow
+from .taming import taming_parameters
 from ._core import bind_advance, pair_aggregate
 
 # target float64 count per pulled increment block
@@ -110,33 +113,11 @@ def step(ens, tm, grid, dW):
     base = tm.base
     par = taming_parameters(tm)
     x = ens.states
-    n_part = ens.N
-
+    k = _noise_width(base)
     # self part and measure coupling, all from the old state; inf/nan
     # propagate silently into the overflow flag below
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = x.mean(axis=0)
-        b = model_mod._self_drift(base, x)
-        if base.measure_mode == "pairwise":
-            if base.kap_pair != 0.0:
-                b = b + base.kap_pair * (mean - x)
-        elif base.lam != 0.0:
-            b = b + base.lam * mean
-
-        k = _noise_width(base)
-        s_diag = np.full((n_part, k), base.s0)
-        if base.s1 != 0.0:
-            s_diag = s_diag + base.s1 * x[:, :k]
-        if base.c_s != 0.0:
-            s_diag = s_diag + base.c_s * (mean - x)[:, :k]
-
-        if par["gamma"] != 0.0:
-            r2 = np.sum(x * x, axis=-1)
-            den = 1.0 + par["gamma"] * _rpow(r2, par["e_self"])
-            b = b / den[:, None]
-            if par["tame_sigma"]:
-                s_diag = s_diag / den[:, None]
-
+        b, s_diag = model_mod.self_terms(base, par, x, x.mean(axis=0), k)
         f_sum, g_sum = pair_aggregate(
             x, base.kf1, base.kfq, base.q_f, base.c_g,
             par["gamma"], par["e_kernel"],

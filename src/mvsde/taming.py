@@ -17,14 +17,15 @@ the limit while single-step increments stay bounded:
 
 The denominator divides even when q == 0 (|.|^0 == 1, so it is the
 constant 1 + n^(-1/2)); only "off" leaves coefficients exactly alone.
+
+This module only resolves a variant and n into taming parameters. The
+tamed coefficients themselves come from the one path the scheme runs:
+model.self_terms for b and sigma, and model.pair_terms, on the pair
+kernel's per-pair factors mvsde._core.pairwise_py.pair_factors, for f and
+g, each called with taming_parameters(tm).
 """
 
 import math
-
-import numpy as np
-
-from . import model as model_mod
-from ._core import power
 
 VARIANTS = ("finite", "ergodic", "strong_order_candidate", "off")
 
@@ -73,66 +74,3 @@ def taming_parameters(tm):
                     e_kernel=4.0 * q, tame_sigma=False, tame_g=False)
     return dict(gamma=0.0, e_self=0.0, e_kernel=0.0,
                 tame_sigma=False, tame_g=False)
-
-
-def _rpow(r2, e):
-    # |x|^e from the squared norm r2, as the C kernels take it: r2 and
-    # r2 * r2 for e in {2, 4}, 1 for e = 0, any other e by the one power
-    # rule of mvsde._core.power
-    if e == 2.0:
-        return r2
-    if e == 4.0:
-        return r2 * r2
-    if e == 0.0:
-        return np.ones_like(r2)
-    return power(np.sqrt(r2), e)
-
-
-def self_denominator(tm, x):
-    """1 + gamma |x|^e_self, per point of x (..., d) -> (...)."""
-    par = taming_parameters(tm)
-    if par["gamma"] == 0.0:
-        return np.ones(np.asarray(x).shape[:-1])
-    x = np.asarray(x, dtype=np.float64)
-    r2 = np.sum(x * x, axis=-1)
-    return 1.0 + par["gamma"] * _rpow(r2, par["e_self"])
-
-
-def kernel_weight(tm, x, y):
-    """1 / (1 + gamma |x - y|^e_kernel), per pair -> (...)."""
-    par = taming_parameters(tm)
-    dx = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    if par["gamma"] == 0.0:
-        return np.ones(dx.shape[:-1])
-    r2 = np.sum(dx * dx, axis=-1)
-    return 1.0 / (1.0 + par["gamma"] * _rpow(r2, par["e_kernel"]))
-
-
-def tamed_drift_b(tm, t, x, mu=None):
-    """Tamed measure-dependent drift; shape as eval_drift_b."""
-    out = model_mod.eval_drift_b(tm.base, t, x, mu)
-    den = self_denominator(tm, x)
-    return out / den[..., None]
-
-
-def tamed_sigma(tm, t, x, mu=None):
-    """Tamed measure-dependent diffusion; shape as eval_sigma."""
-    out = model_mod.eval_sigma(tm.base, t, x, mu)
-    if not taming_parameters(tm)["tame_sigma"]:
-        return out
-    den = self_denominator(tm, x)
-    return out / den[..., None, None]
-
-
-def tamed_kernel_f(tm, x, y):
-    """Tamed interaction drift kernel; shape as eval_kernel_f."""
-    out = model_mod.eval_kernel_f(tm.base, x, y)
-    return out * kernel_weight(tm, x, y)[..., None]
-
-
-def tamed_kernel_g(tm, x, y):
-    """Tamed interaction diffusion kernel; shape as eval_kernel_g."""
-    out = model_mod.eval_kernel_g(tm.base, x, y)
-    if not taming_parameters(tm)["tame_g"]:
-        return out
-    return out * kernel_weight(tm, x, y)[..., None, None]

@@ -20,11 +20,12 @@ from mvsde.experiments import (run_ergodic_contraction,
                                run_moment_stability, run_poc_rate,
                                run_strong_rate)
 from mvsde.metrics import w2
-from mvsde.model import FAMILIES, eval_drift_b, make_model
+from mvsde.model import (FAMILIES, eval_drift_b, make_model, pair_terms,
+                         self_terms)
 from mvsde.probes import documented_sets, probe_assumptions
 from mvsde.rng import level_increments, make_tableau, parse_initial
 from mvsde.scheme import StateRecorder, TimeGrid, simulate
-from mvsde.taming import TamedModel, tamed_drift_b, tamed_kernel_f
+from mvsde.taming import TamedModel, taming_parameters
 
 _PURE_CUBIC = dict(lam=0.0, sigma0=0.0, c_f=0.0, c_g=0.0)
 
@@ -152,7 +153,8 @@ def test_criterion_5_metric_oracles():
 
 def test_criterion_6_taming_algebra_exact():
     # 10^4 (x, mu) samples per family: dominance, the scaled bound,
-    # antisymmetry, and monotonicity in n, all with zero tolerance
+    # antisymmetry, and monotonicity in n, all with zero tolerance, on the
+    # coefficients scheme.step and the pair kernel compute
     gen = np.random.default_rng(606)
     ns = (1, 4, 16, 256)
     for family in sorted(FAMILIES):
@@ -166,7 +168,8 @@ def test_criterion_6_taming_algebra_exact():
         prev = None
         for n in ns:
             tm = TamedModel(model, n, "finite")
-            tam = tamed_drift_b(tm, 0.0, xs, mus)
+            tam = self_terms(model, taming_parameters(tm), xs,
+                             mus.mean(axis=-2), 0)[0]
             nt = np.sqrt((tam * tam).sum(-1))
             assert (nt <= nr).all(), family
             bound = (math.sqrt(n) * nr[mask]
@@ -177,8 +180,9 @@ def test_criterion_6_taming_algebra_exact():
             prev = nt
         x2 = gen.normal(scale=2.0, size=(10000, 2))
         y2 = gen.normal(scale=2.0, size=(10000, 2))
-        tm = TamedModel(model, 16, "finite")
-        resid = tamed_kernel_f(tm, x2, y2) + tamed_kernel_f(tm, y2, x2)
+        par = taming_parameters(TamedModel(model, 16, "finite"))
+        resid = (pair_terms(model, par, x2, y2, 0)[0]
+                 + pair_terms(model, par, y2, x2, 0)[0])
         assert (resid == 0.0).all(), family
     print("criterion 6: exact over 10^4 points x 5 families x n in %s"
           % (ns,))

@@ -19,7 +19,8 @@ import pytest
 import mvsde
 from mvsde._core import (_select_backend, fsum_rows_py, load_compiled,
                          ndtri_py, pair_aggregate, pair_aggregate_naive,
-                         pair_aggregate_py, philox_uniforms_py, power)
+                         philox_uniforms_py)
+from mvsde._core.pairwise_py import power
 from mvsde.model import make_model
 from mvsde.taming import VARIANTS, TamedModel, taming_parameters
 
@@ -33,7 +34,7 @@ SPECIAL = {
     "all-zero kernel": (0.0, 0.0, 2.0, 0.0, 0.125, 4.0, 1.0),
 }
 # exponents outside the special cases: libm pow in C, in the numpy
-# kernel (mvsde._core.power) and in the oracle's scalar **
+# kernel (mvsde._core.pairwise_py.power) and in the oracle's scalar **
 NON_SPECIAL = (-0.5, -1.0, 3.0, 0.2, 0.3, 6.0, 1.0)
 
 DIMS = range(1, 13)
@@ -62,7 +63,7 @@ def test_compiled_matches_fallback_and_oracle(c_pair_aggregate, n, d):
         for label, kernel in dict(SPECIAL, non_special=NON_SPECIAL).items():
             what = "%s, %s cloud" % (label, cloud)
             got = c_pair_aggregate(x, *kernel)
-            _assert_same(got, pair_aggregate_py(x, *kernel), what)
+            _assert_same(got, pair_aggregate(x, *kernel), what)
             _assert_same(got, pair_aggregate_naive(x, *kernel), what)
 
 
@@ -92,7 +93,7 @@ def test_pair_sums_agree_at_every_q(c_pair_aggregate, q, d):
             for cloud, x in _clouds(17, d).items():
                 what = "%s, %s, %s cloud" % (family, variant, cloud)
                 got = c_pair_aggregate(x, *kernel)
-                _assert_same(got, pair_aggregate_py(x, *kernel), what)
+                _assert_same(got, pair_aggregate(x, *kernel), what)
                 _assert_same(got, pair_aggregate_naive(x, *kernel), what)
 
 
@@ -124,7 +125,7 @@ def test_force_fallback_selects_numpy():
         [sys.executable, "-c",
          "import mvsde, mvsde._core as c; "
          "print(mvsde.backend_name(), c.bind_advance, "
-         "c.pair_aggregate is c.pair_aggregate_py, "
+         "c.pair_aggregate is c.pairwise_py.pair_aggregate, "
          "c.fsum_rows is c.fsum_rows_py, "
          "c.philox_uniforms is c.philox_uniforms_py, "
          "c.ndtri is c.pairwise_py.ndtri)"],

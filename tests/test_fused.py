@@ -17,7 +17,7 @@ import pytest
 
 import mvsde
 from mvsde import ensemble, rng, scheme
-from mvsde._core import _Coeffs, load_compiled, pair_aggregate_py
+from mvsde._core import _Coeffs, load_compiled
 from mvsde.cli import main
 from mvsde.config import make_config
 from mvsde.experiments import (DIVERGENCE_NORM, _DivergenceTracker,
@@ -39,7 +39,6 @@ def _simulate(monkeypatch, advance, tm, T, n, tab, law, n_particles=None,
               callbacks=()):
     """simulate on the fused kernel (advance) or on the NumPy step (None)."""
     monkeypatch.setattr(scheme, "bind_advance", advance)
-    monkeypatch.setattr(scheme, "pair_aggregate", pair_aggregate_py)
     return scheme.simulate(tm, scheme.TimeGrid(T, n), tab, initial=law,
                            n_particles=n_particles, callbacks=callbacks)
 

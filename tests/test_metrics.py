@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mvsde.ensemble import ParticleEnsemble
+from mvsde.experiments import _semilog_fit
 from mvsde.metrics import (EXACT_ASSIGNMENT_CAP, W2_METHODS,
                            fit_loglog_slope, w2, w2_sliced)
 
@@ -161,3 +162,32 @@ def test_fit_validation():
         fit_loglog_slope([1.0, -1.0, float("inf")], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="coincide"):
         fit_loglog_slope([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+
+
+# values whose natural log NumPy's AVX-512 loop rounds differently from
+# libm's log
+_LOG_SENSITIVE = (0.835375126358897, 1.025517446524156, 1.7262404083786356,
+                  0.8111660400450988, 0.9938696412323598)
+
+
+def _ols(x, y):
+    mx, my = float(np.mean(x)), float(np.mean(y))
+    slope = float(np.sum((x - mx) * (y - my))) / float(np.sum((x - mx) ** 2))
+    return slope, my - slope * mx
+
+
+def test_fits_take_libm_log():
+    """fit_loglog_slope and the ergodic driver's semilog fit take libm log
+    per element, as math.log does, so a fit does not depend on the CPU.
+
+    This only bites on a CPU with NumPy's AVX-512 loops, where np.log
+    differs from math.log on about 0.1 % of values, the ones above among
+    them; elsewhere both logs agree and the test passes either way.
+    """
+    xs = np.array([0.5, 1.0, 2.0, 4.0, 8.0]) * np.array(_LOG_SENSITIVE)
+    ys = np.array(_LOG_SENSITIVE)
+    lx = np.array([math.log(v) for v in xs.tolist()])
+    ly = np.array([math.log(v) for v in ys.tolist()])
+    fit = fit_loglog_slope(xs, ys)
+    assert (fit.slope, fit.intercept) == _ols(lx, ly)
+    assert _semilog_fit(xs, ys)[:2] == _ols(xs, ly)

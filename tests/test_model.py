@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from mvsde.ensemble import ParticleEnsemble
 from mvsde.model import (FAMILIES, CoefficientModel, eval_drift_b,
                          eval_kernel_f, eval_kernel_g, eval_pair_drift,
                          eval_pair_sigma, eval_sigma, make_model)
+from mvsde.scheme import TimeGrid, step
+from mvsde.taming import TamedModel
 
 
 def test_family_list_complete():
@@ -62,18 +65,39 @@ def test_pairwise_drift_value():
     assert out[0] == -0.5 - 1.0 - 0.5
 
 
+def test_pairwise_eval_is_the_step_self_terms():
+    """eval_drift_b and eval_sigma of a pairwise model are, bit for bit,
+    the self terms an untamed step applies: one step with no pair kernel
+    is x + h b(x, mu) + diag sigma(x, mu) dW, mu the old ensemble."""
+    m = make_model("pairwise-vlasov", d=2, params={"c_f": 0.0, "c_g": 0.0})
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(7, 2))
+    dW = rng.normal(size=(7, 2))
+    b = eval_drift_b(m, 0.0, x, x)
+    s = np.diagonal(eval_sigma(m, 0.0, x, x), axis1=-2, axis2=-1)
+    ens = ParticleEnsemble(x)
+    assert step(ens, TamedModel(m, 16, "off"), TimeGrid(1.0, 16), dW)
+    assert np.array_equal(ens.states, x + b * (1.0 / 16) + s * dW)
+
+
 def test_pairwise_mean_field_matches_atom_average():
-    """Measure evaluation of a pairwise model is the literal atom mean."""
+    """The measure evaluation of a pairwise model, kap_pair (mean - x) and
+    c_s (mean - x), agrees with the atom average of the two-argument maps
+    to within M * eps of the largest averaged term, M atoms: the rounding
+    of a mean of M terms."""
     m = make_model("pairwise-vlasov", d=2)
     rng = np.random.default_rng(3)
     x = rng.normal(size=(5, 2))
     atoms = rng.normal(size=(7, 2))
+    tol = len(atoms) * np.finfo(float).eps
+    terms = eval_pair_drift(m, 0.0, x[:, None, :], atoms)
     got = eval_drift_b(m, 0.0, x, atoms)
-    want = eval_pair_drift(m, 0.0, x[:, None, :], atoms).mean(axis=-2)
-    assert np.array_equal(got, want)
-    gots = eval_sigma(m, 0.0, x, atoms)
-    wants = eval_pair_sigma(m, 0.0, x[:, None, :], atoms).mean(axis=-3)
-    assert np.array_equal(gots, wants)
+    assert (np.abs(got - terms.mean(axis=-2))
+            <= tol * np.abs(terms).max(axis=-2)).all()
+    terms = eval_pair_sigma(m, 0.0, x[:, None, :], atoms)
+    got = eval_sigma(m, 0.0, x, atoms)
+    assert (np.abs(got - terms.mean(axis=-3))
+            <= tol * np.abs(terms).max(axis=-3)).all()
 
 
 def test_lipschitz_baseline_is_linear():

@@ -1,14 +1,19 @@
-"""Taming algebra: frozen values, dominance, monotonicity, exactness."""
+"""Taming algebra of the scheme's own coefficients: frozen values,
+dominance, monotonicity, exactness.
+
+Every check calls model.self_terms and model.pair_terms, the functions
+scheme.step and the pair kernel run, with taming_parameters(tm).
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvsde.model import eval_drift_b, eval_kernel_g, eval_sigma, make_model
-from mvsde.taming import (VARIANTS, TamedModel, kernel_weight,
-                          self_denominator, tamed_drift_b, tamed_kernel_f,
-                          tamed_kernel_g, tamed_sigma, taming_parameters)
+from mvsde.model import (_UNTAMED, eval_drift_b, eval_kernel_f,
+                         eval_kernel_g, eval_sigma, make_model, pair_terms,
+                         self_terms)
+from mvsde.taming import VARIANTS, TamedModel, taming_parameters
 
 
 def _cubic(q=2.0):
@@ -16,17 +21,22 @@ def _cubic(q=2.0):
                       params={"lam": 0.0, "q": q})
 
 
+def _drift(tm, x, atoms=None):
+    mean = None if atoms is None else atoms.mean(axis=-2)
+    return self_terms(tm.base, taming_parameters(tm), x, mean, 0)[0]
+
+
 def test_finite_variant_value():
     # b(2) = -8, denominator 1 + 4^{-1/2} |2|^4 = 9 -> -8/9
     tm = TamedModel(_cubic(), 4, "finite")
-    out = tamed_drift_b(tm, 0.0, np.array([2.0]), None)
+    out = _drift(tm, np.array([2.0]))
     assert out[0] == -8.0 / 9.0
 
 
 def test_ergodic_variant_value():
     # q = 1: b(1) = -1, denominator 1 + 4^{-1/2} |1|^1 = 1.5 -> -2/3
     tm = TamedModel(_cubic(q=1.0), 4, "ergodic")
-    out = tamed_drift_b(tm, 0.0, np.array([1.0]), None)
+    out = _drift(tm, np.array([1.0]))
     assert out[0] == -2.0 / 3.0
 
 
@@ -35,26 +45,34 @@ def test_candidate_variant_value_and_untamed_diffusion():
     m = make_model("cubic-mean-field", d=1,
                    params={"lam": 0.0, "sigma0": 0.3})
     tm = TamedModel(m, 4, "strong_order_candidate")
-    out = tamed_drift_b(tm, 0.0, np.array([1.0]), None)
+    par = taming_parameters(tm)
+    out = _drift(tm, np.array([1.0]))
     assert out[0] == -1.0 / 1.25
     x = np.array([3.0])
     mu = np.array([[1.0]])
-    assert np.array_equal(tamed_sigma(tm, 0.0, x, mu),
-                          eval_sigma(m, 0.0, x, mu))
-    assert np.array_equal(tamed_kernel_g(tm, x, mu[0]),
-                          eval_kernel_g(m, x, mu[0]))
+    assert np.array_equal(self_terms(m, par, x, mu[0], 1)[1],
+                          np.diagonal(eval_sigma(m, 0.0, x, mu)))
+    assert np.array_equal(pair_terms(m, par, x, mu[0], 1)[1],
+                          np.diagonal(eval_kernel_g(m, x, mu[0])))
 
 
 def test_off_variant_is_identity():
     m = make_model("cubic-mean-field", d=2)
     tm = TamedModel(m, 64, "off")
+    par = taming_parameters(tm)
+    assert par == _UNTAMED
     rng = np.random.default_rng(1)
     x = rng.normal(size=(20, 2))
     atoms = rng.normal(size=(5, 2))
-    assert np.array_equal(tamed_drift_b(tm, 0.0, x, atoms),
-                          eval_drift_b(m, 0.0, x, atoms))
-    assert np.array_equal(tamed_sigma(tm, 0.0, x, atoms),
-                          eval_sigma(m, 0.0, x, atoms))
+    y = rng.normal(size=(20, 2))
+    b, s = self_terms(m, par, x, atoms.mean(axis=0), 2)
+    assert np.array_equal(b, eval_drift_b(m, 0.0, x, atoms))
+    assert np.array_equal(s, np.diagonal(eval_sigma(m, 0.0, x, atoms),
+                                         axis1=-2, axis2=-1))
+    f, g = pair_terms(m, par, x, y, 2)
+    assert np.array_equal(f, eval_kernel_f(m, x, y))
+    assert np.array_equal(g, np.diagonal(eval_kernel_g(m, x, y),
+                                         axis1=-2, axis2=-1))
 
 
 def test_variant_and_n_validation():
@@ -67,21 +85,27 @@ def test_variant_and_n_validation():
                              "strong_order_candidate", "off"}
 
 
-def test_kernel_weight_symmetric_bits():
+def test_pair_weight_symmetric_bits():
+    # g_n = w c_g (x - y) with w symmetric in (x, y): exactly antisymmetric
     tm = TamedModel(make_model("cubic-mean-field", d=3), 16, "finite")
+    par = taming_parameters(tm)
     rng = np.random.default_rng(2)
     x = rng.normal(size=(30, 3))
     y = rng.normal(size=(30, 3))
-    assert np.array_equal(kernel_weight(tm, x, y), kernel_weight(tm, y, x))
+    g_xy = pair_terms(tm.base, par, x, y, 3)[1]
+    assert np.array_equal(g_xy, -pair_terms(tm.base, par, y, x, 3)[1])
+    assert (g_xy != 0.0).all()
 
 
 def test_tamed_kernel_antisymmetry_exact():
     for variant in ("finite", "ergodic", "strong_order_candidate"):
         tm = TamedModel(make_model("cubic-mean-field", d=2), 16, variant)
+        par = taming_parameters(tm)
         rng = np.random.default_rng(7)
         x = rng.normal(size=(50, 2))
         y = rng.normal(size=(50, 2))
-        s = tamed_kernel_f(tm, x, y) + tamed_kernel_f(tm, y, x)
+        s = (pair_terms(tm.base, par, x, y, 0)[0]
+             + pair_terms(tm.base, par, y, x, 0)[0])
         assert (s == 0.0).all()
 
 
@@ -98,7 +122,7 @@ def test_dominance_and_monotonicity_exact():
         nr = np.sqrt((raw * raw).sum(-1))
         prev = None
         for n in (1, 4, 16, 256):
-            tam = tamed_drift_b(TamedModel(m, n, "finite"), 0.0, x, atoms)
+            tam = _drift(TamedModel(m, n, "finite"), x, atoms)
             nt = np.sqrt((tam * tam).sum(-1))
             assert (nt <= nr).all()
             r = np.sqrt((x * x).sum(-1))
@@ -124,11 +148,12 @@ def test_taming_parameters_table():
 
 
 def test_q_zero_denominator_is_constant():
-    m = make_model("lipschitz-baseline", d=1)
+    # q = 0: every drift value is divided by the constant 1 + 4^{-1/2}
+    m = make_model("lipschitz-baseline", d=1, params={"lam": 0.0})
     tm = TamedModel(m, 4, "finite")
     x = np.array([[0.5], [-3.0], [0.0]])
-    den = self_denominator(tm, x)
-    assert (den == 1.5).all()
+    assert np.array_equal(_drift(tm, x),
+                          eval_drift_b(m, 0.0, x) / 1.5)
 
 
 @settings(max_examples=200, deadline=None)
@@ -136,7 +161,7 @@ def test_q_zero_denominator_is_constant():
 def test_scalar_dominance_property(x, n):
     tm = TamedModel(_cubic(), n, "finite")
     raw = eval_drift_b(tm.base, 0.0, np.array([x]), None)[0]
-    tam = tamed_drift_b(tm, 0.0, np.array([x]), None)[0]
+    tam = _drift(tm, np.array([x]))[0]
     assert abs(tam) <= abs(raw)
     # large-state increments stay bounded: |b^n| h <= sqrt(h) |x|^{1-2q}...
     # the crude uniform consequence used by the scheme is |b^n| <= sqrt(n)/h
