@@ -22,8 +22,7 @@ cli          the `mvsde` command-line entry point
 
 from ._core import backend_name
 from ._version import VERSION as __version__
-from .config import emit_config
-from .experiments import theoretical_constants
+from .config import emit_config, theoretical_constants
 from .metrics import EXACT_ASSIGNMENT_CAP, w2
 from .model import make_model
 from .taming import TamedModel

@@ -92,13 +92,10 @@ def _build_parser():
 
 
 def _resolve_config(args):
+    # the driver validates the result, the overrides below included
     if args.config:
         with open(args.config) as fh:
             cfg = config_mod.parse_config(fh.read())
-        if cfg.experiment != args.command:
-            raise config_mod.ConfigError(
-                "config is for experiment %r but the %r subcommand "
-                "was invoked" % (cfg.experiment, args.command))
     else:
         cfg = config_mod.make_config(args.command)
     if args.seed is not None:
@@ -114,9 +111,6 @@ def _resolve_config(args):
         except ValueError:
             raise config_mod.ConfigError(
                 "MVSDE_THREADS must be a whole number, got %r" % raw)
-    if cfg.threads < 1:
-        raise config_mod.ConfigError("threads must be >= 1, got %d"
-                                     % cfg.threads)
     return cfg
 
 

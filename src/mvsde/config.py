@@ -31,17 +31,34 @@ exactly. Validation collects every violated constraint before raising.
 
 Threads resolve at run time (flag, then MVSDE_THREADS, then this file)
 and never affect any numeric output.
+
+This module alone decides whether a RunConfig can run: make_config and
+parse_config validate what they build, and every experiment driver calls
+validate(cfg, experiment) before it writes anything.
+
+Assumption constants
+--------------------
+From the [constants] section theoretical_constants computes
+
+    rho1   = Lhat_bsig_1 - Lhat_bsig_2 - 4 L_fg_1 - L_b_1 - L_b_2
+             - 4 L_f_1
+    rho2   = min(L_bsig_1/2, L_bsig_4) - (L_bsig_2 + L_bsig_5)
+             + 2 min(L_fg_1/2, L_fg_3) - 4 max(L_b_1, L_b_3)
+             - 2 max(L_b_2, L_b_4) - 16 max(L_f_1, L_f_2)
+    h_star = min((L_bsig_1 / (2 L_bsig_3))^2, (L_fg_1 / (2 L_fg_2))^2)
+
+and validation refuses a run when rho1 <= 0 or when its coarsest step
+size satisfies h >= min(h_star, 1/(2 rho1)); rho2 is reported, never
+gating.
 """
 
 import configparser
 
 from dataclasses import dataclass, field, fields
 
-from .experiments import (OPTIONAL_CONSTANTS, REQUIRED_CONSTANTS,
-                          check_step_bound)
 from .metrics import W2_METHODS
 from .model import make_model
-from .rng import parse_initial
+from .rng import _whole_steps, parse_initial
 from .taming import VARIANTS
 
 EXPERIMENTS = ("simulate", "strong-rate", "poc-rate",
@@ -49,9 +66,60 @@ EXPERIMENTS = ("simulate", "strong-rate", "poc-rate",
 
 CONFIG_VERSION = 1
 
+REQUIRED_CONSTANTS = (
+    "Lhat_bsig_1", "Lhat_bsig_2", "L_b_1", "L_b_2", "L_f_1",
+    "L_bsig_1", "L_bsig_2", "L_bsig_3", "L_bsig_4", "L_bsig_5",
+    "L_fg_1", "L_fg_2", "L_fg_3", "L_b_3", "L_b_4", "L_f_2")
+OPTIONAL_CONSTANTS = ("Lhat_fg_1",)
+
 
 class ConfigError(ValueError):
     """Syntax error or the full list of violated constraints."""
+
+
+def theoretical_constants(consts):
+    """Contraction quantities from user-supplied assumption constants.
+
+    Returns {"rho1": .., "rho2": .., "h_star": ..} computed exactly by
+    the formulas in the module docstring. Raises ValueError when any
+    required constant is missing.
+    """
+    missing = [k for k in REQUIRED_CONSTANTS if k not in consts]
+    if missing:
+        raise ValueError("incomplete assumption constants; missing: %s"
+                         % ", ".join(missing))
+    c = {k: float(v) for k, v in consts.items()}
+    rho1 = (c["Lhat_bsig_1"] - c["Lhat_bsig_2"] - 4.0 * c["L_fg_1"]
+            - c["L_b_1"] - c["L_b_2"] - 4.0 * c["L_f_1"])
+    rho2 = (min(c["L_bsig_1"] / 2.0, c["L_bsig_4"])
+            - (c["L_bsig_2"] + c["L_bsig_5"])
+            + 2.0 * min(c["L_fg_1"] / 2.0, c["L_fg_3"])
+            - 4.0 * max(c["L_b_1"], c["L_b_3"])
+            - 2.0 * max(c["L_b_2"], c["L_b_4"])
+            - 16.0 * max(c["L_f_1"], c["L_f_2"]))
+    h_star = min((c["L_bsig_1"] / (2.0 * c["L_bsig_3"])) ** 2,
+                 (c["L_fg_1"] / (2.0 * c["L_fg_2"])) ** 2)
+    return {"rho1": rho1, "rho2": rho2, "h_star": h_star}
+
+
+def check_step_bound(h, consts):
+    """Refuse step sizes outside the contraction regime.
+
+    Raises ValueError when rho1 <= 0 or h >= min(h_star, 1/(2 rho1));
+    returns the theoretical_constants dict otherwise.
+    """
+    tc = theoretical_constants(consts)
+    if tc["rho1"] <= 0.0:
+        raise ValueError(
+            "rho1 = %r is not positive; the supplied assumption "
+            "constants admit no contracting step size" % (tc["rho1"],))
+    half = 1.0 / (2.0 * tc["rho1"])
+    bound = min(tc["h_star"], half)
+    if h >= bound:
+        raise ValueError(
+            "step size h = %r violates h < min(h_star, 1/(2 rho1)) = "
+            "min(%r, %r) = %r" % (h, tc["h_star"], half, bound))
+    return tc
 
 
 def _key(section, default, **meta):
@@ -177,9 +245,13 @@ def _resolve(experiment, overrides):
     return RunConfig(**merged)
 
 
-def _checked(cfg, problems=()):
-    """cfg, or ConfigError listing problems plus every violation."""
-    problems = list(problems) + _violations(cfg)
+def validate(cfg, experiment, problems=()):
+    """cfg, or ConfigError listing problems plus every violated rule.
+
+    experiment is the one the caller runs; a config for another one is
+    refused. Every experiment driver calls this before it writes.
+    """
+    problems = list(problems) + _violations(cfg, experiment)
     if problems:
         raise ConfigError(
             "invalid configuration (%d problem%s):\n%s"
@@ -194,11 +266,15 @@ def make_config(experiment="strong-rate", **overrides):
     Unknown keyword names raise; constraint violations raise
     ConfigError listing every problem.
     """
-    return _checked(_resolve(experiment, overrides))
+    return validate(_resolve(experiment, overrides), experiment)
 
 
-def _whole(x):
-    return abs(x - round(x)) <= 1e-9 * max(1.0, abs(x))
+def _check_steps(label, n, T, problems):
+    # the whole-step rule TimeGrid and make_tableau apply
+    try:
+        _whole_steps(n, T)
+    except ValueError as exc:
+        problems.append(label + str(exc))
 
 
 def _check_chain(name, chain, problems):
@@ -216,9 +292,12 @@ def _check_chain(name, chain, problems):
         last = v
 
 
-def _violations(cfg):
+def _violations(cfg, experiment):
     """Every violated constraint, as human-readable strings."""
     problems = []
+    if cfg.experiment != experiment:
+        problems.append("config is for experiment %r but %r was called"
+                        % (cfg.experiment, experiment))
     if cfg.experiment not in EXPERIMENTS:
         problems.append("unknown experiment %r; known: %s"
                         % (cfg.experiment, ", ".join(EXPERIMENTS)))
@@ -254,9 +333,8 @@ def _violations(cfg):
         problems.append("T must be positive, got %r" % (cfg.T,))
     if cfg.n < 1:
         problems.append("n must be >= 1, got %d" % cfg.n)
-    elif cfg.T > 0 and not _whole(cfg.n * cfg.T):
-        problems.append("n*T must be a whole number of steps, got "
-                        "n=%d T=%r" % (cfg.n, cfg.T))
+    elif cfg.T > 0:
+        _check_steps("", cfg.n, cfg.T, problems)
 
     if cfg.experiment == "strong-rate":
         if not cfg.levels:
@@ -266,15 +344,14 @@ def _violations(cfg):
             if lev >= 1 and cfg.n_max % lev != 0:
                 problems.append("level n = %d does not divide "
                                 "n_max = %d" % (lev, cfg.n_max))
-            if cfg.T > 0 and not _whole(lev * cfg.T):
-                problems.append("level n = %d gives a fractional step "
-                                "count for T = %r" % (lev, cfg.T))
+            if lev >= 1 and cfg.T > 0:
+                _check_steps("level n = %d: " % lev, lev, cfg.T, problems)
         if cfg.levels and max(cfg.levels) >= cfg.n_max:
             problems.append("n_max = %d must exceed every level "
                             "(max %d)" % (cfg.n_max, max(cfg.levels)))
-        if cfg.T > 0 and not _whole(cfg.n_max * cfg.T):
-            problems.append("n_max*T must be a whole number of steps, "
-                            "got n_max=%d T=%r" % (cfg.n_max, cfg.T))
+        if cfg.T > 0:
+            _check_steps("n_max = %d: " % cfg.n_max, cfg.n_max, cfg.T,
+                         problems)
 
     if cfg.experiment == "poc-rate":
         if not cfg.N_levels:
@@ -414,7 +491,7 @@ def parse_config(text):
                                 % (key, section))
 
     experiment = overrides.pop("experiment", RunConfig.experiment)
-    return _checked(_resolve(experiment, overrides), problems)
+    return validate(_resolve(experiment, overrides), experiment, problems)
 
 
 def emit_config(cfg):

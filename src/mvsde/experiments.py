@@ -27,17 +27,11 @@ parallelism level. Monte Carlo repetition m runs on seed + m; reps are
 independent tasks merged in index order; report assembly is
 single-threaded.
 
-When the config carries assumption constants the drivers compute
-
-    rho1   = Lhat_bsig_1 - Lhat_bsig_2 - 4 L_fg_1 - L_b_1 - L_b_2
-             - 4 L_f_1
-    rho2   = min(L_bsig_1/2, L_bsig_4) - (L_bsig_2 + L_bsig_5)
-             + 2 min(L_fg_1/2, L_fg_3) - 4 max(L_b_1, L_b_3)
-             - 2 max(L_b_2, L_b_4) - 16 max(L_f_1, L_f_2)
-    h_star = min((L_bsig_1 / (2 L_bsig_3))^2, (L_fg_1 / (2 L_fg_2))^2)
-
-and refuse to run when rho1 <= 0 or when the coarsest step size
-satisfies h >= min(h_star, 1/(2 rho1)); rho2 is reported, never gating.
+Each driver first validates its config through config.validate, the
+rule set make_config and parse_config apply, so a config they would
+refuse (including one whose assumption constants put the step size
+outside the contraction regime) raises ConfigError before anything is
+written.
 """
 
 import json
@@ -52,8 +46,9 @@ import numpy as np
 from . import rng as rng_mod
 from ._core import backend_name
 from ._version import VERSION
+from .config import theoretical_constants, validate
 from .ensemble import snapshot_csv
-from .metrics import fit_loglog_slope, w2
+from .metrics import fit_loglog_slope, fit_semilog, w2
 from .model import make_model
 from .rng import make_tableau, parse_initial
 from .scheme import MomentTracker, StateRecorder, TimeGrid, simulate
@@ -61,57 +56,6 @@ from .taming import TamedModel
 
 # particle norm beyond which a run counts as diverged even while finite
 DIVERGENCE_NORM = 1e10
-
-REQUIRED_CONSTANTS = (
-    "Lhat_bsig_1", "Lhat_bsig_2", "L_b_1", "L_b_2", "L_f_1",
-    "L_bsig_1", "L_bsig_2", "L_bsig_3", "L_bsig_4", "L_bsig_5",
-    "L_fg_1", "L_fg_2", "L_fg_3", "L_b_3", "L_b_4", "L_f_2")
-OPTIONAL_CONSTANTS = ("Lhat_fg_1",)
-
-
-def theoretical_constants(consts):
-    """Contraction quantities from user-supplied assumption constants.
-
-    Returns {"rho1": .., "rho2": .., "h_star": ..} computed exactly by
-    the formulas in the module docstring. Raises ValueError when any
-    required constant is missing.
-    """
-    missing = [k for k in REQUIRED_CONSTANTS if k not in consts]
-    if missing:
-        raise ValueError("incomplete assumption constants; missing: %s"
-                         % ", ".join(missing))
-    c = {k: float(v) for k, v in consts.items()}
-    rho1 = (c["Lhat_bsig_1"] - c["Lhat_bsig_2"] - 4.0 * c["L_fg_1"]
-            - c["L_b_1"] - c["L_b_2"] - 4.0 * c["L_f_1"])
-    rho2 = (min(c["L_bsig_1"] / 2.0, c["L_bsig_4"])
-            - (c["L_bsig_2"] + c["L_bsig_5"])
-            + 2.0 * min(c["L_fg_1"] / 2.0, c["L_fg_3"])
-            - 4.0 * max(c["L_b_1"], c["L_b_3"])
-            - 2.0 * max(c["L_b_2"], c["L_b_4"])
-            - 16.0 * max(c["L_f_1"], c["L_f_2"]))
-    h_star = min((c["L_bsig_1"] / (2.0 * c["L_bsig_3"])) ** 2,
-                 (c["L_fg_1"] / (2.0 * c["L_fg_2"])) ** 2)
-    return {"rho1": rho1, "rho2": rho2, "h_star": h_star}
-
-
-def check_step_bound(h, consts):
-    """Refuse step sizes outside the contraction regime.
-
-    Raises ValueError when rho1 <= 0 or h >= min(h_star, 1/(2 rho1));
-    returns the theoretical_constants dict otherwise.
-    """
-    tc = theoretical_constants(consts)
-    if tc["rho1"] <= 0.0:
-        raise ValueError(
-            "rho1 = %r is not positive; the supplied assumption "
-            "constants admit no contracting step size" % (tc["rho1"],))
-    half = 1.0 / (2.0 * tc["rho1"])
-    bound = min(tc["h_star"], half)
-    if h >= bound:
-        raise ValueError(
-            "step size h = %r violates h < min(h_star, 1/(2 rho1)) = "
-            "min(%r, %r) = %r" % (h, tc["h_star"], half, bound))
-    return tc
 
 
 def _warn_p_range(kind, p, p0, q):
@@ -345,20 +289,10 @@ def run_strong_rate(cfg):
 
     Returns RateReport; emits strong_rate_errors.csv / _report.json.
     """
+    validate(cfg, "strong-rate")
     model = make_model(cfg.family, d=cfg.d, l=cfg.l, params=cfg.params)
     levels = [int(v) for v in cfg.levels]
-    if not levels:
-        raise ValueError("strong-rate needs a nonempty level chain")
     n_max = int(cfg.n_max)
-    for n in levels:
-        if n < 1 or n_max % n != 0:
-            raise ValueError("level n = %d does not divide n_max = %d"
-                             % (n, n_max))
-    if max(levels) >= n_max:
-        raise ValueError("n_max = %d must exceed every level (max %d)"
-                         % (n_max, max(levels)))
-    if cfg.constants:
-        check_step_bound(1.0 / min(levels), cfg.constants)
     _warn_p_range("strong_rate", cfg.p, cfg.p0, model.q)
     law = parse_initial(cfg.initial)
     T = float(cfg.T)
@@ -438,16 +372,10 @@ def run_poc_rate(cfg):
 
     Returns RateReport; emits poc_rate_errors.csv / _report.json.
     """
+    validate(cfg, "poc-rate")
     model = make_model(cfg.family, d=cfg.d, l=cfg.l, params=cfg.params)
     sizes = [int(v) for v in cfg.N_levels]
-    if not sizes:
-        raise ValueError("poc-rate needs a nonempty ensemble-size chain")
     n_ref = int(cfg.N_ref)
-    if n_ref <= max(sizes):
-        raise ValueError("N_ref = %d must exceed every ensemble size "
-                         "(max %d)" % (n_ref, max(sizes)))
-    if cfg.constants:
-        check_step_bound(1.0 / int(cfg.n), cfg.constants)
     _warn_p_range("poc_rate", cfg.p, cfg.p0, model.q)
     law = parse_initial(cfg.initial)
     T = float(cfg.T)
@@ -506,14 +434,13 @@ def run_moment_stability(cfg):
     Returns StabilityReport; emits moment_stability_errors.csv /
     _report.json.
     """
+    validate(cfg, "moment-stability")
     model = make_model(cfg.family, d=cfg.d, l=cfg.l, params=cfg.params)
     n = int(cfg.n)
     T = float(cfg.T)
     grid = TimeGrid(T, n)
-    if cfg.constants:
-        check_step_bound(1.0 / n, cfg.constants)
     law_a = parse_initial(cfg.initial)
-    law_b = parse_initial(cfg.initial_b if cfg.initial_b else cfg.initial)
+    law_b = parse_initial(cfg.initial_b)
     arms = (("tamed", cfg.variant, law_a), ("plain", "off", law_b))
 
     def one_rep(m):
@@ -562,28 +489,6 @@ def run_moment_stability(cfg):
     return report
 
 
-def _semilog_fit(ts, ys):
-    """OLS of log(y) against t; returns (slope, intercept, r_squared)."""
-    t = np.asarray(ts, dtype=np.float64)
-    # libm log per element, as in metrics.fit_loglog_slope
-    y = np.array([math.log(v)
-                  for v in np.asarray(ys, dtype=np.float64).tolist()])
-    mt = float(np.mean(t))
-    my = float(np.mean(y))
-    vt = float(np.sum((t - mt) ** 2))
-    if vt == 0.0:
-        raise ValueError("all fit times coincide")
-    slope = float(np.sum((t - mt) * (y - my))) / vt
-    intercept = my - slope * mt
-    resid = y - (intercept + slope * t)
-    ss_res = float(np.sum(resid ** 2))
-    ss_tot = float(np.sum((y - my) ** 2))
-    if ss_tot > 0.0:
-        r2 = 1.0 - ss_res / ss_tot
-    else:
-        r2 = 1.0 if ss_res <= 1e-24 else 0.0
-    return slope, intercept, r2
-
 # fit window for the decaying segment: drop the initial transient and
 # any points that have fallen to the synchronous-coupling float floor
 _SEG_T_LO_FRAC = 0.125
@@ -602,15 +507,12 @@ def run_ergodic_contraction(cfg):
     chain settles.
 
     Requires cfg.variant == "ergodic". With assumption constants in the
-    config the run refuses h >= min(h_star, 1/(2 rho1)) and reports
-    rho1, rho2, h_star.
+    config the report carries rho1, rho2, h_star beside them.
 
     Returns ErgodicReport; emits ergodic_errors.csv / _report.json.
     """
+    validate(cfg, "ergodic")
     model = make_model(cfg.family, d=cfg.d, l=cfg.l, params=cfg.params)
-    if cfg.variant != "ergodic":
-        raise ValueError("ergodic contraction requires taming variant "
-                         "'ergodic', got %r" % (cfg.variant,))
     n = int(cfg.n)
     T = float(cfg.T)
     grid = TimeGrid(T, n)
@@ -618,9 +520,9 @@ def run_ergodic_contraction(cfg):
     constants = None
     if cfg.constants:
         constants = dict(cfg.constants)
-        constants.update(check_step_bound(1.0 / n, cfg.constants))
+        constants.update(theoretical_constants(cfg.constants))
     law_a = parse_initial(cfg.initial)
-    law_b = parse_initial(cfg.initial_b if cfg.initial_b else cfg.initial)
+    law_b = parse_initial(cfg.initial_b)
 
     pair_specs = ((T / 20.0, T / 10.0), (T / 4.0, T / 2.0), (T / 2.0, T))
     pair_steps = []
@@ -687,7 +589,7 @@ def run_ergodic_contraction(cfg):
                    "r2_ok": False, "ratio_ok": False,
                    "stabilization_decreasing": None}
     else:
-        decay_rate, _, r_squared = _semilog_fit(ts[seg], ys[seg])
+        decay_rate, _, r_squared = fit_semilog(ts[seg], ys[seg])
         decay_neg = decay_rate < 0.0
         r2_ok = r_squared >= cfg.r2_min
         ratio_ok = w2_last < cfg.ratio_max * w2_first
@@ -717,12 +619,11 @@ def run_simulate(cfg):
     Returns a dict with the final p0-moment, the sup over time, the
     divergence step if any, and the paths written.
     """
+    validate(cfg, "simulate")
     model = make_model(cfg.family, d=cfg.d, l=cfg.l, params=cfg.params)
     n = int(cfg.n)
     T = float(cfg.T)
     grid = TimeGrid(T, n)
-    if cfg.constants:
-        check_step_bound(1.0 / n, cfg.constants)
     law = parse_initial(cfg.initial)
     tab = make_tableau(int(cfg.seed), cfg.N, model.l, T, n)
     tracker = MomentTracker(cfg.p0)

@@ -153,6 +153,38 @@ class RateFit:
     r_squared: float = float("nan")
 
 
+def _libm_log(values):
+    # libm log per element: NumPy's vectorised log is not libm's on every
+    # CPU, and a fit takes only a few dozen values
+    return np.array([math.log(v) for v in values.tolist()])
+
+
+def fit_semilog(xs, ys):
+    """Least-squares line through (xs, log ys).
+
+    Returns
+    -------
+    (slope, intercept, r_squared) : floats
+    """
+    x = np.asarray(xs, dtype=np.float64)
+    y = _libm_log(np.asarray(ys, dtype=np.float64))
+    mx = float(np.mean(x))
+    my = float(np.mean(y))
+    vx = float(np.sum((x - mx) ** 2))
+    if vx == 0.0:
+        raise ValueError("all x values coincide; slope is undefined")
+    slope = float(np.sum((x - mx) * (y - my))) / vx
+    intercept = my - slope * mx
+    resid = y - (intercept + slope * x)
+    ss_res = float(np.sum(resid ** 2))
+    ss_tot = float(np.sum((y - my) ** 2))
+    if ss_tot > 0.0:
+        r_squared = 1.0 - ss_res / ss_tot
+    else:
+        r_squared = 1.0 if ss_res <= 1e-24 else 0.0
+    return slope, intercept, r_squared
+
+
 def fit_loglog_slope(xs, ys):
     """Fit a power law through (xs, ys) by least squares in log-log.
 
@@ -169,24 +201,8 @@ def fit_loglog_slope(xs, ys):
     if int(keep.sum()) < 2:
         raise ValueError("need at least two positive finite points, "
                          "got %d" % int(keep.sum()))
-    # libm log per element: NumPy's vectorised log is not libm's on every
-    # CPU, and a fit takes only a few dozen values
-    x = np.array([math.log(v) for v in xs[keep].tolist()])
-    y = np.array([math.log(v) for v in ys[keep].tolist()])
-    mx = float(np.mean(x))
-    my = float(np.mean(y))
-    vx = float(np.sum((x - mx) ** 2))
-    if vx == 0.0:
-        raise ValueError("all x values coincide; slope is undefined")
-    slope = float(np.sum((x - mx) * (y - my))) / vx
-    intercept = my - slope * mx
-    resid = y - (intercept + slope * x)
-    ss_res = float(np.sum(resid ** 2))
-    ss_tot = float(np.sum((y - my) ** 2))
-    if ss_tot > 0.0:
-        r_squared = 1.0 - ss_res / ss_tot
-    else:
-        r_squared = 1.0 if ss_res <= 1e-24 else 0.0
+    slope, intercept, r_squared = fit_semilog(_libm_log(xs[keep]),
+                                              ys[keep])
     points = [(float(a), float(b)) for a, b in zip(xs[keep], ys[keep])]
     return RateFit(points=points, slope=slope, intercept=intercept,
                    r_squared=r_squared)

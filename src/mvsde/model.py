@@ -288,23 +288,25 @@ def eval_kernel_g(model, x, y):
                                        min(model.d, model.l))[1])
 
 
-def eval_pair_drift(model, t, x, y):
-    """Two-argument drift of pairwise mode: b(t, x, mu) = mean_y btilde."""
+def _pair_arguments(model, name, x, y):
+    # x broadcast against y, which stands in for the measure's mean
     if model.measure_mode != "pairwise":
-        raise ValueError("eval_pair_drift needs a pairwise-mode model")
+        raise ValueError("%s needs a pairwise-mode model" % name)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    return _self_drift(model, x) + model.kap_pair * (y - x)
+    return np.broadcast_to(x, np.broadcast_shapes(x.shape, y.shape)), y
+
+
+def eval_pair_drift(model, t, x, y):
+    """Two-argument drift of pairwise mode: b(t, x, mu) = mean_y btilde,
+    self_terms' untamed drift with y as the mean."""
+    x, y = _pair_arguments(model, "eval_pair_drift", x, y)
+    return self_terms(model, _UNTAMED, x, y, 0)[0]
 
 
 def eval_pair_sigma(model, t, x, y):
-    """Two-argument diffusion of pairwise mode, (..., d, l)."""
-    if model.measure_mode != "pairwise":
-        raise ValueError("eval_pair_sigma needs a pairwise-mode model")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    batch = np.broadcast_shapes(x.shape, y.shape)[:-1]
-    diag = np.full(batch + (min(model.d, model.l),), model.s0)
-    if model.c_s != 0.0:
-        diag = diag + model.c_s * (y - x)[..., :diag.shape[-1]]
-    return _diagonal(model, diag)
+    """Two-argument diffusion of pairwise mode, (..., d, l): self_terms'
+    untamed noise diagonal with y as the mean."""
+    x, y = _pair_arguments(model, "eval_pair_sigma", x, y)
+    return _diagonal(model, self_terms(model, _UNTAMED, x, y,
+                                       min(model.d, model.l))[1])

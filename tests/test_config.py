@@ -197,3 +197,11 @@ def test_fractional_step_count_rejected():
     with pytest.raises(ConfigError, match="whole number of steps"):
         parse_config("[run]\nexperiment = simulate\n"
                      "[grid]\nT = 1.3\nn = 2\n")
+
+
+def test_step_count_follows_the_grid_rule():
+    """The validator applies the whole-step rule of TimeGrid and
+    make_tableau: n*T = 1e-12 steps is refused here, not left for
+    TimeGrid to raise on."""
+    with pytest.raises(ConfigError, match="positive whole number of steps"):
+        make_config("simulate", T=1e-12, n=1)

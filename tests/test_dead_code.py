@@ -1,38 +1,89 @@
 """No module-level definition in the package goes unused.
 
-A private name (leading underscore) is not part of the public surface,
-so when nothing in the package refers to it, it is dead code. A public
-module-level function, class or assigned name is dead code too when
-nothing refers to it in the package, in the benchmark (perfbench/) or in
-the README, which documents the API: what only tests use is not surface.
+A module-level function, class or assigned name counts as referenced
+only when
 
-Names are matched on the parsed source: a load of the name, an attribute
-access or an import of it anywhere in the package counts as a reference,
-except inside the definition itself. In perfbench/ and the README any
-occurrence of the name as a word counts, strings and prose included,
-since the benchmark looks some attributes up by name.
+  - a module of the package or of the benchmark (perfbench/*.py) imports
+    it from the module that defines it, or reads it as an attribute of
+    that module (``config_mod.parse_config``), or
+  - the defining module itself uses it by bare name outside its own
+    definition.
+
+Imports are resolved to modules, so a name is not kept alive by another
+module's namesake, by the same word in prose or strings, or by tests:
+what only tests use is not surface. A private name (leading underscore)
+that nothing references is dead code, and so is a public one.
 """
 
 import ast
-import collections
 import pathlib
-import re
 
 import mvsde
 
 PACKAGE = pathlib.Path(mvsde.__file__).parent
 ROOT = PACKAGE.parent.parent
-WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _referenced(node):
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-        elif isinstance(sub, ast.alias):
-            yield sub.name.rsplit(".", 1)[-1]
+def _module(path):
+    """(dotted module name, its package) of a package file."""
+    parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+    if parts[-1] == "__init__":
+        parts = parts[:-1]
+        return ".".join(parts), ".".join(parts)
+    return ".".join(parts), ".".join(parts[:-1])
+
+
+def _imported_from(package, node):
+    """The module an ImportFrom statement reads from."""
+    if not node.level:
+        return node.module
+    parts = package.split(".")
+    base = parts[:len(parts) - node.level + 1]
+    return ".".join(base + ([node.module] if node.module else []))
+
+
+def _references(tree, package, modules):
+    """(module, name) pairs the file reaches through imports and module
+    attributes; modules is the set of the package's module names."""
+    bound = {}  # local name -> module it is bound to
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    bound[alias.asname] = alias.name
+                else:
+                    top = alias.name.split(".")[0]
+                    bound[top] = top
+        elif isinstance(node, ast.ImportFrom):
+            source = _imported_from(package, node)
+            for alias in node.names:
+                refs.add((source, alias.name))
+                if "%s.%s" % (source, alias.name) in modules:
+                    bound[alias.asname or alias.name] = "%s.%s" % (
+                        source, alias.name)
+
+    def owner(node):
+        # the module an expression denotes, or None
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = owner(node.value)
+            if base and "%s.%s" % (base, node.attr) in modules:
+                return "%s.%s" % (base, node.attr)
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            base = owner(node.value)
+            if base:
+                refs.add((base, node.attr))
+    return refs
+
+
+def _bare_uses(node):
+    return [sub.id for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)]
 
 
 def _defined(node):
@@ -45,40 +96,39 @@ def _defined(node):
     return []
 
 
-def _package_trees():
-    return {path: ast.parse(path.read_text(), str(path))
-            for path in sorted(PACKAGE.rglob("*.py"))}
-
-
-def _unreferenced(trees, outside, wanted):
-    uses = collections.Counter()
-    for tree in trees.values():
-        uses.update(_referenced(tree))
+def _unreferenced(wanted):
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    modules = {_module(path)[0] for path in trees}
+    refs = set()
+    for path, tree in trees.items():
+        refs |= _references(tree, _module(path)[1], modules)
+    for path in sorted(ROOT.glob("perfbench/*.py")):
+        refs |= _references(ast.parse(path.read_text(), str(path)), "",
+                            modules)
     unused = []
     for path, tree in trees.items():
+        module = _module(path)[0]
+        uses = _bare_uses(tree)
         for node in tree.body:
+            own = _bare_uses(node)
             for name in _defined(node):
                 if name.startswith("__") or not wanted(name):
                     continue
-                own = list(_referenced(node)).count(name)
-                if uses[name] - own == 0 and name not in outside:
+                if ((module, name) not in refs
+                        and uses.count(name) == own.count(name)):
                     unused.append("%s:%d %s" % (path.relative_to(PACKAGE),
                                                 node.lineno, name))
     return unused
 
 
 def test_every_private_definition_is_referenced():
-    unused = _unreferenced(_package_trees(), set(),
-                           lambda name: name.startswith("_"))
+    unused = _unreferenced(lambda name: name.startswith("_"))
     assert not unused, "unreferenced private definitions: %s" % (
         ", ".join(unused))
 
 
 def test_every_public_definition_is_referenced():
-    texts = [path.read_text() for path in sorted(ROOT.glob("perfbench/*.py"))]
-    texts.append((ROOT / "README.md").read_text())
-    outside = set(WORD.findall("\n".join(texts)))
-    unused = _unreferenced(_package_trees(), outside,
-                           lambda name: not name.startswith("_"))
+    unused = _unreferenced(lambda name: not name.startswith("_"))
     assert not unused, "public definitions nothing outside tests uses: %s" % (
         ", ".join(unused))

@@ -8,12 +8,11 @@ import os
 import numpy as np
 import pytest
 
-from mvsde.config import make_config
-from mvsde.experiments import (_poc_single_rep, check_step_bound,
-                               run_ergodic_contraction,
+from mvsde.config import (ConfigError, check_step_bound, make_config,
+                          theoretical_constants)
+from mvsde.experiments import (_poc_single_rep, run_ergodic_contraction,
                                run_moment_stability, run_poc_rate,
-                               run_simulate, run_strong_rate,
-                               theoretical_constants)
+                               run_simulate, run_strong_rate)
 from mvsde.model import make_model
 from mvsde.rng import make_tableau, parse_initial
 from mvsde.scheme import TimeGrid, simulate
@@ -49,12 +48,44 @@ def test_check_step_bound_boundaries():
         check_step_bound(0.01, weak)
 
 
-def test_driver_refuses_gated_step(tmp_path):
-    cfg = make_config("strong-rate", levels=(2, 4), n_max=8, N=4,
-                      reps=1, out_dir=str(tmp_path))
-    cfg.constants = dict(DYADIC)  # bypass config-time validation
-    with pytest.raises(ValueError, match="violates h <"):
-        run_strong_rate(cfg)
+_SMALL = dict(N=4, reps=1, T=1.0)
+
+# (driver, valid config's experiment and keys, fields set on it to break
+# one rule, the refusal's message)
+_BROKEN = {
+    # coarse states would be compared with fine ones at the wrong times
+    "strong-rate-levels": (
+        run_strong_rate, "strong-rate", dict(levels=(2, 4), n_max=8),
+        dict(levels=(3, 5), n_max=15), "levels must be a doubling chain"),
+    "poc-rate-probes": (
+        run_poc_rate, "poc-rate", dict(N_levels=(4, 8), N_ref=16, n=4),
+        dict(probe_count=0), "probe_count must be >= 1, got 0"),
+    "ergodic-variant": (
+        run_ergodic_contraction, "ergodic", dict(n=10),
+        dict(variant="finite"), "requires taming variant 'ergodic'"),
+    # h = 1/2 against min(h_star, 1/(2 rho1)) = 1/3
+    "step-bound": (
+        run_strong_rate, "strong-rate", dict(levels=(2, 4), n_max=8),
+        dict(constants=DYADIC), "violates h <"),
+    "other-experiment": (
+        run_strong_rate, "simulate", dict(n=4), {},
+        "config is for experiment 'simulate' but 'strong-rate' was "
+        "called"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN))
+def test_driver_refuses_invalid_config(tmp_path, case):
+    """A driver validates its config through mvsde.config before it
+    writes, so a config that make_config refuses never runs."""
+    driver, experiment, keys, broken, message = _BROKEN[case]
+    out_dir = tmp_path / "out"
+    cfg = make_config(experiment, out_dir=str(out_dir), **_SMALL, **keys)
+    for name, value in broken.items():
+        setattr(cfg, name, value)
+    with pytest.raises(ConfigError, match=message):
+        driver(cfg)
+    assert not out_dir.exists()
 
 
 def test_ou_coupled_difference_matches_closed_form():

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from mvsde.ensemble import ParticleEnsemble
-from mvsde.experiments import _semilog_fit
 from mvsde.metrics import (EXACT_ASSIGNMENT_CAP, W2_METHODS,
-                           fit_loglog_slope, w2, w2_sliced)
+                           fit_loglog_slope, fit_semilog, w2, w2_sliced)
 
 
 def _brute_force_w2(a, b):
@@ -177,8 +176,9 @@ def _ols(x, y):
 
 
 def test_fits_take_libm_log():
-    """fit_loglog_slope and the ergodic driver's semilog fit take libm log
-    per element, as math.log does, so a fit does not depend on the CPU.
+    """fit_loglog_slope and fit_semilog, the ergodic driver's decay fit,
+    take libm log per element, as math.log does, so a fit does not depend
+    on the CPU.
 
     This only bites on a CPU with NumPy's AVX-512 loops, where np.log
     differs from math.log on about 0.1 % of values, the ones above among
@@ -190,4 +190,4 @@ def test_fits_take_libm_log():
     ly = np.array([math.log(v) for v in ys.tolist()])
     fit = fit_loglog_slope(xs, ys)
     assert (fit.slope, fit.intercept) == _ols(lx, ly)
-    assert _semilog_fit(xs, ys)[:2] == _ols(xs, ly)
+    assert fit_semilog(xs, ys)[:2] == _ols(xs, ly)
