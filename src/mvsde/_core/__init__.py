@@ -36,6 +36,8 @@ philox_uniforms_py = pairwise_py.philox_uniforms
 ndtri_py = pairwise_py.ndtri
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
+# the mvsde_abi of the pairwise.c these bindings are written for
+_ABI = 1
 
 
 class _Coeffs(ctypes.Structure):
@@ -55,20 +57,28 @@ def load_compiled(path):
     bind_advance have the signatures and results of their
     pairwise_py namesakes; bind_advance is described in its own docstring.
     Raises OSError when the library cannot be loaded and AttributeError
-    when it lacks any kernel symbol, so a stale library never provides some
-    kernels without the others.
+    when it lacks any kernel symbol or was built from a pairwise.c with
+    another mvsde_abi, so a stale library never provides some kernels
+    without the others, nor kernels with other signatures.
     """
     lib = ctypes.CDLL(path)
     step_kernel = lib.mvsde_advance
     sum_kernel = lib.mvsde_fsum_rows
     uniform_kernel = lib.mvsde_philox_uniforms
     ndtri_kernel = lib.mvsde_ndtri
+    try:
+        abi = ctypes.c_int.in_dll(lib, "mvsde_abi").value
+    except ValueError:  # built before pairwise.c had the constant
+        abi = 0
+    if abi != _ABI:
+        raise AttributeError("library mvsde_abi is %d, the package needs %d"
+                             % (abi, _ABI))
     step_kernel.restype = ctypes.c_ssize_t
     step_kernel.argtypes = ([ctypes.POINTER(_Coeffs), ctypes.c_void_p,
                              ctypes.c_void_p]
                             + [ctypes.c_ssize_t] * 2 + [ctypes.c_void_p]
                             + [ctypes.c_ssize_t] * 3
-                            + [ctypes.c_void_p] * 2)
+                            + [ctypes.c_void_p] * 4)
     sum_kernel.restype = None
     sum_kernel.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t,
                            ctypes.c_ssize_t, ctypes.c_void_p]
@@ -132,7 +142,11 @@ class _BoundAdvance:
     steps with a finite result; a return r < steps means step r + 1 was
     done and overflowed. With obs, a C-contiguous (R, N) float64 array with
     R >= steps, row s of obs receives the squared particle norms after step
-    s + 1 for every step done, the overflowing one included.
+    s + 1. With keep, a uint8 array of at least `steps` flags, and rec, a
+    C-contiguous (R, N, d) float64 array with a row for every nonzero flag
+    of keep[:steps], the state after step s + 1 goes into the next row of
+    rec wherever keep[s] is nonzero. Both cover every step done, the
+    overflowing one included.
     """
 
     def __init__(self, kernel, coeffs, states, scratch):
@@ -145,6 +159,7 @@ class _BoundAdvance:
         work = np.empty(2 * n * d + 2 * d)
         self._kernel = kernel
         self._n = n
+        self._state_shape = (n, d)
         self._k_noise = coeffs.k_noise
         # the kernel writes through raw pointers into these, so this object
         # keeps them alive
@@ -157,7 +172,7 @@ class _BoundAdvance:
         self._block = None
         self._noise = None
 
-    def __call__(self, block, first, steps, obs=None):
+    def __call__(self, block, first, steps, obs=None, keep=None, rec=None):
         if block is not self._block:
             _, rows, width = block.shape
             if (block.dtype != np.float64 or not block.flags.c_contiguous
@@ -176,12 +191,28 @@ class _BoundAdvance:
             raise ValueError("observation buffer of shape %r does not hold "
                              "%d steps of %d particles"
                              % (obs.shape, steps, self._n))
+        if (keep is None) != (rec is None):
+            raise ValueError("keep and rec come together")
+        if keep is not None:
+            if (keep.dtype != np.uint8 or keep.ndim != 1
+                    or not keep.flags.c_contiguous or len(keep) < steps):
+                raise ValueError("keep mask of shape %r does not flag %d "
+                                 "steps" % (keep.shape, steps))
+            rows = np.count_nonzero(keep[:steps])
+            if (rec.dtype != np.float64 or not rec.flags.c_contiguous
+                    or rec.shape[1:] != self._state_shape
+                    or len(rec) < rows):
+                raise ValueError("state buffer of shape %r does not hold %d "
+                                 "states of shape %r"
+                                 % (rec.shape, rows, self._state_shape))
         ptr, row, width = self._noise
         # a CDLL call releases the GIL, so the kernel calls of reps on
         # other threads run in parallel
         return self._kernel(*self._head, ptr + 8 * first * row, row, width,
                             steps, self._work,
-                            None if obs is None else obs.ctypes.data)
+                            None if obs is None else obs.ctypes.data,
+                            None if keep is None else keep.ctypes.data,
+                            None if rec is None else rec.ctypes.data)
 
 
 def _built_library():

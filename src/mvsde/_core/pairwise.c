@@ -21,7 +21,9 @@
  * side. On request it also writes the squared norm of every particle
  * after every step, as np.sum(x * x, axis=-1) gives it, so the observers
  * that need every step (the moment and divergence trackers) read a block
- * of steps per call instead of stopping the kernel after each one.
+ * of steps per call instead of stopping the kernel after each one, and a
+ * copy of the state after each step a keep mask selects, so a
+ * StateRecorder reads its states from one block per call as well.
  *
  * mvsde_fsum_rows sums each row of a matrix correctly rounded with
  * math.fsum's algorithm (Shewchuk's nonoverlapping expansions, "Adaptive
@@ -53,6 +55,11 @@
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
+
+/* Raised whenever a kernel's signature changes; mvsde._core loads no
+ * library whose value differs from its own, so a stale build runs NumPy
+ * instead of passing arguments that its kernels would ignore. */
+const int mvsde_abi = 1;
 
 /* X, F and G are C-contiguous n x d float64 arrays, and F and G must be
  * zero on entry. The all-zero-kernel short-circuit is done by the caller. */
@@ -267,26 +274,34 @@ static int step_once(const struct mvsde_coeffs *cf, const double *x,
  * a finite result: a return r < steps means step r + 1 was done and
  * overflowed. work holds 2 n d + 2 d doubles. When obs is not NULL
  * (steps x n), row s receives the squared particle norms of the state that
- * step s of the call produced, for every step done, the overflowing one
- * included. */
+ * step s of the call produced. When keep is not NULL (steps flags), the
+ * state that step s produced is copied into the next n x d row of rec
+ * wherever keep[s] is nonzero. Both cover every step done, the
+ * overflowing one included. */
 ptrdiff_t mvsde_advance(const struct mvsde_coeffs *cf, double *X, double *Y,
                         ptrdiff_t n, ptrdiff_t d, const double *dw,
                         ptrdiff_t dw_step, ptrdiff_t dw_row, ptrdiff_t steps,
-                        double *work, double *obs)
+                        double *work, double *obs, const uint8_t *keep,
+                        double *rec)
 {
     double *cur = X, *next = Y, *tmp;
+    size_t bytes = (size_t)(n * d) * sizeof(double);
     ptrdiff_t s;
     int finite = 1;
 
     for (s = 0; s < steps && finite; s++) {
         finite = step_once(cf, cur, next, n, d, dw + s * dw_step, dw_row,
                            work, obs != NULL ? obs + s * n : NULL);
+        if (keep != NULL && keep[s]) {
+            memcpy(rec, next, bytes);
+            rec += n * d;
+        }
         tmp = cur;
         cur = next;
         next = tmp;
     }
     if (cur != X)
-        memcpy(X, cur, (size_t)(n * d) * sizeof(double));
+        memcpy(X, cur, bytes);
     return finite ? s : s - 1;
 }
 

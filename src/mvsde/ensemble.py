@@ -36,10 +36,16 @@ class ParticleEnsemble:
         after steps t_index - k + 1 .. t_index: the steps run since the
         callbacks of mvsde.scheme.simulate last observed. simulate fills it
         only when a callback observes every step; None otherwise.
+    state_block : (k, N, d) float64 array or None
+        Copies of the states after the steps run since the callbacks last
+        observed that the StateRecorder among them keeps, in step order
+        (after initialization, of the initial state if it keeps step 0).
+        simulate fills it only when a StateRecorder observes; None
+        otherwise.
     """
 
     __slots__ = ("N", "d", "states", "t_index", "overflow_flag",
-                 "diverged_step", "scratch", "r2_block")
+                 "diverged_step", "scratch", "r2_block", "state_block")
 
     def __init__(self, states):
         states = np.array(states, dtype=np.float64, order="C", copy=True)
@@ -52,6 +58,7 @@ class ParticleEnsemble:
         self.diverged_step = None
         self.scratch = np.empty_like(states)
         self.r2_block = None
+        self.state_block = None
 
     def swap_buffers(self):
         self.states, self.scratch = self.scratch, self.states

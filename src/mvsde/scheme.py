@@ -19,22 +19,20 @@ cases every power goes to libm pow on both (mvsde._core.pairwise_py.power).
 
 `step` is the NumPy reference. On the C backend `simulate` runs the fused
 kernel of mvsde._core instead, for every model, which repeats step's
-operation order and advances the ensemble from one observed step to the
-next in one call with no Python in the loop; it gives the same bits as
-`step`.
+operation order and advances the ensemble through a whole block of steps
+in one call with no Python in the loop; it gives the same bits as `step`.
 
-Observers that need every step (MomentTracker and the divergence tracker
-of mvsde.experiments) read a block of steps per call: the squared particle
-norms of each state, which the fused kernel writes as it steps and the
-step path computes with the same NumPy reduction.
+Callbacks read a block of steps per call. Observers that need every step
+(MomentTracker and the divergence tracker of mvsde.experiments) read the
+squared particle norms of each state, and a StateRecorder reads the states
+it keeps; the fused kernel writes both as it steps, and the step path
+fills the same rows.
 
 A model with no noise (s0, s1, c_s and c_g all zero) reads no Brownian
 increments: both paths skip its noise term, which is +-0 there and would
 change no bit (see _noise_width), and simulate never asks the tableau for
 a block, so the tableau is never drawn.
 """
-
-import bisect
 
 import numpy as np
 
@@ -46,8 +44,9 @@ from ._core import bind_advance, pair_aggregate
 
 # target float64 count per pulled increment block
 _CHUNK_ELEMENTS = 1 << 22
-# cap on the float64 count of one block of observed squared norms: steps
-# per observation block times N, about 0.5 MB
+# cap on the float64 count of one block of observed squared norms (steps
+# per block times N) and of one block of recorded states (states per block
+# times N d): about 0.5 MB each
 _OBS_ELEMENTS = 1 << 16
 
 
@@ -157,16 +156,20 @@ def simulate(tm, grid, tableau, initial=None, initial_states=None,
         Use only the first n_particles streams of the tableau (defaults
         to tableau.N); smaller runs share noise and initial draws with
         larger ones.
-    callbacks : iterable
+    callbacks : sequence
         Objects whose observe(ens, grid) is called after initialization
-        and after each block of steps. A callback with a next_step(k,
-        total) method (StateRecorder) is sure to be called at the steps
-        that method names and reads ens.states there. Any other callback
-        observes every step: it reads ens.r2_block, the squared particle
-        norms after each step of the block (after initialization, of the
-        initial state), and a block then holds at most
-        _OBS_ELEMENTS // N steps. Both backends observe the same blocks;
-        the fused kernel runs each block in one call.
+        and after each block of steps. At most one of them may be a
+        StateRecorder (a callback with a keeps method); it reads
+        ens.state_block, the states after the steps of the block it keeps
+        (after initialization, the initial state if it keeps step 0). Any
+        other callback observes every step: it reads ens.r2_block, the
+        squared particle norms after each step of the block (after
+        initialization, of the initial state). A block ends at the end of
+        an increment chunk, after _OBS_ELEMENTS // N steps when a callback
+        observes every step, after _OBS_ELEMENTS // (N d) recorded states,
+        and after the first step with a non-finite value. Both backends
+        observe the same blocks; the fused kernel runs each block in one
+        call.
 
     Returns
     -------
@@ -189,21 +192,31 @@ def simulate(tm, grid, tableau, initial=None, initial_states=None,
         law = initial if initial is not None else rng_mod.initial_law()
         states = rng_mod.sample_initial(tableau, n_part, d, law)
     r = rng_mod._level_ratio(tableau, grid.n)
-    if grid.total_steps * r > tableau.total_steps:
+    total = grid.total_steps
+    if total * r > tableau.total_steps:
         raise ValueError("grid horizon T=%g exceeds the tableau horizon "
                          "T=%g" % (grid.T, tableau.T))
+    recorders = [cb for cb in callbacks if hasattr(cb, "keeps")]
+    if len(recorders) > 1:
+        raise ValueError("simulate takes at most one StateRecorder, got %d"
+                         % len(recorders))
+    rec = recorders[0] if recorders else None
+    if rec is not None:
+        keep0 = rec.keeps(np.arange(1), total)
     noisy = _noise_width(tm.base) > 0
     ens = ParticleEnsemble(states)
     obs = None
-    if any(not hasattr(cb, "next_step") for cb in callbacks):
+    if len(recorders) < len(callbacks):
         obs = np.empty((max(1, _OBS_ELEMENTS // n_part), n_part))
         _squared_norms(ens.states, obs[0])
         ens.r2_block = obs[:1]
+    if rec is not None:
+        ens.state_block = ens.states[None][keep0]
+        cap = max(1, _OBS_ELEMENTS // (n_part * d))
     for cb in callbacks:
         cb.observe(ens, grid)
 
     run = _fused_kernel(tm, grid, ens)
-    total = grid.total_steps
     chunk = max(1, _CHUNK_ELEMENTS // (r * tableau.N * tableau.l))
     k = 0
     while k < total and not ens.overflow_flag:
@@ -212,20 +225,34 @@ def simulate(tm, grid, tableau, initial=None, initial_states=None,
             block = rng_mod.level_increments(tableau, grid.n, k, hi)
         else:
             block = np.empty((hi - k, tableau.N, 0))
+        if rec is not None:
+            # keep[i] flags step k + 1 + i; kept[i] counts the first i flags
+            keep = rec.keeps(np.arange(k + 1, hi + 1), total).view(np.uint8)
+            kept = np.concatenate(([0], np.cumsum(keep, dtype=np.int64)))
         j = k
         while j < hi:
-            stop = min([hi] + [cb.next_step(j, total) for cb in callbacks
-                               if hasattr(cb, "next_step")])
+            stop = hi
             if obs is not None:
                 stop = min(stop, j + len(obs))
+            keep_run = rec_rows = None
+            if rec is not None:
+                # the last step before the (cap + 1)-th kept one after j
+                stop = min(stop, k - 1 + int(np.searchsorted(
+                    kept, kept[j - k] + cap, side="right")))
+                keep_run = keep[j - k:stop - k]
+                rec_rows = np.empty((kept[stop - k] - kept[j - k], n_part, d))
             if run is None:
                 alive = _advance_steps(ens, tm, grid, block[:, :n_part],
-                                       j - k, stop - j, obs)
+                                       j - k, stop - j, obs, keep_run,
+                                       rec_rows)
             else:
                 alive = _advance_fused(ens, run, block, j - k, stop - j,
-                                       obs)
+                                       obs, keep_run, rec_rows)
             if obs is not None:
                 ens.r2_block = obs[:ens.t_index - j]
+            if rec is not None:
+                ens.state_block = rec_rows[:kept[ens.t_index - k]
+                                           - kept[j - k]]
             j = ens.t_index
             for cb in callbacks:
                 cb.observe(ens, grid)
@@ -241,17 +268,23 @@ def _squared_norms(x, out):
         out[:] = np.sum(x * x, axis=-1)
 
 
-def _advance_steps(ens, tm, grid, block, first, steps, obs):
+def _advance_steps(ens, tm, grid, block, first, steps, obs, keep, rec):
     """`steps` calls of step, writing observation rows as the kernel does.
 
     Row s of obs, if given, receives the squared particle norms after the
-    step with noise block[first + s], the overflowing step included.
-    Returns False once the ensemble has overflowed, True otherwise.
+    step with noise block[first + s]; with keep and rec, the state after
+    that step goes into the next row of rec where keep[s] is set. Both
+    include the overflowing step. Returns False once the ensemble has
+    overflowed, True otherwise.
     """
+    row = 0
     for s in range(steps):
         alive = step(ens, tm, grid, block[first + s])
         if obs is not None:
             _squared_norms(ens.states, obs[s])
+        if keep is not None and keep[s]:
+            rec[row] = ens.states
+            row += 1
         if not alive:
             return False
     return True
@@ -281,13 +314,13 @@ def _fused_kernel(tm, grid, ens):
         k_noise=_noise_width(base)), ens.states, ens.scratch)
 
 
-def _advance_fused(ens, run, block, first, steps, obs):
+def _advance_fused(ens, run, block, first, steps, obs, keep, rec):
     """`steps` steps in one kernel call, with step's bookkeeping.
 
-    The kernel writes the observation rows into obs when it is given.
+    The kernel writes the rows of obs and rec as _advance_steps does.
     Returns False once the ensemble has overflowed, True otherwise.
     """
-    done = run(block, first, steps, obs)
+    done = run(block, first, steps, obs, keep, rec)
     if done < steps:
         ens.t_index += done + 1
         ens.overflow_flag = True
@@ -320,32 +353,40 @@ class StateRecorder:
     """Copies ensemble states at selected step indices.
 
     Records at steps in `steps` if given, else at multiples of `stride`
-    (always including step 0 and the final step).
+    (always including step 0 and the final step). simulate copies the
+    states this keeps as it steps, the fused kernel included, and observe
+    takes them a block at a time.
     """
 
     def __init__(self, stride=1, steps=None):
         self.stride = int(stride)
-        self.steps = (None if steps is None
-                      else sorted(set(int(s) for s in steps)))
+        if self.stride < 1:
+            raise ValueError("stride must be >= 1, got %d" % self.stride)
+        self.steps = (None if steps is None else np.array(
+            sorted(set(int(s) for s in steps)), dtype=np.int64))
         self.recorded_steps = []
         self.states = []
+        self._seen = 0
 
-    def _want(self, k, total):
-        if self.steps is not None:
-            i = bisect.bisect_left(self.steps, k)
-            return i < len(self.steps) and self.steps[i] == k
-        return k % self.stride == 0 or k == total
+    def keeps(self, ks, total):
+        """Bool array: which of the steps ks of a total-step grid this copies.
 
-    def next_step(self, k, total):
-        """First step after k, at most total, whose state this copies."""
-        if self.steps is not None:
-            i = bisect.bisect_right(self.steps, k)
-            return min(total, self.steps[i]) if i < len(self.steps) else total
-        return min(total, (k // self.stride + 1) * self.stride)
+        Refuses a `steps` entry outside 0 .. total.
+        """
+        if self.steps is None:
+            return (ks % self.stride == 0) | (ks == total)
+        outside = self.steps[(self.steps < 0) | (self.steps > total)]
+        if len(outside):
+            raise ValueError("steps %s are outside the grid's steps 0 to %d"
+                             % (outside.tolist(), total))
+        return np.isin(ks, self.steps)
 
     def observe(self, ens, grid):
+        """Take ens.state_block, the states after the steps this keeps
+        since the last observe (after initialization, of step 0)."""
         k = ens.t_index
-        if self._want(k, grid.total_steps):
-            self.recorded_steps.append(k)
-            self.states.append(ens.states.copy())
-
+        ks = np.arange(self._seen + 1 if k else 0, k + 1)
+        self._seen = k
+        self.recorded_steps.extend(
+            ks[self.keeps(ks, grid.total_steps)].tolist())
+        self.states.extend(ens.state_block)

@@ -157,6 +157,18 @@ def test_loader_binds_every_kernel_or_none(compiled_library, build_library,
         with pytest.raises(AttributeError, match=missing):
             load_compiled(stale)
         assert _select_backend(stale) == numpy_backend
+    # every kernel, but from before the ABI constant or from another ABI,
+    # whose mvsde_advance would ignore arguments the package passes
+    for label, abi, found in (("unversioned", "", 0),
+                              ("other", "const int mvsde_abi = 7;\n", 7)):
+        stub = tmp_path / ("stale_%s.c" % label)
+        stub.write_text(abi + "".join("void %s(void) {}\n" % sym
+                                      for sym in older + ["mvsde_ndtri"]))
+        stale = build_library(str(stub), stub.stem + ".so")
+        with pytest.raises(AttributeError, match="mvsde_abi is %d, the "
+                           "package needs 1" % found):
+            load_compiled(stale)
+        assert _select_backend(stale) == numpy_backend
     assert _select_backend(str(tmp_path / "missing.so")) == numpy_backend
     assert _select_backend(None) == numpy_backend
 

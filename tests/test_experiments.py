@@ -1,13 +1,16 @@
 """Experiment drivers: exact constant algebra, coupled-noise identities,
 a closed-form stochastic oracle, and report/file structure."""
 
+import inspect
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
+from mvsde.cli import main
 from mvsde.config import (ConfigError, check_step_bound, make_config,
                           theoretical_constants)
 from mvsde.experiments import (_poc_single_rep, run_ergodic_contraction,
@@ -285,3 +288,33 @@ def test_rerun_and_threads_byte_identical(tmp_path):
                                                   "rb") as fj:
             outs.append((fc.read(), fj.read()))
     assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("driver, command, overrides, ini", [
+    (run_strong_rate, "strong-rate", dict(levels=[4, 8], n_max=16, N=4),
+     "[grid]\nlevels = 4,8\nn_max = 16\n[ensemble]\nN = 4\n"),
+    (run_poc_rate, "poc-rate",
+     dict(p=3.0, n=4, N_levels=[4, 8], N_ref=16, probe_count=4),
+     "p = 3.0\n[grid]\nn = 4\n[ensemble]\nN_levels = 4,8\n"
+     "N_ref = 16\nprobe_count = 4\n"),
+])
+def test_p_range_warning_names_the_driver(tmp_path, capsys, driver,
+                                          command, overrides, ini):
+    """The p-range warning points at the driver's line in experiments.py,
+    whether the driver is called directly or through the CLI."""
+    lines, start = inspect.getsourcelines(driver)
+    cfg = make_config(command, reps=1, out_dir=str(tmp_path / "direct"),
+                      **overrides)
+    path = tmp_path / "run.ini"
+    path.write_text("[run]\nexperiment = %s\nreps = 1\nout_dir = %s\n%s"
+                    % (command, tmp_path / "cli", ini))
+    for run in (lambda: driver(cfg),
+                lambda: main([command, "--config", str(path)])):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+        [warning] = [w for w in caught
+                     if "guaranteed range" in str(w.message)]
+        assert os.path.basename(warning.filename) == "experiments.py"
+        assert start <= warning.lineno < start + len(lines)
+    capsys.readouterr()

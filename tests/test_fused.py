@@ -446,11 +446,144 @@ def test_backends_agree_at_every_q(monkeypatch, advance, q, d):
             _assert_same_run(*runs)
 
 
-def test_recorder_next_step():
+def test_recorder_keeps_and_refusals(monkeypatch, advance):
     rec = scheme.StateRecorder(stride=4)
-    assert [rec.next_step(k, 10) for k in (0, 3, 4, 8, 9)] == [4, 4, 8, 10, 10]
+    assert np.flatnonzero(rec.keeps(np.arange(11), 10)).tolist() == [
+        0, 4, 8, 10]
     rec = scheme.StateRecorder(steps=[6, 2, 2, 9])
-    assert [rec.next_step(k, 8) for k in (0, 2, 5, 6)] == [2, 6, 6, 8]
+    assert np.flatnonzero(rec.keeps(np.arange(10), 9)).tolist() == [2, 6, 9]
+    assert rec.keeps(np.arange(5, 8), 9).tolist() == [False, True, False]
+    for stride in (0, -2):
+        with pytest.raises(ValueError, match="stride must be >= 1"):
+            scheme.StateRecorder(stride=stride)
+    # steps outside the grid and a second recorder are refused before the
+    # first step, on both backends
+    tm = TamedModel(make_model("cubic-mean-field", d=1), 8, "finite")
+    tab = make_tableau(1, 4, 1, 1.0, 8)
+    law = initial_law("gaussian", 0.0, 1.0)
+    advanced = (_counted(monkeypatch, scheme, "_advance_steps")
+                + _counted(monkeypatch, scheme, "_advance_fused"))
+    for kernel in (advance, None):
+        with pytest.raises(ValueError, match=r"steps \[-1, 99\] are "
+                           "outside the grid's steps 0 to 8"):
+            _simulate(monkeypatch, kernel, tm, 1.0, 8, tab, law,
+                      callbacks=[scheme.StateRecorder(steps=[-1, 3, 99])])
+        with pytest.raises(ValueError, match="at most one StateRecorder"):
+            _simulate(monkeypatch, kernel, tm, 1.0, 8, tab, law,
+                      callbacks=[scheme.StateRecorder(),
+                                 scheme.MomentTracker(2.0),
+                                 scheme.StateRecorder(steps=[8])])
+    assert advanced == []
+
+
+class _BlockRecorder(scheme.StateRecorder):
+    """StateRecorder that also notes how many states each block held."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.sizes = []
+
+    def observe(self, ens, grid):
+        self.sizes.append(len(ens.state_block))
+        super().observe(ens, grid)
+
+
+def _counting(advance, calls):
+    """bind_advance over advance, appending each bound kernel's list of
+    call step counts to calls."""
+
+    def bind(coeffs, states, scratch):
+        run = advance(coeffs, states, scratch)
+        steps = []
+        calls.append(steps)
+
+        def counted(block, first, n_steps, *rest):
+            steps.append(n_steps)
+            return run(block, first, n_steps, *rest)
+
+        return counted
+
+    return bind
+
+
+def _states_by_hand(tm, grid, tab, law):
+    """{k: state after step k} of a loop of scheme.step, up to the last
+    step run: the states a recorder must copy."""
+    ens = scheme.ParticleEnsemble(rng.sample_initial(tab, tab.N, tm.base.d,
+                                                     law))
+    dw = rng.level_increments(tab, tm.n, 0, grid.total_steps)
+    out = {0: ens.states.copy()}
+    for k in range(grid.total_steps):
+        alive = scheme.step(ens, tm, grid, dw[k])
+        out[k + 1] = ens.states.copy()
+        if not alive:
+            break
+    return out
+
+
+@pytest.mark.parametrize("rows", (None, 1, 3))
+@pytest.mark.parametrize("case", ("tamed", "overflow"))
+def test_recorder_rows_match_across_backends(monkeypatch, advance, case,
+                                             rows):
+    if case == "tamed":
+        tm = TamedModel(make_model("cubic-mean-field", d=3), 8, "finite")
+        T, law = 2.0, initial_law("gaussian", 0.0, 1.5)
+        tab = make_tableau(13, 9, 3, T, 8)
+    else:  # plain Euler overflowing mid-run
+        tm = TamedModel(make_model("anti-dissipative", d=2), 2, "off")
+        T, law = 40.0, initial_law("point", 3.0)
+        tab = make_tableau(3, 10, 2, T, 2)
+    if rows is not None:
+        # at most `rows` recorded states per kernel call
+        monkeypatch.setattr(scheme, "_OBS_ELEMENTS",
+                            rows * tab.N * tm.base.d)
+    grid = scheme.TimeGrid(T, tm.n)
+    total = grid.total_steps
+    want = _states_by_hand(tm, grid, tab, law)
+    last = max(want)
+    assert (last < total) == (case == "overflow")
+    recorders = (dict(stride=3), dict(stride=1),
+                 dict(steps=[total, last, last - 1, 1, 0]))
+    for kwargs in recorders:
+        for moments in (False, True):  # with an every-step observer
+            runs, calls = [], []
+            for kernel in (_counting(advance, calls), None):
+                rec = _BlockRecorder(**kwargs)
+                extra = [scheme.MomentTracker(4.0)] if moments else []
+                ens = _simulate(monkeypatch, kernel, tm, T, tm.n, tab, law,
+                                callbacks=[rec] + extra)
+                assert ens.t_index == last
+                runs.append((ens, [rec]))
+            _assert_same_run(*runs)
+            kept = [k for k in range(last + 1)
+                    if rec.keeps(np.array([k]), total)[0]]
+            assert rec.recorded_steps == kept
+            for k, x in zip(rec.recorded_steps, rec.states):
+                _assert_same_arrays(x, want[k])
+            assert runs[0][1][0].sizes == rec.sizes
+            assert sum(rec.sizes) == len(kept)
+            if rows is not None:
+                assert max(rec.sizes) <= rows
+            if rows is None and not moments:
+                assert calls == [[total]]  # one kernel call for the run
+            elif rows == 1 and kwargs == dict(stride=1):
+                assert calls == [[1] * last]
+    # the overflowing step itself was recorded
+    assert case == "tamed" or last in rec.recorded_steps
+
+
+def test_strong_rate_runs_one_kernel_call_per_simulate(monkeypatch, advance,
+                                                      tmp_path):
+    """The strong-rate benchmark config (N = 64, levels 16 .. 512 against
+    n_max = 1024) records states without stopping the kernel: the
+    reference run and each level take one call."""
+    calls = []
+    monkeypatch.setattr(scheme, "bind_advance", _counting(advance, calls))
+    cfg = make_config("strong-rate", reps=1, N=64, out_dir=str(tmp_path))
+    assert (cfg.n_max, tuple(cfg.levels)) == (1024, (16, 32, 64, 128, 256,
+                                                     512))
+    run_strong_rate(cfg)
+    assert calls == [[1024], [16], [32], [64], [128], [256], [512]]
 
 
 def test_bound_kernel_refuses_noise_it_would_overrun(advance):
@@ -472,6 +605,29 @@ def test_bound_kernel_refuses_noise_it_would_overrun(advance):
         advance(values, states, np.empty((2, 4)).T)
 
 
+def test_bound_kernel_refuses_states_it_would_overrun(advance):
+    values = dict.fromkeys(COEFF_NAMES, 0.0)
+    values.update(h=1.0, k_noise=0)
+    states = np.zeros((4, 2))
+    run = advance(values, states, np.empty_like(states))
+    block = np.zeros((3, 4, 0))
+    keep = np.array([1, 0, 1], dtype=np.uint8)
+    assert run(block, 0, 3, None, keep, np.empty((2, 4, 2))) == 3
+    for bad in (keep[:2], keep.astype(bool), keep.reshape(3, 1),
+                np.repeat(keep, 2)[::2]):
+        with pytest.raises(ValueError, match="does not flag 3 steps"):
+            run(block, 0, 3, None, bad, np.empty((2, 4, 2)))
+    for bad in (np.empty((1, 4, 2)), np.empty((2, 4, 2), dtype=np.float32),
+                np.empty((2, 4, 3)), np.empty((2, 2, 4)).transpose(0, 2, 1)):
+        with pytest.raises(ValueError, match="does not hold 2 states"):
+            run(block, 0, 3, None, keep, bad)
+    # only the flags of the steps run count
+    assert run(block, 0, 1, None, keep, np.empty((1, 4, 2))) == 1
+    for args in ((keep, None), (None, np.empty((2, 4, 2)))):
+        with pytest.raises(ValueError, match="keep and rec come together"):
+            run(block, 0, 3, None, *args)
+
+
 # (command, INI, data file, report file); the simulate config runs q = 3,
 # an exponent outside NumPy's power fast path
 _DRIVER_CONFIGS = (
@@ -485,6 +641,16 @@ _DRIVER_CONFIGS = (
      "q = 3.0\n[grid]\nT = 1.0\nn = 32\n[ensemble]\nN = 33\n"
      "initial = gaussian 0.0 1.0\n",
      "simulate_final.csv", "simulate_report.json"),
+    ("strong-rate",
+     "[run]\nexperiment = strong-rate\nreps = 2\nout_dir = %s\n"
+     "[grid]\nlevels = 4,8\nn_max = 32\n[ensemble]\nN = 8\n"
+     "initial = gaussian 0.0 1.0\n",
+     "strong_rate_errors.csv", "strong_rate_report.json"),
+    ("ergodic",
+     "[run]\nexperiment = ergodic\nreps = 2\nout_dir = %s\n"
+     "[grid]\nT = 2.0\nn = 20\n[ensemble]\nN = 16\n"
+     "initial = gaussian 0.0 1.0\ninitial_b = gaussian 3.0 1.0\n",
+     "ergodic_errors.csv", "ergodic_report.json"),
 )
 
 
@@ -499,14 +665,16 @@ def _outputs(out_dir, data, report):
 
 def test_driver_bytes_match_across_backends(monkeypatch, compiled_library,
                                             tmp_path, capsys):
-    """moment-stability and a q = 3 simulate write the same bytes on C and
-    on NumPy.
+    """moment-stability, a q = 3 simulate, strong-rate and ergodic write
+    the same bytes on C and on NumPy.
 
     The C run has every compiled kernel switched in, the NumPy run is a
     fresh interpreter with MVSDE_FORCE_FALLBACK=1; only the config echo's
     backend line may differ. This pins the C row sum of the moments to
-    math.fsum at driver level, overflowing plain arm included, and the
-    power rule of both backends at an exponent outside {0, 1, 2, 4}.
+    math.fsum at driver level, overflowing plain arm included, the power
+    rule of both backends at an exponent outside {0, 1, 2, 4}, and the
+    states the kernel records for the two drivers that read a
+    StateRecorder.
     """
     advance, fsum_rows, uniforms, ndtri = load_compiled(compiled_library)
     monkeypatch.setattr(scheme, "bind_advance", advance)
