@@ -37,7 +37,7 @@ ndtri_py = pairwise_py.ndtri
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 # the mvsde_abi of the pairwise.c these bindings are written for
-_ABI = 1
+_ABI = 2
 
 
 class _Coeffs(ctypes.Structure):
@@ -156,7 +156,8 @@ class _BoundAdvance:
                     or not buf.flags.c_contiguous):
                 raise ValueError("state buffers must be C-contiguous "
                                  "(%d, %d) float64 arrays" % (n, d))
-        work = np.empty(2 * n * d + 2 * d)
+        # F, G, the mean, one row's squares and the pair kernel's scratch
+        work = np.empty(5 * n * d + 4 * n + 2 * d)
         self._kernel = kernel
         self._n = n
         self._state_shape = (n, d)

@@ -4,10 +4,20 @@
  * mvsde_pair_aggregate is the bit-identical twin of
  * mvsde._core.pairwise_py.pair_aggregate: same per-pair expression tree,
  * same exponent special cases with libm pow for every other exponent,
- * same ascending-partner accumulation order per row, same final division
- * by N. Each unordered pair is evaluated once and mirrored by negation,
- * which IEEE-754 makes exact; the skipped diagonal contributes an exact
- * zero in the reference, so the sums agree bit for bit.
+ * same final division by N. Each unordered pair is evaluated once and
+ * mirrored by negation, which IEEE-754 makes exact; the skipped diagonal
+ * contributes an exact zero in the reference. The loop runs in passes
+ * that the compiler vectorises over the partners j, on a
+ * structure-of-arrays copy of X: for a block of two rows, each row's r2
+ * (from 0.0, over the components in ascending order) and pair factors
+ * (one loop per exponent case, with sqrt only where pow needs r), then the
+ * block's mirrored terms into every later row, in ascending row order,
+ * then the block's own sums, serial and ascending in j in register
+ * chains. So each row still sums its partners in ascending order, the
+ * reference's order: the mirrored terms of the rows before it, then its
+ * own. Every value sees the operations of the reference in its order, and
+ * vector division rounds as scalar division does, so the sums agree bit
+ * for bit.
  *
  * mvsde_advance runs whole steps of mvsde.scheme.step for a block of steps
  * with no Python in the loop, bit for bit. It repeats step's NumPy
@@ -45,10 +55,12 @@
  * W2 route import SciPy.
  *
  * Build with floating-point contraction disabled (-ffp-contract=off),
- * otherwise fused multiply-adds break the equality. Plain C with no Python
- * or NumPy headers, apart from the unsigned __int128 of the Philox
- * multiplications, which GCC and Clang provide; mvsde._core loads it with
- * ctypes.
+ * otherwise fused multiply-adds break the equality, and with nothing that
+ * lets the compiler reassociate (-ffast-math, -fassociative-math); setup.py
+ * passes -O3 -ffp-contract=off. Plain C with no Python or NumPy headers,
+ * apart from the unsigned __int128 of the Philox multiplications and the
+ * always_inline attribute, which GCC and Clang provide; mvsde._core loads
+ * it with ctypes.
  */
 
 #include <math.h>
@@ -56,64 +68,243 @@
 #include <stdint.h>
 #include <string.h>
 
-/* Raised whenever a kernel's signature changes; mvsde._core loads no
- * library whose value differs from its own, so a stale build runs NumPy
- * instead of passing arguments that its kernels would ignore. */
-const int mvsde_abi = 1;
+/* Raised whenever a kernel's signature or the size of its work array
+ * changes; mvsde._core loads no library whose value differs from its own,
+ * so a stale build runs NumPy instead of passing arguments that its
+ * kernels would ignore or a work array they would overrun. */
+const int mvsde_abi = 2;
 
-/* X, F and G are C-contiguous n x d float64 arrays, and F and G must be
- * zero on entry. The all-zero-kernel short-circuit is done by the caller. */
+/* The pair loop takes the rows in blocks of PAIR_ROWS and the components in
+ * chunks of PAIR_CHUNK, with compile-time counts for both, so the sums of a
+ * block run as 2 * PAIR_ROWS * PAIR_CHUNK register chains at most. */
+#define PAIR_ROWS 2
+#define PAIR_CHUNK 4
+
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
+
+/* Calls body(k) with k = min(left, PAIR_CHUNK), a compile-time constant in
+ * each case; left >= 1. */
+#define PAIR_CHUNKED(left, body)                                           \
+    switch ((left) < PAIR_CHUNK ? (left) : PAIR_CHUNK) {                   \
+    case 1: body(1); break;                                                \
+    case 2: body(2); break;                                                \
+    case 3: body(3); break;                                                \
+    default: body(4); break;                                               \
+    }
+
+/* r2[j] of the partners j0 <= j < n, summed over the k components of a
+ * chunk whose structure-of-arrays rows start at xs (stride n) and whose
+ * values in the row are xi: from 0.0 for the first chunk, otherwise onwards
+ * from the sum of the chunks before it. */
+ALWAYS_INLINE void pair_r2_chunk(const double *restrict xs, ptrdiff_t n,
+                                 const double *xi, int k, int first,
+                                 ptrdiff_t j0, double *restrict r2)
+{
+    double a[PAIR_CHUNK], s, v;
+    ptrdiff_t j;
+    int c;
+
+    for (c = 0; c < k; c++)
+        a[c] = xi[c];
+    for (j = j0; j < n; j++) {
+        s = first ? 0.0 : r2[j];
+        for (c = 0; c < k; c++) {
+            v = a[c] - xs[c * n + j];
+            s = s + v * v;
+        }
+        r2[j] = s;
+    }
+}
+
+/* Exponent cases of the pair factors: the weight w is a constant (tam is 0
+ * or te is 0), 1 / (1 + tam r2), 1 / (1 + tam r2 r2) or libm pow's; r^qf
+ * is r2, 1 or libm pow's. */
+enum { W_CONST, W_R2, W_R4, W_POW };
+enum { Q_R2, Q_ONE, Q_POW };
+
+/* The pair factors of the partners j0 <= j < n from their r2, as
+ * pairwise_py.pair_factors computes them: cf[j] = (kf1 + kfq r^qf) w and
+ * gw[j] = cg w (cg when tame_g is 0), w = 1 / (1 + tam r^te), exactly 1
+ * when tam is 0. cf holds r2 on entry. wm and qm are compile-time exponent
+ * cases, and r = sqrt(r2) is taken only where libm pow needs it. */
+ALWAYS_INLINE void pair_factors_case(double *restrict cf,
+                                     double *restrict gw, ptrdiff_t j0,
+                                     ptrdiff_t n, int wm, int qm, double wc,
+                                     double kf1, double kfq, double qf,
+                                     double cg, double tam, double te,
+                                     double tame_g)
+{
+    double r2, w, rq;
+    ptrdiff_t j;
+
+    for (j = j0; j < n; j++) {
+        r2 = cf[j];
+        if (wm == W_CONST)
+            w = wc;
+        else if (wm == W_R2)
+            w = 1.0 / (1.0 + tam * r2);
+        else if (wm == W_R4)
+            w = 1.0 / (1.0 + tam * (r2 * r2));
+        else
+            w = 1.0 / (1.0 + tam * pow(sqrt(r2), te));
+        if (qm == Q_R2)
+            rq = r2;
+        else if (qm == Q_ONE)
+            rq = 1.0;
+        else
+            rq = pow(sqrt(r2), qf);
+        cf[j] = (kf1 + kfq * rq) * w;
+        gw[j] = tame_g != 0.0 ? cg * w : cg;
+    }
+}
+
+static void pair_factors(double *restrict cf, double *restrict gw,
+                         ptrdiff_t j0, ptrdiff_t n, double kf1, double kfq,
+                         double qf, double cg, double tam, double te,
+                         double tame_g)
+{
+    int wm = tam == 0.0 || te == 0.0 ? W_CONST
+             : te == 2.0             ? W_R2
+             : te == 4.0             ? W_R4
+                                     : W_POW;
+    int qm = qf == 2.0 ? Q_R2 : qf == 0.0 ? Q_ONE : Q_POW;
+    /* w at tam == 0 is exactly 1; at te == 0 it is 1 / (1 + tam 1) */
+    double wc = tam == 0.0 ? 1.0 : 1.0 / (1.0 + tam * 1.0);
+
+#define CASE(w, q)                                                         \
+    case 3 * (w) + (q):                                                    \
+        pair_factors_case(cf, gw, j0, n, w, q, wc, kf1, kfq, qf, cg, tam,  \
+                          te, tame_g);                                     \
+        break;
+#define CASES(w) CASE(w, Q_R2) CASE(w, Q_ONE) CASE(w, Q_POW)
+    switch (3 * wm + qm) {
+        CASES(W_CONST)
+        CASES(W_R2)
+        CASES(W_R4)
+        CASES(W_POW)
+    }
+#undef CASES
+#undef CASE
+}
+
+/* The terms of the block of `rows` rows from i0 on the k components of a
+ * chunk: xs, fs and gs are the chunk's structure-of-arrays rows (stride
+ * n), x and f, g the chunk's first column of X, F and G (stride d), and
+ * cf + r n and gw + r n the pair factors of block row r. Row i's sum is
+ * its mirrored terms, -f(x_j, x_i) from every row j < i in ascending j,
+ * then its own terms in ascending j; fs and gs hold the mirrored part.
+ * The pairs inside the block go first, row by row. Then the mirrored terms
+ * of every partner j past the block, in one pass over j that vectorises,
+ * and the block's own sums over those partners, one register chain per
+ * row, component and array. Nothing adds to a row after its block, so its
+ * sums go to f and g, divided by dn. */
+ALWAYS_INLINE void pair_block_chunk(const double *restrict xs, ptrdiff_t n,
+                                    const double *x, ptrdiff_t d, int k,
+                                    ptrdiff_t i0, int rows,
+                                    const double *restrict cf,
+                                    const double *restrict gw,
+                                    double *restrict fs, double *restrict gs,
+                                    double *f, double *g, double dn)
+{
+    double a[PAIR_ROWS][PAIR_CHUNK], af[PAIR_ROWS][PAIR_CHUNK],
+        ag[PAIR_ROWS][PAIR_CHUNK], v, sf, sg;
+    ptrdiff_t j, j1 = i0 + rows;
+    int r, c;
+
+    for (r = 0; r < rows; r++)
+        for (c = 0; c < k; c++)
+            a[r][c] = x[(i0 + r) * d + c];
+    for (r = 0; r < rows; r++) {
+        for (c = 0; c < k; c++) {
+            af[r][c] = fs[c * n + i0 + r];
+            ag[r][c] = gs[c * n + i0 + r];
+        }
+        for (j = i0 + r + 1; j < j1; j++)
+            for (c = 0; c < k; c++) {
+                v = a[r][c] - xs[c * n + j];
+                af[r][c] = af[r][c] + cf[r * n + j] * v;
+                ag[r][c] = ag[r][c] + gw[r * n + j] * v;
+                fs[c * n + j] = fs[c * n + j] - cf[r * n + j] * v;
+                gs[c * n + j] = gs[c * n + j] - gw[r * n + j] * v;
+            }
+    }
+    for (j = j1; j < n; j++)
+        for (c = 0; c < k; c++) {
+            sf = fs[c * n + j];
+            sg = gs[c * n + j];
+            for (r = 0; r < rows; r++) {
+                v = a[r][c] - xs[c * n + j];
+                sf = sf - cf[r * n + j] * v;
+                sg = sg - gw[r * n + j] * v;
+            }
+            fs[c * n + j] = sf;
+            gs[c * n + j] = sg;
+        }
+    for (j = j1; j < n; j++)
+        for (r = 0; r < rows; r++)
+            for (c = 0; c < k; c++) {
+                v = a[r][c] - xs[c * n + j];
+                af[r][c] = af[r][c] + cf[r * n + j] * v;
+                ag[r][c] = ag[r][c] + gw[r * n + j] * v;
+            }
+    for (r = 0; r < rows; r++)
+        for (c = 0; c < k; c++) {
+            f[(i0 + r) * d + c] = af[r][c] / dn;
+            g[(i0 + r) * d + c] = ag[r][c] / dn;
+        }
+}
+
+/* X is a C-contiguous n x d float64 array with d >= 1; F and G (n x d as
+ * well) are overwritten with the pair sums. work holds
+ * 3 n d + 2 PAIR_ROWS n = 3 n d + 4 n doubles: the structure-of-arrays copy
+ * of X, the mirrored sums of F and G in the same layout, and the pair
+ * factors of one block of rows. The all-zero-kernel short-circuit is done
+ * by the caller. */
 void mvsde_pair_aggregate(const double *restrict X, ptrdiff_t n,
                           ptrdiff_t d, double kf1, double kfq, double qf,
                           double cg, double tam, double te, double tame_g,
-                          double *restrict F, double *restrict G)
+                          double *restrict F, double *restrict G,
+                          double *restrict work)
 {
-    ptrdiff_t i, j, c;
-    double r2, r, rq, rte, w, coeff, gw, v, dn = (double)n;
+    double *xs = work, *fs = xs + n * d, *gs = fs + n * d;
+    double *cf = gs + n * d, *gw = cf + PAIR_ROWS * n, dn = (double)n;
+    ptrdiff_t i, i0, j, c, c0;
+    int rows;
 
-    for (i = 0; i < n; i++) {
-        const double *xi = X + i * d;
-        for (j = i + 1; j < n; j++) {
-            const double *xj = X + j * d;
-            r2 = 0.0;
-            for (c = 0; c < d; c++) {
-                v = xi[c] - xj[c];
-                r2 = r2 + v * v;
+    for (j = 0; j < n; j++)
+        for (c = 0; c < d; c++)
+            xs[c * n + j] = X[j * d + c];
+    memset(fs, 0, 2 * (size_t)(n * d) * sizeof(double));
+    for (i0 = 0; i0 < n; i0 += PAIR_ROWS) {
+        rows = n - i0 < PAIR_ROWS ? (int)(n - i0) : PAIR_ROWS;
+        for (i = i0; i < i0 + rows; i++) {
+            double *r2 = cf + (i - i0) * n, *w = gw + (i - i0) * n;
+            const double *xi = X + i * d;
+#define R2(k) pair_r2_chunk(xs, n, xi, k, 1, i + 1, r2)
+            PAIR_CHUNKED(d, R2)
+#undef R2
+            for (c0 = PAIR_CHUNK; c0 < d; c0 += PAIR_CHUNK) {
+#define R2(k) pair_r2_chunk(xs + c0 * n, n, xi + c0, k, 0, i + 1, r2)
+                PAIR_CHUNKED(d - c0, R2)
+#undef R2
             }
-            r = sqrt(r2);
-            if (qf == 2.0)
-                rq = r2;
-            else if (qf == 0.0)
-                rq = 1.0;
-            else
-                rq = pow(r, qf);
-            if (tam == 0.0) {
-                w = 1.0;
-            } else {
-                if (te == 2.0)
-                    rte = r2;
-                else if (te == 4.0)
-                    rte = r2 * r2;
-                else if (te == 0.0)
-                    rte = 1.0;
-                else
-                    rte = pow(r, te);
-                w = 1.0 / (1.0 + tam * rte);
-            }
-            coeff = (kf1 + kfq * rq) * w;
-            gw = tame_g != 0.0 ? cg * w : cg;
-            for (c = 0; c < d; c++) {
-                v = xi[c] - xj[c];
-                F[i * d + c] = F[i * d + c] + coeff * v;
-                F[j * d + c] = F[j * d + c] - coeff * v;
-                G[i * d + c] = G[i * d + c] + gw * v;
-                G[j * d + c] = G[j * d + c] - gw * v;
-            }
+            pair_factors(r2, w, i + 1, n, kf1, kfq, qf, cg, tam, te, tame_g);
         }
-    }
-    for (i = 0; i < n * d; i++) {
-        F[i] = F[i] / dn;
-        G[i] = G[i] / dn;
+        for (c0 = 0; c0 < d; c0 += PAIR_CHUNK) {
+#define BLOCK(k, r) pair_block_chunk(xs + c0 * n, n, X + c0, d, k, i0, r, \
+                                     cf, gw, fs + c0 * n, gs + c0 * n,     \
+                                     F + c0, G + c0, dn)
+#define FULL(k) BLOCK(k, PAIR_ROWS)
+#define LAST(k) BLOCK(k, 1)
+            if (rows == PAIR_ROWS) {
+                PAIR_CHUNKED(d - c0, FULL)
+            } else {
+                PAIR_CHUNKED(d - c0, LAST)
+            }
+#undef LAST
+#undef FULL
+#undef BLOCK
+        }
     }
 }
 
@@ -175,8 +366,9 @@ static double row_r2(const double *row, ptrdiff_t d, double *sq)
     return 0.0 + np_sum(sq, d);
 }
 
-/* One step from x into y; work holds F and G (n x d each), the mean (d)
- * and the squares of one row (d). When r2_out is not NULL it receives the
+/* One step from x into y; work holds F and G (n x d each), the mean (d),
+ * the squares of one row (d) and the 3 n d + 4 n doubles of
+ * mvsde_pair_aggregate's scratch. When r2_out is not NULL it receives the
  * squared norm of every row of y. Returns 0 when y holds a non-finite
  * value. */
 static int step_once(const struct mvsde_coeffs *cf, const double *x,
@@ -203,10 +395,12 @@ static int step_once(const struct mvsde_coeffs *cf, const double *x,
                 mean[c] = mean[c] / dn;
         }
     }
-    memset(F, 0, 2 * (size_t)(n * d) * sizeof(double));
     if (cf->kf1 != 0.0 || cf->kfq != 0.0 || cf->c_g != 0.0)
         mvsde_pair_aggregate(x, n, d, cf->kf1, cf->kfq, cf->q_f, cf->c_g,
-                             cf->gamma, cf->e_kernel, cf->tame_g, F, G);
+                             cf->gamma, cf->e_kernel, cf->tame_g, F, G,
+                             sq + d);
+    else
+        memset(F, 0, 2 * (size_t)(n * d) * sizeof(double));
 
     for (i = 0; i < n; i++) {
         const double *xi = x + i * d;
@@ -272,7 +466,7 @@ static int step_once(const struct mvsde_coeffs *cf, const double *x,
  * row of particle i at dw[s * dw_step + i * dw_row]. Stops after the first
  * step that produces a non-finite value. Returns the number of steps with
  * a finite result: a return r < steps means step r + 1 was done and
- * overflowed. work holds 2 n d + 2 d doubles. When obs is not NULL
+ * overflowed. work holds 5 n d + 4 n + 2 d doubles. When obs is not NULL
  * (steps x n), row s receives the squared particle norms of the state that
  * step s of the call produced. When keep is not NULL (steps flags), the
  * state that step s produced is copied into the next n x d row of rec

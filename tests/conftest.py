@@ -7,8 +7,9 @@ tested whether or not setup.py built the package in place and whatever
 MVSDE_FORCE_FALLBACK says. On an x86-64 CPU with FMA the same flags plus
 -mfma give a second library, on which a contraction the flags failed to
 forbid would change bits. The package binds the C pair routine only
-inside the fused kernel; c_pair_aggregate binds it here, so the tests can
-compare it with the numpy kernel directly.
+inside the fused kernel; c_pair_aggregate and fma_pair_aggregate bind it
+here from either library, so the tests can compare it with the numpy
+kernel directly.
 """
 
 import ast
@@ -84,26 +85,40 @@ def fma_library(build_library):
         pytest.skip("the C compiler refuses -mfma")
 
 
-@pytest.fixture(scope="session")
-def c_pair_aggregate(compiled_library):
-    """mvsde_pair_aggregate with the signature of pairwise_py.pair_aggregate.
+def _bind_pair_aggregate(path):
+    """mvsde_pair_aggregate of the library at path, with the signature of
+    pairwise_py.pair_aggregate.
 
-    Like the fused kernel, it passes zeroed F and G and leaves the
-    all-zero kernel to the caller's short circuit.
+    Like the fused kernel, it hands the kernel its scratch and leaves the
+    all-zero kernel to the caller's short circuit. The scratch and the
+    outputs start as NaN, so a value the kernel failed to write shows.
     """
-    kernel = ctypes.CDLL(compiled_library).mvsde_pair_aggregate
+    kernel = ctypes.CDLL(path).mvsde_pair_aggregate
     kernel.restype = None
     kernel.argtypes = ([ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t]
-                       + [ctypes.c_double] * 7
-                       + [ctypes.c_void_p, ctypes.c_void_p])
+                       + [ctypes.c_double] * 7 + [ctypes.c_void_p] * 3)
 
     def pair_aggregate(X, kf1, kfq, qf, cg, tam, te, tame_g=1.0):
         X = np.ascontiguousarray(X, dtype=np.float64)
         n, d = X.shape
-        f_arr, g_arr = np.zeros((n, d)), np.zeros((n, d))
-        if kf1 != 0.0 or kfq != 0.0 or cg != 0.0:
-            kernel(X.ctypes.data, n, d, kf1, kfq, qf, cg, tam, te, tame_g,
-                   f_arr.ctypes.data, g_arr.ctypes.data)
+        if kf1 == 0.0 and kfq == 0.0 and cg == 0.0:
+            return np.zeros((n, d)), np.zeros((n, d))
+        f_arr, g_arr = np.full((n, d), np.nan), np.full((n, d), np.nan)
+        work = np.full(3 * n * d + 4 * n, np.nan)
+        kernel(X.ctypes.data, n, d, kf1, kfq, qf, cg, tam, te, tame_g,
+               f_arr.ctypes.data, g_arr.ctypes.data, work.ctypes.data)
         return f_arr, g_arr
 
     return pair_aggregate
+
+
+@pytest.fixture(scope="session")
+def c_pair_aggregate(compiled_library):
+    """The C pair routine of the library built with setup.py's flags."""
+    return _bind_pair_aggregate(compiled_library)
+
+
+@pytest.fixture(scope="session")
+def fma_pair_aggregate(fma_library):
+    """The C pair routine of the -mfma build."""
+    return _bind_pair_aggregate(fma_library)

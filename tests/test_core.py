@@ -3,7 +3,8 @@
 pairwise.c is compiled here (conftest.py) and loaded through the loader
 mvsde._core uses at import, so the comparison runs whether or not setup.py
 built the package in place. The C pair routine, which the package calls
-only from the fused kernel, is bound by the c_pair_aggregate fixture.
+only from the fused kernel, is bound by the c_pair_aggregate fixture, and
+from the -mfma build by fma_pair_aggregate.
 """
 
 import ctypes
@@ -37,15 +38,19 @@ SPECIAL = {
 # kernel (mvsde._core.pairwise_py.power) and in the oracle's scalar **
 NON_SPECIAL = (-0.5, -1.0, 3.0, 0.2, 0.3, 6.0, 1.0)
 
+# the C pair loop takes rows in blocks of 2 and components in chunks of
+# 4: sizes on both sides of the row-block boundaries (a short last block
+# at odd N), dimensions on both sides of the first and second chunk
+# boundaries
 DIMS = range(1, 13)
-SIZES = (1, 2, 7, 33, 64)
+SIZES = (1, 2, 3, 4, 5, 7, 33, 64)
 
 
 def _assert_same(got, want, what):
+    """Equal raw bytes: NaN payloads and sign bits count."""
     for a, b in zip(got, want):
         assert a.shape == b.shape, what
-        assert np.array_equal(a, b), what
-        assert np.array_equal(np.signbit(a), np.signbit(b)), what
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), what
 
 
 def _clouds(n, d):
@@ -53,7 +58,15 @@ def _clouds(n, d):
     x = rng.normal(scale=2.0, size=(n, d))
     if n > 2:
         x[n - 1] = x[1]  # one coincident pair, so r = 0 occurs
-    return {"random": x, "all dx zero": np.tile(x[:1], (n, 1))}
+    zeros = np.where(rng.random((n, d)) < 0.5, -0.0, 0.0)
+    return {"random": x, "all dx zero": np.tile(x[:1], (n, 1)),
+            # finite, but r2 overflows to inf for nearly every pair, so
+            # r^qf and the taming term are inf and the coefficient is
+            # (kf1 + kfq inf) * 0 = NaN, or -inf where tam == 0
+            "near 1e160": x * 1e160,
+            # -0.0 and +0.0 among the random coordinates
+            "signed zeros": np.where(rng.random((n, d)) < 0.5, zeros, x),
+            "all -0.0": np.full((n, d), -0.0)}
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -63,8 +76,39 @@ def test_compiled_matches_fallback_and_oracle(c_pair_aggregate, n, d):
         for label, kernel in dict(SPECIAL, non_special=NON_SPECIAL).items():
             what = "%s, %s cloud" % (label, cloud)
             got = c_pair_aggregate(x, *kernel)
-            _assert_same(got, pair_aggregate(x, *kernel), what)
-            _assert_same(got, pair_aggregate_naive(x, *kernel), what)
+            with np.errstate(over="ignore", invalid="ignore"):
+                _assert_same(got, pair_aggregate(x, *kernel), what)
+                if label == "all-zero kernel" and cloud == "near 1e160":
+                    # the kernels short-circuit to exact zeros, the
+                    # documented result; the oracle has no short circuit,
+                    # and its (0 + 0 inf) w gives NaN where r2 overflows
+                    want = (np.zeros((n, d)), np.zeros((n, d)))
+                else:
+                    want = pair_aggregate_naive(x, *kernel)
+            _assert_same(got, want, what)
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("n", SIZES)
+def test_compiled_with_fma_matches_fallback(fma_pair_aggregate, n, d):
+    """The vector passes of the pair loop built with -mfma: a contraction
+    that -ffp-contract=off failed to forbid would change bits here."""
+    for cloud, x in _clouds(n, d).items():
+        for label, kernel in dict(SPECIAL, non_special=NON_SPECIAL).items():
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = pair_aggregate(x, *kernel)
+            _assert_same(fma_pair_aggregate(x, *kernel), want,
+                         "%s, %s cloud" % (label, cloud))
+
+
+@pytest.mark.parametrize("n, d, label", ((1024, 3, "poc-rate"),
+                                         (64, 1, "strong-rate")))
+def test_compiled_matches_fallback_at_benchmark_shapes(c_pair_aggregate, n,
+                                                       d, label):
+    x = _clouds(n, d)["random"]
+    kernel = SPECIAL[label]
+    _assert_same(c_pair_aggregate(x, *kernel), pair_aggregate(x, *kernel),
+                 "%s at N = %d, d = %d" % (label, n, d))
 
 
 def test_compiled_accepts_any_layout(c_pair_aggregate):
@@ -82,7 +126,7 @@ def test_compiled_accepts_any_layout(c_pair_aggregate):
 @pytest.mark.parametrize("q", (1.0, 1.5, 3.0))
 def test_pair_sums_agree_at_every_q(c_pair_aggregate, q, d):
     """The kernel arguments of every taming variant at growth order q: C,
-    numpy and the oracle agree bit for bit, sign bits included."""
+    numpy and the oracle agree byte for byte."""
     for family in ("cubic-mean-field", "ergodic-dissipative"):
         model = make_model(family, d=d, params={"q": q})
         for variant in VARIANTS:
@@ -93,8 +137,9 @@ def test_pair_sums_agree_at_every_q(c_pair_aggregate, q, d):
             for cloud, x in _clouds(17, d).items():
                 what = "%s, %s, %s cloud" % (family, variant, cloud)
                 got = c_pair_aggregate(x, *kernel)
-                _assert_same(got, pair_aggregate(x, *kernel), what)
-                _assert_same(got, pair_aggregate_naive(x, *kernel), what)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    _assert_same(got, pair_aggregate(x, *kernel), what)
+                    _assert_same(got, pair_aggregate_naive(x, *kernel), what)
 
 
 def test_power_is_libm_pow_outside_its_special_cases():
@@ -158,15 +203,17 @@ def test_loader_binds_every_kernel_or_none(compiled_library, build_library,
             load_compiled(stale)
         assert _select_backend(stale) == numpy_backend
     # every kernel, but from before the ABI constant or from another ABI,
-    # whose mvsde_advance would ignore arguments the package passes
+    # the previous one (1) among them: the package and the library must
+    # agree on every signature and on the size of the work array
     for label, abi, found in (("unversioned", "", 0),
+                              ("previous", "const int mvsde_abi = 1;\n", 1),
                               ("other", "const int mvsde_abi = 7;\n", 7)):
         stub = tmp_path / ("stale_%s.c" % label)
         stub.write_text(abi + "".join("void %s(void) {}\n" % sym
                                       for sym in older + ["mvsde_ndtri"]))
         stale = build_library(str(stub), stub.stem + ".so")
         with pytest.raises(AttributeError, match="mvsde_abi is %d, the "
-                           "package needs 1" % found):
+                           "package needs 2" % found):
             load_compiled(stale)
         assert _select_backend(stale) == numpy_backend
     assert _select_backend(str(tmp_path / "missing.so")) == numpy_backend
