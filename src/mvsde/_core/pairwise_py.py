@@ -157,12 +157,15 @@ def pair_aggregate_naive(X, kf1, kfq, qf, cg, tam, te, tame_g=1.0):
     """Scalar double-loop reference, direct evaluation of every (i, j).
 
     Used by tests to pin the accumulation-order contract; O(N^2 d) Python,
-    keep N small.
+    keep N small. All-zero kernel parameters return exact zeros, as the
+    kernels do.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     f_out = np.zeros((n, d))
     g_out = np.zeros((n, d))
+    if kf1 == 0.0 and kfq == 0.0 and cg == 0.0:
+        return f_out, g_out
     for i in range(n):
         for j in range(n):
             r2 = 0.0

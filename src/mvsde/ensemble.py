@@ -25,9 +25,8 @@ class ParticleEnsemble:
         Step counter on the driving time grid.
     overflow_flag : bool
         Set once a step produced a non-finite coordinate; the stepping
-        loop stops advancing the ensemble after that.
-    diverged_step : int or None
-        Index of the step that produced the first non-finite coordinate.
+        loop stops advancing the ensemble after that, so t_index is then
+        the index of that step.
     scratch : (N, d) float64 array
         Write buffer for the next state, swapped with `states` after each
         step so no allocation happens in the loop.
@@ -44,8 +43,8 @@ class ParticleEnsemble:
         otherwise.
     """
 
-    __slots__ = ("N", "d", "states", "t_index", "overflow_flag",
-                 "diverged_step", "scratch", "r2_block", "state_block")
+    __slots__ = ("N", "d", "states", "t_index", "overflow_flag", "scratch",
+                 "r2_block", "state_block")
 
     def __init__(self, states):
         states = np.array(states, dtype=np.float64, order="C", copy=True)
@@ -55,7 +54,6 @@ class ParticleEnsemble:
         self.states = states
         self.t_index = 0
         self.overflow_flag = False
-        self.diverged_step = None
         self.scratch = np.empty_like(states)
         self.r2_block = None
         self.state_block = None

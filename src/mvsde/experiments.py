@@ -304,8 +304,7 @@ def run_strong_rate(cfg):
         states = rng_mod.sample_initial(tab, cfg.N, model.d, law)
         # the reference's states on the finest level's grid
         rec = StateRecorder(stride=stride)
-        ref = simulate(TamedModel(model, n_max, cfg.variant),
-                       TimeGrid(T, n_max), tab, initial_states=states,
+        ref = simulate(TamedModel(model, n_max, cfg.variant), tab, states,
                        callbacks=[rec])
         if ref.overflow_flag:
             return [(None, 1) for _ in levels]
@@ -313,8 +312,7 @@ def run_strong_rate(cfg):
         out = []
         for n in levels:
             rec_c = StateRecorder(stride=1)
-            ens = simulate(TamedModel(model, n, cfg.variant),
-                           TimeGrid(T, n), tab, initial_states=states,
+            ens = simulate(TamedModel(model, n, cfg.variant), tab, states,
                            callbacks=[rec_c])
             if ens.overflow_flag:
                 out.append((None, 1))
@@ -332,24 +330,24 @@ def run_strong_rate(cfg):
                         [1.0 / n for n in levels], results)
 
 
-def _poc_single_rep(tm, grid, tab, sizes, n_ref, probe_count, law, p):
+def _poc_single_rep(tm, tab, sizes, probe_count, law, p):
     """One repetition of the coupled-reference estimator.
 
-    Returns [(mean |X_T^{i,N} - X_T^{i,n_ref}|^p over probed i, 0)] per
-    size, or (None, 1) where either run diverged. Exposed separately so
-    the N = n_ref coupling identity is directly checkable. The initial
-    states are drawn once, at n_ref; every size runs from their prefix,
-    which is what sample_initial draws for that size.
+    The reference runs all tab.N particles. Returns [(mean |X_T^{i,N} -
+    X_T^{i,N_ref}|^p over probed i, 0)] per size, or (None, 1) where
+    either run diverged. Exposed separately so the N = N_ref coupling
+    identity is directly checkable. The initial states are drawn once, at
+    N_ref; every size runs from their prefix, which is what sample_initial
+    draws for that size.
     """
-    states = rng_mod.sample_initial(tab, n_ref, tm.base.d, law)
-    ref = simulate(tm, grid, tab, initial_states=states, n_particles=n_ref)
+    states = rng_mod.sample_initial(tab, tab.N, tm.base.d, law)
+    ref = simulate(tm, tab, states)
     out = []
     for size in sizes:
         if ref.overflow_flag:
             out.append((None, 1))
             continue
-        ens = simulate(tm, grid, tab, initial_states=states[:size],
-                       n_particles=size)
+        ens = simulate(tm, tab, states[:size])
         if ens.overflow_flag:
             out.append((None, 1))
             continue
@@ -381,14 +379,12 @@ def run_poc_rate(cfg):
     T = float(cfg.T)
     p = float(cfg.p)
     n = int(cfg.n)
-    grid = TimeGrid(T, n)
     probe_count = int(cfg.probe_count)
 
     def one_rep(m):
         tab = make_tableau(cfg.seed + m, n_ref, model.l, T, n)
         tm = TamedModel(model, n, cfg.variant)
-        return _poc_single_rep(tm, grid, tab, sizes, n_ref, probe_count,
-                               law, p)
+        return _poc_single_rep(tm, tab, sizes, probe_count, law, p)
 
     results = _map_reps(one_rep, int(cfg.reps), int(cfg.threads))
     return _rate_report(cfg, "poc_rate", sizes, sizes, results,
@@ -400,11 +396,10 @@ class _DivergenceTracker:
 
     Each observe call takes the block of steps in ens.r2_block (see
     scheme.simulate). A state leaves the trust region when a squared norm
-    is not <= threshold**2: a non-finite state has an inf or nan one.
+    is not <= DIVERGENCE_NORM**2: a non-finite state has an inf or nan one.
     """
 
-    def __init__(self, threshold=DIVERGENCE_NORM):
-        self.threshold = float(threshold)
+    def __init__(self):
         self.step = None
 
     def observe(self, ens, grid):
@@ -412,7 +407,7 @@ class _DivergenceTracker:
             return
         r2 = ens.r2_block
         bad = np.flatnonzero(
-            ~(r2 <= self.threshold * self.threshold).all(axis=1))
+            ~(r2 <= DIVERGENCE_NORM * DIVERGENCE_NORM).all(axis=1))
         if bad.size:
             self.step = ens.t_index - len(r2) + 1 + int(bad[0])
 
@@ -438,7 +433,6 @@ def run_moment_stability(cfg):
     model = make_model(cfg.family, d=cfg.d, l=cfg.l, params=cfg.params)
     n = int(cfg.n)
     T = float(cfg.T)
-    grid = TimeGrid(T, n)
     law_a = parse_initial(cfg.initial)
     law_b = parse_initial(cfg.initial_b)
     arms = (("tamed", cfg.variant, law_a), ("plain", "off", law_b))
@@ -449,8 +443,9 @@ def run_moment_stability(cfg):
         for label, variant, law in arms:
             tracker = MomentTracker(cfg.p0)
             diverge = _DivergenceTracker()
-            simulate(TamedModel(model, n, variant), grid, tab,
-                     initial=law, callbacks=[tracker, diverge])
+            states = rng_mod.sample_initial(tab, cfg.N, model.d, law)
+            simulate(TamedModel(model, n, variant), tab, states,
+                     callbacks=[tracker, diverge])
             res.append((label, max(tracker.values), diverge.step,
                         tracker.times, tracker.values))
         return res
@@ -515,8 +510,7 @@ def run_ergodic_contraction(cfg):
     model = make_model(cfg.family, d=cfg.d, l=cfg.l, params=cfg.params)
     n = int(cfg.n)
     T = float(cfg.T)
-    grid = TimeGrid(T, n)
-    total = grid.total_steps
+    total = TimeGrid(T, n).total_steps
     constants = None
     if cfg.constants:
         constants = dict(cfg.constants)
@@ -544,8 +538,10 @@ def run_ergodic_contraction(cfg):
         tm = TamedModel(model, n, cfg.variant)
         rec_a = StateRecorder(steps=rec_steps)
         rec_b = StateRecorder(steps=rec_steps)
-        ens_a = simulate(tm, grid, tab, initial=law_a, callbacks=[rec_a])
-        ens_b = simulate(tm, grid, tab, initial=law_b, callbacks=[rec_b])
+        ens_a = simulate(tm, tab, rng_mod.sample_initial(
+            tab, cfg.N, model.d, law_a), callbacks=[rec_a])
+        ens_b = simulate(tm, tab, rng_mod.sample_initial(
+            tab, cfg.N, model.d, law_b), callbacks=[rec_b])
         if ens_a.overflow_flag or ens_b.overflow_flag:
             return None
         idx = {k: j for j, k in enumerate(rec_a.recorded_steps)}
@@ -623,16 +619,16 @@ def run_simulate(cfg):
     model = make_model(cfg.family, d=cfg.d, l=cfg.l, params=cfg.params)
     n = int(cfg.n)
     T = float(cfg.T)
-    grid = TimeGrid(T, n)
     law = parse_initial(cfg.initial)
     tab = make_tableau(int(cfg.seed), cfg.N, model.l, T, n)
     tracker = MomentTracker(cfg.p0)
     diverge = _DivergenceTracker()
-    ens = simulate(TamedModel(model, n, cfg.variant), grid, tab,
-                   initial=law, callbacks=[tracker, diverge])
+    ens = simulate(TamedModel(model, n, cfg.variant), tab,
+                   rng_mod.sample_initial(tab, cfg.N, model.d, law),
+                   callbacks=[tracker, diverge])
     os.makedirs(cfg.out_dir, exist_ok=True)
     snap_path = os.path.join(cfg.out_dir, "simulate_final.csv")
-    snapshot_csv(ens, snap_path, grid.t_at(ens.t_index))
+    snapshot_csv(ens, snap_path, ens.t_index / n)
     verdict = {"status": "pass" if diverge.step is None else "fail",
                "finite": diverge.step is None}
     body = {"kind": "simulate", "final_moment": tracker.values[-1],

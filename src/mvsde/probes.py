@@ -40,6 +40,9 @@ from .model import (eval_drift_b, eval_kernel_f, eval_kernel_g,
 
 _CREDIT_GUARD = 1.0 - 1e-6
 _ALLOW_GUARD = 1.0 + 1e-6
+# moment orders in the inequality weights: p0 the baseline moment order,
+# p1 the rate-section weight, p the particle-convergence weight
+_MOMENT_ORDERS = {"p0": 4.0, "p1": 4.0, "p": 2.0}
 
 PROBE_SETS = {
     "finite_horizon": (
@@ -632,8 +635,11 @@ _REGISTRY = {
 
 
 def probe_assumptions(model, assumption_set, count=10000, radius=5.0,
-                      seed=97, p0=4.0, p1=4.0, p=2.0):
+                      seed=97):
     """Probe one named set of inequalities on a random sample batch.
+
+    The inequality weights use the fixed moment orders p0 = 4 (baseline),
+    p1 = 4 (rate section) and p = 2 (particle convergence).
 
     Parameters
     ----------
@@ -646,10 +652,6 @@ def probe_assumptions(model, assumption_set, count=10000, radius=5.0,
         Radius of the sampling ball.
     seed : int
         Seed of the sampling generator.
-    p0, p1, p : float
-        Moment parameters entering the inequality weights: p0 is the
-        baseline moment order, p1 the rate-section weight, p the
-        particle-convergence weight.
 
     Returns
     -------
@@ -667,8 +669,7 @@ def probe_assumptions(model, assumption_set, count=10000, radius=5.0,
                          % (assumption_set,
                             ", ".join(sorted(PROBE_SETS))))
     samples = _Samples(model, int(count), float(radius), seed)
-    pp = {"p0": float(p0), "p1": float(p1), "p": float(p),
-          "radius": float(radius)}
+    pp = dict(_MOMENT_ORDERS, radius=float(radius))
     reports = []
     for name in names:
         margin, fitted, ref = _REGISTRY[name](model, samples, pp)

@@ -32,6 +32,7 @@ import math
 import numpy as np
 
 from ._core import ndtri, philox_uniforms
+from ._core.pairwise_py import power
 
 # grid spacing for increment quantization
 QUANT = 2.0 ** -26
@@ -249,8 +250,7 @@ def sample_initial(tab, n_particles, d, law):
         direction = z / nrm[:, None]
     direction[at_origin] = 0.0
     direction[at_origin, 0] = 1.0
-    # scalar libm pow per particle: numpy's vectorised power may round
-    # differently in the last bit
-    power = 1.0 / d
-    reach = [law["radius"] * math.pow(v, power) for v in u[:, d].tolist()]
-    return center + np.array(reach)[:, None] * direction
+    # the one power rule: libm pow, which np.power may differ from in the
+    # last bit (u itself at d = 1)
+    reach = law["radius"] * power(u[:, d], 1.0 / d)
+    return center + reach[:, None] * direction

@@ -89,15 +89,14 @@ def _noise_width(base):
     return min(base.d, base.l)
 
 
-def step(ens, tm, grid, dW):
-    """Advance the ensemble by one step of the explicit scheme.
+def step(ens, tm, dW):
+    """Advance the ensemble by one step of the explicit scheme, h = 1/tm.n.
 
     Parameters
     ----------
     ens : ParticleEnsemble
     tm : TamedModel
         Taming variant "off" gives plain Euler.
-    grid : TimeGrid
     dW : (N, l') array
         Increment block for this step (first N rows of the tableau level);
         l' >= _noise_width(tm.base), so (N, 0) for a model with no noise.
@@ -123,39 +122,36 @@ def step(ens, tm, grid, dW):
             1.0 if par["tame_g"] else 0.0)
 
         out = ens.scratch
-        np.add(x, (b + f_sum) * grid.h, out=out)
+        np.add(x, (b + f_sum) * (1.0 / tm.n), out=out)
         out[:, :k] += (s_diag + g_sum[:, :k]) * dW[:, :k]
 
     ens.swap_buffers()
     ens.t_index += 1
     if not np.isfinite(ens.states).all():
         ens.overflow_flag = True
-        ens.diverged_step = ens.t_index
         return False
     return True
 
 
-def simulate(tm, grid, tableau, initial=None, initial_states=None,
-             n_particles=None, callbacks=()):
-    """Run the explicit scheme over the whole grid.
+def simulate(tm, tableau, states, callbacks=()):
+    """Run the explicit scheme at level tm.n over the tableau's [0, T].
+
+    The model, the level and the states are checked against the tableau
+    before anything is drawn.
 
     Parameters
     ----------
     tm : TamedModel
-    grid : TimeGrid
-        grid.n must divide tableau.n_max and grid.T must not exceed the
-        tableau horizon; both are checked before the first step.
+        Its n is the level: h = 1/n on the grid TimeGrid(tableau.T, n),
+        which the callbacks observe. n must divide tableau.n_max.
     tableau : rng.BrownianTableau
         Source of the increments. A model with no noise (s0, s1, c_s and
         c_g all zero) reads none of them, so its tableau is never drawn.
-    initial : dict, optional
-        Initial law (see rng.initial_law); defaults to a point mass at 0.
-    initial_states : (N, d) array, optional
-        Explicit initial positions, overriding `initial`.
-    n_particles : int, optional
-        Use only the first n_particles streams of the tableau (defaults
-        to tableau.N); smaller runs share noise and initial draws with
-        larger ones.
+    states : (N, d) array
+        Initial positions, N <= tableau.N; particle i reads stream i of
+        the tableau, so a run on a prefix of the states shares its noise
+        with the larger run (rng.sample_initial draws such prefixes).
+        The array is copied, not modified.
     callbacks : sequence
         Objects whose observe(ens, grid) is called after initialization
         and after each block of steps. At most one of them may be a
@@ -174,28 +170,22 @@ def simulate(tm, grid, tableau, initial=None, initial_states=None,
     Returns
     -------
     ParticleEnsemble
-        Final state; overflow_flag/diverged_step record divergence.
+        Final state; with overflow_flag set, t_index is the step that
+        produced the first non-finite value.
     """
-    n_part = tableau.N if n_particles is None else int(n_particles)
-    if n_part < 1 or n_part > tableau.N:
-        raise ValueError("n_particles must be in [1, %d]" % tableau.N)
     d = tm.base.d
     if tm.base.l != tableau.l:
         raise ValueError("model noise dimension l=%d does not match "
                          "tableau l=%d" % (tm.base.l, tableau.l))
-    if initial_states is not None:
-        states = np.asarray(initial_states, dtype=np.float64)
-        if states.shape != (n_part, d):
-            raise ValueError("initial_states must be (%d, %d)"
-                             % (n_part, d))
-    else:
-        law = initial if initial is not None else rng_mod.initial_law()
-        states = rng_mod.sample_initial(tableau, n_part, d, law)
-    r = rng_mod._level_ratio(tableau, grid.n)
+    states = np.asarray(states, dtype=np.float64)
+    if (states.ndim != 2 or states.shape[1] != d
+            or not 1 <= len(states) <= tableau.N):
+        raise ValueError("states must be (N, %d) with 1 <= N <= %d, got "
+                         "shape %s" % (d, tableau.N, states.shape))
+    n_part = len(states)
+    r = rng_mod._level_ratio(tableau, tm.n)
+    grid = TimeGrid(tableau.T, tm.n)
     total = grid.total_steps
-    if total * r > tableau.total_steps:
-        raise ValueError("grid horizon T=%g exceeds the tableau horizon "
-                         "T=%g" % (grid.T, tableau.T))
     recorders = [cb for cb in callbacks if hasattr(cb, "keeps")]
     if len(recorders) > 1:
         raise ValueError("simulate takes at most one StateRecorder, got %d"
@@ -216,7 +206,7 @@ def simulate(tm, grid, tableau, initial=None, initial_states=None,
     for cb in callbacks:
         cb.observe(ens, grid)
 
-    run = _fused_kernel(tm, grid, ens)
+    run = _fused_kernel(tm, ens)
     chunk = max(1, _CHUNK_ELEMENTS // (r * tableau.N * tableau.l))
     k = 0
     while k < total and not ens.overflow_flag:
@@ -242,9 +232,8 @@ def simulate(tm, grid, tableau, initial=None, initial_states=None,
                 keep_run = keep[j - k:stop - k]
                 rec_rows = np.empty((kept[stop - k] - kept[j - k], n_part, d))
             if run is None:
-                alive = _advance_steps(ens, tm, grid, block[:, :n_part],
-                                       j - k, stop - j, obs, keep_run,
-                                       rec_rows)
+                alive = _advance_steps(ens, tm, block[:, :n_part], j - k,
+                                       stop - j, obs, keep_run, rec_rows)
             else:
                 alive = _advance_fused(ens, run, block, j - k, stop - j,
                                        obs, keep_run, rec_rows)
@@ -268,7 +257,7 @@ def _squared_norms(x, out):
         out[:] = np.sum(x * x, axis=-1)
 
 
-def _advance_steps(ens, tm, grid, block, first, steps, obs, keep, rec):
+def _advance_steps(ens, tm, block, first, steps, obs, keep, rec):
     """`steps` calls of step, writing observation rows as the kernel does.
 
     Row s of obs, if given, receives the squared particle norms after the
@@ -279,7 +268,7 @@ def _advance_steps(ens, tm, grid, block, first, steps, obs, keep, rec):
     """
     row = 0
     for s in range(steps):
-        alive = step(ens, tm, grid, block[first + s])
+        alive = step(ens, tm, block[first + s])
         if obs is not None:
             _squared_norms(ens.states, obs[s])
         if keep is not None and keep[s]:
@@ -290,7 +279,7 @@ def _advance_steps(ens, tm, grid, block, first, steps, obs, keep, rec):
     return True
 
 
-def _fused_kernel(tm, grid, ens):
+def _fused_kernel(tm, ens):
     """The fused C kernel bound to ens, or None on the numpy backend.
 
     The kernel evaluates step's coefficients from these values: lam only
@@ -303,7 +292,7 @@ def _fused_kernel(tm, grid, ens):
     par = taming_parameters(tm)
     pairwise = base.measure_mode == "pairwise"
     return bind_advance(dict(
-        h=grid.h, beta1=base.beta1, betaq=base.betaq, q_b=base.q_b,
+        h=1.0 / tm.n, beta1=base.beta1, betaq=base.betaq, q_b=base.q_b,
         lam=0.0 if pairwise else base.lam,
         kap_pair=base.kap_pair if pairwise else 0.0,
         s0=base.s0, s1=base.s1, c_s=base.c_s,
@@ -324,7 +313,6 @@ def _advance_fused(ens, run, block, first, steps, obs, keep, rec):
     if done < steps:
         ens.t_index += done + 1
         ens.overflow_flag = True
-        ens.diverged_step = ens.t_index
         return False
     ens.t_index += steps
     return True

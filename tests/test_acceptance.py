@@ -23,8 +23,8 @@ from mvsde.metrics import w2
 from mvsde.model import (FAMILIES, eval_drift_b, make_model, pair_terms,
                          self_terms)
 from mvsde.probes import documented_sets, probe_assumptions
-from mvsde.rng import level_increments, make_tableau, parse_initial
-from mvsde.scheme import StateRecorder, TimeGrid, simulate
+from mvsde.rng import level_increments, make_tableau
+from mvsde.scheme import StateRecorder, simulate
 from mvsde.taming import TamedModel, taming_parameters
 
 _PURE_CUBIC = dict(lam=0.0, sigma0=0.0, c_f=0.0, c_g=0.0)
@@ -77,8 +77,8 @@ def test_criterion_3_taming_prevents_blowup(tmp_path):
     model = make_model("cubic-mean-field", d=1, params=dict(_PURE_CUBIC))
     tab = make_tableau(12345, 64, 1, 1.0, 2)
     rec = StateRecorder(stride=1)
-    simulate(TamedModel(model, 2, "off"), TimeGrid(1.0, 2), tab,
-             initial=parse_initial("point 3.0"), callbacks=[rec])
+    simulate(TamedModel(model, 2, "off"), tab, np.full((64, 1), 3.0),
+             callbacks=[rec])
     assert np.array_equal(rec.states[1], np.full((64, 1), -10.5))
     assert np.array_equal(rec.states[2], np.full((64, 1), 568.3125))
 

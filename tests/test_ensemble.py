@@ -71,4 +71,4 @@ def test_snapshot_csv_nonfinite_sentinels():
 def test_divergence_flags_default():
     ens = ParticleEnsemble(np.zeros((2, 1)))
     assert ens.overflow_flag is False
-    assert ens.diverged_step is None
+    assert ens.t_index == 0

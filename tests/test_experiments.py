@@ -18,7 +18,7 @@ from mvsde.experiments import (_poc_single_rep, run_ergodic_contraction,
                                run_simulate, run_strong_rate)
 from mvsde.model import make_model
 from mvsde.rng import make_tableau, parse_initial
-from mvsde.scheme import TimeGrid, simulate
+from mvsde.scheme import simulate
 from mvsde.taming import TamedModel
 
 # dyadic assumption constants; every derived value is float-exact
@@ -102,11 +102,9 @@ def test_ou_coupled_difference_matches_closed_form():
     model = make_model("lipschitz-baseline", d=1, params=_OU)
     x0, sig, n_c, n_f, big = 1.0, 0.5, 8, 64, 4096
     tab = make_tableau(321, big, 1, 1.0, n_f)
-    law = parse_initial("point %r" % x0)
-    fine = simulate(TamedModel(model, n_f, "off"), TimeGrid(1.0, n_f),
-                    tab, initial=law)
-    coarse = simulate(TamedModel(model, n_c, "off"), TimeGrid(1.0, n_c),
-                      tab, initial=law)
+    states = np.full((big, 1), x0)
+    fine = simulate(TamedModel(model, n_f, "off"), tab, states)
+    coarse = simulate(TamedModel(model, n_c, "off"), tab, states)
     diff = (coarse.states - fine.states).ravel()
     mc = float(np.mean(diff * diff))
 
@@ -160,7 +158,7 @@ def test_poc_reference_identity_is_exact():
     model = make_model("pairwise-vlasov", d=1)
     tab = make_tableau(5, 32, 1, 1.0, 16)
     tm = TamedModel(model, 16, "finite")
-    out = _poc_single_rep(tm, TimeGrid(1.0, 16), tab, [32], 32, 8,
+    out = _poc_single_rep(tm, tab, [32], 8,
                           parse_initial("gaussian 0.0 1.0"), 2.0)
     assert out == [(0.0, 0)]
 

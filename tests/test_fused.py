@@ -35,12 +35,13 @@ def advance(compiled_library):
     return load_compiled(compiled_library)[0]
 
 
-def _simulate(monkeypatch, advance, tm, T, n, tab, law, n_particles=None,
-              callbacks=()):
-    """simulate on the fused kernel (advance) or on the NumPy step (None)."""
+def _simulate(monkeypatch, advance, tm, tab, law, size=None, callbacks=()):
+    """simulate on the fused kernel (advance) or on the NumPy step (None),
+    from the first `size` (default tab.N) initial states law draws."""
     monkeypatch.setattr(scheme, "bind_advance", advance)
-    return scheme.simulate(tm, scheme.TimeGrid(T, n), tab, initial=law,
-                           n_particles=n_particles, callbacks=callbacks)
+    states = rng.sample_initial(tab, tab.N if size is None else size,
+                                tm.base.d, law)
+    return scheme.simulate(tm, tab, states, callbacks=callbacks)
 
 
 def _assert_same_arrays(a, b):
@@ -51,8 +52,8 @@ def _assert_same_arrays(a, b):
 
 def _assert_same_run(got, want):
     (ens_a, recs_a), (ens_b, recs_b) = got, want
-    assert (ens_a.t_index, ens_a.overflow_flag, ens_a.diverged_step) == (
-        ens_b.t_index, ens_b.overflow_flag, ens_b.diverged_step)
+    assert (ens_a.t_index, ens_a.overflow_flag) == (ens_b.t_index,
+                                                    ens_b.overflow_flag)
     _assert_same_arrays(ens_a.states, ens_b.states)
     for rec_a, rec_b in zip(recs_a, recs_b):
         assert rec_a.recorded_steps == rec_b.recorded_steps
@@ -73,8 +74,8 @@ def _assert_fused_matches_step(monkeypatch, advance, family, d):
             runs = []
             for kernel in (advance, None):
                 rec = scheme.StateRecorder(stride=3)
-                ens = _simulate(monkeypatch, kernel, tm, T, n, tab, law,
-                                n_particles=size, callbacks=[rec])
+                ens = _simulate(monkeypatch, kernel, tm, tab, law,
+                                size=size, callbacks=[rec])
                 runs.append((ens, [rec]))
             _assert_same_run(*runs)
             ran += 1
@@ -110,14 +111,14 @@ def test_fused_overflow_matches_step(monkeypatch, advance, callbacks):
         moments, diverge = scheme.MomentTracker(4.0), _DivergenceTracker()
         cbs = {"none": [], "recorder": [rec],
                "trackers": [moments, diverge]}[callbacks]
-        ens = _simulate(monkeypatch, kernel, tm, 40.0, 2, tab,
+        ens = _simulate(monkeypatch, kernel, tm, tab,
                         initial_law("point", 3.0), callbacks=cbs)
         results.append(((ens, [rec]), (moments.values, diverge.step)))
     (fused, fused_tracked), (ref, ref_tracked) = results
     _assert_same_run(fused, ref)
     assert fused_tracked == ref_tracked
     ens = fused[0]
-    assert ens.overflow_flag and ens.diverged_step == ens.t_index < 80
+    assert ens.overflow_flag and ens.t_index < 80
 
 
 class _Blocks:
@@ -185,15 +186,15 @@ def test_block_observers_match_per_step(monkeypatch, advance, d, size,
         for kernel in (advance, None):
             moments = [scheme.MomentTracker(p) for p in POWERS]
             diverge, blocks = _DivergenceTracker(), _Blocks()
-            ens = _simulate(monkeypatch, kernel, tm, T, tm.n, tab, law,
+            ens = _simulate(monkeypatch, kernel, tm, tab, law,
                             callbacks=moments + [diverge, blocks])
             runs.append((ens, moments, diverge, blocks))
         rec = scheme.StateRecorder(stride=1)
-        _simulate(monkeypatch, None, tm, T, tm.n, tab, law, callbacks=[rec])
+        _simulate(monkeypatch, None, tm, tab, law, callbacks=[rec])
         times, want, diverged = _per_step_observers(rec, grid, POWERS)
         (ens, moments, diverge, blocks), ref = runs
-        assert (ens.t_index, ens.diverged_step) == (ref[0].t_index,
-                                                    ref[0].diverged_step)
+        assert (ens.t_index, ens.overflow_flag) == (ref[0].t_index,
+                                                    ref[0].overflow_flag)
         assert len(blocks.blocks) == len(ref[3].blocks)
         for (k_a, r2_a), (k_b, r2_b) in zip(blocks.blocks, ref[3].blocks):
             assert k_a == k_b
@@ -214,7 +215,7 @@ def test_block_observers_match_per_step(monkeypatch, advance, d, size,
         assert diverge.step == ref[2].step == diverged
     # the plain arm crossed the trust region before it overflowed
     assert diverged is not None and ens.overflow_flag
-    assert diverged < ens.diverged_step
+    assert diverged < ens.t_index
 
 
 def test_divergence_tracker_boundary(monkeypatch, advance):
@@ -243,7 +244,7 @@ def test_divergence_tracker_boundary(monkeypatch, advance):
                         (np.nextafter(DIVERGENCE_NORM, np.inf), 0)):
         for kernel in (advance, None):
             tracker = _DivergenceTracker()
-            _simulate(monkeypatch, kernel, tm, 2.0, 2, tab,
+            _simulate(monkeypatch, kernel, tm, tab,
                       initial_law("point", start), callbacks=[tracker])
             assert tracker.step == step
 
@@ -327,13 +328,13 @@ def test_noise_free_runs_match_the_noise_path(monkeypatch, advance):
                 tab = make_tableau(11, 17, tm.base.l, T, tm.n)
                 moments, blocks = scheme.MomentTracker(4.0), _Blocks()
                 diverge = _DivergenceTracker()
-                ens = _simulate(monkeypatch, kernel, tm, T, tm.n, tab, law,
+                ens = _simulate(monkeypatch, kernel, tm, tab, law,
                                 callbacks=[moments, diverge, blocks])
                 runs.append((ens, moments, diverge, blocks, tab))
             (ens, moments, diverge, blocks, tab), ref = runs
             assert tab._store is None and ref[4]._store is not None
-            assert (ens.t_index, ens.overflow_flag, ens.diverged_step) == (
-                ref[0].t_index, ref[0].overflow_flag, ref[0].diverged_step)
+            assert (ens.t_index, ens.overflow_flag) == (
+                ref[0].t_index, ref[0].overflow_flag)
             _assert_same_arrays(ens.states, ref[0].states)
             assert len(blocks.blocks) == len(ref[3].blocks)
             for (k_a, r2_a), (k_b, r2_b) in zip(blocks.blocks,
@@ -398,14 +399,14 @@ def test_fused_adds_short_circuited_pair_sums(advance):
     assert not np.signbit(got).any()
 
 
-def _counted_runs(monkeypatch, advance, tm, T, tab, law):
+def _counted_runs(monkeypatch, advance, tm, tab, law):
     """C and NumPy runs of tm with a recorder, and the step calls of each."""
     step_calls = _counted(monkeypatch, scheme, "step")
     runs, calls = [], []
     for kernel in (advance, None):
         before = len(step_calls)
         rec = scheme.StateRecorder(stride=3)
-        ens = _simulate(monkeypatch, kernel, tm, T, tm.n, tab, law,
+        ens = _simulate(monkeypatch, kernel, tm, tab, law,
                         callbacks=[rec])
         runs.append((ens, [rec]))
         calls.append(len(step_calls) - before)
@@ -423,7 +424,7 @@ def test_non_special_exponents_run_fused(monkeypatch, advance, family, q,
     model = make_model(family, d=2, params={"q": q})
     tm = TamedModel(model, 8, variant)
     tab = make_tableau(5, 9, 2, 1.0, 8)
-    runs, calls = _counted_runs(monkeypatch, advance, tm, 1.0, tab,
+    runs, calls = _counted_runs(monkeypatch, advance, tm, tab,
                                 initial_law("gaussian", 0.0, 1.0))
     assert calls == [0, 8]  # C never calls step, NumPy every step
     _assert_same_run(*runs)
@@ -440,8 +441,7 @@ def test_backends_agree_at_every_q(monkeypatch, advance, q, d):
         tab = make_tableau(17, 19, model.l, 1.0, 8)
         for variant in VARIANTS:
             tm = TamedModel(model, 8, variant)
-            runs, calls = _counted_runs(monkeypatch, advance, tm, 1.0, tab,
-                                        law)
+            runs, calls = _counted_runs(monkeypatch, advance, tm, tab, law)
             assert calls[0] == 0
             _assert_same_run(*runs)
 
@@ -466,10 +466,10 @@ def test_recorder_keeps_and_refusals(monkeypatch, advance):
     for kernel in (advance, None):
         with pytest.raises(ValueError, match=r"steps \[-1, 99\] are "
                            "outside the grid's steps 0 to 8"):
-            _simulate(monkeypatch, kernel, tm, 1.0, 8, tab, law,
+            _simulate(monkeypatch, kernel, tm, tab, law,
                       callbacks=[scheme.StateRecorder(steps=[-1, 3, 99])])
         with pytest.raises(ValueError, match="at most one StateRecorder"):
-            _simulate(monkeypatch, kernel, tm, 1.0, 8, tab, law,
+            _simulate(monkeypatch, kernel, tm, tab, law,
                       callbacks=[scheme.StateRecorder(),
                                  scheme.MomentTracker(2.0),
                                  scheme.StateRecorder(steps=[8])])
@@ -514,7 +514,7 @@ def _states_by_hand(tm, grid, tab, law):
     dw = rng.level_increments(tab, tm.n, 0, grid.total_steps)
     out = {0: ens.states.copy()}
     for k in range(grid.total_steps):
-        alive = scheme.step(ens, tm, grid, dw[k])
+        alive = scheme.step(ens, tm, dw[k])
         out[k + 1] = ens.states.copy()
         if not alive:
             break
@@ -550,7 +550,7 @@ def test_recorder_rows_match_across_backends(monkeypatch, advance, case,
             for kernel in (_counting(advance, calls), None):
                 rec = _BlockRecorder(**kwargs)
                 extra = [scheme.MomentTracker(4.0)] if moments else []
-                ens = _simulate(monkeypatch, kernel, tm, T, tm.n, tab, law,
+                ens = _simulate(monkeypatch, kernel, tm, tab, law,
                                 callbacks=[rec] + extra)
                 assert ens.t_index == last
                 runs.append((ens, [rec]))

@@ -9,7 +9,7 @@ from mvsde.ensemble import ParticleEnsemble
 from mvsde.model import (FAMILIES, CoefficientModel, eval_drift_b,
                          eval_kernel_f, eval_kernel_g, eval_pair_drift,
                          eval_pair_sigma, eval_sigma, make_model)
-from mvsde.scheme import TimeGrid, step
+from mvsde.scheme import step
 from mvsde.taming import TamedModel
 
 
@@ -76,7 +76,7 @@ def test_pairwise_eval_is_the_step_self_terms():
     b = eval_drift_b(m, 0.0, x, x)
     s = np.diagonal(eval_sigma(m, 0.0, x, x), axis1=-2, axis2=-1)
     ens = ParticleEnsemble(x)
-    assert step(ens, TamedModel(m, 16, "off"), TimeGrid(1.0, 16), dW)
+    assert step(ens, TamedModel(m, 16, "off"), dW)
     assert np.array_equal(ens.states, x + b * (1.0 / 16) + s * dW)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from mvsde.ensemble import ParticleEnsemble
 from mvsde.model import FAMILIES, make_model, pair_terms, self_terms
-from mvsde.rng import initial_law, make_tableau
+from mvsde.rng import initial_law, make_tableau, sample_initial
 from mvsde.scheme import (MomentTracker, StateRecorder, TimeGrid,
                           _noise_width, simulate, step)
 from mvsde.taming import VARIANTS, TamedModel, taming_parameters
@@ -37,8 +37,7 @@ def test_single_step_oracle():
     m = _pure_cubic(sigma0=0.5)
     tm = TamedModel(m, 4, "finite")
     ens = ParticleEnsemble(np.array([[1.0]]))
-    grid = TimeGrid(1.0, 4)
-    step(ens, tm, grid, np.array([[0.75]]))
+    step(ens, tm, np.array([[0.75]]))
     want = 1.0 + 0.25 * (-1.0 / 1.5) + (0.5 / 1.5) * 0.75
     assert ens.states[0, 0] == pytest.approx(want, rel=1e-15)
     assert ens.t_index == 1
@@ -53,8 +52,7 @@ def test_two_particle_kernel_step():
     m = _pure_cubic(c_f=1.0)
     tm = TamedModel(m, 1, "off")
     ens = ParticleEnsemble(np.array([[1.0], [-1.0]]))
-    grid = TimeGrid(1.0, 1)
-    step(ens, tm, grid, dW=np.zeros((2, 1)))
+    step(ens, tm, dW=np.zeros((2, 1)))
     assert ens.states[0, 0] == -4.0
     assert ens.states[1, 0] == 4.0
 
@@ -88,7 +86,7 @@ def test_step_matches_explicit_euler_update(family, variant):
         want = x + (b + f_sum / n_part) * (1.0 / n)
         want[:, :k] += (s + g_sum / n_part) * dW[:, :k]
         ens = ParticleEnsemble(x)
-        assert step(ens, tm, TimeGrid(1.0, n), dW)
+        assert step(ens, tm, dW)
         assert np.array_equal(ens.states, want), d
 
 
@@ -96,26 +94,25 @@ def test_untamed_blowup_iterates():
     """x0=3, h=0.5, b=-x^3: first iterates -10.5, 568.3125, then overflow."""
     m = _pure_cubic()
     tm = TamedModel(m, 2, "off")
-    grid = TimeGrid(100.0, 2)
     ens = ParticleEnsemble(np.full((4, 1), 3.0))
-    step(ens, tm, grid, np.zeros((4, 1)))
+    step(ens, tm, np.zeros((4, 1)))
     assert (ens.states == -10.5).all()
-    step(ens, tm, grid, np.zeros((4, 1)))
+    step(ens, tm, np.zeros((4, 1)))
     assert (ens.states == 568.3125).all()
     k = 2
     while not ens.overflow_flag and k < 20:
-        step(ens, tm, grid, np.zeros((4, 1)))
+        step(ens, tm, np.zeros((4, 1)))
         k += 1
-    assert ens.overflow_flag and ens.diverged_step is not None
-    assert ens.diverged_step <= 20
+    assert ens.overflow_flag and ens.t_index == k <= 20
+    assert not step(ens, tm, np.zeros((4, 1)))  # frozen after overflow
+    assert ens.t_index == k
 
 
 def test_tamed_same_start_stays_finite():
     m = _pure_cubic()
     tm = TamedModel(m, 2, "finite")
-    grid = TimeGrid(100.0, 2)
     tab = make_tableau(1, 4, 1, 100.0, 2)
-    ens = simulate(tm, grid, tab, initial=initial_law("point", center=3.0))
+    ens = simulate(tm, tab, np.full((4, 1), 3.0))
     assert not ens.overflow_flag
     assert np.all(np.abs(ens.states) <= 3.0)
 
@@ -124,10 +121,9 @@ def test_simulate_reproducible_and_level_consistent():
     m = make_model("cubic-mean-field", d=2)
     tab = make_tableau(21, 8, 2, 1.0, 32)
     tm = TamedModel(m, 32, "finite")
-    grid = TimeGrid(1.0, 32)
-    law = initial_law("gaussian")
-    a = simulate(tm, grid, tab, initial=law)
-    b = simulate(tm, grid, tab, initial=law)
+    states = sample_initial(tab, 8, 2, initial_law("gaussian"))
+    a = simulate(tm, tab, states)
+    b = simulate(tm, tab, states)
     assert np.array_equal(a.states, b.states)
 
 
@@ -135,11 +131,9 @@ def test_simulate_callbacks_and_trackers():
     m = _pure_cubic(sigma0=0.2)
     tab = make_tableau(3, 4, 1, 1.0, 8)
     tm = TamedModel(m, 8, "finite")
-    grid = TimeGrid(1.0, 8)
     mom = MomentTracker(2.0)
     rec = StateRecorder(stride=4)
-    simulate(tm, grid, tab, initial=initial_law("point", center=1.0),
-             callbacks=(mom, rec))
+    simulate(tm, tab, np.ones((4, 1)), callbacks=(mom, rec))
     assert len(mom.times) == 9 and mom.times[0] == 0.0
     assert mom.values[0] == 1.0
     assert rec.recorded_steps == [0, 4, 8]
@@ -155,10 +149,9 @@ def test_simulate_prefix_particles_share_noise():
     m = _pure_cubic(sigma0=0.5)
     tab = make_tableau(17, 16, 1, 1.0, 16)
     tm = TamedModel(m, 16, "finite")
-    grid = TimeGrid(1.0, 16)
     law = initial_law("gaussian")
-    small = simulate(tm, grid, tab, initial=law, n_particles=4)
-    big = simulate(tm, grid, tab, initial=law, n_particles=16)
+    small = simulate(tm, tab, sample_initial(tab, 4, 1, law))
+    big = simulate(tm, tab, sample_initial(tab, 16, 1, law))
     assert np.array_equal(small.states, big.states[:4])
 
 
@@ -170,9 +163,8 @@ def test_center_of_mass_nearly_conserved():
                                sigma0=0.0, c_g=0.0))
     tab = make_tableau(9, 32, 1, 1.0, 64)
     tm = TamedModel(m, 64, "off")
-    grid = TimeGrid(1.0, 64)
     rec = StateRecorder(stride=64)
-    simulate(tm, grid, tab, initial=initial_law("gaussian"),
+    simulate(tm, tab, sample_initial(tab, 32, 1, initial_law("gaussian")),
              callbacks=(rec,))
     first = rec.states[0].mean()
     last = rec.states[-1].mean()
@@ -195,30 +187,32 @@ def test_noise_width_sees_every_diffusion_coefficient(family, name):
 
 def test_simulate_argument_validation():
     # the noise-free model reads no increments, the noisy one does: both
-    # have the grid checked against the tableau
+    # have the level, the states and the model checked against the tableau
     for m in (_pure_cubic(), _pure_cubic(sigma0=0.5)):
         tab = make_tableau(1, 4, 1, 1.0, 8)
         tm = TamedModel(m, 8)
-        with pytest.raises(ValueError):
-            simulate(tm, TimeGrid(1.0, 3), tab)  # 3 does not divide 8
-        with pytest.raises(ValueError):
-            simulate(tm, TimeGrid(1.0, 8), tab, n_particles=5)
-        with pytest.raises(ValueError, match="exceeds the tableau horizon"):
-            simulate(tm, TimeGrid(2.0, 8), tab)
-        with pytest.raises(ValueError, match="exceeds the tableau horizon"):
-            simulate(tm, TimeGrid(1.5, 2), tab)  # coarser, still beyond
-        with pytest.raises(ValueError):
-            simulate(tm, TimeGrid(1.0, 8), tab,
-                     initial_states=np.zeros((2, 1)), n_particles=4)
+        states = np.zeros((4, 1))
+        with pytest.raises(ValueError, match="must divide n_max=8"):
+            simulate(TamedModel(m, 3), tab, states)
+        with pytest.raises(ValueError, match=r"states must be \(N, 1\)"):
+            simulate(tm, tab, np.zeros((5, 1)))  # more than tableau.N
+        with pytest.raises(ValueError, match=r"states must be \(N, 1\)"):
+            simulate(tm, tab, np.zeros((4, 2)))  # wrong width
+        with pytest.raises(ValueError, match="does not match tableau l=1"):
+            simulate(TamedModel(make_model("cubic-mean-field", d=2), 8),
+                     tab, np.zeros((4, 2)))
         assert tab._store is None  # refused before any step
 
 
 def test_divergence_freezes_state():
     m = _pure_cubic()
     tm = TamedModel(m, 2, "off")
-    grid = TimeGrid(100.0, 2)
     tab = make_tableau(1, 2, 1, 100.0, 2)
-    ens = simulate(tm, grid, tab, initial=initial_law("point", center=3.0))
+    rec = StateRecorder(stride=1)
+    ens = simulate(tm, tab, np.full((2, 1), 3.0), callbacks=[rec])
     assert ens.overflow_flag
-    assert ens.t_index == ens.diverged_step
-    assert ens.t_index < grid.total_steps
+    assert ens.t_index < tab.total_steps
+    # the overflowing step was the last one run, and the state froze there
+    assert rec.recorded_steps[-1] == ens.t_index
+    assert not np.isfinite(rec.states[-1]).all()
+    assert np.isfinite(rec.states[-2]).all()
