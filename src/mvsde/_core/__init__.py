@@ -134,19 +134,18 @@ class _BoundAdvance:
     """mvsde_advance bound to one run's coefficients and state buffers.
 
     states and scratch are the C-contiguous (N, d) float64 buffers of the
-    ensemble. Calling it with (block, first, steps) advances states in place
-    by up to `steps` steps whose noise rows are
-    block[first:first + steps, :N, :k_noise] of a C-contiguous (S, N', l)
-    float64 block with N' >= N and l >= k_noise (l = 0 for a model with no
-    noise, whose k_noise is 0). It returns the number of
-    steps with a finite result; a return r < steps means step r + 1 was
-    done and overflowed. With obs, a C-contiguous (R, N) float64 array with
-    R >= steps, row s of obs receives the squared particle norms after step
-    s + 1. With keep, a uint8 array of at least `steps` flags, and rec, a
-    C-contiguous (R, N, d) float64 array with a row for every nonzero flag
-    of keep[:steps], the state after step s + 1 goes into the next row of
-    rec wherever keep[s] is nonzero. Both cover every step done, the
-    overflowing one included.
+    ensemble. Calling it with (block, steps) advances states in place by up
+    to `steps` steps whose noise rows are block[:steps, :N, :k_noise] of a
+    C-contiguous (S, N', l) float64 block with S >= steps, N' >= N and
+    l >= k_noise (l = 0 for a model with no noise, whose k_noise is 0). It
+    returns the number of steps with a finite result; a return r < steps
+    means step r + 1 was done and overflowed. With obs, a C-contiguous
+    (R, N) float64 array with R >= steps, row s of obs receives the
+    squared particle norms after step s + 1. With keep, a uint8 array of
+    at least `steps` flags, and rec, a C-contiguous (R, N, d) float64
+    array with a row for every nonzero flag of keep[:steps], the state
+    after step s + 1 goes into the next row of rec wherever keep[s] is
+    nonzero. Both cover every step done, the overflowing one included.
     """
 
     def __init__(self, kernel, coeffs, states, scratch):
@@ -168,23 +167,16 @@ class _BoundAdvance:
         self._head = (ctypes.byref(coeffs), states.ctypes.data,
                       scratch.ctypes.data, n, d)
         self._work = work.ctypes.data
-        # simulate passes one block for many calls: check it and look up
-        # its address once, and hold it while its address is in use
-        self._block = None
-        self._noise = None
 
-    def __call__(self, block, first, steps, obs=None, keep=None, rec=None):
-        if block is not self._block:
-            _, rows, width = block.shape
-            if (block.dtype != np.float64 or not block.flags.c_contiguous
-                    or rows < self._n or width < self._k_noise):
-                raise ValueError("noise block of shape %r does not cover %d "
-                                 "particles" % (block.shape, self._n))
-            self._block = block
-            self._noise = (block.ctypes.data, rows * width, width)
-        if not 0 <= first <= first + steps <= len(block):
-            raise ValueError("steps %d to %d are outside the noise block of "
-                             "%d steps" % (first, first + steps, len(block)))
+    def __call__(self, block, steps, obs=None, keep=None, rec=None):
+        _, rows, width = block.shape
+        if (block.dtype != np.float64 or not block.flags.c_contiguous
+                or rows < self._n or width < self._k_noise):
+            raise ValueError("noise block of shape %r does not cover %d "
+                             "particles" % (block.shape, self._n))
+        if not 0 <= steps <= len(block):
+            raise ValueError("%d steps are outside the noise block of %d "
+                             "steps" % (steps, len(block)))
         if obs is not None and (
                 obs.dtype != np.float64 or not obs.flags.c_contiguous
                 or obs.ndim != 2 or obs.shape[1] != self._n
@@ -199,18 +191,17 @@ class _BoundAdvance:
                     or not keep.flags.c_contiguous or len(keep) < steps):
                 raise ValueError("keep mask of shape %r does not flag %d "
                                  "steps" % (keep.shape, steps))
-            rows = np.count_nonzero(keep[:steps])
+            kept = np.count_nonzero(keep[:steps])
             if (rec.dtype != np.float64 or not rec.flags.c_contiguous
                     or rec.shape[1:] != self._state_shape
-                    or len(rec) < rows):
+                    or len(rec) < kept):
                 raise ValueError("state buffer of shape %r does not hold %d "
                                  "states of shape %r"
-                                 % (rec.shape, rows, self._state_shape))
-        ptr, row, width = self._noise
+                                 % (rec.shape, kept, self._state_shape))
         # a CDLL call releases the GIL, so the kernel calls of reps on
         # other threads run in parallel
-        return self._kernel(*self._head, ptr + 8 * first * row, row, width,
-                            steps, self._work,
+        return self._kernel(*self._head, block.ctypes.data, rows * width,
+                            width, steps, self._work,
                             None if obs is None else obs.ctypes.data,
                             None if keep is None else keep.ctypes.data,
                             None if rec is None else rec.ctypes.data)

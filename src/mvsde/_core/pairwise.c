@@ -32,8 +32,8 @@
  * after every step, as np.sum(x * x, axis=-1) gives it, so the observers
  * that need every step (the moment and divergence trackers) read a block
  * of steps per call instead of stopping the kernel after each one, and a
- * copy of the state after each step a keep mask selects, so a
- * StateRecorder reads its states from one block per call as well.
+ * copy of the state after each step a keep mask selects, straight into
+ * the next row of the one array a StateRecorder owns for its run.
  *
  * mvsde_fsum_rows sums each row of a matrix correctly rounded with
  * math.fsum's algorithm (Shewchuk's nonoverlapping expansions, "Adaptive

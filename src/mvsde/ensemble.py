@@ -34,17 +34,13 @@ class ParticleEnsemble:
         Squared particle norms, np.sum(x * x, axis=-1), of the states
         after steps t_index - k + 1 .. t_index: the steps run since the
         callbacks of mvsde.scheme.simulate last observed. simulate fills it
-        only when a callback observes every step; None otherwise.
-    state_block : (k, N, d) float64 array or None
-        Copies of the states after the steps run since the callbacks last
-        observed that the StateRecorder among them keeps, in step order
-        (after initialization, of the initial state if it keeps step 0).
-        simulate fills it only when a StateRecorder observes; None
-        otherwise.
+        only when a callback observes every step; None otherwise. A
+        StateRecorder does not read the ensemble: simulate writes the
+        states it keeps into the recorder's own array.
     """
 
     __slots__ = ("N", "d", "states", "t_index", "overflow_flag", "scratch",
-                 "r2_block", "state_block")
+                 "r2_block")
 
     def __init__(self, states):
         states = np.array(states, dtype=np.float64, order="C", copy=True)
@@ -56,7 +52,6 @@ class ParticleEnsemble:
         self.overflow_flag = False
         self.scratch = np.empty_like(states)
         self.r2_block = None
-        self.state_block = None
 
     def swap_buffers(self):
         self.states, self.scratch = self.scratch, self.states

@@ -45,6 +45,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from ._core import backend_name
+from ._core.pairwise_py import power
 from ._version import VERSION
 from .config import theoretical_constants, validate
 from .ensemble import snapshot_csv
@@ -249,7 +250,10 @@ def _rate_verdict(xs, errors, diverged, cfg, exploratory=False):
     try:
         fit = fit_loglog_slope(xs, errors)
     except ValueError:
-        status = "fail" if total_div > 0 else "degenerate"
+        if total_div == 0:
+            status = "degenerate"
+        else:
+            status = "exploratory" if exploratory else "fail"
         verdict = {"status": status, "slope_in_band": None,
                    "r2_ok": None, "no_divergence": total_div == 0}
         return None, verdict
@@ -303,26 +307,23 @@ def run_strong_rate(cfg):
         tab = make_tableau(cfg.seed + m, cfg.N, model.l, T, n_max)
         states = rng_mod.sample_initial(tab, cfg.N, model.d, law)
         # the reference's states on the finest level's grid
-        rec = StateRecorder(stride=stride)
+        rec = StateRecorder(range(0, tab.total_steps + 1, stride))
         ref = simulate(TamedModel(model, n_max, cfg.variant), tab, states,
                        callbacks=[rec])
         if ref.overflow_flag:
             return [(None, 1) for _ in levels]
-        fine = np.stack(rec.states)
         out = []
         for n in levels:
-            rec_c = StateRecorder(stride=1)
+            rec_c = StateRecorder(range(tab.total_steps // (n_max // n) + 1))
             ens = simulate(TamedModel(model, n, cfg.variant), tab, states,
                            callbacks=[rec_c])
             if ens.overflow_flag:
                 out.append((None, 1))
                 continue
-            coarse = np.stack(rec_c.states)
             # level-n step j sits at fine recorded index j*(lmax/n)
-            sel = fine[np.arange(coarse.shape[0]) * (max(levels) // n)]
-            diff = coarse - sel
+            diff = rec_c.states - rec.states[::max(levels) // n]
             dist = np.sqrt(np.sum(diff * diff, axis=-1)).max(axis=0)
-            out.append((float(np.mean(dist ** p)), 0))
+            out.append((float(np.mean(power(dist, p))), 0))
         return out
 
     results = _map_reps(one_rep, int(cfg.reps), int(cfg.threads))
@@ -354,7 +355,7 @@ def _poc_single_rep(tm, tab, sizes, probe_count, law, p):
         k = min(size, probe_count)
         diff = ens.states[:k] - ref.states[:k]
         dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        out.append((float(np.mean(dist ** p)), 0))
+        out.append((float(np.mean(power(dist, p))), 0))
     return out
 
 
@@ -536,8 +537,8 @@ def run_ergodic_contraction(cfg):
     def one_rep(m):
         tab = make_tableau(cfg.seed + m, cfg.N, model.l, T, n)
         tm = TamedModel(model, n, cfg.variant)
-        rec_a = StateRecorder(steps=rec_steps)
-        rec_b = StateRecorder(steps=rec_steps)
+        rec_a = StateRecorder(rec_steps)
+        rec_b = StateRecorder(rec_steps)
         ens_a = simulate(tm, tab, rng_mod.sample_initial(
             tab, cfg.N, model.d, law_a), callbacks=[rec_a])
         ens_b = simulate(tm, tab, rng_mod.sample_initial(

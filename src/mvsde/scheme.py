@@ -24,9 +24,9 @@ in one call with no Python in the loop; it gives the same bits as `step`.
 
 Callbacks read a block of steps per call. Observers that need every step
 (MomentTracker and the divergence tracker of mvsde.experiments) read the
-squared particle norms of each state, and a StateRecorder reads the states
-it keeps; the fused kernel writes both as it steps, and the step path
-fills the same rows.
+squared particle norms of each state, and a StateRecorder owns one array
+with a row for each step it keeps; the fused kernel writes both as it
+steps, and the step path fills the same rows.
 
 A model with no noise (s0, s1, c_s and c_g all zero) reads no Brownian
 increments: both paths skip its noise term, which is +-0 there and would
@@ -45,8 +45,7 @@ from ._core import bind_advance, pair_aggregate
 # target float64 count per pulled increment block
 _CHUNK_ELEMENTS = 1 << 22
 # cap on the float64 count of one block of observed squared norms (steps
-# per block times N) and of one block of recorded states (states per block
-# times N d): about 0.5 MB each
+# per block times N): about 0.5 MB
 _OBS_ELEMENTS = 1 << 16
 
 
@@ -136,8 +135,8 @@ def step(ens, tm, dW):
 def simulate(tm, tableau, states, callbacks=()):
     """Run the explicit scheme at level tm.n over the tableau's [0, T].
 
-    The model, the level and the states are checked against the tableau
-    before anything is drawn.
+    The model, the level, the states and a StateRecorder's steps are
+    checked against the tableau before anything is drawn.
 
     Parameters
     ----------
@@ -155,17 +154,16 @@ def simulate(tm, tableau, states, callbacks=()):
     callbacks : sequence
         Objects whose observe(ens, grid) is called after initialization
         and after each block of steps. At most one of them may be a
-        StateRecorder (a callback with a keeps method); it reads
-        ens.state_block, the states after the steps of the block it keeps
-        (after initialization, the initial state if it keeps step 0). Any
-        other callback observes every step: it reads ens.r2_block, the
-        squared particle norms after each step of the block (after
-        initialization, of the initial state). A block ends at the end of
-        an increment chunk, after _OBS_ELEMENTS // N steps when a callback
-        observes every step, after _OBS_ELEMENTS // (N d) recorded states,
-        and after the first step with a non-finite value. Both backends
-        observe the same blocks; the fused kernel runs each block in one
-        call.
+        StateRecorder; the states after the steps it keeps go straight
+        into its array (see StateRecorder). Any other callback observes
+        every step: it reads ens.r2_block, the squared particle norms
+        after each step of the block (after initialization, of the
+        initial state). Each block draws its own increments and spans
+        _CHUNK_ELEMENTS // (r tableau.N l) steps, r = tableau.n_max / n,
+        or _OBS_ELEMENTS // N when that is fewer and a callback observes
+        every step; it ends early after the first step with a non-finite
+        value. Both backends observe the same blocks; the fused kernel
+        runs each block in one call.
 
     Returns
     -------
@@ -186,68 +184,45 @@ def simulate(tm, tableau, states, callbacks=()):
     r = rng_mod._level_ratio(tableau, tm.n)
     grid = TimeGrid(tableau.T, tm.n)
     total = grid.total_steps
-    recorders = [cb for cb in callbacks if hasattr(cb, "keeps")]
+    recorders = [cb for cb in callbacks if isinstance(cb, StateRecorder)]
     if len(recorders) > 1:
         raise ValueError("simulate takes at most one StateRecorder, got %d"
                          % len(recorders))
+    ens = ParticleEnsemble(states)
     rec = recorders[0] if recorders else None
     if rec is not None:
-        keep0 = rec.keeps(np.arange(1), total)
-    noisy = _noise_width(tm.base) > 0
-    ens = ParticleEnsemble(states)
+        keep, rows = rec._start(ens.states, total)
+    span = max(1, _CHUNK_ELEMENTS // (r * tableau.N * tableau.l))
     obs = None
     if len(recorders) < len(callbacks):
         obs = np.empty((max(1, _OBS_ELEMENTS // n_part), n_part))
         _squared_norms(ens.states, obs[0])
         ens.r2_block = obs[:1]
-    if rec is not None:
-        ens.state_block = ens.states[None][keep0]
-        cap = max(1, _OBS_ELEMENTS // (n_part * d))
+        span = min(span, len(obs))
     for cb in callbacks:
         cb.observe(ens, grid)
 
-    run = _fused_kernel(tm, ens)
-    chunk = max(1, _CHUNK_ELEMENTS // (r * tableau.N * tableau.l))
+    advance = _advancer(tm, ens)
+    noisy = _noise_width(tm.base) > 0
     k = 0
     while k < total and not ens.overflow_flag:
-        hi = min(total, k + chunk)
+        hi = min(total, k + span)
         if noisy:
-            block = rng_mod.level_increments(tableau, grid.n, k, hi)
+            block = rng_mod.level_increments(tableau, tm.n, k, hi)
         else:
             block = np.empty((hi - k, tableau.N, 0))
-        if rec is not None:
-            # keep[i] flags step k + 1 + i; kept[i] counts the first i flags
-            keep = rec.keeps(np.arange(k + 1, hi + 1), total).view(np.uint8)
-            kept = np.concatenate(([0], np.cumsum(keep, dtype=np.int64)))
-        j = k
-        while j < hi:
-            stop = hi
-            if obs is not None:
-                stop = min(stop, j + len(obs))
-            keep_run = rec_rows = None
-            if rec is not None:
-                # the last step before the (cap + 1)-th kept one after j
-                stop = min(stop, k - 1 + int(np.searchsorted(
-                    kept, kept[j - k] + cap, side="right")))
-                keep_run = keep[j - k:stop - k]
-                rec_rows = np.empty((kept[stop - k] - kept[j - k], n_part, d))
-            if run is None:
-                alive = _advance_steps(ens, tm, block[:, :n_part], j - k,
-                                       stop - j, obs, keep_run, rec_rows)
-            else:
-                alive = _advance_fused(ens, run, block, j - k, stop - j,
-                                       obs, keep_run, rec_rows)
-            if obs is not None:
-                ens.r2_block = obs[:ens.t_index - j]
-            if rec is not None:
-                ens.state_block = rec_rows[:kept[ens.t_index - k]
-                                           - kept[j - k]]
-            j = ens.t_index
-            for cb in callbacks:
-                cb.observe(ens, grid)
-            if not alive:
-                break
-        k = hi
+        if rec is None:
+            advance(block, hi - k, obs, None, None)
+        else:
+            # keep[s] flags step s; the rows before `row` hold the kept
+            # steps up to k
+            row = int(np.searchsorted(rec.steps, k, side="right"))
+            advance(block, hi - k, obs, keep[k + 1:hi + 1], rows[row:])
+        if obs is not None:
+            ens.r2_block = obs[:ens.t_index - k]
+        k = ens.t_index
+        for cb in callbacks:
+            cb.observe(ens, grid)
     return ens
 
 
@@ -257,41 +232,39 @@ def _squared_norms(x, out):
         out[:] = np.sum(x * x, axis=-1)
 
 
-def _advance_steps(ens, tm, block, first, steps, obs, keep, rec):
-    """`steps` calls of step, writing observation rows as the kernel does.
+def _advancer(tm, ens):
+    """advance(block, steps, obs, keep, rec) for ens on the active backend.
 
-    Row s of obs, if given, receives the squared particle norms after the
-    step with noise block[first + s]; with keep and rec, the state after
-    that step goes into the next row of rec where keep[s] is set. Both
-    include the overflowing step. Returns False once the ensemble has
-    overflowed, True otherwise.
-    """
-    row = 0
-    for s in range(steps):
-        alive = step(ens, tm, block[first + s])
-        if obs is not None:
-            _squared_norms(ens.states, obs[s])
-        if keep is not None and keep[s]:
-            rec[row] = ens.states
-            row += 1
-        if not alive:
-            return False
-    return True
-
-
-def _fused_kernel(tm, ens):
-    """The fused C kernel bound to ens, or None on the numpy backend.
-
-    The kernel evaluates step's coefficients from these values: lam only
-    in the functional measure mode and kap_pair only in the pairwise one,
-    as step does.
+    advance runs up to `steps` steps of ens with the noise rows
+    block[:steps] of a (S, N', l) block (N' >= N; l = 0 for a model with
+    no noise) and does step's bookkeeping of t_index and overflow_flag;
+    it stops after the first step with a non-finite value. Row s of obs,
+    if given, receives the squared particle norms after step s + 1 of the
+    call; with keep and rec, the state after that step goes into the next
+    row of rec where keep[s] is set. Both include the overflowing step. On
+    the C backend it is one call of the fused kernel bound to ens, which
+    evaluates step's coefficients from the values below (lam only in the
+    functional measure mode and kap_pair only in the pairwise one, as step
+    does); on the numpy backend it is a loop of step.
     """
     if bind_advance is None:
-        return None
+        def advance(block, steps, obs, keep, rec):
+            row = 0
+            for s in range(steps):
+                alive = step(ens, tm, block[s, :ens.N])
+                if obs is not None:
+                    _squared_norms(ens.states, obs[s])
+                if keep is not None and keep[s]:
+                    rec[row] = ens.states
+                    row += 1
+                if not alive:
+                    return
+
+        return advance
     base = tm.base
     par = taming_parameters(tm)
     pairwise = base.measure_mode == "pairwise"
-    return bind_advance(dict(
+    run = bind_advance(dict(
         h=1.0 / tm.n, beta1=base.beta1, betaq=base.betaq, q_b=base.q_b,
         lam=0.0 if pairwise else base.lam,
         kap_pair=base.kap_pair if pairwise else 0.0,
@@ -302,20 +275,14 @@ def _fused_kernel(tm, ens):
         e_kernel=par["e_kernel"], tame_g=1.0 if par["tame_g"] else 0.0,
         k_noise=_noise_width(base)), ens.states, ens.scratch)
 
+    def advance(block, steps, obs, keep, rec):
+        done = run(block, steps, obs, keep, rec)
+        if done < steps:  # step done + 1 ran and overflowed
+            ens.overflow_flag = True
+            done += 1
+        ens.t_index += done
 
-def _advance_fused(ens, run, block, first, steps, obs, keep, rec):
-    """`steps` steps in one kernel call, with step's bookkeeping.
-
-    The kernel writes the rows of obs and rec as _advance_steps does.
-    Returns False once the ensemble has overflowed, True otherwise.
-    """
-    done = run(block, first, steps, obs, keep, rec)
-    if done < steps:
-        ens.t_index += done + 1
-        ens.overflow_flag = True
-        return False
-    ens.t_index += steps
-    return True
+    return advance
 
 
 class MomentTracker:
@@ -338,43 +305,44 @@ class MomentTracker:
 
 
 class StateRecorder:
-    """Copies ensemble states at selected step indices.
+    """Copies of the ensemble states after the given steps.
 
-    Records at steps in `steps` if given, else at multiples of `stride`
-    (always including step 0 and the final step). simulate copies the
-    states this keeps as it steps, the fused kernel included, and observe
-    takes them a block at a time.
+    steps is an iterable of step indices; it is sorted, and a repeated
+    index is recorded once. simulate refuses, before anything is drawn, a
+    step outside its grid's 0 .. total steps, and allocates one
+    (len(steps), N, d) array; the state after each kept step goes into
+    its next row as the run steps, from the fused kernel or from the step
+    loop. After each observe, `states` is the rows written so far and
+    `recorded_steps` the list of their steps; a run that overflows stops
+    at its overflowing step, which is recorded if kept.
     """
 
-    def __init__(self, stride=1, steps=None):
-        self.stride = int(stride)
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1, got %d" % self.stride)
-        self.steps = (None if steps is None else np.array(
-            sorted(set(int(s) for s in steps)), dtype=np.int64))
+    def __init__(self, steps):
+        self.steps = np.unique(np.fromiter(steps, dtype=np.int64))
         self.recorded_steps = []
-        self.states = []
-        self._seen = 0
+        self.states = np.empty((0, 0, 0))
+        self._rows = None
 
-    def keeps(self, ks, total):
-        """Bool array: which of the steps ks of a total-step grid this copies.
-
-        Refuses a `steps` entry outside 0 .. total.
-        """
-        if self.steps is None:
-            return (ks % self.stride == 0) | (ks == total)
+    def _start(self, x, total):
+        """Check steps against a run of `total` steps from state x, and set
+        up its rows: the initial state goes into the first if step 0 is
+        kept. Returns (keep, rows), keep a uint8 flag for each of steps
+        0 .. total."""
         outside = self.steps[(self.steps < 0) | (self.steps > total)]
         if len(outside):
             raise ValueError("steps %s are outside the grid's steps 0 to %d"
                              % (outside.tolist(), total))
-        return np.isin(ks, self.steps)
+        keep = np.zeros(total + 1, dtype=np.uint8)
+        keep[self.steps] = 1
+        self._rows = np.empty((len(self.steps),) + x.shape)
+        if keep[0]:
+            self._rows[0] = x
+        self.recorded_steps = []
+        return keep, self._rows
 
     def observe(self, ens, grid):
-        """Take ens.state_block, the states after the steps this keeps
-        since the last observe (after initialization, of step 0)."""
-        k = ens.t_index
-        ks = np.arange(self._seen + 1 if k else 0, k + 1)
-        self._seen = k
+        """Take the rows of the kept steps up to ens.t_index."""
+        m = int(np.searchsorted(self.steps, ens.t_index, side="right"))
         self.recorded_steps.extend(
-            ks[self.keeps(ks, grid.total_steps)].tolist())
-        self.states.extend(ens.state_block)
+            self.steps[len(self.recorded_steps):m].tolist())
+        self.states = self._rows[:m]

@@ -76,7 +76,7 @@ def test_criterion_3_taming_prevents_blowup(tmp_path):
     # h = 1/2 are hand-iterated dyadics, asserted with state equality
     model = make_model("cubic-mean-field", d=1, params=dict(_PURE_CUBIC))
     tab = make_tableau(12345, 64, 1, 1.0, 2)
-    rec = StateRecorder(stride=1)
+    rec = StateRecorder(range(3))
     simulate(TamedModel(model, 2, "off"), tab, np.full((64, 1), 3.0),
              callbacks=[rec])
     assert np.array_equal(rec.states[1], np.full((64, 1), -10.5))

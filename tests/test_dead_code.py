@@ -13,9 +13,16 @@ Imports are resolved to modules, so a name is not kept alive by another
 module's namesake, by the same word in prose or strings, or by tests:
 what only tests use is not surface. A private name (leading underscore)
 that nothing references is dead code, and so is a public one.
+
+Methods of the package's module-level classes are held to the same rule
+by name: a method other than a dunder counts as referenced when a module
+of the package or of the benchmark reads an attribute of that name
+(``cb.observe``), or when it overrides a method of a base class, which
+the base class's own callers reach.
 """
 
 import ast
+import importlib
 import pathlib
 
 import mvsde
@@ -96,16 +103,24 @@ def _defined(node):
     return []
 
 
+def _package_trees():
+    return {path: ast.parse(path.read_text(), str(path))
+            for path in sorted(PACKAGE.rglob("*.py"))}
+
+
+def _benchmark_trees():
+    return [ast.parse(path.read_text(), str(path))
+            for path in sorted(ROOT.glob("perfbench/*.py"))]
+
+
 def _unreferenced(wanted):
-    trees = {path: ast.parse(path.read_text(), str(path))
-             for path in sorted(PACKAGE.rglob("*.py"))}
+    trees = _package_trees()
     modules = {_module(path)[0] for path in trees}
     refs = set()
     for path, tree in trees.items():
         refs |= _references(tree, _module(path)[1], modules)
-    for path in sorted(ROOT.glob("perfbench/*.py")):
-        refs |= _references(ast.parse(path.read_text(), str(path)), "",
-                            modules)
+    for tree in _benchmark_trees():
+        refs |= _references(tree, "", modules)
     unused = []
     for path, tree in trees.items():
         module = _module(path)[0]
@@ -132,3 +147,37 @@ def test_every_public_definition_is_referenced():
     unused = _unreferenced(lambda name: not name.startswith("_"))
     assert not unused, "public definitions nothing outside tests uses: %s" % (
         ", ".join(unused))
+
+
+def _unread_methods():
+    """module:line Class.method for each method nothing reads by name."""
+    trees = _package_trees()
+    reads = {node.attr
+             for tree in list(trees.values()) + _benchmark_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            cls = getattr(importlib.import_module(_module(path)[0]),
+                          node.name)
+            bases = cls.__mro__[1:]
+            for item in node.body:
+                if (not isinstance(item, ast.FunctionDef)
+                        or item.name.startswith("__")
+                        or item.name in reads
+                        or any(hasattr(base, item.name) for base in bases)):
+                    continue
+                unread.append("%s:%d %s.%s" % (path.relative_to(PACKAGE),
+                                               item.lineno, node.name,
+                                               item.name))
+    return unread
+
+
+def test_every_method_is_read():
+    unread = _unread_methods()
+    assert not unread, "methods nothing outside tests reads: %s" % (
+        ", ".join(unread))

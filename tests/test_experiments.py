@@ -5,14 +5,17 @@ import inspect
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import mvsde
 from mvsde.cli import main
-from mvsde.config import (ConfigError, check_step_bound, make_config,
-                          theoretical_constants)
+from mvsde.config import (ConfigError, check_step_bound, emit_config,
+                          make_config, theoretical_constants)
 from mvsde.experiments import (_poc_single_rep, run_ergodic_contraction,
                                run_moment_stability, run_poc_rate,
                                run_simulate, run_strong_rate)
@@ -193,6 +196,76 @@ def test_poc_functional_family_is_exploratory(tmp_path):
                       probe_count=4, out_dir=str(tmp_path))
     rep = run_poc_rate(cfg)
     assert rep.verdict["status"] == "exploratory"
+
+
+# a functional-mode family whose plain Euler run from 3.0 diverges in some
+# repetitions, so too few levels are left to fit
+_DIVERGING_EXPLORATORY = dict(
+    family="anti-dissipative", variant="off", initial="point 3.0",
+    N_levels=(4, 8), N_ref=32, n=2, T=20.0, reps=2, probe_count=4)
+
+
+def test_exploratory_run_that_cannot_be_fitted_is_exploratory(tmp_path,
+                                                              capsys):
+    cfg = make_config("poc-rate", out_dir=str(tmp_path / "api"),
+                      **_DIVERGING_EXPLORATORY)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = run_poc_rate(cfg)
+    assert rep.fit is None and sum(rep.diverged) > 0
+    assert rep.verdict["status"] == "exploratory"
+    path = tmp_path / "poc.ini"
+    path.write_text(emit_config(make_config(
+        "poc-rate", out_dir=str(tmp_path / "cli"), **_DIVERGING_EXPLORATORY)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["poc-rate", "--config", str(path)]) == 0
+    assert "verdict: exploratory" in capsys.readouterr().out
+
+
+def _has_x86_v4():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("X86_V4"))
+
+
+@pytest.mark.skipif(not _has_x86_v4(), reason="needs a CPU with X86_V4")
+def test_rate_error_at_p3_does_not_depend_on_avx512(tmp_path):
+    """A p = 3 poc-rate run writes the same errors in process and in a
+    subprocess with NumPy's AVX-512 (X86_V4) loops disabled.
+
+    Only bites on an AVX-512 CPU: there np.power's vectorised loop differs
+    from libm pow in the last bit for some values, and the rate drivers'
+    p-th powers go through pairwise_py.power to avoid it. Elsewhere both
+    processes run the same loops, so the test is skipped.
+    """
+    ini = tmp_path / "p3.ini"
+    runs = []
+    for label in ("in", "sub"):
+        out_dir = tmp_path / label
+        cfg = make_config("poc-rate", seed=26, p=3.0, n=4,
+                          N_levels=(16, 32, 64), N_ref=128, reps=2,
+                          out_dir=str(out_dir))
+        if label == "in":
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                run_poc_rate(cfg)
+        else:
+            ini.write_text(emit_config(cfg))
+            src = os.path.dirname(os.path.dirname(mvsde.__file__))
+            env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4",
+                       PYTHONPATH=src)
+            code = subprocess.run(
+                [sys.executable, "-m", "mvsde", "poc-rate", "--config",
+                 str(ini)], env=env, capture_output=True,
+                timeout=300).returncode
+            assert code in (0, 2)  # the verdict may fail at this size
+        runs.append([(out_dir / name).read_bytes() for name in (
+            "poc_rate_errors.csv", "poc_rate_report.json")])
+    assert runs[0] == runs[1]
+    assert b"0.048452945100635934" in runs[0][0]
 
 
 def test_moment_stability_contrast_and_series(tmp_path):

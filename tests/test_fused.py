@@ -44,6 +44,11 @@ def _simulate(monkeypatch, advance, tm, tab, law, size=None, callbacks=()):
     return scheme.simulate(tm, tab, states, callbacks=callbacks)
 
 
+def _strided(total, stride):
+    """Every stride-th step of a total-step grid, and the last one."""
+    return sorted(set(range(0, total + 1, stride)) | {total})
+
+
 def _assert_same_arrays(a, b):
     assert a.shape == b.shape
     assert np.array_equal(a, b, equal_nan=True)
@@ -73,7 +78,7 @@ def _assert_fused_matches_step(monkeypatch, advance, family, d):
             tab = make_tableau(7, size + 2, model.l, T, n)
             runs = []
             for kernel in (advance, None):
-                rec = scheme.StateRecorder(stride=3)
+                rec = scheme.StateRecorder(_strided(n, 3))
                 ens = _simulate(monkeypatch, kernel, tm, tab, law,
                                 size=size, callbacks=[rec])
                 runs.append((ens, [rec]))
@@ -107,7 +112,7 @@ def test_fused_overflow_matches_step(monkeypatch, advance, callbacks):
     tab = make_tableau(3, 10, 2, 40.0, 2)
     results = []
     for kernel in (advance, None):
-        rec = scheme.StateRecorder(stride=5)
+        rec = scheme.StateRecorder(_strided(80, 5))
         moments, diverge = scheme.MomentTracker(4.0), _DivergenceTracker()
         cbs = {"none": [], "recorder": [rec],
                "trackers": [moments, diverge]}[callbacks]
@@ -189,7 +194,7 @@ def test_block_observers_match_per_step(monkeypatch, advance, d, size,
             ens = _simulate(monkeypatch, kernel, tm, tab, law,
                             callbacks=moments + [diverge, blocks])
             runs.append((ens, moments, diverge, blocks))
-        rec = scheme.StateRecorder(stride=1)
+        rec = scheme.StateRecorder(range(grid.total_steps + 1))
         _simulate(monkeypatch, None, tm, tab, law, callbacks=[rec])
         times, want, diverged = _per_step_observers(rec, grid, POWERS)
         (ens, moments, diverge, blocks), ref = runs
@@ -357,7 +362,7 @@ def _one_step(advance, x, **coeffs):
     values.update(h=1.0, k_noise=0, **coeffs)
     states = x.copy()
     run = advance(values, states, np.empty_like(states))
-    assert run(np.zeros((1,) + x.shape), 0, 1) == 1
+    assert run(np.zeros((1,) + x.shape), 1) == 1
     return states
 
 
@@ -405,7 +410,8 @@ def _counted_runs(monkeypatch, advance, tm, tab, law):
     runs, calls = [], []
     for kernel in (advance, None):
         before = len(step_calls)
-        rec = scheme.StateRecorder(stride=3)
+        rec = scheme.StateRecorder(
+            _strided(scheme.TimeGrid(tab.T, tm.n).total_steps, 3))
         ens = _simulate(monkeypatch, kernel, tm, tab, law,
                         callbacks=[rec])
         runs.append((ens, [rec]))
@@ -447,45 +453,42 @@ def test_backends_agree_at_every_q(monkeypatch, advance, q, d):
 
 
 def test_recorder_keeps_and_refusals(monkeypatch, advance):
-    rec = scheme.StateRecorder(stride=4)
-    assert np.flatnonzero(rec.keeps(np.arange(11), 10)).tolist() == [
-        0, 4, 8, 10]
-    rec = scheme.StateRecorder(steps=[6, 2, 2, 9])
-    assert np.flatnonzero(rec.keeps(np.arange(10), 9)).tolist() == [2, 6, 9]
-    assert rec.keeps(np.arange(5, 8), 9).tolist() == [False, True, False]
-    for stride in (0, -2):
-        with pytest.raises(ValueError, match="stride must be >= 1"):
-            scheme.StateRecorder(stride=stride)
-    # steps outside the grid and a second recorder are refused before the
-    # first step, on both backends
     tm = TamedModel(make_model("cubic-mean-field", d=1), 8, "finite")
-    tab = make_tableau(1, 4, 1, 1.0, 8)
     law = initial_law("gaussian", 0.0, 1.0)
-    advanced = (_counted(monkeypatch, scheme, "_advance_steps")
-                + _counted(monkeypatch, scheme, "_advance_fused"))
+    # unsorted and repeated steps are recorded once each, in step order
+    for kernel in (advance, None):
+        tab = make_tableau(1, 4, 1, 1.0, 8)
+        rec = scheme.StateRecorder([6, 2, 8, 2, 6])
+        _simulate(monkeypatch, kernel, tm, tab, law, callbacks=[rec])
+        assert rec.recorded_steps == [2, 6, 8]
+        assert rec.states.shape == (3, 4, 1)
+    # steps outside the grid and a second recorder are refused before
+    # the tableau is drawn, on both backends
+    tab = make_tableau(1, 4, 1, 1.0, 8)
     for kernel in (advance, None):
         with pytest.raises(ValueError, match=r"steps \[-1, 99\] are "
                            "outside the grid's steps 0 to 8"):
             _simulate(monkeypatch, kernel, tm, tab, law,
-                      callbacks=[scheme.StateRecorder(steps=[-1, 3, 99])])
+                      callbacks=[scheme.StateRecorder([-1, 3, 99])])
         with pytest.raises(ValueError, match="at most one StateRecorder"):
             _simulate(monkeypatch, kernel, tm, tab, law,
-                      callbacks=[scheme.StateRecorder(),
+                      callbacks=[scheme.StateRecorder([0]),
                                  scheme.MomentTracker(2.0),
-                                 scheme.StateRecorder(steps=[8])])
-    assert advanced == []
+                                 scheme.StateRecorder([8])])
+    assert tab._store is None
 
 
 class _BlockRecorder(scheme.StateRecorder):
-    """StateRecorder that also notes how many states each block held."""
+    """StateRecorder that also notes how many states each observe added."""
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self, steps):
+        super().__init__(steps)
         self.sizes = []
 
     def observe(self, ens, grid):
-        self.sizes.append(len(ens.state_block))
+        before = len(self.recorded_steps)
         super().observe(ens, grid)
+        self.sizes.append(len(self.recorded_steps) - before)
 
 
 def _counting(advance, calls):
@@ -497,9 +500,9 @@ def _counting(advance, calls):
         steps = []
         calls.append(steps)
 
-        def counted(block, first, n_steps, *rest):
+        def counted(block, n_steps, *rest):
             steps.append(n_steps)
-            return run(block, first, n_steps, *rest)
+            return run(block, n_steps, *rest)
 
         return counted
 
@@ -534,42 +537,53 @@ def test_recorder_rows_match_across_backends(monkeypatch, advance, case,
         T, law = 40.0, initial_law("point", 3.0)
         tab = make_tableau(3, 10, 2, T, 2)
     if rows is not None:
-        # at most `rows` recorded states per kernel call
-        monkeypatch.setattr(scheme, "_OBS_ELEMENTS",
-                            rows * tab.N * tm.base.d)
+        # blocks of `rows` steps, with or without an every-step observer
+        monkeypatch.setattr(scheme, "_CHUNK_ELEMENTS", rows * tab.N * tab.l)
+        monkeypatch.setattr(scheme, "_OBS_ELEMENTS", rows * tab.N)
     grid = scheme.TimeGrid(T, tm.n)
     total = grid.total_steps
     want = _states_by_hand(tm, grid, tab, law)
     last = max(want)
     assert (last < total) == (case == "overflow")
-    recorders = (dict(stride=3), dict(stride=1),
-                 dict(steps=[total, last, last - 1, 1, 0]))
-    for kwargs in recorders:
+    recorders = (_strided(total, 3), range(total + 1),
+                 [total, last, last - 1, 1, 0, last])
+    for steps in recorders:
+        kept = sorted(set(k for k in steps if k <= last))
         for moments in (False, True):  # with an every-step observer
             runs, calls = [], []
             for kernel in (_counting(advance, calls), None):
-                rec = _BlockRecorder(**kwargs)
+                rec = _BlockRecorder(steps)
                 extra = [scheme.MomentTracker(4.0)] if moments else []
                 ens = _simulate(monkeypatch, kernel, tm, tab, law,
                                 callbacks=[rec] + extra)
                 assert ens.t_index == last
+                assert rec.recorded_steps == kept
+                for k, x in zip(rec.recorded_steps, rec.states, strict=True):
+                    _assert_same_arrays(x, want[k])
                 runs.append((ens, [rec]))
             _assert_same_run(*runs)
-            kept = [k for k in range(last + 1)
-                    if rec.keeps(np.array([k]), total)[0]]
-            assert rec.recorded_steps == kept
-            for k, x in zip(rec.recorded_steps, rec.states):
-                _assert_same_arrays(x, want[k])
             assert runs[0][1][0].sizes == rec.sizes
             assert sum(rec.sizes) == len(kept)
-            if rows is not None:
-                assert max(rec.sizes) <= rows
-            if rows is None and not moments:
-                assert calls == [[total]]  # one kernel call for the run
-            elif rows == 1 and kwargs == dict(stride=1):
-                assert calls == [[1] * last]
+            # one kernel call per block, up to the overflowing step
+            span = rows or total
+            assert calls == [[min(span, total - k)
+                              for k in range(0, last, span)]]
     # the overflowing step itself was recorded
     assert case == "tamed" or last in rec.recorded_steps
+
+
+def test_recording_every_step_is_one_kernel_call(monkeypatch, advance):
+    """Every state of 32 steps at N = 1024, d = 3 (3 MB of rows) is
+    recorded in one kernel call: the recorder's rows bound no block."""
+    tm = TamedModel(make_model("cubic-mean-field", d=3), 32, "finite")
+    tab = make_tableau(5, 1024, 3, 1.0, 32)
+    calls = []
+    rec = scheme.StateRecorder(range(33))
+    _simulate(monkeypatch, _counting(advance, calls), tm, tab,
+              initial_law("gaussian", 0.0, 1.0), callbacks=[rec])
+    assert calls == [[32]]
+    assert rec.recorded_steps == list(range(33))
+    assert rec.states.shape == (33, 1024, 3)
 
 
 def test_strong_rate_runs_one_kernel_call_per_simulate(monkeypatch, advance,
@@ -595,12 +609,12 @@ def test_bound_kernel_refuses_noise_it_would_overrun(advance):
                   np.zeros((3, 4, 2), dtype=np.float32),
                   np.zeros((3, 2, 4)).transpose(0, 2, 1)):
         with pytest.raises(ValueError, match="does not cover"):
-            run(block, 0, 1)
+            run(block, 1)
     block = np.zeros((3, 5, 2))
-    assert run(block, 1, 2) == 2
-    for first, steps in ((2, 2), (-1, 1), (4, 0)):
+    assert run(block, 2) == 2
+    for steps in (4, -1):
         with pytest.raises(ValueError, match="outside the noise block"):
-            run(block, first, steps)
+            run(block, steps)
     with pytest.raises(ValueError, match="C-contiguous"):
         advance(values, states, np.empty((2, 4)).T)
 
@@ -612,20 +626,20 @@ def test_bound_kernel_refuses_states_it_would_overrun(advance):
     run = advance(values, states, np.empty_like(states))
     block = np.zeros((3, 4, 0))
     keep = np.array([1, 0, 1], dtype=np.uint8)
-    assert run(block, 0, 3, None, keep, np.empty((2, 4, 2))) == 3
+    assert run(block, 3, None, keep, np.empty((2, 4, 2))) == 3
     for bad in (keep[:2], keep.astype(bool), keep.reshape(3, 1),
                 np.repeat(keep, 2)[::2]):
         with pytest.raises(ValueError, match="does not flag 3 steps"):
-            run(block, 0, 3, None, bad, np.empty((2, 4, 2)))
+            run(block, 3, None, bad, np.empty((2, 4, 2)))
     for bad in (np.empty((1, 4, 2)), np.empty((2, 4, 2), dtype=np.float32),
                 np.empty((2, 4, 3)), np.empty((2, 2, 4)).transpose(0, 2, 1)):
         with pytest.raises(ValueError, match="does not hold 2 states"):
-            run(block, 0, 3, None, keep, bad)
+            run(block, 3, None, keep, bad)
     # only the flags of the steps run count
-    assert run(block, 0, 1, None, keep, np.empty((1, 4, 2))) == 1
+    assert run(block, 1, None, keep, np.empty((1, 4, 2))) == 1
     for args in ((keep, None), (None, np.empty((2, 4, 2)))):
         with pytest.raises(ValueError, match="keep and rec come together"):
-            run(block, 0, 3, None, *args)
+            run(block, 3, None, *args)
 
 
 # (command, INI, data file, report file); the simulate config runs q = 3,

@@ -132,7 +132,7 @@ def test_simulate_callbacks_and_trackers():
     tab = make_tableau(3, 4, 1, 1.0, 8)
     tm = TamedModel(m, 8, "finite")
     mom = MomentTracker(2.0)
-    rec = StateRecorder(stride=4)
+    rec = StateRecorder(range(0, 9, 4))
     simulate(tm, tab, np.ones((4, 1)), callbacks=(mom, rec))
     assert len(mom.times) == 9 and mom.times[0] == 0.0
     assert mom.values[0] == 1.0
@@ -163,7 +163,7 @@ def test_center_of_mass_nearly_conserved():
                                sigma0=0.0, c_g=0.0))
     tab = make_tableau(9, 32, 1, 1.0, 64)
     tm = TamedModel(m, 64, "off")
-    rec = StateRecorder(stride=64)
+    rec = StateRecorder([0, 64])
     simulate(tm, tab, sample_initial(tab, 32, 1, initial_law("gaussian")),
              callbacks=(rec,))
     first = rec.states[0].mean()
@@ -208,7 +208,7 @@ def test_divergence_freezes_state():
     m = _pure_cubic()
     tm = TamedModel(m, 2, "off")
     tab = make_tableau(1, 2, 1, 100.0, 2)
-    rec = StateRecorder(stride=1)
+    rec = StateRecorder(range(tab.total_steps + 1))
     ens = simulate(tm, tab, np.full((2, 1), 3.0), callbacks=[rec])
     assert ens.overflow_flag
     assert ens.t_index < tab.total_steps
