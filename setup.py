@@ -12,7 +12,8 @@ the numpy pair kernel, the numpy Philox re-keying and scipy.special.ndtri
 in mvsde._core.pairwise_py, which give the same bits at every exponent.
 With the library built, a run imports no SciPy module unless it
 asks for the exact_assignment W2 route. -O3 lets the compiler vectorise
-the passes of the pair loop; floating-point contraction is disabled so
+the passes of the pair loop and the fused step's passes over the
+particles for the self terms; floating-point contraction is disabled so
 that no fused multiply-add changes a rounding, and no flag that lets the
 compiler reorder arithmetic (-ffast-math, -fassociative-math) or pick
 instructions for one CPU (-march) is passed.

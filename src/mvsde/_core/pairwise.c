@@ -24,7 +24,14 @@
  * operation order: x.mean(axis=0) and np.sum(x * x, axis=-1) as NumPy's
  * add.reduce sums them (np_sum below), the self drift and diffusion
  * diagonal term by term, the pair sums from mvsde_pair_aggregate, then
- * x + (b + F) h and + (s + G) dW. It runs every model: each power site
+ * x + (b + F) h and + (s + G) dW. As NumPy does, it evaluates the self
+ * terms in passes over the particles, which the compiler vectorises: the
+ * squared norms, the powers of the norms, then the drift and the noise
+ * element by element, with each coefficient switch and exponent case
+ * fixed outside the loop, and a branch-free test of the new state for a
+ * non-finite value. Every element still sees step's operations in step's
+ * order, and vector +, -, *, / and sqrt round as their scalar forms do,
+ * so the bits are the same. It runs every model: each power site
  * keeps step's special cases (q_b in {0, 1, 2} gives 1, r and r * r, the
  * taming exponent e_self in {0, 2, 4} gives 1, r2 and r2 * r2) and sends
  * any other exponent to libm pow, as pairwise_py.power does on the NumPy
@@ -355,30 +362,143 @@ static double np_sum(const double *a, ptrdiff_t n)
     return np_sum(a, n2) + np_sum(a + n2, n - n2);
 }
 
-/* Squared norm of a row as np.sum(x * x, axis=-1) gives it; sq holds d
- * doubles. */
-static double row_r2(const double *row, ptrdiff_t d, double *sq)
-{
-    ptrdiff_t c;
+/* Calls body(k) with the literal k = 1 when d is 1 and with k = d
+ * otherwise, so that at d = 1 a pass over the elements of the n x d rows
+ * vectorises over the rows. */
+#define BY_DIM(d, body)                                                    \
+    if ((d) == 1) {                                                        \
+        body(1);                                                           \
+    } else {                                                               \
+        body(d);                                                           \
+    }
 
-    for (c = 0; c < d; c++)
-        sq[c] = row[c] * row[c];
-    return 0.0 + np_sum(sq, d);
+/* r2[i] = np.sum(x * x, axis=-1)[i] for the n rows of x (n x d), as NumPy
+ * sums it: from 0.0 in ascending components below 8 components, where
+ * np_sum is sequential, and np_sum of the row's squares, kept in sq (d
+ * doubles), from 8 on; either sum is then added to 0.0. */
+ALWAYS_INLINE void row_norms_dim(const double *restrict x, ptrdiff_t n,
+                                 ptrdiff_t d, double *restrict sq,
+                                 double *restrict r2)
+{
+    double s;
+    ptrdiff_t i, c;
+
+    if (d < 8) {
+        for (i = 0; i < n; i++) {
+            s = 0.0;
+            for (c = 0; c < d; c++)
+                s = s + x[i * d + c] * x[i * d + c];
+            r2[i] = 0.0 + s;
+        }
+    } else {
+        for (i = 0; i < n; i++) {
+            for (c = 0; c < d; c++)
+                sq[c] = x[i * d + c] * x[i * d + c];
+            r2[i] = 0.0 + np_sum(sq, d);
+        }
+    }
 }
 
-/* One step from x into y; work holds F and G (n x d each), the mean (d),
- * the squares of one row (d) and the 3 n d + 4 n doubles of
- * mvsde_pair_aggregate's scratch. When r2_out is not NULL it receives the
- * squared norm of every row of y. Returns 0 when y holds a non-finite
- * value. */
+static void row_norms(const double *restrict x, ptrdiff_t n, ptrdiff_t d,
+                      double *restrict sq, double *restrict r2)
+{
+#define NORMS(k) row_norms_dim(x, n, k, sq, r2)
+    BY_DIM(d, NORMS)
+#undef NORMS
+}
+
+/* y = x + (b + F) h over the elements of the n x d rows, with step's self
+ * drift b = beta1 v [+ betaq v pw] [+ kap_pair (mean - v)] [+ lam mean]
+ * [/ den] of each element v. The switches are loop invariants, which
+ * -O3 unswitches out of the loop. F is added even when zero: b + 0.0
+ * makes -0.0 +0.0. */
+ALWAYS_INLINE void drift_pass(const struct mvsde_coeffs *cf,
+                              const double *restrict x, double *restrict y,
+                              ptrdiff_t n, ptrdiff_t d,
+                              const double *restrict F,
+                              const double *restrict mean,
+                              const double *restrict pw,
+                              const double *restrict den)
+{
+    const double h = cf->h, beta1 = cf->beta1, betaq = cf->betaq;
+    const double kap = cf->kap_pair, lam = cf->lam;
+    const int grow = betaq != 0.0, pull = kap != 0.0, shift = lam != 0.0,
+              tame = cf->gamma != 0.0;
+    double v, b;
+    ptrdiff_t i, c;
+
+    for (i = 0; i < n; i++)
+        for (c = 0; c < d; c++) {
+            v = x[i * d + c];
+            b = beta1 * v;
+            if (grow)
+                b = b + betaq * v * pw[i];
+            if (pull)
+                b = b + kap * (mean[c] - v);
+            if (shift)
+                b = b + lam * mean[c];
+            if (tame)
+                b = b / den[i];
+            y[i * d + c] = v + (b + F[i * d + c]) * h;
+        }
+}
+
+/* y += (s + G) dW on the first k components of each row, with step's
+ * noise diagonal s = s0 [+ s1 v] [+ c_s (mean - v)] [/ den]; particle i's
+ * noise row starts at dw[i * dw_row]. */
+ALWAYS_INLINE void noise_pass(const struct mvsde_coeffs *cf,
+                              const double *restrict x, double *restrict y,
+                              ptrdiff_t n, ptrdiff_t d, ptrdiff_t k,
+                              const double *restrict G,
+                              const double *restrict mean,
+                              const double *restrict den,
+                              const double *restrict dw, ptrdiff_t dw_row)
+{
+    const double s0 = cf->s0, s1 = cf->s1, c_s = cf->c_s;
+    const int lin = s1 != 0.0, pull = c_s != 0.0,
+              tame = cf->gamma != 0.0 && cf->tame_sigma != 0.0;
+    double v, s;
+    ptrdiff_t i, c;
+
+    for (i = 0; i < n; i++)
+        for (c = 0; c < k; c++) {
+            v = x[i * d + c];
+            s = s0;
+            if (lin)
+                s = s + s1 * v;
+            if (pull)
+                s = s + c_s * (mean[c] - v);
+            if (tame)
+                s = s / den[i];
+            y[i * d + c] = y[i * d + c] + (s + G[i * d + c])
+                                          * dw[i * dw_row + c];
+        }
+}
+
+/* One step from x into y, as mvsde.scheme.step computes it; work holds F
+ * and G (n x d each), the mean (d), the squares of one row (d) and the
+ * 3 n d + 4 n doubles of mvsde_pair_aggregate's scratch, whose first 3 n
+ * hold the vectors r2, pw and den once the pair sums are done. When r2_out
+ * is not NULL it receives the squared norm of every row of y. Returns 0
+ * when y holds a non-finite value.
+ *
+ * The self terms run as passes over the particles: the squared norms r2,
+ * then pw = |x|^q_b and den = 1 + gamma |x|^e_self with one loop per
+ * exponent case (libm pow, which stays scalar, only outside the special
+ * cases), then the drift and the noise over the elements, with the
+ * coefficient switches as loop invariants, then one test of every element
+ * of y. Each element sees the operations of step in its order:
+ * only the order in which the elements are visited changed, and that
+ * changes no bit. */
 static int step_once(const struct mvsde_coeffs *cf, const double *x,
                      double *y, ptrdiff_t n, ptrdiff_t d, const double *dw,
                      ptrdiff_t dw_row, double *work, double *r2_out)
 {
     double *F = work, *G = work + n * d, *mean = G + n * d, *sq = mean + d;
-    double dn = (double)n, r2 = 0.0, r, pw = 1.0, den = 1.0, v, b, s, out;
-    int finite = 1;
-    ptrdiff_t i, c;
+    double *r2 = sq + d, *pw = r2 + n, *den = pw + n;
+    double dn = (double)n, q = cf->q_b, e = cf->e_self, gamma = cf->gamma, r;
+    double bad = 0.0;
+    ptrdiff_t i, c, k = cf->k_noise;
 
     if (cf->lam != 0.0 || cf->kap_pair != 0.0 || cf->c_s != 0.0) {
         /* x.mean(axis=0): one pairwise reduction at d == 1, an ascending
@@ -397,68 +517,61 @@ static int step_once(const struct mvsde_coeffs *cf, const double *x,
     }
     if (cf->kf1 != 0.0 || cf->kfq != 0.0 || cf->c_g != 0.0)
         mvsde_pair_aggregate(x, n, d, cf->kf1, cf->kfq, cf->q_f, cf->c_g,
-                             cf->gamma, cf->e_kernel, cf->tame_g, F, G,
-                             sq + d);
+                             gamma, cf->e_kernel, cf->tame_g, F, G, r2);
     else
         memset(F, 0, 2 * (size_t)(n * d) * sizeof(double));
 
-    for (i = 0; i < n; i++) {
-        const double *xi = x + i * d;
-        if (cf->betaq != 0.0 || cf->gamma != 0.0)
-            r2 = row_r2(xi, d, sq);
-        if (cf->betaq != 0.0) {
-            r = sqrt(r2);
-            if (cf->q_b == 2.0)
-                pw = r * r;
-            else if (cf->q_b == 1.0)
-                pw = r;
-            else if (cf->q_b == 0.0)
-                pw = 1.0;
-            else
-                pw = pow(r, cf->q_b);
-        }
-        if (cf->gamma != 0.0) {
-            if (cf->e_self == 2.0)
-                den = r2;
-            else if (cf->e_self == 4.0)
-                den = r2 * r2;
-            else if (cf->e_self == 0.0)
-                den = 1.0;
-            else
-                den = pow(sqrt(r2), cf->e_self);
-            den = 1.0 + cf->gamma * den;
-        }
-        for (c = 0; c < d; c++) {
-            v = xi[c];
-            b = cf->beta1 * v;
-            if (cf->betaq != 0.0)
-                b = b + cf->betaq * v * pw;
-            if (cf->kap_pair != 0.0)
-                b = b + cf->kap_pair * (mean[c] - v);
-            if (cf->lam != 0.0)
-                b = b + cf->lam * mean[c];
-            if (cf->gamma != 0.0)
-                b = b / den;
-            /* F and G are added even when zero: b + 0.0 makes -0.0 +0.0 */
-            out = v + (b + F[i * d + c]) * cf->h;
-            if (c < cf->k_noise) {
-                s = cf->s0;
-                if (cf->s1 != 0.0)
-                    s = s + cf->s1 * v;
-                if (cf->c_s != 0.0)
-                    s = s + cf->c_s * (mean[c] - v);
-                if (cf->gamma != 0.0 && cf->tame_sigma != 0.0)
-                    s = s / den;
-                out = out + (s + G[i * d + c]) * dw[i * dw_row + c];
+    if (cf->betaq != 0.0 || gamma != 0.0)
+        row_norms(x, n, d, sq, r2);
+    if (cf->betaq != 0.0) {
+        if (q == 2.0)
+            for (i = 0; i < n; i++) {
+                r = sqrt(r2[i]);
+                pw[i] = r * r;
             }
-            y[i * d + c] = out;
-            if (!isfinite(out))
-                finite = 0;
-        }
-        if (r2_out != NULL)
-            r2_out[i] = row_r2(y + i * d, d, sq);
+        else if (q == 1.0)
+            for (i = 0; i < n; i++)
+                pw[i] = sqrt(r2[i]);
+        else if (q == 0.0)
+            for (i = 0; i < n; i++)
+                pw[i] = 1.0;
+        else
+            for (i = 0; i < n; i++)
+                pw[i] = pow(sqrt(r2[i]), q);
     }
-    return finite;
+    if (gamma != 0.0) {
+        if (e == 2.0)
+            for (i = 0; i < n; i++)
+                den[i] = 1.0 + gamma * r2[i];
+        else if (e == 4.0)
+            for (i = 0; i < n; i++)
+                den[i] = 1.0 + gamma * (r2[i] * r2[i]);
+        else if (e == 0.0)
+            for (i = 0; i < n; i++)
+                den[i] = 1.0 + gamma * 1.0;
+        else
+            for (i = 0; i < n; i++)
+                den[i] = 1.0 + gamma * pow(sqrt(r2[i]), e);
+    }
+
+#define DRIFT(dk) drift_pass(cf, x, y, n, dk, F, mean, pw, den)
+    BY_DIM(d, DRIFT)
+    /* k <= d, so k is 1 at d = 1 */
+#define NOISE(dk) noise_pass(cf, x, y, n, dk, (dk) == 1 ? 1 : k, G, mean, \
+                             den, dw, dw_row)
+    if (k > 0) {
+        BY_DIM(d, NOISE)
+    }
+#undef NOISE
+#undef DRIFT
+
+    /* v * 0.0 is 0.0 for a finite v and nan for inf and nan; the select
+     * compiles to a mask, not a branch per element */
+    for (i = 0; i < n * d; i++)
+        bad = y[i] * 0.0 != 0.0 ? 1.0 : bad;
+    if (r2_out != NULL)
+        row_norms(y, n, d, sq, r2_out);
+    return bad == 0.0;
 }
 
 /* Advance the n x d ensemble in X by up to `steps` steps, alternating

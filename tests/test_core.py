@@ -338,6 +338,18 @@ def test_setup_builds_without_contraction(setup_flags):
     assert "-ffp-contract=off" in setup_flags
 
 
+def test_kernel_source_compiles_without_warnings(build_library):
+    # setup.py's flags plus -Wall -Wextra -Werror: a leftover unused
+    # function or a signed/unsigned slip in the kernels fails here
+    source = os.path.join(os.path.dirname(__file__), os.pardir, "src",
+                          "mvsde", "_core", "pairwise.c")
+    try:
+        build_library(source, "pairwise_strict.so",
+                      ["-Wall", "-Wextra", "-Werror"])
+    except subprocess.CalledProcessError as exc:
+        pytest.fail(exc.stderr.decode(errors="replace"))
+
+
 def test_ndtri_built_with_fma_matches_scipy(fma_library):
     _assert_ndtri_matches_scipy(load_compiled(fma_library)[3])
 

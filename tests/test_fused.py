@@ -7,10 +7,12 @@ kernel is compiled here (conftest.py) and switched in and out through
 scheme.bind_advance, so these tests run on either backend.
 """
 
+import itertools
 import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -50,9 +52,9 @@ def _strided(total, stride):
 
 
 def _assert_same_arrays(a, b):
+    """Equal raw bytes: NaN payloads and sign bits count."""
     assert a.shape == b.shape
-    assert np.array_equal(a, b, equal_nan=True)
-    assert np.array_equal(np.signbit(a), np.signbit(b))
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def _assert_same_run(got, want):
@@ -356,14 +358,17 @@ def test_noise_free_runs_match_the_noise_path(monkeypatch, advance):
     assert overflowed == 10
 
 
-def _one_step(advance, x, **coeffs):
-    """One fused step from x with zero noise; other coefficients zero."""
+def _one_step(advance, x, dw=None, obs=None, **coeffs):
+    """(steps done, states) of one fused step from x; coefficients not
+    given are zero and h is 1. dw holds the (N, l) noise rows, zero noise
+    by default; obs, a (1, N) array, receives the new squared norms."""
     values = dict.fromkeys(COEFF_NAMES, 0.0)
-    values.update(h=1.0, k_noise=0, **coeffs)
+    values.update(h=1.0, k_noise=0)
+    values.update(coeffs)
     states = x.copy()
     run = advance(values, states, np.empty_like(states))
-    assert run(np.zeros((1,) + x.shape), 1) == 1
-    return states
+    block = np.zeros((1,) + x.shape) if dw is None else dw[None]
+    return run(block, 1, obs), states
 
 
 @pytest.mark.parametrize("size", (7, 8, 127, 128, 129, 300, 9000))
@@ -371,7 +376,9 @@ def test_fused_mean_order_d1(advance, size):
     x = np.random.default_rng(size).standard_cauchy((size, 1))
     x[0] = 0.0
     # particle 0 moves to 0 + (0 * 0 + 1 * mean) * 1 = mean exactly
-    got = _one_step(advance, x, lam=1.0)[0]
+    done, got = _one_step(advance, x, lam=1.0)
+    assert done == 1
+    got = got[0]
     assert np.array_equal(got, x.mean(axis=0))
     if size == 9000:
         plain = 0.0
@@ -382,12 +389,15 @@ def test_fused_mean_order_d1(advance, size):
 
 @pytest.mark.parametrize("d", range(1, 13))
 def test_fused_row_r2_order(advance, d):
+    """row_norms sums each row's squares in np.sum(x * x, axis=-1)'s order,
+    which the taming denominator 1 + r2 exposes bit for bit."""
     rng = np.random.default_rng(d)
     x = rng.normal(size=(256, d)) * 10.0 ** rng.integers(-4, 5, (256, d))
     r2 = np.sum(x * x, axis=-1)
     want = x + (x / (1.0 + r2)[:, None] + 0.0) * 1.0
-    _assert_same_arrays(
-        _one_step(advance, x, beta1=1.0, gamma=1.0, e_self=2.0), want)
+    done, got = _one_step(advance, x, beta1=1.0, gamma=1.0, e_self=2.0)
+    assert done == 1
+    _assert_same_arrays(got, want)
     if d >= 8:
         plain = np.zeros(len(x))
         for c in range(d):
@@ -399,9 +409,110 @@ def test_fused_adds_short_circuited_pair_sums(advance):
     # with an all-zero kernel step still adds F = 0: -0.0 + (-0.0 + 0.0)
     # is +0.0, where -0.0 + -0.0 would stay -0.0
     x = np.full((5, 2), -0.0)
-    got = _one_step(advance, x, beta1=1.0)
+    done, got = _one_step(advance, x, beta1=1.0)
+    assert done == 1
     _assert_same_arrays(got, x + (1.0 * x + 0.0) * 1.0)
     assert not np.signbit(got).any()
+
+
+# Every value of each self-term switch of the fused step: q_b (None: no
+# growth term, betaq = 0), e_self (None: gamma = 0), tame_sigma, the
+# measure coupling (lam in the functional mode, kap_pair in the pairwise
+# one), c_s, s1 and the noise width k_noise (0, below d, d).
+_SELF_SWITCHES = list(itertools.product(
+    (None, 0.0, 1.0, 2.0, 1.5), (None, 0.0, 2.0, 4.0, 3.0), (False, True),
+    (None, "lam", "kap_pair"), (0.0, 0.4), (0.0, 0.2), ("none", "part",
+                                                        "full")))
+_SWEEP_SIZES = (1, 2, 3, 5, 64)
+_SWEEP_CLOUDS = ("random", "signed zeros", "overflow mid-row",
+                 "overflow last")
+
+
+def _sweep_cases(d):
+    """The switch combinations one dimension runs, each with its N, cloud
+    and pair kernel: the full product, shuffled and dealt over d = 1..9,
+    the sizes, the clouds and the kernel on or off, so every combination
+    runs once and every dimension sees every value of every switch."""
+    order = np.random.default_rng(17).permutation(len(_SELF_SWITCHES))
+    for j, idx in enumerate(order):
+        if 1 + j % 9 == d:
+            yield (_SELF_SWITCHES[idx], _SWEEP_SIZES[j // 9 % 5],
+                   _SWEEP_CLOUDS[j // 45 % 4], j // 180 % 2 == 1)
+
+
+def _sweep_cloud(kind, n, d, rng):
+    x = rng.normal(scale=1.5, size=(n, d)) * 10.0 ** rng.integers(-2, 2,
+                                                                  (n, d))
+    if kind == "signed zeros":
+        x = np.where(rng.random((n, d)) < 0.7,
+                     np.where(rng.random((n, d)) < 0.5, -0.0, 0.0), x)
+    elif kind == "overflow mid-row":
+        x[n // 2, d // 2] = 1.7e308  # grows past the float range
+    elif kind == "overflow last":
+        x[n - 1, d - 1] = -1.7e308
+    return x
+
+
+@pytest.mark.parametrize("build", ("default", "fma"))
+@pytest.mark.parametrize("d", range(1, 10))
+def test_fused_self_terms_match_step(monkeypatch, request, build, d):
+    """One fused step against scheme.step at every self-term switch, d from
+    1 to 9 (both sides of np_sum's 7 | 8 boundary), N in {1, 2, 3, 5, 64},
+    on random, signed-zero and overflowing clouds, with and without the
+    pair kernel, on the default and the -mfma build: the same steps done,
+    state bytes and squared-norm bytes."""
+    library = request.getfixturevalue(
+        "compiled_library" if build == "default" else "fma_library")
+    advance = load_compiled(library)[0]
+    # scheme.step takes its taming parameters from the stand-in TamedModel
+    monkeypatch.setattr(scheme, "taming_parameters", lambda tm: tm.par)
+    rng = np.random.default_rng(d)
+    n_level = 8
+    overflowed = 0
+    for switches, size, cloud, pair in _sweep_cases(d):
+        q_b, e_self, tame_sigma, coupling, c_s, s1, width = switches
+        base = types.SimpleNamespace(
+            d=d, l={"none": 0, "part": d // 2, "full": d}[width],
+            beta1=1.0, betaq=0.0 if q_b is None else -1.0,
+            q_b=0.0 if q_b is None else q_b,
+            measure_mode="pairwise" if coupling == "kap_pair"
+            else "functional",
+            lam=0.5 if coupling == "lam" else 0.0,
+            kap_pair=0.7 if coupling == "kap_pair" else 0.0,
+            s0=0.3, s1=s1, c_s=c_s, kf1=0.3 if pair else 0.0,
+            kfq=0.2 if pair else 0.0, q_f=2.0, c_g=0.25 if pair else 0.0)
+        par = dict(gamma=0.0 if e_self is None else 0.35,
+                   e_self=0.0 if e_self is None else e_self,
+                   e_kernel=0.0 if e_self is None else e_self,
+                   tame_sigma=tame_sigma, tame_g=tame_sigma)
+        tm = types.SimpleNamespace(base=base, n=n_level, par=par)
+        k = scheme._noise_width(base)
+        x = _sweep_cloud(cloud, size, d, rng)
+        dw = rng.normal(scale=n_level ** -0.5, size=(size, base.l))
+
+        ens = scheme.ParticleEnsemble(x)
+        alive = scheme.step(ens, tm, dw)
+        assert ens.t_index == 1 and ens.overflow_flag == (not alive)
+        want_obs = np.empty((1, size))
+        scheme._squared_norms(ens.states, want_obs[0])
+
+        obs = np.full((1, size), np.nan)
+        done, got = _one_step(
+            advance, x, dw, obs, h=1.0 / n_level, beta1=base.beta1,
+            betaq=base.betaq, q_b=base.q_b, lam=base.lam,
+            kap_pair=base.kap_pair, s0=base.s0, s1=s1, c_s=c_s,
+            gamma=par["gamma"], e_self=par["e_self"],
+            tame_sigma=1.0 if tame_sigma else 0.0, kf1=base.kf1,
+            kfq=base.kfq, q_f=base.q_f, c_g=base.c_g,
+            e_kernel=par["e_kernel"], tame_g=1.0 if tame_sigma else 0.0,
+            k_noise=k)
+        case = (switches, size, cloud, pair)
+        assert done == (1 if alive else 0), case
+        _assert_same_arrays(got, ens.states)
+        _assert_same_arrays(obs, want_obs)
+        overflowed += not alive
+    # most cases on the two overflowing clouds leave the float range
+    assert overflowed >= 50
 
 
 def _counted_runs(monkeypatch, advance, tm, tab, law):
