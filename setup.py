@@ -14,9 +14,12 @@ With the library built, a run imports no SciPy module unless it
 asks for the exact_assignment W2 route. -O3 lets the compiler vectorise
 the passes of the pair loop and the fused step's passes over the
 particles for the self terms; floating-point contraction is disabled so
-that no fused multiply-add changes a rounding, and no flag that lets the
-compiler reorder arithmetic (-ffast-math, -fassociative-math) or pick
-instructions for one CPU (-march) is passed.
+that no fused multiply-add changes a rounding. -fno-math-errno only drops
+the branch to libm that sets errno on a domain error, so sqrt compiles
+to the correctly rounded instruction and the step's square-root passes
+vectorise too; it reorders nothing and changes no value. No flag that
+lets the compiler reorder arithmetic (-ffast-math, -fassociative-math) or
+pick instructions for one CPU (-march) is passed.
 """
 
 from setuptools import Extension, setup
@@ -52,7 +55,7 @@ setup(
     ext_modules=[Extension(
         "mvsde._core.pairwise",
         ["src/mvsde/_core/pairwise.c"],
-        extra_compile_args=["-O3", "-ffp-contract=off"],
+        extra_compile_args=["-O3", "-ffp-contract=off", "-fno-math-errno"],
     )],
     cmdclass={"build_ext": optional_build_ext},
 )

@@ -42,10 +42,18 @@
  * copy of the state after each step a keep mask selects, straight into
  * the next row of the one array a StateRecorder owns for its run.
  *
- * mvsde_fsum_rows sums each row of a matrix correctly rounded with
- * math.fsum's algorithm (Shewchuk's nonoverlapping expansions, "Adaptive
- * precision floating-point arithmetic", DCG 18, 1997), so the moment rows
- * get fsum's bits without a Python call per row.
+ * mvsde_fsum_rows gives each row of a matrix math.fsum's correctly rounded
+ * sum without a Python call per row. Every row first runs one compensated
+ * pass, TwoSum with a rigorous error bound (Ogita, Rump and Oishi,
+ * "Accurate sum and dot product", SIAM J. Sci. Comput. 26, 2005), four
+ * rows side by side so that their add-latency chains overlap. The pass
+ * returns its result only where the bound proves it is the round-to-nearest
+ * value of the exact sum, which is the value fsum returns (see
+ * fsum_certified); any other row, among them every row with a non-finite
+ * term, a huge sum or a zero or subnormal result, goes to math.fsum's own
+ * algorithm (Shewchuk's nonoverlapping expansions, "Adaptive precision
+ * floating-point arithmetic", DCG 18, 1997) in fsum_row. Both give fsum's
+ * bits, so the moment rows do.
  *
  * mvsde_philox_uniforms fills a block of uniform doubles from one
  * Philox4x64-10 stream per particle (Salmon, Moraes, Dror and Shaw,
@@ -64,7 +72,8 @@
  * Build with floating-point contraction disabled (-ffp-contract=off),
  * otherwise fused multiply-adds break the equality, and with nothing that
  * lets the compiler reassociate (-ffast-math, -fassociative-math); setup.py
- * passes -O3 -ffp-contract=off. Plain C with no Python or NumPy headers,
+ * passes -O3 -ffp-contract=off -fno-math-errno, the last so that sqrt needs
+ * no errno branch and vectorises. Plain C with no Python or NumPy headers,
  * apart from the unsigned __int128 of the Philox multiplications and the
  * always_inline attribute, which GCC and Clang provide; mvsde._core loads
  * it with ctypes.
@@ -686,6 +695,79 @@ static double fsum_row(const double *a, ptrdiff_t n)
     return hi;
 }
 
+/* Rows the compensated pass runs side by side. A single row's TwoSum is one
+ * chain of dependent adds; four independent chains keep the adder busy. */
+#define FSUM_LANES 4
+
+/* The sum of the n terms of row a, from the compensated pass's totals over
+ * it: for each term x in order, t = s + x and its exact error e (TwoSum),
+ * s = t, c += e, ea += |e|, sa += |x|, all from 0.0. res = s + c rounded
+ * and r, its error, are TwoSum(s, c). res is returned when
+ *   sa < 2^1000, n < 2^40, |res| >= 2^-1000 and
+ *   |r| + ea * (4n * 2^-53) < half, half = (|res| - nextafter(|res|, 0)) / 2,
+ * and fsum_row's value otherwise. Why that is fsum's value:
+ * - sa < 2^1000 holds for no row with an inf or a nan and keeps every s, c,
+ *   t and ea far from overflow, so every TwoSum is exact: the exact sum is
+ *   S = s + sum(e), and res + r = s + c exactly. It also leaves out every
+ *   finite row whose sum passes the float range, where fsum raises
+ *   OverflowError.
+ * - c is the sum of the n values e in order, n - 1 roundings after the
+ *   first exact one, so |sum(e) - c| <= gamma(n - 1) * sum(|e|) (Higham,
+ *   "Accuracy and Stability of Numerical Algorithms", 2nd ed., (4.4)),
+ *   gamma(k) = k u / (1 - k u), u = 2^-53.
+ * - ea is at least sum(|e|) (1 - u)^(n - 1) and the product rounds once
+ *   more, so with n < 2^40 the bound term is more than 3.9 gamma(n - 1)
+ *   sum(|e|). A product in the subnormal range can lose up to 2^-1075 more;
+ *   that slack covers it unless sum(|e|) < 2^-1022, and then every partial
+ *   sum of c is below 2^-1021, where additions are exact, and c = sum(e).
+ * - half is exact, as |res| >= 2^-1000, and rounding is monotone: the
+ *   floating-point |r| + bound below half means the exact one is too.
+ *   Then |S - res| <= |r| + |sum(e) - c| < half: S lies closer to res than
+ *   half the gap toward zero, which is no wider than the gap away from
+ *   zero. So res is the nearest double to S, S is no tie, and res is
+ *   nonzero and normal, so its sign is S's: res is the value fsum returns.
+ */
+ALWAYS_INLINE double fsum_certified(const double *a, ptrdiff_t n, double s,
+                                    double c, double ea, double sa)
+{
+    double res = s + c, z = res - s, r = (s - (res - z)) + (c - z);
+    double ares = fabs(res);
+
+    if (sa < 0x1p1000 && n < ((ptrdiff_t)1 << 40) && ares >= 0x1p-1000
+        && fabs(r) + ea * ((double)(4 * n) * 0x1p-53)
+               < (ares - nextafter(ares, 0.0)) / 2.0)
+        return res;
+    return fsum_row(a, n);
+}
+
+/* out[l] = the sum of row l of the k rows of n terms at a, stride n: the
+ * compensated pass over k rows at once, for a compile-time k. */
+ALWAYS_INLINE void fsum_lanes(const double *a, ptrdiff_t n, int k,
+                              double *out)
+{
+    double s[FSUM_LANES], c[FSUM_LANES], ea[FSUM_LANES], sa[FSUM_LANES];
+    double x, t, z, e;
+    ptrdiff_t j;
+    int l;
+
+    for (l = 0; l < k; l++)
+        s[l] = c[l] = ea[l] = sa[l] = 0.0;
+    for (j = 0; j < n; j++) {
+        for (l = 0; l < k; l++) {
+            x = a[l * n + j];
+            t = s[l] + x;
+            z = t - s[l];
+            e = (s[l] - (t - z)) + (x - z);
+            s[l] = t;
+            c[l] += e;
+            ea[l] += fabs(e);
+            sa[l] += fabs(x);
+        }
+    }
+    for (l = 0; l < k; l++)
+        out[l] = fsum_certified(a + l * n, n, s[l], c[l], ea[l], sa[l]);
+}
+
 /* out[r] = the correctly rounded sum of row r of the C-contiguous
  * rows x cols array a: math.fsum's value where fsum returns one, +inf
  * where it raises OverflowError (finite terms whose sum leaves the float
@@ -695,8 +777,14 @@ void mvsde_fsum_rows(const double *a, ptrdiff_t rows, ptrdiff_t cols,
 {
     ptrdiff_t r;
 
-    for (r = 0; r < rows; r++)
-        out[r] = fsum_row(a + r * cols, cols);
+    for (r = 0; r + FSUM_LANES <= rows; r += FSUM_LANES)
+        fsum_lanes(a + r * cols, cols, FSUM_LANES, out + r);
+    switch (rows - r) {
+    case 1: fsum_lanes(a + r * cols, cols, 1, out + r); break;
+    case 2: fsum_lanes(a + r * cols, cols, 2, out + r); break;
+    case 3: fsum_lanes(a + r * cols, cols, 3, out + r); break;
+    default: break;
+    }
 }
 
 /* Philox4x64-10 multipliers and Weyl key increments, as in numpy's

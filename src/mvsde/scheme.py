@@ -38,7 +38,7 @@ import numpy as np
 
 from . import model as model_mod
 from . import rng as rng_mod
-from .ensemble import ParticleEnsemble, moments_from_r2
+from .ensemble import ParticleEnsemble, _moment_order, moments_from_r2
 from .taming import taming_parameters
 from ._core import bind_advance, pair_aggregate
 
@@ -293,7 +293,7 @@ class MomentTracker:
     """
 
     def __init__(self, p):
-        self.p = float(p)
+        self.p = _moment_order(p)
         self.times = []
         self.values = []
 

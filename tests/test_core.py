@@ -16,6 +16,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvsde
 from mvsde._core import (_select_backend, fsum_rows_py, load_compiled,
@@ -228,7 +230,23 @@ def _fsum_or_exception(row):
         return math.nan
 
 
+def _bits(values):
+    """Raw bytes of float64 values, so that signed zeros and nan payloads
+    compare too."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _sum_rows(m=1, scale=1.0):
+    """A row of r**4-like terms: fourth powers of Gaussian norms."""
+    r = np.random.default_rng(7).normal(size=m) * scale
+    return (np.sqrt(r * r) ** 4).tolist()
+
+
 _TINY = 5e-324
+# Rows near every edge of the compiled row sum's compensated pass (see
+# fsum_certified in pairwise.c): it returns its own result only where its
+# error bound proves that result correctly rounded, and fsum's algorithm
+# gives every other row's.
 FSUM_ROWS = {
     "mixed signs": [1.5, -2.25, 1e16, 3.0, -1e16, 0.1],
     "cancellation": [1e100, 1.0, -1e100, 1e-100],
@@ -246,6 +264,34 @@ FSUM_ROWS = {
     "overflow after inf": [math.inf, 1.7e308, 1e308],
     "near DBL_MAX": [1.7976931348623157e308, -1e292, 1e292],
     "long equal": [81.0] * 256,
+    # exact ties: round half to even, down from an even mantissa and up
+    # from an odd one
+    "tie to even": [1.0, 2.0 ** -53],
+    "tie from odd": [1.0 + 2.0 ** -52, 2.0 ** -53],
+    "near tie above": [1.0, 2.0 ** -53, 2.0 ** -200],
+    "near tie below": [1.0, 2.0 ** -53, -2.0 ** -200],
+    # just below a power of two the gap below is half the gap above: a
+    # bound tested against the gap above would keep 1.0 here
+    "below a power of two": [1.0, -2.0 ** -54, -2.0 ** -200],
+    "tie below a power of two": [1.0, -2.0 ** -54],
+    "above a power of two": [1.0, -2.0 ** -54, 2.0 ** -200],
+    # the compensation's own roundings: every -2^-106 ties and rounds to
+    # even, so c ends 10 * 2^-106 above the exact sum of the errors, and
+    # the exact sum falls below the midpoint its c + s lies above. A
+    # bound an eighth of the pass's own would accept 1.5 + 2^-52
+    "compensation drift": [1.5, 2.0 ** -53, 4 * 2.0 ** -105]
+    + [-2.0 ** -106] * 10,
+    "long compensation drift": [1.5, 2.0 ** -53, 64 * 2.0 ** -105]
+    + [-2.0 ** -106] * 200,
+    "zero": [1.0, -1.0],
+    "zero from -0.0": [-0.0, 0.0],
+    "negative zero from cancellation": [-1.0, 1.0, -0.0],
+    "subnormal result": [2.0 ** -1020, -2.0 ** -1020 + 2.0 ** -1070],
+    "just below the threshold": [2.0 ** -1001, 2.0 ** -1060],
+    "just above the threshold": [2.0 ** -999, 2.0 ** -1050],
+    "huge terms": [2.0 ** 1000, -2.0 ** 1000, 3.0],
+    "r**4 row": _sum_rows(4096),
+    "r**4 row, wide range": _sum_rows(4096, 1e20),
 }
 
 
@@ -256,8 +302,46 @@ def test_fsum_rows_matches_math_fsum(compiled_fsum_rows, label):
     for fsum_rows in (compiled_fsum_rows, fsum_rows_py):
         got = fsum_rows(np.array([row]))
         assert got.shape == (1,)
-        assert np.array_equal(got, [want], equal_nan=True), label
-        assert np.signbit(got[0]) == (math.copysign(1.0, want) < 0), label
+        assert _bits(got) == _bits([want]), label
+
+
+@pytest.mark.parametrize("rows", range(1, 10))
+def test_fsum_rows_every_row_count(compiled_fsum_rows, rows):
+    """1 to 9 rows: whole groups of the rows the compensated pass runs side
+    by side and every tail, with rows it proves and rows it hands to
+    fsum's algorithm in every position."""
+    # the pass proves the first, third and fifth and hands over the rest
+    cases = [_sum_rows(40)] + [FSUM_ROWS[label] for label in (
+        "compensation drift", "just above the threshold", "tie to even",
+        "long equal", "nan", "mixed signs", "below a power of two",
+        "overflow")]
+    width = max(len(row) for row in cases)
+    for shift in range(len(cases)):
+        picked = [cases[(shift + i) % len(cases)] for i in range(rows)]
+        a = np.array([row + [0.0] * (width - len(row)) for row in picked])
+        want = [_fsum_or_exception(row) for row in a.tolist()]
+        assert _bits(compiled_fsum_rows(a)) == _bits(want), shift
+
+
+def _mixed_terms():
+    """Integers below 2^53 scaled by 2^-133 to 2^27, powers of two that
+    can fall on half an ulp of a partial sum, and signed zeros."""
+    term = st.builds(lambda m, e: m * 2.0 ** e,
+                     st.integers(-(2 ** 53) + 1, 2 ** 53 - 1),
+                     st.integers(-133, 27))
+    half_ulp = st.builds(lambda s, e: s * 2.0 ** e, st.sampled_from([-1, 1]),
+                         st.integers(-110, 2))
+    return st.one_of(term, half_ulp, st.just(0.0), st.just(-0.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=st.lists(st.lists(_mixed_terms(), max_size=40), min_size=1,
+                     max_size=9))
+def test_fsum_rows_mixed_exponents(compiled_fsum_rows, rows):
+    width = max(len(row) for row in rows)
+    a = np.array([row + [0.0] * (width - len(row)) for row in rows])
+    want = [_fsum_or_exception(row) for row in a.tolist()]
+    assert _bits(compiled_fsum_rows(a)) == _bits(want)
 
 
 def test_fsum_rows_random_and_empty(compiled_fsum_rows):
@@ -267,11 +351,11 @@ def test_fsum_rows_random_and_empty(compiled_fsum_rows):
     rows[::7] = np.abs(rng.normal(size=(33,))) ** 4
     want = [_fsum_or_exception(row) for row in rows.tolist()]
     for fsum_rows in (compiled_fsum_rows, fsum_rows_py):
-        assert np.array_equal(fsum_rows(rows), want, equal_nan=True)
-        assert fsum_rows(rows.T[::2]).tolist() == [
-            _fsum_or_exception(row) for row in rows.T[::2].tolist()]
+        assert _bits(fsum_rows(rows)) == _bits(want)
+        assert _bits(fsum_rows(rows.T[::2])) == _bits(
+            [_fsum_or_exception(row) for row in rows.T[::2].tolist()])
         empty = fsum_rows(np.zeros((3, 0)))
-        assert empty.tolist() == [0.0] * 3 and not np.signbit(empty).any()
+        assert _bits(empty) == _bits([0.0] * 3)
         assert fsum_rows(np.zeros((0, 4))).shape == (0,)
     with pytest.raises(ValueError):
         compiled_fsum_rows(np.zeros(4))
