@@ -28,10 +28,7 @@ Diagonal terms (s1, c_s, c_g) require a square noise, l == d.
 import numpy as np
 
 from ._core.pairwise_py import pair_factors, pair_r2, power, tame_power
-
-# taming_parameters of the variant "off": the untamed coefficients
-_UNTAMED = dict(gamma=0.0, e_self=0.0, e_kernel=0.0, tame_sigma=False,
-                tame_g=False)
+from .taming import UNTAMED
 
 
 class CoefficientModel:
@@ -263,14 +260,14 @@ def eval_drift_b(model, t, x, mu=None):
     drift. t is ignored (autonomous coefficients); mu is an atom array
     (..., M, d) whose batch axes broadcast against those of x."""
     x = np.asarray(x, dtype=np.float64)
-    return self_terms(model, _UNTAMED, x, _measure_mean(model, mu), 0)[0]
+    return self_terms(model, UNTAMED, x, _measure_mean(model, mu), 0)[0]
 
 
 def eval_sigma(model, t, x, mu=None):
     """Measure-dependent diffusion sigma(t, x, mu) as a (..., d, l) matrix:
     self_terms' untamed noise diagonal."""
     x = np.asarray(x, dtype=np.float64)
-    return _diagonal(model, self_terms(model, _UNTAMED, x,
+    return _diagonal(model, self_terms(model, UNTAMED, x,
                                        _measure_mean(model, mu),
                                        min(model.d, model.l))[1])
 
@@ -278,13 +275,13 @@ def eval_sigma(model, t, x, mu=None):
 def eval_kernel_f(model, x, y):
     """Interaction drift kernel f(x, y) = (kf1 + kfq |x-y|^q_f)(x - y):
     pair_terms' untamed drift."""
-    return pair_terms(model, _UNTAMED, x, y, 0)[0]
+    return pair_terms(model, UNTAMED, x, y, 0)[0]
 
 
 def eval_kernel_g(model, x, y):
     """Interaction diffusion kernel g(x, y) = c_g diag(x - y), (..., d, l):
     pair_terms' untamed noise diagonal."""
-    return _diagonal(model, pair_terms(model, _UNTAMED, x, y,
+    return _diagonal(model, pair_terms(model, UNTAMED, x, y,
                                        min(model.d, model.l))[1])
 
 
@@ -301,12 +298,12 @@ def eval_pair_drift(model, t, x, y):
     """Two-argument drift of pairwise mode: b(t, x, mu) = mean_y btilde,
     self_terms' untamed drift with y as the mean."""
     x, y = _pair_arguments(model, "eval_pair_drift", x, y)
-    return self_terms(model, _UNTAMED, x, y, 0)[0]
+    return self_terms(model, UNTAMED, x, y, 0)[0]
 
 
 def eval_pair_sigma(model, t, x, y):
     """Two-argument diffusion of pairwise mode, (..., d, l): self_terms'
     untamed noise diagonal with y as the mean."""
     x, y = _pair_arguments(model, "eval_pair_sigma", x, y)
-    return _diagonal(model, self_terms(model, _UNTAMED, x, y,
+    return _diagonal(model, self_terms(model, UNTAMED, x, y,
                                        min(model.d, model.l))[1])

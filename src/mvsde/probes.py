@@ -5,6 +5,27 @@ inequality to the left, and reports the worst (largest) margin over the
 sample. A margin <= 0 at every sampled point means the inequality held on
 the sample; probes are diagnostics, not proofs.
 
+Sides and shapes
+----------------
+All probes of one call share one sample batch and evaluate each
+coefficient at most once on it: they read the coefficients from three
+sides of the batch, each evaluated on first use and then kept. A side is
+a point pair (v, v') with a drift pair (a, a') and a diffusion pair
+(s, s'):
+
+* own: b and sigma at (x, mu) and (x', nu), with v = x;
+* kernel: f and g at (x, y) and (x', y'), with v = x - y;
+* pair: pairwise mode's two-argument b and sigma at (x, y) and (x', y'),
+  with v = x; refused for a model in any other measure mode.
+
+Only f(y, x), b and sigma at the second time t', and the pair drift at
+(x, y') are evaluated outside the sides. Each inequality shape is
+written once, over a side: coercivity w_dot <v, a> + w_frob |s|_F^2,
+monotonicity <v - v', a - a'> + w |s - s'|_F^2, and the five ergodic
+shapes (dissipativity, growth, contraction, cross and cross growth) over
+the own side with (beta1, betaq, q_b, s1, weight 1) or the kernel side
+with (kf1, kfq, q_f, c_g, weight 2).
+
 Conventions
 -----------
 * Measures are realized as 2-atom empiricals; the squared W2 distance
@@ -19,11 +40,12 @@ Conventions
   would have made every sampled inequality hold (largest admissible
   value for dissipativity credits, where the constant enters negated).
   Zero-difference samples are skipped in the fit to avoid 0/0.
-* Margins are evaluated against guarded references: credit constants
-  (entering negated) are shaved, and allowance constants inflated, by a
-  relative 1e-6, so families whose analytic supremum exactly equals the
-  reference cannot flip sign through float roundoff. Reported reference
-  and fitted constants are the unguarded values.
+* Margins are evaluated against guarded references by one rule
+  (_allowance and _credit): credit constants (entering negated) are
+  shaved, and allowance constants inflated, by a relative 1e-6, so
+  families whose analytic supremum exactly equals the reference cannot
+  flip sign through float roundoff. Reported reference and fitted
+  constants are the unguarded values.
 
 The "ergodic" probe set encodes cross-weighted dissipation inequalities
 whose reference constants are derived for the quadratic-index structure
@@ -31,7 +53,9 @@ whose reference constants are derived for the quadratic-index structure
 other models rather than report margins against invalid references.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -147,6 +171,10 @@ def _nrm2(v):
     return np.sum(v * v, axis=-1)
 
 
+def _norm(v):
+    return np.sqrt(_nrm2(v))
+
+
 def _dot(u, v):
     return np.sum(u * v, axis=-1)
 
@@ -155,12 +183,27 @@ def _frob2(m):
     return np.sum(m * m, axis=(-2, -1))
 
 
+class _Side:
+    """A point pair (v, v') with the drift pair (a, a') and the diffusion
+    pair (s, s') at its two evaluation points."""
+
+    def __init__(self, v, vp, drift, diffusion, at, atp):
+        self.v = v
+        self.vp = vp
+        self.dv = v - vp
+        self.a = drift(*at)
+        self.ap = drift(*atp)
+        self.s = diffusion(*at)
+        self.sp = diffusion(*atp)
+
+
 class _Samples:
     """One batch of probe inputs shared by all inequalities of a set."""
 
     def __init__(self, model, count, radius, seed):
         rng = np.random.default_rng(seed)
         d = model.d
+        self._model = model
         self.x = _ball(rng, count, d, radius)
         self.xp = _ball(rng, count, d, radius)
         self.y = _ball(rng, count, d, radius)
@@ -179,6 +222,30 @@ class _Samples:
         self.w2sq = np.minimum(straight, crossed) / 2.0
         self.w2sq_origin = (_nrm2(a1) + _nrm2(a2)) / 2.0
 
+    @cached_property
+    def own(self):
+        m = self._model
+        return _Side(self.x, self.xp, partial(eval_drift_b, m, self.t),
+                     partial(eval_sigma, m, self.t),
+                     (self.x, self.mu), (self.xp, self.nu))
+
+    @cached_property
+    def kernel(self):
+        m = self._model
+        return _Side(self.x - self.y, self.xp - self.yp,
+                     partial(eval_kernel_f, m), partial(eval_kernel_g, m),
+                     (self.x, self.y), (self.xp, self.yp))
+
+    @cached_property
+    def pair(self):
+        m = self._model
+        if m.measure_mode != "pairwise":
+            raise ValueError("pairwise_poc probes need a pairwise-mode "
+                             "model, got %r" % m.family_id)
+        return _Side(self.x, self.xp, partial(eval_pair_drift, m, self.t),
+                     partial(eval_pair_sigma, m, self.t),
+                     (self.x, self.y), (self.xp, self.yp))
+
 
 def _fit_max(lhs, factor):
     ok = factor > 0.0
@@ -195,226 +262,182 @@ def _fit_min(lhs, factor):
     return float(np.min(-lhs[ok] / factor[ok]))
 
 
+def _allowance(lhs, factor, ref):
+    """(margin, fitted, ref) of LHS <= ref * factor, ref inflated by the
+    guard."""
+    return lhs - (_ALLOW_GUARD * ref) * factor, _fit_max(lhs, factor), ref
+
+
+def _credit(lhs, factor, ref):
+    """(margin, fitted, ref) of LHS <= -ref * factor, ref shaved by the
+    guard."""
+    return lhs + (_CREDIT_GUARD * ref) * factor, _fit_min(lhs, factor), ref
+
+
 def _pos(v):
     return max(0.0, v)
+
+
+# ---------------------------------------------------------------- shapes
+
+def _coercivity(side, w_dot, w_frob):
+    return w_dot * _dot(side.v, side.a) + w_frob * _frob2(side.s)
+
+
+def _monotonicity(side, w):
+    return _dot(side.dv, side.a - side.ap) + w * _frob2(side.s - side.sp)
+
+
+def _local_weight(side, q):
+    # (1 + |v| + |v'|)^q of the polynomial local Lipschitz bounds
+    return (1.0 + _norm(side.v) + _norm(side.vp)) ** q
 
 
 # ---------------------------------------------------------------- finite
 
 def _p_b_sigma_coercivity(model, s, pp):
-    b = eval_drift_b(model, s.t, s.x, s.mu)
-    sig = eval_sigma(model, s.t, s.x, s.mu)
-    lhs = _dot(s.x, b) + (pp["p0"] - 1.0) * _frob2(sig)
+    lhs = _coercivity(s.own, 1.0, pp["p0"] - 1.0)
     factor = 1.0 + _nrm2(s.x) + s.w2sq_origin
     k = min(model.d, model.l)
     ref = (_pos(model.beta1) + abs(model.lam) + 2.0 * abs(model.kap_pair)
            + 3.0 * (pp["p0"] - 1.0)
            * (model.s1 ** 2 + 2.0 * model.c_s ** 2 + k * model.s0 ** 2))
-    return lhs - (_ALLOW_GUARD * ref) * factor, _fit_max(lhs, factor), ref
+    return _allowance(lhs, factor, ref)
 
 
 def _p_b_sigma_monotonicity(model, s, pp):
-    db = (eval_drift_b(model, s.t, s.x, s.mu)
-          - eval_drift_b(model, s.t, s.xp, s.nu))
-    ds = (eval_sigma(model, s.t, s.x, s.mu)
-          - eval_sigma(model, s.t, s.xp, s.nu))
-    lhs = _dot(s.x - s.xp, db) + _frob2(ds)
-    factor = _nrm2(s.x - s.xp) + s.w2sq
+    lhs = _monotonicity(s.own, 1.0)
+    factor = _nrm2(s.own.dv) + s.w2sq
     ref = (_pos(model.beta1) + abs(model.lam) + 2.0 * abs(model.kap_pair)
            + 2.0 * model.s1 ** 2 + 4.0 * model.c_s ** 2)
-    return lhs - (_ALLOW_GUARD * ref) * factor, _fit_max(lhs, factor), ref
+    return _allowance(lhs, factor, ref)
 
 
-def _p_fg_kernel_monotonicity(model, s, pp):
-    df = eval_kernel_f(model, s.x, s.y) - eval_kernel_f(model, s.xp, s.yp)
-    dg = eval_kernel_g(model, s.x, s.y) - eval_kernel_g(model, s.xp, s.yp)
-    du = (s.x - s.y) - (s.xp - s.yp)
-    lhs = _dot(du, df) + (pp["p0"] - 1.0) * _frob2(dg)
-    factor = _nrm2(du)
-    ref = _pos(model.kf1) + (pp["p0"] - 1.0) * model.c_g ** 2
-    return lhs - (_ALLOW_GUARD * ref) * factor, _fit_max(lhs, factor), ref
+def _p_fg_monotonicity(k, order, model, s, pp):
+    # the kernel monotonicity of the finite, rate and pairwise sets, with
+    # noise weight k (order - 1) of the set's moment order
+    w = k * (pp[order] - 1.0)
+    ref = _pos(model.kf1) + w * model.c_g ** 2
+    return _allowance(_monotonicity(s.kernel, w), _nrm2(s.kernel.dv), ref)
+
+
+def _p_fg_coercivity(w_dot, k, model, s, pp):
+    # radial (w_dot 2, k 1) and antisymmetric (w_dot 1, k 2) kernel
+    # coercivity, with noise weight k (p0 - 1)
+    w_frob = k * (pp["p0"] - 1.0)
+    lhs = _coercivity(s.kernel, w_dot, w_frob)
+    ref = w_dot * _pos(model.kf1) + w_frob * model.c_g ** 2
+    return _allowance(lhs, 1.0 + _nrm2(s.kernel.v), ref)
 
 
 def _p_f_local_lipschitz(model, s, pp):
-    df = eval_kernel_f(model, s.x, s.y) - eval_kernel_f(model, s.xp, s.yp)
-    u = np.sqrt(_nrm2(s.x - s.y))
-    up = np.sqrt(_nrm2(s.xp - s.yp))
-    du = np.sqrt(_nrm2((s.x - s.y) - (s.xp - s.yp)))
-    lhs = np.sqrt(_nrm2(df))
-    factor = (1.0 + u + up) ** model.q * du
+    k = s.kernel
+    lhs = _norm(k.a - k.ap)
+    factor = _local_weight(k, model.q) * _norm(k.dv)
     ref = abs(model.kf1) + abs(model.kfq) * (1.0 + model.q_f)
-    return lhs - (_ALLOW_GUARD * ref) * factor, _fit_max(lhs, factor), ref
+    return _allowance(lhs, factor, ref)
 
 
 # ---------------------------------------------------------------- growth
 
-def _p_fg_radial_coercivity(model, s, pp):
-    f = eval_kernel_f(model, s.x, s.y)
-    g = eval_kernel_g(model, s.x, s.y)
-    u = s.x - s.y
-    lhs = 2.0 * _dot(u, f) + (pp["p0"] - 1.0) * _frob2(g)
-    factor = 1.0 + _nrm2(u)
-    ref = 2.0 * _pos(model.kf1) + (pp["p0"] - 1.0) * model.c_g ** 2
-    return lhs - (_ALLOW_GUARD * ref) * factor, _fit_max(lhs, factor), ref
-
-
 def _p_g_squared_local_lipschitz(model, s, pp):
-    dg = eval_kernel_g(model, s.x, s.y) - eval_kernel_g(model, s.xp, s.yp)
-    u = np.sqrt(_nrm2(s.x - s.y))
-    up = np.sqrt(_nrm2(s.xp - s.yp))
-    du2 = _nrm2((s.x - s.y) - (s.xp - s.yp))
-    lhs = _frob2(dg)
-    factor = (1.0 + u + up) ** model.q * du2
-    ref = model.c_g ** 2
-    return lhs - (_ALLOW_GUARD * ref) * factor, _fit_max(lhs, factor), ref
+    k = s.kernel
+    lhs = _frob2(k.s - k.sp)
+    factor = _local_weight(k, model.q) * _nrm2(k.dv)
+    return _allowance(lhs, factor, model.c_g ** 2)
 
 
 def _p_f_polynomial_growth(model, s, pp):
-    f = eval_kernel_f(model, s.x, s.y)
-    u = np.sqrt(_nrm2(s.x - s.y))
-    lhs = np.sqrt(_nrm2(f))
-    factor = (1.0 + u) ** (model.q + 1.0)
-    ref = abs(model.kf1) + abs(model.kfq)
-    return lhs - (_ALLOW_GUARD * ref) * factor, _fit_max(lhs, factor), ref
+    lhs = _norm(s.kernel.a)
+    factor = (1.0 + _norm(s.kernel.v)) ** (model.q + 1.0)
+    return _allowance(lhs, factor, abs(model.kf1) + abs(model.kfq))
 
 
 def _p_g_squared_growth(model, s, pp):
-    g = eval_kernel_g(model, s.x, s.y)
-    u = np.sqrt(_nrm2(s.x - s.y))
-    lhs = _frob2(g)
-    factor = (1.0 + u) ** (model.q + 2.0)
-    ref = model.c_g ** 2
-    return lhs - (_ALLOW_GUARD * ref) * factor, _fit_max(lhs, factor), ref
+    lhs = _frob2(s.kernel.s)
+    factor = (1.0 + _norm(s.kernel.v)) ** (model.q + 2.0)
+    return _allowance(lhs, factor, model.c_g ** 2)
 
 
 # ---------------------------------------------------------- antisymmetry
 
 def _p_f_antisymmetry(model, s, pp):
-    resid = eval_kernel_f(model, s.x, s.y) + eval_kernel_f(model, s.y, s.x)
+    resid = s.kernel.a + eval_kernel_f(model, s.y, s.x)
     margin = np.max(np.abs(resid), axis=-1)
     return margin, float("nan"), 0.0
 
 
 def _p_f_weighted_odd_growth(model, s, pp):
-    f = eval_kernel_f(model, s.x, s.y)
-    rx = np.sqrt(_nrm2(s.x))
-    ry = np.sqrt(_nrm2(s.y))
+    rx = _norm(s.x)
+    ry = _norm(s.y)
     p0 = pp["p0"]
-    lhs = (rx ** (p0 - 2.0) - ry ** (p0 - 2.0)) * _dot(s.x + s.y, f)
+    lhs = (rx ** (p0 - 2.0) - ry ** (p0 - 2.0)) * _dot(s.x + s.y,
+                                                        s.kernel.a)
     factor = rx ** p0 + ry ** p0
     ref = (_pos(model.kf1)
            + _pos(model.kfq) * (2.0 * pp["radius"]) ** model.q_f)
-    return lhs - (_ALLOW_GUARD * ref) * factor, _fit_max(lhs, factor), ref
-
-
-def _p_fg_antisym_coercivity(model, s, pp):
-    f = eval_kernel_f(model, s.x, s.y)
-    g = eval_kernel_g(model, s.x, s.y)
-    u = s.x - s.y
-    lhs = _dot(u, f) + 2.0 * (pp["p0"] - 1.0) * _frob2(g)
-    factor = 1.0 + _nrm2(u)
-    ref = _pos(model.kf1) + 2.0 * (pp["p0"] - 1.0) * model.c_g ** 2
-    return lhs - (_ALLOW_GUARD * ref) * factor, _fit_max(lhs, factor), ref
+    return _allowance(lhs, factor, ref)
 
 
 # ------------------------------------------------------------------ rate
 
 def _p_b_polynomial_lipschitz(model, s, pp):
-    db = (eval_drift_b(model, s.t, s.x, s.mu)
-          - eval_drift_b(model, s.t, s.xp, s.nu))
-    rx = np.sqrt(_nrm2(s.x))
-    rxp = np.sqrt(_nrm2(s.xp))
-    dx = np.sqrt(_nrm2(s.x - s.xp))
-    lhs = np.sqrt(_nrm2(db))
-    factor = (1.0 + rx + rxp) ** model.q * dx + np.sqrt(s.w2sq)
+    o = s.own
+    lhs = _norm(o.a - o.ap)
+    factor = _local_weight(o, model.q) * _norm(o.dv) + np.sqrt(s.w2sq)
     ref = (abs(model.beta1) + abs(model.betaq) * (1.0 + model.q_b)
            + abs(model.lam) + abs(model.kap_pair))
-    return lhs - (_ALLOW_GUARD * ref) * factor, _fit_max(lhs, factor), ref
+    return _allowance(lhs, factor, ref)
 
 
 def _p_b_sigma_rate_monotonicity(model, s, pp):
-    db = (eval_drift_b(model, s.t, s.x, s.mu)
-          - eval_drift_b(model, s.t, s.xp, s.nu))
-    ds = (eval_sigma(model, s.t, s.x, s.mu)
-          - eval_sigma(model, s.t, s.xp, s.nu))
-    lhs = _dot(s.x - s.xp, db) + (pp["p1"] - 1.0) * _frob2(ds)
-    factor = _nrm2(s.x - s.xp) + s.w2sq
+    lhs = _monotonicity(s.own, pp["p1"] - 1.0)
+    factor = _nrm2(s.own.dv) + s.w2sq
     ref = (_pos(model.beta1) + abs(model.lam) + 2.0 * abs(model.kap_pair)
            + (pp["p1"] - 1.0) * (2.0 * model.s1 ** 2
                                  + 4.0 * model.c_s ** 2))
-    return lhs - (_ALLOW_GUARD * ref) * factor, _fit_max(lhs, factor), ref
-
-
-def _p_fg_rate_monotonicity(model, s, pp):
-    df = eval_kernel_f(model, s.x, s.y) - eval_kernel_f(model, s.xp, s.yp)
-    dg = eval_kernel_g(model, s.x, s.y) - eval_kernel_g(model, s.xp, s.yp)
-    du = (s.x - s.y) - (s.xp - s.yp)
-    lhs = _dot(du, df) + 2.0 * (pp["p1"] - 1.0) * _frob2(dg)
-    factor = _nrm2(du)
-    ref = _pos(model.kf1) + 2.0 * (pp["p1"] - 1.0) * model.c_g ** 2
-    return lhs - (_ALLOW_GUARD * ref) * factor, _fit_max(lhs, factor), ref
+    return _allowance(lhs, factor, ref)
 
 
 def _p_b_sigma_time_holder(model, s, pp):
-    db = (eval_drift_b(model, s.t, s.x, s.mu)
-          - eval_drift_b(model, s.tp, s.x, s.mu))
-    ds = (eval_sigma(model, s.t, s.x, s.mu)
-          - eval_sigma(model, s.tp, s.x, s.mu))
-    lhs = np.sqrt(_nrm2(db)) + np.sqrt(_frob2(ds))
-    factor = np.sqrt(np.abs(s.t - s.tp))
-    return lhs - 0.0 * factor, _fit_max(lhs, factor), 0.0
+    db = s.own.a - eval_drift_b(model, s.tp, s.x, s.mu)
+    ds = s.own.s - eval_sigma(model, s.tp, s.x, s.mu)
+    lhs = _norm(db) + np.sqrt(_frob2(ds))
+    return _allowance(lhs, np.sqrt(np.abs(s.t - s.tp)), 0.0)
 
 
 # -------------------------------------------------------------- pairwise
 
-def _need_pairwise(model):
-    if model.measure_mode != "pairwise":
-        raise ValueError("pairwise_poc probes need a pairwise-mode model, "
-                         "got %r" % model.family_id)
-
-
 def _p_pair_coercivity(model, s, pp):
-    _need_pairwise(model)
-    b = eval_pair_drift(model, s.t, s.x, s.y)
-    sig = eval_pair_sigma(model, s.t, s.x, s.y)
-    lhs = _dot(s.x, b) + (pp["p0"] - 1.0) * _frob2(sig)
+    lhs = _coercivity(s.pair, 1.0, pp["p0"] - 1.0)
     factor = _nrm2(s.x) + _nrm2(s.y)
     # no credit for an additive noise floor: s0 != 0 cannot satisfy a
     # right side without constant term, so it is deliberately left out
     ref = (_pos(model.beta1) + 2.0 * abs(model.kap_pair)
            + 3.0 * (pp["p0"] - 1.0)
            * (model.s1 ** 2 + 2.0 * model.c_s ** 2))
-    return lhs - (_ALLOW_GUARD * ref) * factor, _fit_max(lhs, factor), ref
+    return _allowance(lhs, factor, ref)
 
 
 def _p_pair_monotonicity(model, s, pp):
-    _need_pairwise(model)
-    db = (eval_pair_drift(model, s.t, s.x, s.y)
-          - eval_pair_drift(model, s.t, s.xp, s.yp))
-    ds = (eval_pair_sigma(model, s.t, s.x, s.y)
-          - eval_pair_sigma(model, s.t, s.xp, s.yp))
-    lhs = _dot(s.x - s.xp, db) + 2.0 * (pp["p"] - 1.0) * _frob2(ds)
-    factor = _nrm2(s.x - s.xp) + _nrm2(s.y - s.yp)
+    lhs = _monotonicity(s.pair, 2.0 * (pp["p"] - 1.0))
+    factor = _nrm2(s.pair.dv) + _nrm2(s.y - s.yp)
     ref = (_pos(model.beta1) + 2.0 * abs(model.kap_pair)
            + 2.0 * (pp["p"] - 1.0) * (2.0 * model.s1 ** 2
                                       + 4.0 * model.c_s ** 2))
-    return lhs - (_ALLOW_GUARD * ref) * factor, _fit_max(lhs, factor), ref
+    return _allowance(lhs, factor, ref)
 
 
 def _p_pair_second_arg_lipschitz(model, s, pp):
-    _need_pairwise(model)
-    db = (eval_pair_drift(model, s.t, s.x, s.y)
-          - eval_pair_drift(model, s.t, s.x, s.yp))
-    lhs = np.sqrt(_nrm2(db))
-    factor = np.sqrt(_nrm2(s.y - s.yp))
-    ref = abs(model.kap_pair)
-    return lhs - (_ALLOW_GUARD * ref) * factor, _fit_max(lhs, factor), ref
+    b = s.pair.a  # refuses a model outside pairwise mode first
+    lhs = _norm(b - eval_pair_drift(model, s.t, s.x, s.yp))
+    return _allowance(lhs, _norm(s.y - s.yp), abs(model.kap_pair))
 
 
 def _p_fg_pair_weighted_growth(model, s, pp):
-    df = eval_kernel_f(model, s.x, s.y) - eval_kernel_f(model, s.xp, s.yp)
-    dxn = np.sqrt(_nrm2(s.x - s.xp))
-    dyn = np.sqrt(_nrm2(s.y - s.yp))
+    df = s.kernel.a - s.kernel.ap
+    dxn = _norm(s.x - s.xp)
+    dyn = _norm(s.y - s.yp)
     p = pp["p"]
     weight = dxn ** (p - 2.0) - dyn ** (p - 2.0)
     lhs = weight * _dot((s.x + s.y) - (s.xp + s.yp), df)
@@ -422,20 +445,14 @@ def _p_fg_pair_weighted_growth(model, s, pp):
     # radius-dependent certified bound; see module docstring
     ref = (4.0 * (abs(model.kf1) + abs(model.kfq) * (1.0 + model.q_f))
            * (1.0 + 4.0 * pp["radius"]) ** model.q_f)
-    return lhs - (_ALLOW_GUARD * ref) * factor, _fit_max(lhs, factor), ref
-
-
-def _p_fg_pair_monotonicity(model, s, pp):
-    df = eval_kernel_f(model, s.x, s.y) - eval_kernel_f(model, s.xp, s.yp)
-    dg = eval_kernel_g(model, s.x, s.y) - eval_kernel_g(model, s.xp, s.yp)
-    du = (s.x - s.y) - (s.xp - s.yp)
-    lhs = _dot(du, df) + 4.0 * (pp["p"] - 1.0) * _frob2(dg)
-    factor = _nrm2(du)
-    ref = _pos(model.kf1) + 4.0 * (pp["p"] - 1.0) * model.c_g ** 2
-    return lhs - (_ALLOW_GUARD * ref) * factor, _fit_max(lhs, factor), ref
+    return _allowance(lhs, factor, ref)
 
 
 # --------------------------------------------------------------- ergodic
+#
+# Each ergodic shape runs over one side with that side's constants: c1
+# the linear drift constant, cq the polynomial one and qc its growth
+# index, cn the linear noise constant and w the noise weight.
 
 def _need_ergodic_structure(model):
     if not (model.q == 2.0 and model.q_b == 2.0 and model.q_f == 2.0):
@@ -450,187 +467,98 @@ def _need_ergodic_structure(model):
                          % model.family_id)
 
 
-def _p_erg_b_sigma_dissipativity(model, s, pp):
+def _ergodic(shape, side, model, s, pp):
+    """Run one ergodic shape over the own or the kernel side."""
     _need_ergodic_structure(model)
-    b = eval_drift_b(model, s.t, s.x, s.mu)
-    sig = eval_sigma(model, s.t, s.x, s.mu)
-    lhs = _dot(s.x, b) + _frob2(sig)
-    r2 = _nrm2(s.x)
-    factor = (1.0 + r2 ** (model.q / 2.0)) * r2
-    ref = min(-model.beta1 - model.s1 ** 2, -model.betaq)
-    return lhs + (_CREDIT_GUARD * ref) * factor, _fit_min(lhs, factor), ref
+    if side == "own":
+        return shape(s.own, model.q, model.beta1, model.betaq, model.q_b,
+                     model.s1, 1.0)
+    return shape(s.kernel, model.q, model.kf1, model.kfq, model.q_f,
+                 model.c_g, 2.0)
 
 
-def _p_erg_fg_dissipativity(model, s, pp):
-    _need_ergodic_structure(model)
-    f = eval_kernel_f(model, s.x, s.y)
-    g = eval_kernel_g(model, s.x, s.y)
-    u = s.x - s.y
-    lhs = _dot(u, f) + 2.0 * _frob2(g)
-    r2 = _nrm2(u)
-    factor = (1.0 + r2 ** (model.q / 2.0)) * r2
-    ref = min(-model.kf1 - 2.0 * model.c_g ** 2, -model.kfq)
-    return lhs + (_CREDIT_GUARD * ref) * factor, _fit_min(lhs, factor), ref
+def _erg_dissipativity(side, q, c1, cq, qc, cn, w):
+    r2 = _nrm2(side.v)
+    factor = (1.0 + r2 ** (q / 2.0)) * r2
+    ref = min(-c1 - w * cn ** 2, -cq)
+    return _credit(_coercivity(side, 1.0, w), factor, ref)
 
 
-def _p_erg_b_growth(model, s, pp):
-    _need_ergodic_structure(model)
-    db = (eval_drift_b(model, s.t, s.x, s.mu)
-          - eval_drift_b(model, s.t, s.xp, s.nu))
-    a = _nrm2(s.x)
-    b = _nrm2(s.xp)
-    lhs = _nrm2(db)
-    factor = (1.0 + a ** model.q + b ** model.q) * _nrm2(s.x - s.xp)
-    ref = max(2.0 * model.beta1 ** 2,
-              2.0 * (model.betaq * (1.0 + model.q_b)) ** 2)
-    return lhs - (_ALLOW_GUARD * ref) * factor, _fit_max(lhs, factor), ref
+def _erg_growth(side, q, c1, cq, qc, cn, w):
+    weight = 1.0 + _nrm2(side.v) ** q + _nrm2(side.vp) ** q
+    ref = max(2.0 * c1 ** 2, 2.0 * (cq * (1.0 + qc)) ** 2)
+    return _allowance(_nrm2(side.a - side.ap), weight * _nrm2(side.dv), ref)
 
 
-def _p_erg_f_growth(model, s, pp):
-    _need_ergodic_structure(model)
-    df = eval_kernel_f(model, s.x, s.y) - eval_kernel_f(model, s.xp, s.yp)
-    a = _nrm2(s.x - s.y)
-    b = _nrm2(s.xp - s.yp)
-    lhs = _nrm2(df)
-    factor = (1.0 + a ** model.q + b ** model.q) * _nrm2(
-        (s.x - s.y) - (s.xp - s.yp))
-    ref = max(2.0 * model.kf1 ** 2,
-              2.0 * (model.kfq * (1.0 + model.q_f)) ** 2)
-    return lhs - (_ALLOW_GUARD * ref) * factor, _fit_max(lhs, factor), ref
+def _erg_contraction(side, q, c1, cq, qc, cn, w):
+    lhs = _monotonicity(side, 2.0 * w)
+    wv = _nrm2(side.v) ** (q / 2.0)
+    wvp = _nrm2(side.vp) ** (q / 2.0)
+    factor = (1.0 + wv + wvp) * _nrm2(side.dv)
+    ref = min(-c1 - 2.0 * w * cn ** 2, -cq / 2.0)
+    return _credit(lhs, factor, ref)
 
 
-def _p_erg_b_sigma_contraction(model, s, pp):
-    _need_ergodic_structure(model)
-    db = (eval_drift_b(model, s.t, s.x, s.mu)
-          - eval_drift_b(model, s.t, s.xp, s.nu))
-    ds = (eval_sigma(model, s.t, s.x, s.mu)
-          - eval_sigma(model, s.t, s.xp, s.nu))
-    lhs = _dot(s.x - s.xp, db) + 2.0 * _frob2(ds)
-    wx = _nrm2(s.x) ** (model.q / 2.0)
-    wxp = _nrm2(s.xp) ** (model.q / 2.0)
-    factor = (1.0 + wx + wxp) * _nrm2(s.x - s.xp)
-    ref = min(-model.beta1 - 2.0 * model.s1 ** 2, -model.betaq / 2.0)
-    return lhs + (_CREDIT_GUARD * ref) * factor, _fit_min(lhs, factor), ref
+def _cross_drift(side, q):
+    # weights |v|^q/2, |v'|^q/2 and the cross-weighted drift difference
+    wv = _nrm2(side.v) ** (q / 2.0)
+    wvp = _nrm2(side.vp) ** (q / 2.0)
+    return wv, wvp, side.a * wvp[:, None] - side.ap * wv[:, None]
 
 
-def _p_erg_fg_contraction(model, s, pp):
-    _need_ergodic_structure(model)
-    df = eval_kernel_f(model, s.x, s.y) - eval_kernel_f(model, s.xp, s.yp)
-    dg = eval_kernel_g(model, s.x, s.y) - eval_kernel_g(model, s.xp, s.yp)
-    du = (s.x - s.y) - (s.xp - s.yp)
-    lhs = _dot(du, df) + 4.0 * _frob2(dg)
-    wu = _nrm2(s.x - s.y) ** (model.q / 2.0)
-    wup = _nrm2(s.xp - s.yp) ** (model.q / 2.0)
-    factor = (1.0 + wu + wup) * _nrm2(du)
-    ref = min(-model.kf1 - 4.0 * model.c_g ** 2, -model.kfq / 2.0)
-    return lhs + (_CREDIT_GUARD * ref) * factor, _fit_min(lhs, factor), ref
-
-
-def _p_erg_b_sigma_cross(model, s, pp):
-    _need_ergodic_structure(model)
-    bx = eval_drift_b(model, s.t, s.x, s.mu)
-    bxp = eval_drift_b(model, s.t, s.xp, s.nu)
-    sx = eval_sigma(model, s.t, s.x, s.mu)
-    sxp = eval_sigma(model, s.t, s.xp, s.nu)
-    wx = _nrm2(s.x) ** (model.q / 2.0)
-    wxp = _nrm2(s.xp) ** (model.q / 2.0)
-    cb = bx * wxp[:, None] - bxp * wx[:, None]
-    cs = sx * wxp[:, None, None] - sxp * wx[:, None, None]
-    lhs = _dot(s.x - s.xp, cb) + 2.0 * _frob2(cs)
-    dx2 = _nrm2(s.x - s.xp)
-    allow = abs(model.beta1) / 2.0
-    credit = _CREDIT_GUARD * (-model.betaq - 2.0 * model.s1 ** 2)
-    margin = lhs - ((_ALLOW_GUARD * allow) * (1.0 + wx + wxp)
-                    - credit * wx * wxp) * dx2
-    fitted = _fit_max(lhs + credit * wx * wxp * dx2,
-                      (1.0 + wx + wxp) * dx2)
+def _erg_cross(side, q, c1, cq, qc, cn, w):
+    wv, wvp, ca = _cross_drift(side, q)
+    cs = side.s * wvp[:, None, None] - side.sp * wv[:, None, None]
+    lhs = _dot(side.dv, ca) + 2.0 * w * _frob2(cs)
+    dv2 = _nrm2(side.dv)
+    allow = abs(c1) / 2.0
+    credit = _CREDIT_GUARD * (-cq - 2.0 * w * cn ** 2)
+    margin = lhs - ((_ALLOW_GUARD * allow) * (1.0 + wv + wvp)
+                    - credit * wv * wvp) * dv2
+    fitted = _fit_max(lhs + credit * wv * wvp * dv2,
+                      (1.0 + wv + wvp) * dv2)
     return margin, fitted, allow
 
 
-def _p_erg_fg_cross(model, s, pp):
-    _need_ergodic_structure(model)
-    fx = eval_kernel_f(model, s.x, s.y)
-    fxp = eval_kernel_f(model, s.xp, s.yp)
-    gx = eval_kernel_g(model, s.x, s.y)
-    gxp = eval_kernel_g(model, s.xp, s.yp)
-    wu = _nrm2(s.x - s.y) ** (model.q / 2.0)
-    wup = _nrm2(s.xp - s.yp) ** (model.q / 2.0)
-    cf = fx * wup[:, None] - fxp * wu[:, None]
-    cg = gx * wup[:, None, None] - gxp * wu[:, None, None]
-    du = (s.x - s.y) - (s.xp - s.yp)
-    lhs = _dot(du, cf) + 4.0 * _frob2(cg)
-    du2 = _nrm2(du)
-    allow = abs(model.kf1) / 2.0
-    credit = _CREDIT_GUARD * (-model.kfq - 4.0 * model.c_g ** 2)
-    margin = lhs - ((_ALLOW_GUARD * allow) * (1.0 + wu + wup)
-                    - credit * wu * wup) * du2
-    fitted = _fit_max(lhs + credit * wu * wup * du2,
-                      (1.0 + wu + wup) * du2)
-    return margin, fitted, allow
-
-
-def _p_erg_b_cross_growth(model, s, pp):
-    _need_ergodic_structure(model)
-    bx = eval_drift_b(model, s.t, s.x, s.mu)
-    bxp = eval_drift_b(model, s.t, s.xp, s.nu)
-    wx = _nrm2(s.x) ** (model.q / 2.0)
-    wxp = _nrm2(s.xp) ** (model.q / 2.0)
-    cb = bx * wxp[:, None] - bxp * wx[:, None]
-    lhs = _nrm2(cb)
-    w2x = wx * wx
-    w2xp = wxp * wxp
-    factor = (1.0 + w2x + w2xp + w2x * w2xp) * _nrm2(s.x - s.xp)
-    ref = max(model.beta1 ** 2, 2.0 * model.betaq ** 2)
-    return lhs - (_ALLOW_GUARD * ref) * factor, _fit_max(lhs, factor), ref
-
-
-def _p_erg_f_cross_growth(model, s, pp):
-    _need_ergodic_structure(model)
-    fx = eval_kernel_f(model, s.x, s.y)
-    fxp = eval_kernel_f(model, s.xp, s.yp)
-    wu = _nrm2(s.x - s.y) ** (model.q / 2.0)
-    wup = _nrm2(s.xp - s.yp) ** (model.q / 2.0)
-    cf = fx * wup[:, None] - fxp * wu[:, None]
-    lhs = _nrm2(cf)
-    w2u = wu * wu
-    w2up = wup * wup
-    factor = (1.0 + w2u + w2up + w2u * w2up) * _nrm2(
-        (s.x - s.y) - (s.xp - s.yp))
-    ref = max(model.kf1 ** 2, 2.0 * model.kfq ** 2)
-    return lhs - (_ALLOW_GUARD * ref) * factor, _fit_max(lhs, factor), ref
+def _erg_cross_growth(side, q, c1, cq, qc, cn, w):
+    wv, wvp, ca = _cross_drift(side, q)
+    w2v = wv * wv
+    w2vp = wvp * wvp
+    factor = (1.0 + w2v + w2vp + w2v * w2vp) * _nrm2(side.dv)
+    return _allowance(_nrm2(ca), factor, max(c1 ** 2, 2.0 * cq ** 2))
 
 
 _REGISTRY = {
     "b_sigma_coercivity": _p_b_sigma_coercivity,
     "b_sigma_monotonicity": _p_b_sigma_monotonicity,
-    "fg_kernel_monotonicity": _p_fg_kernel_monotonicity,
+    "fg_kernel_monotonicity": partial(_p_fg_monotonicity, 1.0, "p0"),
     "f_local_lipschitz": _p_f_local_lipschitz,
-    "fg_radial_coercivity": _p_fg_radial_coercivity,
+    "fg_radial_coercivity": partial(_p_fg_coercivity, 2.0, 1.0),
     "g_squared_local_lipschitz": _p_g_squared_local_lipschitz,
     "f_polynomial_growth": _p_f_polynomial_growth,
     "g_squared_growth": _p_g_squared_growth,
     "f_antisymmetry": _p_f_antisymmetry,
     "f_weighted_odd_growth": _p_f_weighted_odd_growth,
-    "fg_antisym_coercivity": _p_fg_antisym_coercivity,
+    "fg_antisym_coercivity": partial(_p_fg_coercivity, 1.0, 2.0),
     "b_polynomial_lipschitz": _p_b_polynomial_lipschitz,
     "b_sigma_rate_monotonicity": _p_b_sigma_rate_monotonicity,
-    "fg_rate_monotonicity": _p_fg_rate_monotonicity,
+    "fg_rate_monotonicity": partial(_p_fg_monotonicity, 2.0, "p1"),
     "b_sigma_time_holder": _p_b_sigma_time_holder,
     "pair_coercivity": _p_pair_coercivity,
     "pair_monotonicity": _p_pair_monotonicity,
     "pair_second_arg_lipschitz": _p_pair_second_arg_lipschitz,
     "fg_pair_weighted_growth": _p_fg_pair_weighted_growth,
-    "fg_pair_monotonicity": _p_fg_pair_monotonicity,
-    "erg_b_sigma_dissipativity": _p_erg_b_sigma_dissipativity,
-    "erg_fg_dissipativity": _p_erg_fg_dissipativity,
-    "erg_b_growth": _p_erg_b_growth,
-    "erg_f_growth": _p_erg_f_growth,
-    "erg_b_sigma_contraction": _p_erg_b_sigma_contraction,
-    "erg_fg_contraction": _p_erg_fg_contraction,
-    "erg_b_sigma_cross": _p_erg_b_sigma_cross,
-    "erg_fg_cross": _p_erg_fg_cross,
-    "erg_b_cross_growth": _p_erg_b_cross_growth,
-    "erg_f_cross_growth": _p_erg_f_cross_growth,
+    "fg_pair_monotonicity": partial(_p_fg_monotonicity, 4.0, "p"),
+    "erg_b_sigma_dissipativity": partial(_ergodic, _erg_dissipativity, "own"),
+    "erg_fg_dissipativity": partial(_ergodic, _erg_dissipativity, "kernel"),
+    "erg_b_growth": partial(_ergodic, _erg_growth, "own"),
+    "erg_f_growth": partial(_ergodic, _erg_growth, "kernel"),
+    "erg_b_sigma_contraction": partial(_ergodic, _erg_contraction, "own"),
+    "erg_fg_contraction": partial(_ergodic, _erg_contraction, "kernel"),
+    "erg_b_sigma_cross": partial(_ergodic, _erg_cross, "own"),
+    "erg_fg_cross": partial(_ergodic, _erg_cross, "kernel"),
+    "erg_b_cross_growth": partial(_ergodic, _erg_cross_growth, "own"),
+    "erg_f_cross_growth": partial(_ergodic, _erg_cross_growth, "kernel"),
 }
 
 
@@ -649,7 +577,7 @@ def probe_assumptions(model, assumption_set, count=10000, radius=5.0,
     count : int
         Number of sampled point tuples (>= 1).
     radius : float
-        Radius of the sampling ball.
+        Radius of the sampling ball (finite and > 0).
     seed : int
         Seed of the sampling generator.
 
@@ -660,6 +588,9 @@ def probe_assumptions(model, assumption_set, count=10000, radius=5.0,
     """
     if count < 1:
         raise ValueError("count must be >= 1, got %d" % count)
+    radius = float(radius)
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError("radius must be finite and > 0, got %r" % radius)
     if assumption_set in PROBE_SETS:
         names = PROBE_SETS[assumption_set]
     elif assumption_set in _REGISTRY:
@@ -668,8 +599,8 @@ def probe_assumptions(model, assumption_set, count=10000, radius=5.0,
         raise ValueError("unknown assumption set %r; known sets: %s"
                          % (assumption_set,
                             ", ".join(sorted(PROBE_SETS))))
-    samples = _Samples(model, int(count), float(radius), seed)
-    pp = dict(_MOMENT_ORDERS, radius=float(radius))
+    samples = _Samples(model, int(count), radius, seed)
+    pp = dict(_MOMENT_ORDERS, radius=radius)
     reports = []
     for name in names:
         margin, fitted, ref = _REGISTRY[name](model, samples, pp)

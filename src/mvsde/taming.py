@@ -28,6 +28,9 @@ g, each called with taming_parameters(tm).
 import math
 
 VARIANTS = ("finite", "ergodic", "strong_order_candidate", "off")
+# taming_parameters of the variant "off": the untamed coefficients
+UNTAMED = dict(gamma=0.0, e_self=0.0, e_kernel=0.0, tame_sigma=False,
+               tame_g=False)
 
 
 class TamedModel:
@@ -72,5 +75,4 @@ def taming_parameters(tm):
     if tm.variant == "strong_order_candidate":
         return dict(gamma=1.0 / float(tm.n), e_self=4.0 * q,
                     e_kernel=4.0 * q, tame_sigma=False, tame_g=False)
-    return dict(gamma=0.0, e_self=0.0, e_kernel=0.0,
-                tame_sigma=False, tame_g=False)
+    return dict(UNTAMED)

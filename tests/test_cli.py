@@ -163,6 +163,16 @@ def test_probe_cli_unknown_set(capsys):
     assert "unknown assumption set" in capsys.readouterr().err
 
 
+def test_probe_cli_bad_radius(capsys):
+    # a radius that is not finite and > 0 is refused, not probed
+    for radius in ("nan", "inf", "0", "-5"):
+        assert main(["probe-assumptions", "--family", "pairwise-vlasov",
+                     "--radius", radius]) == 1
+        captured = capsys.readouterr()
+        assert "radius must be finite and > 0" in captured.err
+        assert "FAIL" not in captured.out
+
+
 def test_threads_never_change_bytes(tmp_path, monkeypatch, capsys):
     blobs = []
     for sub, argv_extra, env in (("a", ["--threads", "1"], None),

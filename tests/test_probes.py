@@ -1,14 +1,31 @@
 """Inequality probes: documented families hold, the saboteur fails."""
 
+import hashlib
 import math
+import struct
 
+import numpy as np
 import pytest
 
+from mvsde import probes
 from mvsde.model import make_model
 from mvsde.probes import (DOCUMENTED_SETS, PROBE_SETS, AssumptionReport,
                           documented_sets, probe_assumptions)
 
 _COUNT = 2000  # trimmed batch for unit speed; acceptance reruns at 10^4
+# sha256 of every reference_constant of _documented_runs at d = 2, radius
+# 5, packed as little-endian float64 in run order
+_REFERENCE_DIGEST = ("fd4f37c0cede7f32e7348aeefeeef7ef"
+                     "791ad6aad8da8907c664647d15d45bf3")
+
+
+def _documented_runs():
+    """(family, model, set) for each family's documented sets, plus the
+    saboteur's finite_horizon (anti-dissipative documents no set)."""
+    for family in sorted(DOCUMENTED_SETS):
+        model = make_model(family, d=2)
+        for name in DOCUMENTED_SETS[family] or ("finite_horizon",):
+            yield family, model, name
 
 
 @pytest.mark.parametrize("family", ["cubic-mean-field",
@@ -63,10 +80,10 @@ def test_fitted_constant_reported():
 
 def test_probe_set_registry_consistency():
     # every set name resolves, every report comes back in declared order
-    model = make_model("ergodic-dissipative", d=1)
+    erg = make_model("ergodic-dissipative", d=1)
+    pair = make_model("pairwise-vlasov", d=1)
     for name, members in PROBE_SETS.items():
-        if name == "pairwise_poc":
-            continue  # needs a pairwise-mode model
+        model = pair if name == "pairwise_poc" else erg
         reports = probe_assumptions(model, name, count=16)
         assert tuple(r.assumption_id for r in reports) == members
 
@@ -94,6 +111,16 @@ def test_unknown_set_and_count_validation():
         probe_assumptions(model, "no_such_set", count=16)
     with pytest.raises(ValueError, match="count"):
         probe_assumptions(model, "finite_horizon", count=0)
+    for radius in (float("nan"), float("inf"), 0.0, -5.0):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            probe_assumptions(model, "finite_horizon", count=16,
+                              radius=radius)
+    # a negative radius at a non-integer q_f made the weighted-growth
+    # reference complex
+    odd = make_model("pairwise-vlasov", params={"q": 2.5})
+    with pytest.raises(ValueError, match="radius must be finite"):
+        probe_assumptions(odd, "fg_pair_weighted_growth", count=16,
+                          radius=-5.0)
 
 
 def test_seed_determinism():
@@ -103,3 +130,49 @@ def test_seed_determinism():
     c = probe_assumptions(model, "rate", count=256, seed=6)
     assert [r.worst_margin for r in a] == [r.worst_margin for r in b]
     assert [r.worst_margin for r in a] != [r.worst_margin for r in c]
+
+
+def test_each_coefficient_evaluated_once_per_batch(monkeypatch):
+    # one call evaluates each coefficient at each sample tuple at most
+    # once; a call is keyed by the function and its argument bytes, so
+    # f(y, x), the second time and the pair drift at (x, y') count apart
+    calls = []
+    for name in ("eval_drift_b", "eval_sigma", "eval_kernel_f",
+                 "eval_kernel_g", "eval_pair_drift", "eval_pair_sigma"):
+        def counted(model, *args, _name=name, _fn=getattr(probes, name)):
+            calls.append((_name,) + tuple(np.asarray(a).tobytes()
+                                          for a in args))
+            return _fn(model, *args)
+        monkeypatch.setattr(probes, name, counted)
+    for family, model, name in _documented_runs():
+        calls.clear()
+        probe_assumptions(model, name, count=32)
+        assert calls, (family, name)
+        repeated = sorted({c[0] for c in calls if calls.count(c) > 1})
+        assert not repeated, (family, name, repeated)
+
+
+def test_reference_constants_pinned():
+    # references are scalar Python arithmetic on the family parameters
+    # and the radius, so unlike the margins they do not depend on the CPU
+    rows = [(family, r.assumption_id, r.reference_constant)
+            for family, model, name in _documented_runs()
+            for r in probe_assumptions(model, name, count=16, radius=5.0)]
+    packed = struct.pack("<%dd" % len(rows), *(row[2] for row in rows))
+    table = "\n".join("%s %s %r" % row for row in rows)
+    assert hashlib.sha256(packed).hexdigest() == _REFERENCE_DIGEST, table
+
+
+def test_shapes_weight_every_term():
+    # the shared shapes on exact dyadic values: coercivity
+    # w_dot <v, a> + w_frob |s|_F^2 and monotonicity
+    # <v - v', a - a'> + w |s - s'|_F^2
+    drift = {0: np.array([[4.0, 2.0]]), 1: np.array([[1.0, 1.0]])}
+    diffusion = {0: np.array([[[1.0, 0.0], [0.0, 2.0]]]),
+                 1: np.array([[[0.5, 0.0], [0.0, 0.0]]])}
+    side = probes._Side(np.array([[1.0, 2.0]]), np.array([[0.5, -1.0]]),
+                        drift.get, diffusion.get, (0,), (1,))
+    # <v, a> = 8, |s|^2 = 5
+    assert probes._coercivity(side, 2.0, 3.0).tolist() == [31.0]
+    # <v - v', a - a'> = 4.5, |s - s'|^2 = 4.25
+    assert probes._monotonicity(side, 3.0).tolist() == [17.25]

@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvsde.model import (_UNTAMED, eval_drift_b, eval_kernel_f,
-                         eval_kernel_g, eval_sigma, make_model, pair_terms,
-                         self_terms)
-from mvsde.taming import VARIANTS, TamedModel, taming_parameters
+from mvsde.model import (eval_drift_b, eval_kernel_f, eval_kernel_g,
+                         eval_sigma, make_model, pair_terms, self_terms)
+from mvsde.taming import UNTAMED, VARIANTS, TamedModel, taming_parameters
 
 
 def _cubic(q=2.0):
@@ -60,7 +59,8 @@ def test_off_variant_is_identity():
     m = make_model("cubic-mean-field", d=2)
     tm = TamedModel(m, 64, "off")
     par = taming_parameters(tm)
-    assert par == _UNTAMED
+    # the one untamed definition, handed out as a copy
+    assert par == UNTAMED and par is not UNTAMED
     rng = np.random.default_rng(1)
     x = rng.normal(size=(20, 2))
     atoms = rng.normal(size=(5, 2))
