@@ -99,11 +99,11 @@ def _resolve_config(args):
     else:
         cfg = config_mod.make_config(args.command)
     if args.seed is not None:
-        cfg.seed = int(args.seed)
+        cfg.seed = args.seed
     if args.out is not None:
         cfg.out_dir = args.out
     if args.threads is not None:
-        cfg.threads = int(args.threads)
+        cfg.threads = args.threads
     elif os.environ.get("MVSDE_THREADS"):
         raw = os.environ["MVSDE_THREADS"]
         try:

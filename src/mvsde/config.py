@@ -29,6 +29,15 @@ filled in by parse_config, so emit_config(parse_config(text)) is the
 fully resolved canonical form and parsing that form again round-trips
 exactly. Validation collects every violated constraint before raising.
 
+Each value is typed here, once, by its field's annotation. INI text is
+parsed by the type ("16.5" is no int); a make_config keyword must be of
+the type, except that an int field takes an integral float (16.0 is 16)
+and a float field an int (2 is 2.0). A bool, or a string, for a number
+is refused. So the drivers read the fields as they are, and a keyword
+config writes the report bytes of its emit_config text. T, p and p0
+must be finite, and an ergodic run refuses the W2 routes metrics.w2
+would (sorted_1d at d != 1, exact_assignment with N above cap).
+
 Threads resolve at run time (flag, then MVSDE_THREADS, then this file)
 and never affect any numeric output.
 
@@ -53,6 +62,8 @@ gating.
 """
 
 import configparser
+import math
+import numbers
 
 from dataclasses import dataclass, field, fields
 
@@ -137,11 +148,11 @@ class RunConfig:
     """Fully resolved run configuration (canonical values).
 
     This field table is the config schema: each field's metadata names
-    its INI section, its annotation is the parsed type and its default is
-    the base default (None where it is derived from other keys or the
-    section is absent). Field order is the order of the report's config
-    echo and, with config_version moved first, of the emitted INI. A dict
-    field collects its section's remaining keys as floats.
+    its INI section, its annotation is the type of its values (see
+    _typed) and its default is the base default (None where it is derived
+    from other keys or the section is absent). Field order is the order
+    of the report's config echo and, with config_version moved first, of
+    the emitted INI. A dict field collects its section's remaining keys.
     """
 
     experiment: str = _key("run", "strong-rate")
@@ -181,7 +192,7 @@ class RunConfig:
                            order=_constant_rank)
 
 
-_FIELDS = fields(RunConfig)
+_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 _EXPERIMENT_DEFAULTS = {
     "simulate": dict(reps=1),
@@ -206,27 +217,58 @@ def _canonical_law(text):
     return "%s %r %r" % (law["kind"], float(law["center"]), float(spread))
 
 
-def _resolve(experiment, overrides):
-    """RunConfig from defaults and overrides, derived values filled in."""
+def _typed(kind, value, text):
+    """value as a field annotated `kind` holds it (see the module
+    docstring), or ValueError; a tuple holds ints and a dict floats."""
+    if kind is tuple:
+        if text:
+            value = value.split(",") if value else ()
+        elif not isinstance(value, (list, tuple)):
+            raise ValueError(value)
+        return tuple(_typed(int, v, text) for v in value)
+    if not text and not (
+            isinstance(value, str) if kind is str else
+            isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (kind is float or isinstance(value, numbers.Integral)
+                 or float(value).is_integer())):
+        raise ValueError(value)
+    return kind(value)
+
+
+def _resolve(experiment, overrides, text=False):
+    """(RunConfig, problems) from defaults and overrides, which _typed
+    brings to their fields' types (text: they are INI text); a value it
+    refuses is listed in problems and leaves its field at the default."""
     merged = vars(RunConfig())  # a fresh copy of the base defaults
     unknown = [k for k in overrides if k not in merged]
     if unknown:
         raise ConfigError("unknown config keys: %s"
                           % ", ".join(sorted(unknown)))
     merged.update(_EXPERIMENT_DEFAULTS.get(experiment, {}))
-    merged.update(overrides)
     merged["experiment"] = experiment
+    problems = []
+    for name, value in overrides.items():
+        f = _FIELDS[name]
+        if f.type is dict and isinstance(value, dict):
+            merged[name] = {}
+            for key, raw in value.items():
+                try:
+                    merged[name][str(key)] = _typed(float, raw, text)
+                except (ValueError, OverflowError):
+                    problems.append("%s %r: cannot parse %r"
+                                    % (f.metadata["what"], key, raw))
+            continue
+        try:  # None leaves a derived field to be derived
+            merged[name] = (None if value is None and f.default is None
+                            else _typed(f.type, value, text))
+        except (ValueError, OverflowError):
+            problems.append("key %r: cannot parse %r" % (name, value))
 
     # resolve derived values so the emitted form is canonical
     if merged["l"] is None:
         merged["l"] = merged["d"]
     if merged["initial_b"] is None:
         merged["initial_b"] = merged["initial"]
-    merged["levels"] = tuple(int(v) for v in merged["levels"])
-    merged["N_levels"] = tuple(int(v) for v in merged["N_levels"])
-    if merged["constants"] is not None:
-        merged["constants"] = {str(k): float(v)
-                               for k, v in merged["constants"].items()}
     try:
         model = make_model(merged["family"], d=merged["d"], l=merged["l"],
                            params=merged["params"])
@@ -242,7 +284,7 @@ def _resolve(experiment, overrides):
         pass  # reported by _violations
     if merged["measure_mode"] is None:
         merged["measure_mode"] = ""
-    return RunConfig(**merged)
+    return RunConfig(**merged), problems
 
 
 def validate(cfg, experiment, problems=()):
@@ -266,11 +308,12 @@ def make_config(experiment="strong-rate", **overrides):
     Unknown keyword names raise; constraint violations raise
     ConfigError listing every problem.
     """
-    return validate(_resolve(experiment, overrides), experiment)
+    cfg, problems = _resolve(experiment, overrides)
+    return validate(cfg, experiment, problems)
 
 
 def _check_steps(label, n, T, problems):
-    # the whole-step rule TimeGrid and make_tableau apply
+    # the whole-step rule simulate and make_tableau apply
     try:
         _whole_steps(n, T)
     except ValueError as exc:
@@ -309,6 +352,10 @@ def _violations(cfg, experiment):
         problems.append("reps must be >= 1, got %d" % cfg.reps)
     if cfg.threads < 1:
         problems.append("threads must be >= 1, got %d" % cfg.threads)
+    for name in ("T", "p", "p0"):
+        if not math.isfinite(getattr(cfg, name)):
+            problems.append("%s must be finite, got %r"
+                            % (name, getattr(cfg, name)))
     if not cfg.p > 0:
         problems.append("p must be positive, got %r" % (cfg.p,))
     if not cfg.p0 >= 2:
@@ -385,6 +432,13 @@ def _violations(cfg, experiment):
     if cfg.method not in W2_METHODS:
         problems.append("unknown W2 method %r; known: %s"
                         % (cfg.method, ", ".join(W2_METHODS)))
+    elif cfg.experiment == "ergodic":
+        # the routes metrics.w2 cannot take, refused before any rep runs
+        if cfg.method == "sorted_1d" and cfg.d != 1:
+            problems.append("sorted_1d needs d == 1, got d=%d" % cfg.d)
+        if cfg.method == "exact_assignment" and cfg.N > cfg.cap:
+            problems.append("exact_assignment capped at %d atoms, got %d"
+                            % (cfg.cap, cfg.N))
     if cfg.projections < 1:
         problems.append("projections must be >= 1, got %d"
                         % cfg.projections)
@@ -427,18 +481,6 @@ def _violations(cfg, experiment):
     return problems
 
 
-def _parse_value(kind, raw):
-    if kind is tuple:
-        return tuple(int(s) for s in raw.split(",")) if raw else ()
-    return kind(raw)
-
-
-def _fmt(kind, value):
-    if kind is tuple:
-        return ",".join(str(int(u)) for u in value)
-    return repr(kind(value)) if kind in (int, float) else str(value)
-
-
 def parse_config(text):
     """Parse and validate an INI config; returns a resolved RunConfig.
 
@@ -464,7 +506,7 @@ def parse_config(text):
             problems.append("section [DEFAULT] is not supported; put each "
                             "key in its own section")
             continue
-        known = {f.name: f for f in _FIELDS
+        known = {f.name: f for f in _FIELDS.values()
                  if f.metadata["section"] == section}
         if not known:
             problems.append("unknown section [%s]" % section)
@@ -473,25 +515,17 @@ def parse_config(text):
         if bag is not None:
             overrides[bag.name] = {}
         for key, raw in cp.items(section):
-            raw = raw.strip()
-            f = known.get(key)
-            if f is not None and f is not bag:
-                try:
-                    overrides[key] = _parse_value(f.type, raw)
-                except ValueError:
-                    problems.append("key %r: cannot parse %r" % (key, raw))
+            if key in known and known[key] is not bag:
+                overrides[key] = raw.strip()
             elif bag is not None:
-                try:
-                    overrides[bag.name][key] = float(raw)
-                except ValueError:
-                    problems.append("%s %r: cannot parse %r"
-                                    % (bag.metadata["what"], key, raw))
+                overrides[bag.name][key] = raw.strip()
             else:
                 problems.append("unknown key %r in section [%s]"
                                 % (key, section))
 
     experiment = overrides.pop("experiment", RunConfig.experiment)
-    return validate(_resolve(experiment, overrides), experiment, problems)
+    cfg, more = _resolve(experiment, overrides, text=True)
+    return validate(cfg, experiment, problems + more)
 
 
 def emit_config(cfg):
@@ -499,7 +533,8 @@ def emit_config(cfg):
     lines = []
     section = None
     # the [run] section leads with the format version
-    for f in sorted(_FIELDS, key=lambda f: f.name != "config_version"):
+    for f in sorted(_FIELDS.values(),
+                    key=lambda f: f.name != "config_version"):
         value = getattr(cfg, f.name)
         if value is None:
             continue
@@ -507,8 +542,10 @@ def emit_config(cfg):
             section = f.metadata["section"]
             lines += ["", "[%s]" % section]
         if f.type is dict:
-            for key in sorted(value, key=f.metadata.get("order")):
-                lines.append("%s = %s" % (key, _fmt(float, value[key])))
+            lines += ["%s = %r" % (key, value[key])
+                      for key in sorted(value, key=f.metadata.get("order"))]
+        elif f.type is tuple:
+            lines.append("%s = %s" % (f.name, ",".join(map(str, value))))
         else:
-            lines.append("%s = %s" % (f.name, _fmt(f.type, value)))
+            lines.append("%s = %s" % (f.name, value))
     return "\n".join(lines[1:]) + "\n"

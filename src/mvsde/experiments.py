@@ -39,7 +39,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -51,8 +51,8 @@ from .config import theoretical_constants, validate
 from .ensemble import snapshot_csv
 from .metrics import fit_loglog_slope, fit_semilog, w2
 from .model import make_model
-from .rng import make_tableau, parse_initial
-from .scheme import MomentTracker, StateRecorder, TimeGrid, simulate
+from .rng import _whole_steps, make_tableau, parse_initial
+from .scheme import MomentTracker, StateRecorder, simulate
 from .taming import TamedModel
 
 # particle norm beyond which a run counts as diverged even while finite
@@ -157,17 +157,12 @@ def _jsonable(v):
         return int(v)
     if isinstance(v, np.floating):
         v = float(v)
-    if isinstance(v, float) and not math.isfinite(v):
-        return repr(v)
+    if isinstance(v, float):
+        return v if math.isfinite(v) else repr(v)
+    # after the floats: is_dataclass per series value would double the cost
+    if is_dataclass(v):
+        return {f.name: _jsonable(getattr(v, f.name)) for f in fields(v)}
     return v
-
-
-def _fit_dict(fit):
-    # reports order the fit's keys this way, not as RateFit declares them
-    if fit is None:
-        return None
-    return {k: getattr(fit, k)
-            for k in ("slope", "intercept", "r_squared", "points")}
 
 
 def _cell(v):
@@ -188,7 +183,7 @@ def _emit(cfg, report, rows):
     """Write <kind>_errors.csv and <kind>_report.json under out_dir.
 
     The JSON holds the report's fields in declaration order without the
-    *_path fields, which are set here; fit goes through _fit_dict.
+    *_path fields, which are set here.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     report.csv_path = os.path.join(cfg.out_dir, report.kind + "_errors.csv")
@@ -201,8 +196,6 @@ def _emit(cfg, report, rows):
                                         _cell(se), int(cnt)))
     body = {f.name: getattr(report, f.name) for f in fields(report)
             if not f.name.endswith("_path")}
-    if "fit" in body:
-        body["fit"] = _fit_dict(body["fit"])
     _write_json(report.json_path, body)
 
 
@@ -210,7 +203,7 @@ def _map_reps(worker, reps, threads):
     """worker(m) for m in range(reps), results merged in index order."""
     if threads <= 1:
         return [worker(m) for m in range(reps)]
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, range(reps)))
 
 
@@ -272,7 +265,7 @@ def _rate_verdict(xs, errors, diverged, cfg, exploratory=False):
 def _rate_report(cfg, kind, levels, xs, results, exploratory=False):
     """Aggregate, fit, report and emit: the tail of both rate drivers."""
     errors, stderrs, diverged = _aggregate_levels(results, len(levels),
-                                                  float(cfg.p))
+                                                  cfg.p)
     fit, verdict = _rate_verdict(xs, errors, diverged, cfg, exploratory)
     report = RateReport(kind=kind, levels=levels, errors=errors,
                         stderrs=stderrs, diverged=diverged, fit=fit,
@@ -295,16 +288,14 @@ def run_strong_rate(cfg):
     """
     validate(cfg, "strong-rate")
     model = make_model(cfg.family, d=cfg.d, l=cfg.l, params=cfg.params)
-    levels = [int(v) for v in cfg.levels]
-    n_max = int(cfg.n_max)
+    levels = list(cfg.levels)
+    n_max = cfg.n_max
     _warn_p_range("strong_rate", cfg.p, cfg.p0, model.q)
     law = parse_initial(cfg.initial)
-    T = float(cfg.T)
-    p = float(cfg.p)
     stride = n_max // max(levels)
 
     def one_rep(m):
-        tab = make_tableau(cfg.seed + m, cfg.N, model.l, T, n_max)
+        tab = make_tableau(cfg.seed + m, cfg.N, model.l, cfg.T, n_max)
         states = rng_mod.sample_initial(tab, cfg.N, model.d, law)
         # the reference's states on the finest level's grid
         rec = StateRecorder(range(0, tab.total_steps + 1, stride))
@@ -323,10 +314,10 @@ def run_strong_rate(cfg):
             # level-n step j sits at fine recorded index j*(lmax/n)
             diff = rec_c.states - rec.states[::max(levels) // n]
             dist = np.sqrt(np.sum(diff * diff, axis=-1)).max(axis=0)
-            out.append((float(np.mean(power(dist, p))), 0))
+            out.append((float(np.mean(power(dist, cfg.p))), 0))
         return out
 
-    results = _map_reps(one_rep, int(cfg.reps), int(cfg.threads))
+    results = _map_reps(one_rep, cfg.reps, cfg.threads)
     return _rate_report(cfg, "strong_rate", levels,
                         [1.0 / n for n in levels], results)
 
@@ -373,21 +364,16 @@ def run_poc_rate(cfg):
     """
     validate(cfg, "poc-rate")
     model = make_model(cfg.family, d=cfg.d, l=cfg.l, params=cfg.params)
-    sizes = [int(v) for v in cfg.N_levels]
-    n_ref = int(cfg.N_ref)
+    sizes = list(cfg.N_levels)
     _warn_p_range("poc_rate", cfg.p, cfg.p0, model.q)
     law = parse_initial(cfg.initial)
-    T = float(cfg.T)
-    p = float(cfg.p)
-    n = int(cfg.n)
-    probe_count = int(cfg.probe_count)
 
     def one_rep(m):
-        tab = make_tableau(cfg.seed + m, n_ref, model.l, T, n)
-        tm = TamedModel(model, n, cfg.variant)
-        return _poc_single_rep(tm, tab, sizes, probe_count, law, p)
+        tab = make_tableau(cfg.seed + m, cfg.N_ref, model.l, cfg.T, cfg.n)
+        tm = TamedModel(model, cfg.n, cfg.variant)
+        return _poc_single_rep(tm, tab, sizes, cfg.probe_count, law, cfg.p)
 
-    results = _map_reps(one_rep, int(cfg.reps), int(cfg.threads))
+    results = _map_reps(one_rep, cfg.reps, cfg.threads)
     return _rate_report(cfg, "poc_rate", sizes, sizes, results,
                         exploratory=(model.measure_mode != "pairwise"))
 
@@ -403,7 +389,7 @@ class _DivergenceTracker:
     def __init__(self):
         self.step = None
 
-    def observe(self, ens, grid):
+    def observe(self, ens):
         if self.step is not None:
             return
         r2 = ens.r2_block
@@ -432,14 +418,13 @@ def run_moment_stability(cfg):
     """
     validate(cfg, "moment-stability")
     model = make_model(cfg.family, d=cfg.d, l=cfg.l, params=cfg.params)
-    n = int(cfg.n)
-    T = float(cfg.T)
+    n = cfg.n
     law_a = parse_initial(cfg.initial)
     law_b = parse_initial(cfg.initial_b)
     arms = (("tamed", cfg.variant, law_a), ("plain", "off", law_b))
 
     def one_rep(m):
-        tab = make_tableau(cfg.seed + m, cfg.N, model.l, T, n)
+        tab = make_tableau(cfg.seed + m, cfg.N, model.l, cfg.T, n)
         res = []
         for label, variant, law in arms:
             tracker = MomentTracker(cfg.p0)
@@ -448,10 +433,10 @@ def run_moment_stability(cfg):
             simulate(TamedModel(model, n, variant), tab, states,
                      callbacks=[tracker, diverge])
             res.append((label, max(tracker.values), diverge.step,
-                        tracker.times, tracker.values))
+                        tracker.values))
         return res
 
-    results = _map_reps(one_rep, int(cfg.reps), int(cfg.threads))
+    results = _map_reps(one_rep, cfg.reps, cfg.threads)
     labels = [a[0] for a in arms]
     sups, stderrs, div_counts, div_steps = [], [], [], []
     series = {}
@@ -467,11 +452,12 @@ def run_moment_stability(cfg):
             stderrs.append(0.0)
         div_counts.append(len(arm_steps))
         div_steps.append(min(arm_steps) if arm_steps else None)
-        series[label] = {"t": list(results[0][i][3]),
-                         "moment": list(results[0][i][4])}
+        moments = results[0][i][3]
+        series[label] = {"t": [k / n for k in range(len(moments))],
+                         "moment": moments}
     tamed_finite = div_counts[0] == 0 and math.isfinite(sups[0])
     plain_within = (div_steps[1] is not None
-                    and div_steps[1] <= int(cfg.max_divergence_step))
+                    and div_steps[1] <= cfg.max_divergence_step)
     verdict = {"status": "pass" if tamed_finite else "fail",
                "tamed_finite": tamed_finite,
                "plain_diverged_within_bound": plain_within,
@@ -509,9 +495,9 @@ def run_ergodic_contraction(cfg):
     """
     validate(cfg, "ergodic")
     model = make_model(cfg.family, d=cfg.d, l=cfg.l, params=cfg.params)
-    n = int(cfg.n)
-    T = float(cfg.T)
-    total = TimeGrid(T, n).total_steps
+    n = cfg.n
+    T = cfg.T
+    total = _whole_steps(n, T)
     constants = None
     if cfg.constants:
         constants = dict(cfg.constants)
@@ -522,8 +508,8 @@ def run_ergodic_contraction(cfg):
     pair_specs = ((T / 20.0, T / 10.0), (T / 4.0, T / 2.0), (T / 2.0, T))
     pair_steps = []
     for t1, t2 in pair_specs:
-        k1 = min(total, max(0, int(round(t1 * n))))
-        k2 = min(total, max(0, int(round(t2 * n))))
+        k1 = min(total, max(0, round(t1 * n)))
+        k2 = min(total, max(0, round(t2 * n)))
         if k1 < k2:
             pair_steps.append((k1, k2))
     log_ks = np.unique(np.rint(np.geomspace(1, total, 32)).astype(int))
@@ -551,7 +537,7 @@ def run_ergodic_contraction(cfg):
                 for k1, k2 in pair_steps]
         return curve, stab
 
-    results = _map_reps(one_rep, int(cfg.reps), int(cfg.threads))
+    results = _map_reps(one_rep, cfg.reps, cfg.threads)
     kept = [r for r in results if r is not None]
     n_div = len(results) - len(kept)
     if not kept:
@@ -618,18 +604,16 @@ def run_simulate(cfg):
     """
     validate(cfg, "simulate")
     model = make_model(cfg.family, d=cfg.d, l=cfg.l, params=cfg.params)
-    n = int(cfg.n)
-    T = float(cfg.T)
     law = parse_initial(cfg.initial)
-    tab = make_tableau(int(cfg.seed), cfg.N, model.l, T, n)
+    tab = make_tableau(cfg.seed, cfg.N, model.l, cfg.T, cfg.n)
     tracker = MomentTracker(cfg.p0)
     diverge = _DivergenceTracker()
-    ens = simulate(TamedModel(model, n, cfg.variant), tab,
+    ens = simulate(TamedModel(model, cfg.n, cfg.variant), tab,
                    rng_mod.sample_initial(tab, cfg.N, model.d, law),
                    callbacks=[tracker, diverge])
     os.makedirs(cfg.out_dir, exist_ok=True)
     snap_path = os.path.join(cfg.out_dir, "simulate_final.csv")
-    snapshot_csv(ens, snap_path, ens.t_index / n)
+    snapshot_csv(ens, snap_path, ens.t_index / cfg.n)
     verdict = {"status": "pass" if diverge.step is None else "fail",
                "finite": diverge.step is None}
     body = {"kind": "simulate", "final_moment": tracker.values[-1],

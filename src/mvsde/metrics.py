@@ -145,12 +145,15 @@ def w2(a, b, method="sorted_1d", n_projections=64, seed=2024,
 
 @dataclass
 class RateFit:
-    """Least-squares power-law fit y = exp(intercept) * x**slope."""
+    """Least-squares power-law fit y = exp(intercept) * x**slope.
 
-    points: list = field(default_factory=list)
+    The fields are declared in the order a report writes them.
+    """
+
     slope: float = float("nan")
     intercept: float = float("nan")
     r_squared: float = float("nan")
+    points: list = field(default_factory=list)
 
 
 def _libm_log(values):

@@ -199,14 +199,6 @@ def _measure_mean(model, mu):
     return np.asarray(mu, dtype=np.float64).mean(axis=-2)
 
 
-def _self_drift(model, x):
-    out = model.beta1 * x
-    if model.betaq != 0.0:
-        r = np.sqrt(np.sum(x * x, axis=-1))
-        out = out + model.betaq * x * power(r, model.q_b)[..., None]
-    return out
-
-
 def self_terms(model, par, x, mean, k):
     """Self drift b_n (..., d) and noise diagonal sigma_n (..., k) of the
     scheme at states x (..., d), for taming parameters par
@@ -214,9 +206,13 @@ def self_terms(model, par, x, mean, k):
 
     In scheme.step's order, which the fused kernel repeats: the coupling,
     kap_pair * (mean - x) in pairwise mode and lam * mean otherwise, joins
-    the self drift before the division by 1 + gamma |x|^e_self.
+    the self drift before the division by 1 + gamma |x|^e_self. The
+    squared norm |x|^2 is summed once, for |x|^q_b and the denominator.
     """
-    b = _self_drift(model, x)
+    r2 = np.sum(x * x, axis=-1)
+    b = model.beta1 * x
+    if model.betaq != 0.0:
+        b = b + model.betaq * x * power(np.sqrt(r2), model.q_b)[..., None]
     if model.measure_mode == "pairwise":
         if model.kap_pair != 0.0:
             b = b + model.kap_pair * (mean - x)
@@ -228,8 +224,7 @@ def self_terms(model, par, x, mean, k):
     if model.c_s != 0.0:
         diag = diag + model.c_s * (mean - x)[..., :k]
     if par["gamma"] != 0.0:
-        den = 1.0 + par["gamma"] * tame_power(np.sum(x * x, axis=-1),
-                                              par["e_self"])
+        den = 1.0 + par["gamma"] * tame_power(r2, par["e_self"])
         b = b / den[..., None]
         if par["tame_sigma"]:
             diag = diag / den[..., None]

@@ -78,12 +78,16 @@ class BrownianTableau:
 
 
 def _whole_steps(n, T):
-    steps = n * T
-    rounded = round(steps)
+    try:
+        steps = n * T
+    except OverflowError:  # an int n beyond the float range
+        steps = math.inf
+    # a non-finite count is no whole number (and round() would raise)
+    rounded = round(steps) if math.isfinite(steps) else 0
     if rounded < 1 or abs(steps - rounded) > 1e-9 * max(1.0, abs(steps)):
         raise ValueError("n*T must be a positive whole number of steps, "
                          "got n=%s T=%s" % (n, T))
-    return int(rounded)
+    return rounded
 
 
 def make_tableau(seed, N, l, T, n_max):

@@ -49,29 +49,6 @@ _CHUNK_ELEMENTS = 1 << 22
 _OBS_ELEMENTS = 1 << 16
 
 
-class TimeGrid:
-    """Uniform grid on [0, T] with mesh h = 1/n.
-
-    n * T must be a whole number; t_k = k / n for k = 0 .. n*T.
-    """
-
-    __slots__ = ("T", "n", "h", "total_steps")
-
-    def __init__(self, T, n):
-        self.T = float(T)
-        self.n = int(n)
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        self.h = 1.0 / self.n
-        self.total_steps = rng_mod._whole_steps(self.n, self.T)
-
-    def t_at(self, k):
-        return np.asarray(k, dtype=np.float64) / self.n
-
-    def __repr__(self):
-        return "TimeGrid(T=%g, n=%d)" % (self.T, self.n)
-
-
 def _noise_width(base):
     """Number of noise components step adds: min(d, l), or 0 without noise.
 
@@ -141,8 +118,8 @@ def simulate(tm, tableau, states, callbacks=()):
     Parameters
     ----------
     tm : TamedModel
-        Its n is the level: h = 1/n on the grid TimeGrid(tableau.T, n),
-        which the callbacks observe. n must divide tableau.n_max.
+        Its n is the level: h = 1/n, and the run takes the n * tableau.T
+        steps of the grid t_k = k / n. n must divide tableau.n_max.
     tableau : rng.BrownianTableau
         Source of the increments. A model with no noise (s0, s1, c_s and
         c_g all zero) reads none of them, so its tableau is never drawn.
@@ -152,18 +129,18 @@ def simulate(tm, tableau, states, callbacks=()):
         with the larger run (rng.sample_initial draws such prefixes).
         The array is copied, not modified.
     callbacks : sequence
-        Objects whose observe(ens, grid) is called after initialization
-        and after each block of steps. At most one of them may be a
-        StateRecorder; the states after the steps it keeps go straight
-        into its array (see StateRecorder). Any other callback observes
-        every step: it reads ens.r2_block, the squared particle norms
-        after each step of the block (after initialization, of the
-        initial state). Each block draws its own increments and spans
-        _CHUNK_ELEMENTS // (r tableau.N l) steps, r = tableau.n_max / n,
-        or _OBS_ELEMENTS // N when that is fewer and a callback observes
-        every step; it ends early after the first step with a non-finite
-        value. Both backends observe the same blocks; the fused kernel
-        runs each block in one call.
+        Objects whose observe(ens) is called after initialization and
+        after each block of steps; ens.t_index is the step reached. At
+        most one of them may be a StateRecorder; the states after the
+        steps it keeps go straight into its array (see StateRecorder).
+        Any other callback observes every step: it reads ens.r2_block,
+        the squared particle norms after each step of the block (after
+        initialization, of the initial state). Each block draws its own
+        increments and spans _CHUNK_ELEMENTS // (r tableau.N l) steps,
+        r = tableau.n_max / n, or _OBS_ELEMENTS // N when that is fewer
+        and a callback observes every step; it ends early after the first
+        step with a non-finite value. Both backends observe the same
+        blocks; the fused kernel runs each block in one call.
 
     Returns
     -------
@@ -182,8 +159,7 @@ def simulate(tm, tableau, states, callbacks=()):
                          "shape %s" % (d, tableau.N, states.shape))
     n_part = len(states)
     r = rng_mod._level_ratio(tableau, tm.n)
-    grid = TimeGrid(tableau.T, tm.n)
-    total = grid.total_steps
+    total = tableau.total_steps // r
     recorders = [cb for cb in callbacks if isinstance(cb, StateRecorder)]
     if len(recorders) > 1:
         raise ValueError("simulate takes at most one StateRecorder, got %d"
@@ -200,7 +176,7 @@ def simulate(tm, tableau, states, callbacks=()):
         ens.r2_block = obs[:1]
         span = min(span, len(obs))
     for cb in callbacks:
-        cb.observe(ens, grid)
+        cb.observe(ens)
 
     advance = _advancer(tm, ens)
     noisy = _noise_width(tm.base) > 0
@@ -222,7 +198,7 @@ def simulate(tm, tableau, states, callbacks=()):
             ens.r2_block = obs[:ens.t_index - k]
         k = ens.t_index
         for cb in callbacks:
-            cb.observe(ens, grid)
+            cb.observe(ens)
     return ens
 
 
@@ -286,22 +262,20 @@ def _advancer(tm, ens):
 
 
 class MomentTracker:
-    """Records (t, p-th empirical moment) after every step.
+    """Records the p-th empirical moment after every step.
 
-    Each observe call takes the block of steps in ens.r2_block (see
-    simulate) and turns it into moments with ensemble.moments_from_r2.
+    values[k] is the moment of the state after step k (k = 0: the initial
+    state), at time k / n. Each observe call takes the block of steps in
+    ens.r2_block (see simulate) and turns it into moments with
+    ensemble.moments_from_r2.
     """
 
     def __init__(self, p):
         self.p = _moment_order(p)
-        self.times = []
         self.values = []
 
-    def observe(self, ens, grid):
-        r2 = ens.r2_block
-        self.times.extend(grid.t_at(
-            np.arange(ens.t_index - len(r2) + 1, ens.t_index + 1)).tolist())
-        self.values.extend(moments_from_r2(r2, self.p).tolist())
+    def observe(self, ens):
+        self.values.extend(moments_from_r2(ens.r2_block, self.p).tolist())
 
 
 class StateRecorder:
@@ -309,7 +283,7 @@ class StateRecorder:
 
     steps is an iterable of step indices; it is sorted, and a repeated
     index is recorded once. simulate refuses, before anything is drawn, a
-    step outside its grid's 0 .. total steps, and allocates one
+    step outside its run's steps 0 .. n T, and allocates one
     (len(steps), N, d) array; the state after each kept step goes into
     its next row as the run steps, from the fused kernel or from the step
     loop. After each observe, `states` is the rows written so far and
@@ -340,7 +314,7 @@ class StateRecorder:
         self.recorded_steps = []
         return keep, self._rows
 
-    def observe(self, ens, grid):
+    def observe(self, ens):
         """Take the rows of the kept steps up to ens.t_index."""
         m = int(np.searchsorted(self.steps, ens.t_index, side="right"))
         self.recorded_steps.extend(

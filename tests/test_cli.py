@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from mvsde import experiments
 from mvsde.cli import main
 
 OU_MODEL = ("[model]\nfamily = lipschitz-baseline\nd = 1\n"
@@ -248,3 +249,53 @@ def test_threads_variable_refused(tmp_path, monkeypatch, capsys, value,
     assert main(["strong-rate", "--config", path]) == 1
     assert message in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("T, n", [
+    ("1e307", "128"), ("1e400", "128"), ("inf", "128"),
+    ("1.0", "1" + "0" * 400)], ids=["T1e307", "T1e400", "Tinf", "n1e400"])
+def test_step_count_beyond_the_float_range_exits_1(tmp_path, capsys, T,
+                                                   n):
+    out = tmp_path / "out"
+    path = _write(tmp_path, "huge.ini",
+                  "[run]\nexperiment = simulate\nout_dir = %s\n"
+                  "[grid]\nT = %s\nn = %s\n" % (out, T, n))
+    assert main(["simulate", "--config", path]) == 1
+    assert "whole number of steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_wrong_types_and_non_finite_values_exit_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = _write(tmp_path, "bad.ini",
+                  "[run]\nexperiment = strong-rate\nout_dir = %s\n"
+                  "reps = 2.5\nseed = True\nthreads = \"2\"\n"
+                  "p = inf\np0 = nan\n"
+                  "[grid]\nT = inf\nlevels = 16.5,32\n" % out)
+    assert main(["strong-rate", "--config", path]) == 1
+    err = capsys.readouterr().err
+    for key in ("reps", "seed", "threads", "levels"):
+        assert "key %r: cannot parse" % key in err
+    for name in ("T", "p", "p0"):
+        assert "%s must be finite" % name in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("keys, message", [
+    ("[model]\nd = 2\n", "sorted_1d needs d == 1, got d=2"),
+    ("[ensemble]\nN = 600\n[metric]\nmethod = exact_assignment\n",
+     "exact_assignment capped at 512 atoms, got 600")])
+def test_ergodic_w2_route_refused_before_any_rep(tmp_path, capsys,
+                                                 monkeypatch, keys,
+                                                 message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a repetition ran")
+
+    monkeypatch.setattr(experiments, "simulate", no_run)
+    out = tmp_path / "out"
+    path = _write(tmp_path, "erg.ini",
+                  "[run]\nexperiment = ergodic\nout_dir = %s\n%s"
+                  % (out, keys))
+    assert main(["ergodic", "--config", path]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -200,8 +200,78 @@ def test_fractional_step_count_rejected():
 
 
 def test_step_count_follows_the_grid_rule():
-    """The validator applies the whole-step rule of TimeGrid and
+    """The validator applies the whole-step rule of simulate and
     make_tableau: n*T = 1e-12 steps is refused here, not left for
-    TimeGrid to raise on."""
+    make_tableau to raise on."""
     with pytest.raises(ConfigError, match="positive whole number of steps"):
         make_config("simulate", T=1e-12, n=1)
+
+
+def test_keyword_values_take_the_field_types():
+    cfg = make_config("strong-rate", T=2, p=1, reps=4.0,
+                      levels=[16.0, 32.0], n_max=64)
+    assert (cfg.T, cfg.p, cfg.reps, cfg.levels) == (2.0, 1.0, 4, (16, 32))
+    assert [type(v) for v in (cfg.T, cfg.p, cfg.reps)] == [float, float,
+                                                            int]
+    assert all(type(v) is int for v in cfg.levels)
+    assert parse_config(emit_config(cfg)) == cfg
+
+
+_BAD_KEYWORDS = dict(reps=2.5, levels=(16.5, 32.0, 64.0), seed=True,
+                     threads="2", p=float("inf"), p0=float("nan"),
+                     T=float("-inf"))
+_BAD_INI = ("[run]\nexperiment = strong-rate\nreps = 2.5\nseed = True\n"
+            "threads = \"2\"\np = inf\np0 = nan\n"
+            "[grid]\nT = 1e400\nlevels = 16.5,32,64\n")
+_BAD_MESSAGES = ("key 'reps': cannot parse", "key 'levels': cannot parse",
+                 "key 'seed': cannot parse", "key 'threads': cannot parse",
+                 "p must be finite, got inf", "p0 must be finite, got nan",
+                 "T must be finite, got ")
+
+
+@pytest.mark.parametrize("how", ["keyword", "ini"])
+def test_values_of_the_wrong_type_or_not_finite_listed_together(how):
+    with pytest.raises(ConfigError) as err:
+        if how == "keyword":
+            make_config("strong-rate", **_BAD_KEYWORDS)
+        else:
+            parse_config(_BAD_INI)
+    msg = str(err.value)
+    for words in _BAD_MESSAGES:
+        assert words in msg, words
+    if how == "keyword":
+        assert "cannot parse (16.5, 32.0, 64.0)" in msg
+        assert "cannot parse '2'" in msg
+
+
+@pytest.mark.parametrize("value", [None, "1.0", b"1", [1.0], 1j])
+def test_a_number_field_takes_only_numbers(value):
+    with pytest.raises(ConfigError, match="key 'T': cannot parse"):
+        make_config("simulate", T=value)
+
+
+def test_step_count_beyond_the_float_range_refused():
+    for T in (1e307, float("inf")):
+        with pytest.raises(ConfigError, match="whole number of steps"):
+            make_config("simulate", T=T)
+    with pytest.raises(ConfigError, match="T must be finite, got nan"):
+        make_config("simulate", T=float("nan"))
+
+
+@pytest.mark.parametrize("keys, message", [
+    (dict(d=2), "sorted_1d needs d == 1, got d=2"),
+    (dict(method="exact_assignment", N=600),
+     "exact_assignment capped at 512 atoms, got 600"),
+    (dict(method="exact_assignment", N=64, cap=32),
+     "exact_assignment capped at 32 atoms, got 64")])
+def test_ergodic_refuses_a_w2_route_it_cannot_take(keys, message):
+    with pytest.raises(ConfigError, match=message):
+        make_config("ergodic", **keys)
+
+
+def test_w2_routes_an_ergodic_run_can_take():
+    make_config("ergodic", d=2, method="sliced")
+    make_config("ergodic", d=2, method="exact_assignment", N=512)
+    make_config("ergodic", method="exact_assignment", N=600, cap=600)
+    # only the ergodic run reads the W2 route
+    make_config("simulate", d=2)

@@ -289,6 +289,27 @@ def test_moment_stability_contrast_and_series(tmp_path):
     assert data["sup_moments"][1] == "inf"  # non-finite floats as repr
 
 
+def test_keyword_config_writes_the_bytes_of_its_ini_text(tmp_path,
+                                                          capsys):
+    """make_config types T=2 and p0=4 as the floats the INI text parses
+    to, so the run writes what the CLI run of its emit_config text does,
+    and the series' times are k / n."""
+    cfg = make_config("moment-stability", T=2, p0=4, N=8, reps=2,
+                      out_dir=str(tmp_path / "api"))
+    assert type(cfg.T) is float and type(cfg.p0) is float
+    rep = run_moment_stability(cfg)
+    assert rep.series["tamed"]["t"] == [k / 2 for k in range(5)]
+    path = tmp_path / "ms.ini"
+    path.write_text(emit_config(cfg).replace(
+        str(tmp_path / "api"), str(tmp_path / "cli")))
+    assert main(["moment-stability", "--config", str(path)]) == 0
+    capsys.readouterr()
+    for name in ("moment_stability_report.json",
+                 "moment_stability_errors.csv"):
+        assert ((tmp_path / "api" / name).read_bytes()
+                == (tmp_path / "cli" / name).read_bytes())
+
+
 def test_tamed_matches_plain_on_small_states(tmp_path):
     cfg = make_config("moment-stability", N=16, T=1.0, n=256, reps=1,
                       initial="point 0.1", initial_b="point 0.1",

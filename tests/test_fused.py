@@ -134,11 +134,11 @@ class _Blocks:
     def __init__(self):
         self.blocks = []
 
-    def observe(self, ens, grid):
+    def observe(self, ens):
         self.blocks.append((ens.t_index, ens.r2_block.copy()))
 
 
-def _per_step_observers(rec, grid, powers):
+def _per_step_observers(rec, powers):
     """Moments and divergence step recomputed from every recorded state.
 
     These are the per-state formulas the observers applied after every step
@@ -146,7 +146,6 @@ def _per_step_observers(rec, grid, powers):
     for a non-finite norm, and the first state with a non-finite entry or a
     squared norm above DIVERGENCE_NORM**2.
     """
-    times = [float(grid.t_at(k)) for k in rec.recorded_steps]
     moments = {p: [] for p in powers}
     diverged = None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -166,7 +165,7 @@ def _per_step_observers(rec, grid, powers):
                     or np.sum(x * x, axis=-1).max()
                     > DIVERGENCE_NORM * DIVERGENCE_NORM):
                 diverged = k
-    return times, moments, diverged
+    return moments, diverged
 
 
 POWERS = (1.5, 2.0, 3.0, 4.0)
@@ -188,7 +187,6 @@ def test_block_observers_match_per_step(monkeypatch, advance, d, size,
         (TamedModel(cubic, 2, "off"), 40.0, initial_law("point", 3.0)))
     for tm, T, law in cases:
         tab = make_tableau(13, size, tm.base.l, T, tm.n)
-        grid = scheme.TimeGrid(T, tm.n)
         runs = []
         for kernel in (advance, None):
             moments = [scheme.MomentTracker(p) for p in POWERS]
@@ -196,9 +194,9 @@ def test_block_observers_match_per_step(monkeypatch, advance, d, size,
             ens = _simulate(monkeypatch, kernel, tm, tab, law,
                             callbacks=moments + [diverge, blocks])
             runs.append((ens, moments, diverge, blocks))
-        rec = scheme.StateRecorder(range(grid.total_steps + 1))
+        rec = scheme.StateRecorder(range(tab.total_steps + 1))
         _simulate(monkeypatch, None, tm, tab, law, callbacks=[rec])
-        times, want, diverged = _per_step_observers(rec, grid, POWERS)
+        want, diverged = _per_step_observers(rec, POWERS)
         (ens, moments, diverge, blocks), ref = runs
         assert (ens.t_index, ens.overflow_flag) == (ref[0].t_index,
                                                     ref[0].overflow_flag)
@@ -216,7 +214,6 @@ def test_block_observers_match_per_step(monkeypatch, advance, d, size,
             assert max(sizes) == min(rows, ens.t_index)
         assert rec.recorded_steps == list(range(ens.t_index + 1))
         for tracker, other, p in zip(moments, ref[1], POWERS):
-            assert tracker.times == other.times == times
             assert np.array_equal(tracker.values, want[p])
             assert np.array_equal(other.values, want[p])
         assert diverge.step == ref[2].step == diverged
@@ -229,17 +226,16 @@ def test_divergence_tracker_boundary(monkeypatch, advance):
     threshold2 = DIVERGENCE_NORM * DIVERGENCE_NORM
     assert threshold2 == 1e20  # 1e10 squared is exact
     above = np.nextafter(threshold2, np.inf)
-    grid = scheme.TimeGrid(1.0, 1)
     ens = scheme.ParticleEnsemble(np.zeros((2, 1)))
     ens.t_index = 6
     ens.r2_block = np.array([[0.0, threshold2], [threshold2, 1.0],
                              [above, 0.0]])  # steps 4, 5, 6
     tracker = _DivergenceTracker()
-    tracker.observe(ens, grid)
+    tracker.observe(ens)
     assert tracker.step == 6
     ens.r2_block = ens.r2_block[:2]
     tracker = _DivergenceTracker()
-    tracker.observe(ens, grid)
+    tracker.observe(ens)
     assert tracker.step is None
     # through simulate on both backends: a model that never moves, at
     # norm 1e10 (not flagged) and one ulp above it (flagged at step 0)
@@ -348,7 +344,6 @@ def test_noise_free_runs_match_the_noise_path(monkeypatch, advance):
                                                 ref[3].blocks):
                 assert k_a == k_b
                 _assert_same_arrays(r2_a, r2_b)
-            assert moments.times == ref[1].times
             _assert_same_arrays(np.array(moments.values),
                                 np.array(ref[1].values))
             assert diverge.step == ref[2].step
@@ -522,7 +517,7 @@ def _counted_runs(monkeypatch, advance, tm, tab, law):
     for kernel in (advance, None):
         before = len(step_calls)
         rec = scheme.StateRecorder(
-            _strided(scheme.TimeGrid(tab.T, tm.n).total_steps, 3))
+            _strided(rng._whole_steps(tm.n, tab.T), 3))
         ens = _simulate(monkeypatch, kernel, tm, tab, law,
                         callbacks=[rec])
         runs.append((ens, [rec]))
@@ -596,9 +591,9 @@ class _BlockRecorder(scheme.StateRecorder):
         super().__init__(steps)
         self.sizes = []
 
-    def observe(self, ens, grid):
+    def observe(self, ens):
         before = len(self.recorded_steps)
-        super().observe(ens, grid)
+        super().observe(ens)
         self.sizes.append(len(self.recorded_steps) - before)
 
 
@@ -620,14 +615,14 @@ def _counting(advance, calls):
     return bind
 
 
-def _states_by_hand(tm, grid, tab, law):
+def _states_by_hand(tm, total, tab, law):
     """{k: state after step k} of a loop of scheme.step, up to the last
     step run: the states a recorder must copy."""
     ens = scheme.ParticleEnsemble(rng.sample_initial(tab, tab.N, tm.base.d,
                                                      law))
-    dw = rng.level_increments(tab, tm.n, 0, grid.total_steps)
+    dw = rng.level_increments(tab, tm.n, 0, total)
     out = {0: ens.states.copy()}
-    for k in range(grid.total_steps):
+    for k in range(total):
         alive = scheme.step(ens, tm, dw[k])
         out[k + 1] = ens.states.copy()
         if not alive:
@@ -651,9 +646,8 @@ def test_recorder_rows_match_across_backends(monkeypatch, advance, case,
         # blocks of `rows` steps, with or without an every-step observer
         monkeypatch.setattr(scheme, "_CHUNK_ELEMENTS", rows * tab.N * tab.l)
         monkeypatch.setattr(scheme, "_OBS_ELEMENTS", rows * tab.N)
-    grid = scheme.TimeGrid(T, tm.n)
-    total = grid.total_steps
-    want = _states_by_hand(tm, grid, tab, law)
+    total = tab.total_steps
+    want = _states_by_hand(tm, total, tab, law)
     last = max(want)
     assert (last < total) == (case == "overflow")
     recorders = (_strided(total, 3), range(total + 1),

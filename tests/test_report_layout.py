@@ -7,6 +7,7 @@ INI text of one resolved config.
 """
 
 import json
+import os
 import warnings
 
 import pytest
@@ -118,3 +119,17 @@ def test_constants_keep_their_orders(tmp_path):
     text = emit_config(cfg)
     section = text[text.index("[constants]\n"):].splitlines()[1:]
     assert [line.split(" = ")[0] for line in section] == list(DYADIC)
+
+
+def test_version_declared_once():
+    """pyproject.toml takes the package version from mvsde._version, the
+    software_version every report echoes, and states no literal one."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    path = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "pyproject.toml")
+    with open(path, "rb") as fh:
+        meta = tomllib.load(fh)
+    assert "version" not in meta["project"]
+    assert "version" in meta["project"]["dynamic"]
+    assert meta["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "mvsde._version.VERSION"}

@@ -6,8 +6,8 @@ import pytest
 from mvsde.ensemble import ParticleEnsemble
 from mvsde.model import FAMILIES, make_model, pair_terms, self_terms
 from mvsde.rng import initial_law, make_tableau, sample_initial
-from mvsde.scheme import (MomentTracker, StateRecorder, TimeGrid,
-                          _noise_width, simulate, step)
+from mvsde.scheme import (MomentTracker, StateRecorder, _noise_width,
+                          simulate, step)
 from mvsde.taming import VARIANTS, TamedModel, taming_parameters
 
 
@@ -18,14 +18,22 @@ def _pure_cubic(**extra):
 
 
 def test_grid_basics():
-    g = TimeGrid(2.0, 4)
-    assert g.h == 0.25 and g.total_steps == 8
-    assert g.t_at(3) == 0.75
-    assert TimeGrid(1.5, 2).total_steps == 3
-    with pytest.raises(ValueError):
-        TimeGrid(1.3, 2)  # n T not whole
-    with pytest.raises(ValueError):
-        TimeGrid(1.0, 0)
+    """simulate at level n runs the n T steps of the grid t_k = k / n."""
+    m = _pure_cubic()
+    tab = make_tableau(1, 2, 1, 3.0, 4)
+    for n, steps in ((4, 12), (2, 6), (1, 3)):
+        mom = MomentTracker(2.0)
+        ens = simulate(TamedModel(m, n, "finite"), tab, np.ones((2, 1)),
+                       callbacks=[mom])
+        assert ens.t_index == steps and len(mom.values) == steps + 1
+    with pytest.raises(ValueError, match="whole number of steps"):
+        make_tableau(1, 2, 1, 1.3, 2)  # n T not whole
+    with pytest.raises(ValueError, match="whole number of steps"):
+        simulate(TamedModel(m, 1, "finite"), make_tableau(1, 2, 1, 1.5, 4),
+                 np.ones((2, 1)))  # 1.5 steps at level 1
+    for T in (1e307, 1e400, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            make_tableau(1, 2, 1, T, 128)  # n T beyond the float range
 
 
 def test_single_step_oracle():
@@ -134,8 +142,7 @@ def test_simulate_callbacks_and_trackers():
     mom = MomentTracker(2.0)
     rec = StateRecorder(range(0, 9, 4))
     simulate(tm, tab, np.ones((4, 1)), callbacks=(mom, rec))
-    assert len(mom.times) == 9 and mom.times[0] == 0.0
-    assert mom.values[0] == 1.0
+    assert len(mom.values) == 9 and mom.values[0] == 1.0
     assert rec.recorded_steps == [0, 4, 8]
     assert rec.states[0].shape == (4, 1)
 
