@@ -352,13 +352,17 @@ def _violations(cfg, experiment):
         problems.append("reps must be >= 1, got %d" % cfg.reps)
     if cfg.threads < 1:
         problems.append("threads must be >= 1, got %d" % cfg.threads)
-    for name in ("T", "p", "p0"):
-        if not math.isfinite(getattr(cfg, name)):
+    # a non-finite value gets this one message; the checks it implies
+    # (sign, range, whole step counts) are skipped
+    finite = {name: math.isfinite(getattr(cfg, name))
+              for name in ("T", "p", "p0")}
+    for name, ok in finite.items():
+        if not ok:
             problems.append("%s must be finite, got %r"
                             % (name, getattr(cfg, name)))
-    if not cfg.p > 0:
+    if finite["p"] and not cfg.p > 0:
         problems.append("p must be positive, got %r" % (cfg.p,))
-    if not cfg.p0 >= 2:
+    if finite["p0"] and not cfg.p0 >= 2:
         problems.append("p0 must be >= 2, got %r" % (cfg.p0,))
     if cfg.d < 1 or cfg.l < 1:
         problems.append("dimensions must be >= 1, got d=%d l=%d"
@@ -376,11 +380,12 @@ def _violations(cfg, experiment):
                         "(which is %r)" % (cfg.measure_mode, cfg.family,
                                            model.measure_mode))
 
-    if not cfg.T > 0:
+    if finite["T"] and not cfg.T > 0:
         problems.append("T must be positive, got %r" % (cfg.T,))
+    steps = finite["T"] and cfg.T > 0
     if cfg.n < 1:
         problems.append("n must be >= 1, got %d" % cfg.n)
-    elif cfg.T > 0:
+    elif steps:
         _check_steps("", cfg.n, cfg.T, problems)
 
     if cfg.experiment == "strong-rate":
@@ -391,12 +396,12 @@ def _violations(cfg, experiment):
             if lev >= 1 and cfg.n_max % lev != 0:
                 problems.append("level n = %d does not divide "
                                 "n_max = %d" % (lev, cfg.n_max))
-            if lev >= 1 and cfg.T > 0:
+            if lev >= 1 and steps:
                 _check_steps("level n = %d: " % lev, lev, cfg.T, problems)
         if cfg.levels and max(cfg.levels) >= cfg.n_max:
             problems.append("n_max = %d must exceed every level "
                             "(max %d)" % (cfg.n_max, max(cfg.levels)))
-        if cfg.T > 0:
+        if steps:
             _check_steps("n_max = %d: " % cfg.n_max, cfg.n_max, cfg.T,
                          problems)
 

@@ -6,9 +6,13 @@ the tests build what the package builds), so the compiled kernels are
 tested whether or not setup.py built the package in place and whatever
 MVSDE_FORCE_FALLBACK says. On an x86-64 CPU with FMA the same flags plus
 -mfma give a second library, on which a contraction the flags failed to
-forbid would change bits. The package binds the C pair routine only
-inside the fused kernel; c_pair_aggregate and fma_pair_aggregate bind it
-here from either library, so the tests can compare it with the numpy
+forbid would change bits. pairwise.c compiles its hot path twice, for
+AVX2 and for the x86-64 baseline, and the loader runs the AVX2 clone on
+an AVX2 CPU; baseline_library is a copy of the source with the clone
+macro STEP_CLONES defined empty, so the baseline code is tested on every
+CPU. The package binds the C pair routine only inside the fused kernel;
+c_pair_aggregate, fma_pair_aggregate and baseline_pair_aggregate bind it
+here from each library, so the tests can compare it with the numpy
 kernel directly.
 """
 
@@ -85,6 +89,29 @@ def fma_library(build_library):
         pytest.skip("the C compiler refuses -mfma")
 
 
+# the line of pairwise.c that turns runtime dispatch on
+CLONES_LINE = ('#define STEP_CLONES '
+               '__attribute__((target_clones("avx2", "default")))\n')
+
+
+@pytest.fixture(scope="session")
+def baseline_source(tmp_path_factory):
+    """Path of a copy of pairwise.c whose STEP_CLONES is empty: one
+    x86-64 baseline build of every function, with no AVX2 clone."""
+    with open(SOURCE) as fh:
+        text = fh.read()
+    assert text.count(CLONES_LINE) == 1, "pairwise.c lost its clone macro"
+    path = tmp_path_factory.mktemp("baseline") / "pairwise_baseline.c"
+    path.write_text(text.replace(CLONES_LINE, "#define STEP_CLONES\n"))
+    return str(path)
+
+
+@pytest.fixture(scope="session")
+def baseline_library(build_library, baseline_source):
+    """Path of the baseline-only copy of pairwise.c, compiled."""
+    return build_library(baseline_source, "pairwise_baseline.so")
+
+
 def _bind_pair_aggregate(path):
     """mvsde_pair_aggregate of the library at path, with the signature of
     pairwise_py.pair_aggregate.
@@ -122,3 +149,9 @@ def c_pair_aggregate(compiled_library):
 def fma_pair_aggregate(fma_library):
     """The C pair routine of the -mfma build."""
     return _bind_pair_aggregate(fma_library)
+
+
+@pytest.fixture(scope="session")
+def baseline_pair_aggregate(baseline_library):
+    """The C pair routine of the baseline-only build."""
+    return _bind_pair_aggregate(baseline_library)

@@ -251,17 +251,20 @@ def test_threads_variable_refused(tmp_path, monkeypatch, capsys, value,
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("T, n", [
-    ("1e307", "128"), ("1e400", "128"), ("inf", "128"),
-    ("1.0", "1" + "0" * 400)], ids=["T1e307", "T1e400", "Tinf", "n1e400"])
+@pytest.mark.parametrize("T, n, message", [
+    ("1e307", "128", "whole number of steps"),
+    ("1e400", "128", "T must be finite, got inf"),
+    ("inf", "128", "T must be finite, got inf"),
+    ("1.0", "1" + "0" * 400, "whole number of steps")],
+    ids=["T1e307", "T1e400", "Tinf", "n1e400"])
 def test_step_count_beyond_the_float_range_exits_1(tmp_path, capsys, T,
-                                                   n):
+                                                   n, message):
     out = tmp_path / "out"
     path = _write(tmp_path, "huge.ini",
                   "[run]\nexperiment = simulate\nout_dir = %s\n"
                   "[grid]\nT = %s\nn = %s\n" % (out, T, n))
     assert main(["simulate", "--config", path]) == 1
-    assert "whole number of steps" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

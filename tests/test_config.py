@@ -251,11 +251,26 @@ def test_a_number_field_takes_only_numbers(value):
 
 
 def test_step_count_beyond_the_float_range_refused():
-    for T in (1e307, float("inf")):
-        with pytest.raises(ConfigError, match="whole number of steps"):
+    with pytest.raises(ConfigError, match="whole number of steps"):
+        make_config("simulate", T=1e307)
+    for T in (float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="T must be finite, got %r"
+                           % T):
             make_config("simulate", T=T)
-    with pytest.raises(ConfigError, match="T must be finite, got nan"):
-        make_config("simulate", T=float("nan"))
+
+
+@pytest.mark.parametrize("experiment", ["strong-rate", "simulate"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                   float("nan")])
+def test_a_non_finite_value_is_one_problem(experiment, value):
+    """A non-finite T, p or p0 is listed once: the sign, range and
+    whole-step checks that the value already fails are not listed too."""
+    keys = ("T", "p", "p0")
+    for bad in [(key,) for key in keys] + [keys]:
+        with pytest.raises(ConfigError) as err:
+            make_config(experiment, **dict.fromkeys(bad, value))
+        assert str(err.value).splitlines()[1:] == [
+            "  - %s must be finite, got %r" % (key, value) for key in bad]
 
 
 @pytest.mark.parametrize("keys, message", [

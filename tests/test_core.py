@@ -3,14 +3,16 @@
 pairwise.c is compiled here (conftest.py) and loaded through the loader
 mvsde._core uses at import, so the comparison runs whether or not setup.py
 built the package in place. The C pair routine, which the package calls
-only from the fused kernel, is bound by the c_pair_aggregate fixture, and
-from the -mfma build by fma_pair_aggregate.
+only from the fused kernel, is bound by the c_pair_aggregate fixture,
+from the -mfma build by fma_pair_aggregate and from the build without the
+AVX2 clone by baseline_pair_aggregate.
 """
 
 import ctypes
 import ctypes.util
 import math
 import os
+import platform
 import subprocess
 import sys
 
@@ -41,7 +43,7 @@ SPECIAL = {
 NON_SPECIAL = (-0.5, -1.0, 3.0, 0.2, 0.3, 6.0, 1.0)
 
 # the C pair loop takes rows in blocks of 2 and components in chunks of
-# 4: sizes on both sides of the row-block boundaries (a short last block
+# 3: sizes on both sides of the row-block boundaries (a short last block
 # at odd N), dimensions on both sides of the first and second chunk
 # boundaries
 DIMS = range(1, 13)
@@ -84,27 +86,51 @@ def test_compiled_matches_fallback_and_oracle(c_pair_aggregate, n, d):
             _assert_same(got, want, what)
 
 
+def _assert_clouds_match_fallback(c_kernel, n, d):
+    for cloud, x in _clouds(n, d).items():
+        for label, kernel in dict(SPECIAL, non_special=NON_SPECIAL).items():
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = pair_aggregate(x, *kernel)
+            _assert_same(c_kernel(x, *kernel), want,
+                         "%s, %s cloud" % (label, cloud))
+
+
 @pytest.mark.parametrize("d", DIMS)
 @pytest.mark.parametrize("n", SIZES)
 def test_compiled_with_fma_matches_fallback(fma_pair_aggregate, n, d):
     """The vector passes of the pair loop built with -mfma: a contraction
     that -ffp-contract=off failed to forbid would change bits here."""
-    for cloud, x in _clouds(n, d).items():
-        for label, kernel in dict(SPECIAL, non_special=NON_SPECIAL).items():
-            with np.errstate(over="ignore", invalid="ignore"):
-                want = pair_aggregate(x, *kernel)
-            _assert_same(fma_pair_aggregate(x, *kernel), want,
-                         "%s, %s cloud" % (label, cloud))
+    _assert_clouds_match_fallback(fma_pair_aggregate, n, d)
 
 
-@pytest.mark.parametrize("n, d, label", ((1024, 3, "poc-rate"),
-                                         (64, 1, "strong-rate")))
-def test_compiled_matches_fallback_at_benchmark_shapes(c_pair_aggregate, n,
-                                                       d, label):
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("n", SIZES)
+def test_baseline_clone_matches_fallback(baseline_pair_aggregate, n, d):
+    """The x86-64 baseline code, which CPUs without AVX2 run: on an AVX2
+    CPU the library the other tests load runs its AVX2 clone."""
+    _assert_clouds_match_fallback(baseline_pair_aggregate, n, d)
+
+
+BENCHMARK_SHAPES = ((1024, 3, "poc-rate"), (64, 1, "strong-rate"))
+
+
+def _assert_matches_fallback_at(c_kernel, n, d, label):
     x = _clouds(n, d)["random"]
     kernel = SPECIAL[label]
-    _assert_same(c_pair_aggregate(x, *kernel), pair_aggregate(x, *kernel),
+    _assert_same(c_kernel(x, *kernel), pair_aggregate(x, *kernel),
                  "%s at N = %d, d = %d" % (label, n, d))
+
+
+@pytest.mark.parametrize("n, d, label", BENCHMARK_SHAPES)
+def test_compiled_matches_fallback_at_benchmark_shapes(c_pair_aggregate, n,
+                                                       d, label):
+    _assert_matches_fallback_at(c_pair_aggregate, n, d, label)
+
+
+@pytest.mark.parametrize("n, d, label", BENCHMARK_SHAPES)
+def test_baseline_clone_matches_fallback_at_benchmark_shapes(
+        baseline_pair_aggregate, n, d, label):
+    _assert_matches_fallback_at(baseline_pair_aggregate, n, d, label)
 
 
 def test_compiled_accepts_any_layout(c_pair_aggregate):
@@ -422,16 +448,44 @@ def test_setup_builds_without_contraction(setup_flags):
     assert "-ffp-contract=off" in setup_flags
 
 
-def test_kernel_source_compiles_without_warnings(build_library):
-    # setup.py's flags plus -Wall -Wextra -Werror: a leftover unused
-    # function or a signed/unsigned slip in the kernels fails here
+def test_kernel_source_compiles_without_warnings(build_library,
+                                                baseline_source):
+    # setup.py's flags plus -Wall -Wextra -Werror, with runtime dispatch
+    # and without: a leftover unused function or a signed/unsigned slip in
+    # the kernels fails here
     source = os.path.join(os.path.dirname(__file__), os.pardir, "src",
                           "mvsde", "_core", "pairwise.c")
+    for path, name in ((source, "pairwise_strict.so"),
+                       (baseline_source, "pairwise_baseline_strict.so")):
+        try:
+            build_library(path, name, ["-Wall", "-Wextra", "-Werror"])
+        except subprocess.CalledProcessError as exc:
+            pytest.fail(exc.stderr.decode(errors="replace"))
+
+
+def test_hot_path_has_an_avx2_clone(compiled_library, build_library,
+                                    tmp_path):
+    """The library built with setup.py's flags holds an AVX2 clone of each
+    function that pairwise.c marks STEP_CLONES. It runs only on x86-64
+    with glibc and a compiler that takes target_clones, where pairwise.c
+    turns runtime dispatch on, and skips elsewhere. Without it, a compiler
+    or a gate in pairwise.c that dropped the attribute would lose the AVX2
+    speed, and no test would fail: both clones give the same bits."""
+    if (platform.machine() != "x86_64"
+            or platform.libc_ver()[0] != "glibc"):
+        pytest.skip("runtime dispatch is built on x86-64 glibc only")
+    probe = tmp_path / "probe.c"
+    probe.write_text('__attribute__((target_clones("avx2", "default")))\n'
+                     "int probe(int x) { return x + 1; }\n")
     try:
-        build_library(source, "pairwise_strict.so",
-                      ["-Wall", "-Wextra", "-Werror"])
-    except subprocess.CalledProcessError as exc:
-        pytest.fail(exc.stderr.decode(errors="replace"))
+        build_library(str(probe), "probe.so")
+    except subprocess.CalledProcessError:
+        pytest.skip("the C compiler refuses target_clones")
+    with open(compiled_library, "rb") as fh:
+        image = fh.read()
+    for name in ("pair_factors", "mvsde_pair_aggregate", "row_norms",
+                 "step_once"):
+        assert (name + ".avx2").encode() in image, name
 
 
 def test_ndtri_built_with_fma_matches_scipy(fma_library):

@@ -448,16 +448,17 @@ def _sweep_cloud(kind, n, d, rng):
     return x
 
 
-@pytest.mark.parametrize("build", ("default", "fma"))
+@pytest.mark.parametrize("build", ("default", "fma", "baseline"))
 @pytest.mark.parametrize("d", range(1, 10))
 def test_fused_self_terms_match_step(monkeypatch, request, build, d):
     """One fused step against scheme.step at every self-term switch, d from
     1 to 9 (both sides of np_sum's 7 | 8 boundary), N in {1, 2, 3, 5, 64},
     on random, signed-zero and overflowing clouds, with and without the
-    pair kernel, on the default and the -mfma build: the same steps done,
-    state bytes and squared-norm bytes."""
+    pair kernel, on the default build (whose AVX2 clone an AVX2 CPU runs),
+    the -mfma build and the build without the AVX2 clone: the same steps
+    done, state bytes and squared-norm bytes."""
     library = request.getfixturevalue(
-        "compiled_library" if build == "default" else "fma_library")
+        "compiled_library" if build == "default" else build + "_library")
     advance = load_compiled(library)[0]
     # scheme.step takes its taming parameters from the stand-in TamedModel
     monkeypatch.setattr(scheme, "taming_parameters", lambda tm: tm.par)
