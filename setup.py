@@ -20,13 +20,14 @@ to the correctly rounded instruction and the step's square-root passes
 vectorise too; it reorders nothing and changes no value. No flag that
 lets the compiler reorder arithmetic (-ffast-math, -fassociative-math) or
 pick instructions for one CPU (-march) is passed. Instead, on x86-64 with
-glibc, pairwise.c compiles the pair loop, the pair factors, the row norms
-and the step body twice (target_clones, no flag needed), for AVX2 and for
-the x86-64 baseline, and the dynamic loader runs the AVX2 clone on AVX2
-and AVX-512 CPUs and the baseline on the rest; elsewhere only the
-baseline is built. Both clones give the same bits: +, -, *, / and sqrt
-round alike at every vector width, -ffp-contract=off keeps FMA out of
-the AVX2 clone too, and pow stays scalar libm.
+glibc, pairwise.c compiles the pair loop, the pair factors, the row norms,
+the step body and the correctly rounded row sum twice (target_clones, no
+flag needed), for AVX2 and for the x86-64 baseline, and the dynamic
+loader runs the AVX2 clone on AVX2 and AVX-512 CPUs and the baseline on
+the rest; elsewhere only the baseline is built. Both clones give the
+same bits: +, -, *, / and sqrt round alike at every vector width,
+-ffp-contract=off keeps FMA out of the AVX2 clone too, and pow stays
+scalar libm.
 """
 
 from setuptools import Extension, setup

@@ -45,15 +45,16 @@
  * mvsde_fsum_rows gives each row of a matrix math.fsum's correctly rounded
  * sum without a Python call per row. Every row first runs one compensated
  * pass, TwoSum with a rigorous error bound (Ogita, Rump and Oishi,
- * "Accurate sum and dot product", SIAM J. Sci. Comput. 26, 2005), four
- * rows side by side so that their add-latency chains overlap. The pass
- * returns its result only where the bound proves it is the round-to-nearest
- * value of the exact sum, which is the value fsum returns (see
- * fsum_certified); any other row, among them every row with a non-finite
- * term, a huge sum or a zero or subnormal result, goes to math.fsum's own
- * algorithm (Shewchuk's nonoverlapping expansions, "Adaptive precision
- * floating-point arithmetic", DCG 18, 1997) in fsum_row. Both give fsum's
- * bits, so the moment rows do.
+ * "Accurate sum and dot product", SIAM J. Sci. Comput. 26, 2005), in eight
+ * lanes along the row, two vectors of four, so that eight add-latency
+ * chains overlap, and then folds the lanes together by TwoSum. The pass
+ * returns its result only where the bound proves it is the
+ * round-to-nearest value of the exact sum, which is the value fsum returns
+ * (see fsum_certified); any other row, among them every row with a
+ * non-finite term, a huge sum or a zero or subnormal result, goes to
+ * math.fsum's own algorithm (Shewchuk's nonoverlapping expansions,
+ * "Adaptive precision floating-point arithmetic", DCG 18, 1997) in
+ * fsum_row. Both give fsum's bits, so the moment rows do.
  *
  * mvsde_philox_uniforms fills a block of uniform doubles from one
  * Philox4x64-10 stream per particle (Salmon, Moraes, Dror and Shaw,
@@ -78,9 +79,10 @@
  * always_inline and target_clones attributes, which GCC and Clang provide;
  * mvsde._core loads it with ctypes.
  *
- * Runtime dispatch. pair_factors, mvsde_pair_aggregate, row_norms and
- * step_once carry STEP_CLONES: on x86-64 ELF with glibc, where the compiler
- * has target_clones, each is compiled twice, for AVX2 (four doubles per
+ * Runtime dispatch. pair_factors, mvsde_pair_aggregate, row_norms,
+ * step_once and mvsde_fsum_rows carry STEP_CLONES: on x86-64 ELF with
+ * glibc, where the compiler has target_clones, each is compiled twice,
+ * for AVX2 (four doubles per
  * instruction) and for the x86-64 baseline (SSE2, two), and the dynamic
  * loader picks one per function through an ifunc, once, by the CPU: an
  * AVX2 CPU, AVX-512 ones included, takes the AVX2 clone, any other the
@@ -725,31 +727,60 @@ static double fsum_row(const double *a, ptrdiff_t n)
     return hi;
 }
 
-/* Rows the compensated pass runs side by side. A single row's TwoSum is one
- * chain of dependent adds; four independent chains keep the adder busy. */
-#define FSUM_LANES 4
+/* The compensated pass of one row runs FSUM_LANES TwoSum chains, lane l
+ * over the terms j = l mod FSUM_LANES, in two vectors of four doubles: a
+ * single chain is one run of dependent adds, and eight independent ones
+ * keep the adder busy. fsum_v4 is a GCC and Clang vector extension type;
+ * no function takes or returns one by value, whose ABI would differ
+ * between the AVX2 and the baseline clone. */
+#define FSUM_LANES 8
+typedef double fsum_v4 __attribute__((vector_size(32)));
+typedef int64_t fsum_v4i __attribute__((vector_size(32)));
+
+/* |x| of each element: the sign bit cleared, as fabs does. */
+#define FSUM_ABS(x) ((fsum_v4)((fsum_v4i)(x) & INT64_MAX))
+
+/* One TwoSum step of four lanes: s + x rounded into s, its exact error
+ * added to c, |error| to ea and |x| to sa. */
+#define FSUM_STEP(s, c, ea, sa, x)                                         \
+    do {                                                                   \
+        fsum_v4 t_ = (s) + (x), z_ = t_ - (s);                             \
+        fsum_v4 e_ = ((s) - (t_ - z_)) + ((x) - z_);                       \
+        (s) = t_;                                                          \
+        (c) += e_;                                                         \
+        (ea) += FSUM_ABS(e_);                                              \
+        (sa) += FSUM_ABS(x);                                               \
+    } while (0)
 
 /* The sum of the n terms of row a, from the compensated pass's totals over
- * it: for each term x in order, t = s + x and its exact error e (TwoSum),
- * s = t, c += e, ea += |e|, sa += |x|, all from 0.0. res = s + c rounded
- * and r, its error, are TwoSum(s, c). res is returned when
+ * it. The pass runs TwoSum chains from 0.0 (FSUM_STEP): for each term x
+ * of a chain, t = s + x and its exact error e, s = t, c += e, ea += |e|,
+ * sa += |x|. The last, partial group of terms is padded with zeros, which
+ * add an exact 0 to every total and so change no value. The lanes are then
+ * folded in a tree, lane l + w into lane l for w = 4, 2, 1: s by TwoSum,
+ * whose error e joins c and ea as c += c' + e and ea += ea' + |e|, and
+ * sa += sa'. res = s + c rounded and r, its error, are TwoSum(s, c). With
+ * m = floor(n / 8) + 7, res is returned when
  *   sa < 2^1000, n < 2^40, |res| >= 2^-1000 and
- *   |r| + ea * (4n * 2^-53) < half, half = (|res| - nextafter(|res|, 0)) / 2,
+ *   |r| + ea * (4 (m + 1) * 2^-53) < half,
+ *   half = (|res| - nextafter(|res|, 0)) / 2,
  * and fsum_row's value otherwise. Why that is fsum's value:
  * - sa < 2^1000 holds for no row with an inf or a nan and keeps every s, c,
- *   t and ea far from overflow, so every TwoSum is exact: the exact sum is
- *   S = s + sum(e), and res + r = s + c exactly. It also leaves out every
- *   finite row whose sum passes the float range, where fsum raises
- *   OverflowError.
- * - c is the sum of the n values e in order, n - 1 roundings after the
- *   first exact one, so |sum(e) - c| <= gamma(n - 1) * sum(|e|) (Higham,
- *   "Accuracy and Stability of Numerical Algorithms", 2nd ed., (4.4)),
- *   gamma(k) = k u / (1 - k u), u = 2^-53.
- * - ea is at least sum(|e|) (1 - u)^(n - 1) and the product rounds once
- *   more, so with n < 2^40 the bound term is more than 3.9 gamma(n - 1)
- *   sum(|e|). A product in the subnormal range can lose up to 2^-1075 more;
- *   that slack covers it unless sum(|e|) < 2^-1022, and then every partial
- *   sum of c is below 2^-1021, where additions are exact, and c = sum(e).
+ *   t and ea far from overflow, so every TwoSum, the fold's too, is exact:
+ *   the exact sum is S = s + sum(e) over the errors e of all of them, and
+ *   res + r = s + c exactly. It also leaves out every finite row whose sum
+ *   passes the float range, where fsum raises OverflowError.
+ * - c is a floating-point sum of these e, in a tree in which each e meets
+ *   at most ceil(n / 8) + 6 <= m roundings (one per term of its chain, then
+ *   at most two per fold level), so |sum(e) - c| <= gamma(m) * sum(|e|)
+ *   (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
+ *   section 4.2), gamma(k) = k u / (1 - k u), u = 2^-53.
+ * - ea sums the |e| in the same tree, so it is at least
+ *   sum(|e|) (1 - u)^m, and the product rounds once more; with n < 2^40
+ *   the bound term is more than 3.9 gamma(m) sum(|e|). A
+ *   product in the subnormal range can lose up to 2^-1075 more; that slack
+ *   covers it unless sum(|e|) < 2^-1022, and then every partial sum of c is
+ *   below 2^-1021, where additions are exact, and c = sum(e).
  * - half is exact, as |res| >= 2^-1000, and rounding is monotone: the
  *   floating-point |r| + bound below half means the exact one is too.
  *   Then |S - res| <= |r| + |sum(e) - c| < half: S lies closer to res than
@@ -762,59 +793,72 @@ ALWAYS_INLINE double fsum_certified(const double *a, ptrdiff_t n, double s,
 {
     double res = s + c, z = res - s, r = (s - (res - z)) + (c - z);
     double ares = fabs(res);
+    ptrdiff_t m = n / FSUM_LANES + 7;
 
     if (sa < 0x1p1000 && n < ((ptrdiff_t)1 << 40) && ares >= 0x1p-1000
-        && fabs(r) + ea * ((double)(4 * n) * 0x1p-53)
+        && fabs(r) + ea * ((double)(4 * (m + 1)) * 0x1p-53)
                < (ares - nextafter(ares, 0.0)) / 2.0)
         return res;
     return fsum_row(a, n);
 }
 
-/* out[l] = the sum of row l of the k rows of n terms at a, stride n: the
- * compensated pass over k rows at once, for a compile-time k. */
-ALWAYS_INLINE void fsum_lanes(const double *a, ptrdiff_t n, int k,
-                              double *out)
+/* The correctly rounded sum of the n terms of row a: the lane pass, then
+ * fsum_certified. */
+ALWAYS_INLINE double fsum_lanes(const double *a, ptrdiff_t n)
 {
+    fsum_v4 s0 = {0}, c0 = {0}, ea0 = {0}, sa0 = {0}, x0, x1;
+    fsum_v4 s1 = {0}, c1 = {0}, ea1 = {0}, sa1 = {0};
     double s[FSUM_LANES], c[FSUM_LANES], ea[FSUM_LANES], sa[FSUM_LANES];
-    double x, t, z, e;
+    double pad[FSUM_LANES] = {0}, t, z, e;
     ptrdiff_t j;
-    int l;
+    int w, l;
 
-    for (l = 0; l < k; l++)
-        s[l] = c[l] = ea[l] = sa[l] = 0.0;
-    for (j = 0; j < n; j++) {
-        for (l = 0; l < k; l++) {
-            x = a[l * n + j];
-            t = s[l] + x;
+    for (j = 0; j < n; j += FSUM_LANES) {
+        const double *x = a + j;
+        if (n - j < FSUM_LANES) {
+            memcpy(pad, x, (size_t)(n - j) * sizeof *x);
+            x = pad;
+        }
+        memcpy(&x0, x, sizeof x0);
+        memcpy(&x1, x + 4, sizeof x1);
+        FSUM_STEP(s0, c0, ea0, sa0, x0);
+        FSUM_STEP(s1, c1, ea1, sa1, x1);
+    }
+    /* lanes 0-3 from the first vector, 4-7 from the second */
+    memcpy(s, &s0, sizeof s0);
+    memcpy(s + 4, &s1, sizeof s1);
+    memcpy(c, &c0, sizeof c0);
+    memcpy(c + 4, &c1, sizeof c1);
+    memcpy(ea, &ea0, sizeof ea0);
+    memcpy(ea + 4, &ea1, sizeof ea1);
+    memcpy(sa, &sa0, sizeof sa0);
+    memcpy(sa + 4, &sa1, sizeof sa1);
+    for (w = FSUM_LANES / 2; w >= 1; w /= 2) {
+        for (l = 0; l < w; l++) {
+            t = s[l] + s[l + w];
             z = t - s[l];
-            e = (s[l] - (t - z)) + (x - z);
+            e = (s[l] - (t - z)) + (s[l + w] - z);
             s[l] = t;
-            c[l] += e;
-            ea[l] += fabs(e);
-            sa[l] += fabs(x);
+            c[l] += c[l + w] + e;
+            ea[l] += ea[l + w] + fabs(e);
+            sa[l] += sa[l + w];
         }
     }
-    for (l = 0; l < k; l++)
-        out[l] = fsum_certified(a + l * n, n, s[l], c[l], ea[l], sa[l]);
+    return fsum_certified(a, n, s[0], c[0], ea[0], sa[0]);
 }
 
 /* out[r] = the correctly rounded sum of row r of the C-contiguous
  * rows x cols array a: math.fsum's value where fsum returns one, +inf
  * where it raises OverflowError (finite terms whose sum leaves the float
  * range) and nan where it raises ValueError (inf and -inf in one row). */
+STEP_CLONES
 void mvsde_fsum_rows(const double *a, ptrdiff_t rows, ptrdiff_t cols,
                      double *out)
 {
     ptrdiff_t r;
 
-    for (r = 0; r + FSUM_LANES <= rows; r += FSUM_LANES)
-        fsum_lanes(a + r * cols, cols, FSUM_LANES, out + r);
-    switch (rows - r) {
-    case 1: fsum_lanes(a + r * cols, cols, 1, out + r); break;
-    case 2: fsum_lanes(a + r * cols, cols, 2, out + r); break;
-    case 3: fsum_lanes(a + r * cols, cols, 3, out + r); break;
-    default: break;
-    }
+    for (r = 0; r < rows; r++)
+        out[r] = fsum_lanes(a + r * cols, cols);
 }
 
 /* Philox4x64-10 multipliers and Weyl key increments, as in numpy's

@@ -312,12 +312,28 @@ def make_config(experiment="strong-rate", **overrides):
     return validate(cfg, experiment, problems)
 
 
-def _check_steps(label, n, T, problems):
-    # the whole-step rule simulate and make_tableau apply
-    try:
-        _whole_steps(n, T)
-    except ValueError as exc:
-        problems.append(label + str(exc))
+def _check_steps(chain, T, problems):
+    """The whole-step rule simulate and make_tableau apply, for T > 0 and
+    each (label, n) of chain: one line per n whose n*T is no whole number
+    of steps, but one line in all for the n whose n*T leaves the float
+    range, as a larger n takes it further out."""
+    beyond = []
+    for label, n in chain:
+        try:
+            _whole_steps(n, T)
+        except ValueError as exc:
+            try:
+                huge = math.isinf(n * T)
+            except OverflowError:  # an int n beyond the float range
+                huge = True
+            if huge:
+                beyond.append(n)
+            else:
+                problems.append(label + str(exc))
+    if beyond:
+        problems.append("n*T must be a positive whole number of steps, but "
+                        "T = %r puts it beyond the float range at n = %s"
+                        % (T, ", ".join(map(str, sorted(set(beyond))))))
 
 
 def _check_chain(name, chain, problems):
@@ -382,11 +398,12 @@ def _violations(cfg, experiment):
 
     if finite["T"] and not cfg.T > 0:
         problems.append("T must be positive, got %r" % (cfg.T,))
-    steps = finite["T"] and cfg.T > 0
+    # (label, n) of each step count that must make n*T whole steps
+    chain = []
     if cfg.n < 1:
         problems.append("n must be >= 1, got %d" % cfg.n)
-    elif steps:
-        _check_steps("", cfg.n, cfg.T, problems)
+    else:
+        chain.append(("", cfg.n))
 
     if cfg.experiment == "strong-rate":
         if not cfg.levels:
@@ -396,14 +413,14 @@ def _violations(cfg, experiment):
             if lev >= 1 and cfg.n_max % lev != 0:
                 problems.append("level n = %d does not divide "
                                 "n_max = %d" % (lev, cfg.n_max))
-            if lev >= 1 and steps:
-                _check_steps("level n = %d: " % lev, lev, cfg.T, problems)
+            if lev >= 1:
+                chain.append(("level n = %d: " % lev, lev))
         if cfg.levels and max(cfg.levels) >= cfg.n_max:
             problems.append("n_max = %d must exceed every level "
                             "(max %d)" % (cfg.n_max, max(cfg.levels)))
-        if steps:
-            _check_steps("n_max = %d: " % cfg.n_max, cfg.n_max, cfg.T,
-                         problems)
+        chain.append(("n_max = %d: " % cfg.n_max, cfg.n_max))
+    if finite["T"] and cfg.T > 0:
+        _check_steps(chain, cfg.T, problems)
 
     if cfg.experiment == "poc-rate":
         if not cfg.N_levels:

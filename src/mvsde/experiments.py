@@ -34,12 +34,12 @@ outside the contraction regime) raises ConfigError before anything is
 written.
 """
 
-import json
 import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -148,23 +148,6 @@ def _config_echo(cfg):
     return echo
 
 
-def _jsonable(v):
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        v = float(v)
-    if isinstance(v, float):
-        return v if math.isfinite(v) else repr(v)
-    # after the floats: is_dataclass per series value would double the cost
-    if is_dataclass(v):
-        return {f.name: _jsonable(getattr(v, f.name)) for f in fields(v)}
-    return v
-
-
 def _cell(v):
     if isinstance(v, str):
         return v
@@ -173,10 +156,75 @@ def _cell(v):
     return repr(float(v))
 
 
+def _json_text(v, out, pad):
+    """Append to out the text json.dump(v, indent=2) writes for v at the
+    indentation pad (a newline and the spaces of v's nesting level), with
+    the report conversions: NumPy integers and floats as Python numbers, a
+    dataclass as the dict of its fields in declaration order, dict keys as
+    str(key), tuples as lists, and a non-finite float as its repr string
+    ("inf", "-inf", "nan"). A list of finite floats is written by one join;
+    json writes each of them as float.__repr__ too."""
+    if isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        # keys that are equal as strings make one, as json.dump gives them
+        for key, x in {str(k): x for k, x in v.items()}.items():
+            out.append(sep)
+            out.append(_quote(key))
+            out.append(": ")
+            _json_text(x, out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        # a finite sum of floats means no term was inf or nan
+        if set(map(type, v)) == {float} and math.isfinite(sum(v)):
+            out.append("[" + inner
+                       + ("," + inner).join(map(float.__repr__, v))
+                       + pad + "]")
+            return
+        sep = "[" + inner
+        for x in v:
+            out.append(sep)
+            _json_text(x, out, inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif isinstance(v, (float, np.floating)):
+        v = float(v)
+        out.append(float.__repr__(v) if math.isfinite(v)
+                   else _quote(repr(v)))
+    elif isinstance(v, str):
+        out.append(_quote(v))
+    elif v is None:
+        out.append("null")
+    elif v is True:
+        out.append("true")
+    elif v is False:
+        out.append("false")
+    elif isinstance(v, (int, np.integer)):
+        out.append(int.__repr__(int(v)))
+    elif is_dataclass(v):
+        _json_text({f.name: getattr(v, f.name) for f in fields(v)}, out,
+                   pad)
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(v).__name__)
+
+
 def _write_json(path, body):
+    """Write body and a newline to path, as json.dump(body, indent=2) with
+    the conversions of _json_text."""
+    out = []
+    _json_text(body, out, "\n")
+    out.append("\n")
     with open(path, "w") as fh:
-        json.dump(_jsonable(body), fh, indent=2)
-        fh.write("\n")
+        fh.write("".join(out))
 
 
 def _emit(cfg, report, rows):
@@ -393,10 +441,14 @@ class _DivergenceTracker:
         if self.step is not None:
             return
         r2 = ens.r2_block
-        bad = np.flatnonzero(
-            ~(r2 <= DIVERGENCE_NORM * DIVERGENCE_NORM).all(axis=1))
-        if bad.size:
-            self.step = ens.t_index - len(r2) + 1 + int(bad[0])
+        bound = DIVERGENCE_NORM * DIVERGENCE_NORM
+        # max propagates nan, so a nan fails the test as an inf does. One
+        # max over the block is the fastest pass; the rows are looked at
+        # only in the one block where a run leaves the trust region
+        if r2.max() <= bound:
+            return
+        bad = np.flatnonzero(~(r2.max(axis=1) <= bound))
+        self.step = ens.t_index - len(r2) + 1 + int(bad[0])
 
 
 def run_moment_stability(cfg):
@@ -512,7 +564,7 @@ def run_ergodic_contraction(cfg):
         k2 = min(total, max(0, round(t2 * n)))
         if k1 < k2:
             pair_steps.append((k1, k2))
-    log_ks = np.unique(np.rint(np.geomspace(1, total, 32)).astype(int))
+    log_ks = np.rint(np.geomspace(1, total, 32)).astype(int)
     rec_steps = sorted(set([0, total]) | set(log_ks.tolist())
                        | set(k for pair in pair_steps for k in pair))
 

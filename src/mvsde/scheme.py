@@ -292,7 +292,8 @@ class StateRecorder:
     """
 
     def __init__(self, steps):
-        self.steps = np.unique(np.fromiter(steps, dtype=np.int64))
+        # not np.unique, whose first call in a process imports numpy.ma
+        self.steps = np.array(sorted(set(steps)), dtype=np.int64)
         self.recorded_steps = []
         self.states = np.empty((0, 0, 0))
         self._rows = None

@@ -259,6 +259,18 @@ def test_step_count_beyond_the_float_range_refused():
             make_config("simulate", T=T)
 
 
+def test_a_chain_beyond_the_float_range_is_one_problem():
+    """A finite T whose n*T leaves the float range for some of the step
+    counts (n, the levels, n_max) is listed once, with those counts."""
+    for T, counts in ((1e307, "32, 64, 128, 256, 512, 1024"),
+                      (1e306, "256, 512, 1024")):
+        with pytest.raises(ConfigError) as err:
+            make_config("strong-rate", T=T)
+        assert str(err.value).splitlines()[1:] == [
+            "  - n*T must be a positive whole number of steps, but T = %r "
+            "puts it beyond the float range at n = %s" % (T, counts)]
+
+
 @pytest.mark.parametrize("experiment", ["strong-rate", "simulate"])
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"),
                                    float("nan")])

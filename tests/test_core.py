@@ -268,6 +268,11 @@ def _sum_rows(m=1, scale=1.0):
     return (np.sqrt(r * r) ** 4).tolist()
 
 
+def _one_chain(terms):
+    """terms, each followed by 7 zeros."""
+    return [v for x in terms for v in [x] + [0.0] * 7]
+
+
 _TINY = 5e-324
 # Rows near every edge of the compiled row sum's compensated pass (see
 # fsum_certified in pairwise.c): it returns its own result only where its
@@ -309,6 +314,12 @@ FSUM_ROWS = {
     + [-2.0 ** -106] * 10,
     "long compensation drift": [1.5, 2.0 ** -53, 64 * 2.0 ** -105]
     + [-2.0 ** -106] * 200,
+    # the same, each term followed by 7 zeros: the pass runs 8 TwoSum
+    # chains along a row, and all the terms fall into one of them
+    "compensation drift in one chain": _one_chain(
+        [1.5, 2.0 ** -53, 4 * 2.0 ** -105] + [-2.0 ** -106] * 10),
+    "long compensation drift in one chain": _one_chain(
+        [1.5, 2.0 ** -53, 64 * 2.0 ** -105] + [-2.0 ** -106] * 200),
     "zero": [1.0, -1.0],
     "zero from -0.0": [-0.0, 0.0],
     "negative zero from cancellation": [-1.0, 1.0, -0.0],
@@ -331,11 +342,57 @@ def test_fsum_rows_matches_math_fsum(compiled_fsum_rows, label):
         assert _bits(got) == _bits([want]), label
 
 
+# row lengths around the compensated pass's groups of FSUM_LANES = 8
+# terms: every tail of the first groups, and a benchmark row of 256
+# particles with one term more and one less
+FSUM_WIDTHS = tuple(range(18)) + (255, 256, 257)
+
+
+def _rows_at_every_lane(width):
+    """Each FSUM_ROWS row that fits into width terms, at each of the 8
+    offsets that fit, among zeros and among r**4 terms; and those two
+    fillers alone."""
+    filler = _sum_rows(width)
+    rows = [[0.0] * width, filler]
+    for label in sorted(FSUM_ROWS):
+        row = FSUM_ROWS[label]
+        for offset in range(min(8, width - len(row) + 1)):
+            for fill in ([0.0] * width, filler):
+                rows.append(fill[:offset] + row
+                            + fill[offset + len(row):])
+    return rows
+
+
+@pytest.fixture(scope="module", params=["compiled", "baseline"])
+def both_clones_fsum_rows(request):
+    """The row sum of the library the package builds, whose AVX2 clone an
+    AVX2 CPU runs, and of the baseline-only build."""
+    name = "%s_library" % request.param
+    return load_compiled(request.getfixturevalue(name))[1]
+
+
+@pytest.mark.parametrize("width", FSUM_WIDTHS)
+def test_fsum_rows_at_every_lane_offset(both_clones_fsum_rows, width):
+    """Every adversarial row at every lane offset of the pass, among zeros
+    and among r**4 terms, and the long ones with every offset in a row of
+    their own length + 7: each sum equals math.fsum's bit for bit."""
+    groups = [(width, _rows_at_every_lane(width))]
+    if width == FSUM_WIDTHS[-1]:
+        for row in FSUM_ROWS.values():
+            if len(row) > width:
+                groups.append((len(row) + 7, [[0.0] * k + row
+                                              + [0.0] * (7 - k)
+                                              for k in range(8)]))
+    for cols, rows in groups:
+        a = np.array(rows, dtype=np.float64).reshape(len(rows), cols)
+        want = [_fsum_or_exception(row) for row in a.tolist()]
+        assert _bits(both_clones_fsum_rows(a)) == _bits(want)
+
+
 @pytest.mark.parametrize("rows", range(1, 10))
 def test_fsum_rows_every_row_count(compiled_fsum_rows, rows):
-    """1 to 9 rows: whole groups of the rows the compensated pass runs side
-    by side and every tail, with rows it proves and rows it hands to
-    fsum's algorithm in every position."""
+    """1 to 9 rows, with rows the compensated pass proves and rows it
+    hands to fsum's algorithm in every position."""
     # the pass proves the first, third and fifth and hands over the rest
     cases = [_sum_rows(40)] + [FSUM_ROWS[label] for label in (
         "compensation drift", "just above the threshold", "tie to even",
@@ -484,7 +541,7 @@ def test_hot_path_has_an_avx2_clone(compiled_library, build_library,
     with open(compiled_library, "rb") as fh:
         image = fh.read()
     for name in ("pair_factors", "mvsde_pair_aggregate", "row_norms",
-                 "step_once"):
+                 "step_once", "mvsde_fsum_rows"):
         assert (name + ".avx2").encode() in image, name
 
 
@@ -567,6 +624,30 @@ def test_compiled_run_imports_no_scipy(compiled_library, tmp_path):
         configs.append(str(path))
     out = _run_python(_RUN_WITHOUT_SCIPY, compiled_library, *configs)
     assert out.split() == []
+
+
+_RUN_WITHOUT_NUMPY_MA = """
+import contextlib, io, sys
+
+import mvsde.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert mvsde.cli.main(["strong-rate", "--config", sys.argv[1]]) in (0, 2)
+print(" ".join(m for m in sys.modules
+               if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+
+
+def test_strong_rate_run_imports_no_numpy_ma(tmp_path):
+    """The first np.unique call of a process imports numpy.ma, which
+    costs more than a small run; StateRecorder sorts and dedupes its
+    steps without it."""
+    path = tmp_path / "strong.ini"
+    path.write_text("[run]\nexperiment = strong-rate\nreps = 2\n"
+                    "p0 = 16.0\nout_dir = %s\n[grid]\nlevels = 4,8\n"
+                    "n_max = 32\nT = 1.0\n[ensemble]\nN = 8\n"
+                    % (tmp_path / "out"))
+    assert _run_python(_RUN_WITHOUT_NUMPY_MA, str(path)).split() == []
 
 
 def test_exact_assignment_imports_its_solver_on_demand():

@@ -252,6 +252,54 @@ def test_divergence_tracker_boundary(monkeypatch, advance):
             assert tracker.step == step
 
 
+def _first_bad_row(r2):
+    """The first row of r2 with an entry not <= DIVERGENCE_NORM**2, or
+    None: the element-wise test the tracker's row maxima replace."""
+    bad = np.flatnonzero(
+        ~(r2 <= DIVERGENCE_NORM * DIVERGENCE_NORM).all(axis=1))
+    return int(bad[0]) if bad.size else None
+
+
+def test_divergence_tracker_matches_the_element_test():
+    """nan, +inf, exactly 1e20 and one ulp above it, alone and together,
+    at every place in a row, and random blocks: the tracker's first
+    divergence step is the element-wise test's."""
+    threshold2 = DIVERGENCE_NORM * DIVERGENCE_NORM
+    above = np.nextafter(threshold2, np.inf)
+    gen = np.random.default_rng(5)
+    blocks = []
+    for special in ([np.nan], [np.inf], [threshold2], [above],
+                    [np.nan, np.inf], [threshold2, np.nan],
+                    [0.0, threshold2]):
+        for place in range(3):
+            block = gen.random((4, 3)) * threshold2
+            block[2, place:place + len(special)] = special[:3 - place]
+            blocks.append(block)
+    for _ in range(200):
+        k, n = gen.integers(1, 9), gen.integers(1, 9)
+        block = gen.random((k, n)) * 2.0 * threshold2
+        picks = gen.random((k, n))
+        block[picks < 0.05] = np.nan
+        block[(picks > 0.05) & (picks < 0.1)] = np.inf
+        block[(picks > 0.1) & (picks < 0.15)] = threshold2
+        block[(picks > 0.15) & (picks < 0.2)] = above
+        # most random blocks hold a bad row; some are cleared of them
+        if gen.random() < 0.3:
+            block = np.where(block <= threshold2, block, 0.5)
+        blocks.append(block)
+    ens = scheme.ParticleEnsemble(np.zeros((1, 1)))
+    found = set()
+    for block in blocks:
+        ens.t_index, ens.r2_block = 40, block
+        tracker = _DivergenceTracker()
+        tracker.observe(ens)
+        want = _first_bad_row(block)
+        assert tracker.step == (None if want is None
+                                else 40 - len(block) + 1 + want)
+        found.add(want is None)
+    assert found == {True, False}
+
+
 # criterion 3's model: pure cubic drift, no diffusion and no kernel
 _PURE_CUBIC = dict(lam=0.0, sigma0=0.0, c_f=0.0, c_g=0.0)
 
@@ -569,6 +617,10 @@ def test_recorder_keeps_and_refusals(monkeypatch, advance):
         _simulate(monkeypatch, kernel, tm, tab, law, callbacks=[rec])
         assert rec.recorded_steps == [2, 6, 8]
         assert rec.states.shape == (3, 4, 1)
+        # and no step at all is recorded as none
+        rec = scheme.StateRecorder([])
+        _simulate(monkeypatch, kernel, tm, tab, law, callbacks=[rec])
+        assert rec.recorded_steps == [] and rec.states.shape == (0, 4, 1)
     # steps outside the grid and a second recorder are refused before
     # the tableau is drawn, on both backends
     tab = make_tableau(1, 4, 1, 1.0, 8)

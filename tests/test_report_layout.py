@@ -6,14 +6,19 @@ driver's report (top level, fit and config echo) and the canonical
 INI text of one resolved config.
 """
 
+import dataclasses
 import json
+import math
 import os
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvsde.config import emit_config, make_config
-from mvsde.experiments import (run_ergodic_contraction,
+from mvsde.experiments import (_write_json, run_ergodic_contraction,
                                run_moment_stability, run_poc_rate,
                                run_simulate, run_strong_rate)
 
@@ -79,6 +84,99 @@ def test_report_key_order(experiment, tmp_path):
     assert list(data["config"]) == ECHO_KEYS
     if "fit" in data:
         assert list(data["fit"]) == FIT_KEYS
+
+
+def _jsonable(v):
+    """The report conversions as json.dump input: the reference that
+    _write_json's one-pass writer is held to."""
+    if isinstance(v, dict):
+        return {str(k): _jsonable(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
+    if isinstance(v, np.integer):
+        return int(v)
+    if isinstance(v, np.floating):
+        v = float(v)
+    if isinstance(v, float):
+        return v if math.isfinite(v) else repr(v)
+    if dataclasses.is_dataclass(v):
+        return {f.name: _jsonable(getattr(v, f.name))
+                for f in dataclasses.fields(v)}
+    return v
+
+
+def _reference_bytes(body):
+    return (json.dumps(_jsonable(body), indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("experiment", sorted(CASES))
+def test_report_bytes_match_json_dump(experiment, tmp_path):
+    """Every driver's report file holds the bytes json.dump(indent=2)
+    gives its body after the report conversions."""
+    runner, overrides, _ = CASES[experiment]
+    cfg = make_config(experiment, out_dir=str(tmp_path), **overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = runner(cfg)
+    name = experiment.replace("-", "_")
+    if isinstance(report, dict):  # run_simulate adds the paths it wrote
+        body = {k: v for k, v in report.items() if not k.endswith("_path")}
+    else:
+        body = {f.name: getattr(report, f.name)
+                for f in dataclasses.fields(report)
+                if not f.name.endswith("_path")}
+    with open(tmp_path / ("%s_report.json" % name), "rb") as fh:
+        assert fh.read() == _reference_bytes(body)
+
+
+@dataclasses.dataclass
+class _Fit:
+    slope: object
+    points: object
+
+
+def _report_values():
+    floats = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                         math.inf, -math.inf, math.nan]))
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.text(), floats,
+        floats.map(np.float64), st.floats(width=32).map(np.float32),
+        st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+        st.integers(0, 255).map(np.uint8))
+    keys = st.one_of(st.text(), st.integers(), st.booleans(), st.none(),
+                     st.floats(allow_nan=False))
+    return st.recursive(scalars, lambda inner: st.one_of(
+        st.lists(inner), st.lists(floats), st.lists(inner).map(tuple),
+        st.dictionaries(keys, inner),
+        st.builds(_Fit, inner, inner)), max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=_report_values())
+def test_writer_matches_json_dump(body, tmp_path_factory):
+    """Nested dicts, lists, tuples and empty containers; unicode and
+    escaped strings; ints, bools and None; signed zeros, subnormals, inf
+    and nan (written as their repr strings) and lists of floats alone;
+    NumPy scalars and dataclasses: the bytes of json.dump(indent=2)."""
+    path = tmp_path_factory.mktemp("json") / "report.json"
+    _write_json(str(path), body)
+    assert path.read_bytes() == _reference_bytes(body)
+
+
+def test_writer_merges_keys_equal_as_strings(tmp_path):
+    body = {1: "a", "1": "b", None: [], "None": {}, "x": ()}
+    _write_json(str(tmp_path / "keys.json"), body)
+    assert (tmp_path / "keys.json").read_bytes() == _reference_bytes(body)
+
+
+def test_writer_refuses_what_json_refuses(tmp_path):
+    for value in (np.bool_(True), {1, 2}, object()):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json.dumps(_jsonable({"v": value}))
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _write_json(str(tmp_path / "bad.json"), {"v": value})
 
 
 POC_RATE_INI = (
