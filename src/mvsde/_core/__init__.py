@@ -37,7 +37,7 @@ ndtri_py = pairwise_py.ndtri
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 # the mvsde_abi of the pairwise.c these bindings are written for
-_ABI = 2
+_ABI = 3
 
 
 class _Coeffs(ctypes.Structure):
@@ -45,8 +45,7 @@ class _Coeffs(ctypes.Structure):
 
     _fields_ = ([(name, ctypes.c_double) for name in (
         "h", "beta1", "betaq", "q_b", "lam", "kap_pair", "s0", "s1", "c_s",
-        "gamma", "e_self", "tame_sigma", "kf1", "kfq", "q_f", "c_g",
-        "e_kernel", "tame_g")]
+        "gamma", "e", "kf1", "kfq", "q_f", "c_g")]
         + [("k_noise", ctypes.c_ssize_t)])
 
 

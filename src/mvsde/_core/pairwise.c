@@ -33,7 +33,7 @@
  * order, and vector +, -, *, / and sqrt round as their scalar forms do,
  * so the bits are the same. It runs every model: each power site
  * keeps step's special cases (q_b in {0, 1, 2} gives 1, r and r * r, the
- * taming exponent e_self in {0, 2, 4} gives 1, r2 and r2 * r2) and sends
+ * taming exponent e in {0, 2, 4} gives 1, r2 and r2 * r2) and sends
  * any other exponent to libm pow, as pairwise_py.power does on the NumPy
  * side. On request it also writes the squared norm of every particle
  * after every step, as np.sum(x * x, axis=-1) gives it, so the observers
@@ -100,11 +100,11 @@
 #include <stdint.h>
 #include <string.h>
 
-/* Raised whenever a kernel's signature or the size of its work array
- * changes; mvsde._core loads no library whose value differs from its own,
- * so a stale build runs NumPy instead of passing arguments that its
- * kernels would ignore or a work array they would overrun. */
-const int mvsde_abi = 2;
+/* Raised whenever a kernel's signature, struct mvsde_coeffs or the size of
+ * its work array changes; mvsde._core loads no library whose value differs
+ * from its own, so a stale build runs NumPy instead of passing arguments
+ * that its kernels would misread or a work array they would overrun. */
+const int mvsde_abi = 3;
 
 /* The pair loop takes the rows in blocks of PAIR_ROWS and the components in
  * chunks of PAIR_CHUNK, with compile-time counts for both, so the sums of a
@@ -358,15 +358,14 @@ void mvsde_pair_aggregate(const double *restrict X, ptrdiff_t n,
  * The self drift is beta1 x + betaq x |x|^q_b plus lam * mean (functional
  * measure mode) or kap_pair * (mean - x) (pairwise mode; the caller zeroes
  * the other one). The diffusion diagonal s0 + s1 x + c_s (mean - x) covers
- * the first k_noise = min(d, l) components. Both are divided by
- * 1 + gamma |x|^e_self when gamma != 0 (the diffusion only if tame_sigma).
- * The pair kernel arguments are those of mvsde_pair_aggregate. */
+ * the first k_noise = min(d, l) components. When gamma != 0 both are
+ * divided by 1 + gamma |x|^e, and the pair kernel kf1, kfq, q_f, c_g of
+ * mvsde_pair_aggregate is tamed at the same gamma and e, g included. */
 struct mvsde_coeffs {
     double h;
     double beta1, betaq, q_b, lam, kap_pair;
-    double s0, s1, c_s;
-    double gamma, e_self, tame_sigma;
-    double kf1, kfq, q_f, c_g, e_kernel, tame_g;
+    double s0, s1, c_s, gamma, e;
+    double kf1, kfq, q_f, c_g;
     ptrdiff_t k_noise;
 };
 
@@ -496,7 +495,7 @@ ALWAYS_INLINE void noise_pass(const struct mvsde_coeffs *cf,
 {
     const double s0 = cf->s0, s1 = cf->s1, c_s = cf->c_s;
     const int lin = s1 != 0.0, pull = c_s != 0.0,
-              tame = cf->gamma != 0.0 && cf->tame_sigma != 0.0;
+              tame = cf->gamma != 0.0;
     double v, s;
     ptrdiff_t i, c;
 
@@ -523,7 +522,7 @@ ALWAYS_INLINE void noise_pass(const struct mvsde_coeffs *cf,
  * when y holds a non-finite value.
  *
  * The self terms run as passes over the particles: the squared norms r2,
- * then pw = |x|^q_b and den = 1 + gamma |x|^e_self with one loop per
+ * then pw = |x|^q_b and den = 1 + gamma |x|^e with one loop per
  * exponent case (libm pow, which stays scalar, only outside the special
  * cases), then the drift and the noise over the elements, with the
  * coefficient switches as loop invariants, then one test of every element
@@ -537,7 +536,7 @@ static int step_once(const struct mvsde_coeffs *cf, const double *x,
 {
     double *F = work, *G = work + n * d, *mean = G + n * d, *sq = mean + d;
     double *r2 = sq + d, *pw = r2 + n, *den = pw + n;
-    double dn = (double)n, q = cf->q_b, e = cf->e_self, gamma = cf->gamma, r;
+    double dn = (double)n, q = cf->q_b, e = cf->e, gamma = cf->gamma, r;
     double bad = 0.0;
     ptrdiff_t i, c, k = cf->k_noise;
 
@@ -558,7 +557,7 @@ static int step_once(const struct mvsde_coeffs *cf, const double *x,
     }
     if (cf->kf1 != 0.0 || cf->kfq != 0.0 || cf->c_g != 0.0)
         mvsde_pair_aggregate(x, n, d, cf->kf1, cf->kfq, cf->q_f, cf->c_g,
-                             gamma, cf->e_kernel, cf->tame_g, F, G, r2);
+                             gamma, e, 1.0, F, G, r2);
     else
         memset(F, 0, 2 * (size_t)(n * d) * sizeof(double));
 

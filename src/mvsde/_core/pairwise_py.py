@@ -127,7 +127,8 @@ def pair_aggregate(X, kf1, kfq, qf, cg, tam, te, tame_g=1.0):
     cg : diagonal diffusion kernel coefficient
     tam : taming weight (0 disables taming exactly)
     te : taming radial exponent
-    tame_g : nonzero to apply the taming weight to g as well as f
+    tame_g : nonzero to apply the taming weight to g as well as f, as
+        the scheme always does
 
     Returns
     -------

@@ -31,12 +31,14 @@ exactly. Validation collects every violated constraint before raising.
 
 Each value is typed here, once, by its field's annotation. INI text is
 parsed by the type ("16.5" is no int); a make_config keyword must be of
-the type, except that an int field takes an integral float (16.0 is 16)
-and a float field an int (2 is 2.0). A bool, or a string, for a number
-is refused. So the drivers read the fields as they are, and a keyword
-config writes the report bytes of its emit_config text. T, p and p0
-must be finite, and an ergodic run refuses the W2 routes metrics.w2
-would (sorted_1d at d != 1, exact_assignment with N above cap).
+the type, except that an int field takes an integral float (16.0 is 16;
+model.whole_number, also the rule of a model's dimensions and a
+TamedModel's n) and a float field an int (2 is 2.0). A bool, or a
+string, for a number is refused. So the drivers read the fields as they
+are, and a keyword config writes the report bytes of its emit_config
+text. T, p and p0 must be finite, and an ergodic run refuses the W2
+routes metrics.w2 would (sorted_1d at d != 1, exact_assignment with N
+above cap).
 
 Threads resolve at run time (flag, then MVSDE_THREADS, then this file)
 and never affect any numeric output.
@@ -68,7 +70,7 @@ import numbers
 from dataclasses import dataclass, field, fields
 
 from .metrics import W2_METHODS
-from .model import make_model
+from .model import make_model, whole_number
 from .rng import _whole_steps, parse_initial
 from .taming import VARIANTS
 
@@ -226,11 +228,12 @@ def _typed(kind, value, text):
         elif not isinstance(value, (list, tuple)):
             raise ValueError(value)
         return tuple(_typed(int, v, text) for v in value)
-    if not text and not (
-            isinstance(value, str) if kind is str else
-            isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and (kind is float or isinstance(value, numbers.Integral)
-                 or float(value).is_integer())):
+    if text:
+        return kind(value)
+    if kind is int:
+        return whole_number(value)
+    if not (isinstance(value, str) if kind is str else
+            isinstance(value, numbers.Real) and not isinstance(value, bool)):
         raise ValueError(value)
     return kind(value)
 
@@ -314,26 +317,25 @@ def make_config(experiment="strong-rate", **overrides):
 
 def _check_steps(chain, T, problems):
     """The whole-step rule simulate and make_tableau apply, for T > 0 and
-    each (label, n) of chain: one line per n whose n*T is no whole number
-    of steps, but one line in all for the n whose n*T leaves the float
-    range, as a larger n takes it further out."""
-    beyond = []
-    for label, n in chain:
+    each step count n of chain: one line naming every n whose n*T is no
+    whole number of steps, and one naming every n whose n*T leaves the
+    float range, as one bad T fails it at many n."""
+    fraction, beyond = set(), set()
+    for n in chain:
         try:
             _whole_steps(n, T)
-        except ValueError as exc:
+        except ValueError:
             try:
                 huge = math.isinf(n * T)
             except OverflowError:  # an int n beyond the float range
                 huge = True
-            if huge:
-                beyond.append(n)
-            else:
-                problems.append(label + str(exc))
-    if beyond:
-        problems.append("n*T must be a positive whole number of steps, but "
-                        "T = %r puts it beyond the float range at n = %s"
-                        % (T, ", ".join(map(str, sorted(set(beyond))))))
+            (beyond if huge else fraction).add(n)
+    for bad, how in ((fraction, "does not make one"),
+                     (beyond, "puts it beyond the float range")):
+        if bad:
+            problems.append("n*T must be a positive whole number of steps, "
+                            "but T = %r %s at n = %s"
+                            % (T, how, ", ".join(map(str, sorted(bad)))))
 
 
 def _check_chain(name, chain, problems):
@@ -398,12 +400,12 @@ def _violations(cfg, experiment):
 
     if finite["T"] and not cfg.T > 0:
         problems.append("T must be positive, got %r" % (cfg.T,))
-    # (label, n) of each step count that must make n*T whole steps
+    # each step count that must make n*T whole steps
     chain = []
     if cfg.n < 1:
         problems.append("n must be >= 1, got %d" % cfg.n)
     else:
-        chain.append(("", cfg.n))
+        chain.append(cfg.n)
 
     if cfg.experiment == "strong-rate":
         if not cfg.levels:
@@ -414,11 +416,11 @@ def _violations(cfg, experiment):
                 problems.append("level n = %d does not divide "
                                 "n_max = %d" % (lev, cfg.n_max))
             if lev >= 1:
-                chain.append(("level n = %d: " % lev, lev))
+                chain.append(lev)
         if cfg.levels and max(cfg.levels) >= cfg.n_max:
             problems.append("n_max = %d must exceed every level "
                             "(max %d)" % (cfg.n_max, max(cfg.levels)))
-        chain.append(("n_max = %d: " % cfg.n_max, cfg.n_max))
+        chain.append(cfg.n_max)
     if finite["T"] and cfg.T > 0:
         _check_steps(chain, cfg.T, problems)
 

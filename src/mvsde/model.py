@@ -20,15 +20,17 @@ above). All maps are autonomous; the time argument is accepted for
 interface uniformity.
 
 self_terms and pair_terms are the scheme's tamed coefficients, the
-algebra scheme.step and the pair kernel run; eval_* are both untamed.
+algebra scheme.step and the pair kernel run, at a taming weight gamma and
+exponent e (taming.TamedModel); eval_* are both at gamma = 0, untamed.
 
 Diagonal terms (s1, c_s, c_g) require a square noise, l == d.
 """
 
+import numbers
+
 import numpy as np
 
 from ._core.pairwise_py import pair_factors, pair_r2, power, tame_power
-from .taming import UNTAMED
 
 
 class CoefficientModel:
@@ -141,6 +143,18 @@ FAMILIES = {
 }
 
 
+def whole_number(value, what="value"):
+    """value as an int: an int, or an integral float such as 16.0. A bool,
+    a fractional or non-finite number and a non-number raise ValueError
+    naming `what`. The rule of every count and dimension: config's int
+    fields, make_model's d and l, and TamedModel's n."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral)
+                 or float(value).is_integer())):
+        return int(value)
+    raise ValueError("%s must be a whole number, got %r" % (what, value))
+
+
 def make_model(family_id, d=1, l=None, params=None):
     """Construct a CoefficientModel from a named family.
 
@@ -149,9 +163,10 @@ def make_model(family_id, d=1, l=None, params=None):
     family_id : str
         Key into FAMILIES.
     d : int
-        State dimension (>= 1).
+        State dimension (>= 1); an integral float such as 2.0 is taken,
+        a fractional one or a bool is refused (whole_number).
     l : int, optional
-        Noise dimension; defaults to d.
+        Noise dimension, under the same rule; defaults to d.
     params : dict, optional
         Overrides merged into the family defaults. Unknown keys raise, and
         so does a growth order q < 0.
@@ -175,8 +190,8 @@ def make_model(family_id, d=1, l=None, params=None):
         raise ValueError("growth order q must be >= 0, got %r (a negative "
                          "q divides by zero where two particles "
                          "coincide); set q to 0 or more" % merged["q"])
-    d = int(d)
-    l = d if l is None else int(l)
+    d = whole_number(d, "dimension d")
+    l = d if l is None else whole_number(l, "dimension l")
     if d < 1 or l < 1:
         raise ValueError("dimensions must be >= 1, got d=%d l=%d" % (d, l))
     canon = spec["canon"](merged)
@@ -199,15 +214,16 @@ def _measure_mean(model, mu):
     return np.asarray(mu, dtype=np.float64).mean(axis=-2)
 
 
-def self_terms(model, par, x, mean, k):
+def self_terms(model, gamma, e, x, mean, k):
     """Self drift b_n (..., d) and noise diagonal sigma_n (..., k) of the
-    scheme at states x (..., d), for taming parameters par
-    (taming.taming_parameters) and the measure's mean (None if unread).
+    scheme at states x (..., d), for the taming weight gamma and exponent
+    e (taming.TamedModel) and the measure's mean (None if unread).
 
     In scheme.step's order, which the fused kernel repeats: the coupling,
     kap_pair * (mean - x) in pairwise mode and lam * mean otherwise, joins
-    the self drift before the division by 1 + gamma |x|^e_self. The
-    squared norm |x|^2 is summed once, for |x|^q_b and the denominator.
+    the self drift before the drift and the noise diagonal are divided by
+    1 + gamma |x|^e, a division gamma = 0 skips. The squared norm |x|^2 is
+    summed once, for |x|^q_b and the denominator.
     """
     r2 = np.sum(x * x, axis=-1)
     b = model.beta1 * x
@@ -223,22 +239,21 @@ def self_terms(model, par, x, mean, k):
         diag = diag + model.s1 * x[..., :k]
     if model.c_s != 0.0:
         diag = diag + model.c_s * (mean - x)[..., :k]
-    if par["gamma"] != 0.0:
-        den = 1.0 + par["gamma"] * tame_power(r2, par["e_self"])
+    if gamma != 0.0:
+        den = 1.0 + gamma * tame_power(r2, e)
         b = b / den[..., None]
-        if par["tame_sigma"]:
-            diag = diag / den[..., None]
+        diag = diag / den[..., None]
     return b, diag
 
 
-def pair_terms(model, par, x, y, k):
+def pair_terms(model, gamma, e, x, y, k):
     """Per-pair drift f_n (..., d) and noise diagonal g_n (..., k) of the
     scheme: pair_factors, the pair kernel's algebra, at the sequential
-    squared radius of x - y; par as in self_terms."""
+    squared radius of x - y; gamma and e as in self_terms, both f and g
+    tamed."""
     dx = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
     cf, cgw = pair_factors(pair_r2(dx), model.kf1, model.kfq, model.q_f,
-                           model.c_g, par["gamma"], par["e_kernel"],
-                           1.0 if par["tame_g"] else 0.0)
+                           model.c_g, gamma, e, 1.0)
     return cf[..., None] * dx, cgw[..., None] * dx[..., :k]
 
 
@@ -255,14 +270,14 @@ def eval_drift_b(model, t, x, mu=None):
     drift. t is ignored (autonomous coefficients); mu is an atom array
     (..., M, d) whose batch axes broadcast against those of x."""
     x = np.asarray(x, dtype=np.float64)
-    return self_terms(model, UNTAMED, x, _measure_mean(model, mu), 0)[0]
+    return self_terms(model, 0.0, 0.0, x, _measure_mean(model, mu), 0)[0]
 
 
 def eval_sigma(model, t, x, mu=None):
     """Measure-dependent diffusion sigma(t, x, mu) as a (..., d, l) matrix:
     self_terms' untamed noise diagonal."""
     x = np.asarray(x, dtype=np.float64)
-    return _diagonal(model, self_terms(model, UNTAMED, x,
+    return _diagonal(model, self_terms(model, 0.0, 0.0, x,
                                        _measure_mean(model, mu),
                                        min(model.d, model.l))[1])
 
@@ -270,13 +285,13 @@ def eval_sigma(model, t, x, mu=None):
 def eval_kernel_f(model, x, y):
     """Interaction drift kernel f(x, y) = (kf1 + kfq |x-y|^q_f)(x - y):
     pair_terms' untamed drift."""
-    return pair_terms(model, UNTAMED, x, y, 0)[0]
+    return pair_terms(model, 0.0, 0.0, x, y, 0)[0]
 
 
 def eval_kernel_g(model, x, y):
     """Interaction diffusion kernel g(x, y) = c_g diag(x - y), (..., d, l):
     pair_terms' untamed noise diagonal."""
-    return _diagonal(model, pair_terms(model, UNTAMED, x, y,
+    return _diagonal(model, pair_terms(model, 0.0, 0.0, x, y,
                                        min(model.d, model.l))[1])
 
 
@@ -293,12 +308,12 @@ def eval_pair_drift(model, t, x, y):
     """Two-argument drift of pairwise mode: b(t, x, mu) = mean_y btilde,
     self_terms' untamed drift with y as the mean."""
     x, y = _pair_arguments(model, "eval_pair_drift", x, y)
-    return self_terms(model, UNTAMED, x, y, 0)[0]
+    return self_terms(model, 0.0, 0.0, x, y, 0)[0]
 
 
 def eval_pair_sigma(model, t, x, y):
     """Two-argument diffusion of pairwise mode, (..., d, l): self_terms'
     untamed noise diagonal with y as the mean."""
     x, y = _pair_arguments(model, "eval_pair_sigma", x, y)
-    return _diagonal(model, self_terms(model, UNTAMED, x, y,
+    return _diagonal(model, self_terms(model, 0.0, 0.0, x, y,
                                        min(model.d, model.l))[1])

@@ -39,7 +39,6 @@ import numpy as np
 from . import model as model_mod
 from . import rng as rng_mod
 from .ensemble import ParticleEnsemble, _moment_order, moments_from_r2
-from .taming import taming_parameters
 from ._core import bind_advance, pair_aggregate
 
 # target float64 count per pulled increment block
@@ -72,7 +71,8 @@ def step(ens, tm, dW):
     ----------
     ens : ParticleEnsemble
     tm : TamedModel
-        Taming variant "off" gives plain Euler.
+        Its gamma and e tame every coefficient; variant "off" (gamma = 0)
+        gives plain Euler.
     dW : (N, l') array
         Increment block for this step (first N rows of the tableau level);
         l' >= _noise_width(tm.base), so (N, 0) for a model with no noise.
@@ -85,17 +85,15 @@ def step(ens, tm, dW):
     if ens.overflow_flag:
         return False
     base = tm.base
-    par = taming_parameters(tm)
     x = ens.states
     k = _noise_width(base)
     # self part and measure coupling, all from the old state; inf/nan
     # propagate silently into the overflow flag below
     with np.errstate(over="ignore", invalid="ignore"):
-        b, s_diag = model_mod.self_terms(base, par, x, x.mean(axis=0), k)
-        f_sum, g_sum = pair_aggregate(
-            x, base.kf1, base.kfq, base.q_f, base.c_g,
-            par["gamma"], par["e_kernel"],
-            1.0 if par["tame_g"] else 0.0)
+        b, s_diag = model_mod.self_terms(base, tm.gamma, tm.e, x,
+                                         x.mean(axis=0), k)
+        f_sum, g_sum = pair_aggregate(x, base.kf1, base.kfq, base.q_f,
+                                      base.c_g, tm.gamma, tm.e)
 
         out = ens.scratch
         np.add(x, (b + f_sum) * (1.0 / tm.n), out=out)
@@ -238,17 +236,13 @@ def _advancer(tm, ens):
 
         return advance
     base = tm.base
-    par = taming_parameters(tm)
     pairwise = base.measure_mode == "pairwise"
     run = bind_advance(dict(
         h=1.0 / tm.n, beta1=base.beta1, betaq=base.betaq, q_b=base.q_b,
         lam=0.0 if pairwise else base.lam,
         kap_pair=base.kap_pair if pairwise else 0.0,
-        s0=base.s0, s1=base.s1, c_s=base.c_s,
-        gamma=par["gamma"], e_self=par["e_self"],
-        tame_sigma=1.0 if par["tame_sigma"] else 0.0,
+        s0=base.s0, s1=base.s1, c_s=base.c_s, gamma=tm.gamma, e=tm.e,
         kf1=base.kf1, kfq=base.kfq, q_f=base.q_f, c_g=base.c_g,
-        e_kernel=par["e_kernel"], tame_g=1.0 if par["tame_g"] else 0.0,
         k_noise=_noise_width(base)), ens.states, ens.scratch)
 
     def advance(block, steps, obs, keep, rec):

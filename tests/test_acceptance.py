@@ -25,7 +25,7 @@ from mvsde.model import (FAMILIES, eval_drift_b, make_model, pair_terms,
 from mvsde.probes import documented_sets, probe_assumptions
 from mvsde.rng import level_increments, make_tableau
 from mvsde.scheme import StateRecorder, simulate
-from mvsde.taming import TamedModel, taming_parameters
+from mvsde.taming import TamedModel
 
 _PURE_CUBIC = dict(lam=0.0, sigma0=0.0, c_f=0.0, c_g=0.0)
 
@@ -168,7 +168,7 @@ def test_criterion_6_taming_algebra_exact():
         prev = None
         for n in ns:
             tm = TamedModel(model, n, "finite")
-            tam = self_terms(model, taming_parameters(tm), xs,
+            tam = self_terms(model, tm.gamma, tm.e, xs,
                              mus.mean(axis=-2), 0)[0]
             nt = np.sqrt((tam * tam).sum(-1))
             assert (nt <= nr).all(), family
@@ -180,9 +180,9 @@ def test_criterion_6_taming_algebra_exact():
             prev = nt
         x2 = gen.normal(scale=2.0, size=(10000, 2))
         y2 = gen.normal(scale=2.0, size=(10000, 2))
-        par = taming_parameters(TamedModel(model, 16, "finite"))
-        resid = (pair_terms(model, par, x2, y2, 0)[0]
-                 + pair_terms(model, par, y2, x2, 0)[0])
+        tm = TamedModel(model, 16, "finite")
+        resid = (pair_terms(model, tm.gamma, tm.e, x2, y2, 0)[0]
+                 + pair_terms(model, tm.gamma, tm.e, y2, x2, 0)[0])
         assert (resid == 0.0).all(), family
     print("criterion 6: exact over 10^4 points x 5 families x n in %s"
           % (ns,))

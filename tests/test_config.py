@@ -96,6 +96,18 @@ def test_all_violations_collected():
     assert "slope band is empty" in msg
 
 
+def test_the_dropped_taming_variant_is_refused():
+    """strong_order_candidate is no variant: make_config and parse_config
+    refuse it and name the three that are."""
+    want = ("unknown taming variant 'strong_order_candidate'; known: "
+            "finite, ergodic, off")
+    with pytest.raises(ConfigError, match=want):
+        make_config("strong-rate", variant="strong_order_candidate")
+    with pytest.raises(ConfigError, match=want):
+        parse_config("[run]\nexperiment = strong-rate\n"
+                     "[taming]\nvariant = strong_order_candidate\n")
+
+
 def test_syntax_error_reports_line():
     with pytest.raises(ConfigError, match="config syntax error"):
         parse_config("[run]\nexperiment strong-rate\n")
@@ -269,6 +281,22 @@ def test_a_chain_beyond_the_float_range_is_one_problem():
         assert str(err.value).splitlines()[1:] == [
             "  - n*T must be a positive whole number of steps, but T = %r "
             "puts it beyond the float range at n = %s" % (T, counts)]
+
+
+def test_a_step_count_rule_broken_along_the_chain_is_one_problem():
+    """A T that is no whole number of steps at n, the levels and n_max is
+    listed once, naming each of those counts once."""
+    with pytest.raises(ConfigError) as err:
+        make_config("strong-rate", T=1.3)
+    assert str(err.value).splitlines()[1:] == [
+        "  - n*T must be a positive whole number of steps, but T = 1.3 "
+        "does not make one at n = 16, 32, 64, 128, 256, 512, 1024"]
+    # the counts where it fails, and only those: n / 64 is whole from 64
+    with pytest.raises(ConfigError) as err:
+        make_config("strong-rate", T=1.0 / 64)
+    assert str(err.value).splitlines()[1:] == [
+        "  - n*T must be a positive whole number of steps, but T = 0.015625 "
+        "does not make one at n = 16, 32"]
 
 
 @pytest.mark.parametrize("experiment", ["strong-rate", "simulate"])

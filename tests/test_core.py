@@ -27,7 +27,7 @@ from mvsde._core import (_select_backend, fsum_rows_py, load_compiled,
                          philox_uniforms_py)
 from mvsde._core.pairwise_py import power
 from mvsde.model import make_model
-from mvsde.taming import VARIANTS, TamedModel, taming_parameters
+from mvsde.taming import VARIANTS, TamedModel
 
 # (kf1, kfq, qf, cg, tam, te, tame_g)
 SPECIAL = {
@@ -147,15 +147,15 @@ def test_compiled_accepts_any_layout(c_pair_aggregate):
 @pytest.mark.parametrize("d", (1, 3, 9))
 @pytest.mark.parametrize("q", (1.0, 1.5, 3.0))
 def test_pair_sums_agree_at_every_q(c_pair_aggregate, q, d):
-    """The kernel arguments of every taming variant at growth order q: C,
-    numpy and the oracle agree byte for byte."""
+    """The kernel arguments of every taming variant at growth order q, g
+    tamed as the scheme tames it: C, numpy and the oracle agree byte for
+    byte."""
     for family in ("cubic-mean-field", "ergodic-dissipative"):
         model = make_model(family, d=d, params={"q": q})
         for variant in VARIANTS:
-            par = taming_parameters(TamedModel(model, 16, variant))
-            kernel = (model.kf1, model.kfq, model.q_f, model.c_g,
-                      par["gamma"], par["e_kernel"],
-                      1.0 if par["tame_g"] else 0.0)
+            tm = TamedModel(model, 16, variant)
+            kernel = (model.kf1, model.kfq, model.q_f, model.c_g, tm.gamma,
+                      tm.e, 1.0)
             for cloud, x in _clouds(17, d).items():
                 what = "%s, %s, %s cloud" % (family, variant, cloud)
                 got = c_pair_aggregate(x, *kernel)
@@ -225,17 +225,18 @@ def test_loader_binds_every_kernel_or_none(compiled_library, build_library,
             load_compiled(stale)
         assert _select_backend(stale) == numpy_backend
     # every kernel, but from before the ABI constant or from another ABI,
-    # the previous one (1) among them: the package and the library must
-    # agree on every signature and on the size of the work array
+    # the previous one (2, whose step struct has 19 fields) among them: the
+    # package and the library must agree on every signature, the step
+    # struct and the size of the work array
     for label, abi, found in (("unversioned", "", 0),
-                              ("previous", "const int mvsde_abi = 1;\n", 1),
+                              ("previous", "const int mvsde_abi = 2;\n", 2),
                               ("other", "const int mvsde_abi = 7;\n", 7)):
         stub = tmp_path / ("stale_%s.c" % label)
         stub.write_text(abi + "".join("void %s(void) {}\n" % sym
                                       for sym in older + ["mvsde_ndtri"]))
         stale = build_library(str(stub), stub.stem + ".so")
         with pytest.raises(AttributeError, match="mvsde_abi is %d, the "
-                           "package needs 2" % found):
+                           "package needs 3" % found):
             load_compiled(stale)
         assert _select_backend(stale) == numpy_backend
     assert _select_backend(str(tmp_path / "missing.so")) == numpy_backend

@@ -28,7 +28,7 @@ from mvsde.model import FAMILIES, make_model
 from mvsde.rng import initial_law, make_tableau
 from mvsde.taming import TamedModel
 
-VARIANTS = ("off", "finite", "ergodic", "strong_order_candidate")
+VARIANTS = ("off", "finite", "ergodic")
 COEFF_NAMES = [name for name, _ in _Coeffs._fields_]
 
 
@@ -87,7 +87,7 @@ def _assert_fused_matches_step(monkeypatch, advance, family, d):
             _assert_same_run(*runs)
             ran += 1
             full += runs[0][0].t_index == n
-    assert ran == 20  # every variant at every size
+    assert ran == 15  # every variant at every size
     assert full >= ran - 5  # only plain Euler at the larger sizes diverges
 
 
@@ -438,7 +438,7 @@ def test_fused_row_r2_order(advance, d):
     x = rng.normal(size=(256, d)) * 10.0 ** rng.integers(-4, 5, (256, d))
     r2 = np.sum(x * x, axis=-1)
     want = x + (x / (1.0 + r2)[:, None] + 0.0) * 1.0
-    done, got = _one_step(advance, x, beta1=1.0, gamma=1.0, e_self=2.0)
+    done, got = _one_step(advance, x, beta1=1.0, gamma=1.0, e=2.0)
     assert done == 1
     _assert_same_arrays(got, want)
     if d >= 8:
@@ -459,11 +459,12 @@ def test_fused_adds_short_circuited_pair_sums(advance):
 
 
 # Every value of each self-term switch of the fused step: q_b (None: no
-# growth term, betaq = 0), e_self (None: gamma = 0), tame_sigma, the
-# measure coupling (lam in the functional mode, kap_pair in the pairwise
-# one), c_s, s1 and the noise width k_noise (0, below d, d).
+# growth term, betaq = 0), the taming exponent e (None: gamma = 0; then
+# each case of the denominator: 0, 2, 4 and libm pow), the measure
+# coupling (lam in the functional mode, kap_pair in the pairwise one), c_s,
+# s1 and the noise width k_noise (0, below d, d).
 _SELF_SWITCHES = list(itertools.product(
-    (None, 0.0, 1.0, 2.0, 1.5), (None, 0.0, 2.0, 4.0, 3.0), (False, True),
+    (None, 0.0, 1.0, 2.0, 1.5), (None, 0.0, 2.0, 4.0, 3.0),
     (None, "lam", "kap_pair"), (0.0, 0.4), (0.0, 0.2), ("none", "part",
                                                         "full")))
 _SWEEP_SIZES = (1, 2, 3, 5, 64)
@@ -498,7 +499,7 @@ def _sweep_cloud(kind, n, d, rng):
 
 @pytest.mark.parametrize("build", ("default", "fma", "baseline"))
 @pytest.mark.parametrize("d", range(1, 10))
-def test_fused_self_terms_match_step(monkeypatch, request, build, d):
+def test_fused_self_terms_match_step(request, build, d):
     """One fused step against scheme.step at every self-term switch, d from
     1 to 9 (both sides of np_sum's 7 | 8 boundary), N in {1, 2, 3, 5, 64},
     on random, signed-zero and overflowing clouds, with and without the
@@ -508,13 +509,13 @@ def test_fused_self_terms_match_step(monkeypatch, request, build, d):
     library = request.getfixturevalue(
         "compiled_library" if build == "default" else build + "_library")
     advance = load_compiled(library)[0]
-    # scheme.step takes its taming parameters from the stand-in TamedModel
-    monkeypatch.setattr(scheme, "taming_parameters", lambda tm: tm.par)
     rng = np.random.default_rng(d)
     n_level = 8
     overflowed = 0
+    exponents = set()
     for switches, size, cloud, pair in _sweep_cases(d):
-        q_b, e_self, tame_sigma, coupling, c_s, s1, width = switches
+        q_b, e, coupling, c_s, s1, width = switches
+        exponents.add(e)
         base = types.SimpleNamespace(
             d=d, l={"none": 0, "part": d // 2, "full": d}[width],
             beta1=1.0, betaq=0.0 if q_b is None else -1.0,
@@ -525,11 +526,9 @@ def test_fused_self_terms_match_step(monkeypatch, request, build, d):
             kap_pair=0.7 if coupling == "kap_pair" else 0.0,
             s0=0.3, s1=s1, c_s=c_s, kf1=0.3 if pair else 0.0,
             kfq=0.2 if pair else 0.0, q_f=2.0, c_g=0.25 if pair else 0.0)
-        par = dict(gamma=0.0 if e_self is None else 0.35,
-                   e_self=0.0 if e_self is None else e_self,
-                   e_kernel=0.0 if e_self is None else e_self,
-                   tame_sigma=tame_sigma, tame_g=tame_sigma)
-        tm = types.SimpleNamespace(base=base, n=n_level, par=par)
+        tm = types.SimpleNamespace(base=base, n=n_level,
+                                   gamma=0.0 if e is None else 0.35,
+                                   e=0.0 if e is None else e)
         k = scheme._noise_width(base)
         x = _sweep_cloud(cloud, size, d, rng)
         dw = rng.normal(scale=n_level ** -0.5, size=(size, base.l))
@@ -545,18 +544,20 @@ def test_fused_self_terms_match_step(monkeypatch, request, build, d):
             advance, x, dw, obs, h=1.0 / n_level, beta1=base.beta1,
             betaq=base.betaq, q_b=base.q_b, lam=base.lam,
             kap_pair=base.kap_pair, s0=base.s0, s1=s1, c_s=c_s,
-            gamma=par["gamma"], e_self=par["e_self"],
-            tame_sigma=1.0 if tame_sigma else 0.0, kf1=base.kf1,
-            kfq=base.kfq, q_f=base.q_f, c_g=base.c_g,
-            e_kernel=par["e_kernel"], tame_g=1.0 if tame_sigma else 0.0,
-            k_noise=k)
+            gamma=tm.gamma, e=tm.e, kf1=base.kf1, kfq=base.kfq,
+            q_f=base.q_f, c_g=base.c_g, k_noise=k)
         case = (switches, size, cloud, pair)
         assert done == (1 if alive else 0), case
         _assert_same_arrays(got, ens.states)
         _assert_same_arrays(obs, want_obs)
         overflowed += not alive
     # most cases on the two overflowing clouds leave the float range
-    assert overflowed >= 50
+    assert overflowed >= 25
+    # every dimension runs gamma = 0 (None) and each exponent case of the
+    # denominator: 0, 2, 4 and libm pow
+    special = (None, 0.0, 2.0, 4.0)
+    assert {e if e in special else "pow" for e in exponents} == {
+        None, 0.0, 2.0, 4.0, "pow"}
 
 
 def _counted_runs(monkeypatch, advance, tm, tab, law):
@@ -576,8 +577,8 @@ def _counted_runs(monkeypatch, advance, tm, tab, law):
 
 @pytest.mark.parametrize("family, q, variant", [
     ("cubic-mean-field", 3.0, "finite"),  # q_b = 3
-    ("cubic-mean-field", 2.0, "strong_order_candidate"),  # e_self = 8
-    ("pairwise-vlasov", 2.0, "strong_order_candidate"),
+    ("cubic-mean-field", 1.5, "finite"),  # e = 3
+    ("pairwise-vlasov", 1.5, "finite"),
 ])
 def test_non_special_exponents_run_fused(monkeypatch, advance, family, q,
                                          variant):

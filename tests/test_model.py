@@ -134,6 +134,22 @@ def test_unknown_family_and_params():
         make_model("cubic-mean-field", params={"zap": 1.0})
 
 
+@pytest.mark.parametrize("dims, name", [
+    (dict(d=2.7), "d"), (dict(d=True), "d"), (dict(d="2"), "d"),
+    (dict(d=2, l=1.5), "l"), (dict(d=2, l=False), "l")])
+def test_dimensions_must_be_whole_numbers(dims, name):
+    """config's rule for an int field: a fractional dimension, which would
+    build the model at int(d), and a bool are refused."""
+    with pytest.raises(ValueError, match="dimension %s must be a whole "
+                       "number" % name):
+        make_model("cubic-mean-field", params={"c_g": 0.0}, **dims)
+
+
+def test_integral_float_dimensions_are_taken():
+    m = make_model("cubic-mean-field", d=2.0, l=np.float64(2.0))
+    assert (type(m.d), type(m.l), m.d, m.l) == (int, int, 2, 2)
+
+
 @pytest.mark.parametrize("q", (-1.0, -0.5, float("nan")))
 def test_negative_growth_order_refused(q):
     # 0 ** q at a coincident pair would be infinite

@@ -8,7 +8,7 @@ from mvsde.model import FAMILIES, make_model, pair_terms, self_terms
 from mvsde.rng import initial_law, make_tableau, sample_initial
 from mvsde.scheme import (MomentTracker, StateRecorder, _noise_width,
                           simulate, step)
-from mvsde.taming import VARIANTS, TamedModel, taming_parameters
+from mvsde.taming import VARIANTS, TamedModel
 
 
 def _pure_cubic(**extra):
@@ -81,12 +81,12 @@ def test_step_matches_explicit_euler_update(family, variant):
     rng = np.random.default_rng(20261017)
     for d in (1, 2, 3, 8, 9):
         tm = TamedModel(make_model(family, d=d), n, variant)
-        par = taming_parameters(tm)
         k = _noise_width(tm.base)
         x = rng.normal(scale=1.2, size=(n_part, d))
         dW = rng.normal(scale=n ** -0.5, size=(n_part, d))
-        b, s = self_terms(tm.base, par, x, x.mean(axis=0), k)
-        f, g = pair_terms(tm.base, par, x[:, None, :], x[None, :, :], k)
+        b, s = self_terms(tm.base, tm.gamma, tm.e, x, x.mean(axis=0), k)
+        f, g = pair_terms(tm.base, tm.gamma, tm.e, x[:, None, :],
+                          x[None, :, :], k)
         f_sum, g_sum = np.zeros((n_part, d)), np.zeros((n_part, k))
         for j in range(n_part):
             f_sum += f[:, j]

@@ -2,8 +2,10 @@
 dominance, monotonicity, exactness.
 
 Every check calls model.self_terms and model.pair_terms, the functions
-scheme.step and the pair kernel run, with taming_parameters(tm).
+scheme.step and the pair kernel run, with (tm.gamma, tm.e).
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from mvsde.model import (eval_drift_b, eval_kernel_f, eval_kernel_g,
                          eval_sigma, make_model, pair_terms, self_terms)
-from mvsde.taming import UNTAMED, VARIANTS, TamedModel, taming_parameters
+from mvsde.taming import VARIANTS, TamedModel
 
 
 def _cubic(q=2.0):
@@ -22,7 +24,7 @@ def _cubic(q=2.0):
 
 def _drift(tm, x, atoms=None):
     mean = None if atoms is None else atoms.mean(axis=-2)
-    return self_terms(tm.base, taming_parameters(tm), x, mean, 0)[0]
+    return self_terms(tm.base, tm.gamma, tm.e, x, mean, 0)[0]
 
 
 def test_finite_variant_value():
@@ -39,37 +41,20 @@ def test_ergodic_variant_value():
     assert out[0] == -2.0 / 3.0
 
 
-def test_candidate_variant_value_and_untamed_diffusion():
-    # drift denominator 1 + 4^{-1} |1|^8 = 1.25 -> -0.8
-    m = make_model("cubic-mean-field", d=1,
-                   params={"lam": 0.0, "sigma0": 0.3})
-    tm = TamedModel(m, 4, "strong_order_candidate")
-    par = taming_parameters(tm)
-    out = _drift(tm, np.array([1.0]))
-    assert out[0] == -1.0 / 1.25
-    x = np.array([3.0])
-    mu = np.array([[1.0]])
-    assert np.array_equal(self_terms(m, par, x, mu[0], 1)[1],
-                          np.diagonal(eval_sigma(m, 0.0, x, mu)))
-    assert np.array_equal(pair_terms(m, par, x, mu[0], 1)[1],
-                          np.diagonal(eval_kernel_g(m, x, mu[0])))
-
-
 def test_off_variant_is_identity():
     m = make_model("cubic-mean-field", d=2)
     tm = TamedModel(m, 64, "off")
-    par = taming_parameters(tm)
-    # the one untamed definition, handed out as a copy
-    assert par == UNTAMED and par is not UNTAMED
+    # the untamed coefficients of eval_*
+    assert (tm.gamma, tm.e) == (0.0, 0.0)
     rng = np.random.default_rng(1)
     x = rng.normal(size=(20, 2))
     atoms = rng.normal(size=(5, 2))
     y = rng.normal(size=(20, 2))
-    b, s = self_terms(m, par, x, atoms.mean(axis=0), 2)
+    b, s = self_terms(m, tm.gamma, tm.e, x, atoms.mean(axis=0), 2)
     assert np.array_equal(b, eval_drift_b(m, 0.0, x, atoms))
     assert np.array_equal(s, np.diagonal(eval_sigma(m, 0.0, x, atoms),
                                          axis1=-2, axis2=-1))
-    f, g = pair_terms(m, par, x, y, 2)
+    f, g = pair_terms(m, tm.gamma, tm.e, x, y, 2)
     assert np.array_equal(f, eval_kernel_f(m, x, y))
     assert np.array_equal(g, np.diagonal(eval_kernel_g(m, x, y),
                                          axis1=-2, axis2=-1))
@@ -77,35 +62,52 @@ def test_off_variant_is_identity():
 
 def test_variant_and_n_validation():
     m = _cubic()
-    with pytest.raises(ValueError, match="variant"):
-        TamedModel(m, 4, "nope")
+    for variant in ("nope", "strong_order_candidate"):
+        with pytest.raises(ValueError, match="unknown taming variant %r; "
+                           "known: finite, ergodic, off" % variant):
+            TamedModel(m, 4, variant)
     with pytest.raises(ValueError, match="n must be"):
         TamedModel(m, 0)
-    assert set(VARIANTS) == {"finite", "ergodic",
-                             "strong_order_candidate", "off"}
+    assert VARIANTS == ("finite", "ergodic", "off")
+
+
+@pytest.mark.parametrize("n", [2.5, True, False, float("inf"),
+                               float("nan"), "4", None])
+def test_step_count_must_be_a_whole_number(n):
+    """config's rule for an int field: no fractional n that would run at
+    int(n), and no bool."""
+    with pytest.raises(ValueError, match="step count n must be a whole "
+                       "number, got %s" % re.escape(repr(n))):
+        TamedModel(_cubic(), n)
+
+
+def test_integral_step_counts_are_taken():
+    for n in (16.0, np.float64(16.0), np.int64(16), 16):
+        tm = TamedModel(_cubic(), n)
+        assert type(tm.n) is int and tm.n == 16
+        assert tm.gamma == 0.25
 
 
 def test_pair_weight_symmetric_bits():
     # g_n = w c_g (x - y) with w symmetric in (x, y): exactly antisymmetric
     tm = TamedModel(make_model("cubic-mean-field", d=3), 16, "finite")
-    par = taming_parameters(tm)
     rng = np.random.default_rng(2)
     x = rng.normal(size=(30, 3))
     y = rng.normal(size=(30, 3))
-    g_xy = pair_terms(tm.base, par, x, y, 3)[1]
-    assert np.array_equal(g_xy, -pair_terms(tm.base, par, y, x, 3)[1])
+    g_xy = pair_terms(tm.base, tm.gamma, tm.e, x, y, 3)[1]
+    assert np.array_equal(g_xy,
+                          -pair_terms(tm.base, tm.gamma, tm.e, y, x, 3)[1])
     assert (g_xy != 0.0).all()
 
 
 def test_tamed_kernel_antisymmetry_exact():
-    for variant in ("finite", "ergodic", "strong_order_candidate"):
+    for variant in ("finite", "ergodic"):
         tm = TamedModel(make_model("cubic-mean-field", d=2), 16, variant)
-        par = taming_parameters(tm)
         rng = np.random.default_rng(7)
         x = rng.normal(size=(50, 2))
         y = rng.normal(size=(50, 2))
-        s = (pair_terms(tm.base, par, x, y, 0)[0]
-             + pair_terms(tm.base, par, y, x, 0)[0])
+        s = (pair_terms(tm.base, tm.gamma, tm.e, x, y, 0)[0]
+             + pair_terms(tm.base, tm.gamma, tm.e, y, x, 0)[0])
         assert (s == 0.0).all()
 
 
@@ -135,16 +137,14 @@ def test_dominance_and_monotonicity_exact():
 
 
 def test_taming_parameters_table():
-    m = _cubic()  # q = 2
-    p = taming_parameters(TamedModel(m, 4, "finite"))
-    assert p["gamma"] == 0.5 and p["e_self"] == 4.0 and p["tame_g"]
-    p = taming_parameters(TamedModel(m, 4, "ergodic"))
-    assert p["gamma"] == 0.5 and p["e_self"] == 2.0
-    p = taming_parameters(TamedModel(m, 4, "strong_order_candidate"))
-    assert p["gamma"] == 0.25 and p["e_self"] == 8.0
-    assert not p["tame_sigma"] and not p["tame_g"]
-    p = taming_parameters(TamedModel(m, 4, "off"))
-    assert p["gamma"] == 0.0
+    # (gamma, e) of each variant at n = 4 and q = 2, and at q = 1.5
+    for q, table in ((2.0, dict(finite=(0.5, 4.0), ergodic=(0.5, 2.0),
+                                off=(0.0, 0.0))),
+                     (1.5, dict(finite=(0.5, 3.0), ergodic=(0.5, 1.5),
+                                off=(0.0, 0.0)))):
+        for variant, want in table.items():
+            tm = TamedModel(_cubic(q), 4, variant)
+            assert (tm.gamma, tm.e) == want, (q, variant)
 
 
 def test_q_zero_denominator_is_constant():
