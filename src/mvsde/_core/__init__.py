@@ -37,7 +37,7 @@ ndtri_py = pairwise_py.ndtri
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 # the mvsde_abi of the pairwise.c these bindings are written for
-_ABI = 3
+_ABI = 4
 
 
 class _Coeffs(ctypes.Structure):
@@ -72,6 +72,7 @@ def load_compiled(path):
     if abi != _ABI:
         raise AttributeError("library mvsde_abi is %d, the package needs %d"
                              % (abi, _ABI))
+    pair_rows = ctypes.c_int.in_dll(lib, "mvsde_pair_rows").value
     step_kernel.restype = ctypes.c_ssize_t
     step_kernel.argtypes = ([ctypes.POINTER(_Coeffs), ctypes.c_void_p,
                              ctypes.c_void_p]
@@ -92,7 +93,8 @@ def load_compiled(path):
 
         coeffs maps every _Coeffs field name to its value.
         """
-        return _BoundAdvance(step_kernel, _Coeffs(**coeffs), states, scratch)
+        return _BoundAdvance(step_kernel, _Coeffs(**coeffs), states, scratch,
+                             pair_rows)
 
     def fsum_rows(a):
         """See pairwise_py.fsum_rows for the reference semantics."""
@@ -129,6 +131,14 @@ def load_compiled(path):
     return bind_advance, fsum_rows, philox_uniforms, ndtri
 
 
+def pair_scratch_size(n, d, pair_rows):
+    """Doubles of scratch that mvsde_pair_aggregate needs for an n x d
+    ensemble, from the library's mvsde_pair_rows: the structure-of-arrays
+    copy of X, the mirrored sums of F and G, and the pair factors of one
+    block of rows."""
+    return 3 * n * d + 2 * pair_rows * n
+
+
 class _BoundAdvance:
     """mvsde_advance bound to one run's coefficients and state buffers.
 
@@ -147,7 +157,7 @@ class _BoundAdvance:
     nonzero. Both cover every step done, the overflowing one included.
     """
 
-    def __init__(self, kernel, coeffs, states, scratch):
+    def __init__(self, kernel, coeffs, states, scratch, pair_rows):
         n, d = states.shape
         for buf in (states, scratch):
             if (buf.shape != (n, d) or buf.dtype != np.float64
@@ -155,7 +165,8 @@ class _BoundAdvance:
                 raise ValueError("state buffers must be C-contiguous "
                                  "(%d, %d) float64 arrays" % (n, d))
         # F, G, the mean, one row's squares and the pair kernel's scratch
-        work = np.empty(5 * n * d + 4 * n + 2 * d)
+        work = np.empty(2 * n * d + 2 * d
+                        + pair_scratch_size(n, d, pair_rows))
         self._kernel = kernel
         self._n = n
         self._state_shape = (n, d)

@@ -7,17 +7,18 @@
  * same final division by N. Each unordered pair is evaluated once and
  * mirrored by negation, which IEEE-754 makes exact; the skipped diagonal
  * contributes an exact zero in the reference. The loop runs in passes
- * that the compiler vectorises over the partners j, on a
- * structure-of-arrays copy of X: for a block of two rows, each row's r2
- * (from 0.0, over the components in ascending order) and pair factors
- * (one loop per exponent case, with sqrt only where pow needs r), then the
+ * that the compiler vectorises, on a structure-of-arrays copy of X, for a
+ * block of four rows: each row's r2 (from 0.0, over the components in
+ * ascending order) and pair factors (one loop per exponent case, with sqrt
+ * only where pow needs r), vectorised over the partners j; then the
  * block's mirrored terms into every later row, in ascending row order,
- * then the block's own sums, serial and ascending in j in register
- * chains. So each row still sums its partners in ascending order, the
- * reference's order: the mirrored terms of the rows before it, then its
- * own. Every value sees the operations of the reference in its order, and
- * vector division rounds as scalar division does, so the sums agree bit
- * for bit.
+ * vectorised over j; then the block's own sums with the rows in the vector
+ * lanes, each lane one row's chain, ascending in j (scalar chains for a
+ * short last block). So each row still sums its partners in ascending
+ * order, the reference's order: the mirrored terms of the rows before it,
+ * then its own. Every value sees the operations of the reference in its
+ * order, and vector +, -, * and / round as their scalar forms do, so the
+ * sums agree bit for bit.
  *
  * mvsde_advance runs whole steps of mvsde.scheme.step for a block of steps
  * with no Python in the loop, bit for bit. It repeats step's NumPy
@@ -76,8 +77,10 @@
  * passes -O3 -ffp-contract=off -fno-math-errno, the last so that sqrt needs
  * no errno branch and vectorises. Plain C with no Python or NumPy headers,
  * apart from the unsigned __int128 of the Philox multiplications and the
- * always_inline and target_clones attributes, which GCC and Clang provide;
- * mvsde._core loads it with ctypes.
+ * always_inline and target_clones attributes, which GCC and Clang provide,
+ * and one #pragma GCC unroll, which steers the vectoriser only and so
+ * changes no value under a compiler that ignores it; mvsde._core loads it
+ * with ctypes.
  *
  * Runtime dispatch. pair_factors, mvsde_pair_aggregate, row_norms,
  * step_once and mvsde_fsum_rows carry STEP_CLONES: on x86-64 ELF with
@@ -104,15 +107,21 @@
  * its work array changes; mvsde._core loads no library whose value differs
  * from its own, so a stale build runs NumPy instead of passing arguments
  * that its kernels would misread or a work array they would overrun. */
-const int mvsde_abi = 3;
+const int mvsde_abi = 4;
 
 /* The pair loop takes the rows in blocks of PAIR_ROWS and the components in
- * chunks of PAIR_CHUNK, with compile-time counts for both, so the sums of a
- * block run as 2 * PAIR_ROWS * PAIR_CHUNK register chains at most. At
- * N = 1024 and d = 4 to 9, chunks of 3 ran 1.2-1.4x faster than chunks of
- * 4 in the baseline build and 1.3-1.7x in the AVX2 clone. */
-#define PAIR_ROWS 2
+ * chunks of PAIR_CHUNK, with compile-time counts for both. A full block
+ * sums its own terms in tiles of PAIR_TILE partners with its rows in the
+ * vector lanes (pair_block_chunk), as 2 * PAIR_CHUNK chains of PAIR_ROWS
+ * lanes: one AVX2 vector or two SSE2 ones each. At N = 1024 and d = 4 to
+ * 9, chunks of 3 ran 1.2-1.4x faster than chunks of 4 in the baseline build
+ * and 1.3-1.7x in the AVX2 clone. At N = 1024 and d = 3 and 8, tiles of 2
+ * ran 1.01-1.06x and tiles of 8 1.2-1.5x slower than tiles of 4 in both.
+ * mvsde._core sizes the pair scratch from mvsde_pair_rows. */
+#define PAIR_ROWS 4
 #define PAIR_CHUNK 3
+#define PAIR_TILE 4
+const int mvsde_pair_rows = PAIR_ROWS;
 
 #define ALWAYS_INLINE static inline __attribute__((always_inline))
 
@@ -239,10 +248,21 @@ static void pair_factors(double *restrict cf, double *restrict gw,
  * its mirrored terms, -f(x_j, x_i) from every row j < i in ascending j,
  * then its own terms in ascending j; fs and gs hold the mirrored part.
  * The pairs inside the block go first, row by row. Then the mirrored terms
- * of every partner j past the block, in one pass over j that vectorises,
- * and the block's own sums over those partners, one register chain per
- * row, component and array. Nothing adds to a row after its block, so its
- * sums go to f and g, divided by dn. */
+ * of every partner j past the block, one pass over j per component that
+ * vectorises, and the block's own sums over those partners in ascending j.
+ * A full block takes them in tiles of PAIR_TILE partners: in each tile the
+ * loop over its rows is the one the compiler vectorises, so each vector
+ * lane holds one row's sums and adds that row's terms of the tile one
+ * after another, the operations of the row's scalar chain on the same
+ * values, and no sum is reassociated. The pragma keeps the compiler from
+ * unrolling that loop, which would leave it nothing to vectorise but the
+ * partners. The partners after the last whole tile, and every partner of a
+ * short last block (1 to PAIR_ROWS - 1 rows), go one at a time, one chain
+ * per row, component and array. The rows sit in the lanes through a loop
+ * rather than a vector extension type: the baseline build has no register
+ * for a four-double vector and kept it in memory, 1.9-3.1x slower than
+ * scalar chains at N = 1024, d = 3 and 8. Nothing adds to a row after its
+ * block, so its sums go to f and g, divided by dn. */
 ALWAYS_INLINE void pair_block_chunk(const double *restrict xs, ptrdiff_t n,
                                     const double *x, ptrdiff_t d, int k,
                                     ptrdiff_t i0, int rows,
@@ -251,57 +271,68 @@ ALWAYS_INLINE void pair_block_chunk(const double *restrict xs, ptrdiff_t n,
                                     double *restrict fs, double *restrict gs,
                                     double *f, double *g, double dn)
 {
-    double a[PAIR_ROWS][PAIR_CHUNK], af[PAIR_ROWS][PAIR_CHUNK],
-        ag[PAIR_ROWS][PAIR_CHUNK], v, sf, sg;
+    double a[PAIR_CHUNK][PAIR_ROWS], af[PAIR_CHUNK][PAIR_ROWS],
+        ag[PAIR_CHUNK][PAIR_ROWS], v, sf, sg;
     ptrdiff_t j, j1 = i0 + rows;
-    int r, c;
+    int r, c, t;
 
     for (r = 0; r < rows; r++)
         for (c = 0; c < k; c++)
-            a[r][c] = x[(i0 + r) * d + c];
+            a[c][r] = x[(i0 + r) * d + c];
     for (r = 0; r < rows; r++) {
         for (c = 0; c < k; c++) {
-            af[r][c] = fs[c * n + i0 + r];
-            ag[r][c] = gs[c * n + i0 + r];
+            af[c][r] = fs[c * n + i0 + r];
+            ag[c][r] = gs[c * n + i0 + r];
         }
         for (j = i0 + r + 1; j < j1; j++)
             for (c = 0; c < k; c++) {
-                v = a[r][c] - xs[c * n + j];
-                af[r][c] = af[r][c] + cf[r * n + j] * v;
-                ag[r][c] = ag[r][c] + gw[r * n + j] * v;
+                v = a[c][r] - xs[c * n + j];
+                af[c][r] = af[c][r] + cf[r * n + j] * v;
+                ag[c][r] = ag[c][r] + gw[r * n + j] * v;
                 fs[c * n + j] = fs[c * n + j] - cf[r * n + j] * v;
                 gs[c * n + j] = gs[c * n + j] - gw[r * n + j] * v;
             }
     }
-    for (j = j1; j < n; j++)
-        for (c = 0; c < k; c++) {
+    for (c = 0; c < k; c++)
+        for (j = j1; j < n; j++) {
             sf = fs[c * n + j];
             sg = gs[c * n + j];
             for (r = 0; r < rows; r++) {
-                v = a[r][c] - xs[c * n + j];
+                v = a[c][r] - xs[c * n + j];
                 sf = sf - cf[r * n + j] * v;
                 sg = sg - gw[r * n + j] * v;
             }
             fs[c * n + j] = sf;
             gs[c * n + j] = sg;
         }
-    for (j = j1; j < n; j++)
+    j = j1;
+    if (rows == PAIR_ROWS)
+        for (; j + PAIR_TILE <= n; j += PAIR_TILE)
+#pragma GCC unroll 1
+            for (r = 0; r < PAIR_ROWS; r++)
+                for (t = 0; t < PAIR_TILE; t++)
+                    for (c = 0; c < k; c++) {
+                        v = a[c][r] - xs[c * n + j + t];
+                        af[c][r] = af[c][r] + cf[r * n + j + t] * v;
+                        ag[c][r] = ag[c][r] + gw[r * n + j + t] * v;
+                    }
+    for (; j < n; j++)
         for (r = 0; r < rows; r++)
             for (c = 0; c < k; c++) {
-                v = a[r][c] - xs[c * n + j];
-                af[r][c] = af[r][c] + cf[r * n + j] * v;
-                ag[r][c] = ag[r][c] + gw[r * n + j] * v;
+                v = a[c][r] - xs[c * n + j];
+                af[c][r] = af[c][r] + cf[r * n + j] * v;
+                ag[c][r] = ag[c][r] + gw[r * n + j] * v;
             }
     for (r = 0; r < rows; r++)
         for (c = 0; c < k; c++) {
-            f[(i0 + r) * d + c] = af[r][c] / dn;
-            g[(i0 + r) * d + c] = ag[r][c] / dn;
+            f[(i0 + r) * d + c] = af[c][r] / dn;
+            g[(i0 + r) * d + c] = ag[c][r] / dn;
         }
 }
 
 /* X is a C-contiguous n x d float64 array with d >= 1; F and G (n x d as
  * well) are overwritten with the pair sums. work holds
- * 3 n d + 2 PAIR_ROWS n = 3 n d + 4 n doubles: the structure-of-arrays copy
+ * 3 n d + 2 PAIR_ROWS n = 3 n d + 8 n doubles: the structure-of-arrays copy
  * of X, the mirrored sums of F and G in the same layout, and the pair
  * factors of one block of rows. The all-zero-kernel short-circuit is done
  * by the caller. */
@@ -341,7 +372,7 @@ void mvsde_pair_aggregate(const double *restrict X, ptrdiff_t n,
                                      cf, gw, fs + c0 * n, gs + c0 * n,     \
                                      F + c0, G + c0, dn)
 #define FULL(k) BLOCK(k, PAIR_ROWS)
-#define LAST(k) BLOCK(k, 1)
+#define LAST(k) BLOCK(k, rows)
             if (rows == PAIR_ROWS) {
                 PAIR_CHUNKED(d - c0, FULL)
             } else {
@@ -515,8 +546,8 @@ ALWAYS_INLINE void noise_pass(const struct mvsde_coeffs *cf,
 }
 
 /* One step from x into y, as mvsde.scheme.step computes it; work holds F
- * and G (n x d each), the mean (d), the squares of one row (d) and the
- * 3 n d + 4 n doubles of mvsde_pair_aggregate's scratch, whose first 3 n
+ * and G (n x d each), the mean (d), the squares of one row (d) and
+ * mvsde_pair_aggregate's scratch (at least 3 n doubles), whose first 3 n
  * hold the vectors r2, pw and den once the pair sums are done. When r2_out
  * is not NULL it receives the squared norm of every row of y. Returns 0
  * when y holds a non-finite value.
@@ -619,7 +650,8 @@ static int step_once(const struct mvsde_coeffs *cf, const double *x,
  * row of particle i at dw[s * dw_step + i * dw_row]. Stops after the first
  * step that produces a non-finite value. Returns the number of steps with
  * a finite result: a return r < steps means step r + 1 was done and
- * overflowed. work holds 5 n d + 4 n + 2 d doubles. When obs is not NULL
+ * overflowed. work holds 2 n d + 2 d doubles and then the scratch of
+ * mvsde_pair_aggregate, as step_once lays them out. When obs is not NULL
  * (steps x n), row s receives the squared particle norms of the state that
  * step s of the call produced. When keep is not NULL (steps flags), the
  * state that step s produced is copied into the next n x d row of rec

@@ -49,6 +49,11 @@ import numpy as np
 # Philox keys are taken modulo 2^64
 MASK64 = (1 << 64) - 1
 
+# pair_aggregate takes the partners in blocks of at most this many pair
+# components (N x partners x d), so each of its temporaries stays within
+# 8 MB
+PAIR_BLOCK_ELEMENTS = 1 << 20
+
 
 def _libm_pow(r, e):
     try:
@@ -139,18 +144,20 @@ def pair_aggregate(X, kf1, kfq, qf, cg, tam, te, tame_g=1.0):
     if kf1 == 0.0 and kfq == 0.0 and cg == 0.0:
         return np.zeros((n, d)), np.zeros((n, d))
 
-    dx = X[:, None, :] - X[None, :, :]
-    cf, cgw = pair_factors(pair_r2(dx), kf1, kfq, qf, cg, tam, te, tame_g)
-    kf = cf[:, :, None] * dx
-    kg = cgw[:, :, None] * dx
-
-    # ascending-j fold: the fixed accumulation order shared with the
-    # compiled backend
     f_acc = np.zeros((n, d))
     g_acc = np.zeros((n, d))
-    for j in range(n):
-        f_acc += kf[:, j, :]
-        g_acc += kg[:, j, :]
+    cols = max(1, PAIR_BLOCK_ELEMENTS // (n * d))
+    for j0 in range(0, n, cols):
+        dx = X[:, None, :] - X[None, j0:j0 + cols, :]
+        cf, cgw = pair_factors(pair_r2(dx), kf1, kfq, qf, cg, tam, te,
+                               tame_g)
+        kf = cf[:, :, None] * dx
+        kg = cgw[:, :, None] * dx
+        # ascending-j fold: the fixed accumulation order shared with the
+        # compiled backend
+        for j in range(kf.shape[1]):
+            f_acc += kf[:, j, :]
+            g_acc += kg[:, j, :]
     return f_acc / float(n), g_acc / float(n)
 
 

@@ -27,6 +27,8 @@ import sysconfig
 import numpy as np
 import pytest
 
+from mvsde._core import pair_scratch_size
+
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SOURCE = os.path.join(ROOT, "src", "mvsde", "_core", "pairwise.c")
 SETUP = os.path.join(ROOT, "setup.py")
@@ -116,11 +118,14 @@ def _bind_pair_aggregate(path):
     """mvsde_pair_aggregate of the library at path, with the signature of
     pairwise_py.pair_aggregate.
 
-    Like the fused kernel, it hands the kernel its scratch and leaves the
-    all-zero kernel to the caller's short circuit. The scratch and the
-    outputs start as NaN, so a value the kernel failed to write shows.
+    Like the fused kernel, it hands the kernel the scratch that the
+    library's mvsde_pair_rows sizes and leaves the all-zero kernel to the
+    caller's short circuit. The scratch and the outputs start as NaN, so a
+    value the kernel failed to write shows.
     """
-    kernel = ctypes.CDLL(path).mvsde_pair_aggregate
+    lib = ctypes.CDLL(path)
+    pair_rows = ctypes.c_int.in_dll(lib, "mvsde_pair_rows").value
+    kernel = lib.mvsde_pair_aggregate
     kernel.restype = None
     kernel.argtypes = ([ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t]
                        + [ctypes.c_double] * 7 + [ctypes.c_void_p] * 3)
@@ -131,7 +136,7 @@ def _bind_pair_aggregate(path):
         if kf1 == 0.0 and kfq == 0.0 and cg == 0.0:
             return np.zeros((n, d)), np.zeros((n, d))
         f_arr, g_arr = np.full((n, d), np.nan), np.full((n, d), np.nan)
-        work = np.full(3 * n * d + 4 * n, np.nan)
+        work = np.full(pair_scratch_size(n, d, pair_rows), np.nan)
         kernel(X.ctypes.data, n, d, kf1, kfq, qf, cg, tam, te, tame_g,
                f_arr.ctypes.data, g_arr.ctypes.data, work.ctypes.data)
         return f_arr, g_arr

@@ -25,6 +25,7 @@ import mvsde
 from mvsde._core import (_select_backend, fsum_rows_py, load_compiled,
                          ndtri_py, pair_aggregate, pair_aggregate_naive,
                          philox_uniforms_py)
+from mvsde._core import pairwise_py
 from mvsde._core.pairwise_py import power
 from mvsde.model import make_model
 from mvsde.taming import VARIANTS, TamedModel
@@ -42,12 +43,14 @@ SPECIAL = {
 # kernel (mvsde._core.pairwise_py.power) and in the oracle's scalar **
 NON_SPECIAL = (-0.5, -1.0, 3.0, 0.2, 0.3, 6.0, 1.0)
 
-# the C pair loop takes rows in blocks of 2 and components in chunks of
-# 3: sizes on both sides of the row-block boundaries (a short last block
-# at odd N), dimensions on both sides of the first and second chunk
+# the C pair loop takes rows in blocks of 4 and components in chunks of
+# 3: sizes with every remainder mod 4 on both sides of the first two
+# row-block boundaries (a short last block of 1 to 3 rows, and full blocks
+# with fewer partners past them than the own-sum pass takes at once), plus
+# larger ones; dimensions on both sides of the first and second chunk
 # boundaries
 DIMS = range(1, 13)
-SIZES = (1, 2, 3, 4, 5, 7, 33, 64)
+SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 33, 64)
 
 
 def _assert_same(got, want, what):
@@ -111,7 +114,8 @@ def test_baseline_clone_matches_fallback(baseline_pair_aggregate, n, d):
     _assert_clouds_match_fallback(baseline_pair_aggregate, n, d)
 
 
-BENCHMARK_SHAPES = ((1024, 3, "poc-rate"), (64, 1, "strong-rate"))
+BENCHMARK_SHAPES = ((1024, 3, "poc-rate"), (64, 1, "strong-rate"),
+                    (256, 8, "poc-rate"))
 
 
 def _assert_matches_fallback_at(c_kernel, n, d, label):
@@ -131,6 +135,21 @@ def test_compiled_matches_fallback_at_benchmark_shapes(c_pair_aggregate, n,
 def test_baseline_clone_matches_fallback_at_benchmark_shapes(
         baseline_pair_aggregate, n, d, label):
     _assert_matches_fallback_at(baseline_pair_aggregate, n, d, label)
+
+
+@pytest.mark.parametrize("block", (1, 2, 3))
+def test_numpy_kernel_partner_blocks_match_oracle(monkeypatch, block):
+    """The numpy kernel with its element budget cut to `block` partners of
+    N x d, so that block boundaries fall inside N = 7 and the last block is
+    short: the same bytes as the scalar oracle."""
+    n, d = 7, 3
+    monkeypatch.setattr(pairwise_py, "PAIR_BLOCK_ELEMENTS", block * n * d)
+    for cloud, x in _clouds(n, d).items():
+        for label, kernel in dict(SPECIAL, non_special=NON_SPECIAL).items():
+            with np.errstate(over="ignore", invalid="ignore"):
+                _assert_same(pair_aggregate(x, *kernel),
+                             pair_aggregate_naive(x, *kernel),
+                             "%s, %s cloud" % (label, cloud))
 
 
 def test_compiled_accepts_any_layout(c_pair_aggregate):
@@ -225,18 +244,18 @@ def test_loader_binds_every_kernel_or_none(compiled_library, build_library,
             load_compiled(stale)
         assert _select_backend(stale) == numpy_backend
     # every kernel, but from before the ABI constant or from another ABI,
-    # the previous one (2, whose step struct has 19 fields) among them: the
-    # package and the library must agree on every signature, the step
-    # struct and the size of the work array
+    # the previous one (3, whose pair scratch held 3 n d + 4 n doubles)
+    # among them: the package and the library must agree on every
+    # signature, the step struct and the size of the work array
     for label, abi, found in (("unversioned", "", 0),
-                              ("previous", "const int mvsde_abi = 2;\n", 2),
+                              ("previous", "const int mvsde_abi = 3;\n", 3),
                               ("other", "const int mvsde_abi = 7;\n", 7)):
         stub = tmp_path / ("stale_%s.c" % label)
         stub.write_text(abi + "".join("void %s(void) {}\n" % sym
                                       for sym in older + ["mvsde_ndtri"]))
         stale = build_library(str(stub), stub.stem + ".so")
         with pytest.raises(AttributeError, match="mvsde_abi is %d, the "
-                           "package needs 3" % found):
+                           "package needs 4" % found):
             load_compiled(stale)
         assert _select_backend(stale) == numpy_backend
     assert _select_backend(str(tmp_path / "missing.so")) == numpy_backend
