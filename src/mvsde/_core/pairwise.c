@@ -386,12 +386,12 @@ void mvsde_pair_aggregate(const double *restrict X, ptrdiff_t n,
 }
 
 /* Coefficients of one run of the scheme; mirrored by mvsde._core._Coeffs.
- * The self drift is beta1 x + betaq x |x|^q_b plus lam * mean (functional
- * measure mode) or kap_pair * (mean - x) (pairwise mode; the caller zeroes
- * the other one). The diffusion diagonal s0 + s1 x + c_s (mean - x) covers
- * the first k_noise = min(d, l) components. When gamma != 0 both are
- * divided by 1 + gamma |x|^e, and the pair kernel kf1, kfq, q_f, c_g of
- * mvsde_pair_aggregate is tamed at the same gamma and e, g included. */
+ * The self drift is beta1 x + betaq x |x|^q_b plus kap_pair * (mean - x)
+ * (pairwise measure mode) and lam * mean (functional mode). The diffusion
+ * diagonal s0 + s1 x + c_s (mean - x) covers the first k_noise = min(d, l)
+ * components. When gamma != 0 both are divided by 1 + gamma |x|^e, and the
+ * pair kernel kf1, kfq, q_f, c_g of mvsde_pair_aggregate is tamed at the
+ * same gamma and e, g included. */
 struct mvsde_coeffs {
     double h;
     double beta1, betaq, q_b, lam, kap_pair;

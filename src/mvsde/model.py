@@ -32,6 +32,10 @@ import numpy as np
 
 from ._core.pairwise_py import pair_factors, pair_r2, power, tame_power
 
+# the canonical coefficients; a family's canon leaves out those that are 0
+COEFFICIENTS = ("beta1", "betaq", "q_b", "lam", "kap_pair", "s0", "s1",
+                "c_s", "kf1", "kfq", "q_f", "c_g")
+
 
 class CoefficientModel:
     """Immutable bundle of coefficient maps and their parameters.
@@ -53,11 +57,8 @@ class CoefficientModel:
         "pairwise" (b and sigma are atom averages of two-argument maps).
     """
 
-    __slots__ = (
-        "family_id", "d", "l", "q", "params", "measure_mode",
-        "beta1", "betaq", "q_b", "lam", "kap_pair",
-        "s0", "s1", "c_s", "kf1", "kfq", "q_f", "c_g",
-    )
+    __slots__ = ("family_id", "d", "l", "q", "params",
+                 "measure_mode") + COEFFICIENTS
 
     def __init__(self, family_id, d, l, q, params, measure_mode, canon):
         self.family_id = family_id
@@ -66,9 +67,13 @@ class CoefficientModel:
         self.q = float(q)
         self.params = dict(params)
         self.measure_mode = measure_mode
-        for name in ("beta1", "betaq", "q_b", "lam", "kap_pair", "s0",
-                     "s1", "c_s", "kf1", "kfq", "q_f", "c_g"):
+        for name in COEFFICIENTS:
             object.__setattr__(self, name, float(canon.get(name, 0.0)))
+        # the scheme adds both couplings, so a model has only its mode's
+        other = "lam" if measure_mode == "pairwise" else "kap_pair"
+        if getattr(self, other) != 0.0:
+            raise ValueError("%s must be 0 in the %s measure mode, got %r"
+                             % (other, measure_mode, getattr(self, other)))
 
     def __setattr__(self, name, value):
         if hasattr(self, "c_g"):
@@ -82,9 +87,8 @@ class CoefficientModel:
 
 
 def _canon_cubic_mean_field(p):
-    return dict(beta1=0.0, betaq=-1.0, q_b=p["q"], lam=p["lam"],
-                s0=p["sigma0"], kf1=0.0, kfq=-p["c_f"], q_f=p["q"],
-                c_g=p["c_g"])
+    return dict(betaq=-1.0, q_b=p["q"], lam=p["lam"], s0=p["sigma0"],
+                kfq=-p["c_f"], q_f=p["q"], c_g=p["c_g"])
 
 
 def _canon_ergodic_dissipative(p):
@@ -95,17 +99,16 @@ def _canon_ergodic_dissipative(p):
 def _canon_pairwise_vlasov(p):
     return dict(beta1=-p["a1"], betaq=-p["a3"], q_b=p["q"],
                 kap_pair=p["kappa"], s0=p["nu"], c_s=p["c_s"],
-                kf1=0.0, kfq=-p["c_f"], q_f=p["q"], c_g=p["c_g"])
+                kfq=-p["c_f"], q_f=p["q"], c_g=p["c_g"])
 
 
 def _canon_lipschitz_baseline(p):
-    return dict(beta1=-p["a"], betaq=0.0, q_b=0.0, lam=p["lam"],
-                s0=p["sigma0"], kf1=-p["kappa"], kfq=0.0, q_f=0.0,
-                c_g=p["c_g"])
+    return dict(beta1=-p["a"], lam=p["lam"], s0=p["sigma0"],
+                kf1=-p["kappa"], c_g=p["c_g"])
 
 
 def _canon_anti_dissipative(p):
-    return dict(beta1=0.0, betaq=1.0, q_b=p["q"], s0=p["sigma0"])
+    return dict(betaq=1.0, q_b=p["q"], s0=p["sigma0"])
 
 
 FAMILIES = {
@@ -220,19 +223,18 @@ def self_terms(model, gamma, e, x, mean, k):
     e (taming.TamedModel) and the measure's mean (None if unread).
 
     In scheme.step's order, which the fused kernel repeats: the coupling,
-    kap_pair * (mean - x) in pairwise mode and lam * mean otherwise, joins
-    the self drift before the drift and the noise diagonal are divided by
-    1 + gamma |x|^e, a division gamma = 0 skips. The squared norm |x|^2 is
-    summed once, for |x|^q_b and the denominator.
+    kap_pair * (mean - x) and then lam * mean (a model has at most one of
+    them), joins the self drift before the drift and the noise diagonal
+    are divided by 1 + gamma |x|^e, a division gamma = 0 skips. The
+    squared norm |x|^2 is summed once, for |x|^q_b and the denominator.
     """
     r2 = np.sum(x * x, axis=-1)
     b = model.beta1 * x
     if model.betaq != 0.0:
         b = b + model.betaq * x * power(np.sqrt(r2), model.q_b)[..., None]
-    if model.measure_mode == "pairwise":
-        if model.kap_pair != 0.0:
-            b = b + model.kap_pair * (mean - x)
-    elif model.lam != 0.0:
+    if model.kap_pair != 0.0:
+        b = b + model.kap_pair * (mean - x)
+    if model.lam != 0.0:
         b = b + model.lam * mean
     diag = np.full(x.shape[:-1] + (k,), model.s0)
     if model.s1 != 0.0:

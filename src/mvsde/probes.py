@@ -46,6 +46,8 @@ Conventions
   families whose analytic supremum exactly equals the reference cannot
   flip sign through float roundoff. Reported reference and fitted
   constants are the unguarded values.
+* Array powers go through pairwise_py.power, or sqrt for the sampler's
+  u^(1/2), so no result depends on the SIMD loops NumPy picks by CPU.
 
 The "ergodic" probe set encodes cross-weighted dissipation inequalities
 whose reference constants are derived for the quadratic-index structure
@@ -59,6 +61,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
+from ._core.pairwise_py import power
 from .model import (eval_drift_b, eval_kernel_f, eval_kernel_g,
                     eval_pair_drift, eval_pair_sigma, eval_sigma)
 
@@ -164,7 +167,7 @@ def _ball(rng, count, d, radius):
     nrm = np.sqrt(np.sum(z * z, axis=1, keepdims=True))
     nrm[nrm == 0.0] = 1.0
     u = rng.random((count, 1))
-    return radius * u ** (1.0 / d) * (z / nrm)
+    return radius * (np.sqrt(u) if d == 2 else power(u, 1.0 / d)) * (z / nrm)
 
 
 def _nrm2(v):
@@ -290,7 +293,7 @@ def _monotonicity(side, w):
 
 def _local_weight(side, q):
     # (1 + |v| + |v'|)^q of the polynomial local Lipschitz bounds
-    return (1.0 + _norm(side.v) + _norm(side.vp)) ** q
+    return power(1.0 + _norm(side.v) + _norm(side.vp), q)
 
 
 # ---------------------------------------------------------------- finite
@@ -349,13 +352,13 @@ def _p_g_squared_local_lipschitz(model, s, pp):
 
 def _p_f_polynomial_growth(model, s, pp):
     lhs = _norm(s.kernel.a)
-    factor = (1.0 + _norm(s.kernel.v)) ** (model.q + 1.0)
+    factor = power(1.0 + _norm(s.kernel.v), model.q + 1.0)
     return _allowance(lhs, factor, abs(model.kf1) + abs(model.kfq))
 
 
 def _p_g_squared_growth(model, s, pp):
     lhs = _frob2(s.kernel.s)
-    factor = (1.0 + _norm(s.kernel.v)) ** (model.q + 2.0)
+    factor = power(1.0 + _norm(s.kernel.v), model.q + 2.0)
     return _allowance(lhs, factor, model.c_g ** 2)
 
 
@@ -371,9 +374,9 @@ def _p_f_weighted_odd_growth(model, s, pp):
     rx = _norm(s.x)
     ry = _norm(s.y)
     p0 = pp["p0"]
-    lhs = (rx ** (p0 - 2.0) - ry ** (p0 - 2.0)) * _dot(s.x + s.y,
-                                                        s.kernel.a)
-    factor = rx ** p0 + ry ** p0
+    lhs = (power(rx, p0 - 2.0) - power(ry, p0 - 2.0)) * _dot(s.x + s.y,
+                                                              s.kernel.a)
+    factor = power(rx, p0) + power(ry, p0)
     ref = (_pos(model.kf1)
            + _pos(model.kfq) * (2.0 * pp["radius"]) ** model.q_f)
     return _allowance(lhs, factor, ref)
@@ -439,9 +442,9 @@ def _p_fg_pair_weighted_growth(model, s, pp):
     dxn = _norm(s.x - s.xp)
     dyn = _norm(s.y - s.yp)
     p = pp["p"]
-    weight = dxn ** (p - 2.0) - dyn ** (p - 2.0)
+    weight = power(dxn, p - 2.0) - power(dyn, p - 2.0)
     lhs = weight * _dot((s.x + s.y) - (s.xp + s.yp), df)
-    factor = dxn ** p + dyn ** p
+    factor = power(dxn, p) + power(dyn, p)
     # radius-dependent certified bound; see module docstring
     ref = (4.0 * (abs(model.kf1) + abs(model.kfq) * (1.0 + model.q_f))
            * (1.0 + 4.0 * pp["radius"]) ** model.q_f)
@@ -479,21 +482,21 @@ def _ergodic(shape, side, model, s, pp):
 
 def _erg_dissipativity(side, q, c1, cq, qc, cn, w):
     r2 = _nrm2(side.v)
-    factor = (1.0 + r2 ** (q / 2.0)) * r2
+    factor = (1.0 + power(r2, q / 2.0)) * r2
     ref = min(-c1 - w * cn ** 2, -cq)
     return _credit(_coercivity(side, 1.0, w), factor, ref)
 
 
 def _erg_growth(side, q, c1, cq, qc, cn, w):
-    weight = 1.0 + _nrm2(side.v) ** q + _nrm2(side.vp) ** q
+    weight = 1.0 + power(_nrm2(side.v), q) + power(_nrm2(side.vp), q)
     ref = max(2.0 * c1 ** 2, 2.0 * (cq * (1.0 + qc)) ** 2)
     return _allowance(_nrm2(side.a - side.ap), weight * _nrm2(side.dv), ref)
 
 
 def _erg_contraction(side, q, c1, cq, qc, cn, w):
     lhs = _monotonicity(side, 2.0 * w)
-    wv = _nrm2(side.v) ** (q / 2.0)
-    wvp = _nrm2(side.vp) ** (q / 2.0)
+    wv = power(_nrm2(side.v), q / 2.0)
+    wvp = power(_nrm2(side.vp), q / 2.0)
     factor = (1.0 + wv + wvp) * _nrm2(side.dv)
     ref = min(-c1 - 2.0 * w * cn ** 2, -cq / 2.0)
     return _credit(lhs, factor, ref)
@@ -501,8 +504,8 @@ def _erg_contraction(side, q, c1, cq, qc, cn, w):
 
 def _cross_drift(side, q):
     # weights |v|^q/2, |v'|^q/2 and the cross-weighted drift difference
-    wv = _nrm2(side.v) ** (q / 2.0)
-    wvp = _nrm2(side.vp) ** (q / 2.0)
+    wv = power(_nrm2(side.v), q / 2.0)
+    wvp = power(_nrm2(side.vp), q / 2.0)
     return wv, wvp, side.a * wvp[:, None] - side.ap * wv[:, None]
 
 

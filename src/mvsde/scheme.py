@@ -217,9 +217,8 @@ def _advancer(tm, ens):
     call; with keep and rec, the state after that step goes into the next
     row of rec where keep[s] is set. Both include the overflowing step. On
     the C backend it is one call of the fused kernel bound to ens, which
-    evaluates step's coefficients from the values below (lam only in the
-    functional measure mode and kap_pair only in the pairwise one, as step
-    does); on the numpy backend it is a loop of step.
+    evaluates step's coefficients from the model's COEFFICIENTS and the
+    taming's gamma and e; on the numpy backend it is a loop of step.
     """
     if bind_advance is None:
         def advance(block, steps, obs, keep, rec):
@@ -235,15 +234,10 @@ def _advancer(tm, ens):
                     return
 
         return advance
-    base = tm.base
-    pairwise = base.measure_mode == "pairwise"
-    run = bind_advance(dict(
-        h=1.0 / tm.n, beta1=base.beta1, betaq=base.betaq, q_b=base.q_b,
-        lam=0.0 if pairwise else base.lam,
-        kap_pair=base.kap_pair if pairwise else 0.0,
-        s0=base.s0, s1=base.s1, c_s=base.c_s, gamma=tm.gamma, e=tm.e,
-        kf1=base.kf1, kfq=base.kfq, q_f=base.q_f, c_g=base.c_g,
-        k_noise=_noise_width(base)), ens.states, ens.scratch)
+    coeffs = {name: getattr(tm.base, name) for name in model_mod.COEFFICIENTS}
+    run = bind_advance(dict(coeffs, h=1.0 / tm.n, gamma=tm.gamma, e=tm.e,
+                            k_noise=_noise_width(tm.base)),
+                       ens.states, ens.scratch)
 
     def advance(block, steps, obs, keep, rec):
         done = run(block, steps, obs, keep, rec)

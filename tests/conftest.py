@@ -13,7 +13,8 @@ macro STEP_CLONES defined empty, so the baseline code is tested on every
 CPU. The package binds the C pair routine only inside the fused kernel;
 c_pair_aggregate, fma_pair_aggregate and baseline_pair_aggregate bind it
 here from each library, so the tests can compare it with the numpy
-kernel directly.
+kernel directly. no_avx512_env is the environment of a subprocess that
+runs the package with NumPy's AVX-512 loops disabled.
 """
 
 import ast
@@ -27,6 +28,7 @@ import sysconfig
 import numpy as np
 import pytest
 
+import mvsde
 from mvsde._core import pair_scratch_size
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -52,6 +54,21 @@ def _cpu_has_fma():
                        for line in fh)
     except OSError:
         return False
+
+
+@pytest.fixture(scope="session")
+def no_avx512_env():
+    """Environment for a subprocess that imports this package with NumPy's
+    AVX-512 (X86_V4) loops disabled. Skips on a CPU without X86_V4, where
+    both processes would run the same loops."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        __cpu_features__ = {}
+    if not __cpu_features__.get("X86_V4"):
+        pytest.skip("needs a CPU with X86_V4")
+    return dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4",
+                PYTHONPATH=os.path.dirname(os.path.dirname(mvsde.__file__)))
 
 
 @pytest.fixture(scope="session")

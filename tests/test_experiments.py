@@ -12,7 +12,6 @@ import warnings
 import numpy as np
 import pytest
 
-import mvsde
 from mvsde.cli import main
 from mvsde.config import (ConfigError, check_step_bound, emit_config,
                           make_config, theoretical_constants)
@@ -223,16 +222,7 @@ def test_exploratory_run_that_cannot_be_fitted_is_exploratory(tmp_path,
     assert "verdict: exploratory" in capsys.readouterr().out
 
 
-def _has_x86_v4():
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:
-        return False
-    return bool(__cpu_features__.get("X86_V4"))
-
-
-@pytest.mark.skipif(not _has_x86_v4(), reason="needs a CPU with X86_V4")
-def test_rate_error_at_p3_does_not_depend_on_avx512(tmp_path):
+def test_rate_error_at_p3_does_not_depend_on_avx512(tmp_path, no_avx512_env):
     """A p = 3 poc-rate run writes the same errors in process and in a
     subprocess with NumPy's AVX-512 (X86_V4) loops disabled.
 
@@ -254,12 +244,9 @@ def test_rate_error_at_p3_does_not_depend_on_avx512(tmp_path):
                 run_poc_rate(cfg)
         else:
             ini.write_text(emit_config(cfg))
-            src = os.path.dirname(os.path.dirname(mvsde.__file__))
-            env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4",
-                       PYTHONPATH=src)
             code = subprocess.run(
                 [sys.executable, "-m", "mvsde", "poc-rate", "--config",
-                 str(ini)], env=env, capture_output=True,
+                 str(ini)], env=no_avx512_env, capture_output=True,
                 timeout=300).returncode
             assert code in (0, 2)  # the verdict may fail at this size
         runs.append([(out_dir / name).read_bytes() for name in (

@@ -520,8 +520,6 @@ def test_fused_self_terms_match_step(request, build, d):
             d=d, l={"none": 0, "part": d // 2, "full": d}[width],
             beta1=1.0, betaq=0.0 if q_b is None else -1.0,
             q_b=0.0 if q_b is None else q_b,
-            measure_mode="pairwise" if coupling == "kap_pair"
-            else "functional",
             lam=0.5 if coupling == "lam" else 0.0,
             kap_pair=0.7 if coupling == "kap_pair" else 0.0,
             s0=0.3, s1=s1, c_s=c_s, kf1=0.3 if pair else 0.0,

@@ -209,6 +209,19 @@ def test_defaults_documented():
     assert p.measure_mode == "pairwise"
 
 
+@pytest.mark.parametrize("mode,other", [("functional", "kap_pair"),
+                                         ("pairwise", "lam")])
+def test_coupling_of_the_other_measure_mode_refused(mode, other):
+    """scheme.step and the fused kernel add kap_pair (mean - x) and
+    lam * mean as they are, so a model carries only its own mode's
+    coupling: the other one, nonzero, is refused."""
+    with pytest.raises(ValueError, match="%s must be 0 in the %s measure "
+                                         "mode" % (other, mode)):
+        CoefficientModel("custom", 1, 1, 2.0, {}, mode, {other: 0.5})
+    ok = CoefficientModel("custom", 1, 1, 2.0, {}, mode, {other: 0.0})
+    assert getattr(ok, other) == 0.0
+
+
 def test_batch_broadcasting():
     m = make_model("cubic-mean-field", d=2, params={"lam": 0.5})
     rng = np.random.default_rng(5)
