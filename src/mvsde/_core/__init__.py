@@ -27,6 +27,7 @@ import os
 
 import numpy as np
 
+from ..model import COEFFICIENTS
 from . import pairwise_py
 
 pair_aggregate = pairwise_py.pair_aggregate
@@ -37,16 +38,17 @@ ndtri_py = pairwise_py.ndtri
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 # the mvsde_abi of the pairwise.c these bindings are written for
-_ABI = 4
+_ABI = 5
 
 
 class _Coeffs(ctypes.Structure):
-    """struct mvsde_coeffs of pairwise.c, field for field."""
+    """struct mvsde_coeffs of pairwise.c, field for field: the step size,
+    the model's coefficients in model.COEFFICIENTS order, the taming's
+    gamma and e, and the number of noise components."""
 
-    _fields_ = ([(name, ctypes.c_double) for name in (
-        "h", "beta1", "betaq", "q_b", "lam", "kap_pair", "s0", "s1", "c_s",
-        "gamma", "e", "kf1", "kfq", "q_f", "c_g")]
-        + [("k_noise", ctypes.c_ssize_t)])
+    _fields_ = ([(name, ctypes.c_double)
+                 for name in ("h",) + COEFFICIENTS + ("gamma", "e")]
+                + [("k_noise", ctypes.c_ssize_t)])
 
 
 def load_compiled(path):
@@ -134,9 +136,9 @@ def load_compiled(path):
 def pair_scratch_size(n, d, pair_rows):
     """Doubles of scratch that mvsde_pair_aggregate needs for an n x d
     ensemble, from the library's mvsde_pair_rows: the structure-of-arrays
-    copy of X, the mirrored sums of F and G, and the pair factors of one
-    block of rows."""
-    return 3 * n * d + 2 * pair_rows * n
+    copy of X and the sums of F and G, each d rows of n + pair_rows, and a
+    block's values and sums, 3 d x pair_rows."""
+    return 3 * d * (n + 2 * pair_rows)
 
 
 class _BoundAdvance:

@@ -5,20 +5,26 @@
  * mvsde._core.pairwise_py.pair_aggregate: same per-pair expression tree,
  * same exponent special cases with libm pow for every other exponent,
  * same final division by N. Each unordered pair is evaluated once and
- * mirrored by negation, which IEEE-754 makes exact; the skipped diagonal
- * contributes an exact zero in the reference. The loop runs in passes
- * that the compiler vectorises, on a structure-of-arrays copy of X, for a
- * block of four rows: each row's r2 (from 0.0, over the components in
- * ascending order) and pair factors (one loop per exponent case, with sqrt
- * only where pow needs r), vectorised over the partners j; then the
- * block's mirrored terms into every later row, in ascending row order,
- * vectorised over j; then the block's own sums with the rows in the vector
- * lanes, each lane one row's chain, ascending in j (scalar chains for a
- * short last block). So each row still sums its partners in ascending
- * order, the reference's order: the mirrored terms of the rows before it,
- * then its own. Every value sees the operations of the reference in its
- * order, and vector +, -, * and / round as their scalar forms do, so the
- * sums agree bit for bit.
+ * mirrored by negation, which IEEE-754 makes exact. The skipped diagonal
+ * contributes an exact zero in the reference for a finite row: its
+ * x_i - x_i is +0.0, and a sum that starts at +0.0 is never -0.0, so
+ * adding a signed zero changes nothing. A row with an infinite coordinate
+ * has a nan there instead, which is why mvsde.scheme.simulate refuses a
+ * non-finite state. The loop takes the rows in blocks of four, on a
+ * structure-of-arrays copy of X, and the partners past a block in tiles of
+ * four, each tile in one pass: v = x_i - x_j of its 16 pairs with the
+ * block's rows in the vector lanes and the partner broadcast, their r2
+ * (from 0.0, over the components in ascending order), the pair factors in
+ * the lanes (scalar libm pow lane by lane in the pow cases, sqrt only
+ * where pow needs r), then per component the products P = cf v and
+ * Q = gw v, formed once, added to the rows' own sums in partner order and,
+ * through a 4 x 4 transpose, subtracted from the partners' mirrored sums
+ * in row order. The pairs inside a block and the partners after its last
+ * whole tile take one scalar chain each. So each row still sums its
+ * partners in ascending order, the reference's order: the mirrored terms
+ * of the rows before it, then its own. Every value sees the operations of
+ * the reference in its order, vector +, -, * and / round as their scalar
+ * forms do and a shuffle only moves values, so the sums agree bit for bit.
  *
  * mvsde_advance runs whole steps of mvsde.scheme.step for a block of steps
  * with no Python in the loop, bit for bit. It repeats step's NumPy
@@ -76,17 +82,18 @@
  * lets the compiler reassociate (-ffast-math, -fassociative-math); setup.py
  * passes -O3 -ffp-contract=off -fno-math-errno, the last so that sqrt needs
  * no errno branch and vectorises. Plain C with no Python or NumPy headers,
- * apart from the unsigned __int128 of the Philox multiplications and the
- * always_inline and target_clones attributes, which GCC and Clang provide,
- * and one #pragma GCC unroll, which steers the vectoriser only and so
+ * apart from the unsigned __int128 of the Philox multiplications, the
+ * vector extension types and shuffles of the pair tile and the row sum,
+ * and the always_inline and target_clones attributes, which GCC and Clang
+ * provide, and #pragma GCC unroll, which steers the compiler only and so
  * changes no value under a compiler that ignores it; mvsde._core loads it
  * with ctypes.
  *
- * Runtime dispatch. pair_factors, mvsde_pair_aggregate, row_norms,
- * step_once and mvsde_fsum_rows carry STEP_CLONES: on x86-64 ELF with
- * glibc, where the compiler has target_clones, each is compiled twice,
- * for AVX2 (four doubles per
- * instruction) and for the x86-64 baseline (SSE2, two), and the dynamic
+ * Runtime dispatch. mvsde_pair_aggregate, row_norms, step_once and
+ * mvsde_fsum_rows carry STEP_CLONES: on x86-64 ELF with glibc, where the
+ * compiler has target_clones, each is compiled twice, for AVX2 (four
+ * doubles per instruction) and for the x86-64 baseline (SSE2, two, so a
+ * vector of four doubles takes two registers), and the dynamic
  * loader picks one per function through an ifunc, once, by the CPU: an
  * AVX2 CPU, AVX-512 ones included, takes the AVX2 clone, any other the
  * baseline one. The ALWAYS_INLINE helpers are inlined into each clone and
@@ -107,20 +114,27 @@
  * its work array changes; mvsde._core loads no library whose value differs
  * from its own, so a stale build runs NumPy instead of passing arguments
  * that its kernels would misread or a work array they would overrun. */
-const int mvsde_abi = 4;
+const int mvsde_abi = 5;
 
-/* The pair loop takes the rows in blocks of PAIR_ROWS and the components in
- * chunks of PAIR_CHUNK, with compile-time counts for both. A full block
- * sums its own terms in tiles of PAIR_TILE partners with its rows in the
- * vector lanes (pair_block_chunk), as 2 * PAIR_CHUNK chains of PAIR_ROWS
- * lanes: one AVX2 vector or two SSE2 ones each. At N = 1024 and d = 4 to
- * 9, chunks of 3 ran 1.2-1.4x faster than chunks of 4 in the baseline build
- * and 1.3-1.7x in the AVX2 clone. At N = 1024 and d = 3 and 8, tiles of 2
- * ran 1.01-1.06x and tiles of 8 1.2-1.5x slower than tiles of 4 in both.
- * mvsde._core sizes the pair scratch from mvsde_pair_rows. */
+/* The pair loop takes the rows in blocks of PAIR_ROWS and the partners
+ * past a block in tiles of PAIR_TILE (pair_tile). Each row of the
+ * structure-of-arrays scratch holds n + PAIR_ROWS doubles: with rows of
+ * exactly n doubles, at N = 1024 every row starts a multiple of 4096 bytes
+ * from every other, and the tile's loads stall on its stores to other rows
+ * at the same page offset. Up to PAIR_DIMS components a block keeps
+ * its rows' values and sums on the stack, beyond in the scratch.
+ * mvsde._core sizes the scratch from mvsde_pair_rows. On a 2-vCPU Xeon VM
+ * (AVX-512), at the poc-rate kernel and N = 64 and 1024, this loop took
+ * 0.51-0.54x the time per pair of the three passes per block it replaced
+ * at d = 1 (2.0 -> 1.1 ns at N = 1024), 0.62-0.69x at d = 3 and
+ * 0.72-0.75x at d = 8 in the AVX2 clone, and 0.81-0.95x in the baseline
+ * build (medians of 41 interleaved rounds). Tiles of 2 partners ran
+ * 1.1-1.3x slower than tiles of 4 in the AVX2 clone, rows of exactly n
+ * about 1.4x slower at d = 8 and N = 1024. */
 #define PAIR_ROWS 4
-#define PAIR_CHUNK 3
 #define PAIR_TILE 4
+#define PAIR_LANES (PAIR_ROWS * PAIR_TILE)
+#define PAIR_DIMS 3
 const int mvsde_pair_rows = PAIR_ROWS;
 
 #define ALWAYS_INLINE static inline __attribute__((always_inline))
@@ -136,206 +150,249 @@ const int mvsde_pair_rows = PAIR_ROWS;
 #define STEP_CLONES
 #endif
 
-/* Calls body(k) with k = min(left, PAIR_CHUNK), a compile-time constant in
- * each case; left >= 1. */
-#define PAIR_CHUNKED(left, body)                                           \
-    switch ((left) < PAIR_CHUNK ? (left) : PAIR_CHUNK) {                   \
-    case 1: body(1); break;                                                \
-    case 2: body(2); break;                                                \
-    default: body(3); break;                                               \
-    }
-
-/* r2[j] of the partners j0 <= j < n, summed over the k components of a
- * chunk whose structure-of-arrays rows start at xs (stride n) and whose
- * values in the row are xi: from 0.0 for the first chunk, otherwise onwards
- * from the sum of the chunks before it. */
-ALWAYS_INLINE void pair_r2_chunk(const double *restrict xs, ptrdiff_t n,
-                                 const double *xi, int k, int first,
-                                 ptrdiff_t j0, double *restrict r2)
-{
-    double a[PAIR_CHUNK], s, v;
-    ptrdiff_t j;
-    int c;
-
-    for (c = 0; c < k; c++)
-        a[c] = xi[c];
-    for (j = j0; j < n; j++) {
-        s = first ? 0.0 : r2[j];
-        for (c = 0; c < k; c++) {
-            v = a[c] - xs[c * n + j];
-            s = s + v * v;
-        }
-        r2[j] = s;
-    }
-}
-
 /* Exponent cases of the pair factors: the weight w is a constant (tam is 0
  * or te is 0), 1 / (1 + tam r2), 1 / (1 + tam r2 r2) or libm pow's; r^qf
  * is r2, 1 or libm pow's. */
 enum { W_CONST, W_R2, W_R4, W_POW };
 enum { Q_R2, Q_ONE, Q_POW };
 
-/* The pair factors of the partners j0 <= j < n from their r2, as
- * pairwise_py.pair_factors computes them: cf[j] = (kf1 + kfq r^qf) w and
- * gw[j] = cg w (cg when tame_g is 0), w = 1 / (1 + tam r^te), exactly 1
- * when tam is 0. cf holds r2 on entry. wm and qm are compile-time exponent
- * cases, and r = sqrt(r2) is taken only where libm pow needs it. */
-ALWAYS_INLINE void pair_factors_case(double *restrict cf,
-                                     double *restrict gw, ptrdiff_t j0,
-                                     ptrdiff_t n, int wm, int qm, double wc,
-                                     double kf1, double kfq, double qf,
-                                     double cg, double tam, double te,
-                                     double tame_g)
+/* The pair kernel of one call with its exponent cases; wc is the weight of
+ * W_CONST. */
+struct pair_kernel {
+    double kf1, kfq, qf, cg, tam, te, tame_g, wc;
+    int wm, qm;
+};
+
+/* The pair factors of the m squared radii r2[l], as
+ * pairwise_py.pair_factors computes them: cf[l] = (kf1 + kfq r^qf) w and
+ * gw[l] = cg w (cg when tame_g is 0), w = 1 / (1 + tam r^te), exactly 1
+ * when tam is 0, with r = sqrt(r2) taken only where libm pow needs it.
+ * Each exponent case is one loop over the m lanes, which the compiler
+ * vectorises but for the pow cases, where each lane calls scalar libm
+ * pow. */
+ALWAYS_INLINE void pair_factors(const struct pair_kernel *k,
+                                const double *r2, double *cf, double *gw,
+                                int m)
 {
-    double r2, w, rq;
-    ptrdiff_t j;
+    double w[PAIR_LANES], rq[PAIR_LANES];
+    int l;
 
-    for (j = j0; j < n; j++) {
-        r2 = cf[j];
-        if (wm == W_CONST)
-            w = wc;
-        else if (wm == W_R2)
-            w = 1.0 / (1.0 + tam * r2);
-        else if (wm == W_R4)
-            w = 1.0 / (1.0 + tam * (r2 * r2));
-        else
-            w = 1.0 / (1.0 + tam * pow(sqrt(r2), te));
-        if (qm == Q_R2)
-            rq = r2;
-        else if (qm == Q_ONE)
-            rq = 1.0;
-        else
-            rq = pow(sqrt(r2), qf);
-        cf[j] = (kf1 + kfq * rq) * w;
-        gw[j] = tame_g != 0.0 ? cg * w : cg;
-    }
-}
-
-STEP_CLONES
-static void pair_factors(double *restrict cf, double *restrict gw,
-                         ptrdiff_t j0, ptrdiff_t n, double kf1, double kfq,
-                         double qf, double cg, double tam, double te,
-                         double tame_g)
-{
-    int wm = tam == 0.0 || te == 0.0 ? W_CONST
-             : te == 2.0             ? W_R2
-             : te == 4.0             ? W_R4
-                                     : W_POW;
-    int qm = qf == 2.0 ? Q_R2 : qf == 0.0 ? Q_ONE : Q_POW;
-    /* w at tam == 0 is exactly 1; at te == 0 it is 1 / (1 + tam 1) */
-    double wc = tam == 0.0 ? 1.0 : 1.0 / (1.0 + tam * 1.0);
-
-#define CASE(w, q)                                                         \
-    case 3 * (w) + (q):                                                    \
-        pair_factors_case(cf, gw, j0, n, w, q, wc, kf1, kfq, qf, cg, tam,  \
-                          te, tame_g);                                     \
+    switch (k->wm) {
+    case W_CONST:
+        for (l = 0; l < m; l++)
+            w[l] = k->wc;
         break;
-#define CASES(w) CASE(w, Q_R2) CASE(w, Q_ONE) CASE(w, Q_POW)
-    switch (3 * wm + qm) {
-        CASES(W_CONST)
-        CASES(W_R2)
-        CASES(W_R4)
-        CASES(W_POW)
+    case W_R2:
+        for (l = 0; l < m; l++)
+            w[l] = 1.0 / (1.0 + k->tam * r2[l]);
+        break;
+    case W_R4:
+        for (l = 0; l < m; l++)
+            w[l] = 1.0 / (1.0 + k->tam * (r2[l] * r2[l]));
+        break;
+    default:
+        for (l = 0; l < m; l++)
+            w[l] = 1.0 / (1.0 + k->tam * pow(sqrt(r2[l]), k->te));
     }
-#undef CASES
-#undef CASE
+    switch (k->qm) {
+    case Q_R2:
+        for (l = 0; l < m; l++)
+            rq[l] = r2[l];
+        break;
+    case Q_ONE:
+        for (l = 0; l < m; l++)
+            rq[l] = 1.0;
+        break;
+    default:
+        for (l = 0; l < m; l++)
+            rq[l] = pow(sqrt(r2[l]), k->qf);
+    }
+    for (l = 0; l < m; l++) {
+        cf[l] = (k->kf1 + k->kfq * rq[l]) * w[l];
+        gw[l] = k->tame_g != 0.0 ? k->cg * w[l] : k->cg;
+    }
 }
 
-/* The terms of the block of `rows` rows from i0 on the k components of a
- * chunk: xs, fs and gs are the chunk's structure-of-arrays rows (stride
- * n), x and f, g the chunk's first column of X, F and G (stride d), and
- * cf + r n and gw + r n the pair factors of block row r. Row i's sum is
- * its mirrored terms, -f(x_j, x_i) from every row j < i in ascending j,
- * then its own terms in ascending j; fs and gs hold the mirrored part.
- * The pairs inside the block go first, row by row. Then the mirrored terms
- * of every partner j past the block, one pass over j per component that
- * vectorises, and the block's own sums over those partners in ascending j.
- * A full block takes them in tiles of PAIR_TILE partners: in each tile the
- * loop over its rows is the one the compiler vectorises, so each vector
- * lane holds one row's sums and adds that row's terms of the tile one
- * after another, the operations of the row's scalar chain on the same
- * values, and no sum is reassociated. The pragma keeps the compiler from
- * unrolling that loop, which would leave it nothing to vectorise but the
- * partners. The partners after the last whole tile, and every partner of a
- * short last block (1 to PAIR_ROWS - 1 rows), go one at a time, one chain
- * per row, component and array. The rows sit in the lanes through a loop
- * rather than a vector extension type: the baseline build has no register
- * for a four-double vector and kept it in memory, 1.9-3.1x slower than
- * scalar chains at N = 1024, d = 3 and 8. Nothing adds to a row after its
- * block, so its sums go to f and g, divided by dn. */
-ALWAYS_INLINE void pair_block_chunk(const double *restrict xs, ptrdiff_t n,
-                                    const double *x, ptrdiff_t d, int k,
-                                    ptrdiff_t i0, int rows,
-                                    const double *restrict cf,
-                                    const double *restrict gw,
-                                    double *restrict fs, double *restrict gs,
-                                    double *f, double *g, double dn)
+/* The pair of block row r, whose dk components are a[c][r], and partner j
+ * as one scalar chain per value: r2 from 0.0 over the components in
+ * ascending order, the factors, then per component P = cf v and Q = gw v
+ * with v = x_r - x_j, added to the row's sums af[c][r] and ag[c][r] and
+ * subtracted from the partner's in fs and gs (structure-of-arrays rows of
+ * stride ns, as xs). */
+ALWAYS_INLINE void pair_one(const struct pair_kernel *k,
+                            const double *restrict xs, ptrdiff_t ns,
+                            ptrdiff_t dk, double (*a)[PAIR_ROWS],
+                            double (*af)[PAIR_ROWS], double (*ag)[PAIR_ROWS],
+                            int r, ptrdiff_t j, double *restrict fs,
+                            double *restrict gs)
 {
-    double a[PAIR_CHUNK][PAIR_ROWS], af[PAIR_CHUNK][PAIR_ROWS],
-        ag[PAIR_CHUNK][PAIR_ROWS], v, sf, sg;
-    ptrdiff_t j, j1 = i0 + rows;
-    int r, c, t;
+    double r2 = 0.0, cf, gw, v;
+    ptrdiff_t c;
+
+    for (c = 0; c < dk; c++) {
+        v = a[c][r] - xs[c * ns + j];
+        r2 = r2 + v * v;
+    }
+    pair_factors(k, &r2, &cf, &gw, 1);
+    for (c = 0; c < dk; c++) {
+        v = a[c][r] - xs[c * ns + j];
+        af[c][r] = af[c][r] + cf * v;
+        ag[c][r] = ag[c][r] + gw * v;
+        fs[c * ns + j] = fs[c * ns + j] - cf * v;
+        gs[c * ns + j] = gs[c * ns + j] - gw * v;
+    }
+}
+
+/* A vector of PAIR_ROWS doubles, one lane per row of a block: a GCC and
+ * Clang vector extension type, which no function takes or returns by
+ * value, whose ABI would differ between the AVX2 and the baseline clone.
+ * It is loaded with memcpy and stored lane by lane, which the AVX2 clone
+ * merges into one store; the baseline clone copied a memcpy'd store
+ * through the stack. */
+typedef double pair_v __attribute__((vector_size(PAIR_ROWS * sizeof(double))));
+#define PAIR_STORE(dst, v)                                                 \
+    do {                                                                   \
+        int l_;                                                            \
+        for (l_ = 0; l_ < PAIR_ROWS; l_++)                                 \
+            (dst)[l_] = (v)[l_];                                           \
+    } while (0)
+
+/* Lanes i, j, k and l of the eight lanes of a and then b. */
+#if defined(__has_builtin)
+#if __has_builtin(__builtin_shufflevector)
+#define PAIR_SHUFFLE(a, b, i, j, k, l)                                     \
+    __builtin_shufflevector(a, b, i, j, k, l)
+#endif
+#endif
+#ifndef PAIR_SHUFFLE /* GCC before 12 */
+typedef int64_t pair_vi __attribute__((vector_size(sizeof(pair_v))));
+#define PAIR_SHUFFLE(a, b, i, j, k, l)                                     \
+    __builtin_shuffle(a, b, (pair_vi){i, j, k, l})
+#endif
+
+/* A full block's rows, whose dk components are the lanes of a[c], against
+ * the PAIR_TILE partners from j, in one pass: v of every pair with the
+ * rows in the vector lanes and the partner broadcast; r2 from 0.0 over the
+ * components in ascending order; the factors in the lanes; then per
+ * component the products P = cf v and Q = gw v, each formed once, added
+ * to the rows' sums af[c] and ag[c] in partner order and, through a 4 x 4
+ * transpose, subtracted from the partners' sums in fs and gs in row
+ * order. */
+ALWAYS_INLINE void pair_tile(const struct pair_kernel *k,
+                             const double *restrict xs, ptrdiff_t ns,
+                             ptrdiff_t dk, double (*a)[PAIR_ROWS],
+                             double (*af)[PAIR_ROWS], double (*ag)[PAIR_ROWS],
+                             ptrdiff_t j, double *restrict fs,
+                             double *restrict gs)
+{
+    pair_v r2[PAIR_TILE], cf[PAIR_TILE], gw[PAIR_TILE], p[PAIR_TILE],
+        q[PAIR_TILE], av, s, v, u0, u1, u2, u3;
+    double lr2[PAIR_LANES], lcf[PAIR_LANES], lgw[PAIR_LANES];
+    ptrdiff_t c;
+    int t;
+
+    for (t = 0; t < PAIR_TILE; t++)
+        r2[t] = (pair_v){0.0};
+    for (c = 0; c < dk; c++) {
+        memcpy(&av, a[c], sizeof av);
+        for (t = 0; t < PAIR_TILE; t++) {
+            v = av - xs[c * ns + j + t];
+            r2[t] = r2[t] + v * v;
+        }
+    }
+    memcpy(lr2, r2, sizeof r2);
+    pair_factors(k, lr2, lcf, lgw, PAIR_LANES);
+    memcpy(cf, lcf, sizeof cf);
+    memcpy(gw, lgw, sizeof gw);
+    for (c = 0; c < dk; c++) {
+        memcpy(&av, a[c], sizeof av);
+        for (t = 0; t < PAIR_TILE; t++) {
+            v = av - xs[c * ns + j + t];
+            p[t] = cf[t] * v;
+            q[t] = gw[t] * v;
+        }
+        /* own + m[0] + ... + m[3], lane by lane, and the partners' sums
+         * - (m[0][r], ..., m[3][r]) for r = 0, ..., 3 */
+#define PAIR_OWN(own, m)                                                   \
+        memcpy(&s, own[c], sizeof s);                                      \
+        for (t = 0; t < PAIR_TILE; t++)                                    \
+            s = s + m[t];                                                  \
+        PAIR_STORE(own[c], s);
+#define PAIR_MIRROR(sums, m)                                               \
+        u0 = PAIR_SHUFFLE(m[0], m[1], 0, 4, 2, 6);                         \
+        u1 = PAIR_SHUFFLE(m[0], m[1], 1, 5, 3, 7);                         \
+        u2 = PAIR_SHUFFLE(m[2], m[3], 0, 4, 2, 6);                         \
+        u3 = PAIR_SHUFFLE(m[2], m[3], 1, 5, 3, 7);                         \
+        memcpy(&s, sums + c * ns + j, sizeof s);                           \
+        s = s - PAIR_SHUFFLE(u0, u2, 0, 1, 4, 5);                          \
+        s = s - PAIR_SHUFFLE(u1, u3, 0, 1, 4, 5);                          \
+        s = s - PAIR_SHUFFLE(u0, u2, 2, 3, 6, 7);                          \
+        s = s - PAIR_SHUFFLE(u1, u3, 2, 3, 6, 7);                          \
+        PAIR_STORE(sums + c * ns + j, s);
+        PAIR_OWN(af, p)
+        PAIR_OWN(ag, q)
+        PAIR_MIRROR(fs, p)
+        PAIR_MIRROR(gs, q)
+#undef PAIR_MIRROR
+#undef PAIR_OWN
+    }
+}
+
+/* The terms of the block of `rows` rows from i0 of the n rows, on dk
+ * components. Row i's sum is its mirrored terms, -f(x_j, x_i) from every
+ * row j < i in ascending j, then its own terms in ascending j; fs and gs
+ * hold the mirrored part of every later row. The block copies its rows'
+ * values and sums into a, af and ag (dk x PAIR_ROWS each). The pairs
+ * inside the block go first, row by row, then the partners past it in
+ * tiles, and those after the last whole tile one at a time; a short last
+ * block (1 to PAIR_ROWS - 1 rows) has no partners past it and leaves the
+ * other lanes unused. Nothing adds to a row after its block, so its sums
+ * go to F and G, divided by dn. */
+ALWAYS_INLINE void pair_block(const struct pair_kernel *k,
+                              const double *restrict xs, ptrdiff_t n,
+                              ptrdiff_t ns, ptrdiff_t dk, ptrdiff_t i0,
+                              int rows,
+                              double (*a)[PAIR_ROWS],
+                              double (*af)[PAIR_ROWS],
+                              double (*ag)[PAIR_ROWS], double *restrict fs,
+                              double *restrict gs, double *F, double *G,
+                              double dn)
+{
+    ptrdiff_t j, c;
+    int r;
 
     for (r = 0; r < rows; r++)
-        for (c = 0; c < k; c++)
-            a[c][r] = x[(i0 + r) * d + c];
+        for (c = 0; c < dk; c++)
+            a[c][r] = xs[c * ns + i0 + r];
     for (r = 0; r < rows; r++) {
-        for (c = 0; c < k; c++) {
-            af[c][r] = fs[c * n + i0 + r];
-            ag[c][r] = gs[c * n + i0 + r];
+        for (c = 0; c < dk; c++) {
+            af[c][r] = fs[c * ns + i0 + r];
+            ag[c][r] = gs[c * ns + i0 + r];
         }
-        for (j = i0 + r + 1; j < j1; j++)
-            for (c = 0; c < k; c++) {
-                v = a[c][r] - xs[c * n + j];
-                af[c][r] = af[c][r] + cf[r * n + j] * v;
-                ag[c][r] = ag[c][r] + gw[r * n + j] * v;
-                fs[c * n + j] = fs[c * n + j] - cf[r * n + j] * v;
-                gs[c * n + j] = gs[c * n + j] - gw[r * n + j] * v;
-            }
+        for (j = i0 + r + 1; j < i0 + rows; j++)
+            pair_one(k, xs, ns, dk, a, af, ag, r, j, fs, gs);
     }
-    for (c = 0; c < k; c++)
-        for (j = j1; j < n; j++) {
-            sf = fs[c * n + j];
-            sg = gs[c * n + j];
-            for (r = 0; r < rows; r++) {
-                v = a[c][r] - xs[c * n + j];
-                sf = sf - cf[r * n + j] * v;
-                sg = sg - gw[r * n + j] * v;
-            }
-            fs[c * n + j] = sf;
-            gs[c * n + j] = sg;
-        }
-    j = j1;
-    if (rows == PAIR_ROWS)
+    j = i0 + rows;
+    if (rows == PAIR_ROWS) {
         for (; j + PAIR_TILE <= n; j += PAIR_TILE)
-#pragma GCC unroll 1
+            pair_tile(k, xs, ns, dk, a, af, ag, j, fs, gs);
+        for (; j < n; j++)
             for (r = 0; r < PAIR_ROWS; r++)
-                for (t = 0; t < PAIR_TILE; t++)
-                    for (c = 0; c < k; c++) {
-                        v = a[c][r] - xs[c * n + j + t];
-                        af[c][r] = af[c][r] + cf[r * n + j + t] * v;
-                        ag[c][r] = ag[c][r] + gw[r * n + j + t] * v;
-                    }
-    for (; j < n; j++)
-        for (r = 0; r < rows; r++)
-            for (c = 0; c < k; c++) {
-                v = a[c][r] - xs[c * n + j];
-                af[c][r] = af[c][r] + cf[r * n + j] * v;
-                ag[c][r] = ag[c][r] + gw[r * n + j] * v;
-            }
+                pair_one(k, xs, ns, dk, a, af, ag, r, j, fs, gs);
+    }
     for (r = 0; r < rows; r++)
-        for (c = 0; c < k; c++) {
-            f[(i0 + r) * d + c] = af[c][r] / dn;
-            g[(i0 + r) * d + c] = ag[c][r] / dn;
+        for (c = 0; c < dk; c++) {
+            F[(i0 + r) * dk + c] = af[c][r] / dn;
+            G[(i0 + r) * dk + c] = ag[c][r] / dn;
         }
 }
 
 /* X is a C-contiguous n x d float64 array with d >= 1; F and G (n x d as
  * well) are overwritten with the pair sums. work holds
- * 3 n d + 2 PAIR_ROWS n = 3 n d + 8 n doubles: the structure-of-arrays copy
- * of X, the mirrored sums of F and G in the same layout, and the pair
- * factors of one block of rows. The all-zero-kernel short-circuit is done
- * by the caller. */
+ * 3 d (n + 2 PAIR_ROWS) doubles: the structure-of-arrays copy of X and the
+ * mirrored sums of F and G, d rows of ns = n + PAIR_ROWS each, then a
+ * block's a, af and ag past PAIR_DIMS components. The all-zero-kernel
+ * short-circuit is done by the caller. */
 STEP_CLONES
 void mvsde_pair_aggregate(const double *restrict X, ptrdiff_t n,
                           ptrdiff_t d, double kf1, double kfq, double qf,
@@ -343,49 +400,50 @@ void mvsde_pair_aggregate(const double *restrict X, ptrdiff_t n,
                           double *restrict F, double *restrict G,
                           double *restrict work)
 {
-    double *xs = work, *fs = xs + n * d, *gs = fs + n * d;
-    double *cf = gs + n * d, *gw = cf + PAIR_ROWS * n, dn = (double)n;
-    ptrdiff_t i, i0, j, c, c0;
+    struct pair_kernel k = {
+        kf1, kfq, qf, cg, tam, te, tame_g,
+        /* w at tam == 0 is exactly 1; at te == 0 it is 1 / (1 + tam 1) */
+        tam == 0.0 ? 1.0 : 1.0 / (1.0 + tam * 1.0),
+        tam == 0.0 || te == 0.0 ? W_CONST
+        : te == 2.0             ? W_R2
+        : te == 4.0             ? W_R4
+                                : W_POW,
+        qf == 2.0 ? Q_R2 : qf == 0.0 ? Q_ONE : Q_POW};
+    ptrdiff_t ns = n + PAIR_ROWS;
+    double *xs = work, *fs = xs + ns * d, *gs = fs + ns * d, dn = (double)n;
+    double (*wa)[PAIR_ROWS] = (double (*)[PAIR_ROWS])(gs + ns * d);
+    double la[PAIR_DIMS][PAIR_ROWS], laf[PAIR_DIMS][PAIR_ROWS],
+        lag[PAIR_DIMS][PAIR_ROWS];
+    ptrdiff_t i0, j, c;
     int rows;
 
     for (j = 0; j < n; j++)
         for (c = 0; c < d; c++)
-            xs[c * n + j] = X[j * d + c];
-    memset(fs, 0, 2 * (size_t)(n * d) * sizeof(double));
+            xs[c * ns + j] = X[j * d + c];
+    memset(fs, 0, 2 * (size_t)(ns * d) * sizeof(double));
     for (i0 = 0; i0 < n; i0 += PAIR_ROWS) {
         rows = n - i0 < PAIR_ROWS ? (int)(n - i0) : PAIR_ROWS;
-        for (i = i0; i < i0 + rows; i++) {
-            double *r2 = cf + (i - i0) * n, *w = gw + (i - i0) * n;
-            const double *xi = X + i * d;
-#define R2(k) pair_r2_chunk(xs, n, xi, k, 1, i + 1, r2)
-            PAIR_CHUNKED(d, R2)
-#undef R2
-            for (c0 = PAIR_CHUNK; c0 < d; c0 += PAIR_CHUNK) {
-#define R2(k) pair_r2_chunk(xs + c0 * n, n, xi + c0, k, 0, i + 1, r2)
-                PAIR_CHUNKED(d - c0, R2)
-#undef R2
-            }
-            pair_factors(r2, w, i + 1, n, kf1, kfq, qf, cg, tam, te, tame_g);
+        /* literal dimensions up to PAIR_DIMS, whose component loops
+         * unroll; a block's arrays on the stack where they fit */
+#define BLOCK(dk)                                                          \
+    if ((dk) <= PAIR_DIMS)                                                 \
+        pair_block(&k, xs, n, ns, dk, i0, rows, la, laf, lag, fs, gs, F,   \
+                   G, dn);                                                 \
+    else                                                                   \
+        pair_block(&k, xs, n, ns, dk, i0, rows, wa, wa + d, wa + 2 * d,    \
+                   fs, gs, F, G, dn);
+        switch (d) {
+        case 1: BLOCK(1); break;
+        case 2: BLOCK(2); break;
+        case 3: BLOCK(3); break;
+        default: BLOCK(d); break;
         }
-        for (c0 = 0; c0 < d; c0 += PAIR_CHUNK) {
-#define BLOCK(k, r) pair_block_chunk(xs + c0 * n, n, X + c0, d, k, i0, r, \
-                                     cf, gw, fs + c0 * n, gs + c0 * n,     \
-                                     F + c0, G + c0, dn)
-#define FULL(k) BLOCK(k, PAIR_ROWS)
-#define LAST(k) BLOCK(k, rows)
-            if (rows == PAIR_ROWS) {
-                PAIR_CHUNKED(d - c0, FULL)
-            } else {
-                PAIR_CHUNKED(d - c0, LAST)
-            }
-#undef LAST
-#undef FULL
 #undef BLOCK
-        }
     }
 }
 
-/* Coefficients of one run of the scheme; mirrored by mvsde._core._Coeffs.
+/* Coefficients of one run of the scheme; mirrored by mvsde._core._Coeffs,
+ * whose fields between h and gamma are model.COEFFICIENTS in this order.
  * The self drift is beta1 x + betaq x |x|^q_b plus kap_pair * (mean - x)
  * (pairwise measure mode) and lam * mean (functional mode). The diffusion
  * diagonal s0 + s1 x + c_s (mean - x) covers the first k_noise = min(d, l)
@@ -395,8 +453,9 @@ void mvsde_pair_aggregate(const double *restrict X, ptrdiff_t n,
 struct mvsde_coeffs {
     double h;
     double beta1, betaq, q_b, lam, kap_pair;
-    double s0, s1, c_s, gamma, e;
+    double s0, s1, c_s;
     double kf1, kfq, q_f, c_g;
+    double gamma, e;
     ptrdiff_t k_noise;
 };
 

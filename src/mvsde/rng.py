@@ -200,7 +200,8 @@ def parse_initial(text):
     "gaussian 0.0 1.0"   center 0.0, scale 1.0
     "uniform_ball 0.0 2.0"  center 0.0, radius 2.0
 
-    Missing numbers default to center 0, scale/radius 1.
+    Missing numbers default to center 0, scale/radius 1. A non-finite
+    number is refused.
     """
     parts = str(text).split()
     if not parts:
@@ -212,6 +213,8 @@ def parse_initial(text):
         raise ValueError("non-numeric value in initial law %r" % (text,))
     if len(nums) > 2:
         raise ValueError("initial law %r has too many values" % (text,))
+    if not all(map(math.isfinite, nums)):
+        raise ValueError("initial law %r has a non-finite value" % (text,))
     center = nums[0] if nums else 0.0
     spread = nums[1] if len(nums) > 1 else 1.0
     if kind == "uniform_ball":

@@ -111,7 +111,8 @@ def simulate(tm, tableau, states, callbacks=()):
     """Run the explicit scheme at level tm.n over the tableau's [0, T].
 
     The model, the level, the states and a StateRecorder's steps are
-    checked against the tableau before anything is drawn.
+    checked against the tableau, and the states for a non-finite value,
+    before anything is drawn.
 
     Parameters
     ----------
@@ -155,6 +156,8 @@ def simulate(tm, tableau, states, callbacks=()):
             or not 1 <= len(states) <= tableau.N):
         raise ValueError("states must be (N, %d) with 1 <= N <= %d, got "
                          "shape %s" % (d, tableau.N, states.shape))
+    if not np.isfinite(states).all():
+        raise ValueError("states must be finite")
     n_part = len(states)
     r = rng_mod._level_ratio(tableau, tm.n)
     total = tableau.total_steps // r

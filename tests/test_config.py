@@ -262,6 +262,16 @@ def test_a_number_field_takes_only_numbers(value):
         make_config("simulate", T=value)
 
 
+@pytest.mark.parametrize("law", ["point inf", "gaussian 0 inf",
+                                 "uniform_ball 0 inf", "gaussian nan 1"])
+def test_non_finite_initial_law_is_one_problem(law):
+    with pytest.raises(ConfigError) as err:
+        make_config("moment-stability", initial_b=law)
+    msg = str(err.value)
+    assert "(1 problem)" in msg
+    assert "initial_b: initial law %r has a non-finite value" % law in msg
+
+
 def test_step_count_beyond_the_float_range_refused():
     with pytest.raises(ConfigError, match="whole number of steps"):
         make_config("simulate", T=1e307)

@@ -13,6 +13,7 @@ import ctypes.util
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 
@@ -22,13 +23,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvsde
-from mvsde._core import (_select_backend, fsum_rows_py, load_compiled,
-                         ndtri_py, pair_aggregate, pair_aggregate_naive,
-                         philox_uniforms_py)
+from mvsde._core import (_Coeffs, _select_backend, fsum_rows_py,
+                         load_compiled, ndtri_py, pair_aggregate,
+                         pair_aggregate_naive, philox_uniforms_py)
 from mvsde._core import pairwise_py
 from mvsde._core.pairwise_py import power
-from mvsde.model import make_model
+from mvsde.model import COEFFICIENTS, make_model
 from mvsde.taming import VARIANTS, TamedModel
+
+SOURCE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "mvsde",
+                      "_core", "pairwise.c")
 
 # (kf1, kfq, qf, cg, tam, te, tame_g)
 SPECIAL = {
@@ -43,14 +47,14 @@ SPECIAL = {
 # kernel (mvsde._core.pairwise_py.power) and in the oracle's scalar **
 NON_SPECIAL = (-0.5, -1.0, 3.0, 0.2, 0.3, 6.0, 1.0)
 
-# the C pair loop takes rows in blocks of 4 and components in chunks of
-# 3: sizes with every remainder mod 4 on both sides of the first two
-# row-block boundaries (a short last block of 1 to 3 rows, and full blocks
-# with fewer partners past them than the own-sum pass takes at once), plus
-# larger ones; dimensions on both sides of the first and second chunk
-# boundaries
+# the C pair loop takes rows in blocks of 4 and the partners past a full
+# block in tiles of 4, then one at a time: sizes with a short last block
+# of 1 to 3 rows, full blocks followed by no tile and 1 to 3 single
+# partners (5 to 7), by one tile and 0 to 3 (8 to 11) and by two tiles and
+# 0 to 3 (12 to 15), plus larger ones; dimensions with the literal
+# component counts 1 to 3 and the general loop beyond
 DIMS = range(1, 13)
-SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 33, 64)
+SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 33, 64)
 
 
 def _assert_same(got, want, what):
@@ -244,22 +248,37 @@ def test_loader_binds_every_kernel_or_none(compiled_library, build_library,
             load_compiled(stale)
         assert _select_backend(stale) == numpy_backend
     # every kernel, but from before the ABI constant or from another ABI,
-    # the previous one (3, whose pair scratch held 3 n d + 4 n doubles)
-    # among them: the package and the library must agree on every
-    # signature, the step struct and the size of the work array
+    # the previous one (4, whose pair scratch held 3 n d + 8 n doubles and
+    # whose step struct put gamma and e before kf1) among them: the package
+    # and the library must agree on every signature, the step struct and
+    # the size of the work array
     for label, abi, found in (("unversioned", "", 0),
-                              ("previous", "const int mvsde_abi = 3;\n", 3),
+                              ("previous", "const int mvsde_abi = 4;\n", 4),
                               ("other", "const int mvsde_abi = 7;\n", 7)):
         stub = tmp_path / ("stale_%s.c" % label)
         stub.write_text(abi + "".join("void %s(void) {}\n" % sym
                                       for sym in older + ["mvsde_ndtri"]))
         stale = build_library(str(stub), stub.stem + ".so")
         with pytest.raises(AttributeError, match="mvsde_abi is %d, the "
-                           "package needs 4" % found):
+                           "package needs 5" % found):
             load_compiled(stale)
         assert _select_backend(stale) == numpy_backend
     assert _select_backend(str(tmp_path / "missing.so")) == numpy_backend
     assert _select_backend(None) == numpy_backend
+
+
+def test_step_struct_takes_its_names_from_coefficients():
+    """struct mvsde_coeffs in pairwise.c and _Coeffs list the same fields
+    in the same order: h, model.COEFFICIENTS, gamma and e, then k_noise,
+    so the struct, _Coeffs and the fused kernel's coefficient dict share
+    one list of names."""
+    with open(SOURCE) as fh:
+        body = re.search(r"struct mvsde_coeffs \{(.*?)\};", fh.read(),
+                         re.S).group(1)
+    names = re.findall(r"(\w+)\s*[,;]",
+                       re.sub(r"\b(double|ptrdiff_t)\b", "", body))
+    assert names == [name for name, _ in _Coeffs._fields_]
+    assert names == ["h", *COEFFICIENTS, "gamma", "e", "k_noise"]
 
 
 @pytest.fixture(scope="module")
@@ -530,9 +549,7 @@ def test_kernel_source_compiles_without_warnings(build_library,
     # setup.py's flags plus -Wall -Wextra -Werror, with runtime dispatch
     # and without: a leftover unused function or a signed/unsigned slip in
     # the kernels fails here
-    source = os.path.join(os.path.dirname(__file__), os.pardir, "src",
-                          "mvsde", "_core", "pairwise.c")
-    for path, name in ((source, "pairwise_strict.so"),
+    for path, name in ((SOURCE, "pairwise_strict.so"),
                        (baseline_source, "pairwise_baseline_strict.so")):
         try:
             build_library(path, name, ["-Wall", "-Wextra", "-Werror"])
@@ -560,8 +577,8 @@ def test_hot_path_has_an_avx2_clone(compiled_library, build_library,
         pytest.skip("the C compiler refuses target_clones")
     with open(compiled_library, "rb") as fh:
         image = fh.read()
-    for name in ("pair_factors", "mvsde_pair_aggregate", "row_norms",
-                 "step_once", "mvsde_fsum_rows"):
+    for name in ("mvsde_pair_aggregate", "row_norms", "step_once",
+                 "mvsde_fsum_rows"):
         assert (name + ".avx2").encode() in image, name
 
 

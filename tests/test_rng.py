@@ -172,6 +172,15 @@ def test_parse_initial_errors():
             parse_initial(bad)
 
 
+@pytest.mark.parametrize("law", ["point inf", "point -inf", "point nan",
+                                 "gaussian inf 1", "gaussian 0 inf",
+                                 "gaussian 0 nan", "uniform_ball -inf 1",
+                                 "uniform_ball 0 inf"])
+def test_parse_initial_refuses_non_finite_values(law):
+    with pytest.raises(ValueError, match="non-finite value"):
+        parse_initial(law)
+
+
 def test_tableau_validation():
     with pytest.raises(ValueError):
         make_tableau(1, 0, 1, 1.0, 8)

@@ -211,6 +211,19 @@ def test_simulate_argument_validation():
         assert tab._store is None  # refused before any step
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_simulate_refuses_non_finite_states(value):
+    # the backends would write different bytes from such a state: the C
+    # pair loop skips the diagonal pair, whose term is nan in NumPy's
+    m = make_model("pairwise-vlasov", d=3)
+    tab = make_tableau(1, 5, 3, 1.0, 8)
+    states = np.zeros((5, 3))
+    states[2, 1] = value
+    with pytest.raises(ValueError, match="states must be finite"):
+        simulate(TamedModel(m, 8), tab, states)
+    assert tab._store is None  # refused before any step
+
+
 def test_divergence_freezes_state():
     m = _pure_cubic()
     tm = TamedModel(m, 2, "off")
