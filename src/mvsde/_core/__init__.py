@@ -3,12 +3,15 @@
 Prefers the compiled C kernels (pairwise.c, built by setup.py and loaded
 with ctypes) when the build produced them and falls back to the pure numpy
 implementation otherwise. ``bind_advance`` is the fused multi-step kernel
-that mvsde.scheme.simulate runs on the C backend for every model; it is
-None on the numpy backend, where simulate runs scheme.step. ``fsum_rows``,
-the correctly rounded row sum of the moment observers,
-``philox_uniforms``, the per-particle Philox streams of the Brownian
-tableau and the initial states, and ``ndtri``, the inverse normal CDF
-applied to those streams, give the same bits on both. On the C backend
+that mvsde.scheme.simulate runs on the C backend for every model; it reads
+the finest rows of the Brownian table and sums each step's rows itself at
+a coarser level. It is None on the numpy backend, where simulate runs
+scheme.step on rng.level_increments. ``fsum_rows``, the correctly rounded
+row sum of the moment observers, ``philox_uniforms``, the per-particle
+Philox streams of the Brownian tableau and the initial states, ``ndtri``,
+the inverse normal CDF applied to those streams, and
+``quantized_increments``, which turns a block of those uniforms into the
+tableau's increments in place, give the same bits on both. On the C backend
 nothing here imports SciPy; the numpy ``ndtri`` is scipy.special.ndtri,
 imported on its first call.
 
@@ -35,10 +38,11 @@ pair_aggregate_naive = pairwise_py.pair_aggregate_naive
 fsum_rows_py = pairwise_py.fsum_rows
 philox_uniforms_py = pairwise_py.philox_uniforms
 ndtri_py = pairwise_py.ndtri
+quantized_increments_py = pairwise_py.quantized_increments
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 # the mvsde_abi of the pairwise.c these bindings are written for
-_ABI = 5
+_ABI = 6
 
 
 class _Coeffs(ctypes.Structure):
@@ -54,9 +58,10 @@ class _Coeffs(ctypes.Structure):
 def load_compiled(path):
     """Bind every C kernel in the shared library at path.
 
-    Returns (bind_advance, fsum_rows, philox_uniforms, ndtri). All but
-    bind_advance have the signatures and results of their
-    pairwise_py namesakes; bind_advance is described in its own docstring.
+    Returns (bind_advance, fsum_rows, philox_uniforms, ndtri,
+    quantized_increments). All but bind_advance have the signatures and
+    results of their pairwise_py namesakes; bind_advance is described in
+    its own docstring.
     Raises OSError when the library cannot be loaded and AttributeError
     when it lacks any kernel symbol or was built from a pairwise.c with
     another mvsde_abi, so a stale library never provides some kernels
@@ -67,6 +72,7 @@ def load_compiled(path):
     sum_kernel = lib.mvsde_fsum_rows
     uniform_kernel = lib.mvsde_philox_uniforms
     ndtri_kernel = lib.mvsde_ndtri
+    increments_kernel = lib.mvsde_quantized_increments
     try:
         abi = ctypes.c_int.in_dll(lib, "mvsde_abi").value
     except ValueError:  # built before pairwise.c had the constant
@@ -79,7 +85,7 @@ def load_compiled(path):
     step_kernel.argtypes = ([ctypes.POINTER(_Coeffs), ctypes.c_void_p,
                              ctypes.c_void_p]
                             + [ctypes.c_ssize_t] * 2 + [ctypes.c_void_p]
-                            + [ctypes.c_ssize_t] * 3
+                            + [ctypes.c_ssize_t] * 4
                             + [ctypes.c_void_p] * 4)
     sum_kernel.restype = None
     sum_kernel.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t,
@@ -89,14 +95,18 @@ def load_compiled(path):
                                + [ctypes.c_void_p])
     ndtri_kernel.restype = None
     ndtri_kernel.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t]
+    increments_kernel.restype = None
+    increments_kernel.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t,
+                                  ctypes.c_double]
 
-    def bind_advance(coeffs, states, scratch):
+    def bind_advance(coeffs, states, scratch, ratio):
         """_BoundAdvance over this library's mvsde_advance.
 
-        coeffs maps every _Coeffs field name to its value.
+        coeffs maps every _Coeffs field name to its value; ratio is the
+        number of noise rows a step sums.
         """
         return _BoundAdvance(step_kernel, _Coeffs(**coeffs), states, scratch,
-                             pair_rows)
+                             ratio, pair_rows)
 
     def fsum_rows(a):
         """See pairwise_py.fsum_rows for the reference semantics."""
@@ -130,7 +140,19 @@ def load_compiled(path):
         ndtri_kernel(out.ctypes.data, out.size)
         return out
 
-    return bind_advance, fsum_rows, philox_uniforms, ndtri
+    def quantized_increments(u, scale):
+        """See pairwise_py.quantized_increments for the reference
+        semantics; u must be a writeable C-contiguous float64 array."""
+        if (u.dtype != np.float64 or not u.flags.c_contiguous
+                or not u.flags.writeable):
+            raise ValueError("quantized_increments writes in place only "
+                             "into a writeable C-contiguous float64 array")
+        # released GIL, like the Philox kernel's
+        increments_kernel(u.ctypes.data, u.size, scale)
+        return u
+
+    return bind_advance, fsum_rows, philox_uniforms, ndtri, \
+        quantized_increments
 
 
 def pair_scratch_size(n, d, pair_rows):
@@ -145,32 +167,40 @@ class _BoundAdvance:
     """mvsde_advance bound to one run's coefficients and state buffers.
 
     states and scratch are the C-contiguous (N, d) float64 buffers of the
-    ensemble. Calling it with (block, steps) advances states in place by up
-    to `steps` steps whose noise rows are block[:steps, :N, :k_noise] of a
-    C-contiguous (S, N', l) float64 block with S >= steps, N' >= N and
-    l >= k_noise (l = 0 for a model with no noise, whose k_noise is 0). It
-    returns the number of steps with a finite result; a return r < steps
-    means step r + 1 was done and overflowed. With obs, a C-contiguous
-    (R, N) float64 array with R >= steps, row s of obs receives the
-    squared particle norms after step s + 1. With keep, a uint8 array of
-    at least `steps` flags, and rec, a C-contiguous (R, N, d) float64
-    array with a row for every nonzero flag of keep[:steps], the state
-    after step s + 1 goes into the next row of rec wherever keep[s] is
-    nonzero. Both cover every step done, the overflowing one included.
+    ensemble, and ratio the number r of rows of a noise block per step.
+    Calling it with (block, steps) advances states in place by up to `steps`
+    steps of a C-contiguous (S, N', l) float64 block with S >= steps * r, N'
+    >= N and l >= k_noise (l = 0 for a model with no noise, whose k_noise is
+    0): step s takes the sum of the rows block[s * r:(s + 1) * r, :N,
+    :k_noise], so a block of the finest increments gives the level n_max / r
+    (rng.level_increments's sums, which are exact). It returns the number of
+    steps with a finite result; a return j < steps means step j + 1 was done
+    and overflowed. With obs, a C-contiguous (R, N) float64 array with R >=
+    steps, row s of obs receives the squared particle norms after step s +
+    1. With keep, a uint8 array of at least `steps` flags, and rec, a
+    C-contiguous (R, N, d) float64 array with a row for every nonzero flag
+    of keep[:steps], the state after step s + 1 goes into the next row of
+    rec wherever keep[s] is nonzero. Both cover every step done, the
+    overflowing one included.
     """
 
-    def __init__(self, kernel, coeffs, states, scratch, pair_rows):
+    def __init__(self, kernel, coeffs, states, scratch, ratio, pair_rows):
         n, d = states.shape
         for buf in (states, scratch):
             if (buf.shape != (n, d) or buf.dtype != np.float64
                     or not buf.flags.c_contiguous):
                 raise ValueError("state buffers must be C-contiguous "
                                  "(%d, %d) float64 arrays" % (n, d))
-        # F, G, the mean, one row's squares and the pair kernel's scratch
-        work = np.empty(2 * n * d + 2 * d
+        if ratio < 1:
+            raise ValueError("a step takes at least one noise row, got "
+                             "ratio %d" % ratio)
+        # F, G, the summed noise, the mean, one row's squares and the pair
+        # kernel's scratch
+        work = np.empty(3 * n * d + 2 * d
                         + pair_scratch_size(n, d, pair_rows))
         self._kernel = kernel
         self._n = n
+        self._ratio = ratio
         self._state_shape = (n, d)
         self._k_noise = coeffs.k_noise
         # the kernel writes through raw pointers into these, so this object
@@ -186,9 +216,10 @@ class _BoundAdvance:
                 or rows < self._n or width < self._k_noise):
             raise ValueError("noise block of shape %r does not cover %d "
                              "particles" % (block.shape, self._n))
-        if not 0 <= steps <= len(block):
-            raise ValueError("%d steps are outside the noise block of %d "
-                             "steps" % (steps, len(block)))
+        if not 0 <= steps * self._ratio <= len(block):
+            raise ValueError("%d steps of %d rows are outside the noise "
+                             "block of %d rows"
+                             % (steps, self._ratio, len(block)))
         if obs is not None and (
                 obs.dtype != np.float64 or not obs.flags.c_contiguous
                 or obs.ndim != 2 or obs.shape[1] != self._n
@@ -213,7 +244,7 @@ class _BoundAdvance:
         # a CDLL call releases the GIL, so the kernel calls of reps on
         # other threads run in parallel
         return self._kernel(*self._head, block.ctypes.data, rows * width,
-                            width, steps, self._work,
+                            width, self._ratio, steps, self._work,
                             None if obs is None else obs.ctypes.data,
                             None if keep is None else keep.ctypes.data,
                             None if rec is None else rec.ctypes.data)
@@ -229,8 +260,8 @@ def _built_library():
 
 
 def _select_backend(path):
-    """(bind_advance, fsum_rows, philox_uniforms, ndtri, backend name) for
-    a path.
+    """(bind_advance, fsum_rows, philox_uniforms, ndtri,
+    quantized_increments, backend name) for a path.
 
     Every kernel comes from the library, or the numpy kernels and no fused
     kernel when path is None or the library lacks any symbol.
@@ -240,11 +271,12 @@ def _select_backend(path):
             return load_compiled(path) + ("c",)
         except (OSError, AttributeError):
             pass
-    return None, fsum_rows_py, philox_uniforms_py, ndtri_py, "numpy"
+    return (None, fsum_rows_py, philox_uniforms_py, ndtri_py,
+            quantized_increments_py, "numpy")
 
 
 _FORCED = os.environ.get("MVSDE_FORCE_FALLBACK", "") not in ("", "0")
-(bind_advance, fsum_rows, philox_uniforms, ndtri,
+(bind_advance, fsum_rows, philox_uniforms, ndtri, quantized_increments,
  _BACKEND) = _select_backend(None if _FORCED else _built_library())
 
 

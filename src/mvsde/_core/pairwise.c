@@ -1,5 +1,5 @@
 /* Compiled pair kernel, fused step kernel, correctly rounded row sum,
- * Philox stream block and inverse normal CDF.
+ * Philox stream block, inverse normal CDF and Brownian increments.
  *
  * mvsde_pair_aggregate is the bit-identical twin of
  * mvsde._core.pairwise_py.pair_aggregate: same per-pair expression tree,
@@ -31,23 +31,25 @@
  * operation order: x.mean(axis=0) and np.sum(x * x, axis=-1) as NumPy's
  * add.reduce sums them (np_sum below), the self drift and diffusion
  * diagonal term by term, the pair sums from mvsde_pair_aggregate, then
- * x + (b + F) h and + (s + G) dW. As NumPy does, it evaluates the self
- * terms in passes over the particles, which the compiler vectorises: the
- * squared norms, the powers of the norms, then the drift and the noise
- * element by element, with each coefficient switch and exponent case
- * fixed outside the loop, and a branch-free test of the new state for a
- * non-finite value. Every element still sees step's operations in step's
- * order, and vector +, -, *, / and sqrt round as their scalar forms do,
- * so the bits are the same. It runs every model: each power site
+ * x + (b + F) h and + (s + G) dW. It reads the finest Brownian table and
+ * forms a step's dW at level n_max / r itself, as the sum of the r finest
+ * rows the step covers (see "Level sums" below). As NumPy does, it
+ * evaluates the self terms in passes over the particles, which the compiler
+ * vectorises: the squared norms, the powers of the norms, then the drift
+ * and the noise element by element, with each coefficient switch and
+ * exponent case fixed outside the loop, and a branch-free test of the new
+ * state for a non-finite value. Every element still sees step's operations
+ * in step's order, and vector +, -, *, / and sqrt round as their scalar
+ * forms do, so the bits are the same. It runs every model: each power site
  * keeps step's special cases (q_b in {0, 1, 2} gives 1, r and r * r, the
- * taming exponent e in {0, 2, 4} gives 1, r2 and r2 * r2) and sends
- * any other exponent to libm pow, as pairwise_py.power does on the NumPy
- * side. On request it also writes the squared norm of every particle
- * after every step, as np.sum(x * x, axis=-1) gives it, so the observers
- * that need every step (the moment and divergence trackers) read a block
- * of steps per call instead of stopping the kernel after each one, and a
- * copy of the state after each step a keep mask selects, straight into
- * the next row of the one array a StateRecorder owns for its run.
+ * taming exponent e in {0, 2, 4} gives 1, r2 and r2 * r2) and sends any
+ * other exponent to libm pow, as pairwise_py.power does on the NumPy side.
+ * On request it also writes the squared norm of every particle after every
+ * step, as np.sum(x * x, axis=-1) gives it, so the observers that need
+ * every step (the moment and divergence trackers) read a block of steps per
+ * call instead of stopping the kernel after each one, and a copy of the
+ * state after each step a keep mask selects, straight into the next row of
+ * the one array a StateRecorder owns for its run.
  *
  * mvsde_fsum_rows gives each row of a matrix math.fsum's correctly rounded
  * sum without a Python call per row. Every row first runs one compensated
@@ -75,7 +77,33 @@
  * 1.17 ships (xsf, cephes/ndtri.h and cephes/polevl.h), so the tableau and
  * the gaussian initial states get scipy.special.ndtri's bits without
  * importing SciPy. Only the NumPy fallback's ndtri and the exact_assignment
- * W2 route import SciPy.
+ * W2 route import SciPy. ndtri_one is the scalar transcription. The kernel
+ * runs four values at a time (Giles, "Approximating the erfinv function",
+ * GPU Computing Gems Jade, 2011, on branch-light vector evaluation): each
+ * lane takes ndtri_one's fold y = 1 - y0 above 1 - exp(-2) by a bit
+ * select and its central rational branch, and the lanes outside that
+ * branch are gathered, without a branch, into a list. Four at a time
+ * again, the gathered lanes that lie in the P1/Q1 tail take its
+ * operations, with the two log calls scalar libm lane by lane; every other
+ * lane (0, 1, values outside [0, 1], nan, y below about exp(-32)) goes
+ * through ndtri_one. A lane's value is that of the branch ndtri_one takes
+ * for it, computed by the same operations in the same order: vector +,
+ * -, *, / and sqrt round as their scalar forms do, the select and the
+ * sign flip only move bits, and -ffp-contract=off keeps out FMA. So the
+ * values are ndtri_one's, bit for bit, at any lane position.
+ *
+ * mvsde_quantized_increments turns a block of Philox uniforms into the
+ * tableau's increments in place, in the NumPy chain's operations:
+ * rint(ndtri(max(u, 2^-54)) * sqrt(1 / n_max) / 2^-26) * 2^-26 + 0.0.
+ *
+ * Level sums. The finest increments are integer multiples of 2^-26 with
+ * no -0.0, and |ndtri(u)| < 8.3 on [2^-54, 1 - 2^-53], so each is below
+ * 8.3 / sqrt(n_max) + 2^-27 in magnitude. A step at level n_max / r adds
+ * r <= n_max of them, and every partial sum is a multiple of 2^-26 below
+ * 8.3 sqrt(r) + r 2^-27 < 2^16 (r <= 2^24 under the table's element cap),
+ * far inside the 2^27 up to which such multiples are doubles: every
+ * addition is exact, and no partial sum is -0.0. So the sum has one value
+ * in any order, rng.level_increments's NumPy sum included.
  *
  * Build with floating-point contraction disabled (-ffp-contract=off),
  * otherwise fused multiply-adds break the equality, and with nothing that
@@ -89,20 +117,23 @@
  * changes no value under a compiler that ignores it; mvsde._core loads it
  * with ctypes.
  *
- * Runtime dispatch. mvsde_pair_aggregate, row_norms, step_once and
- * mvsde_fsum_rows carry STEP_CLONES: on x86-64 ELF with glibc, where the
- * compiler has target_clones, each is compiled twice, for AVX2 (four
- * doubles per instruction) and for the x86-64 baseline (SSE2, two, so a
- * vector of four doubles takes two registers), and the dynamic
- * loader picks one per function through an ifunc, once, by the CPU: an
- * AVX2 CPU, AVX-512 ones included, takes the AVX2 clone, any other the
- * baseline one. The ALWAYS_INLINE helpers are inlined into each clone and
- * compiled for its target. Elsewhere STEP_CLONES is empty and the build is
- * the baseline one alone. Both clones give the same bits: +, -, *, / and
- * sqrt round alike at every vector width, -ffp-contract=off forbids FMA in
- * the AVX2 clone too, nothing is reassociated, and pow stays scalar libm.
- * There is no AVX-512 (x86-64-v4) clone: at N = 1024 it ran 0.98-1.13x
- * the AVX2 clone's speed (d = 1, 2, 3, 8), too little for a third copy.
+ * Runtime dispatch. mvsde_pair_aggregate, row_norms, step_once,
+ * mvsde_fsum_rows, mvsde_ndtri and mvsde_quantized_increments carry
+ * STEP_CLONES: on x86-64 ELF with glibc, where the compiler has
+ * target_clones, each is compiled twice, for AVX2 (four doubles per
+ * instruction) and for the x86-64 baseline (SSE2, two, so a vector of four
+ * doubles takes two registers), and the dynamic loader picks one per
+ * function through an ifunc, once, by the CPU: an AVX2 CPU, AVX-512 ones
+ * included, takes the AVX2 clone, any other the baseline one. The
+ * ALWAYS_INLINE helpers are inlined into each clone and compiled for its
+ * target. Elsewhere STEP_CLONES is empty and the build is the baseline one
+ * alone. Both clones give the same bits: +, -, *, / and sqrt round alike at
+ * every vector width, -ffp-contract=off forbids FMA in the AVX2 clone too,
+ * nothing is reassociated, and pow and log stay scalar libm. There is no
+ * AVX-512 (x86-64-v4) clone: on a 2-vCPU Xeon VM (AVX-512), a whole-file
+ * x86-64-v4 build took 1.07-1.59x the AVX2 clone's time per pair in the
+ * pair loop's tile (poc-rate kernel, d = 1, 3 and 8, N = 64 and 1024,
+ * medians of 31 interleaved rounds), with 512-bit vectors preferred or not.
  */
 
 #include <math.h>
@@ -114,7 +145,7 @@
  * its work array changes; mvsde._core loads no library whose value differs
  * from its own, so a stale build runs NumPy instead of passing arguments
  * that its kernels would misread or a work array they would overrun. */
-const int mvsde_abi = 5;
+const int mvsde_abi = 6;
 
 /* The pair loop takes the rows in blocks of PAIR_ROWS and the partners
  * past a block in tiles of PAIR_TILE (pair_tile). Each row of the
@@ -138,6 +169,23 @@ const int mvsde_abi = 5;
 const int mvsde_pair_rows = PAIR_ROWS;
 
 #define ALWAYS_INLINE static inline __attribute__((always_inline))
+
+/* Four doubles, and four int64 lanes for masks and bit operations: the
+ * rows of a pair block (PAIR_ROWS is 4), four TwoSum chains of the row sum
+ * and four values of the inverse normal CDF. GCC and Clang vector
+ * extension types, which no function takes or returns by value, whose ABI
+ * would differ between the AVX2 and the baseline clone. A vec4 is loaded
+ * with memcpy and stored lane by lane (VEC4_STORE), which the AVX2 clone
+ * merges into one store; the baseline clone copied a memcpy'd store
+ * through the stack. */
+typedef double vec4 __attribute__((vector_size(4 * sizeof(double))));
+typedef int64_t vec4i __attribute__((vector_size(sizeof(vec4))));
+#define VEC4_STORE(dst, v)                                                 \
+    do {                                                                   \
+        int l_;                                                            \
+        for (l_ = 0; l_ < 4; l_++)                                         \
+            (dst)[l_] = (v)[l_];                                           \
+    } while (0)
 
 /* See "Runtime dispatch" above; __GLIBC__ comes from the headers above. */
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__)         \
@@ -243,20 +291,6 @@ ALWAYS_INLINE void pair_one(const struct pair_kernel *k,
     }
 }
 
-/* A vector of PAIR_ROWS doubles, one lane per row of a block: a GCC and
- * Clang vector extension type, which no function takes or returns by
- * value, whose ABI would differ between the AVX2 and the baseline clone.
- * It is loaded with memcpy and stored lane by lane, which the AVX2 clone
- * merges into one store; the baseline clone copied a memcpy'd store
- * through the stack. */
-typedef double pair_v __attribute__((vector_size(PAIR_ROWS * sizeof(double))));
-#define PAIR_STORE(dst, v)                                                 \
-    do {                                                                   \
-        int l_;                                                            \
-        for (l_ = 0; l_ < PAIR_ROWS; l_++)                                 \
-            (dst)[l_] = (v)[l_];                                           \
-    } while (0)
-
 /* Lanes i, j, k and l of the eight lanes of a and then b. */
 #if defined(__has_builtin)
 #if __has_builtin(__builtin_shufflevector)
@@ -265,9 +299,8 @@ typedef double pair_v __attribute__((vector_size(PAIR_ROWS * sizeof(double))));
 #endif
 #endif
 #ifndef PAIR_SHUFFLE /* GCC before 12 */
-typedef int64_t pair_vi __attribute__((vector_size(sizeof(pair_v))));
 #define PAIR_SHUFFLE(a, b, i, j, k, l)                                     \
-    __builtin_shuffle(a, b, (pair_vi){i, j, k, l})
+    __builtin_shuffle(a, b, (vec4i){i, j, k, l})
 #endif
 
 /* A full block's rows, whose dk components are the lanes of a[c], against
@@ -285,14 +318,14 @@ ALWAYS_INLINE void pair_tile(const struct pair_kernel *k,
                              ptrdiff_t j, double *restrict fs,
                              double *restrict gs)
 {
-    pair_v r2[PAIR_TILE], cf[PAIR_TILE], gw[PAIR_TILE], p[PAIR_TILE],
+    vec4 r2[PAIR_TILE], cf[PAIR_TILE], gw[PAIR_TILE], p[PAIR_TILE],
         q[PAIR_TILE], av, s, v, u0, u1, u2, u3;
     double lr2[PAIR_LANES], lcf[PAIR_LANES], lgw[PAIR_LANES];
     ptrdiff_t c;
     int t;
 
     for (t = 0; t < PAIR_TILE; t++)
-        r2[t] = (pair_v){0.0};
+        r2[t] = (vec4){0.0};
     for (c = 0; c < dk; c++) {
         memcpy(&av, a[c], sizeof av);
         for (t = 0; t < PAIR_TILE; t++) {
@@ -317,7 +350,7 @@ ALWAYS_INLINE void pair_tile(const struct pair_kernel *k,
         memcpy(&s, own[c], sizeof s);                                      \
         for (t = 0; t < PAIR_TILE; t++)                                    \
             s = s + m[t];                                                  \
-        PAIR_STORE(own[c], s);
+        VEC4_STORE(own[c], s);
 #define PAIR_MIRROR(sums, m)                                               \
         u0 = PAIR_SHUFFLE(m[0], m[1], 0, 4, 2, 6);                         \
         u1 = PAIR_SHUFFLE(m[0], m[1], 1, 5, 3, 7);                         \
@@ -328,7 +361,7 @@ ALWAYS_INLINE void pair_tile(const struct pair_kernel *k,
         s = s - PAIR_SHUFFLE(u1, u3, 0, 1, 4, 5);                          \
         s = s - PAIR_SHUFFLE(u0, u2, 2, 3, 6, 7);                          \
         s = s - PAIR_SHUFFLE(u1, u3, 2, 3, 6, 7);                          \
-        PAIR_STORE(sums + c * ns + j, s);
+        VEC4_STORE(sums + c * ns + j, s);
         PAIR_OWN(af, p)
         PAIR_OWN(ag, q)
         PAIR_MIRROR(fs, p)
@@ -604,27 +637,50 @@ ALWAYS_INLINE void noise_pass(const struct mvsde_coeffs *cf,
         }
 }
 
-/* One step from x into y, as mvsde.scheme.step computes it; work holds F
- * and G (n x d each), the mean (d), the squares of one row (d) and
- * mvsde_pair_aggregate's scratch (at least 3 n doubles), whose first 3 n
- * hold the vectors r2, pw and den once the pair sums are done. When r2_out
- * is not NULL it receives the squared norm of every row of y. Returns 0
- * when y holds a non-finite value.
+/* w[i * k + c] = the increment of component c of particle i over the r
+ * rows of one step of the finest table, row q at
+ * dw[q * dw_step + i * dw_row + c]: row 0, then rows 1 to r - 1 added in
+ * turn. Every partial sum is exact (see "Level sums" above), so this is
+ * the value of rng.level_increments's NumPy sum. */
+ALWAYS_INLINE void level_sum(const double *restrict dw, ptrdiff_t dw_step,
+                             ptrdiff_t dw_row, ptrdiff_t r, ptrdiff_t n,
+                             ptrdiff_t k, double *restrict w)
+{
+    ptrdiff_t q, i, c;
+
+    for (i = 0; i < n; i++)
+        for (c = 0; c < k; c++)
+            w[i * k + c] = dw[i * dw_row + c];
+    for (q = 1; q < r; q++)
+        for (i = 0; i < n; i++)
+            for (c = 0; c < k; c++)
+                w[i * k + c] = w[i * k + c] + dw[q * dw_step + i * dw_row + c];
+}
+
+/* One step from x into y, as mvsde.scheme.step computes it, with the
+ * noise of the r finest rows from dw (see level_sum); work holds F, G and
+ * the step's summed noise W (n x d each), the mean (d), the squares of one
+ * row (d) and mvsde_pair_aggregate's scratch (at least 3 n doubles), whose
+ * first 3 n hold the vectors r2, pw and den once the pair sums are done.
+ * When r2_out is not NULL it receives the squared norm of every row of y.
+ * Returns 0 when y holds a non-finite value.
  *
  * The self terms run as passes over the particles: the squared norms r2,
  * then pw = |x|^q_b and den = 1 + gamma |x|^e with one loop per
  * exponent case (libm pow, which stays scalar, only outside the special
  * cases), then the drift and the noise over the elements, with the
- * coefficient switches as loop invariants, then one test of every element
- * of y. Each element sees the operations of step in its order:
- * only the order in which the elements are visited changed, and that
- * changes no bit. */
+ * coefficient switches as loop invariants, the noise after its level sum
+ * when r > 1, then one test of every element of y. Each element sees the
+ * operations of step in its order: only the order in which the elements
+ * are visited changed, and that changes no bit. */
 STEP_CLONES
 static int step_once(const struct mvsde_coeffs *cf, const double *x,
                      double *y, ptrdiff_t n, ptrdiff_t d, const double *dw,
-                     ptrdiff_t dw_row, double *work, double *r2_out)
+                     ptrdiff_t dw_step, ptrdiff_t dw_row, ptrdiff_t ratio,
+                     double *work, double *r2_out)
 {
-    double *F = work, *G = work + n * d, *mean = G + n * d, *sq = mean + d;
+    double *F = work, *G = F + n * d, *W = G + n * d, *mean = W + n * d;
+    double *sq = mean + d;
     double *r2 = sq + d, *pw = r2 + n, *den = pw + n;
     double dn = (double)n, q = cf->q_b, e = cf->e, gamma = cf->gamma, r;
     double bad = 0.0;
@@ -687,12 +743,20 @@ static int step_once(const struct mvsde_coeffs *cf, const double *x,
 #define DRIFT(dk) drift_pass(cf, x, y, n, dk, F, mean, pw, den)
     BY_DIM(d, DRIFT)
     /* k <= d, so k is 1 at d = 1 */
+#define SUM(dk) level_sum(dw, dw_step, dw_row, ratio, n, (dk) == 1 ? 1 : k, \
+                          W)
+    if (k > 0 && ratio > 1) {
+        BY_DIM(d, SUM)
+        dw = W;
+        dw_row = k;
+    }
 #define NOISE(dk) noise_pass(cf, x, y, n, dk, (dk) == 1 ? 1 : k, G, mean, \
                              den, dw, dw_row)
     if (k > 0) {
         BY_DIM(d, NOISE)
     }
 #undef NOISE
+#undef SUM
 #undef DRIFT
 
     /* v * 0.0 is 0.0 for a finite v and nan for inf and nan; the select
@@ -705,22 +769,23 @@ static int step_once(const struct mvsde_coeffs *cf, const double *x,
 }
 
 /* Advance the n x d ensemble in X by up to `steps` steps, alternating
- * between X and Y, and leave the last state in X. Step s reads its noise
- * row of particle i at dw[s * dw_step + i * dw_row]. Stops after the first
- * step that produces a non-finite value. Returns the number of steps with
- * a finite result: a return r < steps means step r + 1 was done and
- * overflowed. work holds 2 n d + 2 d doubles and then the scratch of
- * mvsde_pair_aggregate, as step_once lays them out. When obs is not NULL
- * (steps x n), row s receives the squared particle norms of the state that
- * step s of the call produced. When keep is not NULL (steps flags), the
- * state that step s produced is copied into the next n x d row of rec
- * wherever keep[s] is nonzero. Both cover every step done, the
+ * between X and Y, and leave the last state in X. dw is the finest table
+ * and ratio the number r of its rows per step: step s takes the sum of rows
+ * s r to s r + r - 1, row q of particle i at dw[q * dw_step + i * dw_row].
+ * Stops after the first step that produces a non-finite value. Returns the
+ * number of steps with a finite result: a return j < steps means step j + 1
+ * was done and overflowed. work holds 3 n d + 2 d doubles and then the
+ * scratch of mvsde_pair_aggregate, as step_once lays them out. When obs is
+ * not NULL (steps x n), row s receives the squared particle norms of the
+ * state that step s of the call produced. When keep is not NULL (steps
+ * flags), the state that step s produced is copied into the next n x d row
+ * of rec wherever keep[s] is nonzero. Both cover every step done, the
  * overflowing one included. */
 ptrdiff_t mvsde_advance(const struct mvsde_coeffs *cf, double *X, double *Y,
                         ptrdiff_t n, ptrdiff_t d, const double *dw,
-                        ptrdiff_t dw_step, ptrdiff_t dw_row, ptrdiff_t steps,
-                        double *work, double *obs, const uint8_t *keep,
-                        double *rec)
+                        ptrdiff_t dw_step, ptrdiff_t dw_row, ptrdiff_t ratio,
+                        ptrdiff_t steps, double *work, double *obs,
+                        const uint8_t *keep, double *rec)
 {
     double *cur = X, *next = Y, *tmp;
     size_t bytes = (size_t)(n * d) * sizeof(double);
@@ -728,8 +793,9 @@ ptrdiff_t mvsde_advance(const struct mvsde_coeffs *cf, double *X, double *Y,
     int finite = 1;
 
     for (s = 0; s < steps && finite; s++) {
-        finite = step_once(cf, cur, next, n, d, dw + s * dw_step, dw_row,
-                           work, obs != NULL ? obs + s * n : NULL);
+        finite = step_once(cf, cur, next, n, d, dw + s * ratio * dw_step,
+                           dw_step, dw_row, ratio, work,
+                           obs != NULL ? obs + s * n : NULL);
         if (keep != NULL && keep[s]) {
             memcpy(rec, next, bytes);
             rec += n * d;
@@ -820,22 +886,18 @@ static double fsum_row(const double *a, ptrdiff_t n)
 /* The compensated pass of one row runs FSUM_LANES TwoSum chains, lane l
  * over the terms j = l mod FSUM_LANES, in two vectors of four doubles: a
  * single chain is one run of dependent adds, and eight independent ones
- * keep the adder busy. fsum_v4 is a GCC and Clang vector extension type;
- * no function takes or returns one by value, whose ABI would differ
- * between the AVX2 and the baseline clone. */
+ * keep the adder busy. */
 #define FSUM_LANES 8
-typedef double fsum_v4 __attribute__((vector_size(32)));
-typedef int64_t fsum_v4i __attribute__((vector_size(32)));
 
 /* |x| of each element: the sign bit cleared, as fabs does. */
-#define FSUM_ABS(x) ((fsum_v4)((fsum_v4i)(x) & INT64_MAX))
+#define FSUM_ABS(x) ((vec4)((vec4i)(x) & INT64_MAX))
 
 /* One TwoSum step of four lanes: s + x rounded into s, its exact error
  * added to c, |error| to ea and |x| to sa. */
 #define FSUM_STEP(s, c, ea, sa, x)                                         \
     do {                                                                   \
-        fsum_v4 t_ = (s) + (x), z_ = t_ - (s);                             \
-        fsum_v4 e_ = ((s) - (t_ - z_)) + ((x) - z_);                       \
+        vec4 t_ = (s) + (x), z_ = t_ - (s);                                \
+        vec4 e_ = ((s) - (t_ - z_)) + ((x) - z_);                          \
         (s) = t_;                                                          \
         (c) += e_;                                                         \
         (ea) += FSUM_ABS(e_);                                              \
@@ -896,8 +958,8 @@ ALWAYS_INLINE double fsum_certified(const double *a, ptrdiff_t n, double s,
  * fsum_certified. */
 ALWAYS_INLINE double fsum_lanes(const double *a, ptrdiff_t n)
 {
-    fsum_v4 s0 = {0}, c0 = {0}, ea0 = {0}, sa0 = {0}, x0, x1;
-    fsum_v4 s1 = {0}, c1 = {0}, ea1 = {0}, sa1 = {0};
+    vec4 s0 = {0}, c0 = {0}, ea0 = {0}, sa0 = {0}, x0, x1;
+    vec4 s1 = {0}, c1 = {0}, ea1 = {0}, sa1 = {0};
     double s[FSUM_LANES], c[FSUM_LANES], ea[FSUM_LANES], sa[FSUM_LANES];
     double pad[FSUM_LANES] = {0}, t, z, e;
     ptrdiff_t j;
@@ -1088,6 +1150,10 @@ static inline double p1evl(double x, const double *coef, int deg)
     return ans;
 }
 
+/* exp(-2), the edge of the central branch, and 1 - exp(-2) */
+#define NDTRI_LO 0.13533528323661269189
+#define NDTRI_HI (1.0 - NDTRI_LO)
+
 /* Cephes ndtri of one y0 in [0, 1] */
 static double ndtri_one(double y0)
 {
@@ -1101,11 +1167,11 @@ static double ndtri_one(double y0)
     if (y0 < 0.0 || y0 > 1.0)
         return NAN;
     y = y0;
-    if (y > 1.0 - 0.13533528323661269189) { /* exp(-2) */
+    if (y > NDTRI_HI) {
         y = 1.0 - y;
         code = 0;
     }
-    if (y > 0.13533528323661269189) {
+    if (y > NDTRI_LO) {
         y = y - 0.5;
         y2 = y * y;
         x = y + y * (y2 * polevl(y2, NDTRI_P0, 4) / p1evl(y2, NDTRI_Q0, 8));
@@ -1124,12 +1190,159 @@ static double ndtri_one(double y0)
     return x;
 }
 
+/* Cephes polevl and p1evl on four lanes: the same operations in the same
+ * order in each lane. */
+ALWAYS_INLINE void polevl4(const vec4 *x, const double *coef, int deg,
+                           vec4 *ans)
+{
+    vec4 v = {coef[0], coef[0], coef[0], coef[0]};
+    int i;
+
+#pragma GCC unroll 8
+    for (i = 1; i <= deg; i++)
+        v = v * *x + coef[i];
+    *ans = v;
+}
+
+ALWAYS_INLINE void p1evl4(const vec4 *x, const double *coef, int deg,
+                          vec4 *ans)
+{
+    vec4 v = *x + coef[0];
+    int i;
+
+#pragma GCC unroll 8
+    for (i = 1; i < deg; i++)
+        v = v * *x + coef[i];
+    *ans = v;
+}
+
+/* Values of a ndtri_chunk call, the size of its stack arrays. */
+#define NDTRI_CHUNK 256
+
+/* y = 1 - y0 where y0 > 1 - exp(-2), else y0, lane by lane, as ndtri_one's
+ * first steps give it; flip is -1 in the lanes it flipped. */
+ALWAYS_INLINE void ndtri_fold4(const vec4 *y0, vec4 *y, vec4i *flip)
+{
+    const vec4 hi = {NDTRI_HI, NDTRI_HI, NDTRI_HI, NDTRI_HI};
+
+    *flip = *y0 > hi;
+    *y = (vec4)(((vec4i)(1.0 - *y0) & *flip) | ((vec4i)*y0 & ~*flip));
+}
+
+/* a[tail[t]] = ndtri_one(ty[t]) for t < nt, four values at a time. The
+ * lanes with 0 < y <= exp(-2) and x < 8 are those where ndtri_one takes
+ * its P1/Q1 tail branch; they take its operations in its order, libm log
+ * lane by lane and everything else in the lanes. Any other lane (0, 1,
+ * outside [0, 1], nan, y below about exp(-32), or a central value) goes
+ * through ndtri_one. ty has room for 3 values past nt, which pad the last
+ * four. */
+ALWAYS_INLINE void ndtri_tails(double *a, double *ty, const ptrdiff_t *tail,
+                               ptrdiff_t nt)
+{
+    const vec4 lo = {NDTRI_LO, NDTRI_LO, NDTRI_LO, NDTRI_LO};
+    const vec4 zero = {0.0, 0.0, 0.0, 0.0}, eight = {8.0, 8.0, 8.0, 8.0};
+    const vec4i sign = {INT64_MIN, INT64_MIN, INT64_MIN, INT64_MIN};
+    vec4 y0, y, v, x, x0, z, p, q;
+    vec4i flip, ok;
+    ptrdiff_t t;
+    int l;
+
+    for (l = 0; l < 3; l++)
+        ty[nt + l] = NDTRI_LO;
+    for (t = 0; t < nt; t += 4) {
+        memcpy(&y0, ty + t, sizeof y0);
+        ndtri_fold4(&y0, &y, &flip);
+        for (l = 0; l < 4; l++)
+            v[l] = log(y[l]);
+        v = -2.0 * v;
+        for (l = 0; l < 4; l++)
+            x[l] = sqrt(v[l]);
+        ok = (y > zero) & (y <= lo) & (x < eight);
+        for (l = 0; l < 4; l++)
+            v[l] = log(x[l]);
+        x0 = x - v / x;
+        z = 1.0 / x;
+        polevl4(&z, NDTRI_P1, 8, &p);
+        p1evl4(&z, NDTRI_Q1, 8, &q);
+        x = x0 - z * p / q;
+        /* -x where ndtri_one's code is 1: the lanes not flipped */
+        x = (vec4)((vec4i)x ^ (sign & ~flip));
+        for (l = 0; l < 4 && t + l < nt; l++)
+            a[tail[t + l]] = ok[l] ? x[l] : ndtri_one(ty[t + l]);
+    }
+}
+
+/* a[i] = ndtri_one(a[i]) for the m <= NDTRI_CHUNK doubles of a. Four
+ * values at a time take ndtri_one's first steps in the lanes, then its
+ * central branch, whose result is stored for every lane. A lane whose y is
+ * not above exp(-2) (the tails, 0, 1, values outside [0, 1] and nan) is
+ * noted with its y0, without a branch, and so are the last m mod 4
+ * values; ndtri_tails then finishes the noted values. */
+ALWAYS_INLINE void ndtri_chunk(double *a, ptrdiff_t m)
+{
+    const vec4 lo = {NDTRI_LO, NDTRI_LO, NDTRI_LO, NDTRI_LO};
+    double ty[NDTRI_CHUNK + 3];
+    ptrdiff_t tail[NDTRI_CHUNK], i, nt = 0;
+    vec4 y0, y, y2, p, q, x;
+    vec4i flip, central;
+    int l;
+
+    for (i = 0; i + 4 <= m; i += 4) {
+        memcpy(&y0, a + i, sizeof y0);
+        ndtri_fold4(&y0, &y, &flip);
+        central = y > lo;
+        y = y - 0.5;
+        y2 = y * y;
+        polevl4(&y2, NDTRI_P0, 4, &p);
+        p1evl4(&y2, NDTRI_Q0, 8, &q);
+        x = y + y * (y2 * p / q);
+        x = x * 2.50662827463100050242E0; /* sqrt(2 pi) */
+        for (l = 0; l < 4; l++) {
+            ty[nt] = y0[l];
+            tail[nt] = i + l;
+            nt += central[l] == 0;
+        }
+        VEC4_STORE(a + i, x);
+    }
+    for (; i < m; i++) {
+        ty[nt] = a[i];
+        tail[nt++] = i;
+    }
+    ndtri_tails(a, ty, tail, nt);
+}
+
 /* a[i] = ndtri(a[i]) for the n doubles of a: scipy.special.ndtri's value,
  * -inf at 0, +inf at 1 and nan outside [0, 1]. */
+STEP_CLONES
 void mvsde_ndtri(double *a, ptrdiff_t n)
 {
     ptrdiff_t i;
 
-    for (i = 0; i < n; i++)
-        a[i] = ndtri_one(a[i]);
+    for (i = 0; i < n; i += NDTRI_CHUNK)
+        ndtri_chunk(a + i, n - i < NDTRI_CHUNK ? n - i : NDTRI_CHUNK);
+}
+
+/* The increment grid 2^-26 Z and the floor of the uniforms, as
+ * mvsde._core.pairwise_py defines QUANT and U_FLOOR. */
+#define QUANT 0x1p-26
+#define U_FLOOR 0x1p-54
+
+/* The n uniforms of a turned into increments in place, as
+ * pairwise_py.quantized_increments does in NumPy passes: each value u
+ * becomes rint(ndtri(max(u, 2^-54)) * scale / QUANT) * QUANT + 0.0. The
+ * floor keeps a nan, as np.maximum does, and + 0.0 turns a -0.0 into
+ * +0.0. */
+STEP_CLONES
+void mvsde_quantized_increments(double *a, ptrdiff_t n, double scale)
+{
+    ptrdiff_t i0, i, m;
+
+    for (i0 = 0; i0 < n; i0 += NDTRI_CHUNK) {
+        m = n - i0 < NDTRI_CHUNK ? n - i0 : NDTRI_CHUNK;
+        for (i = i0; i < i0 + m; i++)
+            a[i] = a[i] < U_FLOOR ? U_FLOOR : a[i];
+        ndtri_chunk(a + i0, m);
+        for (i = i0; i < i0 + m; i++)
+            a[i] = rint(a[i] * scale / QUANT) * QUANT + 0.0;
+    }
 }

@@ -38,8 +38,9 @@ negation is exact and every factor in the expression is symmetric in (i, j).
 special cases, so that NumPy and C give the same bits at every exponent.
 
 fsum_rows is the reference of the compiled correctly rounded row sum,
-philox_uniforms that of the compiled Philox stream block and ndtri that of
-the compiled inverse normal CDF.
+philox_uniforms that of the compiled Philox stream block, ndtri that of
+the compiled inverse normal CDF and quantized_increments that of the
+compiled turn of uniforms into the Brownian tableau's increments.
 """
 
 import math
@@ -48,6 +49,10 @@ import numpy as np
 
 # Philox keys are taken modulo 2^64
 MASK64 = (1 << 64) - 1
+# grid spacing of the quantized increments
+QUANT = 2.0 ** -26
+# smallest uniform fed to ndtri (Generator.random can return exactly 0)
+U_FLOOR = 2.0 ** -54
 
 # pair_aggregate takes the partners in blocks of at most this many pair
 # components (N x partners x d), so each of its temporaries stays within
@@ -268,3 +273,22 @@ def ndtri(a, out=None):
     from scipy.special import ndtri as scipy_ndtri
 
     return scipy_ndtri(a, out=out)
+
+
+def quantized_increments(u, scale):
+    """Uniforms u turned into increments in place; returns u.
+
+    Each value becomes rint(ndtri(max(u, U_FLOOR)) * scale / QUANT) *
+    QUANT + 0.0: a normal draw scaled to the step, snapped to the grid
+    QUANT Z, with +0.0 where the snap gives -0.0. The reference for
+    mvsde_quantized_increments in pairwise.c, one NumPy pass per
+    operation.
+    """
+    np.maximum(u, U_FLOOR, out=u)
+    ndtri(u, out=u)
+    u *= scale
+    u /= QUANT
+    np.rint(u, out=u)
+    u *= QUANT
+    u += 0.0
+    return u

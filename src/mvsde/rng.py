@@ -3,23 +3,29 @@
 Every particle owns a counter-based Philox4x64-10 stream keyed by (seed,
 particle index), so the table's contents depend only on (seed, N, l, T,
 n_max) and never on evaluation order, thread count, or which subsets are
-requested. mvsde._core.philox_uniforms draws the streams of all particles
-into one (S, N, l) block in a single call: in C with the GIL released on
-the compiled backend, by re-keying numpy.random.Philox per stream on the
-numpy one, with the same bits. The floor, the inverse normal CDF
-(mvsde._core.ndtri: Cephes ndtri in C, scipy.special.ndtri on the numpy
-backend, the same bits) and the snap to the grid 2^-26 Z then run once
-over the whole block, in place; they are elementwise, so each value is
-what a per-stream draw gives.
+requested. Two calls draw a table. First mvsde._core.philox_uniforms draws
+the streams of all particles into one (S, N, l) block: in C with the GIL
+released on the compiled backend, by re-keying numpy.random.Philox per
+stream on the numpy one, with the same bits. Then
+mvsde._core.quantized_increments turns the block into increments in place:
+the floor, the inverse normal CDF (Cephes ndtri in C, scipy.special.ndtri on
+the numpy backend, the same bits), the scale to the finest step and the snap
+to the grid 2^-26 Z, in one C pass or in NumPy passes. They are elementwise,
+so each value is what a per-stream draw gives.
+
 Quantized increments at the finest level are integer multiples of 2^-26
-with magnitude far below 2^27, so any partial sum of up to ~2^21 of them
-is exactly representable in float64: coarse-level increments (sums of
-consecutive finest ones) are exact and independent of summation order,
+below 8.3 / sqrt(n_max) + 2^-27 in magnitude, so a sum of r <= n_max of
+them stays below 8.3 sqrt(r) + r 2^-27 < 2^16, far inside the 2^27 up to
+which such multiples are exact in float64: coarse-level increments (sums
+of consecutive finest ones) are exact and independent of summation order,
 which makes refinement couplings reproducible to the bit.
 
 Levels n must divide n_max; the increment at level n for step k is the sum
-of the n_max/n finest increments it covers. The finest level is a
-read-only view of the table, which holds no -0.0, so it has the bits the
+of the n_max/n finest increments it covers. level_increments sums them in
+NumPy, which is what scheme.step reads; on the C backend scheme.simulate
+hands the fused kernel the finest rows instead, and the kernel adds each
+step's rows itself, with the same bits. The finest level is a read-only
+view of the table, which holds no -0.0, so it has the bits the
 identity-started sum gives. On [0, T] the finest table has n_max*T rows
 per particle. make_tableau refuses a table above ELEMENT_CAP float64
 values and allocates nothing; the whole (S, N, l) block is drawn on first
@@ -31,13 +37,9 @@ import math
 
 import numpy as np
 
-from ._core import ndtri, philox_uniforms
-from ._core.pairwise_py import power
+from ._core import ndtri, philox_uniforms, quantized_increments
+from ._core.pairwise_py import U_FLOOR, power
 
-# grid spacing for increment quantization
-QUANT = 2.0 ** -26
-# smallest uniform fed to ndtri (Generator.random can return exactly 0)
-_U_FLOOR = 2.0 ** -54
 # key whitening for the initial-condition streams
 _INIT_SALT = 0x9E3779B97F4A7C15
 # largest stored table, in float64 values (128 MiB)
@@ -137,15 +139,8 @@ def make_tableau(seed, N, l, T, n_max):
 def _draw(tab):
     """The finest increments of tab: a read-only (S, N, l) float64 block."""
     store = philox_uniforms(tab.seed, (tab.total_steps, tab.N, tab.l))
-    np.maximum(store, _U_FLOOR, out=store)
-    ndtri(store, out=store)
-    # rint(z * scale / QUANT) * QUANT, and + 0.0 so that no entry is -0.0:
-    # level_increments returns the finest level unsummed
-    store *= math.sqrt(1.0 / tab.n_max)
-    store /= QUANT
-    np.rint(store, out=store)
-    store *= QUANT
-    store += 0.0
+    # no entry is -0.0: level_increments returns the finest level unsummed
+    quantized_increments(store, math.sqrt(1.0 / tab.n_max))
     store.flags.writeable = False
     return store
 
@@ -247,7 +242,7 @@ def sample_initial(tab, n_particles, d, law):
         return out
     draws = d if kind == "gaussian" else d + 1
     u = philox_uniforms(tab.seed ^ _INIT_SALT, (1, n_particles, draws))[0]
-    np.maximum(u, _U_FLOOR, out=u)
+    np.maximum(u, U_FLOOR, out=u)
     if kind == "gaussian":
         return center + law["scale"] * ndtri(u, out=u)
     z = ndtri(u[:, :d])

@@ -179,22 +179,17 @@ def simulate(tm, tableau, states, callbacks=()):
     for cb in callbacks:
         cb.observe(ens)
 
-    advance = _advancer(tm, ens)
-    noisy = _noise_width(tm.base) > 0
+    advance = _advancer(tm, ens, tableau, r)
     k = 0
     while k < total and not ens.overflow_flag:
         hi = min(total, k + span)
-        if noisy:
-            block = rng_mod.level_increments(tableau, tm.n, k, hi)
-        else:
-            block = np.empty((hi - k, tableau.N, 0))
         if rec is None:
-            advance(block, hi - k, obs, None, None)
+            advance(k, hi, obs, None, None)
         else:
             # keep[s] flags step s; the rows before `row` hold the kept
             # steps up to k
             row = int(np.searchsorted(rec.steps, k, side="right"))
-            advance(block, hi - k, obs, keep[k + 1:hi + 1], rows[row:])
+            advance(k, hi, obs, keep[k + 1:hi + 1], rows[row:])
         if obs is not None:
             ens.r2_block = obs[:ens.t_index - k]
         k = ens.t_index
@@ -209,24 +204,35 @@ def _squared_norms(x, out):
         out[:] = np.sum(x * x, axis=-1)
 
 
-def _advancer(tm, ens):
-    """advance(block, steps, obs, keep, rec) for ens on the active backend.
+def _advancer(tm, ens, tableau, r):
+    """advance(lo, hi, obs, keep, rec) for ens on the active backend.
 
-    advance runs up to `steps` steps of ens with the noise rows
-    block[:steps] of a (S, N', l) block (N' >= N; l = 0 for a model with
-    no noise) and does step's bookkeeping of t_index and overflow_flag;
-    it stops after the first step with a non-finite value. Row s of obs,
-    if given, receives the squared particle norms after step s + 1 of the
-    call; with keep and rec, the state after that step goes into the next
-    row of rec where keep[s] is set. Both include the overflowing step. On
-    the C backend it is one call of the fused kernel bound to ens, which
+    advance runs steps lo + 1 .. hi of ens, or up to the first step with a
+    non-finite value, with the tableau's increments at level tm.n (none
+    for a model with no noise, which reads no table), and does step's
+    bookkeeping of t_index and overflow_flag. Row s of obs, if given,
+    receives the squared particle norms after step s + 1 of the call; with
+    keep and rec, the state after that step goes into the next row of rec
+    where keep[s] is set. Both include the overflowing step. On the C
+    backend it is one call of the fused kernel bound to ens, which
     evaluates step's coefficients from the model's COEFFICIENTS and the
-    taming's gamma and e; on the numpy backend it is a loop of step.
+    taming's gamma and e, and sums each step's r = n_max / tm.n rows of
+    the finest table itself; on the numpy backend it is a loop of step over
+    level_increments at level tm.n.
     """
+    noisy = _noise_width(tm.base) > 0
+
+    def noise(n, lo, hi):
+        """Rows lo .. hi - 1 of the table at level n."""
+        if noisy:
+            return rng_mod.level_increments(tableau, n, lo, hi)
+        return np.empty((hi - lo, tableau.N, 0))
+
     if bind_advance is None:
-        def advance(block, steps, obs, keep, rec):
+        def advance(lo, hi, obs, keep, rec):
+            block = noise(tm.n, lo, hi)
             row = 0
-            for s in range(steps):
+            for s in range(hi - lo):
                 alive = step(ens, tm, block[s, :ens.N])
                 if obs is not None:
                     _squared_norms(ens.states, obs[s])
@@ -240,10 +246,12 @@ def _advancer(tm, ens):
     coeffs = {name: getattr(tm.base, name) for name in model_mod.COEFFICIENTS}
     run = bind_advance(dict(coeffs, h=1.0 / tm.n, gamma=tm.gamma, e=tm.e,
                             k_noise=_noise_width(tm.base)),
-                       ens.states, ens.scratch)
+                       ens.states, ens.scratch, r)
 
-    def advance(block, steps, obs, keep, rec):
-        done = run(block, steps, obs, keep, rec)
+    def advance(lo, hi, obs, keep, rec):
+        steps = hi - lo
+        done = run(noise(tableau.n_max, lo * r, hi * r), steps, obs, keep,
+                   rec)
         if done < steps:  # step done + 1 ran and overflowed
             ens.overflow_flag = True
             done += 1

@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 import mvsde
 from mvsde._core import (_Coeffs, _select_backend, fsum_rows_py,
                          load_compiled, ndtri_py, pair_aggregate,
-                         pair_aggregate_naive, philox_uniforms_py)
+                         pair_aggregate_naive, philox_uniforms_py,
+                         quantized_increments_py)
 from mvsde._core import pairwise_py
 from mvsde._core.pairwise_py import power
 from mvsde.model import COEFFICIENTS, make_model
@@ -218,28 +219,31 @@ def test_force_fallback_selects_numpy():
          "c.pair_aggregate is c.pairwise_py.pair_aggregate, "
          "c.fsum_rows is c.fsum_rows_py, "
          "c.philox_uniforms is c.philox_uniforms_py, "
-         "c.ndtri is c.pairwise_py.ndtri)"],
+         "c.ndtri is c.pairwise_py.ndtri, "
+         "c.quantized_increments is c.pairwise_py.quantized_increments)"],
         env=env, check=True, capture_output=True, text=True).stdout
-    assert out.split() == ["numpy", "None", "True", "True", "True", "True"]
+    assert out.split() == ["numpy", "None"] + ["True"] * 5
 
 
 def test_loader_binds_every_kernel_or_none(compiled_library, build_library,
                                            tmp_path):
-    advance, row_sum, uniforms, inverse_cdf, name = _select_backend(
-        compiled_library)
+    advance, row_sum, uniforms, inverse_cdf, increments, name = (
+        _select_backend(compiled_library))
     assert name == "c" and callable(advance) and row_sum is not fsum_rows_py
     assert uniforms is not philox_uniforms_py and inverse_cdf is not ndtri_py
+    assert increments is not quantized_increments_py
     numpy_backend = (None, fsum_rows_py, philox_uniforms_py, ndtri_py,
-                     "numpy")
+                     quantized_increments_py, "numpy")
     # stale libraries from before the fused kernel, the row sum, the
-    # Philox streams and the inverse normal CDF
+    # Philox streams, the inverse normal CDF and the increments kernel
     older = ["mvsde_pair_aggregate", "mvsde_advance", "mvsde_fsum_rows",
-             "mvsde_philox_uniforms"]
+             "mvsde_philox_uniforms", "mvsde_ndtri"]
     for missing, symbols in (
             ("mvsde_advance", older[:1]),
             ("mvsde_fsum_rows", older[:2]),
             ("mvsde_philox_uniforms", older[:3]),
-            ("mvsde_ndtri", older)):
+            ("mvsde_ndtri", older[:4]),
+            ("mvsde_quantized_increments", older)):
         stub = tmp_path / ("stale_%s.c" % missing)
         stub.write_text("".join("void %s(void) {}\n" % sym
                                 for sym in symbols))
@@ -248,19 +252,20 @@ def test_loader_binds_every_kernel_or_none(compiled_library, build_library,
             load_compiled(stale)
         assert _select_backend(stale) == numpy_backend
     # every kernel, but from before the ABI constant or from another ABI,
-    # the previous one (4, whose pair scratch held 3 n d + 8 n doubles and
-    # whose step struct put gamma and e before kf1) among them: the package
-    # and the library must agree on every signature, the step struct and
-    # the size of the work array
+    # the previous one (5, whose mvsde_advance took one noise row per step
+    # and whose work array held 2 n d + 2 d doubles before the pair
+    # scratch) among them: the package and the library must agree on every
+    # signature, the step struct and the size of the work array
     for label, abi, found in (("unversioned", "", 0),
-                              ("previous", "const int mvsde_abi = 4;\n", 4),
+                              ("previous", "const int mvsde_abi = 5;\n", 5),
                               ("other", "const int mvsde_abi = 7;\n", 7)):
         stub = tmp_path / ("stale_%s.c" % label)
-        stub.write_text(abi + "".join("void %s(void) {}\n" % sym
-                                      for sym in older + ["mvsde_ndtri"]))
+        stub.write_text(abi + "".join(
+            "void %s(void) {}\n" % sym
+            for sym in older + ["mvsde_quantized_increments"]))
         stale = build_library(str(stub), stub.stem + ".so")
         with pytest.raises(AttributeError, match="mvsde_abi is %d, the "
-                           "package needs 5" % found):
+                           "package needs 6" % found):
             load_compiled(stale)
         assert _select_backend(stale) == numpy_backend
     assert _select_backend(str(tmp_path / "missing.so")) == numpy_backend
@@ -488,9 +493,23 @@ def compiled_ndtri(compiled_library):
     return load_compiled(compiled_library)[3]
 
 
+# Values for the short arrays and blocks of _ndtri_inputs: central ones,
+# tail ones in both tails and below exp(-32), and the values that every
+# lane must hand to the scalar path: 0, 1, -0.0, outside [0, 1] and nan.
+_NDTRI_CENTRAL = [0.5, 0.3, 0.7, 0.14, 0.86, 0.5 - 2.0 ** -53]
+_NDTRI_TAIL = [0.01, 0.99, 1e-5, 1.0 - 1e-5, 1e-20, 5e-324,
+               0.1353352832366127, 1.0 - 2.0 ** -53]
+_NDTRI_SPECIAL = [0.0, 1.0, -0.0, -0.25, 1.5, math.nan]
+
+
 def _ndtri_inputs():
-    """Uniforms as the tableau floors them, dyadic grids at both ends, the
-    tails and the edges of every branch of Cephes ndtri."""
+    """Arrays of inputs. First, uniforms as the tableau floors them, dyadic
+    grids at both ends, the tails and the edges of every branch of Cephes
+    ndtri. Then, so that every lane of the four-lane passes and every
+    remainder is hit, arrays of every length from 1 to 9, each in every
+    rotation of a pool of central, tail and special values; and blocks of
+    1000 to 1002 values, past one chunk of the C kernel, that are all
+    central, all tail, and alternating."""
     k = np.arange(1, 4097) * 2.0 ** -53
     edges = []
     # exp(-2) splits the central approximation from the tails, y near
@@ -504,10 +523,18 @@ def _ndtri_inputs():
                 edges.append(v)
         edges.append(edge)
     uniforms = np.random.default_rng(8).random(10 ** 6)
-    return np.concatenate([
+    grid = np.concatenate([
         np.maximum(uniforms, 2.0 ** -54), k, 1.0 - k,
         2.0 ** -np.arange(1.0, 61.0), edges,
         [0.5, 0.0, 1.0, math.nextafter(1.0, 0.0), 2.0 ** -54]])
+    pool = np.array(_NDTRI_CENTRAL + _NDTRI_TAIL + _NDTRI_SPECIAL)
+    short = [np.roll(pool, shift)[:length] for length in range(1, 10)
+             for shift in range(len(pool))]
+    alternating = np.empty(1002)
+    alternating[0::2] = np.resize(_NDTRI_CENTRAL, 501)
+    alternating[1::2] = np.resize(_NDTRI_TAIL, 501)
+    return [grid] + short + [np.resize(_NDTRI_CENTRAL, 1000),
+                             np.resize(_NDTRI_TAIL, 1001), alternating]
 
 
 def _same_bits(got, want):
@@ -518,19 +545,21 @@ def _same_bits(got, want):
 def _assert_ndtri_matches_scipy(kernel):
     from scipy.special import ndtri
 
-    y = _ndtri_inputs()
-    want = ndtri(y)
-    got = kernel(y)
-    assert got is not y and got.shape == y.shape
-    mismatch = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
-    assert mismatch.size == 0, [(y[i], got[i], want[i])
-                                for i in mismatch[:5]]
+    inputs = _ndtri_inputs()
+    for y in inputs:
+        want = ndtri(y)
+        got = kernel(y)
+        assert got is not y and got.shape == y.shape
+        mismatch = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert mismatch.size == 0, [(y.size, y[i], got[i], want[i])
+                                    for i in mismatch[:5]]
+        # in place, as sample_initial calls it
+        buf = y.copy()
+        assert kernel(buf, out=buf) is buf and _same_bits(buf, want)
+        assert _same_bits(ndtri_py(y), want)
+    got = kernel(inputs[0])
     assert got[-5:-2].tolist() == [0.0, -math.inf, math.inf]
     assert not np.signbit(got[-5])
-    # in place, as the tableau draw calls it
-    buf = y.copy()
-    assert kernel(buf, out=buf) is buf and _same_bits(buf, want)
-    assert _same_bits(ndtri_py(y), want)
 
 
 def test_ndtri_matches_scipy_bit_for_bit(compiled_ndtri):
@@ -578,12 +607,17 @@ def test_hot_path_has_an_avx2_clone(compiled_library, build_library,
     with open(compiled_library, "rb") as fh:
         image = fh.read()
     for name in ("mvsde_pair_aggregate", "row_norms", "step_once",
-                 "mvsde_fsum_rows"):
+                 "mvsde_fsum_rows", "mvsde_ndtri",
+                 "mvsde_quantized_increments"):
         assert (name + ".avx2").encode() in image, name
 
 
 def test_ndtri_built_with_fma_matches_scipy(fma_library):
     _assert_ndtri_matches_scipy(load_compiled(fma_library)[3])
+
+
+def test_ndtri_baseline_build_matches_scipy(baseline_library):
+    _assert_ndtri_matches_scipy(load_compiled(baseline_library)[3])
 
 
 def test_ndtri_takes_strided_input(compiled_ndtri):
@@ -608,7 +642,7 @@ import mvsde.cli
 from mvsde import _core, ensemble, rng, scheme
 
 (scheme.bind_advance, ensemble.fsum_rows, rng.philox_uniforms,
- rng.ndtri) = _core.load_compiled(sys.argv[1])
+ rng.ndtri, rng.quantized_increments) = _core.load_compiled(sys.argv[1])
 for command, ini in zip(("strong-rate", "moment-stability"), sys.argv[2:]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = mvsde.cli.main([command, "--config", ini])

@@ -15,9 +15,9 @@ import pytest
 from mvsde.cli import main
 from mvsde.config import (ConfigError, check_step_bound, emit_config,
                           make_config, theoretical_constants)
-from mvsde.experiments import (_poc_single_rep, run_ergodic_contraction,
-                               run_moment_stability, run_poc_rate,
-                               run_simulate, run_strong_rate)
+from mvsde.experiments import (_poc_single_rep, _sup_distance,
+                               run_ergodic_contraction, run_moment_stability,
+                               run_poc_rate, run_simulate, run_strong_rate)
 from mvsde.model import make_model
 from mvsde.rng import make_tableau, parse_initial
 from mvsde.scheme import simulate
@@ -152,6 +152,32 @@ def test_p_range_warning(tmp_path):
                       reps=1, p=8.0, out_dir=str(tmp_path))
     with pytest.warns(UserWarning, match="exceeds the guaranteed range"):
         run_strong_rate(cfg)
+
+
+@pytest.mark.parametrize("d", (1, 3))
+def test_sup_distance_takes_the_root_after_the_max(d):
+    """strong-rate's sup distance has the bits of the max of the
+    per-step distances, on grids with ties, zero distances and a square
+    that overflows to inf."""
+    gen = np.random.default_rng(d)
+    for steps, n in ((1, 1), (2, 5), (17, 64), (65, 9)):
+        ref = gen.normal(size=(steps, n, d))
+        path = ref + gen.normal(scale=1e-3, size=ref.shape)
+        path[:, 0] = ref[:, 0]  # particle 0 never moves off: distance +0
+        if steps > 1 and n > 2:
+            # particle 1's largest distance, at steps 0 and 1 alike
+            path[0, 1] = ref[0, 1] + 0.5
+            ref[1, 1], path[1, 1] = ref[0, 1], path[0, 1]
+            path[-1, -1] = 1e200  # (1e200 - ref)^2 overflows to inf
+        diff = path - ref
+        with np.errstate(over="ignore"):
+            want = np.sqrt(np.sum(diff * diff, axis=-1)).max(axis=0)
+            got = _sup_distance(path, ref)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert got[0] == 0.0 and not np.signbit(got[0])
+        if steps > 1 and n > 2:
+            assert got[1] == np.sqrt(np.sum(diff[0, 1] * diff[0, 1]))
+            assert got[-1] == math.inf
 
 
 def test_poc_reference_identity_is_exact():

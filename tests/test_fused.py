@@ -409,7 +409,7 @@ def _one_step(advance, x, dw=None, obs=None, **coeffs):
     values.update(h=1.0, k_noise=0)
     values.update(coeffs)
     states = x.copy()
-    run = advance(values, states, np.empty_like(states))
+    run = advance(values, states, np.empty_like(states), 1)
     block = np.zeros((1,) + x.shape) if dw is None else dw[None]
     return run(block, 1, obs), states
 
@@ -653,8 +653,8 @@ def _counting(advance, calls):
     """bind_advance over advance, appending each bound kernel's list of
     call step counts to calls."""
 
-    def bind(coeffs, states, scratch):
-        run = advance(coeffs, states, scratch)
+    def bind(coeffs, states, scratch, ratio):
+        run = advance(coeffs, states, scratch, ratio)
         steps = []
         calls.append(steps)
 
@@ -729,6 +729,45 @@ def test_recorder_rows_match_across_backends(monkeypatch, advance, case,
     assert case == "tamed" or last in rec.recorded_steps
 
 
+@pytest.mark.parametrize("ratio", (1, 2, 4, 64))
+@pytest.mark.parametrize("d, l", ((1, 1), (3, 3), (3, 2), (1, 2)))
+def test_fused_level_sums_match_step(monkeypatch, advance, ratio, d, l):
+    """The fused kernel reads the finest table and sums each step's
+    `ratio` rows itself; its runs equal the NumPy step path on
+    level_increments at every ratio of a 1024-step table, with a
+    StateRecorder and with the moment and divergence observers, in one
+    block and in blocks of 3 steps. Two spare streams make the noise rows
+    strided, and l != d (additive noise only, without the diffusion
+    kernel) makes the noise width k = min(d, l) differ from the row
+    width."""
+    params = None if l == d else {"c_g": 0.0}
+    tm = TamedModel(make_model("cubic-mean-field", d=d, l=l, params=params),
+                    1024 // ratio, "finite")
+    tab = make_tableau(29, 11, l, 1.0, 1024)
+    law = initial_law("gaussian", 0.0, 1.0)
+    total = 1024 // ratio
+    for rows in (None, 3):
+        if rows is not None:
+            monkeypatch.setattr(scheme, "_CHUNK_ELEMENTS",
+                                rows * ratio * tab.N * tab.l)
+        for observers in (False, True):
+            runs, calls = [], []
+            for kernel in (_counting(advance, calls), None):
+                rec = scheme.StateRecorder(_strided(total, 7))
+                moments, diverge = (scheme.MomentTracker(4.0),
+                                    _DivergenceTracker())
+                callbacks = [moments, diverge] if observers else [rec]
+                ens = _simulate(monkeypatch, kernel, tm, tab, law, size=9,
+                                callbacks=callbacks)
+                assert ens.t_index == total and not ens.overflow_flag
+                runs.append((ens, [rec], moments.values, diverge.step))
+            _assert_same_run(runs[0][:2], runs[1][:2])
+            assert runs[0][2] == runs[1][2] and runs[0][3] == runs[1][3]
+            span = rows or total
+            assert calls == [[min(span, total - k)
+                              for k in range(0, total, span)]]
+
+
 def test_recording_every_step_is_one_kernel_call(monkeypatch, advance):
     """Every state of 32 steps at N = 1024, d = 3 (3 MB of rows) is
     recorded in one kernel call: the recorder's rows bound no block."""
@@ -761,7 +800,7 @@ def test_bound_kernel_refuses_noise_it_would_overrun(advance):
     values = dict.fromkeys(COEFF_NAMES, 0.0)
     values.update(h=1.0, k_noise=2)
     states = np.zeros((4, 2))
-    run = advance(values, states, np.empty_like(states))
+    run = advance(values, states, np.empty_like(states), 1)
     for block in (np.zeros((3, 3, 2)), np.zeros((3, 4, 1)),
                   np.zeros((3, 4, 2), dtype=np.float32),
                   np.zeros((3, 2, 4)).transpose(0, 2, 1)):
@@ -773,14 +812,23 @@ def test_bound_kernel_refuses_noise_it_would_overrun(advance):
         with pytest.raises(ValueError, match="outside the noise block"):
             run(block, steps)
     with pytest.raises(ValueError, match="C-contiguous"):
-        advance(values, states, np.empty((2, 4)).T)
+        advance(values, states, np.empty((2, 4)).T, 1)
+    # four rows a step: 11 rows hold 2 steps, not 3
+    run = advance(values, states, np.empty_like(states), 4)
+    block = np.zeros((11, 4, 2))
+    assert run(block, 2) == 2
+    with pytest.raises(ValueError, match="3 steps of 4 rows are outside "
+                       "the noise block of 11 rows"):
+        run(block, 3)
+    with pytest.raises(ValueError, match="at least one noise row"):
+        advance(values, states, np.empty_like(states), 0)
 
 
 def test_bound_kernel_refuses_states_it_would_overrun(advance):
     values = dict.fromkeys(COEFF_NAMES, 0.0)
     values.update(h=1.0, k_noise=0)
     states = np.zeros((4, 2))
-    run = advance(values, states, np.empty_like(states))
+    run = advance(values, states, np.empty_like(states), 1)
     block = np.zeros((3, 4, 0))
     keep = np.array([1, 0, 1], dtype=np.uint8)
     assert run(block, 3, None, keep, np.empty((2, 4, 2))) == 3
@@ -847,11 +895,13 @@ def test_driver_bytes_match_across_backends(monkeypatch, compiled_library,
     states the kernel records for the two drivers that read a
     StateRecorder.
     """
-    advance, fsum_rows, uniforms, ndtri = load_compiled(compiled_library)
+    advance, fsum_rows, uniforms, ndtri, increments = load_compiled(
+        compiled_library)
     monkeypatch.setattr(scheme, "bind_advance", advance)
     monkeypatch.setattr(ensemble, "fsum_rows", fsum_rows)
     monkeypatch.setattr("mvsde.rng.philox_uniforms", uniforms)
     monkeypatch.setattr("mvsde.rng.ndtri", ndtri)
+    monkeypatch.setattr("mvsde.rng.quantized_increments", increments)
     reports = []
     for command, ini, data, report in _DRIVER_CONFIGS:
         runs = []

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from mvsde import rng
-from mvsde._core import load_compiled, ndtri_py, philox_uniforms_py
-from mvsde.rng import (ELEMENT_CAP, QUANT, _INIT_SALT, initial_law,
+from mvsde._core import (load_compiled, ndtri_py, philox_uniforms_py,
+                         quantized_increments_py)
+from mvsde._core.pairwise_py import QUANT
+from mvsde.rng import (ELEMENT_CAP, _INIT_SALT, initial_law,
                        level_increments, make_tableau, parse_initial,
                        sample_initial)
 
@@ -97,6 +99,50 @@ def test_finest_level_holds_no_negative_zero(monkeypatch):
     tab = make_tableau(1, 3, 2, 1.0, 4)
     fine = level_increments(tab, 4)
     assert (fine == 0.0).all() and not np.signbit(fine).any()
+
+
+@pytest.fixture(params=["c", "baseline", "fma"])
+def c_increments(request):
+    """mvsde_quantized_increments of the library built with setup.py's
+    flags (the AVX2 clone on an AVX2 CPU), of the baseline-only build and
+    of the -mfma build."""
+    library = {"c": "compiled_library", "baseline": "baseline_library",
+               "fma": "fma_library"}[request.param]
+    return load_compiled(request.getfixturevalue(library))[4]
+
+
+def _assert_same_increments(kernel, u, scale):
+    want = quantized_increments_py(u.copy(), scale)
+    got = u.copy()
+    assert kernel(got, scale) is got
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    return got
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (3, 1, 1), (5, 3, 1),
+                                   (7, 1, 3), (13, 3, 5), (257, 1, 1),
+                                   (129, 3, 2), (1023, 1, 1)])
+def test_quantized_increments_match_the_numpy_chain(c_increments, shape):
+    """The C kernel equals its NumPy twin on blocks whose size is no
+    multiple of 4, shorter and longer than one chunk of the kernel."""
+    u = np.random.default_rng(sum(shape)).random(shape)
+    for scale in (math.sqrt(1.0 / 1024), math.sqrt(1.0 / 3), 1.0):
+        _assert_same_increments(c_increments, u, scale)
+
+
+def test_quantized_increments_at_injected_uniforms(c_increments):
+    """0.5 - 2^-53 gives +0.0; uniforms below the 2^-54 floor and 1 - 2^-53
+    give their twin's bits, in every lane and remainder position."""
+    edge = [0.5 - 2.0 ** -53, 0.0, 2.0 ** -60, 5e-324,
+            math.nextafter(2.0 ** -54, 0.0), 2.0 ** -54, 1.0 - 2.0 ** -53]
+    for length in range(1, 10):
+        for shift in range(len(edge)):
+            u = np.resize(np.roll(edge, shift), length)
+            got = _assert_same_increments(c_increments, u, 1.0)
+            zero = got[u == 0.5 - 2.0 ** -53]
+            assert (zero == 0.0).all() and not np.signbit(zero).any()
+    with pytest.raises(ValueError, match="in place"):
+        c_increments(np.zeros((4, 2)).T, 1.0)
 
 
 def test_particle_prefix_property():
@@ -253,10 +299,12 @@ def test_backends_draw_identical_tables(compiled_library, monkeypatch):
             initial_law("uniform_ball", center=-2.0, radius=3.0),
             initial_law("point", center=0.25)]
     draws = {}
-    for label, (uniforms, ndtri_kernel) in (
-            ("c", c_kernels), ("numpy", (philox_uniforms_py, ndtri_py))):
+    for label, (uniforms, ndtri_kernel, increments) in (
+            ("c", c_kernels), ("numpy", (philox_uniforms_py, ndtri_py,
+                                         quantized_increments_py))):
         monkeypatch.setattr(rng, "philox_uniforms", uniforms)
         monkeypatch.setattr(rng, "ndtri", ndtri_kernel)
+        monkeypatch.setattr(rng, "quantized_increments", increments)
         tab = make_tableau(2024, 33, 3, 2.0, 8)
         draws[label] = [level_increments(tab, n) for n in (8, 2)] + [
             sample_initial(tab, 33, d, law)
