@@ -11,7 +11,10 @@ all keys single-valued; '#' and ';' start comments.
              poc-rate | moment-stability | ergodic), seed, reps,
              threads, out_dir, p, p0
 [model]      family, d, l, measure_mode, plus the family's own
-             parameters as bare keys (q, lam, sigma0, ...)
+             parameters as bare keys (q, lam, sigma0, ...); measure_mode
+             is a label kept for the config echo, filled from the
+             family's entry in model.FAMILIES; any other value is
+             refused, and no computation reads it
 [grid]       T, n, levels (comma-separated), n_max
 [ensemble]   N, N_levels (comma-separated), N_ref, probe_count,
              initial, initial_b (law strings, see rng.parse_initial)
@@ -70,7 +73,7 @@ import numbers
 from dataclasses import dataclass, field, fields
 
 from .metrics import W2_METHODS
-from .model import make_model, whole_number
+from .model import FAMILIES, make_model, whole_number
 from .rng import _whole_steps, parse_initial
 from .taming import VARIANTS
 
@@ -276,8 +279,9 @@ def _resolve(experiment, overrides, text=False):
         model = make_model(merged["family"], d=merged["d"], l=merged["l"],
                            params=merged["params"])
         merged["params"] = dict(model.params)
+        label = FAMILIES[model.family_id]["measure_mode"]
         if merged["measure_mode"] is None:
-            merged["measure_mode"] = model.measure_mode
+            merged["measure_mode"] = label
     except (ValueError, TypeError):
         pass  # reported by _violations
     try:
@@ -392,11 +396,12 @@ def _violations(cfg, experiment):
                            params=cfg.params)
     except (ValueError, TypeError) as exc:
         problems.append(str(exc))
-    if model is not None and cfg.measure_mode not in ("", None,
-                                                      model.measure_mode):
-        problems.append("measure_mode %r does not match family %r "
-                        "(which is %r)" % (cfg.measure_mode, cfg.family,
-                                           model.measure_mode))
+    if model is not None:
+        label = FAMILIES[cfg.family]["measure_mode"]
+        if cfg.measure_mode not in ("", None, label):
+            problems.append("measure_mode %r does not match family %r "
+                            "(which is %r)" % (cfg.measure_mode,
+                                               cfg.family, label))
 
     if finite["T"] and not cfg.T > 0:
         problems.append("T must be positive, got %r" % (cfg.T,))

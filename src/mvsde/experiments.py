@@ -280,7 +280,7 @@ def _aggregate_levels(results, n_levels, p):
     return errors, stderrs, diverged
 
 
-def _rate_verdict(xs, errors, diverged, cfg, exploratory=False):
+def _rate_verdict(xs, errors, diverged, cfg):
     """Fit and verdict shared by the two rate drivers."""
     total_div = sum(diverged)
     finite = [e for e in errors if math.isfinite(e)]
@@ -291,35 +291,52 @@ def _rate_verdict(xs, errors, diverged, cfg, exploratory=False):
     try:
         fit = fit_loglog_slope(xs, errors)
     except ValueError:
-        if total_div == 0:
-            status = "degenerate"
-        else:
-            status = "exploratory" if exploratory else "fail"
-        verdict = {"status": status, "slope_in_band": None,
-                   "r2_ok": None, "no_divergence": total_div == 0}
+        verdict = {"status": "fail" if total_div else "degenerate",
+                   "slope_in_band": None, "r2_ok": None,
+                   "no_divergence": total_div == 0}
         return None, verdict
     slope_ok = cfg.slope_lo <= fit.slope <= cfg.slope_hi
     r2_ok = fit.r_squared >= cfg.r2_min
     no_div = total_div == 0
-    if exploratory:
-        status = "exploratory"
-    else:
-        status = "pass" if (slope_ok and r2_ok and no_div) else "fail"
+    status = "pass" if (slope_ok and r2_ok and no_div) else "fail"
     verdict = {"status": status, "slope_in_band": slope_ok,
                "r2_ok": r2_ok, "no_divergence": no_div}
     return fit, verdict
 
 
-def _rate_report(cfg, kind, levels, xs, results, exploratory=False):
+def _rate_report(cfg, kind, levels, xs, results):
     """Aggregate, fit, report and emit: the tail of both rate drivers."""
     errors, stderrs, diverged = _aggregate_levels(results, len(levels),
                                                   cfg.p)
-    fit, verdict = _rate_verdict(xs, errors, diverged, cfg, exploratory)
+    fit, verdict = _rate_verdict(xs, errors, diverged, cfg)
     report = RateReport(kind=kind, levels=levels, errors=errors,
                         stderrs=stderrs, diverged=diverged, fit=fit,
                         verdict=verdict, config=_config_echo(cfg))
     _emit(cfg, report, zip(levels, errors, stderrs, diverged))
     return report
+
+
+# a rate driver's entry for a level whose run, or whose reference, diverged
+_DIVERGED = (None, 1)
+
+
+def _coupled_error(path, ref, p, diverged):
+    """A rate driver's (error, diverged) entry for one level: the gap
+    between two coupled runs, path and ref, (steps, N, d) arrays of their
+    states on a shared grid. Each particle's distance is its max over the
+    grid of |path_k - ref_k|, and the entry is (mean over particles of
+    its p-th power, 0), or _DIVERGED when the level's run diverged.
+
+    strong-rate passes the level's grid, poc-rate the single terminal row
+    of the probed particles. The square root comes after the max: sqrt is
+    monotone and correctly rounded, so this is the max of the distances
+    bit for bit, with N square roots instead of steps * N.
+    """
+    if diverged:
+        return _DIVERGED
+    diff = path - ref
+    dist = np.sqrt(np.sum(diff * diff, axis=-1).max(axis=0))
+    return float(np.mean(power(dist, p))), 0
 
 
 def run_strong_rate(cfg):
@@ -350,64 +367,21 @@ def run_strong_rate(cfg):
         ref = simulate(TamedModel(model, n_max, cfg.variant), tab, states,
                        callbacks=[rec])
         if ref.overflow_flag:
-            return [(None, 1) for _ in levels]
+            return [_DIVERGED] * len(levels)
         out = []
         for n in levels:
             rec_c = StateRecorder(range(tab.total_steps // (n_max // n) + 1))
             ens = simulate(TamedModel(model, n, cfg.variant), tab, states,
                            callbacks=[rec_c])
-            if ens.overflow_flag:
-                out.append((None, 1))
-                continue
             # level-n step j sits at fine recorded index j*(lmax/n)
-            dist = _sup_distance(rec_c.states,
-                                 rec.states[::max(levels) // n])
-            out.append((float(np.mean(power(dist, cfg.p))), 0))
+            out.append(_coupled_error(rec_c.states,
+                                      rec.states[::max(levels) // n],
+                                      cfg.p, ens.overflow_flag))
         return out
 
     results = _map_reps(one_rep, cfg.reps, cfg.threads)
     return _rate_report(cfg, "strong_rate", levels,
                         [1.0 / n for n in levels], results)
-
-
-def _sup_distance(path, ref):
-    """max over the grid of each particle's distance |path_k - ref_k|: an
-    (N,) array from two (steps, N, d) arrays of finite states.
-
-    The square root comes after the max: sqrt is monotone and correctly
-    rounded, so this is the max of the distances bit for bit, with N
-    square roots instead of steps * N.
-    """
-    diff = path - ref
-    return np.sqrt(np.sum(diff * diff, axis=-1).max(axis=0))
-
-
-def _poc_single_rep(tm, tab, sizes, probe_count, law, p):
-    """One repetition of the coupled-reference estimator.
-
-    The reference runs all tab.N particles. Returns [(mean |X_T^{i,N} -
-    X_T^{i,N_ref}|^p over probed i, 0)] per size, or (None, 1) where
-    either run diverged. Exposed separately so the N = N_ref coupling
-    identity is directly checkable. The initial states are drawn once, at
-    N_ref; every size runs from their prefix, which is what sample_initial
-    draws for that size.
-    """
-    states = rng_mod.sample_initial(tab, tab.N, tm.base.d, law)
-    ref = simulate(tm, tab, states)
-    out = []
-    for size in sizes:
-        if ref.overflow_flag:
-            out.append((None, 1))
-            continue
-        ens = simulate(tm, tab, states[:size])
-        if ens.overflow_flag:
-            out.append((None, 1))
-            continue
-        k = min(size, probe_count)
-        diff = ens.states[:k] - ref.states[:k]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        out.append((float(np.mean(power(dist, p))), 0))
-    return out
 
 
 def run_poc_rate(cfg):
@@ -417,8 +391,10 @@ def run_poc_rate(cfg):
     Brownian streams for the first N particles, so their gap estimates
     the particle-count error up to constants. error(N) aggregates the
     first min(N, probe_count) particles across reps; the fit is error
-    versus N in log-log. Models outside the pairwise measure mode are
-    reported with verdict status "exploratory" and never pass or fail.
+    versus N in log-log. Every family's coupling is a Vlasov kernel (see
+    model), the structure of the sharp N^-1/2 rate, so every run gets pass
+    or fail against the bands, or degenerate when every error is 0 (a
+    family without interaction, whose prefix runs are the reference's).
 
     Returns RateReport; emits poc_rate_errors.csv / _report.json.
     """
@@ -427,15 +403,28 @@ def run_poc_rate(cfg):
     sizes = list(cfg.N_levels)
     _warn_p_range("poc_rate", cfg.p, cfg.p0, model.q)
     law = parse_initial(cfg.initial)
+    tm = TamedModel(model, cfg.n, cfg.variant)
 
     def one_rep(m):
+        # the initial states are drawn once, at N_ref; every size runs
+        # from their prefix, which is what sample_initial draws for it
         tab = make_tableau(cfg.seed + m, cfg.N_ref, model.l, cfg.T, cfg.n)
-        tm = TamedModel(model, cfg.n, cfg.variant)
-        return _poc_single_rep(tm, tab, sizes, cfg.probe_count, law, cfg.p)
+        states = rng_mod.sample_initial(tab, cfg.N_ref, model.d, law)
+        ref = simulate(tm, tab, states)
+        if ref.overflow_flag:
+            return [_DIVERGED] * len(sizes)
+        out = []
+        for size in sizes:
+            ens = simulate(tm, tab, states[:size])
+            # the terminal states of the probed particles, one grid row
+            k = min(size, cfg.probe_count)
+            out.append(_coupled_error(ens.states[None, :k],
+                                      ref.states[None, :k], cfg.p,
+                                      ens.overflow_flag))
+        return out
 
     results = _map_reps(one_rep, cfg.reps, cfg.threads)
-    return _rate_report(cfg, "poc_rate", sizes, sizes, results,
-                        exploratory=(model.measure_mode != "pairwise"))
+    return _rate_report(cfg, "poc_rate", sizes, sizes, results)
 
 
 class _DivergenceTracker:

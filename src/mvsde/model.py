@@ -13,11 +13,13 @@ family in this module is expressed through one canonical parameterization:
     f(x, y)        = (kf1 + kfq * |x - y|^q_f) * (x - y)
     g(x, y)        = c_g * diag(x - y)
 
-with coupling = lam * mean(mu) in "functional" measure mode and
-kap_pair * (mean(mu) - x) in "pairwise" mode (where b and sigma are averages
-of two-argument maps over the atoms, evaluated through the atom mean as
-above). All maps are autonomous; the time argument is accepted for
-interface uniformity.
+with coupling = lam * mean(mu) + kap_pair * (mean(mu) - x). Both couplings
+and the c_s term are linear in mu, so b and sigma are Vlasov kernels:
+b(x, mu) = int btilde(x, y) mu(dy) with btilde(x, y) = b(x, delta_y), the
+map at the one-atom measure, and likewise for sigma; the maps read the
+measure through its atom mean, equal to the literal atom average of
+btilde up to rounding. All maps are autonomous; the time argument is
+accepted for interface uniformity.
 
 self_terms and pair_terms are the scheme's tamed coefficients, the
 algebra scheme.step and the pair kernel run, at a taming weight gamma and
@@ -52,28 +54,18 @@ class CoefficientModel:
         Polynomial-growth index of the family (0 means globally Lipschitz).
     params : dict
         Family-facing parameters after merging overrides into defaults.
-    measure_mode : str
-        "functional" (coefficients read the measure through its mean) or
-        "pairwise" (b and sigma are atom averages of two-argument maps).
     """
 
-    __slots__ = ("family_id", "d", "l", "q", "params",
-                 "measure_mode") + COEFFICIENTS
+    __slots__ = ("family_id", "d", "l", "q", "params") + COEFFICIENTS
 
-    def __init__(self, family_id, d, l, q, params, measure_mode, canon):
+    def __init__(self, family_id, d, l, q, params, canon):
         self.family_id = family_id
         self.d = int(d)
         self.l = int(l)
         self.q = float(q)
         self.params = dict(params)
-        self.measure_mode = measure_mode
         for name in COEFFICIENTS:
             object.__setattr__(self, name, float(canon.get(name, 0.0)))
-        # the scheme adds both couplings, so a model has only its mode's
-        other = "lam" if measure_mode == "pairwise" else "kap_pair"
-        if getattr(self, other) != 0.0:
-            raise ValueError("%s must be 0 in the %s measure mode, got %r"
-                             % (other, measure_mode, getattr(self, other)))
 
     def __setattr__(self, name, value):
         if hasattr(self, "c_g"):
@@ -81,9 +73,8 @@ class CoefficientModel:
         object.__setattr__(self, name, value)
 
     def __repr__(self):
-        return ("CoefficientModel(family_id=%r, d=%d, l=%d, q=%g, "
-                "measure_mode=%r)" % (self.family_id, self.d, self.l,
-                                      self.q, self.measure_mode))
+        return ("CoefficientModel(family_id=%r, d=%d, l=%d, q=%g)"
+                % (self.family_id, self.d, self.l, self.q))
 
 
 def _canon_cubic_mean_field(p):
@@ -111,6 +102,9 @@ def _canon_anti_dissipative(p):
     return dict(betaq=1.0, q_b=p["q"], s0=p["sigma0"])
 
 
+# measure_mode is a label only: config reads it to fill and check the
+# [model] key of the same name in every report's config echo, and nothing
+# else does; every family's coupling is a Vlasov kernel (module docstring)
 FAMILIES = {
     # superlinear drift -x|x|^q with mean attraction and odd polynomial
     # interaction kernel; the workhorse for strong-rate runs
@@ -124,8 +118,8 @@ FAMILIES = {
         defaults=dict(q=2.0, eps=0.2, kappa1=0.5, kappaq=0.5),
         canon=_canon_ergodic_dissipative,
         measure_mode="functional"),
-    # two-argument drift/diffusion averaged over atoms; exercises the
-    # pairwise measure mode for particle-count convergence runs
+    # drift and diffusion written as atom averages of two-argument maps,
+    # kappa (y - x) and c_s (y - x); the particle-count convergence default
     "pairwise-vlasov": dict(
         defaults=dict(q=2.0, a1=0.5, a3=1.0, kappa=0.5, c_s=0.2, nu=0.0,
                       c_f=1.0, c_g=0.2),
@@ -198,8 +192,7 @@ def make_model(family_id, d=1, l=None, params=None):
     if d < 1 or l < 1:
         raise ValueError("dimensions must be >= 1, got d=%d l=%d" % (d, l))
     canon = spec["canon"](merged)
-    model = CoefficientModel(family_id, d, l, merged["q"], merged,
-                             spec["measure_mode"], canon)
+    model = CoefficientModel(family_id, d, l, merged["q"], merged, canon)
     if l != d and (model.s1 != 0.0 or model.c_s != 0.0
                    or model.c_g != 0.0):
         raise ValueError("diagonal noise terms require l == d "
@@ -222,11 +215,11 @@ def self_terms(model, gamma, e, x, mean, k):
     scheme at states x (..., d), for the taming weight gamma and exponent
     e (taming.TamedModel) and the measure's mean (None if unread).
 
-    In scheme.step's order, which the fused kernel repeats: the coupling,
-    kap_pair * (mean - x) and then lam * mean (a model has at most one of
-    them), joins the self drift before the drift and the noise diagonal
-    are divided by 1 + gamma |x|^e, a division gamma = 0 skips. The
-    squared norm |x|^2 is summed once, for |x|^q_b and the denominator.
+    In scheme.step's order, which the fused kernel repeats: the couplings,
+    kap_pair * (mean - x) and then lam * mean, join the self drift before
+    the drift and the noise diagonal are divided by 1 + gamma |x|^e, a
+    division gamma = 0 skips. The squared norm |x|^2 is summed once, for
+    |x|^q_b and the denominator.
     """
     r2 = np.sum(x * x, axis=-1)
     b = model.beta1 * x
@@ -270,7 +263,9 @@ def _diagonal(model, diag):
 def eval_drift_b(model, t, x, mu=None):
     """Measure-dependent drift b(t, x, mu), (..., d): self_terms' untamed
     drift. t is ignored (autonomous coefficients); mu is an atom array
-    (..., M, d) whose batch axes broadcast against those of x."""
+    (..., M, d) whose batch axes broadcast against those of x. At a
+    one-atom measure, mu = y[..., None, :], it is the Vlasov kernel
+    btilde(x, y), bit for bit: the mean of one atom is the atom."""
     x = np.asarray(x, dtype=np.float64)
     return self_terms(model, 0.0, 0.0, x, _measure_mean(model, mu), 0)[0]
 
@@ -294,28 +289,4 @@ def eval_kernel_g(model, x, y):
     """Interaction diffusion kernel g(x, y) = c_g diag(x - y), (..., d, l):
     pair_terms' untamed noise diagonal."""
     return _diagonal(model, pair_terms(model, 0.0, 0.0, x, y,
-                                       min(model.d, model.l))[1])
-
-
-def _pair_arguments(model, name, x, y):
-    # x broadcast against y, which stands in for the measure's mean
-    if model.measure_mode != "pairwise":
-        raise ValueError("%s needs a pairwise-mode model" % name)
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return np.broadcast_to(x, np.broadcast_shapes(x.shape, y.shape)), y
-
-
-def eval_pair_drift(model, t, x, y):
-    """Two-argument drift of pairwise mode: b(t, x, mu) = mean_y btilde,
-    self_terms' untamed drift with y as the mean."""
-    x, y = _pair_arguments(model, "eval_pair_drift", x, y)
-    return self_terms(model, 0.0, 0.0, x, y, 0)[0]
-
-
-def eval_pair_sigma(model, t, x, y):
-    """Two-argument diffusion of pairwise mode, (..., d, l): self_terms'
-    untamed noise diagonal with y as the mean."""
-    x, y = _pair_arguments(model, "eval_pair_sigma", x, y)
-    return _diagonal(model, self_terms(model, 0.0, 0.0, x, y,
                                        min(model.d, model.l))[1])

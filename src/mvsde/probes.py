@@ -15,8 +15,10 @@ a point pair (v, v') with a drift pair (a, a') and a diffusion pair
 
 * own: b and sigma at (x, mu) and (x', nu), with v = x;
 * kernel: f and g at (x, y) and (x', y'), with v = x - y;
-* pair: pairwise mode's two-argument b and sigma at (x, y) and (x', y'),
-  with v = x; refused for a model in any other measure mode.
+* pair: the Vlasov kernels btilde and sigmatilde at (x, y) and (x', y'),
+  with v = x. Every family's b and sigma are linear in the measure, so
+  btilde(x, y) = b(x, delta_y): b and sigma at the one-atom measures y
+  and y'.
 
 Only f(y, x), b and sigma at the second time t', and the pair drift at
 (x, y') are evaluated outside the sides. Each inequality shape is
@@ -35,6 +37,13 @@ Conventions
   canonical family parameters. They deliberately take no credit from
   destabilizing terms (positive betaq or kfq), so a family built to
   violate dissipativity fails its probe with a positive margin.
+* The pair references carry both couplings. The pair drift is
+  btilde(x, y) = self(x) + lam y + kap_pair (y - x), so its derivative in
+  y is (lam + kap_pair) I and pair_second_arg_lipschitz takes
+  |kap_pair| + |lam|. In pair_coercivity the lam term gives
+  lam <x, y> <= |lam| (|x|^2 + |y|^2) / 2, and in pair_monotonicity
+  lam <x - x', y - y'> <= |lam| (|x - x'|^2 + |y - y'|^2) / 2, so each
+  adds |lam| to its reference, a factor 2 to spare.
 * Inequalities whose right side is a single constant times a positive
   factor also report the fitted constant: the smallest constant that
   would have made every sampled inequality hold (largest admissible
@@ -62,8 +71,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from ._core.pairwise_py import power
-from .model import (eval_drift_b, eval_kernel_f, eval_kernel_g,
-                    eval_pair_drift, eval_pair_sigma, eval_sigma)
+from .model import eval_drift_b, eval_kernel_f, eval_kernel_g, eval_sigma
 
 _CREDIT_GUARD = 1.0 - 1e-6
 _ALLOW_GUARD = 1.0 + 1e-6
@@ -242,12 +250,9 @@ class _Samples:
     @cached_property
     def pair(self):
         m = self._model
-        if m.measure_mode != "pairwise":
-            raise ValueError("pairwise_poc probes need a pairwise-mode "
-                             "model, got %r" % m.family_id)
-        return _Side(self.x, self.xp, partial(eval_pair_drift, m, self.t),
-                     partial(eval_pair_sigma, m, self.t),
-                     (self.x, self.y), (self.xp, self.yp))
+        return _Side(self.x, self.xp, partial(eval_drift_b, m, self.t),
+                     partial(eval_sigma, m, self.t),
+                     (self.x, self.y[:, None]), (self.xp, self.yp[:, None]))
 
 
 def _fit_max(lhs, factor):
@@ -416,7 +421,7 @@ def _p_pair_coercivity(model, s, pp):
     factor = _nrm2(s.x) + _nrm2(s.y)
     # no credit for an additive noise floor: s0 != 0 cannot satisfy a
     # right side without constant term, so it is deliberately left out
-    ref = (_pos(model.beta1) + 2.0 * abs(model.kap_pair)
+    ref = (_pos(model.beta1) + abs(model.lam) + 2.0 * abs(model.kap_pair)
            + 3.0 * (pp["p0"] - 1.0)
            * (model.s1 ** 2 + 2.0 * model.c_s ** 2))
     return _allowance(lhs, factor, ref)
@@ -425,16 +430,16 @@ def _p_pair_coercivity(model, s, pp):
 def _p_pair_monotonicity(model, s, pp):
     lhs = _monotonicity(s.pair, 2.0 * (pp["p"] - 1.0))
     factor = _nrm2(s.pair.dv) + _nrm2(s.y - s.yp)
-    ref = (_pos(model.beta1) + 2.0 * abs(model.kap_pair)
+    ref = (_pos(model.beta1) + abs(model.lam) + 2.0 * abs(model.kap_pair)
            + 2.0 * (pp["p"] - 1.0) * (2.0 * model.s1 ** 2
                                       + 4.0 * model.c_s ** 2))
     return _allowance(lhs, factor, ref)
 
 
 def _p_pair_second_arg_lipschitz(model, s, pp):
-    b = s.pair.a  # refuses a model outside pairwise mode first
-    lhs = _norm(b - eval_pair_drift(model, s.t, s.x, s.yp))
-    return _allowance(lhs, _norm(s.y - s.yp), abs(model.kap_pair))
+    lhs = _norm(s.pair.a - eval_drift_b(model, s.t, s.x, s.yp[:, None]))
+    return _allowance(lhs, _norm(s.y - s.yp),
+                      abs(model.kap_pair) + abs(model.lam))
 
 
 def _p_fg_pair_weighted_growth(model, s, pp):

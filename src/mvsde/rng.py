@@ -196,7 +196,8 @@ def parse_initial(text):
     "uniform_ball 0.0 2.0"  center 0.0, radius 2.0
 
     Missing numbers default to center 0, scale/radius 1. A non-finite
-    number is refused.
+    number, a second number for a point mass and a negative scale or
+    radius are refused.
     """
     parts = str(text).split()
     if not parts:
@@ -210,11 +211,16 @@ def parse_initial(text):
         raise ValueError("initial law %r has too many values" % (text,))
     if not all(map(math.isfinite, nums)):
         raise ValueError("initial law %r has a non-finite value" % (text,))
+    if kind == "point" and len(nums) > 1:
+        raise ValueError("initial law %r: a point mass takes one value, "
+                         "its center" % (text,))
     center = nums[0] if nums else 0.0
     spread = nums[1] if len(nums) > 1 else 1.0
-    if kind == "uniform_ball":
-        return initial_law(kind, center=center, radius=spread)
-    return initial_law(kind, center=center, scale=spread)
+    name = "radius" if kind == "uniform_ball" else "scale"
+    law = initial_law(kind, center=center, **{name: spread})
+    if spread < 0.0:
+        raise ValueError("initial law %r has a negative %s" % (text, name))
+    return law
 
 
 def sample_initial(tab, n_particles, d, law):

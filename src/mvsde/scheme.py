@@ -134,12 +134,15 @@ def simulate(tm, tableau, states, callbacks=()):
         steps it keeps go straight into its array (see StateRecorder).
         Any other callback observes every step: it reads ens.r2_block,
         the squared particle norms after each step of the block (after
-        initialization, of the initial state). Each block draws its own
-        increments and spans _CHUNK_ELEMENTS // (r tableau.N l) steps,
-        r = tableau.n_max / n, or _OBS_ELEMENTS // N when that is fewer
-        and a callback observes every step; it ends early after the first
-        step with a non-finite value. Both backends observe the same
-        blocks; the fused kernel runs each block in one call.
+        initialization, of the initial state). The table is drawn once,
+        on its first read, and each block reads its steps' increments
+        from it: on C a view of their finest rows, which the kernel sums,
+        on NumPy their sums at level n. A block spans
+        _CHUNK_ELEMENTS // (r tableau.N l) steps, r = tableau.n_max / n,
+        or _OBS_ELEMENTS // N when that is fewer and a callback observes
+        every step; it ends early after the first step with a non-finite
+        value. Both backends observe the same blocks; the fused kernel
+        runs each block in one call.
 
     Returns
     -------

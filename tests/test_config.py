@@ -272,6 +272,18 @@ def test_non_finite_initial_law_is_one_problem(law):
     assert "initial_b: initial law %r has a non-finite value" % law in msg
 
 
+@pytest.mark.parametrize("law, message", [
+    ("point 3.0 5.0", "a point mass takes one value, its center"),
+    ("gaussian 0 -1", "has a negative scale"),
+    ("uniform_ball 0 -1", "has a negative radius")])
+def test_dropped_or_reflected_initial_law_is_one_problem(law, message):
+    with pytest.raises(ConfigError) as err:
+        make_config("moment-stability", initial_b=law)
+    msg = str(err.value)
+    assert "(1 problem)" in msg
+    assert "initial_b: initial law %r" % law in msg and message in msg
+
+
 def test_step_count_beyond_the_float_range_refused():
     with pytest.raises(ConfigError, match="whole number of steps"):
         make_config("simulate", T=1e307)

@@ -15,11 +15,12 @@ import pytest
 from mvsde.cli import main
 from mvsde.config import (ConfigError, check_step_bound, emit_config,
                           make_config, theoretical_constants)
-from mvsde.experiments import (_poc_single_rep, _sup_distance,
-                               run_ergodic_contraction, run_moment_stability,
-                               run_poc_rate, run_simulate, run_strong_rate)
-from mvsde.model import make_model
-from mvsde.rng import make_tableau, parse_initial
+from mvsde._core.pairwise_py import power
+from mvsde.experiments import (_coupled_error, run_ergodic_contraction,
+                               run_moment_stability, run_poc_rate,
+                               run_simulate, run_strong_rate)
+from mvsde.model import FAMILIES, make_model
+from mvsde.rng import make_tableau, parse_initial, sample_initial
 from mvsde.scheme import simulate
 from mvsde.taming import TamedModel
 
@@ -154,13 +155,15 @@ def test_p_range_warning(tmp_path):
         run_strong_rate(cfg)
 
 
-@pytest.mark.parametrize("d", (1, 3))
+@pytest.mark.parametrize("d", (1, 3, 33))
 def test_sup_distance_takes_the_root_after_the_max(d):
-    """strong-rate's sup distance has the bits of the max of the
-    per-step distances, on grids with ties, zero distances and a square
-    that overflows to inf."""
+    """The rate drivers' coupled error takes each particle's max over the
+    grid of the per-step distances with their bits, on grids with ties,
+    zero distances and a square that overflows to inf; on poc-rate's one
+    terminal row that is the row's distances. The entry is the mean of
+    their p-th powers, and a diverged run's is (None, 1)."""
     gen = np.random.default_rng(d)
-    for steps, n in ((1, 1), (2, 5), (17, 64), (65, 9)):
+    for steps, n in ((1, 1), (1, 64), (2, 5), (17, 64), (65, 9)):
         ref = gen.normal(size=(steps, n, d))
         path = ref + gen.normal(scale=1e-3, size=ref.shape)
         path[:, 0] = ref[:, 0]  # particle 0 never moves off: distance +0
@@ -172,23 +175,32 @@ def test_sup_distance_takes_the_root_after_the_max(d):
         diff = path - ref
         with np.errstate(over="ignore"):
             want = np.sqrt(np.sum(diff * diff, axis=-1)).max(axis=0)
-            got = _sup_distance(path, ref)
+            # one particle at p = 1: its distance itself
+            got = np.array([_coupled_error(path[:, i:i + 1],
+                                           ref[:, i:i + 1], 1.0, False)[0]
+                            for i in range(n)])
+            for p in (1.0, 2.0, 3.0):
+                assert _coupled_error(path, ref, p, False) == (
+                    float(np.mean(power(want, p))), 0)
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
         assert got[0] == 0.0 and not np.signbit(got[0])
         if steps > 1 and n > 2:
             assert got[1] == np.sqrt(np.sum(diff[0, 1] * diff[0, 1]))
             assert got[-1] == math.inf
+        assert _coupled_error(path, ref, 2.0, True) == (None, 1)
 
 
 def test_poc_reference_identity_is_exact():
-    # asking for as many particles as the reference must give zero gap:
-    # prefix coupling makes the two runs the same simulation
+    # a prefix as large as the reference must give zero gap: prefix
+    # coupling makes the two runs the same simulation
     model = make_model("pairwise-vlasov", d=1)
     tab = make_tableau(5, 32, 1, 1.0, 16)
     tm = TamedModel(model, 16, "finite")
-    out = _poc_single_rep(tm, tab, [32], 8,
-                          parse_initial("gaussian 0.0 1.0"), 2.0)
-    assert out == [(0.0, 0)]
+    states = sample_initial(tab, 32, 1, parse_initial("gaussian 0.0 1.0"))
+    ref = simulate(tm, tab, states)
+    ens = simulate(tm, tab, states[:32])
+    assert _coupled_error(ens.states[None, :8], ref.states[None, :8], 2.0,
+                          ens.overflow_flag) == (0.0, 0)
 
 
 def test_poc_rate_structure(tmp_path):
@@ -215,37 +227,47 @@ def test_poc_rate_structure(tmp_path):
     assert data["config"]["software_version"]
 
 
-def test_poc_functional_family_is_exploratory(tmp_path):
-    cfg = make_config("poc-rate", family="cubic-mean-field",
-                      N_levels=(4, 8), N_ref=32, n=8, reps=2,
-                      probe_count=4, out_dir=str(tmp_path))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_poc_verdict_is_pass_or_fail_on_every_interacting_family(tmp_path,
+                                                                 family):
+    """Every family's coupling is a Vlasov kernel, so every poc-rate run
+    is judged against the bands; anti-dissipative has no interaction, its
+    prefix runs are the reference's and every error is 0."""
+    cfg = make_config("poc-rate", family=family, N_levels=(4, 8),
+                      N_ref=32, n=8, reps=2, probe_count=4,
+                      out_dir=str(tmp_path))
     rep = run_poc_rate(cfg)
-    assert rep.verdict["status"] == "exploratory"
+    v = rep.verdict
+    if family == "anti-dissipative":
+        assert rep.errors == [0.0, 0.0] and v["status"] == "degenerate"
+        return
+    assert rep.fit is not None and v["no_divergence"]
+    assert v["status"] == ("pass" if v["slope_in_band"] and v["r2_ok"]
+                           else "fail")
 
 
-# a functional-mode family whose plain Euler run from 3.0 diverges in some
-# repetitions, so too few levels are left to fit
-_DIVERGING_EXPLORATORY = dict(
+# a plain Euler run from 3.0 that diverges in every repetition, so no
+# level is left to fit
+_DIVERGING = dict(
     family="anti-dissipative", variant="off", initial="point 3.0",
     N_levels=(4, 8), N_ref=32, n=2, T=20.0, reps=2, probe_count=4)
 
 
-def test_exploratory_run_that_cannot_be_fitted_is_exploratory(tmp_path,
-                                                              capsys):
+def test_diverging_poc_run_fails_and_exits_2(tmp_path, capsys):
     cfg = make_config("poc-rate", out_dir=str(tmp_path / "api"),
-                      **_DIVERGING_EXPLORATORY)
+                      **_DIVERGING)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rep = run_poc_rate(cfg)
     assert rep.fit is None and sum(rep.diverged) > 0
-    assert rep.verdict["status"] == "exploratory"
+    assert rep.verdict["status"] == "fail"
     path = tmp_path / "poc.ini"
     path.write_text(emit_config(make_config(
-        "poc-rate", out_dir=str(tmp_path / "cli"), **_DIVERGING_EXPLORATORY)))
+        "poc-rate", out_dir=str(tmp_path / "cli"), **_DIVERGING)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert main(["poc-rate", "--config", str(path)]) == 0
-    assert "verdict: exploratory" in capsys.readouterr().out
+        assert main(["poc-rate", "--config", str(path)]) == 2
+    assert "verdict: fail" in capsys.readouterr().out
 
 
 def test_rate_error_at_p3_does_not_depend_on_avx512(tmp_path, no_avx512_env):

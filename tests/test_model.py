@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from mvsde.ensemble import ParticleEnsemble
-from mvsde.model import (FAMILIES, CoefficientModel, eval_drift_b,
-                         eval_kernel_f, eval_kernel_g, eval_pair_drift,
-                         eval_pair_sigma, eval_sigma, make_model)
+from mvsde.model import (FAMILIES, eval_drift_b, eval_kernel_f,
+                         eval_kernel_g, eval_sigma, make_model)
 from mvsde.scheme import step
 from mvsde.taming import TamedModel
 
@@ -59,25 +58,46 @@ def test_g_kernel_diagonal():
 
 
 def test_pairwise_drift_value():
-    # btilde(x, y) = -a1 x - a3 x|x|^2 + kappa (y - x)
+    # btilde(x, y) = -a1 x - a3 x|x|^2 + kappa (y - x), b at the one-atom
+    # measure y
     m = make_model("pairwise-vlasov", d=1)
-    out = eval_pair_drift(m, 0.0, np.array([1.0]), np.array([0.0]))
+    out = eval_drift_b(m, 0.0, np.array([1.0]), np.array([[0.0]]))
     assert out[0] == -0.5 - 1.0 - 0.5
 
 
+# each family's parameters that switch its interaction kernels off
+_NO_KERNEL = {
+    "cubic-mean-field": dict(c_f=0.0, c_g=0.0),
+    "ergodic-dissipative": dict(kappa1=0.0, kappaq=0.0),
+    "pairwise-vlasov": dict(c_f=0.0, c_g=0.0),
+    "lipschitz-baseline": dict(kappa=0.0, c_g=0.0),
+    "anti-dissipative": dict(),
+}
+
+
 def test_pairwise_eval_is_the_step_self_terms():
-    """eval_drift_b and eval_sigma of a pairwise model are, bit for bit,
-    the self terms an untamed step applies: one step with no pair kernel
-    is x + h b(x, mu) + diag sigma(x, mu) dW, mu the old ensemble."""
-    m = make_model("pairwise-vlasov", d=2, params={"c_f": 0.0, "c_g": 0.0})
+    """eval_drift_b and eval_sigma are, bit for bit, the self terms an
+    untamed step applies, on every family: one step with no pair kernel
+    is x + h b(x, mu) + diag sigma(x, mu) dW, mu the old ensemble. Every
+    family's measure dependence is linear, through the mean, so b and
+    sigma at the one-atom measure at the mean, the Vlasov kernels at
+    y = mean, are the same bits."""
+    assert set(_NO_KERNEL) == set(FAMILIES)
     rng = np.random.default_rng(3)
     x = rng.normal(size=(7, 2))
     dW = rng.normal(size=(7, 2))
-    b = eval_drift_b(m, 0.0, x, x)
-    s = np.diagonal(eval_sigma(m, 0.0, x, x), axis1=-2, axis2=-1)
-    ens = ParticleEnsemble(x)
-    assert step(ens, TamedModel(m, 16, "off"), dW)
-    assert np.array_equal(ens.states, x + b * (1.0 / 16) + s * dW)
+    at_mean = np.broadcast_to(x.mean(axis=0), x.shape)[:, None, :]
+    for family, params in _NO_KERNEL.items():
+        m = make_model(family, d=2, params=params)
+        b = eval_drift_b(m, 0.0, x, x)
+        s = np.diagonal(eval_sigma(m, 0.0, x, x), axis1=-2, axis2=-1)
+        assert np.array_equal(eval_drift_b(m, 0.0, x, at_mean), b), family
+        assert np.array_equal(np.diagonal(eval_sigma(m, 0.0, x, at_mean),
+                                          axis1=-2, axis2=-1), s), family
+        ens = ParticleEnsemble(x)
+        assert step(ens, TamedModel(m, 16, "off"), dW)
+        assert np.array_equal(ens.states, x + b * (1.0 / 16) + s * dW), \
+            family
 
 
 def test_pairwise_mean_field_matches_atom_average():
@@ -90,11 +110,14 @@ def test_pairwise_mean_field_matches_atom_average():
     x = rng.normal(size=(5, 2))
     atoms = rng.normal(size=(7, 2))
     tol = len(atoms) * np.finfo(float).eps
-    terms = eval_pair_drift(m, 0.0, x[:, None, :], atoms)
+    # btilde(x_i, y_j) at the one-atom measures y_j: (5, 7, 2)
+    xs = np.broadcast_to(x[:, None, :], (5, 7, 2))
+    ys = np.broadcast_to(atoms[None, :, None, :], (5, 7, 1, 2))
+    terms = eval_drift_b(m, 0.0, xs, ys)
     got = eval_drift_b(m, 0.0, x, atoms)
     assert (np.abs(got - terms.mean(axis=-2))
             <= tol * np.abs(terms).max(axis=-2)).all()
-    terms = eval_pair_sigma(m, 0.0, x[:, None, :], atoms)
+    terms = eval_sigma(m, 0.0, xs, ys)
     got = eval_sigma(m, 0.0, x, atoms)
     assert (np.abs(got - terms.mean(axis=-3))
             <= tol * np.abs(terms).max(axis=-3)).all()
@@ -204,22 +227,6 @@ def test_defaults_documented():
     m = make_model("cubic-mean-field")
     assert m.q == 2.0 and m.params["lam"] == 0.5
     assert m.params["sigma0"] == 0.3 and m.params["c_g"] == 1.0
-    assert m.measure_mode == "functional"
-    p = make_model("pairwise-vlasov")
-    assert p.measure_mode == "pairwise"
-
-
-@pytest.mark.parametrize("mode,other", [("functional", "kap_pair"),
-                                         ("pairwise", "lam")])
-def test_coupling_of_the_other_measure_mode_refused(mode, other):
-    """scheme.step and the fused kernel add kap_pair (mean - x) and
-    lam * mean as they are, so a model carries only its own mode's
-    coupling: the other one, nonzero, is refused."""
-    with pytest.raises(ValueError, match="%s must be 0 in the %s measure "
-                                         "mode" % (other, mode)):
-        CoefficientModel("custom", 1, 1, 2.0, {}, mode, {other: 0.5})
-    ok = CoefficientModel("custom", 1, 1, 2.0, {}, mode, {other: 0.0})
-    assert getattr(ok, other) == 0.0
 
 
 def test_batch_broadcasting():

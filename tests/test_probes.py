@@ -91,10 +91,37 @@ def test_probe_set_registry_consistency():
         assert tuple(r.assumption_id for r in reports) == members
 
 
-def test_pairwise_set_needs_pairwise_model():
-    model = make_model("cubic-mean-field", d=1)
-    with pytest.raises(ValueError, match="pairwise-mode"):
-        probe_assumptions(model, "pairwise_poc", count=16)
+# pairwise_poc probes that fail on a family, at its defaults and with its
+# additive noise sigma0 set to 0: pair_coercivity's right side has no
+# constant term, so s0 != 0 fails it; the saboteur fails by design
+_PAIR_FAILS = {
+    "cubic-mean-field": ({"pair_coercivity"}, set()),
+    "lipschitz-baseline": ({"pair_coercivity"}, set()),
+    "ergodic-dissipative": (set(), None),
+    "pairwise-vlasov": (set(), None),
+    "anti-dissipative": ({"pair_coercivity", "pair_monotonicity"},
+                         {"pair_coercivity", "pair_monotonicity"}),
+}
+
+
+@pytest.mark.parametrize("d", (1, 3))
+@pytest.mark.parametrize("family", sorted(_PAIR_FAILS))
+def test_pairwise_poc_runs_on_every_family(family, d):
+    """Every family's b and sigma are Vlasov kernels, so the pair probes
+    read them at one-atom measures on any model, and the pair references
+    carry lam: pair_second_arg_lipschitz, pair_monotonicity and the kernel
+    pair probes hold on every family but the saboteur, lam = 0.5 of
+    cubic-mean-field included."""
+    assert set(_PAIR_FAILS) == set(DOCUMENTED_SETS)
+    for params, fails in zip(({}, {"sigma0": 0.0}), _PAIR_FAILS[family]):
+        if fails is None:
+            continue  # the family has no sigma0
+        model = make_model(family, d=d, params=params)
+        reports = probe_assumptions(model, "pairwise_poc", count=256,
+                                    radius=1.0)
+        assert [r.assumption_id for r in reports] == list(
+            PROBE_SETS["pairwise_poc"])
+        assert {r.assumption_id for r in reports if not r.holds} == fails
 
 
 def test_ergodic_set_structural_refusals():
@@ -141,7 +168,7 @@ def test_each_coefficient_evaluated_once_per_batch(monkeypatch):
     # f(y, x), the second time and the pair drift at (x, y') count apart
     calls = []
     for name in ("eval_drift_b", "eval_sigma", "eval_kernel_f",
-                 "eval_kernel_g", "eval_pair_drift", "eval_pair_sigma"):
+                 "eval_kernel_g"):
         def counted(model, *args, _name=name, _fn=getattr(probes, name)):
             calls.append((_name,) + tuple(np.asarray(a).tobytes()
                                           for a in args))

@@ -227,6 +227,19 @@ def test_parse_initial_refuses_non_finite_values(law):
         parse_initial(law)
 
 
+@pytest.mark.parametrize("law, message", [
+    ("point 3.0 5.0", "a point mass takes one value, its center"),
+    ("point 0 0", "a point mass takes one value, its center"),
+    ("gaussian 0 -1", "has a negative scale"),
+    ("gaussian 2.5 -1e-300", "has a negative scale"),
+    ("uniform_ball 0 -1", "has a negative radius")])
+def test_parse_initial_refuses_a_dropped_or_reflected_value(law, message):
+    # the second number of a point mass was dropped, and a negative std or
+    # radius reflected the law through its center
+    with pytest.raises(ValueError, match=message):
+        parse_initial(law)
+
+
 def test_tableau_validation():
     with pytest.raises(ValueError):
         make_tableau(1, 0, 1, 1.0, 8)
