@@ -34,6 +34,8 @@ change no bit (see _noise_width), and simulate never asks the tableau for
 a block, so the tableau is never drawn.
 """
 
+import math
+
 import numpy as np
 
 from . import model as model_mod
@@ -46,6 +48,13 @@ _CHUNK_ELEMENTS = 1 << 22
 # cap on the float64 count of one block of observed squared norms (steps
 # per block times N): about 0.5 MB
 _OBS_ELEMENTS = 1 << 16
+# MomentTracker's row filter (see its doc): even orders p = 2k up to this
+# k, blocks of at most _FILTER_MAX_N norms, the bound's relative slack and
+# its absolute floor
+_FILTER_MAX_K = 4
+_FILTER_MAX_N = 1 << 30
+_SLACK = 1.0 + 2.0 ** -20
+_FLOOR = 2.0 ** -1000
 
 
 def _noise_width(base):
@@ -264,20 +273,108 @@ def _advancer(tm, ens, tableau, r):
 
 
 class MomentTracker:
-    """Records the p-th empirical moment after every step.
+    """Records the p-th empirical moment after every step, and its sup.
 
-    values[k] is the moment of the state after step k (k = 0: the initial
-    state), at time k / n. Each observe call takes the block of steps in
-    ens.r2_block (see simulate) and turns it into moments with
+    Each observe call takes the block of steps in ens.r2_block (see
+    simulate) and turns its rows into moments with
     ensemble.moments_from_r2.
+
+    Attributes
+    ----------
+    p : float
+        The moment order, finite and > 0.
+    values : list of float, or None
+        With series=True (the default), values[k] is the moment of the
+        state after step k (k = 0: the initial state), at time k / n. With
+        series=False it is None: the tracker keeps no values.
+    sup : float
+        The max of the moments observed so far, in either mode bit for
+        bit the max(values) of a series=True tracker; -inf before the
+        first observe.
+
+    With series=False observe evaluates only the rows of a block that
+    could raise sup. For an even order p = 2k with k <= 4 and a block of
+    N <= 2^30 squared norms r2_ij, it skips row i when the bound
+
+        B_i = (1 + 2^-20) (sum_j r2_ij^k) / N + 2^-1000,
+
+    evaluated in floats in that order (k - 1 products per norm, a sum in
+    any order, the product, the quotient, then the sum), is <= sup. A nan
+    bound keeps its row, and so does an inf one unless sup is inf already,
+    when no row can raise it; every other order evaluates every row. So
+    sup stays exact: a skipped row's moment m_i is at most B_i, as
+    follows, with u = 2^-53, s_j = sqrt(r2_ij) and w_j the power
+    moments_from_r2 takes of its rounded root, and with inf counted as
+    2^1024 (round to nearest gives inf exactly from 2^1024 (1 - u/2) up,
+    so fl(x) <= (1 + u) x holds for every x >= 0 in the float range's
+    normal part and past it).
+
+    1. sqrt's rounding grows to p u after the power: the rounded root is
+       s_j (1 + d) with |d| <= u (the root of a float is never subnormal),
+       so its p-th power is at most (1 + u)^p r2_ij^k. Take np.power to
+       be within a factor 1 + eta of the exact power of its argument, or
+       within 2^20 units of the subnormal spacing 2^-1074 below the
+       normal range: w_j <= (1 + eta)(1 + u)^p r2_ij^k + 2^-1054.
+    2. fsum is correctly rounded, so the row sum is S <= (1 + u) W with
+       W = sum_j w_j (exact below the normal range, where a sum of floats
+       is a float). If S is finite, m_i = fl(S / N) <= (1 + u)^2 W / N
+       + 2^-1075.
+    3. The bound's side: the k - 1 products give t_j >= (1 - u)^(k-1)
+       r2_ij^k - k 2^-1075 (each product underflows by at most half the
+       subnormal spacing, and past the first only for factors below 1).
+       A float sum of N non-negative terms is off by at most (N - 1) u,
+       whatever the order: each term passes through at most N - 1
+       additions, each rounds down by a factor of at most 1 - u and none
+       underflows, so T >= (1 - u)^(N-1) sum_j t_j. The product, the
+       quotient and the last sum each round down by a factor of at most
+       1 - u, the first two also by up to 2^-1075 when they underflow:
+       B_i >= (1 - u)^3 (1 + 2^-20) T / N + (1 - u) 2^-1000 - 2^-1074.
+    4. Chaining 1 to 3, m_i <= r T / N + 2^-1052 with
+       r = (1 + eta)(1 + u)^(p+2) / (1 - u)^(N+k-2). The floor
+       tau = 2^-1000 absorbs every underflow term, and
+       r <= (1 - u)^3 (1 + 2^-20) holds for N <= 2^30 (a filtered block
+       has at most that many norms) and eta <= 2^-21: the 2^-20 slack
+       covers any np.power error below 2^31 ulp, where NumPy's loops are
+       within a few. So m_i <= B_i.
+    5. If S is inf, W >= 2^1024 (1 - u/2), and 1 and 3 put (1 + 2^-20) T
+       past that too, so the bound's product rounds to inf and B_i is inf:
+       the row is kept.
     """
 
-    def __init__(self, p):
+    def __init__(self, p, series=True):
         self.p = _moment_order(p)
-        self.values = []
+        self.values = [] if series else None
+        self.sup = -math.inf
+        # k of the filtered order p = 2k, 0 where every row is evaluated
+        k = self.p / 2.0
+        self._k = (int(k) if not series and k.is_integer()
+                   and k <= _FILTER_MAX_K else 0)
 
     def observe(self, ens):
-        self.values.extend(moments_from_r2(ens.r2_block, self.p).tolist())
+        r2 = ens.r2_block
+        if self._k and r2.shape[1] <= _FILTER_MAX_N:
+            r2 = r2[self._may_raise_sup(r2)]
+            if not len(r2):
+                return
+        block = moments_from_r2(r2, self.p).tolist()
+        if self.values is not None:
+            self.values.extend(block)
+        top = max(block, default=-math.inf)
+        if top > self.sup:
+            self.sup = top
+
+    def _may_raise_sup(self, r2):
+        """Flags of the rows of r2 whose bound B_i (see the class doc) is
+        not <= sup."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = r2
+            for _ in range(self._k - 1):
+                t = t * r2
+            bound = t.sum(axis=1)
+            bound *= _SLACK
+            bound /= r2.shape[1]
+            bound += _FLOOR
+        return ~(bound <= self.sup)
 
 
 class StateRecorder:

@@ -1,6 +1,7 @@
 """Experiment drivers: exact constant algebra, coupled-noise identities,
 a closed-form stochastic oracle, and report/file structure."""
 
+import dataclasses
 import inspect
 import json
 import math
@@ -322,6 +323,111 @@ def test_moment_stability_contrast_and_series(tmp_path):
     assert rep.series["plain"]["moment"][:2] == [81.0, 12155.0625]
     data = json.load(open(rep.json_path))
     assert data["sup_moments"][1] == "inf"  # non-finite floats as repr
+
+
+# criterion 3's config (tests/test_acceptance.py)
+_CRITERION_3 = dict(params=dict(_PURE_CUBIC), N=64, T=100.0, n=2, p0=4.0,
+                    initial="point 3.0", initial_b="point 3.0")
+
+
+def _watched_trackers(monkeypatch, force_series=False):
+    """The MomentTrackers a one-thread stability run makes, in the order
+    it makes them (per rep: tamed, plain). Each counts the block rows it
+    sees and those that reach moments_from_r2; force_series gives every
+    rep a series."""
+    import mvsde.experiments as experiments_mod
+    import mvsde.scheme as scheme_mod
+
+    rows, made = [], []
+    evaluate = scheme_mod.moments_from_r2
+
+    def counted(r2, p):
+        rows.append(len(r2))
+        return evaluate(r2, p)
+
+    class Tracker(scheme_mod.MomentTracker):
+        def __init__(self, p, series=True):
+            super().__init__(p, series=series or force_series)
+            self.seen = self.evaluated = 0
+            made.append(self)
+
+        def observe(self, ens):
+            before = len(rows)
+            super().observe(ens)
+            self.seen += len(ens.r2_block)
+            self.evaluated += sum(rows[before:])
+
+    monkeypatch.setattr(scheme_mod, "moments_from_r2", counted)
+    monkeypatch.setattr(experiments_mod, "MomentTracker", Tracker)
+    return made
+
+
+def test_later_reps_evaluate_only_rows_that_can_raise_the_sup(
+        tmp_path, monkeypatch):
+    """Rep 0 keeps the series the report carries and evaluates every
+    step; the reps after it keep only their sup, and their trackers
+    evaluate a handful of rows: the tamed arm's sup is its initial 3^4,
+    and the plain arm's moment rises at each of its steps until it
+    overflows."""
+    made = _watched_trackers(monkeypatch)
+    cfg = make_config("moment-stability", reps=3, threads=1,
+                      out_dir=str(tmp_path), **_CRITERION_3)
+    rep = run_moment_stability(cfg)
+    assert len(made) == 6
+    for t in made[:2]:
+        assert t.values is not None and t.evaluated == t.seen
+    assert [len(t.values) for t in made[:2]] == [201, made[1].seen]
+    for t in made[2:]:
+        assert t.values is None and t.evaluated <= 8
+    assert [t.evaluated for t in made[2::2]] == [1, 1]
+    assert [t.seen for t in made[2::2]] == [201, 201]
+    assert rep.sup_moments == [81.0, math.inf]
+
+
+_SUP_CASES = {
+    "default": dict(),
+    "criterion 3": dict(_CRITERION_3, reps=3),
+    "p0 = 3": dict(p0=3.0),
+    "p0 = 6": dict(p0=6.0),
+    # moments that rise from a small start: the sup is set late, so later
+    # reps evaluate many rows near it
+    "rising moments": dict(reps=3, N=256, T=4.0, n=128, initial="point 0.1",
+                           initial_b="point 0.1"),
+    # the plain arm diverges in 4 of 6 reps: sup inf, stderr 0
+    "diverged plain arm": dict(reps=6, N=8, T=10.0,
+                               initial_b="gaussian 0 1.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SUP_CASES))
+def test_stability_sups_match_full_series(tmp_path, monkeypatch, case):
+    """sup_moments and stderrs equal a brute-force recomputation from
+    every rep's full moment series, and the run writes the bytes of a
+    run whose every rep keeps its series."""
+    cfg = make_config("moment-stability", threads=1,
+                      out_dir=str(tmp_path / "sup"), **_SUP_CASES[case])
+    rep = run_moment_stability(cfg)
+    with monkeypatch.context() as patch:
+        made = _watched_trackers(patch, force_series=True)
+        run_moment_stability(dataclasses.replace(
+            cfg, out_dir=str(tmp_path / "full")))
+    sups, stderrs = [], []
+    for arm in range(2):
+        arm_sups = [max(t.values) for t in made[arm::2]]
+        sups.append(max(arm_sups))
+        if all(map(math.isfinite, arm_sups)) and len(arm_sups) > 1:
+            stderrs.append(float(np.std(arm_sups, ddof=1))
+                           / math.sqrt(len(arm_sups)))
+        else:
+            stderrs.append(0.0)
+    assert [v.hex() for v in rep.sup_moments] == [v.hex() for v in sups]
+    assert [v.hex() for v in rep.stderrs] == [v.hex() for v in stderrs]
+    for name in ("moment_stability_report.json",
+                 "moment_stability_errors.csv"):
+        assert ((tmp_path / "sup" / name).read_bytes()
+                == (tmp_path / "full" / name).read_bytes())
+    if case == "diverged plain arm":
+        assert 0 < rep.diverged[1] < cfg.reps and sups[1] == math.inf
 
 
 def test_keyword_config_writes_the_bytes_of_its_ini_text(tmp_path,

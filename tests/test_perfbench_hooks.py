@@ -63,9 +63,11 @@ _STEP_PATH = {"scheme.step", "core.pair_aggregate"}
 def test_drivers_call_through_every_hook(tmp_path, capsys):
     hooks, seen = _traced_run(tmp_path, "strong-rate", _STRONG_INI)
     assert {h[0] for h in hooks} - _OBSERVERS - _STEP_PATH <= seen
+    # two reps: rep 0's tracker keeps a series, rep 1's only its sup, and
+    # both go through the one observe hook
     _, seen = _traced_run(
         tmp_path, "moment-stability",
-        "[run]\nexperiment = moment-stability\nreps = 1\nout_dir = %s\n"
+        "[run]\nexperiment = moment-stability\nreps = 2\nout_dir = %s\n"
         "[grid]\nT = 2.0\nn = 4\n[ensemble]\nN = 4\n")
     assert _OBSERVERS <= seen
     capsys.readouterr()

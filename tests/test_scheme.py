@@ -1,5 +1,9 @@
 """Stepping oracles, divergence handling, and trajectory reproducibility."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -236,3 +240,118 @@ def test_divergence_freezes_state():
     assert rec.recorded_steps[-1] == ens.t_index
     assert not np.isfinite(rec.states[-1]).all()
     assert np.isfinite(rec.states[-2]).all()
+
+
+# moment orders of the sup tests: the filtered even orders, the filter's
+# cap p = 8, and orders every row of which is evaluated
+_SUP_ORDERS = (0.5, 2.0, 3.0, 4.0, 6.0, 7.25, 8.0)
+_BIG = np.finfo(np.float64).max
+
+
+def _sup_blocks():
+    """(name, r2) cases for the sup tests: blocks of squared norms, each a
+    (rows, N) array."""
+    rng = np.random.default_rng(2029)
+    yield "point masses", np.full((40, 7), 9.0)
+    yield "point mass at 0", np.zeros((5, 3))
+    for scale in (1e-3, 1.0, 1e3, 1e40):
+        yield "spread %g" % scale, rng.exponential(scale, (60, 33))
+    # a row that sets the sup, then a row whose moment is a few ulps above
+    # or below it, one to three norms nudged by an ulp; each case rides the
+    # bound's margin, so a bound that rounds below a moment skips a row
+    # that raises the sup
+    for case in range(150):
+        base = rng.exponential(1.0, int(rng.integers(1, 40)))
+        nudged = base.copy()
+        at = rng.integers(0, len(base), int(rng.integers(1, 4)))
+        nudged[at] = np.nextafter(nudged[at], np.inf if case % 3 else 0.0)
+        yield "near the sup %d" % case, np.array([base, nudged])
+    # permutations: the same multiset, so the same fsum and moment
+    yield "permuted", np.array([rng.permutation(base) for _ in range(6)])
+    yield "subnormal", rng.uniform(0.0, 1.0, (30, 9)) * 10.0 ** rng.uniform(
+        -330.0, -150.0, (30, 9))
+    yield "smallest subnormals", np.array(
+        [[5e-324] * 4, [0.0, 5e-324, 1e-323, 0.0], [1e-323] * 4])
+    roots = {2: np.sqrt, 3: np.cbrt, 4: lambda a: np.sqrt(np.sqrt(a))}
+    for k, root in roots.items():
+        # pairs of norms whose k-th powers sum to within a few ulps of the
+        # float range's edge: the float sum of the products r2^k and the
+        # correctly rounded sum of the powers overflow on different rows
+        a = rng.uniform(0.2, 0.8, 200) * _BIG
+        b = (_BIG - a) + rng.integers(-12, 13, 200) * 2.0 ** -53 * _BIG
+        yield "overflow edge k=%d" % k, root(np.stack([a, b], axis=1))
+    spread = rng.exponential(1.0, (12, 6))
+    spread[3, 2] = np.inf
+    spread[7, 0] = np.nan
+    spread[9, :] = np.nan
+    spread[10, :] = np.inf
+    yield "inf and nan", spread
+    yield "inf first", np.array([[np.inf, 1.0], [2.0, 3.0], [np.nan, 0.0]])
+    yield "nan only", np.array([[1.0, 2.0], [np.nan, 1.0], [3.0, 4.0]])
+
+
+def _sup_mismatches():
+    """Every (case, p, split) where MomentTracker's sup, with or without a
+    series, is not max(moments_from_r2(all rows)) bit for bit."""
+    from types import SimpleNamespace
+
+    from mvsde.ensemble import moments_from_r2
+
+    rng = np.random.default_rng(7)
+    bad = []
+    for name, r2 in _sup_blocks():
+        r2 = np.ascontiguousarray(r2, dtype=np.float64)
+        for p in _SUP_ORDERS:
+            want = max(moments_from_r2(r2, p).tolist()).hex()
+            # one block, one row per block, random cuts
+            rows = len(r2)
+            splits = ([], list(range(1, rows)), sorted(set(
+                rng.integers(1, rows + 1, size=3).tolist()) - {rows}))
+            for cuts in splits:
+                bare, full = MomentTracker(p, series=False), MomentTracker(p)
+                for lo, hi in zip([0] + cuts, cuts + [rows]):
+                    ens = SimpleNamespace(r2_block=r2[lo:hi])
+                    bare.observe(ens)
+                    full.observe(ens)
+                got = (bare.sup.hex(), full.sup.hex(), max(full.values).hex())
+                if got != (want,) * 3 or bare.values is not None:
+                    bad.append("%s p=%r cuts %s: %s, want %s"
+                               % (name, p, cuts, got, want))
+    return bad
+
+
+def test_moment_sup_is_exact_without_a_series():
+    """With series=False the tracker evaluates only the rows whose bound
+    could raise its sup, and its sup is still the max of every row's
+    moment, to the bit, with or without a series and in any block split.
+    The cases ride the bound's edges: rows a few ulps around the sup,
+    subnormal norms, rows whose k-th powers sum to the float range's edge,
+    and inf and nan rows."""
+    from mvsde.ensemble import moments_from_r2
+
+    # the overflow cases are real: rows whose sum of products r2^k passes
+    # the float range with a finite moment, and the reverse
+    products_past = moment_past = False
+    for name, r2 in _sup_blocks():
+        if name.startswith("overflow edge"):
+            k = int(name[-1])
+            with np.errstate(over="ignore"):
+                products = np.prod([r2] * k, axis=0).sum(axis=1)
+            moment_inf = np.isinf(moments_from_r2(r2, 2.0 * k))
+            products_past |= (np.isinf(products) & ~moment_inf).any()
+            moment_past |= (np.isfinite(products) & moment_inf).any()
+    assert products_past and moment_past
+    assert _sup_mismatches() == []
+
+
+def test_moment_sup_does_not_depend_on_avx512(no_avx512_env):
+    """The sup test holds in a subprocess with NumPy's AVX-512 (X86_V4)
+    loops disabled too, where np.power takes another loop."""
+    code = ("import sys; sys.path.insert(0, %r); "
+            "from test_scheme import _sup_mismatches; "
+            "print(repr(_sup_mismatches()))"
+            % os.path.dirname(os.path.abspath(__file__)))
+    sub = subprocess.run([sys.executable, "-c", code], env=no_avx512_env,
+                         capture_output=True, text=True, timeout=300,
+                         check=True)
+    assert sub.stdout.splitlines()[-1] == "[]"
