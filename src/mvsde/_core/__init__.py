@@ -17,7 +17,8 @@ imported on its first call.
 
 ``pair_aggregate`` is the numpy pair kernel on both backends: scheme.step
 calls it, and the fused kernel calls its C twin mvsde_pair_aggregate,
-which gives the same bits. Both follow pairwise_py.pair_factors, the
+which gives the same bits at tame_g = 1, the scheme's taming of g and the
+only one the C routine has. Both follow pairwise_py.pair_factors, the
 per-pair algebra of the scheme. ``pairwise_py.power`` is the one power
 rule of both backends: outside each power site's special cases an
 exponent goes to libm pow, so the backends agree at every exponent. Set
@@ -42,7 +43,7 @@ quantized_increments_py = pairwise_py.quantized_increments
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 # the mvsde_abi of the pairwise.c these bindings are written for
-_ABI = 6
+_ABI = 7
 
 
 class _Coeffs(ctypes.Structure):

@@ -2,7 +2,8 @@
  * Philox stream block, inverse normal CDF and Brownian increments.
  *
  * mvsde_pair_aggregate is the bit-identical twin of
- * mvsde._core.pairwise_py.pair_aggregate: same per-pair expression tree,
+ * mvsde._core.pairwise_py.pair_aggregate at tame_g = 1, g tamed as the
+ * scheme tames it: same per-pair expression tree,
  * same exponent special cases with libm pow for every other exponent,
  * same final division by N. Each unordered pair is evaluated once and
  * mirrored by negation, which IEEE-754 makes exact. The skipped diagonal
@@ -145,7 +146,7 @@
  * its work array changes; mvsde._core loads no library whose value differs
  * from its own, so a stale build runs NumPy instead of passing arguments
  * that its kernels would misread or a work array they would overrun. */
-const int mvsde_abi = 6;
+const int mvsde_abi = 7;
 
 /* The pair loop takes the rows in blocks of PAIR_ROWS and the partners
  * past a block in tiles of PAIR_TILE (pair_tile). Each row of the
@@ -207,14 +208,14 @@ enum { Q_R2, Q_ONE, Q_POW };
 /* The pair kernel of one call with its exponent cases; wc is the weight of
  * W_CONST. */
 struct pair_kernel {
-    double kf1, kfq, qf, cg, tam, te, tame_g, wc;
+    double kf1, kfq, qf, cg, tam, te, wc;
     int wm, qm;
 };
 
 /* The pair factors of the m squared radii r2[l], as
  * pairwise_py.pair_factors computes them: cf[l] = (kf1 + kfq r^qf) w and
- * gw[l] = cg w (cg when tame_g is 0), w = 1 / (1 + tam r^te), exactly 1
- * when tam is 0, with r = sqrt(r2) taken only where libm pow needs it.
+ * gw[l] = cg w, w = 1 / (1 + tam r^te), exactly 1 when tam is 0, with
+ * r = sqrt(r2) taken only where libm pow needs it.
  * Each exponent case is one loop over the m lanes, which the compiler
  * vectorises but for the pow cases, where each lane calls scalar libm
  * pow. */
@@ -257,7 +258,7 @@ ALWAYS_INLINE void pair_factors(const struct pair_kernel *k,
     }
     for (l = 0; l < m; l++) {
         cf[l] = (k->kf1 + k->kfq * rq[l]) * w[l];
-        gw[l] = k->tame_g != 0.0 ? k->cg * w[l] : k->cg;
+        gw[l] = k->cg * w[l];
     }
 }
 
@@ -429,12 +430,12 @@ ALWAYS_INLINE void pair_block(const struct pair_kernel *k,
 STEP_CLONES
 void mvsde_pair_aggregate(const double *restrict X, ptrdiff_t n,
                           ptrdiff_t d, double kf1, double kfq, double qf,
-                          double cg, double tam, double te, double tame_g,
+                          double cg, double tam, double te,
                           double *restrict F, double *restrict G,
                           double *restrict work)
 {
     struct pair_kernel k = {
-        kf1, kfq, qf, cg, tam, te, tame_g,
+        kf1, kfq, qf, cg, tam, te,
         /* w at tam == 0 is exactly 1; at te == 0 it is 1 / (1 + tam 1) */
         tam == 0.0 ? 1.0 : 1.0 / (1.0 + tam * 1.0),
         tam == 0.0 || te == 0.0 ? W_CONST
@@ -703,7 +704,7 @@ static int step_once(const struct mvsde_coeffs *cf, const double *x,
     }
     if (cf->kf1 != 0.0 || cf->kfq != 0.0 || cf->c_g != 0.0)
         mvsde_pair_aggregate(x, n, d, cf->kf1, cf->kfq, cf->q_f, cf->c_g,
-                             gamma, e, 1.0, F, G, r2);
+                             gamma, e, F, G, r2);
     else
         memset(F, 0, 2 * (size_t)(n * d) * sizeof(double));
 

@@ -11,14 +11,18 @@ All probes of one call share one sample batch and evaluate each
 coefficient at most once on it: they read the coefficients from three
 sides of the batch, each evaluated on first use and then kept. A side is
 a point pair (v, v') with a drift pair (a, a') and a diffusion pair
-(s, s'):
+(s, s'), and a side that reads measures carries their squared W2
+distances, w2sq between its two and w2sq_origin from its first to
+delta_0:
 
 * own: b and sigma at (x, mu) and (x', nu), with v = x;
 * kernel: f and g at (x, y) and (x', y'), with v = x - y;
 * pair: the Vlasov kernels btilde and sigmatilde at (x, y) and (x', y'),
   with v = x. Every family's b and sigma are linear in the measure, so
   btilde(x, y) = b(x, delta_y): b and sigma at the one-atom measures y
-  and y'.
+  and y', where W2(delta_y, delta_y')^2 = |y - y'|^2 and
+  W2(delta_y, delta_0)^2 = |y|^2. So pair_coercivity and
+  pair_monotonicity are the own forms read on the pair side.
 
 Only f(y, x), b and sigma at the second time t', and the pair drift at
 (x, y') are evaluated outside the sides. Each inequality shape is
@@ -37,13 +41,9 @@ Conventions
   canonical family parameters. They deliberately take no credit from
   destabilizing terms (positive betaq or kfq), so a family built to
   violate dissipativity fails its probe with a positive margin.
-* The pair references carry both couplings. The pair drift is
-  btilde(x, y) = self(x) + lam y + kap_pair (y - x), so its derivative in
-  y is (lam + kap_pair) I and pair_second_arg_lipschitz takes
-  |kap_pair| + |lam|. In pair_coercivity the lam term gives
-  lam <x, y> <= |lam| (|x|^2 + |y|^2) / 2, and in pair_monotonicity
-  lam <x - x', y - y'> <= |lam| (|x - x'|^2 + |y - y'|^2) / 2, so each
-  adds |lam| to its reference, a factor 2 to spare.
+* The pair drift btilde(x, y) = self(x) + lam y + kap_pair (y - x) has
+  derivative (lam + kap_pair) I in y, so pair_second_arg_lipschitz takes
+  |kap_pair| + |lam|.
 * Inequalities whose right side is a single constant times a positive
   factor also report the fitted constant: the smallest constant that
   would have made every sampled inequality hold (largest admissible
@@ -196,9 +196,12 @@ def _frob2(m):
 
 class _Side:
     """A point pair (v, v') with the drift pair (a, a') and the diffusion
-    pair (s, s') at its two evaluation points."""
+    pair (s, s') at its two evaluation points, and the squared W2
+    distances of its measures: w2sq between the two, w2sq_origin from the
+    first to delta_0 (None on the kernel side, which reads none)."""
 
-    def __init__(self, v, vp, drift, diffusion, at, atp):
+    def __init__(self, v, vp, drift, diffusion, at, atp, w2sq=None,
+                 w2sq_origin=None):
         self.v = v
         self.vp = vp
         self.dv = v - vp
@@ -206,6 +209,8 @@ class _Side:
         self.ap = drift(*atp)
         self.s = diffusion(*at)
         self.sp = diffusion(*atp)
+        self.w2sq = w2sq
+        self.w2sq_origin = w2sq_origin
 
 
 class _Samples:
@@ -226,19 +231,19 @@ class _Samples:
                             _ball(rng, count, d, radius)], axis=1)
         self.t = rng.random(count)
         self.tp = rng.random(count)
-        a1, a2 = self.mu[:, 0, :], self.mu[:, 1, :]
-        b1, b2 = self.nu[:, 0, :], self.nu[:, 1, :]
-        straight = _nrm2(a1 - b1) + _nrm2(a2 - b2)
-        crossed = _nrm2(a1 - b2) + _nrm2(a2 - b1)
-        self.w2sq = np.minimum(straight, crossed) / 2.0
-        self.w2sq_origin = (_nrm2(a1) + _nrm2(a2)) / 2.0
 
     @cached_property
     def own(self):
         m = self._model
+        a1, a2 = self.mu[:, 0, :], self.mu[:, 1, :]
+        b1, b2 = self.nu[:, 0, :], self.nu[:, 1, :]
+        straight = _nrm2(a1 - b1) + _nrm2(a2 - b2)
+        crossed = _nrm2(a1 - b2) + _nrm2(a2 - b1)
         return _Side(self.x, self.xp, partial(eval_drift_b, m, self.t),
                      partial(eval_sigma, m, self.t),
-                     (self.x, self.mu), (self.xp, self.nu))
+                     (self.x, self.mu), (self.xp, self.nu),
+                     np.minimum(straight, crossed) / 2.0,
+                     (_nrm2(a1) + _nrm2(a2)) / 2.0)
 
     @cached_property
     def kernel(self):
@@ -252,7 +257,8 @@ class _Samples:
         m = self._model
         return _Side(self.x, self.xp, partial(eval_drift_b, m, self.t),
                      partial(eval_sigma, m, self.t),
-                     (self.x, self.y[:, None]), (self.xp, self.yp[:, None]))
+                     (self.x, self.y[:, None]), (self.xp, self.yp[:, None]),
+                     _nrm2(self.y - self.yp), _nrm2(self.y))
 
 
 def _fit_max(lhs, factor):
@@ -303,9 +309,11 @@ def _local_weight(side, q):
 
 # ---------------------------------------------------------------- finite
 
-def _p_b_sigma_coercivity(model, s, pp):
-    lhs = _coercivity(s.own, 1.0, pp["p0"] - 1.0)
-    factor = 1.0 + _nrm2(s.x) + s.w2sq_origin
+def _p_b_sigma_coercivity(side, model, s, pp):
+    # b_sigma_coercivity on the own side, pair_coercivity on the pair side
+    o = getattr(s, side)
+    lhs = _coercivity(o, 1.0, pp["p0"] - 1.0)
+    factor = 1.0 + _nrm2(o.v) + o.w2sq_origin
     k = min(model.d, model.l)
     ref = (_pos(model.beta1) + abs(model.lam) + 2.0 * abs(model.kap_pair)
            + 3.0 * (pp["p0"] - 1.0)
@@ -313,12 +321,19 @@ def _p_b_sigma_coercivity(model, s, pp):
     return _allowance(lhs, factor, ref)
 
 
-def _p_b_sigma_monotonicity(model, s, pp):
-    lhs = _monotonicity(s.own, 1.0)
-    factor = _nrm2(s.own.dv) + s.w2sq
+def _p_b_sigma_monotonicity(side, k, order, model, s, pp):
+    # b_sigma_monotonicity (own side, noise weight 1), the rate set's
+    # (own, p1 - 1) and pair_monotonicity (pair, 2 (p - 1)): weight k, or
+    # k (order - 1) of the set's moment order
+    o = getattr(s, side)
+    w = k if order is None else k * (pp[order] - 1.0)
+    factor = _nrm2(o.dv) + o.w2sq
+    # summed as base + w (2 s1^2 + 4 c_s^2); with w = 1 this has the bits
+    # of ((base + 2 s1^2) + 4 c_s^2) unless both s1 and c_s are nonzero,
+    # which no family sets
     ref = (_pos(model.beta1) + abs(model.lam) + 2.0 * abs(model.kap_pair)
-           + 2.0 * model.s1 ** 2 + 4.0 * model.c_s ** 2)
-    return _allowance(lhs, factor, ref)
+           + w * (2.0 * model.s1 ** 2 + 4.0 * model.c_s ** 2))
+    return _allowance(_monotonicity(o, w), factor, ref)
 
 
 def _p_fg_monotonicity(k, order, model, s, pp):
@@ -392,18 +407,9 @@ def _p_f_weighted_odd_growth(model, s, pp):
 def _p_b_polynomial_lipschitz(model, s, pp):
     o = s.own
     lhs = _norm(o.a - o.ap)
-    factor = _local_weight(o, model.q) * _norm(o.dv) + np.sqrt(s.w2sq)
+    factor = _local_weight(o, model.q) * _norm(o.dv) + np.sqrt(o.w2sq)
     ref = (abs(model.beta1) + abs(model.betaq) * (1.0 + model.q_b)
            + abs(model.lam) + abs(model.kap_pair))
-    return _allowance(lhs, factor, ref)
-
-
-def _p_b_sigma_rate_monotonicity(model, s, pp):
-    lhs = _monotonicity(s.own, pp["p1"] - 1.0)
-    factor = _nrm2(s.own.dv) + s.w2sq
-    ref = (_pos(model.beta1) + abs(model.lam) + 2.0 * abs(model.kap_pair)
-           + (pp["p1"] - 1.0) * (2.0 * model.s1 ** 2
-                                 + 4.0 * model.c_s ** 2))
     return _allowance(lhs, factor, ref)
 
 
@@ -415,26 +421,6 @@ def _p_b_sigma_time_holder(model, s, pp):
 
 
 # -------------------------------------------------------------- pairwise
-
-def _p_pair_coercivity(model, s, pp):
-    lhs = _coercivity(s.pair, 1.0, pp["p0"] - 1.0)
-    factor = _nrm2(s.x) + _nrm2(s.y)
-    # no credit for an additive noise floor: s0 != 0 cannot satisfy a
-    # right side without constant term, so it is deliberately left out
-    ref = (_pos(model.beta1) + abs(model.lam) + 2.0 * abs(model.kap_pair)
-           + 3.0 * (pp["p0"] - 1.0)
-           * (model.s1 ** 2 + 2.0 * model.c_s ** 2))
-    return _allowance(lhs, factor, ref)
-
-
-def _p_pair_monotonicity(model, s, pp):
-    lhs = _monotonicity(s.pair, 2.0 * (pp["p"] - 1.0))
-    factor = _nrm2(s.pair.dv) + _nrm2(s.y - s.yp)
-    ref = (_pos(model.beta1) + abs(model.lam) + 2.0 * abs(model.kap_pair)
-           + 2.0 * (pp["p"] - 1.0) * (2.0 * model.s1 ** 2
-                                      + 4.0 * model.c_s ** 2))
-    return _allowance(lhs, factor, ref)
-
 
 def _p_pair_second_arg_lipschitz(model, s, pp):
     lhs = _norm(s.pair.a - eval_drift_b(model, s.t, s.x, s.yp[:, None]))
@@ -537,8 +523,9 @@ def _erg_cross_growth(side, q, c1, cq, qc, cn, w):
 
 
 _REGISTRY = {
-    "b_sigma_coercivity": _p_b_sigma_coercivity,
-    "b_sigma_monotonicity": _p_b_sigma_monotonicity,
+    "b_sigma_coercivity": partial(_p_b_sigma_coercivity, "own"),
+    "b_sigma_monotonicity": partial(_p_b_sigma_monotonicity, "own", 1.0,
+                                    None),
     "fg_kernel_monotonicity": partial(_p_fg_monotonicity, 1.0, "p0"),
     "f_local_lipschitz": _p_f_local_lipschitz,
     "fg_radial_coercivity": partial(_p_fg_coercivity, 2.0, 1.0),
@@ -549,11 +536,13 @@ _REGISTRY = {
     "f_weighted_odd_growth": _p_f_weighted_odd_growth,
     "fg_antisym_coercivity": partial(_p_fg_coercivity, 1.0, 2.0),
     "b_polynomial_lipschitz": _p_b_polynomial_lipschitz,
-    "b_sigma_rate_monotonicity": _p_b_sigma_rate_monotonicity,
+    "b_sigma_rate_monotonicity": partial(_p_b_sigma_monotonicity, "own",
+                                         1.0, "p1"),
     "fg_rate_monotonicity": partial(_p_fg_monotonicity, 2.0, "p1"),
     "b_sigma_time_holder": _p_b_sigma_time_holder,
-    "pair_coercivity": _p_pair_coercivity,
-    "pair_monotonicity": _p_pair_monotonicity,
+    "pair_coercivity": partial(_p_b_sigma_coercivity, "pair"),
+    "pair_monotonicity": partial(_p_b_sigma_monotonicity, "pair", 2.0,
+                                 "p"),
     "pair_second_arg_lipschitz": _p_pair_second_arg_lipschitz,
     "fg_pair_weighted_growth": _p_fg_pair_weighted_growth,
     "fg_pair_monotonicity": partial(_p_fg_monotonicity, 4.0, "p"),

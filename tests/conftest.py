@@ -133,7 +133,8 @@ def baseline_library(build_library, baseline_source):
 
 def _bind_pair_aggregate(path):
     """mvsde_pair_aggregate of the library at path, with the signature of
-    pairwise_py.pair_aggregate.
+    pairwise_py.pair_aggregate less tame_g: the C routine tames g always,
+    as pair_aggregate does at its default tame_g = 1.
 
     Like the fused kernel, it hands the kernel the scratch that the
     library's mvsde_pair_rows sizes and leaves the all-zero kernel to the
@@ -145,16 +146,16 @@ def _bind_pair_aggregate(path):
     kernel = lib.mvsde_pair_aggregate
     kernel.restype = None
     kernel.argtypes = ([ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t]
-                       + [ctypes.c_double] * 7 + [ctypes.c_void_p] * 3)
+                       + [ctypes.c_double] * 6 + [ctypes.c_void_p] * 3)
 
-    def pair_aggregate(X, kf1, kfq, qf, cg, tam, te, tame_g=1.0):
+    def pair_aggregate(X, kf1, kfq, qf, cg, tam, te):
         X = np.ascontiguousarray(X, dtype=np.float64)
         n, d = X.shape
         if kf1 == 0.0 and kfq == 0.0 and cg == 0.0:
             return np.zeros((n, d)), np.zeros((n, d))
         f_arr, g_arr = np.full((n, d), np.nan), np.full((n, d), np.nan)
         work = np.full(pair_scratch_size(n, d, pair_rows), np.nan)
-        kernel(X.ctypes.data, n, d, kf1, kfq, qf, cg, tam, te, tame_g,
+        kernel(X.ctypes.data, n, d, kf1, kfq, qf, cg, tam, te,
                f_arr.ctypes.data, g_arr.ctypes.data, work.ctypes.data)
         return f_arr, g_arr
 

@@ -144,6 +144,13 @@ def test_probe_cli_pass_and_fail(capsys):
     out = capsys.readouterr().out
     assert "0 failed" in out and "FAIL" not in out
 
+    # pair_coercivity's right side has a constant term, so the additive
+    # noise sigma0 = 0.3 holds the pair set
+    assert main(["probe-assumptions", "--family", "cubic-mean-field",
+                 "--set", "pairwise_poc"]) == 0
+    out = capsys.readouterr().out
+    assert "0 failed" in out and "FAIL" not in out
+
     code = main(["probe-assumptions", "--family", "anti-dissipative",
                  "--set", "finite_horizon", "--count", "2000"])
     assert code == 2

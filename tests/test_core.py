@@ -35,18 +35,20 @@ from mvsde.taming import VARIANTS, TamedModel
 SOURCE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "mvsde",
                       "_core", "pairwise.c")
 
-# (kf1, kfq, qf, cg, tam, te, tame_g)
+# (kf1, kfq, qf, cg, tam, te), g tamed as the scheme and the C routine
+# tame it (the numpy kernels' default tame_g = 1)
 SPECIAL = {
-    "strong-rate": (0.0, -1.0, 2.0, 1.0, 1.0 / 32.0, 4.0, 1.0),
-    "poc-rate": (0.0, -1.0, 2.0, 0.2, 0.125, 4.0, 1.0),
-    "tam == 0": (0.0, -1.0, 2.0, 1.0, 0.0, 4.0, 1.0),
-    "tame_g = 0": (-0.5, -1.0, 2.0, 0.2, 0.125, 2.0, 0.0),
-    "q_f = 0": (-0.5, 0.0, 0.0, 0.2, 0.125, 0.0, 1.0),
-    "all-zero kernel": (0.0, 0.0, 2.0, 0.0, 0.125, 4.0, 1.0),
+    "strong-rate": (0.0, -1.0, 2.0, 1.0, 1.0 / 32.0, 4.0),
+    "poc-rate": (0.0, -1.0, 2.0, 0.2, 0.125, 4.0),
+    "tam == 0": (0.0, -1.0, 2.0, 1.0, 0.0, 4.0),
+    "q_f = 0": (-0.5, 0.0, 0.0, 0.2, 0.125, 0.0),
+    "all-zero kernel": (0.0, 0.0, 2.0, 0.0, 0.125, 4.0),
 }
 # exponents outside the special cases: libm pow in C, in the numpy
 # kernel (mvsde._core.pairwise_py.power) and in the oracle's scalar **
-NON_SPECIAL = (-0.5, -1.0, 3.0, 0.2, 0.3, 6.0, 1.0)
+NON_SPECIAL = (-0.5, -1.0, 3.0, 0.2, 0.3, 6.0)
+# g left untamed (tame_g = 0): the numpy kernels only, against each other
+UNTAMED_G = (-0.5, -1.0, 2.0, 0.2, 0.125, 2.0, 0.0)
 
 # the C pair loop takes rows in blocks of 4 and the partners past a full
 # block in tiles of 4, then one at a time: sizes with a short last block
@@ -92,6 +94,10 @@ def test_compiled_matches_fallback_and_oracle(c_pair_aggregate, n, d):
                 _assert_same(got, pair_aggregate(x, *kernel), what)
                 want = pair_aggregate_naive(x, *kernel)
             _assert_same(got, want, what)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _assert_same(pair_aggregate(x, *UNTAMED_G),
+                         pair_aggregate_naive(x, *UNTAMED_G),
+                         "untamed g, %s cloud" % cloud)
 
 
 def _assert_clouds_match_fallback(c_kernel, n, d):
@@ -150,7 +156,8 @@ def test_numpy_kernel_partner_blocks_match_oracle(monkeypatch, block):
     n, d = 7, 3
     monkeypatch.setattr(pairwise_py, "PAIR_BLOCK_ELEMENTS", block * n * d)
     for cloud, x in _clouds(n, d).items():
-        for label, kernel in dict(SPECIAL, non_special=NON_SPECIAL).items():
+        for label, kernel in dict(SPECIAL, non_special=NON_SPECIAL,
+                                  untamed_g=UNTAMED_G).items():
             with np.errstate(over="ignore", invalid="ignore"):
                 _assert_same(pair_aggregate(x, *kernel),
                              pair_aggregate_naive(x, *kernel),
@@ -179,7 +186,7 @@ def test_pair_sums_agree_at_every_q(c_pair_aggregate, q, d):
         for variant in VARIANTS:
             tm = TamedModel(model, 16, variant)
             kernel = (model.kf1, model.kfq, model.q_f, model.c_g, tm.gamma,
-                      tm.e, 1.0)
+                      tm.e)
             for cloud, x in _clouds(17, d).items():
                 what = "%s, %s, %s cloud" % (family, variant, cloud)
                 got = c_pair_aggregate(x, *kernel)
@@ -252,20 +259,20 @@ def test_loader_binds_every_kernel_or_none(compiled_library, build_library,
             load_compiled(stale)
         assert _select_backend(stale) == numpy_backend
     # every kernel, but from before the ABI constant or from another ABI,
-    # the previous one (5, whose mvsde_advance took one noise row per step
-    # and whose work array held 2 n d + 2 d doubles before the pair
-    # scratch) among them: the package and the library must agree on every
-    # signature, the step struct and the size of the work array
+    # the previous one (6, whose mvsde_pair_aggregate took a tame_g
+    # argument after te) among them: the package and the library must
+    # agree on every signature, the step struct and the size of the work
+    # array
     for label, abi, found in (("unversioned", "", 0),
-                              ("previous", "const int mvsde_abi = 5;\n", 5),
-                              ("other", "const int mvsde_abi = 7;\n", 7)):
+                              ("previous", "const int mvsde_abi = 6;\n", 6),
+                              ("other", "const int mvsde_abi = 8;\n", 8)):
         stub = tmp_path / ("stale_%s.c" % label)
         stub.write_text(abi + "".join(
             "void %s(void) {}\n" % sym
             for sym in older + ["mvsde_quantized_increments"]))
         stale = build_library(str(stub), stub.stem + ".so")
         with pytest.raises(AttributeError, match="mvsde_abi is %d, the "
-                           "package needs 6" % found):
+                           "package needs 7" % found):
             load_compiled(stale)
         assert _select_backend(stale) == numpy_backend
     assert _select_backend(str(tmp_path / "missing.so")) == numpy_backend

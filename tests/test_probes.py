@@ -6,12 +6,13 @@ import os
 import struct
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
 
 from mvsde import probes
-from mvsde.model import make_model
+from mvsde.model import eval_drift_b, eval_sigma, make_model
 from mvsde.probes import (DOCUMENTED_SETS, PROBE_SETS, AssumptionReport,
                           documented_sets, probe_assumptions)
 
@@ -91,15 +92,19 @@ def test_probe_set_registry_consistency():
         assert tuple(r.assumption_id for r in reports) == members
 
 
-# pairwise_poc probes that fail on a family, at its defaults and with its
-# additive noise sigma0 set to 0: pair_coercivity's right side has no
-# constant term, so s0 != 0 fails it; the saboteur fails by design
+# pairwise_poc probes that fail on a family at radius 1, at its defaults
+# and with its additive noise sigma0 set to 0. No interacting family
+# fails: pair_coercivity's right side has the constant term that the
+# noise floor k s0^2 needs. The saboteur fails by design. At radius 1
+# the noise allowance of its default sigma0 = 0.5 covers its growth
+# x|x|^2, so only pair_monotonicity fails there; without noise
+# pair_coercivity fails too, and at radius 5 at any noise (see below)
 _PAIR_FAILS = {
-    "cubic-mean-field": ({"pair_coercivity"}, set()),
-    "lipschitz-baseline": ({"pair_coercivity"}, set()),
+    "cubic-mean-field": (set(), set()),
+    "lipschitz-baseline": (set(), set()),
     "ergodic-dissipative": (set(), None),
     "pairwise-vlasov": (set(), None),
-    "anti-dissipative": ({"pair_coercivity", "pair_monotonicity"},
+    "anti-dissipative": ({"pair_monotonicity"},
                          {"pair_coercivity", "pair_monotonicity"}),
 }
 
@@ -109,8 +114,8 @@ _PAIR_FAILS = {
 def test_pairwise_poc_runs_on_every_family(family, d):
     """Every family's b and sigma are Vlasov kernels, so the pair probes
     read them at one-atom measures on any model, and the pair references
-    carry lam: pair_second_arg_lipschitz, pair_monotonicity and the kernel
-    pair probes hold on every family but the saboteur, lam = 0.5 of
+    carry lam and the noise floor k s0^2: every pair probe holds on every
+    family but the saboteur, lam = 0.5 and sigma0 = 0.3 of
     cubic-mean-field included."""
     assert set(_PAIR_FAILS) == set(DOCUMENTED_SETS)
     for params, fails in zip(({}, {"sigma0": 0.0}), _PAIR_FAILS[family]):
@@ -122,6 +127,58 @@ def test_pairwise_poc_runs_on_every_family(family, d):
         assert [r.assumption_id for r in reports] == list(
             PROBE_SETS["pairwise_poc"])
         assert {r.assumption_id for r in reports if not r.holds} == fails
+
+
+@pytest.mark.parametrize("d", (1, 3))
+def test_anti_dissipative_fails_pair_coercivity_far_out(d):
+    # the saboteur's drift +x|x|^2 outgrows any quadratic right side, so
+    # at radius 5 it fails pair_coercivity at its default noise as well
+    model = make_model("anti-dissipative", d=d)
+    reports = probe_assumptions(model, "pairwise_poc", count=256,
+                                radius=5.0)
+    bad = {r.assumption_id: r.worst_margin for r in reports if not r.holds}
+    assert set(bad) == {"pair_coercivity", "pair_monotonicity"}
+    assert bad["pair_coercivity"] > 0.0
+
+
+@pytest.mark.parametrize("d", (1, 3))
+def test_pairwise_poc_holds_with_additive_noise(d):
+    # pairwise-vlasov with the additive noise nu = 0.5, the route to a
+    # criterion-2 equation whose noise does not cancel
+    model = make_model("pairwise-vlasov", d=d, params={"nu": 0.5})
+    for count, radius in ((256, 1.0), (_COUNT, 5.0)):
+        for r in probe_assumptions(model, "pairwise_poc", count=count,
+                                   radius=radius):
+            assert r.holds, ("%s margin %g at radius %g"
+                             % (r.assumption_id, r.worst_margin, radius))
+
+
+@pytest.mark.parametrize("family", sorted(DOCUMENTED_SETS))
+def test_pair_probes_are_own_probes_at_one_atom_measures(family):
+    """The own coercivity and monotonicity read at the one-atom measures
+    mu = delta_y and nu = delta_y', whose squared W2 distances are
+    |y - y'|^2 apart and |y|^2 from delta_0, give the pair probes'
+    margins bit for bit."""
+    model = make_model(family, d=2)
+    pp = dict(probes._MOMENT_ORDERS, radius=5.0)
+    pair = probes._Samples(model, 512, 5.0, 97)
+    one = probes._Samples(model, 512, 5.0, 97)
+    one.mu, one.nu = one.y[:, None], one.yp[:, None]
+    one.own = probes._Side(one.x, one.xp,
+                           partial(eval_drift_b, model, one.t),
+                           partial(eval_sigma, model, one.t),
+                           (one.x, one.mu), (one.xp, one.nu),
+                           probes._nrm2(one.y - one.yp),
+                           probes._nrm2(one.y))
+    for own, paired in (
+            (probes._REGISTRY["b_sigma_coercivity"],
+             probes._REGISTRY["pair_coercivity"]),
+            (partial(probes._p_b_sigma_monotonicity, "own", 2.0, "p"),
+             probes._REGISTRY["pair_monotonicity"])):
+        got, _, ref = own(model, one, pp)
+        want, _, want_ref = paired(model, pair, pp)
+        assert ref == want_ref
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_ergodic_set_structural_refusals():
