@@ -45,6 +45,10 @@
  * keeps step's special cases (q_b in {0, 1, 2} gives 1, r and r * r, the
  * taming exponent e in {0, 2, 4} gives 1, r2 and r2 * r2) and sends any
  * other exponent to libm pow, as pairwise_py.power does on the NumPy side.
+ * One site takes other operations, with a proof that they give the same
+ * bits: at d = 1 and q_b = 2, |x|^q_b is the squared norm r2 itself, not
+ * sqrt(r2) * sqrt(r2), because in round to nearest RN(RN(sqrt(r2))^2) is
+ * r2 whenever r2 is the rounded square of one double (see step_once).
  * On request it also writes the squared norm of every particle after every
  * step, as np.sum(x * x, axis=-1) gives it, so the observers that need
  * every step (the moment and divergence trackers) read a block of steps per
@@ -673,7 +677,31 @@ ALWAYS_INLINE void level_sum(const double *restrict dw, ptrdiff_t dw_step,
  * coefficient switches as loop invariants, the noise after its level sum
  * when r > 1, then one test of every element of y. Each element sees the
  * operations of step in its order: only the order in which the elements
- * are visited changed, and that changes no bit. */
+ * are visited changed, and that changes no bit.
+ *
+ * The one exception is |x|^2 at d = 1, which step forms as r * r with
+ * r = sqrt(r2) and this kernel takes as r2, saving a sqrt per particle
+ * and step (sqrt and the taming's division share the divider). At d = 1,
+ * r2 = 0.0 + (0.0 + x * x) = RN(x^2), since x * x is never -0.0 and
+ * adding +0.0 is exact; let r = RN(sqrt(r2)). Then RN(r * r) = r2:
+ * - r2 = +0.0 or +inf: sqrt and the product keep it.
+ * - r2 = 2^-1022: r = 2^-511 exactly, and r * r = r2.
+ * - r2 normal above 2^-1022: x^2 >= 2^-1022, where rounding has the grid
+ *   of an unbounded exponent range, and neither x^2 nor sqrt(r2) leaves
+ *   the normal range. In radix 2 with round to nearest,
+ *   RN(sqrt(RN(x^2))) = |x| (Boldo, "Stupid is as stupid does: taking the
+ *   square root of the square of a floating-point number", ENTCS 317,
+ *   2015), so r = |x| and RN(r * r) = RN(x * x) = r2.
+ * - r2 subnormal: sqrt(r2) <= 2^-511 sqrt(1 - 2^-52) lies below the
+ *   double 2^-511 (1 - 2^-53), so r lies in [2^k, 2^(k+1)) with
+ *   k <= -512. Then |r - sqrt(r2)| <= 2^(k-53) and r + sqrt(r2) < 2^(k+2),
+ *   so |r^2 - r2| < 2^(2k-51) <= 2^-1075, under half the spacing 2^-1074
+ *   of the doubles around r2, and RN(r^2) = r2.
+ * At d >= 2, r2 is a rounded sum of squares, not one rounded square, and
+ * the identity fails (r2 = 2 gives RN(RN(sqrt(2))^2) = 2 + 2^-51), so
+ * those dimensions keep step's operations. model.self_terms keeps them at
+ * every d: it is the reference both backends are tested against, and
+ * tests/test_fused.py checks the identity itself over every binade. */
 STEP_CLONES
 static int step_once(const struct mvsde_coeffs *cf, const double *x,
                      double *y, ptrdiff_t n, ptrdiff_t d, const double *dw,
@@ -711,7 +739,11 @@ static int step_once(const struct mvsde_coeffs *cf, const double *x,
     if (cf->betaq != 0.0 || gamma != 0.0)
         row_norms(x, n, d, sq, r2);
     if (cf->betaq != 0.0) {
-        if (q == 2.0)
+        if (q == 2.0 && d == 1)
+            /* RN(sqrt(r2))^2 rounds to r2 at d = 1 (see above) */
+            for (i = 0; i < n; i++)
+                pw[i] = r2[i];
+        else if (q == 2.0)
             for (i = 0; i < n; i++) {
                 r = sqrt(r2[i]);
                 pw[i] = r * r;

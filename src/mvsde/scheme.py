@@ -21,6 +21,10 @@ cases every power goes to libm pow on both (mvsde._core.pairwise_py.power).
 kernel of mvsde._core instead, for every model, which repeats step's
 operation order and advances the ensemble through a whole block of steps
 in one call with no Python in the loop; it gives the same bits as `step`.
+One site takes other operations, proven to give the same bits: at d = 1
+and q_b = 2 the kernel takes |x|^2 as the squared norm r2 itself, where
+step forms sqrt(r2) * sqrt(r2); the rounded root of a rounded square of
+one double squares back to it (the proof is at step_once in pairwise.c).
 
 Callbacks read a block of steps per call. Observers that need every step
 (MomentTracker and the divergence tracker of mvsde.experiments) read the
@@ -229,8 +233,10 @@ def _advancer(tm, ens, tableau, r):
     backend it is one call of the fused kernel bound to ens, which
     evaluates step's coefficients from the model's COEFFICIENTS and the
     taming's gamma and e, and sums each step's r = n_max / tm.n rows of
-    the finest table itself; on the numpy backend it is a loop of step over
-    level_increments at level tm.n.
+    the finest table itself; it repeats step's operations except at d = 1
+    and q_b = 2, where it takes |x|^2 as r2 without a root, with the same
+    bits (see the module doc). On the numpy backend it is a loop of step
+    over level_increments at level tm.n.
     """
     noisy = _noise_width(tm.base) > 0
 
@@ -298,16 +304,17 @@ class MomentTracker:
 
         B_i = (1 + 2^-20) (sum_j r2_ij^k) / N + 2^-1000,
 
-    evaluated in floats in that order (k - 1 products per norm, a sum in
-    any order, the product, the quotient, then the sum), is <= sup. A nan
-    bound keeps its row, and so does an inf one unless sup is inf already,
-    when no row can raise it; every other order evaluates every row. So
-    sup stays exact: a skipped row's moment m_i is at most B_i, as
-    follows, with u = 2^-53, s_j = sqrt(r2_ij) and w_j the power
-    moments_from_r2 takes of its rounded root, and with inf counted as
-    2^1024 (round to nearest gives inf exactly from 2^1024 (1 - u/2) up,
-    so fl(x) <= (1 + u) x holds for every x >= 0 in the float range's
-    normal part and past it).
+    evaluated in floats in that order (the row's sum of k-fold products in
+    one np.einsum over k copies of the block, which needs no temporary of
+    the block's size and no second pass; then the product, the quotient
+    and the sum), is <= sup. A nan bound keeps its row, and so does an inf
+    one unless sup is inf already, when no row can raise it; every other
+    order evaluates every row. So sup stays exact: a skipped row's moment
+    m_i is at most B_i, as follows, with u = 2^-53, s_j = sqrt(r2_ij) and
+    w_j the power moments_from_r2 takes of its rounded root, and with inf
+    counted as 2^1024 (round to nearest gives inf exactly from
+    2^1024 (1 - u/2) up, so fl(x) <= (1 + u) x holds for every x >= 0 in
+    the float range's normal part and past it).
 
     1. sqrt's rounding grows to p u after the power: the rounded root is
        s_j (1 + d) with |d| <= u (the root of a float is never subnormal),
@@ -319,15 +326,25 @@ class MomentTracker:
        W = sum_j w_j (exact below the normal range, where a sum of floats
        is a float). If S is finite, m_i = fl(S / N) <= (1 + u)^2 W / N
        + 2^-1075.
-    3. The bound's side: the k - 1 products give t_j >= (1 - u)^(k-1)
-       r2_ij^k - k 2^-1075 (each product underflows by at most half the
-       subnormal spacing, and past the first only for factors below 1).
-       A float sum of N non-negative terms is off by at most (N - 1) u,
-       whatever the order: each term passes through at most N - 1
-       additions, each rounds down by a factor of at most 1 - u and none
-       underflows, so T >= (1 - u)^(N-1) sum_j t_j. The product, the
-       quotient and the last sum each round down by a factor of at most
-       1 - u, the first two also by up to 2^-1075 when they underflow:
+    3. The bound's side: einsum forms each term r2_ij^k by k - 1
+       products and adds the terms in an order of its choosing, and it may
+       fuse a product with its addition (a multiply-add, on CPUs that have
+       one), which rounds once where the two would round twice. Each
+       rounding of a non-negative value z gives at least (1 - u) z - 2^-1075:
+       a factor of at most 1 - u in the normal range, and at most half the
+       subnormal spacing below it, where only a product or a fused
+       operation loses anything (a sum of floats that is subnormal is
+       exact). Each term passes through at most k - 1 products and N - 1
+       additions, fused or not, so the relative factors give
+       (1 - u)^(N+k-2). An absolute loss is never scaled up afterwards: a
+       product underflows only for factors below 1, and the later
+       products of its term multiply by the same r2_ij, and an addition
+       scales by at most 1. At most k - 1 losses per term occur, k - 2
+       products and one product or fused addition, so the row sum is
+       T >= (1 - u)^(N+k-2) sum_j r2_ij^k - N k 2^-1075, and N k 2^-1075
+       <= 2^-1043 for N <= 2^30 and k <= 4. The product, the quotient and
+       the last sum each round down by a factor of at most 1 - u, the
+       first two also by up to 2^-1075 when they underflow:
        B_i >= (1 - u)^3 (1 + 2^-20) T / N + (1 - u) 2^-1000 - 2^-1074.
     4. Chaining 1 to 3, m_i <= r T / N + 2^-1052 with
        r = (1 + eta)(1 + u)^(p+2) / (1 - u)^(N+k-2). The floor
@@ -367,10 +384,9 @@ class MomentTracker:
         """Flags of the rows of r2 whose bound B_i (see the class doc) is
         not <= sup."""
         with np.errstate(over="ignore", invalid="ignore"):
-            t = r2
-            for _ in range(self._k - 1):
-                t = t * r2
-            bound = t.sum(axis=1)
+            # sum_j r2_ij^k of each row, in one pass over k copies of r2
+            bound = np.einsum(",".join(("ij",) * self._k) + "->i",
+                              *(r2,) * self._k)
             bound *= _SLACK
             bound /= r2.shape[1]
             bound += _FLOOR

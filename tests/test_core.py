@@ -713,11 +713,11 @@ def test_compiled_run_imports_no_scipy(compiled_library, tmp_path):
     assert out.split() == []
 
 
-# drives a strong-rate run on the compiled kernels in a fresh interpreter,
-# then prints every numpy.ma module it loaded
+# drives a run of the experiment sys.argv[3] on the compiled kernels in a
+# fresh interpreter, then prints every numpy.ma module it loaded
 _RUN_WITHOUT_NUMPY_MA = _ON_COMPILED + """
 with contextlib.redirect_stdout(io.StringIO()):
-    assert mvsde.cli.main(["strong-rate", "--config", sys.argv[2]]) in (0, 2)
+    assert mvsde.cli.main([sys.argv[3], "--config", sys.argv[2]]) in (0, 2)
 print(" ".join(m for m in sys.modules
                if m == "numpy.ma" or m.startswith("numpy.ma.")))
 """
@@ -735,7 +735,23 @@ def test_strong_rate_run_imports_no_numpy_ma(compiled_library, tmp_path):
                     "p0 = 16.0\nout_dir = %s\n[grid]\nlevels = 4,8\n"
                     "n_max = 32\nT = 1.0\n[ensemble]\nN = 8\n"
                     % (tmp_path / "out"))
-    out = _run_python(_RUN_WITHOUT_NUMPY_MA, compiled_library, str(path))
+    out = _run_python(_RUN_WITHOUT_NUMPY_MA, compiled_library, str(path),
+                      "strong-rate")
+    assert out.split() == []
+
+
+def test_moment_stability_run_imports_no_numpy_ma(compiled_library,
+                                                  tmp_path):
+    """A moment-stability run on the compiled kernels loads no numpy.ma
+    module either. With reps = 2 and p0 = 4, rep 1's MomentTracker keeps
+    no series and filters its rows by the einsum bound, so the run takes
+    both the series path and the filtered one."""
+    path = tmp_path / "moment.ini"
+    path.write_text("[run]\nexperiment = moment-stability\nreps = 2\n"
+                    "p0 = 4.0\nout_dir = %s\n[grid]\nT = 5.0\nn = 2\n"
+                    "[ensemble]\nN = 9\n" % (tmp_path / "out"))
+    out = _run_python(_RUN_WITHOUT_NUMPY_MA, compiled_library, str(path),
+                      "moment-stability")
     assert out.split() == []
 
 

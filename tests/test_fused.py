@@ -448,6 +448,68 @@ def test_fused_row_r2_order(advance, d):
         assert not np.array_equal(plain, r2)  # the order matters here
 
 
+def _rounded_squares():
+    """Doubles x for the d = 1 squared norm 0.0 + (0.0 + x * x): every
+    binade from 2^-1074 to 2^511 at the significands 1, 1 + 2^-52, all
+    ones and eight random ones; 2^18 random doubles of the window
+    2^-540 <= |x| < 2^-511, whose squares are subnormal; +-0 and squares
+    that overflow; all of them with both signs."""
+    rng = np.random.default_rng(32)
+    sig = np.concatenate((
+        [1.0, 1.0 + 2.0 ** -52, 2.0 - 2.0 ** -52],
+        1.0 + rng.integers(0, 1 << 52, 8) * 2.0 ** -52))
+    binades = np.ldexp(sig[:, None], np.arange(-1074, 512)[None, :])
+    lo, hi = np.array([2.0 ** -540, 2.0 ** -511]).view(np.int64)
+    window = rng.integers(lo, hi, 1 << 18).view(np.float64)
+    x = np.concatenate((binades.ravel(), window,
+                        [0.0, 2.0 ** 512, 1.7e308, np.finfo(float).max]))
+    return np.concatenate((x, -x))
+
+
+def test_root_of_a_rounded_square_squares_back():
+    """At d = 1 the fused step takes |x|^2 as the squared norm r2 itself:
+    RN(RN(sqrt(r2))^2) = r2 when r2 is the rounded square of one double
+    (the proof is at step_once in pairwise.c), here over every binade,
+    the subnormal squares, +-0 and overflow, bit for bit."""
+    x = _rounded_squares()
+    with np.errstate(over="ignore", under="ignore"):
+        r2 = 0.0 + (0.0 + x * x)
+        r = np.sqrt(r2)
+        _assert_same_arrays(r * r, r2)
+    assert np.isinf(r2).sum() >= 4 and (r2 == 0.0).sum() >= 1000
+    assert ((r2 > 0.0) & (r2 < 2.0 ** -1022)).sum() >= 1 << 18
+    assert (r2 == 2.0 ** -1022).any()
+    # a squared norm that is a sum of squares does not square back, so
+    # d >= 2 keeps sqrt(r2) * sqrt(r2): 1 + 1 gives 2 + 2^-51
+    assert np.sqrt(2.0) * np.sqrt(2.0) == 2.0 + 2.0 ** -51
+
+
+@pytest.mark.parametrize("gamma", (0.0, 0.35))
+@pytest.mark.parametrize("build", ("default", "fma", "baseline"))
+def test_fused_square_at_d1_matches_step(request, build, gamma):
+    """The fused step at d = 1 and q_b = 2, whose |x|^2 is r2 itself,
+    against scheme.step, whose |x|^2 is sqrt(r2) * sqrt(r2), on every
+    value of test_root_of_a_rounded_square_squares_back, on the default,
+    -mfma and baseline builds: y = 2 x - x |x|^2 untamed, whose cubic term
+    shows the power wherever it stays in the float range and is not lost
+    against 2 x."""
+    advance = load_compiled(request.getfixturevalue(
+        "compiled_library" if build == "default" else build + "_library"))[0]
+    x = _rounded_squares()[:, None]
+    base = types.SimpleNamespace(
+        d=1, l=0, beta1=1.0, betaq=-1.0, q_b=2.0, lam=0.0, kap_pair=0.0,
+        s0=0.0, s1=0.0, c_s=0.0, kf1=0.0, kfq=0.0, q_f=2.0, c_g=0.0)
+    tm = types.SimpleNamespace(base=base, n=1, gamma=gamma, e=2.0)
+    ens = scheme.ParticleEnsemble(x)
+    alive = scheme.step(ens, tm, np.empty((len(x), 0)))
+    done, got = _one_step(advance, x, beta1=1.0, betaq=-1.0, q_b=2.0,
+                          gamma=gamma, e=2.0)
+    assert not alive and done == 0  # the huge values overflow
+    _assert_same_arrays(got, ens.states)
+    seen = (np.abs(x) > 2.0 ** -20) & (np.abs(x) < 2.0 ** 340)
+    assert (got[seen] != 2.0 * x[seen]).all() and seen.sum() >= 7000
+
+
 def test_fused_adds_short_circuited_pair_sums(advance):
     # with an all-zero kernel step still adds F = 0: -0.0 + (-0.0 + 0.0)
     # is +0.0, where -0.0 + -0.0 would stay -0.0
@@ -469,7 +531,7 @@ _SELF_SWITCHES = list(itertools.product(
                                                         "full")))
 _SWEEP_SIZES = (1, 2, 3, 5, 64)
 _SWEEP_CLOUDS = ("random", "signed zeros", "overflow mid-row",
-                 "overflow last")
+                 "overflow last", "tiny and huge")
 
 
 def _sweep_cases(d):
@@ -481,7 +543,7 @@ def _sweep_cases(d):
     for j, idx in enumerate(order):
         if 1 + j % 9 == d:
             yield (_SELF_SWITCHES[idx], _SWEEP_SIZES[j // 9 % 5],
-                   _SWEEP_CLOUDS[j // 45 % 4], j // 180 % 2 == 1)
+                   _SWEEP_CLOUDS[j // 45 % 5], j // 225 % 2 == 1)
 
 
 def _sweep_cloud(kind, n, d, rng):
@@ -494,6 +556,16 @@ def _sweep_cloud(kind, n, d, rng):
         x[n // 2, d // 2] = 1.7e308  # grows past the float range
     elif kind == "overflow last":
         x[n - 1, d - 1] = -1.7e308
+    elif kind == "tiny and huge":
+        # coordinates in turn get squares that are subnormal, just above
+        # 2^-1022 or just below 2^1022 (the cases of the proof behind the
+        # fused step's |x|^2 = r2 at d = 1), and every fourth keeps its
+        # random value
+        u = rng.random((n, d))
+        x = np.choose(np.arange(n * d).reshape(n, d) % 4, (
+            np.copysign(2.0 ** (-540.0 + 29.0 * u), x),
+            np.copysign(2.0 ** -511 * (1.0 + u * 2.0 ** -10), x),
+            np.copysign(2.0 ** 511 * (1.0 - u * 2.0 ** -10), x), x))
     return x
 
 
@@ -502,7 +574,8 @@ def _sweep_cloud(kind, n, d, rng):
 def test_fused_self_terms_match_step(request, build, d):
     """One fused step against scheme.step at every self-term switch, d from
     1 to 9 (both sides of np_sum's 7 | 8 boundary), N in {1, 2, 3, 5, 64},
-    on random, signed-zero and overflowing clouds, with and without the
+    on random, signed-zero, overflowing and tiny-and-huge clouds (squares
+    subnormal, just above 2^-1022 or near 2^1022), with and without the
     pair kernel, on the default build (whose AVX2 clone an AVX2 CPU runs),
     the -mfma build and the build without the AVX2 clone: the same steps
     done, state bytes and squared-norm bytes."""
