@@ -11,9 +11,10 @@ row sum of the moment observers, ``philox_uniforms``, the per-particle
 Philox streams of the Brownian tableau and the initial states, ``ndtri``,
 the inverse normal CDF applied to those streams, and
 ``quantized_increments``, which turns a block of those uniforms into the
-tableau's increments in place, give the same bits on both. On the C backend
-nothing here imports SciPy; the numpy ``ndtri`` is scipy.special.ndtri,
-imported on its first call.
+tableau's increments in place, give the same bits on both, and
+``repr_join``, which joins the float.__repr__ text of a list of floats,
+the same text. On the C backend nothing here imports SciPy; the numpy
+``ndtri`` is scipy.special.ndtri, imported on its first call.
 
 ``pair_aggregate`` is the numpy pair kernel on both backends: scheme.step
 calls it, and the fused kernel calls its C twin mvsde_pair_aggregate,
@@ -40,6 +41,7 @@ fsum_rows_py = pairwise_py.fsum_rows
 philox_uniforms_py = pairwise_py.philox_uniforms
 ndtri_py = pairwise_py.ndtri
 quantized_increments_py = pairwise_py.quantized_increments
+repr_join_py = pairwise_py.repr_join
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 # the mvsde_abi of the pairwise.c these bindings are written for
@@ -60,9 +62,9 @@ def load_compiled(path):
     """Bind every C kernel in the shared library at path.
 
     Returns (bind_advance, fsum_rows, philox_uniforms, ndtri,
-    quantized_increments). All but bind_advance have the signatures and
-    results of their pairwise_py namesakes; bind_advance is described in
-    its own docstring.
+    quantized_increments, repr_join). All but bind_advance have the
+    signatures and results of their pairwise_py namesakes; bind_advance
+    is described in its own docstring.
     Raises OSError when the library cannot be loaded and AttributeError
     when it lacks any kernel symbol or was built from a pairwise.c with
     another mvsde_abi, so a stale library never provides some kernels
@@ -74,6 +76,7 @@ def load_compiled(path):
     uniform_kernel = lib.mvsde_philox_uniforms
     ndtri_kernel = lib.mvsde_ndtri
     increments_kernel = lib.mvsde_quantized_increments
+    join_kernel = lib.mvsde_repr_join
     try:
         abi = ctypes.c_int.in_dll(lib, "mvsde_abi").value
     except ValueError:  # built before pairwise.c had the constant
@@ -82,6 +85,7 @@ def load_compiled(path):
         raise AttributeError("library mvsde_abi is %d, the package needs %d"
                              % (abi, _ABI))
     pair_rows = ctypes.c_int.in_dll(lib, "mvsde_pair_rows").value
+    repr_width = ctypes.c_int.in_dll(lib, "mvsde_repr_width").value
     step_kernel.restype = ctypes.c_ssize_t
     step_kernel.argtypes = ([ctypes.POINTER(_Coeffs), ctypes.c_void_p,
                              ctypes.c_void_p]
@@ -99,6 +103,10 @@ def load_compiled(path):
     increments_kernel.restype = None
     increments_kernel.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t,
                                   ctypes.c_double]
+    join_kernel.restype = ctypes.c_ssize_t
+    join_kernel.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t,
+                            ctypes.c_char_p, ctypes.c_ssize_t,
+                            ctypes.c_void_p]
 
     def bind_advance(coeffs, states, scratch, ratio):
         """_BoundAdvance over this library's mvsde_advance.
@@ -152,8 +160,22 @@ def load_compiled(path):
         increments_kernel(u.ctypes.data, u.size, scale)
         return u
 
+    def repr_join(values, sep):
+        """See pairwise_py.repr_join for the reference semantics; values
+        is a list of floats, and one that is not finite sends the whole
+        list to the reference."""
+        a = np.array(values, dtype=np.float64)
+        if a.ndim != 1:
+            raise ValueError("repr_join takes a flat list of floats")
+        raw = sep.encode()
+        out = ctypes.create_string_buffer(len(a) * (repr_width + len(raw)))
+        size = join_kernel(a.ctypes.data, len(a), raw, len(raw), out)
+        if size < 0:
+            return pairwise_py.repr_join(values, sep)
+        return ctypes.string_at(out, size).decode()
+
     return bind_advance, fsum_rows, philox_uniforms, ndtri, \
-        quantized_increments
+        quantized_increments, repr_join
 
 
 def pair_scratch_size(n, d, pair_rows):
@@ -262,7 +284,7 @@ def _built_library():
 
 def _select_backend(path):
     """(bind_advance, fsum_rows, philox_uniforms, ndtri,
-    quantized_increments, backend name) for a path.
+    quantized_increments, repr_join, backend name) for a path.
 
     Every kernel comes from the library, or the numpy kernels and no fused
     kernel when path is None or the library lacks any symbol.
@@ -273,12 +295,13 @@ def _select_backend(path):
         except (OSError, AttributeError):
             pass
     return (None, fsum_rows_py, philox_uniforms_py, ndtri_py,
-            quantized_increments_py, "numpy")
+            quantized_increments_py, repr_join_py, "numpy")
 
 
 _FORCED = os.environ.get("MVSDE_FORCE_FALLBACK", "") not in ("", "0")
 (bind_advance, fsum_rows, philox_uniforms, ndtri, quantized_increments,
- _BACKEND) = _select_backend(None if _FORCED else _built_library())
+ repr_join, _BACKEND) = _select_backend(None if _FORCED
+                                        else _built_library())
 
 
 def backend_name():

@@ -1,5 +1,6 @@
 /* Compiled pair kernel, fused step kernel, correctly rounded row sum,
- * Philox stream block, inverse normal CDF and Brownian increments.
+ * Philox stream block, inverse normal CDF, Brownian increments and the
+ * text of float lists.
  *
  * mvsde_pair_aggregate is the bit-identical twin of
  * mvsde._core.pairwise_py.pair_aggregate at tame_g = 1, g tamed as the
@@ -101,6 +102,19 @@
  * tableau's increments in place, in the NumPy chain's operations:
  * rint(ndtri(max(u, 2^-54)) * sqrt(1 / n_max) / 2^-26) * 2^-26 + 0.0.
  *
+ * mvsde_repr_join writes finite doubles, joined by a separator, as
+ * float.__repr__ does, with Ryu's digits (Adams, "Ryu: fast
+ * float-to-string conversion", PLDI 2018): the shortest decimal that
+ * reads back to the double (round to nearest, ties to even) and, of
+ * those, the closest to it. repr takes its digits from David Gay's dtoa
+ * in mode 0, which defines them the same way, so they are equal, and
+ * repr_one lays them out as repr does: fixed for a decimal exponent
+ * -4 <= E < 16, with ".0" on an integral value, else d.ddde+XX with at
+ * least two exponent digits, and "-" on every negative value, -0.0 too.
+ * Its power-of-5 tables are computed from exact multiword integers when
+ * the library is loaded (repr_tables), so no table literal is in this
+ * file. A non-finite value makes it return -1.
+ *
  * Level sums. The finest increments are integer multiples of 2^-26 with
  * no -0.0, and |ndtri(u)| < 8.3 on [2^-54, 1 - 2^-53], so each is below
  * 8.3 / sqrt(n_max) + 2^-27 in magnitude. A step at level n_max / r adds
@@ -115,12 +129,12 @@
  * lets the compiler reassociate (-ffast-math, -fassociative-math); setup.py
  * passes -O3 -ffp-contract=off -fno-math-errno, the last so that sqrt needs
  * no errno branch and vectorises. Plain C with no Python or NumPy headers,
- * apart from the unsigned __int128 of the Philox multiplications, the
- * vector extension types and shuffles of the pair tile and the row sum,
- * and the always_inline and target_clones attributes, which GCC and Clang
- * provide, and #pragma GCC unroll, which steers the compiler only and so
- * changes no value under a compiler that ignores it; mvsde._core loads it
- * with ctypes.
+ * apart from the unsigned __int128 of the Philox multiplications and of
+ * Ryu's products, the vector extension types and shuffles of the pair
+ * tile and the row sum, the always_inline, target_clones and constructor
+ * attributes, which GCC and Clang provide, and #pragma GCC unroll, which
+ * steers the compiler only and so changes no value under a compiler that
+ * ignores it; mvsde._core loads it with ctypes.
  *
  * Runtime dispatch. mvsde_pair_aggregate, row_norms, step_once,
  * mvsde_fsum_rows, mvsde_ndtri and mvsde_quantized_increments carry
@@ -667,8 +681,10 @@ ALWAYS_INLINE void level_sum(const double *restrict dw, ptrdiff_t dw_step,
  * the step's summed noise W (n x d each), the mean (d), the squares of one
  * row (d) and mvsde_pair_aggregate's scratch (at least 3 n doubles), whose
  * first 3 n hold the vectors r2, pw and den once the pair sums are done.
- * When r2_out is not NULL it receives the squared norm of every row of y.
- * Returns 0 when y holds a non-finite value.
+ * When r2_in is not NULL it holds the squared norm of every row of x, as
+ * row_norms writes them, and the step reads them there. When r2_out is
+ * not NULL it receives the squared norm of every row of y. Returns 0 when
+ * y holds a non-finite value.
  *
  * The self terms run as passes over the particles: the squared norms r2,
  * then pw = |x|^q_b and den = 1 + gamma |x|^e with one loop per
@@ -706,11 +722,12 @@ STEP_CLONES
 static int step_once(const struct mvsde_coeffs *cf, const double *x,
                      double *y, ptrdiff_t n, ptrdiff_t d, const double *dw,
                      ptrdiff_t dw_step, ptrdiff_t dw_row, ptrdiff_t ratio,
-                     double *work, double *r2_out)
+                     double *work, const double *r2_in, double *r2_out)
 {
     double *F = work, *G = F + n * d, *W = G + n * d, *mean = W + n * d;
     double *sq = mean + d;
-    double *r2 = sq + d, *pw = r2 + n, *den = pw + n;
+    double *r2w = sq + d, *pw = r2w + n, *den = pw + n;
+    const double *r2 = r2w;
     double dn = (double)n, q = cf->q_b, e = cf->e, gamma = cf->gamma, r;
     double bad = 0.0;
     ptrdiff_t i, c, k = cf->k_noise;
@@ -732,12 +749,14 @@ static int step_once(const struct mvsde_coeffs *cf, const double *x,
     }
     if (cf->kf1 != 0.0 || cf->kfq != 0.0 || cf->c_g != 0.0)
         mvsde_pair_aggregate(x, n, d, cf->kf1, cf->kfq, cf->q_f, cf->c_g,
-                             gamma, e, F, G, r2);
+                             gamma, e, F, G, r2w);
     else
         memset(F, 0, 2 * (size_t)(n * d) * sizeof(double));
 
-    if (cf->betaq != 0.0 || gamma != 0.0)
-        row_norms(x, n, d, sq, r2);
+    if (r2_in != NULL)
+        r2 = r2_in;
+    else if (cf->betaq != 0.0 || gamma != 0.0)
+        row_norms(x, n, d, sq, r2w);
     if (cf->betaq != 0.0) {
         if (q == 2.0 && d == 1)
             /* RN(sqrt(r2))^2 rounds to r2 at d = 1 (see above) */
@@ -826,8 +845,11 @@ ptrdiff_t mvsde_advance(const struct mvsde_coeffs *cf, double *X, double *Y,
     int finite = 1;
 
     for (s = 0; s < steps && finite; s++) {
+        /* row s - 1 of obs holds the norms of cur: step s - 1 wrote
+         * them */
         finite = step_once(cf, cur, next, n, d, dw + s * ratio * dw_step,
                            dw_step, dw_row, ratio, work,
+                           obs != NULL && s > 0 ? obs + (s - 1) * n : NULL,
                            obs != NULL ? obs + s * n : NULL);
         if (keep != NULL && keep[s]) {
             memcpy(rec, next, bytes);
@@ -1378,4 +1400,240 @@ void mvsde_quantized_increments(double *a, ptrdiff_t n, double scale)
         for (i = i0; i < i0 + m; i++)
             a[i] = rint(a[i] * scale / QUANT) * QUANT + 0.0;
     }
+}
+
+/* Ryu's tables, as (low, high) words: REPR_POW5[i] is 5^i cut to its top
+ * REPR_BITS bits, REPR_POW5_INV[q] = floor(2^(len(5^q) - 1 + REPR_BITS) /
+ * 5^q) + 1 with len the bit length; doubles need i <= 325, q <= 290. */
+#define REPR_BITS 125
+#define REPR_POW5_SIZE 326
+#define REPR_POW5_INV_SIZE 291
+/* 32-bit limbs of 5^i < 2^755 and of floor(2^REPR_TOP / 5^i) */
+#define REPR_LIMBS 26
+#define REPR_TOP 831
+/* len(5^q) for 0 <= q <= 3528, Ryu's pow5bits */
+#define REPR_LEN5(q) ((int)((((uint32_t)(q) * 1217359) >> 19) + 1))
+
+static uint64_t REPR_POW5[REPR_POW5_SIZE][2];
+static uint64_t REPR_POW5_INV[REPR_POW5_INV_SIZE][2];
+
+/* The most chars of one value's text, "-2.2250738585072014e-308" */
+const int mvsde_repr_width = 24;
+
+/* t = bits j to j + 127 of the limbs a, as (low, high) words; bits
+ * outside the limbs are 0 */
+static void repr_cut(const uint32_t *a, int j, uint64_t *t)
+{
+    int k;
+
+    t[0] = t[1] = 0;
+    for (k = 0; k < 128; k++)
+        if (j + k >= 0 && j + k < 32 * REPR_LIMBS)
+            t[k / 64] |= (uint64_t)(a[(j + k) / 32] >> ((j + k) % 32) & 1)
+                         << (k % 64);
+}
+
+/* Fills both tables when the library is loaded, before any thread can
+ * call mvsde_repr_join: p runs through 5^i and x through
+ * floor(2^REPR_TOP / 5^i), as floor(floor(a / b) / c) = floor(a / (b c)),
+ * so REPR_POW5_INV[i] - 1 is x cut at bit REPR_TOP - (len - 1 +
+ * REPR_BITS) >= 31. */
+__attribute__((constructor)) static void repr_tables(void)
+{
+    uint32_t p[REPR_LIMBS] = {1}, x[REPR_LIMBS] = {0};
+    uint64_t carry, *t;
+    int i, w, len;
+
+    x[REPR_TOP / 32] = (uint32_t)1 << (REPR_TOP % 32);
+    for (i = 0; i < REPR_POW5_SIZE; i++) {
+        if (i > 0) {
+            for (carry = 0, w = 0; w < REPR_LIMBS; w++) {
+                carry += (uint64_t)p[w] * 5;
+                p[w] = (uint32_t)carry;
+                carry >>= 32;
+            }
+            for (carry = 0, w = REPR_LIMBS - 1; w >= 0; w--) {
+                carry = carry << 32 | x[w];
+                x[w] = (uint32_t)(carry / 5);
+                carry %= 5;
+            }
+        }
+        len = REPR_LEN5(i);
+        repr_cut(p, len - REPR_BITS, REPR_POW5[i]);
+        if (i < REPR_POW5_INV_SIZE) {
+            t = REPR_POW5_INV[i];
+            repr_cut(x, REPR_TOP - (len - 1 + REPR_BITS), t);
+            t[1] += ++t[0] == 0;
+        }
+    }
+}
+
+/* (m mul) >> j for the 128-bit table entry mul and 64 < j */
+static inline uint64_t repr_mul_shift(uint64_t m, const uint64_t *mul, int j)
+{
+    unsigned __int128 b0 = (unsigned __int128)m * mul[0],
+                      b2 = (unsigned __int128)m * mul[1];
+    return (uint64_t)(((b0 >> 64) + b2) >> (j - 64));
+}
+
+/* Whether 5^q divides v > 0 */
+static int repr_fives(uint64_t v, int q)
+{
+    for (; q > 0 && v % 5 == 0; q--)
+        v /= 5;
+    return q == 0;
+}
+
+/* Ryu's d2d: the digits of the finite nonzero double with fields mant and
+ * ex, as an integer times 10^*e10. vr, vp and vm are it and the ends of its
+ * interval scaled by 10^-e10; vm_zeros and vr_zeros say they are exact. */
+static uint64_t repr_shortest(uint64_t mant, int ex, int *e10)
+{
+    int e2 = (ex == 0 ? 1 : ex) - 1023 - 52 - 2, q, j, removed = 0;
+    uint64_t m2 = ex == 0 ? mant : (uint64_t)1 << 52 | mant, mv = 4 * m2;
+    uint64_t vr, vp, vm;
+    const uint64_t *mul;
+    /* the gap below is half the one above at a power of two; an end
+     * reads back to the double when its significand is even */
+    int mm_shift = mant != 0 || ex <= 1, even = (m2 & 1) == 0;
+    int vm_zeros = 0, vr_zeros = 0, last = 0;
+
+    if (e2 >= 0) {
+        /* q = floor(log10(2^e2)) less one above e2 = 3 */
+        q = (int)(((uint32_t)e2 * 78913) >> 18) - (e2 > 3);
+        *e10 = q;
+        mul = REPR_POW5_INV[q];
+        j = -e2 + q + REPR_BITS - 1 + REPR_LEN5(q);
+    } else {
+        /* q = floor(log10(5^-e2)) less one above -e2 = 1 */
+        q = (int)(((uint32_t)-e2 * 732923) >> 20) - (-e2 > 1);
+        *e10 = q + e2;
+        mul = REPR_POW5[-e2 - q];
+        j = q + REPR_BITS - REPR_LEN5(-e2 - q);
+    }
+    vr = repr_mul_shift(mv, mul, j);
+    vp = repr_mul_shift(mv + 2, mul, j);
+    vm = repr_mul_shift(mv - 1 - mm_shift, mul, j);
+    if (e2 >= 0 && q <= 21) {
+        /* only one of mv, mv + 2 and mm can be a multiple of 5 */
+        if (mv % 5 == 0)
+            vr_zeros = repr_fives(mv, q);
+        else if (even)
+            vm_zeros = repr_fives(mv - 1 - mm_shift, q);
+        else
+            vp -= repr_fives(mv + 2, q);
+    } else if (e2 < 0 && q <= 1) {
+        /* mv has two trailing zero bits, mv + 2 one */
+        vr_zeros = 1;
+        if (even)
+            vm_zeros = mm_shift;
+        else
+            vp--;
+    } else if (e2 < 0 && q < 63) {
+        vr_zeros = (mv & (((uint64_t)1 << q) - 1)) == 0;
+    }
+    /* drop digits while [vm, vp] holds a shorter number, 8, 4, 2, then 1
+     * at a time, and an exact vm's trailing zeros; last is the last digit
+     * dropped from vr, and vr_zeros stays set while those before were 0 */
+#define REPR_DROP(more, p10, k)                                           \
+    while (more) {                                                       \
+        vm_zeros &= vm % (p10) == 0;                                     \
+        vr_zeros &= last == 0 && vr % ((p10) / 10) == 0;                 \
+        last = (int)(vr % (p10) / ((p10) / 10));                         \
+        vr /= (p10);                                                     \
+        vp /= (p10);                                                     \
+        vm /= (p10);                                                     \
+        removed += (k);                                                  \
+    }
+    REPR_DROP(vp / 100000000 > vm / 100000000, 100000000, 8)
+    REPR_DROP(vp / 10000 > vm / 10000, 10000, 4)
+    REPR_DROP(vp / 100 > vm / 100, 100, 2)
+    REPR_DROP(vp / 10 > vm / 10, 10, 1)
+    REPR_DROP(vm_zeros && vm % 10 == 0, 10, 1)
+#undef REPR_DROP
+    if (vr_zeros && last == 5 && vr % 2 == 0)
+        last = 4; /* exactly ...50...0: round to even */
+    *e10 += removed;
+    /* round up past a digit >= 5, or from vm when vm is outside */
+    return vr + ((vr == vm && (!even || !vm_zeros)) || last >= 5);
+}
+
+/* Writes float.__repr__(x) of a finite x at s and returns its end: for the
+ * digits d1...dn of d1.d2...dn 10^E, fixed at -4 <= E < 16, else d1.d2...dn
+ * (d1 alone at n = 1), "e", the sign of E and two or three digits. */
+static char *repr_one(double x, char *s)
+{
+    uint64_t bits, v;
+    uint32_t lo, mid;
+    char digits[17];
+    const char *d = digits;
+    int e10, n = 17, E, k;
+
+    memcpy(&bits, &x, sizeof(bits));
+    if (bits >> 63)
+        *s++ = '-';
+    if ((bits << 1) == 0) {
+        memcpy(s, "0.0", 3);
+        return s + 3;
+    }
+    v = repr_shortest(bits << 12 >> 12, (int)(bits >> 52 & 0x7ff), &e10);
+    /* the 17 places of v < 10^17, in two 32-bit chains of 8, then the
+     * leading zeros skipped */
+    lo = (uint32_t)(v % 100000000);
+    mid = (uint32_t)(v / 100000000 % 100000000);
+    digits[0] = (char)('0' + v / 10000000000000000);
+    for (k = 16; k > 8; k--, lo /= 10, mid /= 10) {
+        digits[k] = (char)('0' + lo % 10);
+        digits[k - 8] = (char)('0' + mid % 10);
+    }
+    for (; *d == '0'; d++)
+        n--;
+    E = e10 + n - 1;
+    if (E < -4 || E >= 16) {
+        s[0] = d[0];
+        s[1] = '.';
+        memcpy(s + 2, d + 1, n - 1);
+        s += n > 1 ? n + 1 : 1;
+        *s++ = 'e';
+        *s++ = E < 0 ? '-' : '+';
+        E = E < 0 ? -E : E;
+        if (E >= 100)
+            *s++ = (char)('0' + E / 100);
+        *s++ = (char)('0' + E / 10 % 10);
+        *s++ = (char)('0' + E % 10);
+    } else if (E < 0) {
+        /* "0.", -E - 1 zeros, the digits */
+        memcpy(s, "0.000", 5);
+        memcpy(s + 1 - E, d, n);
+        s += 1 - E + n;
+    } else {
+        /* the first E + 1 places, padded with zeros, ".", the rest or 0 */
+        k = E + 1 < n ? E + 1 : n;
+        memcpy(s, d, k);
+        memset(s + k, '0', E + 1 - k);
+        s[E + 1] = '.';
+        s[E + 2] = '0';
+        memcpy(s + E + 2, d + k, n - k);
+        s += E + 2 + (n > k ? n - k : 1);
+    }
+    return s;
+}
+
+/* sep.join(map(float.__repr__, v[:n])) as bytes into out, which holds
+ * n * (mvsde_repr_width + sep_len) chars; returns the number written, or
+ * -1 when some value is not finite. */
+ptrdiff_t mvsde_repr_join(const double *v, ptrdiff_t n, const char *sep,
+                          ptrdiff_t sep_len, char *out)
+{
+    char *s = out;
+    ptrdiff_t i;
+
+    for (i = 0; i < n; i++) {
+        if (!isfinite(v[i]))
+            return -1;
+        s = repr_one(v[i], s);
+        memcpy(s, sep, sep_len);
+        s += sep_len;
+    }
+    return n > 0 ? s - out - sep_len : 0;
 }

@@ -39,8 +39,9 @@ special cases, so that NumPy and C give the same bits at every exponent.
 
 fsum_rows is the reference of the compiled correctly rounded row sum,
 philox_uniforms that of the compiled Philox stream block, ndtri that of
-the compiled inverse normal CDF and quantized_increments that of the
-compiled turn of uniforms into the Brownian tableau's increments.
+the compiled inverse normal CDF, quantized_increments that of the
+compiled turn of uniforms into the Brownian tableau's increments and
+repr_join that of the compiled float text of the reports.
 """
 
 import math
@@ -292,3 +293,9 @@ def quantized_increments(u, scale):
     u *= QUANT
     u += 0.0
     return u
+
+
+def repr_join(values, sep):
+    """sep.join of float.__repr__ of each float in values: the text json
+    and repr give each value, the shortest that reads back to it."""
+    return sep.join(map(float.__repr__, values))

@@ -44,7 +44,7 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from . import rng as rng_mod
-from ._core import backend_name
+from ._core import backend_name, repr_join
 from ._core.pairwise_py import power
 from ._version import VERSION
 from .config import theoretical_constants, validate
@@ -162,8 +162,8 @@ def _json_text(v, out, pad):
     the report conversions: NumPy integers and floats as Python numbers, a
     dataclass as the dict of its fields in declaration order, dict keys as
     str(key), tuples as lists, and a non-finite float as its repr string
-    ("inf", "-inf", "nan"). A list of finite floats is written by one join;
-    json writes each of them as float.__repr__ too."""
+    ("inf", "-inf", "nan"). A list of finite floats is written by one
+    repr_join; json writes each of them as float.__repr__ too."""
     if isinstance(v, dict):
         if not v:
             out.append("{}")
@@ -185,9 +185,7 @@ def _json_text(v, out, pad):
         inner = pad + "  "
         # a finite sum of floats means no term was inf or nan
         if set(map(type, v)) == {float} and math.isfinite(sum(v)):
-            out.append("[" + inner
-                       + ("," + inner).join(map(float.__repr__, v))
-                       + pad + "]")
+            out.append("[" + inner + repr_join(v, "," + inner) + pad + "]")
             return
         sep = "[" + inner
         for x in v:
@@ -334,8 +332,12 @@ def _coupled_error(path, ref, p, diverged):
     """
     if diverged:
         return _DIVERGED
-    diff = path - ref
-    dist = np.sqrt(np.sum(diff * diff, axis=-1).max(axis=0))
+    sq = path - ref
+    np.multiply(sq, sq, out=sq)
+    # at d = 1, np.sum over the length-1 axis would return each square
+    # unchanged
+    dist = np.sqrt((sq[..., 0] if sq.shape[-1] == 1
+                    else np.sum(sq, axis=-1)).max(axis=0))
     return float(np.mean(power(dist, p))), 0
 
 

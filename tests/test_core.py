@@ -5,7 +5,8 @@ mvsde._core uses at import, so the comparison runs whether or not setup.py
 built the package in place. The C pair routine, which the package calls
 only from the fused kernel, is bound by the c_pair_aggregate fixture,
 from the -mfma build by fma_pair_aggregate and from the build without the
-AVX2 clone by baseline_pair_aggregate.
+AVX2 clone by baseline_pair_aggregate. The compiled float text,
+repr_join, is held to float.__repr__ on each of the three builds.
 """
 
 import ctypes
@@ -26,7 +27,7 @@ import mvsde
 from mvsde._core import (_Coeffs, _select_backend, fsum_rows_py,
                          load_compiled, ndtri_py, pair_aggregate,
                          pair_aggregate_naive, philox_uniforms_py,
-                         quantized_increments_py)
+                         quantized_increments_py, repr_join_py)
 from mvsde._core import pairwise_py
 from mvsde._core.pairwise_py import power
 from mvsde.model import COEFFICIENTS, make_model
@@ -227,30 +228,35 @@ def test_force_fallback_selects_numpy():
          "c.fsum_rows is c.fsum_rows_py, "
          "c.philox_uniforms is c.philox_uniforms_py, "
          "c.ndtri is c.pairwise_py.ndtri, "
-         "c.quantized_increments is c.pairwise_py.quantized_increments)"],
+         "c.quantized_increments is c.pairwise_py.quantized_increments, "
+         "c.repr_join is c.pairwise_py.repr_join)"],
         env=env, check=True, capture_output=True, text=True).stdout
-    assert out.split() == ["numpy", "None"] + ["True"] * 5
+    assert out.split() == ["numpy", "None"] + ["True"] * 6
 
 
 def test_loader_binds_every_kernel_or_none(compiled_library, build_library,
                                            tmp_path):
-    advance, row_sum, uniforms, inverse_cdf, increments, name = (
+    advance, row_sum, uniforms, inverse_cdf, increments, join, name = (
         _select_backend(compiled_library))
     assert name == "c" and callable(advance) and row_sum is not fsum_rows_py
     assert uniforms is not philox_uniforms_py and inverse_cdf is not ndtri_py
     assert increments is not quantized_increments_py
+    assert join is not repr_join_py
     numpy_backend = (None, fsum_rows_py, philox_uniforms_py, ndtri_py,
-                     quantized_increments_py, "numpy")
+                     quantized_increments_py, repr_join_py, "numpy")
     # stale libraries from before the fused kernel, the row sum, the
-    # Philox streams, the inverse normal CDF and the increments kernel
+    # Philox streams, the inverse normal CDF, the increments kernel and the
+    # float text
     older = ["mvsde_pair_aggregate", "mvsde_advance", "mvsde_fsum_rows",
-             "mvsde_philox_uniforms", "mvsde_ndtri"]
+             "mvsde_philox_uniforms", "mvsde_ndtri",
+             "mvsde_quantized_increments"]
     for missing, symbols in (
             ("mvsde_advance", older[:1]),
             ("mvsde_fsum_rows", older[:2]),
             ("mvsde_philox_uniforms", older[:3]),
             ("mvsde_ndtri", older[:4]),
-            ("mvsde_quantized_increments", older)):
+            ("mvsde_quantized_increments", older[:5]),
+            ("mvsde_repr_join", older)):
         stub = tmp_path / ("stale_%s.c" % missing)
         stub.write_text("".join("void %s(void) {}\n" % sym
                                 for sym in symbols))
@@ -269,7 +275,7 @@ def test_loader_binds_every_kernel_or_none(compiled_library, build_library,
         stub = tmp_path / ("stale_%s.c" % label)
         stub.write_text(abi + "".join(
             "void %s(void) {}\n" % sym
-            for sym in older + ["mvsde_quantized_increments"]))
+            for sym in older + ["mvsde_repr_join"]))
         stale = build_library(str(stub), stub.stem + ".so")
         with pytest.raises(AttributeError, match="mvsde_abi is %d, the "
                            "package needs 7" % found):
@@ -646,10 +652,11 @@ _ON_COMPILED = """
 import contextlib, io, sys
 
 import mvsde.cli
-from mvsde import _core, ensemble, rng, scheme
+from mvsde import _core, ensemble, experiments, rng, scheme
 
 (scheme.bind_advance, ensemble.fsum_rows, rng.philox_uniforms,
- rng.ndtri, rng.quantized_increments) = _core.load_compiled(sys.argv[1])
+ rng.ndtri, rng.quantized_increments,
+ experiments.repr_join) = _core.load_compiled(sys.argv[1])
 """
 
 # drives the CLI on the compiled kernels in a fresh interpreter, then
@@ -757,3 +764,93 @@ def test_moment_stability_run_imports_no_numpy_ma(compiled_library,
 
 def test_exact_assignment_imports_its_solver_on_demand():
     assert _run_python(_EXACT_ASSIGNMENT).split() == ["True"]
+
+
+@pytest.fixture(scope="module", params=["default", "fma", "baseline"])
+def c_repr_join(request):
+    """repr_join of the library built with setup.py's flags, of the -mfma
+    build and of the baseline-only build."""
+    name = {"default": "compiled_library", "fma": "fma_library",
+            "baseline": "baseline_library"}[request.param]
+    return load_compiled(request.getfixturevalue(name))[5]
+
+
+def _with_neighbours(values):
+    """values and the doubles one ulp above and below each, finite ones."""
+    a = np.asarray(values, dtype=np.float64)
+    a = np.concatenate([a, np.nextafter(a, np.inf),
+                        np.nextafter(a, -np.inf)])
+    return a[np.isfinite(a)]
+
+
+def _repr_families():
+    """Doubles where the shortest digits or repr's layout have an edge,
+    both signs: every power of two and of ten in range; the subnormals
+    from 5e-324 up and the largest ones; the integers around 2^53 and
+    2^54, where the spacing passes 1 and 2; 64 ulps on either side of
+    1e-4 and 1e16, where repr switches between fixed and exponent
+    notation; the doubles nearest the 17-digit decimal midpoints
+    d1...d16 5 at every exponent, where the rounding of the last digit is
+    closest to a tie; each with its ulp neighbours; and +-0.0."""
+    gen = np.random.default_rng(2018)
+    values = [math.ldexp(1.0, k) for k in range(-1074, 1024)]
+    values += [float("1e%d" % k) for k in range(-323, 309)]
+    values += [float(2 ** 53 + k) for k in range(-300, 300)]
+    values += [float(2 ** 54 + k) for k in range(-300, 300)]
+    for edge in (1e-4, 1e16):
+        for way in (np.inf, -np.inf):
+            x = edge
+            for _ in range(64):
+                x = np.nextafter(x, way)
+                values.append(float(x))
+    for e in range(-339, 293):
+        mantissa = int(gen.integers(10 ** 15, 10 ** 16))
+        values.append(float("%d5e%d" % (mantissa, e)))
+    subnormal = np.concatenate([np.arange(1, 3000),
+                                np.arange(2 ** 52 - 3000, 2 ** 52)])
+    values += subnormal.astype(np.uint64).view(np.float64).tolist()
+    a = _with_neighbours(values)
+    return np.concatenate([a, -a, [0.0, -0.0]]).tolist()
+
+
+def test_repr_join_matches_repr_on_structured_families(c_repr_join):
+    values = _repr_families()
+    for sep in (",\n      ", ""):
+        assert c_repr_join(values, sep) == repr_join_py(values, sep)
+    # the longest text fits the width the binding sizes its buffer by
+    texts = c_repr_join(values, " ").split(" ")
+    assert max(map(len, texts)) == 24 == len(repr(-2.0 ** -1022))
+
+
+def test_repr_join_matches_repr_on_random_bits(compiled_library):
+    """2^20 random finite bit patterns: every exponent, mostly exponent
+    notation, 17 digits or fewer."""
+    bits = np.random.default_rng(20).integers(0, 2 ** 64, size=1 << 20,
+                                              dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)].tolist()
+    assert len(values) > (1 << 20) - 2000
+    join = load_compiled(compiled_library)[5]
+    assert join(values, ",") == repr_join_py(values, ",")
+
+
+def test_repr_join_edges(compiled_library):
+    """Empty and one-value lists, separators of any length and any text,
+    and a non-finite value: the kernel returns -1 and the binding writes
+    the list as the reference does."""
+    join = load_compiled(compiled_library)[5]
+    for values in ([], [0.5], [-0.0, 1e16, 1e-5, 123.0, 0.0001]):
+        for sep in ("", ",", ", · ", ",\n" + " " * 40):
+            assert join(values, sep) == repr_join_py(values, sep)
+    kernel = ctypes.CDLL(compiled_library).mvsde_repr_join
+    kernel.restype = ctypes.c_ssize_t
+    kernel.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_char_p,
+                       ctypes.c_ssize_t, ctypes.c_void_p]
+    out = ctypes.create_string_buffer(256)
+    for bad in (math.inf, -math.inf, math.nan):
+        values = [1.5, 2.0, bad, 3.0]
+        a = np.array(values)
+        assert kernel(a.ctypes.data, len(a), b",", 1, out) == -1
+        assert kernel(a.ctypes.data, 2, b",", 1, out) == 7
+        assert out.raw[:7] == b"1.5,2.0"
+        assert join(values, ", ") == repr_join_py(values, ", ")

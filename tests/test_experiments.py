@@ -191,6 +191,36 @@ def test_sup_distance_takes_the_root_after_the_max(d):
         assert _coupled_error(path, ref, 2.0, True) == (None, 1)
 
 
+@pytest.mark.parametrize("d", (1, 2, 3, 8, 9))
+def test_gap_squares_in_place_as_the_summed_squares(d):
+    """The coupled error squares the gap in place and, at d = 1, takes the
+    one component where np.sum over the length-1 axis would be: each
+    particle's distance keeps the bits of np.sqrt(np.sum(diff * diff,
+    axis=-1).max(axis=0)), on gaps whose squares are subnormal or
+    underflow to zero, near the top of the range, or overflow to inf."""
+    gen = np.random.default_rng(100 + d)
+    steps, n = 5, 48
+    ref = gen.normal(size=(steps, n, d))
+    scale = np.empty((steps, n, d))
+    # per particle one kind of gap: ordinary, subnormal squares, squares
+    # near 1e300, and squares past the largest double
+    for i, (lo, hi) in enumerate(((-3, 0), (-165, -150), (145, 150),
+                                  (154, 200)) * (n // 4)):
+        scale[:, i] = 10.0 ** gen.uniform(lo, hi, size=(steps, d))
+    path = ref + scale * gen.choice((-1.0, 1.0), size=ref.shape)
+    path[1, :4] = ref[1, :4]  # and a zero gap at one step
+    diff = path - ref
+    with np.errstate(over="ignore"):
+        want = np.sqrt(np.sum(diff * diff, axis=-1).max(axis=0))
+        got = np.array([_coupled_error(path[:, i:i + 1], ref[:, i:i + 1],
+                                       1.0, False)[0] for i in range(n)])
+        for p in (1.0, 2.0, 3.0):
+            assert _coupled_error(path, ref, p, False) == (
+                float(np.mean(power(want, p))), 0)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert np.isinf(got).any() and (got[1::4] < 1e-140).all()
+
+
 def test_poc_reference_identity_is_exact():
     # a prefix as large as the reference must give zero gap: prefix
     # coupling makes the two runs the same simulation

@@ -222,6 +222,45 @@ def test_block_observers_match_per_step(monkeypatch, advance, d, size,
     assert diverged < ens.t_index
 
 
+@pytest.mark.parametrize("rows", (1, 2, 5))
+@pytest.mark.parametrize("d", (1, 3, 8))
+def test_norms_carried_between_steps_match_step(monkeypatch, advance, d,
+                                                rows):
+    """Where a callback observes every step, a kernel call reads each
+    step's squared norms from the row its previous step wrote, and the
+    first step of each call computes them. Blocks of `rows` steps make a
+    run many kernel calls; the states after every step, the norm blocks
+    and the moments equal the NumPy step's, on the growth power and the
+    taming denominator, with and without noise, q = 2 and q = 3."""
+    size = 33
+    monkeypatch.setattr(scheme, "_OBS_ELEMENTS", rows * size)
+    cases = []
+    for variant, q, params in (("finite", 2.0, {}), ("ergodic", 3.0, {}),
+                               ("finite", 2.0, _PURE_CUBIC),
+                               ("off", 2.0, _PURE_CUBIC)):
+        tm = TamedModel(make_model("cubic-mean-field", d=d,
+                                   params=dict(params, q=q)), 16, variant)
+        cases.append((tm, initial_law("gaussian", 0.5, 1.5)))
+    for tm, law in cases:
+        tab = make_tableau(29, size, tm.base.l, 2.0, tm.n)
+        runs = []
+        for kernel in (advance, None):
+            rec = scheme.StateRecorder(range(tab.total_steps + 1))
+            moment, blocks = scheme.MomentTracker(4.0), _Blocks()
+            ens = _simulate(monkeypatch, kernel, tm, tab, law,
+                            callbacks=[rec, moment, blocks])
+            runs.append((ens, [rec], moment, blocks))
+        (ens, recs, moment, blocks), ref = runs
+        _assert_same_run((ens, recs), ref[:2])
+        # the initial norms and at least two kernel calls
+        assert len(blocks.blocks) == len(ref[3].blocks) >= 3
+        for (k_a, r2_a), (k_b, r2_b) in zip(blocks.blocks, ref[3].blocks):
+            assert k_a == k_b
+            _assert_same_arrays(r2_a, r2_b)
+        _assert_same_arrays(np.asarray(moment.values),
+                            np.asarray(ref[2].values))
+
+
 def test_divergence_tracker_boundary(monkeypatch, advance):
     threshold2 = DIVERGENCE_NORM * DIVERGENCE_NORM
     assert threshold2 == 1e20  # 1e10 squared is exact
@@ -958,7 +997,8 @@ def _outputs(out_dir, data, report):
 def test_driver_bytes_match_across_backends(monkeypatch, compiled_library,
                                             tmp_path, capsys):
     """moment-stability, a q = 3 simulate, strong-rate and ergodic write
-    the same bytes on C and on NumPy.
+    the same bytes on C, the float text of the reports included, and on
+    NumPy.
 
     The C run has every compiled kernel switched in, the NumPy run is a
     fresh interpreter with MVSDE_FORCE_FALLBACK=1; only the config echo's
@@ -968,9 +1008,10 @@ def test_driver_bytes_match_across_backends(monkeypatch, compiled_library,
     states the kernel records for the two drivers that read a
     StateRecorder.
     """
-    advance, fsum_rows, uniforms, ndtri, increments = load_compiled(
-        compiled_library)
+    advance, fsum_rows, uniforms, ndtri, increments, repr_join = (
+        load_compiled(compiled_library))
     monkeypatch.setattr(scheme, "bind_advance", advance)
+    monkeypatch.setattr("mvsde.experiments.repr_join", repr_join)
     monkeypatch.setattr(ensemble, "fsum_rows", fsum_rows)
     monkeypatch.setattr("mvsde.rng.philox_uniforms", uniforms)
     monkeypatch.setattr("mvsde.rng.ndtri", ndtri)

@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvsde import experiments
+from mvsde._core import load_compiled, repr_join_py
 from mvsde.config import emit_config, make_config
 from mvsde.experiments import (_write_json, run_ergodic_contraction,
                                run_moment_stability, run_poc_rate,
@@ -135,6 +137,14 @@ class _Fit:
     points: object
 
 
+def _bit_pattern_floats(seed, size):
+    """size doubles from random 64-bit patterns: every exponent, a few
+    infs and nans among them."""
+    bits = np.random.default_rng(seed).integers(0, 2 ** 64, size=size,
+                                                dtype=np.uint64)
+    return bits.view(np.float64).tolist()
+
+
 def _report_values():
     floats = st.one_of(
         st.floats(allow_nan=True, allow_infinity=True),
@@ -149,20 +159,40 @@ def _report_values():
                      st.floats(allow_nan=False))
     return st.recursive(scalars, lambda inner: st.one_of(
         st.lists(inner), st.lists(floats), st.lists(inner).map(tuple),
+        st.builds(_bit_pattern_floats, st.integers(0, 2 ** 32 - 1),
+                  st.integers(1000, 1100)),
         st.dictionaries(keys, inner),
         st.builds(_Fit, inner, inner)), max_leaves=40)
 
 
+@pytest.fixture(scope="module")
+def report_joins(request):
+    """The report writer's repr_join on each backend: the NumPy one, and
+    the compiled one where a C compiler builds it."""
+    joins = [repr_join_py]
+    try:
+        joins.append(load_compiled(
+            request.getfixturevalue("compiled_library"))[5])
+    except pytest.skip.Exception:
+        pass
+    return joins
+
+
 @settings(max_examples=300, deadline=None)
 @given(body=_report_values())
-def test_writer_matches_json_dump(body, tmp_path_factory):
+def test_writer_matches_json_dump(body, report_joins, tmp_path_factory):
     """Nested dicts, lists, tuples and empty containers; unicode and
     escaped strings; ints, bools and None; signed zeros, subnormals, inf
-    and nan (written as their repr strings) and lists of floats alone;
-    NumPy scalars and dataclasses: the bytes of json.dump(indent=2)."""
+    and nan (written as their repr strings), lists of floats alone and
+    lists of 1,000 or more floats from random bit patterns; NumPy scalars
+    and dataclasses: the bytes of json.dump(indent=2), with the float
+    lists written by the NumPy and by the compiled repr_join."""
     path = tmp_path_factory.mktemp("json") / "report.json"
-    _write_json(str(path), body)
-    assert path.read_bytes() == _reference_bytes(body)
+    for join in report_joins:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "repr_join", join)
+            _write_json(str(path), body)
+        assert path.read_bytes() == _reference_bytes(body)
 
 
 def test_writer_merges_keys_equal_as_strings(tmp_path):
