@@ -18,7 +18,24 @@ probes       numerical checks of the structural inequalities
 experiments  convergence / stability / contraction drivers
 config       INI config grammar, validation, canonical emission
 cli          the `mvsde` command-line entry point
+
+Importing the package first loads NumPy with its OpenBLAS capped at one
+thread, unless NumPy is already loaded or OPENBLAS_NUM_THREADS is set:
+the pool OpenBLAS would start spins on a CPU the repetitions could use,
+and the one BLAS call, sliced W2's matrix-vector product, gives the same
+bytes on one thread. The environment is restored right after.
 """
+
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+    # OpenBLAS reads the variable once, when NumPy loads it
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from ._core import backend_name
 from ._version import VERSION as __version__

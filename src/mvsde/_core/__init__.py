@@ -265,7 +265,9 @@ class _BoundAdvance:
                                  "states of shape %r"
                                  % (rec.shape, kept, self._state_shape))
         # a CDLL call releases the GIL, so the kernel calls of reps on
-        # other threads run in parallel
+        # other threads run in parallel, each on the CPU experiments.
+        # _map_reps pinned its worker to; no BLAS pool competes for them
+        # (mvsde/__init__.py)
         return self._kernel(*self._head, block.ctypes.data, rows * width,
                             width, self._ratio, steps, self._work,
                             None if obs is None else obs.ctypes.data,

@@ -24,8 +24,9 @@ report object. Reports embed the resolved config, the package version
 and the pairwise backend, but never timestamps or the thread count, so
 a rerun with the same config and seed is byte-identical at any
 parallelism level. Monte Carlo repetition m runs on seed + m; reps are
-independent tasks merged in index order; report assembly is
-single-threaded.
+independent tasks, run on min(threads, reps) worker threads that each
+hold one of the process's allowed CPUs (_map_reps), and merged in index
+order; report assembly is single-threaded.
 
 Each driver first validates its config through config.validate, the
 rule set make_config and parse_config apply, so a config they would
@@ -34,6 +35,7 @@ outside the contraction regime) raises ConfigError before anything is
 written.
 """
 
+import itertools
 import math
 import os
 import warnings
@@ -246,10 +248,31 @@ def _emit(cfg, report, rows):
 
 
 def _map_reps(worker, reps, threads):
-    """worker(m) for m in range(reps), results merged in index order."""
-    if threads <= 1:
+    """worker(m) for m in range(reps), results merged in index order.
+
+    Runs inline with one worker, else on min(threads, reps) threads,
+    worker thread k pinned to the k-th CPU the calling thread may use
+    (round-robin past the last), since a scheduler that does not balance
+    load leaves every thread on the CPU that created it. Where the OS
+    cannot pin a thread, the workers stay unpinned.
+    """
+    workers = min(threads, reps)
+    if workers <= 1:
         return [worker(m) for m in range(reps)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        cpus = ()
+    slots = itertools.count()
+
+    def pin():
+        if cpus:
+            try:
+                os.sched_setaffinity(0, (cpus[next(slots) % len(cpus)],))
+            except (AttributeError, OSError):
+                pass
+
+    with ThreadPoolExecutor(max_workers=workers, initializer=pin) as pool:
         return list(pool.map(worker, range(reps)))
 
 
