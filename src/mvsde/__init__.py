@@ -20,22 +20,34 @@ config       INI config grammar, validation, canonical emission
 cli          the `mvsde` command-line entry point
 
 Importing the package first loads NumPy with its OpenBLAS capped at one
-thread, unless NumPy is already loaded or OPENBLAS_NUM_THREADS is set:
-the pool OpenBLAS would start spins on a CPU the repetitions could use,
-and the one BLAS call, sliced W2's matrix-vector product, gives the same
-bytes on one thread. The environment is restored right after.
+thread, and the two lazy SciPy imports (the NumPy backend's ndtri and
+exact-assignment W2) load SciPy's OpenBLAS under the same cap, unless the
+module is already loaded or OPENBLAS_NUM_THREADS is set: the pool OpenBLAS
+would start spins on a CPU the repetitions could use, and the one BLAS
+call, sliced W2's matrix-vector product, gives the same bytes on one
+thread. The environment is restored right after each import.
 """
 
+import importlib as _importlib
 import os as _os
 import sys as _sys
 
-if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
-    # OpenBLAS reads the variable once, when NumPy loads it
+
+def _import_on_one_blas_thread(name):
+    """importlib.import_module(name), with OPENBLAS_NUM_THREADS=1 set for
+    the import when name is not yet loaded and the variable is unset;
+    OpenBLAS reads it once, when the module loads it."""
+    if name in _sys.modules or "OPENBLAS_NUM_THREADS" in _os.environ:
+        return _importlib.import_module(name)
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
-        import numpy as _numpy  # noqa: F401
+        return _importlib.import_module(name)
     finally:
-        del _os.environ["OPENBLAS_NUM_THREADS"]
+        # pop: a rep thread importing at the same time may have removed it
+        _os.environ.pop("OPENBLAS_NUM_THREADS", None)
+
+
+_import_on_one_blas_thread("numpy")
 
 from ._core import backend_name
 from ._version import VERSION as __version__

@@ -1,20 +1,21 @@
-"""Backend selection for the compiled kernels.
+"""The kernel backends: NUMPY, the kernels of pairwise_py, and the C
+kernels of pairwise.c (built by setup.py) that load_compiled binds with
+ctypes. A backend is one value with a ``name``, "numpy" or "c", and six
+kernels by name; ``kernels`` is the active one, the compiled one when the
+build produced it (and MVSDE_FORCE_FALLBACK is unset) and NUMPY
+otherwise. Every module calls ``kernels.<kernel>`` at call time, so one
+assignment of ``kernels`` switches them all, and backend_name.
 
-Prefers the compiled C kernels (pairwise.c, built by setup.py and loaded
-with ctypes) when the build produced them and falls back to the pure numpy
-implementation otherwise. ``bind_advance`` is the fused multi-step kernel
-that mvsde.scheme.simulate runs on the C backend for every model; it reads
-the finest rows of the Brownian table and sums each step's rows itself at
-a coarser level. It is None on the numpy backend, where simulate runs
-scheme.step on rng.level_increments. ``fsum_rows``, the correctly rounded
-row sum of the moment observers, ``philox_uniforms``, the per-particle
-Philox streams of the Brownian tableau and the initial states, ``ndtri``,
-the inverse normal CDF applied to those streams, and
-``quantized_increments``, which turns a block of those uniforms into the
-tableau's increments in place, give the same bits on both, and
-``repr_join``, which joins the float.__repr__ text of a list of floats,
-the same text. On the C backend nothing here imports SciPy; the numpy
-``ndtri`` is scipy.special.ndtri, imported on its first call.
+``bind_advance`` is the fused multi-step kernel that mvsde.scheme.simulate
+runs on the C backend for every model, summing each step's rows of the
+finest Brownian table itself; it is None on NUMPY, where simulate runs
+scheme.step on rng.level_increments. ``fsum_rows`` (the moment
+observers' correctly rounded row sum), ``philox_uniforms`` (the
+per-particle Philox streams), ``ndtri`` (the inverse normal CDF) and
+``quantized_increments`` (uniforms to the tableau's increments, in place)
+give the same bits on both, and ``repr_join`` (the float.__repr__ text of
+a list of floats) the same text. On the C backend nothing here imports
+SciPy; NUMPY's ``ndtri`` is scipy.special.ndtri, imported on first call.
 
 ``pair_aggregate`` is the numpy pair kernel on both backends: scheme.step
 calls it, and the fused kernel calls its C twin mvsde_pair_aggregate,
@@ -22,13 +23,13 @@ which gives the same bits at tame_g = 1, the scheme's taming of g and the
 only one the C routine has. Both follow pairwise_py.pair_factors, the
 per-pair algebra of the scheme. ``pairwise_py.power`` is the one power
 rule of both backends: outside each power site's special cases an
-exponent goes to libm pow, so the backends agree at every exponent. Set
-MVSDE_FORCE_FALLBACK=1 to skip the compiled kernels without rebuilding.
+exponent goes to libm pow, so the backends agree at every exponent.
 """
 
 import ctypes
 import importlib.machinery
 import os
+import types
 
 import numpy as np
 
@@ -37,15 +38,17 @@ from . import pairwise_py
 
 pair_aggregate = pairwise_py.pair_aggregate
 pair_aggregate_naive = pairwise_py.pair_aggregate_naive
-fsum_rows_py = pairwise_py.fsum_rows
-philox_uniforms_py = pairwise_py.philox_uniforms
-ndtri_py = pairwise_py.ndtri
-quantized_increments_py = pairwise_py.quantized_increments
-repr_join_py = pairwise_py.repr_join
+
+NUMPY = types.SimpleNamespace(
+    name="numpy", bind_advance=None, fsum_rows=pairwise_py.fsum_rows,
+    philox_uniforms=pairwise_py.philox_uniforms, ndtri=pairwise_py.ndtri,
+    quantized_increments=pairwise_py.quantized_increments,
+    repr_join=pairwise_py.repr_join)
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 # the mvsde_abi of the pairwise.c these bindings are written for
 _ABI = 7
+_PTR, _SIZE = ctypes.c_void_p, ctypes.c_ssize_t
 
 
 class _Coeffs(ctypes.Structure):
@@ -58,25 +61,44 @@ class _Coeffs(ctypes.Structure):
                 + [("k_noise", ctypes.c_ssize_t)])
 
 
-def load_compiled(path):
-    """Bind every C kernel in the shared library at path.
+# (restype, argtypes) of each pairwise.c kernel the package binds
+_SIGNATURES = {
+    "mvsde_advance": (_SIZE, [ctypes.POINTER(_Coeffs), _PTR, _PTR, _SIZE,
+                              _SIZE, _PTR] + [_SIZE] * 4 + [_PTR] * 4),
+    "mvsde_fsum_rows": (None, [_PTR, _SIZE, _SIZE, _PTR]),
+    "mvsde_philox_uniforms": (None, [ctypes.c_uint64] + [_SIZE] * 3 + [_PTR]),
+    "mvsde_ndtri": (None, [_PTR, _SIZE]),
+    "mvsde_quantized_increments": (None, [_PTR, _SIZE, ctypes.c_double]),
+    "mvsde_repr_join": (_SIZE, [_PTR, _SIZE, ctypes.c_char_p, _SIZE, _PTR]),
+}
 
-    Returns (bind_advance, fsum_rows, philox_uniforms, ndtri,
-    quantized_increments, repr_join). All but bind_advance have the
-    signatures and results of their pairwise_py namesakes; bind_advance
-    is described in its own docstring.
+
+def _address(a, what, writes=False, dtype=np.float64):
+    """Address of the array a for a C kernel (None for None), after the one
+    check of every array handed to C: C-contiguous, of dtype, and
+    writeable where C writes into it. ValueError naming what otherwise."""
+    if a is None:
+        return None
+    if (a.dtype != dtype or not a.flags.c_contiguous
+            or writes and not a.flags.writeable):
+        raise ValueError("%s must be a %sC-contiguous %s array" % (
+            what, "writeable " if writes else "", np.dtype(dtype).name))
+    return a.ctypes.data
+
+
+def load_compiled(path):
+    """The backend of the C kernels in the shared library at path: NUMPY's
+    names, name "c", and every kernel but bind_advance (see its docstring)
+    with the signature and results of its pairwise_py namesake.
     Raises OSError when the library cannot be loaded and AttributeError
     when it lacks any kernel symbol or was built from a pairwise.c with
     another mvsde_abi, so a stale library never provides some kernels
     without the others, nor kernels with other signatures.
     """
     lib = ctypes.CDLL(path)
-    step_kernel = lib.mvsde_advance
-    sum_kernel = lib.mvsde_fsum_rows
-    uniform_kernel = lib.mvsde_philox_uniforms
-    ndtri_kernel = lib.mvsde_ndtri
-    increments_kernel = lib.mvsde_quantized_increments
-    join_kernel = lib.mvsde_repr_join
+    for symbol, (restype, argtypes) in _SIGNATURES.items():
+        kernel = getattr(lib, symbol)  # which lib keeps as its attribute
+        kernel.restype, kernel.argtypes = restype, argtypes
     try:
         abi = ctypes.c_int.in_dll(lib, "mvsde_abi").value
     except ValueError:  # built before pairwise.c had the constant
@@ -86,27 +108,6 @@ def load_compiled(path):
                              % (abi, _ABI))
     pair_rows = ctypes.c_int.in_dll(lib, "mvsde_pair_rows").value
     repr_width = ctypes.c_int.in_dll(lib, "mvsde_repr_width").value
-    step_kernel.restype = ctypes.c_ssize_t
-    step_kernel.argtypes = ([ctypes.POINTER(_Coeffs), ctypes.c_void_p,
-                             ctypes.c_void_p]
-                            + [ctypes.c_ssize_t] * 2 + [ctypes.c_void_p]
-                            + [ctypes.c_ssize_t] * 4
-                            + [ctypes.c_void_p] * 4)
-    sum_kernel.restype = None
-    sum_kernel.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t,
-                           ctypes.c_ssize_t, ctypes.c_void_p]
-    uniform_kernel.restype = None
-    uniform_kernel.argtypes = ([ctypes.c_uint64] + [ctypes.c_ssize_t] * 3
-                               + [ctypes.c_void_p])
-    ndtri_kernel.restype = None
-    ndtri_kernel.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t]
-    increments_kernel.restype = None
-    increments_kernel.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t,
-                                  ctypes.c_double]
-    join_kernel.restype = ctypes.c_ssize_t
-    join_kernel.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t,
-                            ctypes.c_char_p, ctypes.c_ssize_t,
-                            ctypes.c_void_p]
 
     def bind_advance(coeffs, states, scratch, ratio):
         """_BoundAdvance over this library's mvsde_advance.
@@ -114,8 +115,8 @@ def load_compiled(path):
         coeffs maps every _Coeffs field name to its value; ratio is the
         number of noise rows a step sums.
         """
-        return _BoundAdvance(step_kernel, _Coeffs(**coeffs), states, scratch,
-                             ratio, pair_rows)
+        return _BoundAdvance(lib.mvsde_advance, _Coeffs(**coeffs), states,
+                             scratch, ratio, pair_rows)
 
     def fsum_rows(a):
         """See pairwise_py.fsum_rows for the reference semantics."""
@@ -124,7 +125,8 @@ def load_compiled(path):
             raise ValueError("fsum_rows needs a 2-D array, got shape %r"
                              % (a.shape,))
         out = np.empty(a.shape[0])
-        sum_kernel(a.ctypes.data, a.shape[0], a.shape[1], out.ctypes.data)
+        lib.mvsde_fsum_rows(_address(a, "rows"), a.shape[0], a.shape[1],
+                            _address(out, "sums", True))
         return out
 
     def philox_uniforms(key0, shape):
@@ -132,7 +134,8 @@ def load_compiled(path):
         s, n, l = shape
         out = np.empty((s, n, l))
         # released GIL: tableaux of reps on other threads draw in parallel
-        uniform_kernel(key0 & pairwise_py.MASK64, n, s, l, out.ctypes.data)
+        lib.mvsde_philox_uniforms(key0 & pairwise_py.MASK64, n, s, l,
+                                  _address(out, "uniforms", True))
         return out
 
     def ndtri(a, out=None):
@@ -141,23 +144,19 @@ def load_compiled(path):
         if out is None:
             # a C-contiguous copy, also of a strided view such as u[:, :d]
             out = np.array(a, dtype=np.float64, order="C")
-        elif (out is not a or out.dtype != np.float64
-                or not out.flags.c_contiguous or not out.flags.writeable):
-            raise ValueError("ndtri writes in place only into its own "
-                             "writeable C-contiguous float64 input")
+        elif out is not a:
+            raise ValueError("ndtri writes in place only into its own input")
         # released GIL, like the Philox kernel's
-        ndtri_kernel(out.ctypes.data, out.size)
+        lib.mvsde_ndtri(_address(out, "the output ndtri writes in place",
+                                 True), out.size)
         return out
 
     def quantized_increments(u, scale):
         """See pairwise_py.quantized_increments for the reference
         semantics; u must be a writeable C-contiguous float64 array."""
-        if (u.dtype != np.float64 or not u.flags.c_contiguous
-                or not u.flags.writeable):
-            raise ValueError("quantized_increments writes in place only "
-                             "into a writeable C-contiguous float64 array")
         # released GIL, like the Philox kernel's
-        increments_kernel(u.ctypes.data, u.size, scale)
+        lib.mvsde_quantized_increments(
+            _address(u, "the block turned in place", True), u.size, scale)
         return u
 
     def repr_join(values, sep):
@@ -169,13 +168,16 @@ def load_compiled(path):
             raise ValueError("repr_join takes a flat list of floats")
         raw = sep.encode()
         out = ctypes.create_string_buffer(len(a) * (repr_width + len(raw)))
-        size = join_kernel(a.ctypes.data, len(a), raw, len(raw), out)
+        size = lib.mvsde_repr_join(_address(a, "values"), len(a), raw,
+                                   len(raw), out)
         if size < 0:
             return pairwise_py.repr_join(values, sep)
         return ctypes.string_at(out, size).decode()
 
-    return bind_advance, fsum_rows, philox_uniforms, ndtri, \
-        quantized_increments, repr_join
+    return types.SimpleNamespace(
+        name="c", bind_advance=bind_advance, fsum_rows=fsum_rows,
+        philox_uniforms=philox_uniforms, ndtri=ndtri,
+        quantized_increments=quantized_increments, repr_join=repr_join)
 
 
 def pair_scratch_size(n, d, pair_rows):
@@ -189,31 +191,30 @@ def pair_scratch_size(n, d, pair_rows):
 class _BoundAdvance:
     """mvsde_advance bound to one run's coefficients and state buffers.
 
-    states and scratch are the C-contiguous (N, d) float64 buffers of the
-    ensemble, and ratio the number r of rows of a noise block per step.
-    Calling it with (block, steps) advances states in place by up to `steps`
-    steps of a C-contiguous (S, N', l) float64 block with S >= steps * r, N'
-    >= N and l >= k_noise (l = 0 for a model with no noise, whose k_noise is
-    0): step s takes the sum of the rows block[s * r:(s + 1) * r, :N,
-    :k_noise], so a block of the finest increments gives the level n_max / r
-    (rng.level_increments's sums, which are exact). It returns the number of
-    steps with a finite result; a return j < steps means step j + 1 was done
-    and overflowed. With obs, a C-contiguous (R, N) float64 array with R >=
-    steps, row s of obs receives the squared particle norms after step s +
-    1. With keep, a uint8 array of at least `steps` flags, and rec, a
-    C-contiguous (R, N, d) float64 array with a row for every nonzero flag
-    of keep[:steps], the state after step s + 1 goes into the next row of
-    rec wherever keep[s] is nonzero. Both cover every step done, the
-    overflowing one included.
+    states and scratch are the writeable C-contiguous (N, d) float64
+    buffers of the ensemble, and ratio the number r of rows of a noise
+    block per step. Calling it with (block, steps) advances states in place
+    by up to `steps` steps of a C-contiguous (S, N', l) float64 block with
+    S >= steps * r, N' >= N and l >= k_noise (l = 0 for a model with no
+    noise, whose k_noise is 0): step s takes the sum of the rows
+    block[s * r:(s + 1) * r, :N, :k_noise], so a block of the finest
+    increments gives the level n_max / r (rng.level_increments's sums,
+    which are exact). It returns the number of steps with a finite result;
+    a return j < steps means step j + 1 was done and overflowed. With obs,
+    a writeable C-contiguous (R, N) float64 array with R >= steps, row s of
+    obs receives the squared particle norms after step s + 1. With keep, a
+    C-contiguous uint8 array of at least `steps` flags, and rec, a
+    writeable C-contiguous (R, N, d) float64 array with a row for every
+    nonzero flag of keep[:steps], the state after step s + 1 goes into the
+    next row of rec wherever keep[s] is nonzero. Both cover every step
+    done, the overflowing one included.
     """
 
     def __init__(self, kernel, coeffs, states, scratch, ratio, pair_rows):
         n, d = states.shape
-        for buf in (states, scratch):
-            if (buf.shape != (n, d) or buf.dtype != np.float64
-                    or not buf.flags.c_contiguous):
-                raise ValueError("state buffers must be C-contiguous "
-                                 "(%d, %d) float64 arrays" % (n, d))
+        if scratch.shape != (n, d):
+            raise ValueError("scratch of shape %r does not match the states' "
+                             "(%d, %d)" % (scratch.shape, n, d))
         if ratio < 1:
             raise ValueError("a step takes at least one noise row, got "
                              "ratio %d" % ratio)
@@ -229,38 +230,32 @@ class _BoundAdvance:
         # the kernel writes through raw pointers into these, so this object
         # keeps them alive
         self._buffers = (coeffs, states, scratch, work)
-        self._head = (ctypes.byref(coeffs), states.ctypes.data,
-                      scratch.ctypes.data, n, d)
-        self._work = work.ctypes.data
+        self._head = (ctypes.byref(coeffs), _address(states, "states", True),
+                      _address(scratch, "scratch", True), n, d)
+        self._work = _address(work, "work", True)
 
     def __call__(self, block, steps, obs=None, keep=None, rec=None):
         _, rows, width = block.shape
-        if (block.dtype != np.float64 or not block.flags.c_contiguous
-                or rows < self._n or width < self._k_noise):
+        if rows < self._n or width < self._k_noise:
             raise ValueError("noise block of shape %r does not cover %d "
                              "particles" % (block.shape, self._n))
         if not 0 <= steps * self._ratio <= len(block):
             raise ValueError("%d steps of %d rows are outside the noise "
                              "block of %d rows"
                              % (steps, self._ratio, len(block)))
-        if obs is not None and (
-                obs.dtype != np.float64 or not obs.flags.c_contiguous
-                or obs.ndim != 2 or obs.shape[1] != self._n
-                or obs.shape[0] < steps):
+        if obs is not None and (obs.ndim != 2 or obs.shape[1] != self._n
+                                or obs.shape[0] < steps):
             raise ValueError("observation buffer of shape %r does not hold "
                              "%d steps of %d particles"
                              % (obs.shape, steps, self._n))
         if (keep is None) != (rec is None):
             raise ValueError("keep and rec come together")
         if keep is not None:
-            if (keep.dtype != np.uint8 or keep.ndim != 1
-                    or not keep.flags.c_contiguous or len(keep) < steps):
+            if keep.ndim != 1 or len(keep) < steps:
                 raise ValueError("keep mask of shape %r does not flag %d "
                                  "steps" % (keep.shape, steps))
             kept = np.count_nonzero(keep[:steps])
-            if (rec.dtype != np.float64 or not rec.flags.c_contiguous
-                    or rec.shape[1:] != self._state_shape
-                    or len(rec) < kept):
+            if rec.shape[1:] != self._state_shape or len(rec) < kept:
                 raise ValueError("state buffer of shape %r does not hold %d "
                                  "states of shape %r"
                                  % (rec.shape, kept, self._state_shape))
@@ -268,11 +263,11 @@ class _BoundAdvance:
         # other threads run in parallel, each on the CPU experiments.
         # _map_reps pinned its worker to; no BLAS pool competes for them
         # (mvsde/__init__.py)
-        return self._kernel(*self._head, block.ctypes.data, rows * width,
-                            width, self._ratio, steps, self._work,
-                            None if obs is None else obs.ctypes.data,
-                            None if keep is None else keep.ctypes.data,
-                            None if rec is None else rec.ctypes.data)
+        return self._kernel(*self._head, _address(block, "noise block"),
+                            rows * width, width, self._ratio, steps,
+                            self._work, _address(obs, "obs", True),
+                            _address(keep, "keep", dtype=np.uint8),
+                            _address(rec, "rec", True))
 
 
 def _built_library():
@@ -285,27 +280,20 @@ def _built_library():
 
 
 def _select_backend(path):
-    """(bind_advance, fsum_rows, philox_uniforms, ndtri,
-    quantized_increments, repr_join, backend name) for a path.
-
-    Every kernel comes from the library, or the numpy kernels and no fused
-    kernel when path is None or the library lacks any symbol.
-    """
+    """load_compiled(path), or NUMPY when path is None or the library
+    cannot be loaded or lacks any kernel symbol."""
     if path is not None:
         try:
-            return load_compiled(path) + ("c",)
+            return load_compiled(path)
         except (OSError, AttributeError):
             pass
-    return (None, fsum_rows_py, philox_uniforms_py, ndtri_py,
-            quantized_increments_py, repr_join_py, "numpy")
+    return NUMPY
 
 
 _FORCED = os.environ.get("MVSDE_FORCE_FALLBACK", "") not in ("", "0")
-(bind_advance, fsum_rows, philox_uniforms, ndtri, quantized_increments,
- repr_join, _BACKEND) = _select_backend(None if _FORCED
-                                        else _built_library())
+kernels = _select_backend(None if _FORCED else _built_library())
 
 
 def backend_name():
-    """Identifier of the active backend: 'c' or 'numpy'."""
-    return _BACKEND
+    """Identifier of the active backend, kernels.name: 'c' or 'numpy'."""
+    return kernels.name

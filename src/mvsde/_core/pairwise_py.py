@@ -154,16 +154,19 @@ def pair_aggregate(X, kf1, kfq, qf, cg, tam, te, tame_g=1.0):
     g_acc = np.zeros((n, d))
     cols = max(1, PAIR_BLOCK_ELEMENTS // (n * d))
     for j0 in range(0, n, cols):
-        dx = X[:, None, :] - X[None, j0:j0 + cols, :]
+        # partner-major: dx[j, i] = x_i - x_(j0 + j)
+        dx = X[None, :, :] - X[j0:j0 + cols, None, :]
         cf, cgw = pair_factors(pair_r2(dx), kf1, kfq, qf, cg, tam, te,
                                tame_g)
         kf = cf[:, :, None] * dx
         kg = cgw[:, :, None] * dx
-        # ascending-j fold: the fixed accumulation order shared with the
-        # compiled backend
-        for j in range(kf.shape[1]):
-            f_acc += kf[:, j, :]
-            g_acc += kg[:, j, :]
+        # ascending-j fold, the fixed accumulation order shared with the
+        # compiled backend: the running sums join partner row 0, and a
+        # reduction over the outer axis adds the partner rows in order
+        kf[0] += f_acc
+        kg[0] += g_acc
+        np.add.reduce(kf, axis=0, out=f_acc)
+        np.add.reduce(kg, axis=0, out=g_acc)
     return f_acc / float(n), g_acc / float(n)
 
 
@@ -267,13 +270,14 @@ def ndtri(a, out=None):
     """Inverse standard normal CDF, elementwise: scipy.special.ndtri.
 
     The reference for mvsde_ndtri in pairwise.c, which transcribes the
-    same Cephes routine. SciPy is imported here, on the first call, so
-    that the C backend never loads it; it stays SciPy because NumPy's
-    vectorised log is not libm's and would change the last bit.
+    same Cephes routine. SciPy is imported here, on the first call and
+    with OpenBLAS capped at one thread (mvsde/__init__.py), so that the C
+    backend never loads it; it stays SciPy because NumPy's vectorised log
+    is not libm's and would change the last bit.
     """
-    from scipy.special import ndtri as scipy_ndtri
+    from .. import _import_on_one_blas_thread
 
-    return scipy_ndtri(a, out=out)
+    return _import_on_one_blas_thread("scipy.special").ndtri(a, out=out)
 
 
 def quantized_increments(u, scale):

@@ -1,8 +1,8 @@
 """Particle ensemble state and empirical-measure statistics.
 
 The empirical moment sums over particles with a correctly rounded sum
-(math.fsum's value; mvsde._core.fsum_rows computes it in C on the compiled
-backend). Exact rounding makes the result invariant under particle
+(math.fsum's value; mvsde._core.kernels.fsum_rows computes it in C on the
+compiled backend). Exact rounding makes the result invariant under particle
 relabeling to the last bit, which is the exchangeability contract the
 tests pin down, and the same on both backends. The C row sum first runs a
 compensated pass whose error bound proves, for almost every moment row,
@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from ._core import fsum_rows
+from . import _core
 
 
 class ParticleEnsemble:
@@ -84,7 +84,7 @@ def moments_from_r2(r2, p):
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.sqrt(r2)
         np.power(w, p, out=w)
-    sums = fsum_rows(w)
+    sums = _core.kernels.fsum_rows(w)
     sums[np.isnan(sums)] = math.inf
     return sums / r2.shape[1]
 

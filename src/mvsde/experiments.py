@@ -46,7 +46,7 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from . import rng as rng_mod
-from ._core import backend_name, repr_join
+from . import _core
 from ._core.pairwise_py import power
 from ._version import VERSION
 from .config import theoretical_constants, validate
@@ -146,7 +146,7 @@ def _config_echo(cfg):
             v = {k: v[k] for k in sorted(v)}
         echo[f.name] = v
     echo["software_version"] = VERSION
-    echo["backend"] = backend_name()
+    echo["backend"] = _core.backend_name()
     return echo
 
 
@@ -187,7 +187,8 @@ def _json_text(v, out, pad):
         inner = pad + "  "
         # a finite sum of floats means no term was inf or nan
         if set(map(type, v)) == {float} and math.isfinite(sum(v)):
-            out.append("[" + inner + repr_join(v, "," + inner) + pad + "]")
+            out.append("[" + inner + _core.kernels.repr_join(v, "," + inner)
+                       + pad + "]")
             return
         sep = "[" + inner
         for x in v:

@@ -133,11 +133,11 @@ def w2(a, b, method="sorted_1d", n_projections=64, seed=2024,
             raise ValueError("exact_assignment capped at %d atoms, got %d"
                              % (cap, a.shape[0]))
         # imported here so that no other route loads SciPy
-        from scipy.optimize import linear_sum_assignment
-        from scipy.spatial.distance import cdist
+        from . import _import_on_one_blas_thread as load
 
-        cost = cdist(a, b, metric="sqeuclidean")
-        rows, cols = linear_sum_assignment(cost)
+        cost = load("scipy.spatial.distance").cdist(a, b,
+                                                    metric="sqeuclidean")
+        rows, cols = load("scipy.optimize").linear_sum_assignment(cost)
         return math.sqrt(math.fsum(cost[rows, cols]) / a.shape[0])
     value, _ = w2_sliced(a, b, n_projections=n_projections, seed=seed)
     return value

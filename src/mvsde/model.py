@@ -144,7 +144,10 @@ def whole_number(value, what="value"):
     """value as an int: an int, or an integral float such as 16.0. A bool,
     a fractional or non-finite number and a non-number raise ValueError
     naming `what`. The rule of every count and dimension: config's int
-    fields, make_model's d and l, and TamedModel's n."""
+    fields, make_model's d and l, TamedModel's n, a Brownian tableau's
+    seed, N, l, n_max and levels, and a StateRecorder's steps."""
+    if type(value) is int:  # the common case, without the ABC checks
+        return value
     if (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and (isinstance(value, numbers.Integral)
                  or float(value).is_integer())):

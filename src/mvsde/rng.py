@@ -3,15 +3,15 @@
 Every particle owns a counter-based Philox4x64-10 stream keyed by (seed,
 particle index), so the table's contents depend only on (seed, N, l, T,
 n_max) and never on evaluation order, thread count, or which subsets are
-requested. Two calls draw a table. First mvsde._core.philox_uniforms draws
-the streams of all particles into one (S, N, l) block: in C with the GIL
-released on the compiled backend, by re-keying numpy.random.Philox per
-stream on the numpy one, with the same bits. Then
-mvsde._core.quantized_increments turns the block into increments in place:
-the floor, the inverse normal CDF (Cephes ndtri in C, scipy.special.ndtri on
-the numpy backend, the same bits), the scale to the finest step and the snap
-to the grid 2^-26 Z, in one C pass or in NumPy passes. They are elementwise,
-so each value is what a per-stream draw gives.
+requested. Two kernels of mvsde._core.kernels draw a table. First
+philox_uniforms draws the streams of all particles into one (S, N, l)
+block: in C with the GIL released on the compiled backend, by re-keying
+numpy.random.Philox per stream on the numpy one, with the same bits. Then
+quantized_increments turns the block into increments in place: the
+floor, the inverse normal CDF (Cephes ndtri in C, scipy.special.ndtri on
+the numpy backend, the same bits), the scale to the finest step and the
+snap to the grid 2^-26 Z, in one C pass or in NumPy passes. They are
+elementwise, so each value is what a per-stream draw gives.
 
 Quantized increments at the finest level are integer multiples of 2^-26
 below 8.3 / sqrt(n_max) + 2^-27 in magnitude, so a sum of r <= n_max of
@@ -37,8 +37,9 @@ import math
 
 import numpy as np
 
-from ._core import ndtri, philox_uniforms, quantized_increments
+from . import _core
 from ._core.pairwise_py import U_FLOOR, power
+from .model import whole_number
 
 # key whitening for the initial-condition streams
 _INIT_SALT = 0x9E3779B97F4A7C15
@@ -66,11 +67,13 @@ class BrownianTableau:
     __slots__ = ("seed", "N", "l", "T", "n_max", "total_steps", "_store")
 
     def __init__(self, seed, N, l, T, n_max):
-        self.seed = int(seed)
-        self.N = int(N)
-        self.l = int(l)
+        self.seed = whole_number(seed, "seed")
+        self.N = whole_number(N, "N")
+        self.l = whole_number(l, "l")
         self.T = float(T)
-        self.n_max = int(n_max)
+        self.n_max = whole_number(n_max, "n_max")
+        if self.N < 1 or self.l < 1 or self.n_max < 1:
+            raise ValueError("N, l, n_max must be >= 1")
         self.total_steps = _whole_steps(self.n_max, self.T)
         self._store = None
 
@@ -122,11 +125,10 @@ def make_tableau(seed, N, l, T, n_max):
     Raises
     ------
     ValueError
-        When the table would hold more than ELEMENT_CAP values
+        When seed, N, l or n_max is no whole number (model.whole_number)
+        or the table would hold more than ELEMENT_CAP values
         (n_max * T * N * l); nothing is allocated then.
     """
-    if N < 1 or l < 1 or n_max < 1:
-        raise ValueError("N, l, n_max must be >= 1")
     tab = BrownianTableau(seed, N, l, T, n_max)
     elements = tab.total_steps * tab.N * tab.l
     if elements > ELEMENT_CAP:
@@ -138,15 +140,16 @@ def make_tableau(seed, N, l, T, n_max):
 
 def _draw(tab):
     """The finest increments of tab: a read-only (S, N, l) float64 block."""
-    store = philox_uniforms(tab.seed, (tab.total_steps, tab.N, tab.l))
+    kernels = _core.kernels
+    store = kernels.philox_uniforms(tab.seed, (tab.total_steps, tab.N, tab.l))
     # no entry is -0.0: level_increments returns the finest level unsummed
-    quantized_increments(store, math.sqrt(1.0 / tab.n_max))
+    kernels.quantized_increments(store, math.sqrt(1.0 / tab.n_max))
     store.flags.writeable = False
     return store
 
 
 def _level_ratio(tab, n):
-    n = int(n)
+    n = whole_number(n, "level n")
     if n < 1 or tab.n_max % n != 0:
         raise ValueError("level n=%d must divide n_max=%d" % (n, tab.n_max))
     _whole_steps(n, tab.T)
@@ -247,11 +250,12 @@ def sample_initial(tab, n_particles, d, law):
         out[:] = center
         return out
     draws = d if kind == "gaussian" else d + 1
-    u = philox_uniforms(tab.seed ^ _INIT_SALT, (1, n_particles, draws))[0]
+    u = _core.kernels.philox_uniforms(tab.seed ^ _INIT_SALT,
+                                      (1, n_particles, draws))[0]
     np.maximum(u, U_FLOOR, out=u)
     if kind == "gaussian":
-        return center + law["scale"] * ndtri(u, out=u)
-    z = ndtri(u[:, :d])
+        return center + law["scale"] * _core.kernels.ndtri(u, out=u)
+    z = _core.kernels.ndtri(u[:, :d])
     nrm = np.sqrt(np.sum(z * z, axis=-1))
     at_origin = nrm == 0.0
     with np.errstate(invalid="ignore"):

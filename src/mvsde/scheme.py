@@ -42,10 +42,11 @@ import math
 
 import numpy as np
 
+from . import _core
 from . import model as model_mod
 from . import rng as rng_mod
 from .ensemble import ParticleEnsemble, _moment_order, moments_from_r2
-from ._core import bind_advance, pair_aggregate
+from ._core import pair_aggregate
 
 # target float64 count per pulled increment block
 _CHUNK_ELEMENTS = 1 << 22
@@ -246,6 +247,7 @@ def _advancer(tm, ens, tableau, r):
             return rng_mod.level_increments(tableau, n, lo, hi)
         return np.empty((hi - lo, tableau.N, 0))
 
+    bind_advance = _core.kernels.bind_advance
     if bind_advance is None:
         def advance(lo, hi, obs, keep, rec):
             block = noise(tm.n, lo, hi)
@@ -396,19 +398,21 @@ class MomentTracker:
 class StateRecorder:
     """Copies of the ensemble states after the given steps.
 
-    steps is an iterable of step indices; it is sorted, and a repeated
-    index is recorded once. simulate refuses, before anything is drawn, a
-    step outside its run's steps 0 .. n T, and allocates one
-    (len(steps), N, d) array; the state after each kept step goes into
-    its next row as the run steps, from the fused kernel or from the step
-    loop. After each observe, `states` is the rows written so far and
-    `recorded_steps` the list of their steps; a run that overflows stops
-    at its overflowing step, which is recorded if kept.
+    steps is an iterable of step indices, whole numbers
+    (model.whole_number); it is sorted, and a repeated index is recorded
+    once. simulate refuses, before anything is drawn, a step outside its
+    run's steps 0 .. n T, and allocates one (len(steps), N, d) array; the
+    state after each kept step goes into its next row as the run steps,
+    from the fused kernel or from the step loop. After each observe,
+    `states` is the rows written so far and `recorded_steps` the list of
+    their steps; a run that overflows stops at its overflowing step, which
+    is recorded if kept.
     """
 
     def __init__(self, steps):
         # not np.unique, whose first call in a process imports numpy.ma
-        self.steps = np.array(sorted(set(steps)), dtype=np.int64)
+        self.steps = np.array(sorted({model_mod.whole_number(s, "step")
+                                      for s in steps}), dtype=np.int64)
         self.recorded_steps = []
         self.states = np.empty((0, 0, 0))
         self._rows = None

@@ -11,12 +11,14 @@ repr_join, is held to float.__repr__ on each of the three builds.
 
 import ctypes
 import ctypes.util
+import json
 import math
 import os
 import platform
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -24,11 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvsde
-from mvsde._core import (_Coeffs, _select_backend, fsum_rows_py,
-                         load_compiled, ndtri_py, pair_aggregate,
-                         pair_aggregate_naive, philox_uniforms_py,
-                         quantized_increments_py, repr_join_py)
-from mvsde._core import pairwise_py
+import mvsde.cli
+from mvsde import _core
+from mvsde._core import (NUMPY, _Coeffs, _select_backend, load_compiled,
+                         pair_aggregate, pair_aggregate_naive, pairwise_py)
 from mvsde._core.pairwise_py import power
 from mvsde.model import COEFFICIENTS, make_model
 from mvsde.taming import VARIANTS, TamedModel
@@ -223,27 +224,22 @@ def test_force_fallback_selects_numpy():
     out = subprocess.run(
         [sys.executable, "-c",
          "import mvsde, mvsde._core as c; "
-         "print(mvsde.backend_name(), c.bind_advance, "
-         "c.pair_aggregate is c.pairwise_py.pair_aggregate, "
-         "c.fsum_rows is c.fsum_rows_py, "
-         "c.philox_uniforms is c.philox_uniforms_py, "
-         "c.ndtri is c.pairwise_py.ndtri, "
-         "c.quantized_increments is c.pairwise_py.quantized_increments, "
-         "c.repr_join is c.pairwise_py.repr_join)"],
+         "print(mvsde.backend_name(), c.kernels is c.NUMPY, "
+         "c.pair_aggregate is c.pairwise_py.pair_aggregate)"],
         env=env, check=True, capture_output=True, text=True).stdout
-    assert out.split() == ["numpy", "None"] + ["True"] * 6
+    assert out.split() == ["numpy", "True", "True"]
+    # NUMPY is the pairwise_py kernels and no fused kernel
+    assert NUMPY.name == "numpy" and NUMPY.bind_advance is None
+    for name in set(vars(NUMPY)) - {"name", "bind_advance"}:
+        assert getattr(NUMPY, name) is getattr(pairwise_py, name), name
 
 
 def test_loader_binds_every_kernel_or_none(compiled_library, build_library,
                                            tmp_path):
-    advance, row_sum, uniforms, inverse_cdf, increments, join, name = (
-        _select_backend(compiled_library))
-    assert name == "c" and callable(advance) and row_sum is not fsum_rows_py
-    assert uniforms is not philox_uniforms_py and inverse_cdf is not ndtri_py
-    assert increments is not quantized_increments_py
-    assert join is not repr_join_py
-    numpy_backend = (None, fsum_rows_py, philox_uniforms_py, ndtri_py,
-                     quantized_increments_py, repr_join_py, "numpy")
+    compiled = _select_backend(compiled_library)
+    assert compiled.name == "c" and callable(compiled.bind_advance)
+    for name in set(vars(compiled)) - {"name"}:
+        assert getattr(compiled, name) is not getattr(NUMPY, name), name
     # stale libraries from before the fused kernel, the row sum, the
     # Philox streams, the inverse normal CDF, the increments kernel and the
     # float text
@@ -263,7 +259,7 @@ def test_loader_binds_every_kernel_or_none(compiled_library, build_library,
         stale = build_library(str(stub), stub.stem + ".so")
         with pytest.raises(AttributeError, match=missing):
             load_compiled(stale)
-        assert _select_backend(stale) == numpy_backend
+        assert _select_backend(stale) is NUMPY
     # every kernel, but from before the ABI constant or from another ABI,
     # the previous one (6, whose mvsde_pair_aggregate took a tame_g
     # argument after te) among them: the package and the library must
@@ -280,9 +276,66 @@ def test_loader_binds_every_kernel_or_none(compiled_library, build_library,
         with pytest.raises(AttributeError, match="mvsde_abi is %d, the "
                            "package needs 7" % found):
             load_compiled(stale)
-        assert _select_backend(stale) == numpy_backend
-    assert _select_backend(str(tmp_path / "missing.so")) == numpy_backend
-    assert _select_backend(None) == numpy_backend
+        assert _select_backend(stale) is NUMPY
+    assert _select_backend(str(tmp_path / "missing.so")) is NUMPY
+    assert _select_backend(None) is NUMPY
+
+
+def test_signature_table_binds_every_exported_kernel(compiled_library):
+    """The loader's signature table names every non-static mvsde_*
+    function pairwise.c defines but mvsde_pair_aggregate, which only the
+    fused kernel calls (conftest.py binds it for its own comparisons), and
+    both backends expose the same names."""
+    with open(SOURCE) as fh:
+        defined = set(re.findall(r"^(?!static\b)\w[\w\s*]*?\b(mvsde_\w+)\(",
+                                 fh.read(), re.M))
+    assert "mvsde_advance" in defined
+    assert set(_core._SIGNATURES) == defined - {"mvsde_pair_aggregate"}
+    assert vars(load_compiled(compiled_library)).keys() == vars(NUMPY).keys()
+
+
+def _counted(backend, calls):
+    """backend with every kernel wrapped to append (name, kernel) to calls
+    when it runs; bind_advance stays None on NUMPY."""
+    def wrap(kernel, fn):
+        def counted(*args, **kwargs):
+            calls.append((backend.name, kernel))
+            return fn(*args, **kwargs)
+        return counted
+
+    return types.SimpleNamespace(name=backend.name, **{
+        kernel: fn and wrap(kernel, fn) for kernel, fn in vars(backend).items()
+        if kernel != "name"})
+
+
+def test_one_assignment_switches_every_kernel(monkeypatch, compiled_library,
+                                              tmp_path, capsys):
+    """Assigning _core.kernels switches every module that runs a kernel,
+    and backend_name: a moment-stability driver run calls every kernel of
+    the assigned backend and none of the other, and its report echoes the
+    backend's name, first "c", then "numpy", in one process."""
+    ini = tmp_path / "moment.ini"
+    calls = []
+    echoes = []
+    for backend in (load_compiled(compiled_library), NUMPY):
+        out_dir = tmp_path / backend.name
+        ini.write_text("[run]\nexperiment = moment-stability\nreps = 1\n"
+                       "out_dir = %s\n[grid]\nT = 2.0\nn = 2\n[ensemble]\n"
+                       "N = 5\ninitial = gaussian 0.0 1.0\n" % out_dir)
+        monkeypatch.setattr(_core, "kernels", _counted(backend, calls))
+        assert mvsde.cli.main(["moment-stability", "--config", str(ini)]) \
+            in (0, 2)
+        capsys.readouterr()
+        with open(out_dir / "moment_stability_report.json") as fh:
+            echoes.append(json.load(fh)["config"]["backend"])
+    assert echoes == ["c", "numpy"]
+    kernels = {"fsum_rows", "philox_uniforms", "ndtri",
+               "quantized_increments", "repr_join"}
+    assert {k for b, k in calls if b == "c"} == kernels | {"bind_advance"}
+    assert {k for b, k in calls if b == "numpy"} == kernels
+    # every C call came before every NumPy one
+    names = [b for b, _ in calls]
+    assert names == sorted(names)
 
 
 def test_step_struct_takes_its_names_from_coefficients():
@@ -301,7 +354,7 @@ def test_step_struct_takes_its_names_from_coefficients():
 
 @pytest.fixture(scope="module")
 def compiled_fsum_rows(compiled_library):
-    return load_compiled(compiled_library)[1]
+    return load_compiled(compiled_library).fsum_rows
 
 
 def _fsum_or_exception(row):
@@ -393,7 +446,7 @@ FSUM_ROWS = {
 def test_fsum_rows_matches_math_fsum(compiled_fsum_rows, label):
     row = FSUM_ROWS[label]
     want = _fsum_or_exception(row)
-    for fsum_rows in (compiled_fsum_rows, fsum_rows_py):
+    for fsum_rows in (compiled_fsum_rows, pairwise_py.fsum_rows):
         got = fsum_rows(np.array([row]))
         assert got.shape == (1,)
         assert _bits(got) == _bits([want]), label
@@ -425,7 +478,7 @@ def both_clones_fsum_rows(request):
     """The row sum of the library the package builds, whose AVX2 clone an
     AVX2 CPU runs, and of the baseline-only build."""
     name = "%s_library" % request.param
-    return load_compiled(request.getfixturevalue(name))[1]
+    return load_compiled(request.getfixturevalue(name)).fsum_rows
 
 
 @pytest.mark.parametrize("width", FSUM_WIDTHS)
@@ -490,7 +543,7 @@ def test_fsum_rows_random_and_empty(compiled_fsum_rows):
             * 10.0 ** rng.integers(-300, 300, (200, 33)))
     rows[::7] = np.abs(rng.normal(size=(33,))) ** 4
     want = [_fsum_or_exception(row) for row in rows.tolist()]
-    for fsum_rows in (compiled_fsum_rows, fsum_rows_py):
+    for fsum_rows in (compiled_fsum_rows, pairwise_py.fsum_rows):
         assert _bits(fsum_rows(rows)) == _bits(want)
         assert _bits(fsum_rows(rows.T[::2])) == _bits(
             [_fsum_or_exception(row) for row in rows.T[::2].tolist()])
@@ -503,7 +556,7 @@ def test_fsum_rows_random_and_empty(compiled_fsum_rows):
 
 @pytest.fixture(scope="module")
 def compiled_ndtri(compiled_library):
-    return load_compiled(compiled_library)[3]
+    return load_compiled(compiled_library).ndtri
 
 
 # Values for the short arrays and blocks of _ndtri_inputs: central ones,
@@ -569,7 +622,7 @@ def _assert_ndtri_matches_scipy(kernel):
         # in place, as sample_initial calls it
         buf = y.copy()
         assert kernel(buf, out=buf) is buf and _same_bits(buf, want)
-        assert _same_bits(ndtri_py(y), want)
+        assert _same_bits(pairwise_py.ndtri(y), want)
     got = kernel(inputs[0])
     assert got[-5:-2].tolist() == [0.0, -math.inf, math.inf]
     assert not np.signbit(got[-5])
@@ -626,11 +679,11 @@ def test_hot_path_has_an_avx2_clone(compiled_library, build_library,
 
 
 def test_ndtri_built_with_fma_matches_scipy(fma_library):
-    _assert_ndtri_matches_scipy(load_compiled(fma_library)[3])
+    _assert_ndtri_matches_scipy(load_compiled(fma_library).ndtri)
 
 
 def test_ndtri_baseline_build_matches_scipy(baseline_library):
-    _assert_ndtri_matches_scipy(load_compiled(baseline_library)[3])
+    _assert_ndtri_matches_scipy(load_compiled(baseline_library).ndtri)
 
 
 def test_ndtri_takes_strided_input(compiled_ndtri):
@@ -638,8 +691,8 @@ def test_ndtri_takes_strided_input(compiled_ndtri):
     u = np.random.default_rng(9).random((33, 4))
     got = compiled_ndtri(u[:, :3])
     assert got.shape == (33, 3) and got.flags.c_contiguous
-    assert _same_bits(got, ndtri_py(u[:, :3]))
-    assert _same_bits(compiled_ndtri(u.T), ndtri_py(u.T))
+    assert _same_bits(got, pairwise_py.ndtri(u[:, :3]))
+    assert _same_bits(compiled_ndtri(u.T), pairwise_py.ndtri(u.T))
     strided = u.T
     for v, out in ((strided, strided), (u, u.copy())):
         with pytest.raises(ValueError, match="in place"):
@@ -652,11 +705,9 @@ _ON_COMPILED = """
 import contextlib, io, sys
 
 import mvsde.cli
-from mvsde import _core, ensemble, experiments, rng, scheme
+from mvsde import _core
 
-(scheme.bind_advance, ensemble.fsum_rows, rng.philox_uniforms,
- rng.ndtri, rng.quantized_increments,
- experiments.repr_join) = _core.load_compiled(sys.argv[1])
+_core.kernels = _core.load_compiled(sys.argv[1])
 """
 
 # drives the CLI on the compiled kernels in a fresh interpreter, then
@@ -772,7 +823,7 @@ def c_repr_join(request):
     build and of the baseline-only build."""
     name = {"default": "compiled_library", "fma": "fma_library",
             "baseline": "baseline_library"}[request.param]
-    return load_compiled(request.getfixturevalue(name))[5]
+    return load_compiled(request.getfixturevalue(name)).repr_join
 
 
 def _with_neighbours(values):
@@ -816,7 +867,7 @@ def _repr_families():
 def test_repr_join_matches_repr_on_structured_families(c_repr_join):
     values = _repr_families()
     for sep in (",\n      ", ""):
-        assert c_repr_join(values, sep) == repr_join_py(values, sep)
+        assert c_repr_join(values, sep) == pairwise_py.repr_join(values, sep)
     # the longest text fits the width the binding sizes its buffer by
     texts = c_repr_join(values, " ").split(" ")
     assert max(map(len, texts)) == 24 == len(repr(-2.0 ** -1022))
@@ -830,18 +881,18 @@ def test_repr_join_matches_repr_on_random_bits(compiled_library):
     values = bits.view(np.float64)
     values = values[np.isfinite(values)].tolist()
     assert len(values) > (1 << 20) - 2000
-    join = load_compiled(compiled_library)[5]
-    assert join(values, ",") == repr_join_py(values, ",")
+    join = load_compiled(compiled_library).repr_join
+    assert join(values, ",") == pairwise_py.repr_join(values, ",")
 
 
 def test_repr_join_edges(compiled_library):
     """Empty and one-value lists, separators of any length and any text,
     and a non-finite value: the kernel returns -1 and the binding writes
     the list as the reference does."""
-    join = load_compiled(compiled_library)[5]
+    join = load_compiled(compiled_library).repr_join
     for values in ([], [0.5], [-0.0, 1e16, 1e-5, 123.0, 0.0001]):
         for sep in ("", ",", ", · ", ",\n" + " " * 40):
-            assert join(values, sep) == repr_join_py(values, sep)
+            assert join(values, sep) == pairwise_py.repr_join(values, sep)
     kernel = ctypes.CDLL(compiled_library).mvsde_repr_join
     kernel.restype = ctypes.c_ssize_t
     kernel.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_char_p,
@@ -853,4 +904,4 @@ def test_repr_join_edges(compiled_library):
         assert kernel(a.ctypes.data, len(a), b",", 1, out) == -1
         assert kernel(a.ctypes.data, 2, b",", 1, out) == 7
         assert out.raw[:7] == b"1.5,2.0"
-        assert join(values, ", ") == repr_join_py(values, ", ")
+        assert join(values, ", ") == pairwise_py.repr_join(values, ", ")

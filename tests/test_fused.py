@@ -3,8 +3,8 @@
 simulate runs mvsde_advance on the C backend, for every model, and
 scheme.step otherwise; both must give the same trajectories, step
 counters, overflow flags and sign bits at every growth order q. The
-kernel is compiled here (conftest.py) and switched in and out through
-scheme.bind_advance, so these tests run on either backend.
+kernel is compiled here (conftest.py) and switched in and out by
+assigning mvsde._core.kernels, so these tests run on either backend.
 """
 
 import itertools
@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 import mvsde
-from mvsde import ensemble, rng, scheme
-from mvsde._core import _Coeffs, load_compiled
+from mvsde import _core, rng, scheme
+from mvsde._core import NUMPY, _Coeffs, load_compiled
 from mvsde.cli import main
 from mvsde.config import make_config
 from mvsde.experiments import (DIVERGENCE_NORM, _DivergenceTracker,
@@ -33,14 +33,20 @@ COEFF_NAMES = [name for name, _ in _Coeffs._fields_]
 
 
 @pytest.fixture(scope="module")
-def advance(compiled_library):
-    return load_compiled(compiled_library)[0]
+def compiled(compiled_library):
+    return load_compiled(compiled_library)
 
 
-def _simulate(monkeypatch, advance, tm, tab, law, size=None, callbacks=()):
-    """simulate on the fused kernel (advance) or on the NumPy step (None),
-    from the first `size` (default tab.N) initial states law draws."""
-    monkeypatch.setattr(scheme, "bind_advance", advance)
+@pytest.fixture(scope="module")
+def advance(compiled):
+    return compiled.bind_advance
+
+
+def _simulate(monkeypatch, backend, tm, tab, law, size=None, callbacks=()):
+    """simulate on backend, the fused kernel of a compiled one or the NumPy
+    step of NUMPY, from the first `size` (default tab.N) initial states
+    law draws."""
+    monkeypatch.setattr(_core, "kernels", backend)
     states = rng.sample_initial(tab, tab.N if size is None else size,
                                 tm.base.d, law)
     return scheme.simulate(tm, tab, states, callbacks=callbacks)
@@ -68,7 +74,7 @@ def _assert_same_run(got, want):
             _assert_same_arrays(x, y)
 
 
-def _assert_fused_matches_step(monkeypatch, advance, family, d):
+def _assert_fused_matches_step(monkeypatch, compiled, family, d):
     model = make_model(family, d=d)
     law = initial_law("gaussian", 0.0, 1.5)
     n, T = 8, 1.0
@@ -79,9 +85,9 @@ def _assert_fused_matches_step(monkeypatch, advance, family, d):
             # two spare streams, so noise rows are strided
             tab = make_tableau(7, size + 2, model.l, T, n)
             runs = []
-            for kernel in (advance, None):
+            for backend in (compiled, NUMPY):
                 rec = scheme.StateRecorder(_strided(n, 3))
-                ens = _simulate(monkeypatch, kernel, tm, tab, law,
+                ens = _simulate(monkeypatch, backend, tm, tab, law,
                                 size=size, callbacks=[rec])
                 runs.append((ens, [rec]))
             _assert_same_run(*runs)
@@ -93,8 +99,8 @@ def _assert_fused_matches_step(monkeypatch, advance, family, d):
 
 @pytest.mark.parametrize("d", (1, 2, 3, 8, 9))
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_fused_simulate_matches_step(monkeypatch, advance, family, d):
-    _assert_fused_matches_step(monkeypatch, advance, family, d)
+def test_fused_simulate_matches_step(monkeypatch, compiled, family, d):
+    _assert_fused_matches_step(monkeypatch, compiled, family, d)
 
 
 @pytest.mark.parametrize("d", (1, 3, 9))
@@ -103,22 +109,22 @@ def test_fused_kernel_built_with_fma_matches_step(monkeypatch, fma_library,
                                                   family, d):
     # with FMA instructions available, only -ffp-contract=off keeps the
     # compiler from fusing the kernel's multiplies and adds
-    _assert_fused_matches_step(monkeypatch, load_compiled(fma_library)[0],
+    _assert_fused_matches_step(monkeypatch, load_compiled(fma_library),
                                family, d)
 
 
 @pytest.mark.parametrize("callbacks", ["none", "recorder", "trackers"])
-def test_fused_overflow_matches_step(monkeypatch, advance, callbacks):
+def test_fused_overflow_matches_step(monkeypatch, compiled, callbacks):
     model = make_model("anti-dissipative", d=2)
     tm = TamedModel(model, 2, "off")
     tab = make_tableau(3, 10, 2, 40.0, 2)
     results = []
-    for kernel in (advance, None):
+    for backend in (compiled, NUMPY):
         rec = scheme.StateRecorder(_strided(80, 5))
         moments, diverge = scheme.MomentTracker(4.0), _DivergenceTracker()
         cbs = {"none": [], "recorder": [rec],
                "trackers": [moments, diverge]}[callbacks]
-        ens = _simulate(monkeypatch, kernel, tm, tab,
+        ens = _simulate(monkeypatch, backend, tm, tab,
                         initial_law("point", 3.0), callbacks=cbs)
         results.append(((ens, [rec]), (moments.values, diverge.step)))
     (fused, fused_tracked), (ref, ref_tracked) = results
@@ -174,7 +180,7 @@ POWERS = (1.5, 2.0, 3.0, 4.0)
 @pytest.mark.parametrize("rows", (2, 3, None))
 @pytest.mark.parametrize("size", (1, 7, 257))
 @pytest.mark.parametrize("d", (1, 3, 9))
-def test_block_observers_match_per_step(monkeypatch, advance, d, size,
+def test_block_observers_match_per_step(monkeypatch, compiled, d, size,
                                         rows):
     if rows is not None:
         # small blocks, so they split mid-run and around the overflow step
@@ -188,14 +194,14 @@ def test_block_observers_match_per_step(monkeypatch, advance, d, size,
     for tm, T, law in cases:
         tab = make_tableau(13, size, tm.base.l, T, tm.n)
         runs = []
-        for kernel in (advance, None):
+        for backend in (compiled, NUMPY):
             moments = [scheme.MomentTracker(p) for p in POWERS]
             diverge, blocks = _DivergenceTracker(), _Blocks()
-            ens = _simulate(monkeypatch, kernel, tm, tab, law,
+            ens = _simulate(monkeypatch, backend, tm, tab, law,
                             callbacks=moments + [diverge, blocks])
             runs.append((ens, moments, diverge, blocks))
         rec = scheme.StateRecorder(range(tab.total_steps + 1))
-        _simulate(monkeypatch, None, tm, tab, law, callbacks=[rec])
+        _simulate(monkeypatch, NUMPY, tm, tab, law, callbacks=[rec])
         want, diverged = _per_step_observers(rec, POWERS)
         (ens, moments, diverge, blocks), ref = runs
         assert (ens.t_index, ens.overflow_flag) == (ref[0].t_index,
@@ -224,7 +230,7 @@ def test_block_observers_match_per_step(monkeypatch, advance, d, size,
 
 @pytest.mark.parametrize("rows", (1, 2, 5))
 @pytest.mark.parametrize("d", (1, 3, 8))
-def test_norms_carried_between_steps_match_step(monkeypatch, advance, d,
+def test_norms_carried_between_steps_match_step(monkeypatch, compiled, d,
                                                 rows):
     """Where a callback observes every step, a kernel call reads each
     step's squared norms from the row its previous step wrote, and the
@@ -244,10 +250,10 @@ def test_norms_carried_between_steps_match_step(monkeypatch, advance, d,
     for tm, law in cases:
         tab = make_tableau(29, size, tm.base.l, 2.0, tm.n)
         runs = []
-        for kernel in (advance, None):
+        for backend in (compiled, NUMPY):
             rec = scheme.StateRecorder(range(tab.total_steps + 1))
             moment, blocks = scheme.MomentTracker(4.0), _Blocks()
-            ens = _simulate(monkeypatch, kernel, tm, tab, law,
+            ens = _simulate(monkeypatch, backend, tm, tab, law,
                             callbacks=[rec, moment, blocks])
             runs.append((ens, [rec], moment, blocks))
         (ens, recs, moment, blocks), ref = runs
@@ -261,7 +267,7 @@ def test_norms_carried_between_steps_match_step(monkeypatch, advance, d,
                             np.asarray(ref[2].values))
 
 
-def test_divergence_tracker_boundary(monkeypatch, advance):
+def test_divergence_tracker_boundary(monkeypatch, compiled):
     threshold2 = DIVERGENCE_NORM * DIVERGENCE_NORM
     assert threshold2 == 1e20  # 1e10 squared is exact
     above = np.nextafter(threshold2, np.inf)
@@ -284,9 +290,9 @@ def test_divergence_tracker_boundary(monkeypatch, advance):
     tab = make_tableau(1, 3, 1, 2.0, 2)
     for start, step in ((DIVERGENCE_NORM, None),
                         (np.nextafter(DIVERGENCE_NORM, np.inf), 0)):
-        for kernel in (advance, None):
+        for backend in (compiled, NUMPY):
             tracker = _DivergenceTracker()
-            _simulate(monkeypatch, kernel, tm, tab,
+            _simulate(monkeypatch, backend, tm, tab,
                       initial_law("point", start), callbacks=[tracker])
             assert tracker.step == step
 
@@ -357,11 +363,11 @@ def _counted(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize("backend", ["c", "numpy"])
-def test_noise_free_stability_run_draws_no_increments(monkeypatch, advance,
+def test_noise_free_stability_run_draws_no_increments(monkeypatch, compiled,
                                                       tmp_path, backend):
-    kernel = advance if backend == "c" else None
-    monkeypatch.setattr(scheme, "bind_advance", kernel)
-    draws = _counted(monkeypatch, rng, "philox_uniforms")
+    monkeypatch.setattr(_core, "kernels",
+                        compiled if backend == "c" else NUMPY)
+    draws = _counted(monkeypatch, _core.kernels, "philox_uniforms")
     cfg = make_config("moment-stability", params=dict(_PURE_CUBIC),
                       N=64, T=100.0, n=2, p0=4.0, initial="point 3.0",
                       initial_b="point 3.0", out_dir=str(tmp_path))
@@ -371,10 +377,10 @@ def test_noise_free_stability_run_draws_no_increments(monkeypatch, advance,
 
 
 @pytest.mark.parametrize("backend", ["c", "numpy"])
-def test_noisy_rep_draws_its_table_once(monkeypatch, advance, tmp_path,
+def test_noisy_rep_draws_its_table_once(monkeypatch, compiled, tmp_path,
                                         backend):
-    kernel = advance if backend == "c" else None
-    monkeypatch.setattr(scheme, "bind_advance", kernel)
+    monkeypatch.setattr(_core, "kernels",
+                        compiled if backend == "c" else NUMPY)
     tables = _counted(monkeypatch, rng, "_draw")
     reads = _counted(monkeypatch, rng, "level_increments")
     cfg = make_config("strong-rate", reps=2, threads=1, levels=[4, 8],
@@ -402,7 +408,7 @@ def _noise_free_cases():
                     yield TamedModel(model, n, variant), T, law
 
 
-def test_noise_free_runs_match_the_noise_path(monkeypatch, advance):
+def test_noise_free_runs_match_the_noise_path(monkeypatch, compiled):
     """Skipping the noise of a model without it changes no bit.
 
     The reference adds (s + G) dW = +-0 at every step with a drawn table,
@@ -411,14 +417,14 @@ def test_noise_free_runs_match_the_noise_path(monkeypatch, advance):
     overflowed = 0
     for tm, T, law in _noise_free_cases():
         assert widths[0](tm.base) == 0
-        for kernel in (advance, None):
+        for backend in (compiled, NUMPY):
             runs = []
             for width in widths:
                 monkeypatch.setattr(scheme, "_noise_width", width)
                 tab = make_tableau(11, 17, tm.base.l, T, tm.n)
                 moments, blocks = scheme.MomentTracker(4.0), _Blocks()
                 diverge = _DivergenceTracker()
-                ens = _simulate(monkeypatch, kernel, tm, tab, law,
+                ens = _simulate(monkeypatch, backend, tm, tab, law,
                                 callbacks=[moments, diverge, blocks])
                 runs.append((ens, moments, diverge, blocks, tab))
             (ens, moments, diverge, blocks, tab), ref = runs
@@ -533,7 +539,8 @@ def test_fused_square_at_d1_matches_step(request, build, gamma):
     shows the power wherever it stays in the float range and is not lost
     against 2 x."""
     advance = load_compiled(request.getfixturevalue(
-        "compiled_library" if build == "default" else build + "_library"))[0]
+        "compiled_library" if build == "default"
+        else build + "_library")).bind_advance
     x = _rounded_squares()[:, None]
     base = types.SimpleNamespace(
         d=1, l=0, beta1=1.0, betaq=-1.0, q_b=2.0, lam=0.0, kap_pair=0.0,
@@ -620,7 +627,7 @@ def test_fused_self_terms_match_step(request, build, d):
     done, state bytes and squared-norm bytes."""
     library = request.getfixturevalue(
         "compiled_library" if build == "default" else build + "_library")
-    advance = load_compiled(library)[0]
+    advance = load_compiled(library).bind_advance
     rng = np.random.default_rng(d)
     n_level = 8
     overflowed = 0
@@ -670,15 +677,15 @@ def test_fused_self_terms_match_step(request, build, d):
         None, 0.0, 2.0, 4.0, "pow"}
 
 
-def _counted_runs(monkeypatch, advance, tm, tab, law):
+def _counted_runs(monkeypatch, compiled, tm, tab, law):
     """C and NumPy runs of tm with a recorder, and the step calls of each."""
     step_calls = _counted(monkeypatch, scheme, "step")
     runs, calls = [], []
-    for kernel in (advance, None):
+    for backend in (compiled, NUMPY):
         before = len(step_calls)
         rec = scheme.StateRecorder(
             _strided(rng._whole_steps(tm.n, tab.T), 3))
-        ens = _simulate(monkeypatch, kernel, tm, tab, law,
+        ens = _simulate(monkeypatch, backend, tm, tab, law,
                         callbacks=[rec])
         runs.append((ens, [rec]))
         calls.append(len(step_calls) - before)
@@ -690,13 +697,13 @@ def _counted_runs(monkeypatch, advance, tm, tab, law):
     ("cubic-mean-field", 1.5, "finite"),  # e = 3
     ("pairwise-vlasov", 1.5, "finite"),
 ])
-def test_non_special_exponents_run_fused(monkeypatch, advance, family, q,
+def test_non_special_exponents_run_fused(monkeypatch, compiled, family, q,
                                          variant):
     # exponents outside every special case: libm pow on both backends
     model = make_model(family, d=2, params={"q": q})
     tm = TamedModel(model, 8, variant)
     tab = make_tableau(5, 9, 2, 1.0, 8)
-    runs, calls = _counted_runs(monkeypatch, advance, tm, tab,
+    runs, calls = _counted_runs(monkeypatch, compiled, tm, tab,
                                 initial_law("gaussian", 0.0, 1.0))
     assert calls == [0, 8]  # C never calls step, NumPy every step
     _assert_same_run(*runs)
@@ -704,7 +711,7 @@ def test_non_special_exponents_run_fused(monkeypatch, advance, family, q,
 
 @pytest.mark.parametrize("d", (1, 3, 9))
 @pytest.mark.parametrize("q", (1.0, 1.5, 3.0))
-def test_backends_agree_at_every_q(monkeypatch, advance, q, d):
+def test_backends_agree_at_every_q(monkeypatch, compiled, q, d):
     """Whole runs at growth order q, every taming variant, both measure
     modes: the fused kernel and step agree bit for bit."""
     law = initial_law("gaussian", 0.0, 1.5)
@@ -713,35 +720,35 @@ def test_backends_agree_at_every_q(monkeypatch, advance, q, d):
         tab = make_tableau(17, 19, model.l, 1.0, 8)
         for variant in VARIANTS:
             tm = TamedModel(model, 8, variant)
-            runs, calls = _counted_runs(monkeypatch, advance, tm, tab, law)
+            runs, calls = _counted_runs(monkeypatch, compiled, tm, tab, law)
             assert calls[0] == 0
             _assert_same_run(*runs)
 
 
-def test_recorder_keeps_and_refusals(monkeypatch, advance):
+def test_recorder_keeps_and_refusals(monkeypatch, compiled):
     tm = TamedModel(make_model("cubic-mean-field", d=1), 8, "finite")
     law = initial_law("gaussian", 0.0, 1.0)
     # unsorted and repeated steps are recorded once each, in step order
-    for kernel in (advance, None):
+    for backend in (compiled, NUMPY):
         tab = make_tableau(1, 4, 1, 1.0, 8)
         rec = scheme.StateRecorder([6, 2, 8, 2, 6])
-        _simulate(monkeypatch, kernel, tm, tab, law, callbacks=[rec])
+        _simulate(monkeypatch, backend, tm, tab, law, callbacks=[rec])
         assert rec.recorded_steps == [2, 6, 8]
         assert rec.states.shape == (3, 4, 1)
         # and no step at all is recorded as none
         rec = scheme.StateRecorder([])
-        _simulate(monkeypatch, kernel, tm, tab, law, callbacks=[rec])
+        _simulate(monkeypatch, backend, tm, tab, law, callbacks=[rec])
         assert rec.recorded_steps == [] and rec.states.shape == (0, 4, 1)
     # steps outside the grid and a second recorder are refused before
     # the tableau is drawn, on both backends
     tab = make_tableau(1, 4, 1, 1.0, 8)
-    for kernel in (advance, None):
+    for backend in (compiled, NUMPY):
         with pytest.raises(ValueError, match=r"steps \[-1, 99\] are "
                            "outside the grid's steps 0 to 8"):
-            _simulate(monkeypatch, kernel, tm, tab, law,
+            _simulate(monkeypatch, backend, tm, tab, law,
                       callbacks=[scheme.StateRecorder([-1, 3, 99])])
         with pytest.raises(ValueError, match="at most one StateRecorder"):
-            _simulate(monkeypatch, kernel, tm, tab, law,
+            _simulate(monkeypatch, backend, tm, tab, law,
                       callbacks=[scheme.StateRecorder([0]),
                                  scheme.MomentTracker(2.0),
                                  scheme.StateRecorder([8])])
@@ -761,12 +768,12 @@ class _BlockRecorder(scheme.StateRecorder):
         self.sizes.append(len(self.recorded_steps) - before)
 
 
-def _counting(advance, calls):
-    """bind_advance over advance, appending each bound kernel's list of
-    call step counts to calls."""
+def _counting(backend, calls):
+    """backend with a bind_advance that appends each bound kernel's list
+    of call step counts to calls."""
 
     def bind(coeffs, states, scratch, ratio):
-        run = advance(coeffs, states, scratch, ratio)
+        run = backend.bind_advance(coeffs, states, scratch, ratio)
         steps = []
         calls.append(steps)
 
@@ -776,7 +783,7 @@ def _counting(advance, calls):
 
         return counted
 
-    return bind
+    return types.SimpleNamespace(**dict(vars(backend), bind_advance=bind))
 
 
 def _states_by_hand(tm, total, tab, law):
@@ -796,7 +803,7 @@ def _states_by_hand(tm, total, tab, law):
 
 @pytest.mark.parametrize("rows", (None, 1, 3))
 @pytest.mark.parametrize("case", ("tamed", "overflow"))
-def test_recorder_rows_match_across_backends(monkeypatch, advance, case,
+def test_recorder_rows_match_across_backends(monkeypatch, compiled, case,
                                              rows):
     if case == "tamed":
         tm = TamedModel(make_model("cubic-mean-field", d=3), 8, "finite")
@@ -820,10 +827,10 @@ def test_recorder_rows_match_across_backends(monkeypatch, advance, case,
         kept = sorted(set(k for k in steps if k <= last))
         for moments in (False, True):  # with an every-step observer
             runs, calls = [], []
-            for kernel in (_counting(advance, calls), None):
+            for backend in (_counting(compiled, calls), NUMPY):
                 rec = _BlockRecorder(steps)
                 extra = [scheme.MomentTracker(4.0)] if moments else []
-                ens = _simulate(monkeypatch, kernel, tm, tab, law,
+                ens = _simulate(monkeypatch, backend, tm, tab, law,
                                 callbacks=[rec] + extra)
                 assert ens.t_index == last
                 assert rec.recorded_steps == kept
@@ -843,7 +850,7 @@ def test_recorder_rows_match_across_backends(monkeypatch, advance, case,
 
 @pytest.mark.parametrize("ratio", (1, 2, 4, 64))
 @pytest.mark.parametrize("d, l", ((1, 1), (3, 3), (3, 2), (1, 2)))
-def test_fused_level_sums_match_step(monkeypatch, advance, ratio, d, l):
+def test_fused_level_sums_match_step(monkeypatch, compiled, ratio, d, l):
     """The fused kernel reads the finest table and sums each step's
     `ratio` rows itself; its runs equal the NumPy step path on
     level_increments at every ratio of a 1024-step table, with a
@@ -864,12 +871,12 @@ def test_fused_level_sums_match_step(monkeypatch, advance, ratio, d, l):
                                 rows * ratio * tab.N * tab.l)
         for observers in (False, True):
             runs, calls = [], []
-            for kernel in (_counting(advance, calls), None):
+            for backend in (_counting(compiled, calls), NUMPY):
                 rec = scheme.StateRecorder(_strided(total, 7))
                 moments, diverge = (scheme.MomentTracker(4.0),
                                     _DivergenceTracker())
                 callbacks = [moments, diverge] if observers else [rec]
-                ens = _simulate(monkeypatch, kernel, tm, tab, law, size=9,
+                ens = _simulate(monkeypatch, backend, tm, tab, law, size=9,
                                 callbacks=callbacks)
                 assert ens.t_index == total and not ens.overflow_flag
                 runs.append((ens, [rec], moments.values, diverge.step))
@@ -880,27 +887,27 @@ def test_fused_level_sums_match_step(monkeypatch, advance, ratio, d, l):
                               for k in range(0, total, span)]]
 
 
-def test_recording_every_step_is_one_kernel_call(monkeypatch, advance):
+def test_recording_every_step_is_one_kernel_call(monkeypatch, compiled):
     """Every state of 32 steps at N = 1024, d = 3 (3 MB of rows) is
     recorded in one kernel call: the recorder's rows bound no block."""
     tm = TamedModel(make_model("cubic-mean-field", d=3), 32, "finite")
     tab = make_tableau(5, 1024, 3, 1.0, 32)
     calls = []
     rec = scheme.StateRecorder(range(33))
-    _simulate(monkeypatch, _counting(advance, calls), tm, tab,
+    _simulate(monkeypatch, _counting(compiled, calls), tm, tab,
               initial_law("gaussian", 0.0, 1.0), callbacks=[rec])
     assert calls == [[32]]
     assert rec.recorded_steps == list(range(33))
     assert rec.states.shape == (33, 1024, 3)
 
 
-def test_strong_rate_runs_one_kernel_call_per_simulate(monkeypatch, advance,
+def test_strong_rate_runs_one_kernel_call_per_simulate(monkeypatch, compiled,
                                                       tmp_path):
     """The strong-rate benchmark config (N = 64, levels 16 .. 512 against
     n_max = 1024) records states without stopping the kernel: the
     reference run and each level take one call."""
     calls = []
-    monkeypatch.setattr(scheme, "bind_advance", _counting(advance, calls))
+    monkeypatch.setattr(_core, "kernels", _counting(compiled, calls))
     cfg = make_config("strong-rate", reps=1, N=64, out_dir=str(tmp_path))
     assert (cfg.n_max, tuple(cfg.levels)) == (1024, (16, 32, 64, 128, 256,
                                                      512))
@@ -913,10 +920,13 @@ def test_bound_kernel_refuses_noise_it_would_overrun(advance):
     values.update(h=1.0, k_noise=2)
     states = np.zeros((4, 2))
     run = advance(values, states, np.empty_like(states), 1)
-    for block in (np.zeros((3, 3, 2)), np.zeros((3, 4, 1)),
-                  np.zeros((3, 4, 2), dtype=np.float32),
-                  np.zeros((3, 2, 4)).transpose(0, 2, 1)):
+    for block in (np.zeros((3, 3, 2)), np.zeros((3, 4, 1))):
         with pytest.raises(ValueError, match="does not cover"):
+            run(block, 1)
+    for block in (np.zeros((3, 4, 2), dtype=np.float32),
+                  np.zeros((3, 2, 4)).transpose(0, 2, 1)):
+        with pytest.raises(ValueError, match="noise block must be a "
+                           "C-contiguous float64 array"):
             run(block, 1)
     block = np.zeros((3, 5, 2))
     assert run(block, 2) == 2
@@ -944,19 +954,68 @@ def test_bound_kernel_refuses_states_it_would_overrun(advance):
     block = np.zeros((3, 4, 0))
     keep = np.array([1, 0, 1], dtype=np.uint8)
     assert run(block, 3, None, keep, np.empty((2, 4, 2))) == 3
-    for bad in (keep[:2], keep.astype(bool), keep.reshape(3, 1),
-                np.repeat(keep, 2)[::2]):
+    for bad in (keep[:2], keep.reshape(3, 1)):
         with pytest.raises(ValueError, match="does not flag 3 steps"):
             run(block, 3, None, bad, np.empty((2, 4, 2)))
-    for bad in (np.empty((1, 4, 2)), np.empty((2, 4, 2), dtype=np.float32),
-                np.empty((2, 4, 3)), np.empty((2, 2, 4)).transpose(0, 2, 1)):
+    for bad in (keep.astype(bool), np.repeat(keep, 2)[::2]):
+        with pytest.raises(ValueError, match="keep must be a C-contiguous "
+                           "uint8 array"):
+            run(block, 3, None, bad, np.empty((2, 4, 2)))
+    for bad in (np.empty((1, 4, 2)), np.empty((2, 4, 3))):
         with pytest.raises(ValueError, match="does not hold 2 states"):
+            run(block, 3, None, keep, bad)
+    for bad in (np.empty((2, 4, 2), dtype=np.float32),
+                np.empty((2, 2, 4)).transpose(0, 2, 1)):
+        with pytest.raises(ValueError, match="rec must be a writeable "
+                           "C-contiguous float64 array"):
             run(block, 3, None, keep, bad)
     # only the flags of the steps run count
     assert run(block, 1, None, keep, np.empty((1, 4, 2))) == 1
     for args in ((keep, None), (None, np.empty((2, 4, 2)))):
         with pytest.raises(ValueError, match="keep and rec come together"):
             run(block, 3, None, *args)
+
+
+def _read_only(shape, value):
+    """A read-only float64 array of shape over an immutable bytes object
+    filled with value, and that bytes object."""
+    raw = np.full(shape, value).tobytes()
+    return np.frombuffer(raw).reshape(shape), raw
+
+
+def test_bound_kernel_refuses_read_only_buffers(advance):
+    """Every buffer the kernel writes into, states, scratch, obs and rec,
+    is refused when read-only, before the kernel runs: the bytes behind it
+    keep their values. A read-only noise block is taken, as the finest
+    table's view is read-only."""
+    values = dict.fromkeys(COEFF_NAMES, 0.0)
+    values.update(h=1.0, beta1=1.0, k_noise=1)
+    block = np.ones((2, 4, 1))
+    block.flags.writeable = False
+    keep = np.ones(2, dtype=np.uint8)
+    for name in ("states", "scratch"):
+        frozen, raw = _read_only((4, 1), 3.0)
+        bufs = {"states": np.full((4, 1), 3.0), "scratch": np.empty((4, 1)),
+                name: frozen}
+        with pytest.raises(ValueError, match="%s must be a writeable" % name):
+            advance(values, bufs["states"], bufs["scratch"], 1)
+        assert raw == np.full((4, 1), 3.0).tobytes()
+    for name in ("obs", "rec"):
+        states = np.full((4, 1), 3.0)
+        run = advance(values, states, np.empty_like(states), 1)
+        shape = (2, 4) if name == "obs" else (2, 4, 1)
+        frozen, raw = _read_only(shape, 5.0)
+        args = ((frozen, None, None) if name == "obs"
+                else (None, keep, frozen))
+        with pytest.raises(ValueError, match="%s must be a writeable" % name):
+            run(block, 2, *args)
+        assert raw == np.full(shape, 5.0).tobytes()
+        assert np.array_equal(states, np.full((4, 1), 3.0))
+    # the same calls with writeable buffers run
+    states = np.full((4, 1), 3.0)
+    run = advance(values, states, np.empty_like(states), 1)
+    assert run(block, 2, np.empty((2, 4)), keep, np.empty((2, 4, 1))) == 2
+    assert not np.array_equal(states, np.full((4, 1), 3.0))
 
 
 # (command, INI, data file, report file); the simulate config runs q = 3,
@@ -1008,14 +1067,7 @@ def test_driver_bytes_match_across_backends(monkeypatch, compiled_library,
     states the kernel records for the two drivers that read a
     StateRecorder.
     """
-    advance, fsum_rows, uniforms, ndtri, increments, repr_join = (
-        load_compiled(compiled_library))
-    monkeypatch.setattr(scheme, "bind_advance", advance)
-    monkeypatch.setattr("mvsde.experiments.repr_join", repr_join)
-    monkeypatch.setattr(ensemble, "fsum_rows", fsum_rows)
-    monkeypatch.setattr("mvsde.rng.philox_uniforms", uniforms)
-    monkeypatch.setattr("mvsde.rng.ndtri", ndtri)
-    monkeypatch.setattr("mvsde.rng.quantized_increments", increments)
+    monkeypatch.setattr(_core, "kernels", load_compiled(compiled_library))
     reports = []
     for command, ini, data, report in _DRIVER_CONFIGS:
         runs = []

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvsde import experiments
-from mvsde._core import load_compiled, repr_join_py
+from mvsde import _core
+from mvsde._core import NUMPY, load_compiled
 from mvsde.config import emit_config, make_config
 from mvsde.experiments import (_write_json, run_ergodic_contraction,
                                run_moment_stability, run_poc_rate,
@@ -167,15 +167,15 @@ def _report_values():
 
 @pytest.fixture(scope="module")
 def report_joins(request):
-    """The report writer's repr_join on each backend: the NumPy one, and
+    """Each backend the report writer's repr_join comes from: NUMPY, and
     the compiled one where a C compiler builds it."""
-    joins = [repr_join_py]
+    backends = [NUMPY]
     try:
-        joins.append(load_compiled(
-            request.getfixturevalue("compiled_library"))[5])
+        backends.append(load_compiled(
+            request.getfixturevalue("compiled_library")))
     except pytest.skip.Exception:
         pass
-    return joins
+    return backends
 
 
 @settings(max_examples=300, deadline=None)
@@ -188,9 +188,9 @@ def test_writer_matches_json_dump(body, report_joins, tmp_path_factory):
     and dataclasses: the bytes of json.dump(indent=2), with the float
     lists written by the NumPy and by the compiled repr_join."""
     path = tmp_path_factory.mktemp("json") / "report.json"
-    for join in report_joins:
+    for backend in report_joins:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(experiments, "repr_join", join)
+            mp.setattr(_core, "kernels", backend)
             _write_json(str(path), body)
         assert path.read_bytes() == _reference_bytes(body)
 

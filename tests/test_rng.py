@@ -2,6 +2,7 @@
 
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -9,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from mvsde import rng
-from mvsde._core import (load_compiled, ndtri_py, philox_uniforms_py,
-                         quantized_increments_py)
+from mvsde import _core, rng
+from mvsde._core import NUMPY, load_compiled, pairwise_py
 from mvsde._core.pairwise_py import QUANT
 from mvsde.rng import (ELEMENT_CAP, _INIT_SALT, initial_law,
                        level_increments, make_tableau, parse_initial,
@@ -22,8 +22,16 @@ from mvsde.rng import (ELEMENT_CAP, _INIT_SALT, initial_law,
 def uniforms(request):
     """philox_uniforms of one backend; the C one compiled for the test."""
     if request.param == "numpy":
-        return philox_uniforms_py
-    return load_compiled(request.getfixturevalue("compiled_library"))[2]
+        return NUMPY.philox_uniforms
+    return load_compiled(
+        request.getfixturevalue("compiled_library")).philox_uniforms
+
+
+def _with_uniforms(monkeypatch, uniforms):
+    """Make the active backend's philox_uniforms uniforms, its other
+    kernels unchanged."""
+    monkeypatch.setattr(_core, "kernels", types.SimpleNamespace(
+        **dict(vars(_core.kernels), philox_uniforms=uniforms)))
 
 
 def test_refinement_exact_zero_tolerance():
@@ -94,8 +102,8 @@ def test_finest_level_holds_no_negative_zero(monkeypatch):
     # just below 1/2, ndtri is a tiny negative number that rounds to -0.0
     # on the grid; the summed form would give +0.0 there
     below_half = 0.5 - 2.0 ** -53
-    monkeypatch.setattr(rng, "philox_uniforms",
-                        lambda key0, shape: np.full(shape, below_half))
+    _with_uniforms(monkeypatch,
+                   lambda key0, shape: np.full(shape, below_half))
     tab = make_tableau(1, 3, 2, 1.0, 4)
     fine = level_increments(tab, 4)
     assert (fine == 0.0).all() and not np.signbit(fine).any()
@@ -108,11 +116,11 @@ def c_increments(request):
     of the -mfma build."""
     library = {"c": "compiled_library", "baseline": "baseline_library",
                "fma": "fma_library"}[request.param]
-    return load_compiled(request.getfixturevalue(library))[4]
+    return load_compiled(request.getfixturevalue(library)).quantized_increments
 
 
 def _assert_same_increments(kernel, u, scale):
-    want = quantized_increments_py(u.copy(), scale)
+    want = pairwise_py.quantized_increments(u.copy(), scale)
     got = u.copy()
     assert kernel(got, scale) is got
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
@@ -249,6 +257,31 @@ def test_tableau_validation():
         level_increments(make_tableau(1, 2, 1, 1.0, 8), 3)  # not a divisor
 
 
+@pytest.mark.parametrize("args, name", [
+    ((1.7, 64, 1, 1.0, 8), "seed"), ((1, 64.9, 1, 1.0, 8), "N"),
+    ((1, 64, 1.2, 1.0, 8), "l"), ((1, 64, 1, 1.0, 8.5), "n_max"),
+    ((True, 64, 1, 1.0, 8), "seed"), ((1, 64, 1, 1.0, "8"), "n_max")])
+def test_tableau_counts_must_be_whole_numbers(args, name):
+    """seed, N, l and n_max follow model.whole_number: a fractional value,
+    a bool or a string is refused, never truncated."""
+    with pytest.raises(ValueError, match="%s must be a whole number" % name):
+        make_tableau(*args)
+
+
+def test_tableau_takes_integral_floats():
+    tab = make_tableau(7.0, 4.0, 2.0, 1.0, 8.0)
+    assert (tab.seed, tab.N, tab.l, tab.n_max) == (7, 4, 2, 8)
+    assert all(type(v) is int for v in (tab.seed, tab.N, tab.l, tab.n_max))
+    assert np.array_equal(level_increments(tab, 4.0),
+                          level_increments(make_tableau(7, 4, 2, 1.0, 8), 4))
+
+
+@pytest.mark.parametrize("n", [4.5, True, "4"])
+def test_level_must_be_a_whole_number(n):
+    with pytest.raises(ValueError, match="level n must be a whole number"):
+        level_increments(make_tableau(1, 2, 1, 1.0, 8), n)
+
+
 def test_tableau_drawn_on_first_read_and_kept(monkeypatch):
     calls = []
     draw = rng._draw
@@ -307,19 +340,14 @@ def test_philox_uniforms_match_fresh_philox(uniforms):
 
 
 def test_backends_draw_identical_tables(compiled_library, monkeypatch):
-    c_kernels = load_compiled(compiled_library)[2:5]
     laws = [initial_law("gaussian", center=1.0, scale=0.5),
             initial_law("uniform_ball", center=-2.0, radius=3.0),
             initial_law("point", center=0.25)]
     draws = {}
-    for label, (uniforms, ndtri_kernel, increments) in (
-            ("c", c_kernels), ("numpy", (philox_uniforms_py, ndtri_py,
-                                         quantized_increments_py))):
-        monkeypatch.setattr(rng, "philox_uniforms", uniforms)
-        monkeypatch.setattr(rng, "ndtri", ndtri_kernel)
-        monkeypatch.setattr(rng, "quantized_increments", increments)
+    for backend in (load_compiled(compiled_library), NUMPY):
+        monkeypatch.setattr(_core, "kernels", backend)
         tab = make_tableau(2024, 33, 3, 2.0, 8)
-        draws[label] = [level_increments(tab, n) for n in (8, 2)] + [
+        draws[backend.name] = [level_increments(tab, n) for n in (8, 2)] + [
             sample_initial(tab, 33, d, law)
             for d in (1, 3, 8, 9, 12) for law in laws]
     for got, want in zip(draws["c"], draws["numpy"]):
@@ -332,7 +360,7 @@ def test_uniform_ball_matches_per_particle_formula(uniforms, monkeypatch,
                                                    d):
     """The block draw gives each particle's own-stream formula bit for bit:
     the row norm is np.sum over that row, the radius scalar libm pow."""
-    monkeypatch.setattr(rng, "philox_uniforms", uniforms)
+    _with_uniforms(monkeypatch, uniforms)
     tab = make_tableau(77, 64, 1, 1.0, 2)
     got = sample_initial(tab, 64, d, initial_law("uniform_ball",
                                                  center=0.5, radius=2.0))
@@ -347,8 +375,7 @@ def test_uniform_ball_matches_per_particle_formula(uniforms, monkeypatch,
 def test_uniform_ball_at_the_origin_points_along_the_first_axis(
         monkeypatch):
     # u = 1/2 maps to z = 0, so the direction falls back to e_1
-    monkeypatch.setattr(rng, "philox_uniforms",
-                        lambda key0, shape: np.full(shape, 0.5))
+    _with_uniforms(monkeypatch, lambda key0, shape: np.full(shape, 0.5))
     tab = make_tableau(1, 4, 1, 1.0, 2)
     x = sample_initial(tab, 4, 3, initial_law("uniform_ball", radius=2.0))
     want = 2.0 * 0.5 ** (1.0 / 3.0)
@@ -364,8 +391,9 @@ def test_tableau_draws_no_os_entropy(compiled_library, monkeypatch):
         elif event == "c_call":
             seen.append(getattr(arg, "__name__", ""))
 
-    for uniforms in (load_compiled(compiled_library)[2], philox_uniforms_py):
-        monkeypatch.setattr(rng, "philox_uniforms", uniforms)
+    for uniforms in (load_compiled(compiled_library).philox_uniforms,
+                     NUMPY.philox_uniforms):
+        _with_uniforms(monkeypatch, uniforms)
         sys.setprofile(profile)
         try:
             tab = make_tableau(3, 8, 2, 1.0, 4)

@@ -166,6 +166,25 @@ def test_simulate_prefix_particles_share_noise():
     assert np.array_equal(small.states, big.states[:4])
 
 
+@pytest.mark.parametrize("steps", [[2.5, 3.9], [True], ["4"]])
+def test_recorder_steps_must_be_whole_numbers(steps):
+    """A recorder's steps follow model.whole_number: a fractional step is
+    refused, never truncated to a step it does not name."""
+    with pytest.raises(ValueError, match="step must be a whole number"):
+        StateRecorder(steps)
+
+
+def test_recorder_takes_integral_float_steps():
+    m = _pure_cubic(sigma0=0.2)
+    tab = make_tableau(3, 4, 1, 1.0, 8)
+    recs = [StateRecorder([4.0, 8.0, 0.0]), StateRecorder([4, 8, 0])]
+    for rec in recs:
+        simulate(TamedModel(m, 8, "finite"), tab, np.ones((4, 1)),
+                 callbacks=(rec,))
+        assert rec.recorded_steps == [0, 4, 8]
+    assert np.array_equal(recs[0].states, recs[1].states)
+
+
 def test_center_of_mass_nearly_conserved():
     # antisymmetric attraction kappa*(mean - x) with no self drift and no
     # noise: the empirical mean is exactly conserved up to float crumbs

@@ -2,7 +2,9 @@
 
 ``import mvsde`` loads NumPy with its OpenBLAS capped at one thread,
 unless NumPy is already loaded or OPENBLAS_NUM_THREADS is set, and
-restores the environment; ``experiments._map_reps`` runs one worker
+restores the environment; the two lazy SciPy imports, the NumPy
+backend's ndtri and exact-assignment W2, load SciPy's OpenBLAS under the
+same cap; ``experiments._map_reps`` runs one worker
 inline and otherwise pins rep worker k to the k-th allowed CPU. The
 import checks run in fresh interpreters and read /proc/self/task, so they
 skip where /proc is missing and where a plain ``import numpy`` starts no
@@ -66,11 +68,34 @@ print(json.dumps({"tasks": tasks, "w2": hexes}))
 """
 
 
-def _fresh(code, modules, blas_var=None):
+# imports mvsde, then takes the SciPy route named in argv[1]: a table
+# draw (on the NumPy backend, through scipy.special.ndtri) or an
+# exact-assignment W2 (through scipy.optimize); prints the task count, the
+# SciPy module the route loaded and what became of the environment
+_SCIPY_ROUTE = """
+import json, os, sys
+import mvsde
+before = dict(os.environ)
+import numpy as np
+if sys.argv[1] == "table":
+    from mvsde.rng import level_increments, make_tableau
+    level_increments(make_tableau(1, 4, 1, 1.0, 8), 8)
+else:
+    gen = np.random.default_rng(0)
+    mvsde.w2(gen.normal(size=(5, 2)), gen.normal(size=(5, 2)),
+             method="exact_assignment")
+print(json.dumps({"tasks": len(os.listdir("/proc/self/task")),
+                  "loaded": [m for m in ("scipy.special", "scipy.optimize")
+                             if m in sys.modules],
+                  "environ_kept": dict(os.environ) == before}))
+"""
+
+
+def _fresh(code, modules, blas_var=None, **env_vars):
     """The JSON line a fresh interpreter prints for code, with argv[1]
-    the comma-joined modules and OPENBLAS_NUM_THREADS set to blas_var or
-    unset."""
-    env = dict(os.environ, PYTHONPATH=SRC)
+    the comma-joined modules, OPENBLAS_NUM_THREADS set to blas_var or
+    unset and env_vars added to the environment."""
+    env = dict(os.environ, PYTHONPATH=SRC, **env_vars)
     env.pop(BLAS_VAR, None)
     if blas_var is not None:
         env[BLAS_VAR] = blas_var
@@ -113,6 +138,28 @@ def test_sliced_w2_bytes_do_not_depend_on_the_blas_pool(numpy_pool_tasks):
     assert capped["tasks"] == 1, capped
     assert pooled["tasks"] == numpy_pool_tasks, pooled
     assert capped["w2"] == pooled["w2"]
+
+
+@pytest.fixture(scope="module")
+def scipy_pool_tasks(numpy_pool_tasks):
+    """Tasks of a fresh interpreter after ``import mvsde`` and then a
+    plain ``import scipy.special``, whose OpenBLAS is SciPy's own."""
+    tasks = _fresh(_IMPORT_THEN_COUNT, ["mvsde", "scipy.special"])["tasks"]
+    if tasks < 2:
+        pytest.skip("import scipy.special starts no BLAS thread here")
+    return tasks
+
+
+@pytest.mark.parametrize("route, fallback, module", [
+    ("table", "1", "scipy.special"),
+    ("exact_assignment", "0", "scipy.optimize"),
+])
+def test_scipy_loads_on_one_blas_thread(scipy_pool_tasks, route, fallback,
+                                        module):
+    got = _fresh(_SCIPY_ROUTE, [route], MVSDE_FORCE_FALLBACK=fallback)
+    assert module in got["loaded"], got
+    assert got["tasks"] == 1, got
+    assert got["environ_kept"], got
 
 
 def _placement(m):
