@@ -182,9 +182,10 @@ def load_compiled(path):
 
 def pair_scratch_size(n, d, pair_rows):
     """Doubles of scratch that mvsde_pair_aggregate needs for an n x d
-    ensemble, from the library's mvsde_pair_rows: the structure-of-arrays
-    copy of X and the sums of F and G, each d rows of n + pair_rows, and a
-    block's values and sums, 3 d x pair_rows."""
+    ensemble, from the library's mvsde_pair_rows, the taller of its two
+    row blocks (8 rows in the AVX-512 wide tile, 4 in the other): the
+    structure-of-arrays copy of X and the sums of F and G, each d rows of
+    n + pair_rows, and a block's values and sums, 3 d x pair_rows."""
     return 3 * d * (n + 2 * pair_rows)
 
 

@@ -27,6 +27,8 @@
  * of the rows before it, then its own. Every value sees the operations of
  * the reference in its order, vector +, -, * and / round as their scalar
  * forms do and a shuffle only moves values, so the sums agree bit for bit.
+ * At d >= 2 on a CPU with AVX-512 the blocks have eight rows (see "The
+ * wide tile" below).
  *
  * mvsde_advance runs whole steps of mvsde.scheme.step for a block of steps
  * with no Python in the loop, bit for bit. It repeats step's NumPy
@@ -131,10 +133,12 @@
  * no errno branch and vectorises. Plain C with no Python or NumPy headers,
  * apart from the unsigned __int128 of the Philox multiplications and of
  * Ryu's products, the vector extension types and shuffles of the pair
- * tile and the row sum, the always_inline, target_clones and constructor
- * attributes, which GCC and Clang provide, and #pragma GCC unroll, which
- * steers the compiler only and so changes no value under a compiler that
- * ignores it; mvsde._core loads it with ctypes.
+ * tiles and the row sum, the always_inline, target_clones, target and
+ * constructor attributes, __builtin_cpu_supports and the two AVX-512
+ * intrinsics of the wide tile, which GCC and Clang provide, and
+ * #pragma GCC unroll, which steers the compiler only and so changes no
+ * value under a compiler that ignores it; mvsde._core loads it with
+ * ctypes.
  *
  * Runtime dispatch. mvsde_pair_aggregate, row_norms, step_once,
  * mvsde_fsum_rows, mvsde_ndtri and mvsde_quantized_increments carry
@@ -148,11 +152,42 @@
  * target. Elsewhere STEP_CLONES is empty and the build is the baseline one
  * alone. Both clones give the same bits: +, -, *, / and sqrt round alike at
  * every vector width, -ffp-contract=off forbids FMA in the AVX2 clone too,
- * nothing is reassociated, and pow and log stay scalar libm. There is no
- * AVX-512 (x86-64-v4) clone: on a 2-vCPU Xeon VM (AVX-512), a whole-file
- * x86-64-v4 build took 1.07-1.59x the AVX2 clone's time per pair in the
- * pair loop's tile (poc-rate kernel, d = 1, 3 and 8, N = 64 and 1024,
- * medians of 31 interleaved rounds), with 512-bit vectors preferred or not.
+ * nothing is reassociated, and pow and log stay scalar libm. AVX-512 runs
+ * in one function of its own, the wide tile below, not in a third clone:
+ * on a 2-vCPU Xeon VM (AVX-512), a whole-file x86-64-v4 build of the 4-row
+ * tile took 1.07-1.59x the AVX2 clone's time per pair (poc-rate kernel,
+ * d = 1, 3 and 8, N = 64 and 1024, medians of 31 interleaved rounds),
+ * with 512-bit vectors preferred or not.
+ *
+ * The wide tile. pair_aggregate_wide, compiled with WIDE_TILE's
+ * target("avx512f,avx512dq,avx512vl"), runs mvsde_pair_aggregate's loop
+ * in blocks of WIDE_ROWS = 8 rows, the rows in the lanes of a 512-bit
+ * vector, and the partners past a block in tiles of four (wide_tile). A
+ * tile keeps its differences v = x_r - x_j in registers from the r2 pass
+ * to the P = cf v, Q = gw v pass up to PAIR_DIMS components. The pair
+ * factors of the exponent cases without pow (W_CONST, W_R2, W_R4 with
+ * Q_R2 or Q_ONE) are formed in the vector lanes by pair_factors's
+ * operations; the pow cases go through its lane arrays and scalar libm
+ * pow. The rows' own sums take the products in partner order, and the
+ * partners' mirrored sums take them in row order through an 8 x 4
+ * transpose. The pairs inside a block are taken as two 4-row blocks take
+ * them (pair_one among each half's rows, pair_tile from the first half to
+ * the second), and the 1 to 3 partners after the last whole tile by
+ * pair_one. So each row still sums its mirrored terms in ascending row
+ * order, then its own in ascending partner order, every value sees the
+ * reference's operations in its order, vector +, -, * and / round as
+ * their scalar forms do, shuffles and broadcasts only move values, and
+ * -ffp-contract=off keeps FMA out of this target too: the bits are the
+ * 4-row tile's. mvsde_pair_aggregate calls it at d >= 2 when
+ * __builtin_cpu_supports reports every feature that target names; d = 1,
+ * other CPUs and builds without runtime dispatch keep the 4-row tile. On
+ * the 2-vCPU Xeon VM (poc-rate kernel, medians of 41 interleaved rounds,
+ * three runs) it took 1.09-1.10x, 0.99x, 0.93-0.94x, 0.88x, 0.84-0.90x
+ * and 0.84x the 4-row AVX2 clone's time per call at d = 3 and N = 16, 32,
+ * 64, 128, 256 and 1024, and 0.71x at d = 8, N = 1024. With pair_one
+ * taking all 28 pairs inside each block it took 1.23-1.31x at N = 16 and
+ * 1.01-1.03x at N = 64. At d = 1, 8-row blocks took 1.17-1.18x at N = 64,
+ * the strong-rate shape, and 0.91-0.99x at N = 1024, hence d >= 2.
  */
 
 #include <math.h>
@@ -166,26 +201,29 @@
  * that its kernels would misread or a work array they would overrun. */
 const int mvsde_abi = 7;
 
-/* The pair loop takes the rows in blocks of PAIR_ROWS and the partners
- * past a block in tiles of PAIR_TILE (pair_tile). Each row of the
- * structure-of-arrays scratch holds n + PAIR_ROWS doubles: with rows of
+/* The pair loop takes the rows in blocks of PAIR_ROWS, or of WIDE_ROWS in
+ * the wide tile (see "The wide tile" above), and the partners past a block
+ * in tiles of PAIR_TILE (pair_tile, wide_tile). Each row of the
+ * structure-of-arrays scratch holds n + WIDE_ROWS doubles: with rows of
  * exactly n doubles, at N = 1024 every row starts a multiple of 4096 bytes
  * from every other, and the tile's loads stall on its stores to other rows
  * at the same page offset. Up to PAIR_DIMS components a block keeps
- * its rows' values and sums on the stack, beyond in the scratch.
- * mvsde._core sizes the scratch from mvsde_pair_rows. On a 2-vCPU Xeon VM
- * (AVX-512), at the poc-rate kernel and N = 64 and 1024, this loop took
- * 0.51-0.54x the time per pair of the three passes per block it replaced
- * at d = 1 (2.0 -> 1.1 ns at N = 1024), 0.62-0.69x at d = 3 and
- * 0.72-0.75x at d = 8 in the AVX2 clone, and 0.81-0.95x in the baseline
- * build (medians of 41 interleaved rounds). Tiles of 2 partners ran
- * 1.1-1.3x slower than tiles of 4 in the AVX2 clone, rows of exactly n
- * about 1.4x slower at d = 8 and N = 1024. */
+ * its rows' values and sums on the stack, beyond in the scratch, in
+ * dk x WIDE_ROWS arrays of which a 4-row block uses the first 4 columns.
+ * mvsde._core sizes the scratch from mvsde_pair_rows, the taller of the
+ * two blocks. On a 2-vCPU Xeon VM (AVX-512), at the poc-rate kernel and
+ * N = 64 and 1024, the 4-row loop took 0.51-0.54x the time per pair of
+ * the three passes per block it replaced at d = 1 (2.0 -> 1.1 ns at
+ * N = 1024), 0.62-0.69x at d = 3 and 0.72-0.75x at d = 8 in the AVX2
+ * clone, and 0.81-0.95x in the baseline build (medians of 41 interleaved
+ * rounds). Tiles of 2 partners ran 1.1-1.3x slower than tiles of 4 in the
+ * AVX2 clone, rows of exactly n about 1.4x slower at d = 8 and N = 1024. */
 #define PAIR_ROWS 4
+#define WIDE_ROWS 8
 #define PAIR_TILE 4
-#define PAIR_LANES (PAIR_ROWS * PAIR_TILE)
+#define PAIR_LANES (WIDE_ROWS * PAIR_TILE) /* the most pairs of one tile */
 #define PAIR_DIMS 3
-const int mvsde_pair_rows = PAIR_ROWS;
+const int mvsde_pair_rows = WIDE_ROWS;
 
 #define ALWAYS_INLINE static inline __attribute__((always_inline))
 
@@ -211,6 +249,7 @@ typedef int64_t vec4i __attribute__((vector_size(sizeof(vec4))));
     && defined(__has_attribute)
 #if __has_attribute(target_clones)
 #define STEP_CLONES __attribute__((target_clones("avx2", "default")))
+#define WIDE_TILE __attribute__((target("avx512f,avx512dq,avx512vl")))
 #endif
 #endif
 #ifndef STEP_CLONES
@@ -288,8 +327,8 @@ ALWAYS_INLINE void pair_factors(const struct pair_kernel *k,
  * stride ns, as xs). */
 ALWAYS_INLINE void pair_one(const struct pair_kernel *k,
                             const double *restrict xs, ptrdiff_t ns,
-                            ptrdiff_t dk, double (*a)[PAIR_ROWS],
-                            double (*af)[PAIR_ROWS], double (*ag)[PAIR_ROWS],
+                            ptrdiff_t dk, double (*a)[WIDE_ROWS],
+                            double (*af)[WIDE_ROWS], double (*ag)[WIDE_ROWS],
                             int r, ptrdiff_t j, double *restrict fs,
                             double *restrict gs)
 {
@@ -310,16 +349,19 @@ ALWAYS_INLINE void pair_one(const struct pair_kernel *k,
     }
 }
 
-/* Lanes i, j, k and l of the eight lanes of a and then b. */
+/* Lanes i, j, k and l of the eight lanes of a and then b; WIDE_SHUFFLE
+ * takes eight of the sixteen lanes of two vec8. */
 #if defined(__has_builtin)
 #if __has_builtin(__builtin_shufflevector)
 #define PAIR_SHUFFLE(a, b, i, j, k, l)                                     \
     __builtin_shufflevector(a, b, i, j, k, l)
+#define WIDE_SHUFFLE(a, b, ...) __builtin_shufflevector(a, b, __VA_ARGS__)
 #endif
 #endif
 #ifndef PAIR_SHUFFLE /* GCC before 12 */
 #define PAIR_SHUFFLE(a, b, i, j, k, l)                                     \
     __builtin_shuffle(a, b, (vec4i){i, j, k, l})
+#define WIDE_SHUFFLE(a, b, ...) __builtin_shuffle(a, b, (vec8i){__VA_ARGS__})
 #endif
 
 /* A full block's rows, whose dk components are the lanes of a[c], against
@@ -332,14 +374,15 @@ ALWAYS_INLINE void pair_one(const struct pair_kernel *k,
  * order. */
 ALWAYS_INLINE void pair_tile(const struct pair_kernel *k,
                              const double *restrict xs, ptrdiff_t ns,
-                             ptrdiff_t dk, double (*a)[PAIR_ROWS],
-                             double (*af)[PAIR_ROWS], double (*ag)[PAIR_ROWS],
+                             ptrdiff_t dk, double (*a)[WIDE_ROWS],
+                             double (*af)[WIDE_ROWS], double (*ag)[WIDE_ROWS],
                              ptrdiff_t j, double *restrict fs,
                              double *restrict gs)
 {
     vec4 r2[PAIR_TILE], cf[PAIR_TILE], gw[PAIR_TILE], p[PAIR_TILE],
         q[PAIR_TILE], av, s, v, u0, u1, u2, u3;
-    double lr2[PAIR_LANES], lcf[PAIR_LANES], lgw[PAIR_LANES];
+    double lr2[PAIR_ROWS * PAIR_TILE], lcf[PAIR_ROWS * PAIR_TILE],
+        lgw[PAIR_ROWS * PAIR_TILE];
     ptrdiff_t c;
     int t;
 
@@ -353,7 +396,7 @@ ALWAYS_INLINE void pair_tile(const struct pair_kernel *k,
         }
     }
     memcpy(lr2, r2, sizeof r2);
-    pair_factors(k, lr2, lcf, lgw, PAIR_LANES);
+    pair_factors(k, lr2, lcf, lgw, PAIR_ROWS * PAIR_TILE);
     memcpy(cf, lcf, sizeof cf);
     memcpy(gw, lgw, sizeof gw);
     for (c = 0; c < dk; c++) {
@@ -390,33 +433,27 @@ ALWAYS_INLINE void pair_tile(const struct pair_kernel *k,
     }
 }
 
-/* The terms of the block of `rows` rows from i0 of the n rows, on dk
+/* The start of rows r0 to rows - 1 of the block from i0, on dk
  * components. Row i's sum is its mirrored terms, -f(x_j, x_i) from every
  * row j < i in ascending j, then its own terms in ascending j; fs and gs
- * hold the mirrored part of every later row. The block copies its rows'
- * values and sums into a, af and ag (dk x PAIR_ROWS each). The pairs
- * inside the block go first, row by row, then the partners past it in
- * tiles, and those after the last whole tile one at a time; a short last
- * block (1 to PAIR_ROWS - 1 rows) has no partners past it and leaves the
- * other lanes unused. Nothing adds to a row after its block, so its sums
- * go to F and G, divided by dn. */
-ALWAYS_INLINE void pair_block(const struct pair_kernel *k,
-                              const double *restrict xs, ptrdiff_t n,
-                              ptrdiff_t ns, ptrdiff_t dk, ptrdiff_t i0,
-                              int rows,
-                              double (*a)[PAIR_ROWS],
-                              double (*af)[PAIR_ROWS],
-                              double (*ag)[PAIR_ROWS], double *restrict fs,
-                              double *restrict gs, double *F, double *G,
-                              double dn)
+ * hold the mirrored part of every later row. The rows' values and sums go
+ * to columns r0 to rows - 1 of a, af and ag, then the pairs among these
+ * rows are taken, row by row. */
+ALWAYS_INLINE void block_open(const struct pair_kernel *k,
+                              const double *restrict xs, ptrdiff_t ns,
+                              ptrdiff_t dk, ptrdiff_t i0, int r0, int rows,
+                              double (*a)[WIDE_ROWS],
+                              double (*af)[WIDE_ROWS],
+                              double (*ag)[WIDE_ROWS], double *restrict fs,
+                              double *restrict gs)
 {
     ptrdiff_t j, c;
     int r;
 
-    for (r = 0; r < rows; r++)
+    for (r = r0; r < rows; r++)
         for (c = 0; c < dk; c++)
             a[c][r] = xs[c * ns + i0 + r];
-    for (r = 0; r < rows; r++) {
+    for (r = r0; r < rows; r++) {
         for (c = 0; c < dk; c++) {
             af[c][r] = fs[c * ns + i0 + r];
             ag[c][r] = gs[c * ns + i0 + r];
@@ -424,14 +461,27 @@ ALWAYS_INLINE void pair_block(const struct pair_kernel *k,
         for (j = i0 + r + 1; j < i0 + rows; j++)
             pair_one(k, xs, ns, dk, a, af, ag, r, j, fs, gs);
     }
-    j = i0 + rows;
-    if (rows == PAIR_ROWS) {
-        for (; j + PAIR_TILE <= n; j += PAIR_TILE)
-            pair_tile(k, xs, ns, dk, a, af, ag, j, fs, gs);
-        for (; j < n; j++)
-            for (r = 0; r < PAIR_ROWS; r++)
-                pair_one(k, xs, ns, dk, a, af, ag, r, j, fs, gs);
-    }
+}
+
+/* The end of the block that block_open started, once its tiles have taken
+ * the partners before j: the partners from j to the last of the n rows one
+ * at a time. Nothing adds to a row after its block, so its sums go to F
+ * and G, divided by dn. */
+ALWAYS_INLINE void block_close(const struct pair_kernel *k,
+                               const double *restrict xs, ptrdiff_t n,
+                               ptrdiff_t ns, ptrdiff_t dk, ptrdiff_t i0,
+                               int rows, ptrdiff_t j, double (*a)[WIDE_ROWS],
+                               double (*af)[WIDE_ROWS],
+                               double (*ag)[WIDE_ROWS], double *restrict fs,
+                               double *restrict gs, double *F, double *G,
+                               double dn)
+{
+    ptrdiff_t c;
+    int r;
+
+    for (; j < n; j++)
+        for (r = 0; r < rows; r++)
+            pair_one(k, xs, ns, dk, a, af, ag, r, j, fs, gs);
     for (r = 0; r < rows; r++)
         for (c = 0; c < dk; c++) {
             F[(i0 + r) * dk + c] = af[c][r] / dn;
@@ -439,11 +489,229 @@ ALWAYS_INLINE void pair_block(const struct pair_kernel *k,
         }
 }
 
+/* The terms of the block of `rows` rows from i0 of the n rows: the pairs
+ * inside the block, the partners past it in tiles, and those after the
+ * last whole tile one at a time. Only the last block can be short (1 to
+ * PAIR_ROWS - 1 rows); it has no partners past it. */
+ALWAYS_INLINE void pair_block(const struct pair_kernel *k,
+                              const double *restrict xs, ptrdiff_t n,
+                              ptrdiff_t ns, ptrdiff_t dk, ptrdiff_t i0,
+                              int rows, double (*a)[WIDE_ROWS],
+                              double (*af)[WIDE_ROWS],
+                              double (*ag)[WIDE_ROWS], double *restrict fs,
+                              double *restrict gs, double *F, double *G,
+                              double dn)
+{
+    ptrdiff_t j = i0 + rows;
+
+    block_open(k, xs, ns, dk, i0, 0, rows, a, af, ag, fs, gs);
+    for (; j + PAIR_TILE <= n; j += PAIR_TILE)
+        pair_tile(k, xs, ns, dk, a, af, ag, j, fs, gs);
+    block_close(k, xs, n, ns, dk, i0, rows, j, a, af, ag, fs, gs, F, G, dn);
+}
+
+/* The n rows in blocks of h, each by block(dk): with the literal dk up to
+ * PAIR_DIMS, whose component loops unroll, and a block's arrays on the
+ * stack (la, laf, lag); beyond, with dk = d and the arrays in the scratch
+ * (wa). */
+#define PAIR_BLOCKS(block, h)                                              \
+    for (i0 = 0; i0 < n; i0 += (h)) {                                      \
+        rows = n - i0 < (h) ? (int)(n - i0) : (h);                         \
+        switch (d) {                                                       \
+        case 1: PAIR_BLOCK(block, 1); break;                               \
+        case 2: PAIR_BLOCK(block, 2); break;                               \
+        case 3: PAIR_BLOCK(block, 3); break;                               \
+        default: PAIR_BLOCK(block, d); break;                              \
+        }                                                                  \
+    }
+#define PAIR_BLOCK(block, dk)                                              \
+    if ((dk) <= PAIR_DIMS)                                                 \
+        block(k, xs, n, ns, dk, i0, rows, la, laf, lag, fs, gs, F, G, dn); \
+    else                                                                   \
+        block(k, xs, n, ns, dk, i0, rows, wa, wa + d, wa + 2 * d, fs, gs,  \
+              F, G, dn)
+
+#ifdef WIDE_TILE
+#include <immintrin.h>
+
+/* Eight doubles and eight int64 lanes: the rows of a wide block, on which
+ * only code compiled for WIDE_TILE's target does arithmetic. */
+typedef double vec8 __attribute__((vector_size(8 * sizeof(double))));
+typedef int64_t vec8i __attribute__((vector_size(sizeof(vec8))));
+
+/* The pair factors of a wide tile's 32 pairs, r2[t] lane r for row r and
+ * partner t, as pair_factors forms them: in the vector lanes in the
+ * exponent cases without pow, through pair_factors's lane arrays and
+ * scalar libm pow in the others. */
+ALWAYS_INLINE void wide_factors(const struct pair_kernel *k, const vec8 *r2,
+                                vec8 *cf, vec8 *gw)
+{
+    double lr2[PAIR_LANES], lcf[PAIR_LANES], lgw[PAIR_LANES];
+    vec8 w, rq;
+    int t;
+
+    if (k->wm == W_POW || k->qm == Q_POW) {
+        memcpy(lr2, r2, sizeof lr2);
+        pair_factors(k, lr2, lcf, lgw, PAIR_LANES);
+        memcpy(cf, lcf, sizeof lcf);
+        memcpy(gw, lgw, sizeof lgw);
+        return;
+    }
+    for (t = 0; t < PAIR_TILE; t++) {
+        if (k->wm == W_CONST)
+            w = (vec8){0.0} + k->wc;
+        else if (k->wm == W_R2)
+            w = 1.0 / (1.0 + k->tam * r2[t]);
+        else
+            w = 1.0 / (1.0 + k->tam * (r2[t] * r2[t]));
+        if (k->qm == Q_R2)
+            rq = r2[t];
+        else
+            rq = (vec8){0.0} + 1.0;
+        cf[t] = (k->kf1 + k->kfq * rq) * w;
+        gw[t] = k->cg * w;
+    }
+}
+
+/* pair_tile on a full block of WIDE_ROWS rows, in the lanes of a vec8:
+ * the differences v stay in registers between the r2 pass and the product
+ * pass up to PAIR_DIMS components (beyond, the product pass forms them
+ * again), the factors come from wide_factors, and the partners' sums
+ * take - (m[0][r], ..., m[3][r]) for block rows r = 0, ..., 7 through an
+ * 8 x 4 transpose whose vectors hold two block rows each,
+ * e[r] = (row r + 4 | row r) for r < 4. The partners' four sums, loaded
+ * into both halves of a vec8, take e[0] to e[3], so that the upper half
+ * holds the sums less rows 0 to 3; that half, copied to both, takes e[0]
+ * to e[3] again, and the lower half then holds the sums less rows 0 to 7
+ * in row order. The other half of each subtraction is discarded. */
+WIDE_TILE
+ALWAYS_INLINE void wide_tile(const struct pair_kernel *k,
+                             const double *restrict xs, ptrdiff_t ns,
+                             ptrdiff_t dk, double (*a)[WIDE_ROWS],
+                             double (*af)[WIDE_ROWS], double (*ag)[WIDE_ROWS],
+                             ptrdiff_t j, double *restrict fs,
+                             double *restrict gs)
+{
+    vec8 kv[PAIR_DIMS][PAIR_TILE], r2[PAIR_TILE], cf[PAIR_TILE],
+        gw[PAIR_TILE], p[PAIR_TILE], q[PAIR_TILE], av, s8, v, u0, u1, u2,
+        u3, e[4];
+    double *x;
+    ptrdiff_t c;
+    int t;
+
+    for (t = 0; t < PAIR_TILE; t++)
+        r2[t] = (vec8){0.0};
+    for (c = 0; c < dk; c++) {
+        memcpy(&av, a[c], sizeof av);
+        for (t = 0; t < PAIR_TILE; t++) {
+            v = av - xs[c * ns + j + t];
+            if (dk <= PAIR_DIMS)
+                kv[c][t] = v;
+            r2[t] = r2[t] + v * v;
+        }
+    }
+    wide_factors(k, r2, cf, gw);
+    for (c = 0; c < dk; c++) {
+        memcpy(&av, a[c], sizeof av);
+        for (t = 0; t < PAIR_TILE; t++) {
+            if (dk <= PAIR_DIMS)
+                v = kv[c][t];
+            else
+                v = av - xs[c * ns + j + t];
+            p[t] = cf[t] * v;
+            q[t] = gw[t] * v;
+        }
+        /* own + m[0] + ... + m[3], lane by lane, and the partners' sums
+         * less rows 0 to 7 of the transpose of m */
+#define WIDE_OWN(own, m)                                                   \
+        memcpy(&s8, own[c], sizeof s8);                                    \
+        for (t = 0; t < PAIR_TILE; t++)                                    \
+            s8 = s8 + m[t];                                                \
+        memcpy(own[c], &s8, sizeof s8);
+#define WIDE_MIRROR(sums, m)                                               \
+        u0 = WIDE_SHUFFLE(m[0], m[1], 0, 8, 2, 10, 4, 12, 6, 14);          \
+        u1 = WIDE_SHUFFLE(m[0], m[1], 1, 9, 3, 11, 5, 13, 7, 15);          \
+        u2 = WIDE_SHUFFLE(m[2], m[3], 0, 8, 2, 10, 4, 12, 6, 14);          \
+        u3 = WIDE_SHUFFLE(m[2], m[3], 1, 9, 3, 11, 5, 13, 7, 15);          \
+        e[0] = WIDE_SHUFFLE(u0, u2, 4, 5, 12, 13, 0, 1, 8, 9);             \
+        e[1] = WIDE_SHUFFLE(u1, u3, 4, 5, 12, 13, 0, 1, 8, 9);             \
+        e[2] = WIDE_SHUFFLE(u0, u2, 6, 7, 14, 15, 2, 3, 10, 11);           \
+        e[3] = WIDE_SHUFFLE(u1, u3, 6, 7, 14, 15, 2, 3, 10, 11);           \
+        x = sums + c * ns + j;                                             \
+        s8 = _mm512_broadcast_f64x4(_mm256_loadu_pd(x));                   \
+        for (t = 0; t < 4; t++)                                            \
+            s8 = s8 - e[t];                                                \
+        s8 = WIDE_SHUFFLE(s8, s8, 4, 5, 6, 7, 4, 5, 6, 7);                 \
+        for (t = 0; t < 4; t++)                                            \
+            s8 = s8 - e[t];                                                \
+        VEC4_STORE(x, s8);
+        WIDE_OWN(af, p)
+        WIDE_OWN(ag, q)
+        WIDE_MIRROR(fs, p)
+        WIDE_MIRROR(gs, q)
+#undef WIDE_MIRROR
+#undef WIDE_OWN
+    }
+}
+
+/* pair_block with WIDE_ROWS rows and the wide tile. The pairs inside the
+ * block are taken as in two blocks of PAIR_ROWS: those among its first 4
+ * rows, those of these rows with the next 4 in one pair_tile (one at a
+ * time in a short last block), then those among the next 4. */
+WIDE_TILE
+ALWAYS_INLINE void wide_block(const struct pair_kernel *k,
+                              const double *restrict xs, ptrdiff_t n,
+                              ptrdiff_t ns, ptrdiff_t dk, ptrdiff_t i0,
+                              int rows, double (*a)[WIDE_ROWS],
+                              double (*af)[WIDE_ROWS],
+                              double (*ag)[WIDE_ROWS], double *restrict fs,
+                              double *restrict gs, double *F, double *G,
+                              double dn)
+{
+    ptrdiff_t j = i0 + PAIR_ROWS;
+    int r;
+
+    block_open(k, xs, ns, dk, i0, 0, rows < PAIR_ROWS ? rows : PAIR_ROWS, a,
+               af, ag, fs, gs);
+    if (rows == WIDE_ROWS)
+        pair_tile(k, xs, ns, dk, a, af, ag, j, fs, gs);
+    else
+        for (; j < i0 + rows; j++)
+            for (r = 0; r < PAIR_ROWS; r++)
+                pair_one(k, xs, ns, dk, a, af, ag, r, j, fs, gs);
+    block_open(k, xs, ns, dk, i0, PAIR_ROWS, rows, a, af, ag, fs, gs);
+    for (j = i0 + rows; j + PAIR_TILE <= n; j += PAIR_TILE)
+        wide_tile(k, xs, ns, dk, a, af, ag, j, fs, gs);
+    block_close(k, xs, n, ns, dk, i0, rows, j, a, af, ag, fs, gs, F, G, dn);
+}
+
+/* The blocks of mvsde_pair_aggregate in WIDE_ROWS rows, on the scratch
+ * that it laid out, compiled for AVX-512F, DQ and VL and called only on a
+ * CPU that has them. */
+WIDE_TILE
+static void pair_aggregate_wide(const struct pair_kernel *k,
+                                const double *restrict xs, ptrdiff_t n,
+                                ptrdiff_t ns, ptrdiff_t d,
+                                double *restrict fs, double *restrict gs,
+                                double *F, double *G, double dn)
+{
+    double (*wa)[WIDE_ROWS] = (double (*)[WIDE_ROWS])(gs + ns * d);
+    double la[PAIR_DIMS][WIDE_ROWS], laf[PAIR_DIMS][WIDE_ROWS],
+        lag[PAIR_DIMS][WIDE_ROWS];
+    ptrdiff_t i0;
+    int rows;
+
+    PAIR_BLOCKS(wide_block, WIDE_ROWS)
+}
+#endif
+
 /* X is a C-contiguous n x d float64 array with d >= 1; F and G (n x d as
  * well) are overwritten with the pair sums. work holds
- * 3 d (n + 2 PAIR_ROWS) doubles: the structure-of-arrays copy of X and the
- * mirrored sums of F and G, d rows of ns = n + PAIR_ROWS each, then a
- * block's a, af and ag past PAIR_DIMS components. The all-zero-kernel
+ * 3 d (n + 2 WIDE_ROWS) doubles: the structure-of-arrays copy of X and the
+ * mirrored sums of F and G, d rows of ns = n + WIDE_ROWS each, then a
+ * block's a, af and ag past PAIR_DIMS components. The rows go in blocks of
+ * WIDE_ROWS to the wide tile at d >= 2 on a CPU with every feature that
+ * WIDE_TILE names, in blocks of PAIR_ROWS otherwise. The all-zero-kernel
  * short-circuit is done by the caller. */
 STEP_CLONES
 void mvsde_pair_aggregate(const double *restrict X, ptrdiff_t n,
@@ -452,7 +720,7 @@ void mvsde_pair_aggregate(const double *restrict X, ptrdiff_t n,
                           double *restrict F, double *restrict G,
                           double *restrict work)
 {
-    struct pair_kernel k = {
+    const struct pair_kernel kern = {
         kf1, kfq, qf, cg, tam, te,
         /* w at tam == 0 is exactly 1; at te == 0 it is 1 / (1 + tam 1) */
         tam == 0.0 ? 1.0 : 1.0 / (1.0 + tam * 1.0),
@@ -460,12 +728,12 @@ void mvsde_pair_aggregate(const double *restrict X, ptrdiff_t n,
         : te == 2.0             ? W_R2
         : te == 4.0             ? W_R4
                                 : W_POW,
-        qf == 2.0 ? Q_R2 : qf == 0.0 ? Q_ONE : Q_POW};
-    ptrdiff_t ns = n + PAIR_ROWS;
+        qf == 2.0 ? Q_R2 : qf == 0.0 ? Q_ONE : Q_POW}, *k = &kern;
+    ptrdiff_t ns = n + WIDE_ROWS;
     double *xs = work, *fs = xs + ns * d, *gs = fs + ns * d, dn = (double)n;
-    double (*wa)[PAIR_ROWS] = (double (*)[PAIR_ROWS])(gs + ns * d);
-    double la[PAIR_DIMS][PAIR_ROWS], laf[PAIR_DIMS][PAIR_ROWS],
-        lag[PAIR_DIMS][PAIR_ROWS];
+    double (*wa)[WIDE_ROWS] = (double (*)[WIDE_ROWS])(gs + ns * d);
+    double la[PAIR_DIMS][WIDE_ROWS], laf[PAIR_DIMS][WIDE_ROWS],
+        lag[PAIR_DIMS][WIDE_ROWS];
     ptrdiff_t i0, j, c;
     int rows;
 
@@ -473,26 +741,18 @@ void mvsde_pair_aggregate(const double *restrict X, ptrdiff_t n,
         for (c = 0; c < d; c++)
             xs[c * ns + j] = X[j * d + c];
     memset(fs, 0, 2 * (size_t)(ns * d) * sizeof(double));
-    for (i0 = 0; i0 < n; i0 += PAIR_ROWS) {
-        rows = n - i0 < PAIR_ROWS ? (int)(n - i0) : PAIR_ROWS;
-        /* literal dimensions up to PAIR_DIMS, whose component loops
-         * unroll; a block's arrays on the stack where they fit */
-#define BLOCK(dk)                                                          \
-    if ((dk) <= PAIR_DIMS)                                                 \
-        pair_block(&k, xs, n, ns, dk, i0, rows, la, laf, lag, fs, gs, F,   \
-                   G, dn);                                                 \
-    else                                                                   \
-        pair_block(&k, xs, n, ns, dk, i0, rows, wa, wa + d, wa + 2 * d,    \
-                   fs, gs, F, G, dn);
-        switch (d) {
-        case 1: BLOCK(1); break;
-        case 2: BLOCK(2); break;
-        case 3: BLOCK(3); break;
-        default: BLOCK(d); break;
-        }
-#undef BLOCK
+#ifdef WIDE_TILE
+    if (d >= 2 && __builtin_cpu_supports("avx512f")
+        && __builtin_cpu_supports("avx512dq")
+        && __builtin_cpu_supports("avx512vl")) {
+        pair_aggregate_wide(k, xs, n, ns, d, fs, gs, F, G, dn);
+        return;
     }
+#endif
+    PAIR_BLOCKS(pair_block, PAIR_ROWS)
 }
+#undef PAIR_BLOCK
+#undef PAIR_BLOCKS
 
 /* Coefficients of one run of the scheme; mirrored by mvsde._core._Coeffs,
  * whose fields between h and gamma are model.COEFFICIENTS in this order.

@@ -8,13 +8,16 @@ MVSDE_FORCE_FALLBACK says. On an x86-64 CPU with FMA the same flags plus
 -mfma give a second library, on which a contraction the flags failed to
 forbid would change bits. pairwise.c compiles its hot path twice, for
 AVX2 and for the x86-64 baseline, and the loader runs the AVX2 clone on
-an AVX2 CPU; baseline_library is a copy of the source with the clone
-macro STEP_CLONES defined empty, so the baseline code is tested on every
-CPU. The package binds the C pair routine only inside the fused kernel;
-c_pair_aggregate, fma_pair_aggregate and baseline_pair_aggregate bind it
-here from each library, so the tests can compare it with the numpy
-kernel directly. no_avx512_env is the environment of a subprocess that
-runs the package with NumPy's AVX-512 loops disabled.
+an AVX2 CPU; at d >= 2 on a CPU with AVX-512F, DQ and VL the pair routine
+runs its wide tile instead. baseline_library is a copy of the source
+with the clone macro STEP_CLONES defined empty and without the wide
+tile's macro WIDE_TILE, so the baseline code, 4-row tile included, is
+tested on every CPU. The package binds the C pair routine only inside
+the fused kernel; c_pair_aggregate, fma_pair_aggregate and
+baseline_pair_aggregate bind it here from each library, so the tests can
+compare it with the numpy kernel directly. no_avx512_env is the
+environment of a subprocess that runs the package with NumPy's AVX-512
+loops disabled.
 """
 
 import ast
@@ -108,20 +111,25 @@ def fma_library(build_library):
         pytest.skip("the C compiler refuses -mfma")
 
 
-# the line of pairwise.c that turns runtime dispatch on
+# the lines of pairwise.c that turn runtime dispatch and the wide tile on
 CLONES_LINE = ('#define STEP_CLONES '
                '__attribute__((target_clones("avx2", "default")))\n')
+WIDE_LINE = ('#define WIDE_TILE '
+             '__attribute__((target("avx512f,avx512dq,avx512vl")))\n')
 
 
 @pytest.fixture(scope="session")
 def baseline_source(tmp_path_factory):
-    """Path of a copy of pairwise.c whose STEP_CLONES is empty: one
-    x86-64 baseline build of every function, with no AVX2 clone."""
+    """Path of a copy of pairwise.c whose STEP_CLONES is empty and whose
+    WIDE_TILE is not defined: one x86-64 baseline build of every function,
+    with no AVX2 clone and no wide tile."""
     with open(SOURCE) as fh:
         text = fh.read()
     assert text.count(CLONES_LINE) == 1, "pairwise.c lost its clone macro"
+    assert text.count(WIDE_LINE) == 1, "pairwise.c lost its wide-tile macro"
     path = tmp_path_factory.mktemp("baseline") / "pairwise_baseline.c"
-    path.write_text(text.replace(CLONES_LINE, "#define STEP_CLONES\n"))
+    path.write_text(text.replace(CLONES_LINE, "#define STEP_CLONES\n")
+                    .replace(WIDE_LINE, ""))
     return str(path)
 
 

@@ -5,8 +5,9 @@ mvsde._core uses at import, so the comparison runs whether or not setup.py
 built the package in place. The C pair routine, which the package calls
 only from the fused kernel, is bound by the c_pair_aggregate fixture,
 from the -mfma build by fma_pair_aggregate and from the build without the
-AVX2 clone by baseline_pair_aggregate. The compiled float text,
-repr_join, is held to float.__repr__ on each of the three builds.
+AVX2 clone and the wide tile by baseline_pair_aggregate. The compiled
+float text, repr_join, is held to float.__repr__ on each of the three
+builds.
 """
 
 import ctypes
@@ -57,7 +58,12 @@ UNTAMED_G = (-0.5, -1.0, 2.0, 0.2, 0.125, 2.0, 0.0)
 # of 1 to 3 rows, full blocks followed by no tile and 1 to 3 single
 # partners (5 to 7), by one tile and 0 to 3 (8 to 11) and by two tiles and
 # 0 to 3 (12 to 15), plus larger ones; dimensions with the literal
-# component counts 1 to 3 and the general loop beyond
+# component counts 1 to 3 and the general loop beyond. The wide tile, which
+# the package build runs at d >= 2 on a CPU with AVX-512F, DQ and VL, takes
+# blocks of 8, each inside as two blocks of 4: a short last block of 1 to 4
+# rows (1 to 4, 9 to 12) or of 5 to 7 (5 to 7, 13 to 15), a full block with
+# no partner past it (8), and partners past a full block one at a time (9
+# to 11) or in a tile and 0 to 3 more (12 to 15)
 DIMS = range(1, 13)
 SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 33, 64)
 
@@ -123,12 +129,19 @@ def test_compiled_with_fma_matches_fallback(fma_pair_aggregate, n, d):
 @pytest.mark.parametrize("n", SIZES)
 def test_baseline_clone_matches_fallback(baseline_pair_aggregate, n, d):
     """The x86-64 baseline code, which CPUs without AVX2 run: on an AVX2
-    CPU the library the other tests load runs its AVX2 clone."""
+    CPU the library the other tests load runs its AVX2 clone, and at
+    d >= 2 on an AVX-512 CPU its wide tile, so this build keeps the 4-row
+    tile under test at every d there."""
     _assert_clouds_match_fallback(baseline_pair_aggregate, n, d)
 
 
+# with 1021 and 1027 at d = 2, 3 and 8: a short last block of 5 or 3 rows
+# in 8-row blocks (1 or 3 in 4-row ones) and, before it, 1 or 3 partners
+# past the last whole tile of 4
 BENCHMARK_SHAPES = ((1024, 3, "poc-rate"), (64, 1, "strong-rate"),
-                    (256, 8, "poc-rate"))
+                    (256, 8, "poc-rate"),
+                    *((n, d, "poc-rate") for n in (1021, 1027)
+                      for d in (2, 3, 8)))
 
 
 def _assert_matches_fallback_at(c_kernel, n, d, label):
@@ -676,6 +689,31 @@ def test_hot_path_has_an_avx2_clone(compiled_library, build_library,
                  "mvsde_fsum_rows", "mvsde_ndtri",
                  "mvsde_quantized_increments"):
         assert (name + ".avx2").encode() in image, name
+
+
+def test_hot_path_has_the_wide_tile(compiled_library, build_library,
+                                   tmp_path):
+    """The library built with setup.py's flags holds pair_aggregate_wide,
+    the 8-row AVX-512 pair tile that mvsde_pair_aggregate calls at d >= 2
+    on a CPU with AVX-512F, DQ and VL. It skips where pairwise.c leaves
+    the tile out: off x86-64 glibc, and where the compiler refuses
+    target_clones or the tile's target attribute. Without it, a gate that
+    dropped the tile would lose its speed, and no test would fail: the
+    4-row tile gives the same bits."""
+    if (platform.machine() != "x86_64"
+            or platform.libc_ver()[0] != "glibc"):
+        pytest.skip("the wide tile is built on x86-64 glibc only")
+    probe = tmp_path / "probe.c"
+    probe.write_text('__attribute__((target_clones("avx2", "default")))\n'
+                     "int probe(int x) { return x + 1; }\n"
+                     '__attribute__((target("avx512f,avx512dq,avx512vl")))\n'
+                     "int wide(int x) { return x + 2; }\n")
+    try:
+        build_library(str(probe), "probe_wide.so")
+    except subprocess.CalledProcessError:
+        pytest.skip("the C compiler refuses the wide tile's attributes")
+    with open(compiled_library, "rb") as fh:
+        assert b"pair_aggregate_wide" in fh.read()
 
 
 def test_ndtri_built_with_fma_matches_scipy(fma_library):
