@@ -27,8 +27,8 @@
  * of the rows before it, then its own. Every value sees the operations of
  * the reference in its order, vector +, -, * and / round as their scalar
  * forms do and a shuffle only moves values, so the sums agree bit for bit.
- * At d >= 2 on a CPU with AVX-512 the blocks have eight rows (see "The
- * wide tile" below).
+ * At d >= 2 on a CPU with AVX-512 the same tile runs on blocks of eight
+ * rows (see "The wide tile" below).
  *
  * mvsde_advance runs whole steps of mvsde.scheme.step for a block of steps
  * with no Python in the loop, bit for bit. It repeats step's NumPy
@@ -134,11 +134,11 @@
  * apart from the unsigned __int128 of the Philox multiplications and of
  * Ryu's products, the vector extension types and shuffles of the pair
  * tiles and the row sum, the always_inline, target_clones, target and
- * constructor attributes, __builtin_cpu_supports and the two AVX-512
- * intrinsics of the wide tile, which GCC and Clang provide, and
- * #pragma GCC unroll, which steers the compiler only and so changes no
- * value under a compiler that ignores it; mvsde._core loads it with
- * ctypes.
+ * constructor attributes, __builtin_cpu_supports, __builtin_unreachable
+ * and the two AVX-512 intrinsics of the wide tile, which GCC and Clang
+ * provide, and #pragma GCC unroll, which steers the compiler only and so
+ * changes no value under a compiler that ignores it; mvsde._core loads it
+ * with ctypes.
  *
  * Runtime dispatch. mvsde_pair_aggregate, row_norms, step_once,
  * mvsde_fsum_rows, mvsde_ndtri and mvsde_quantized_increments carry
@@ -159,35 +159,28 @@
  * d = 1, 3 and 8, N = 64 and 1024, medians of 31 interleaved rounds),
  * with 512-bit vectors preferred or not.
  *
- * The wide tile. pair_aggregate_wide, compiled with WIDE_TILE's
- * target("avx512f,avx512dq,avx512vl"), runs mvsde_pair_aggregate's loop
- * in blocks of WIDE_ROWS = 8 rows, the rows in the lanes of a 512-bit
- * vector, and the partners past a block in tiles of four (wide_tile). A
- * tile keeps its differences v = x_r - x_j in registers from the r2 pass
- * to the P = cf v, Q = gw v pass up to PAIR_DIMS components. The pair
- * factors of the exponent cases without pow (W_CONST, W_R2, W_R4 with
- * Q_R2 or Q_ONE) are formed in the vector lanes by pair_factors's
- * operations; the pow cases go through its lane arrays and scalar libm
- * pow. The rows' own sums take the products in partner order, and the
- * partners' mirrored sums take them in row order through an 8 x 4
- * transpose. The pairs inside a block are taken as two 4-row blocks take
- * them (pair_one among each half's rows, pair_tile from the first half to
- * the second), and the 1 to 3 partners after the last whole tile by
- * pair_one. So each row still sums its mirrored terms in ascending row
- * order, then its own in ascending partner order, every value sees the
- * reference's operations in its order, vector +, -, * and / round as
- * their scalar forms do, shuffles and broadcasts only move values, and
- * -ffp-contract=off keeps FMA out of this target too: the bits are the
- * 4-row tile's. mvsde_pair_aggregate calls it at d >= 2 when
+ * The wide tile. The tile and the block are written once, over the vector
+ * type of a block's rows (PAIR_TILE_AT and PAIR_BLOCK_AT), and stamped at
+ * two widths: pair_tile and pair_block on a vec4 of four rows, wide_tile
+ * and wide_block on a vec8 of eight, one row per lane of a 512-bit vector.
+ * Only the transposes of the mirrored sums differ (pair_mirror's 4 x 4,
+ * wide_mirror's 8 x 4). The eight-row blocks run in pair_aggregate_wide,
+ * compiled with WIDE_TILE's target("avx512f,avx512dq,avx512vl"), and take
+ * the pairs inside a block as two 4-row blocks take them (pair_one among
+ * each half's rows, pair_tile from the first half to the second). So each
+ * row still sums its mirrored terms in ascending row order, then its own
+ * in ascending partner order, and broadcasts, like shuffles, only move
+ * values: the bits are the 4-row tile's, as -ffp-contract=off keeps FMA
+ * out of this target too. mvsde_pair_aggregate calls it at d >= 2 when
  * __builtin_cpu_supports reports every feature that target names; d = 1,
  * other CPUs and builds without runtime dispatch keep the 4-row tile. On
- * the 2-vCPU Xeon VM (poc-rate kernel, medians of 41 interleaved rounds,
- * three runs) it took 1.09-1.10x, 0.99x, 0.93-0.94x, 0.88x, 0.84-0.90x
- * and 0.84x the 4-row AVX2 clone's time per call at d = 3 and N = 16, 32,
- * 64, 128, 256 and 1024, and 0.71x at d = 8, N = 1024. With pair_one
- * taking all 28 pairs inside each block it took 1.23-1.31x at N = 16 and
- * 1.01-1.03x at N = 64. At d = 1, 8-row blocks took 1.17-1.18x at N = 64,
- * the strong-rate shape, and 0.91-0.99x at N = 1024, hence d >= 2.
+ * the 2-vCPU Xeon VM (GCC 12.2, poc-rate kernel, medians of 41
+ * interleaved rounds, three runs) the wide tile took 1.04-1.05x,
+ * 0.99x, 0.92-0.98x, 0.92-0.96x, 0.89-0.96x and 0.89-0.95x the 4-row AVX2
+ * clone's time per call at d = 3 and N = 16, 32, 64, 128, 256 and 1024,
+ * and 0.83-0.93x at d = 8, N = 1024. At d = 1, 8-row blocks took
+ * 1.08-1.12x at N = 64, the strong-rate shape, and 1.01-1.03x at
+ * N = 1024, hence d >= 2.
  */
 
 #include <math.h>
@@ -203,21 +196,17 @@ const int mvsde_abi = 7;
 
 /* The pair loop takes the rows in blocks of PAIR_ROWS, or of WIDE_ROWS in
  * the wide tile (see "The wide tile" above), and the partners past a block
- * in tiles of PAIR_TILE (pair_tile, wide_tile). Each row of the
- * structure-of-arrays scratch holds n + WIDE_ROWS doubles: with rows of
- * exactly n doubles, at N = 1024 every row starts a multiple of 4096 bytes
- * from every other, and the tile's loads stall on its stores to other rows
- * at the same page offset. Up to PAIR_DIMS components a block keeps
- * its rows' values and sums on the stack, beyond in the scratch, in
- * dk x WIDE_ROWS arrays of which a 4-row block uses the first 4 columns.
- * mvsde._core sizes the scratch from mvsde_pair_rows, the taller of the
- * two blocks. On a 2-vCPU Xeon VM (AVX-512), at the poc-rate kernel and
- * N = 64 and 1024, the 4-row loop took 0.51-0.54x the time per pair of
- * the three passes per block it replaced at d = 1 (2.0 -> 1.1 ns at
- * N = 1024), 0.62-0.69x at d = 3 and 0.72-0.75x at d = 8 in the AVX2
- * clone, and 0.81-0.95x in the baseline build (medians of 41 interleaved
- * rounds). Tiles of 2 partners ran 1.1-1.3x slower than tiles of 4 in the
- * AVX2 clone, rows of exactly n about 1.4x slower at d = 8 and N = 1024. */
+ * in tiles of PAIR_TILE. Each row of the structure-of-arrays scratch holds
+ * n + WIDE_ROWS doubles: with rows of exactly n doubles, at N = 1024 every
+ * row starts a multiple of 4096 bytes from every other, and the tile's
+ * loads stall on its stores to other rows at the same page offset. Up to
+ * PAIR_DIMS components a block keeps its rows' values and sums on the
+ * stack, beyond in the scratch, in dk x WIDE_ROWS arrays of which a 4-row
+ * block uses the first 4 columns. mvsde._core sizes the scratch from
+ * mvsde_pair_rows, the taller of the two blocks. On a 2-vCPU Xeon VM
+ * (AVX-512), tiles of 2 partners ran 1.1-1.3x slower than tiles of 4 in
+ * the AVX2 clone, rows of exactly n about 1.4x slower at d = 8 and
+ * N = 1024. */
 #define PAIR_ROWS 4
 #define WIDE_ROWS 8
 #define PAIR_TILE 4
@@ -231,16 +220,16 @@ const int mvsde_pair_rows = WIDE_ROWS;
  * rows of a pair block (PAIR_ROWS is 4), four TwoSum chains of the row sum
  * and four values of the inverse normal CDF. GCC and Clang vector
  * extension types, which no function takes or returns by value, whose ABI
- * would differ between the AVX2 and the baseline clone. A vec4 is loaded
- * with memcpy and stored lane by lane (VEC4_STORE), which the AVX2 clone
+ * would differ between the AVX2 and the baseline clone. A vector is loaded
+ * with memcpy and stored lane by lane (VEC_STORE), which the AVX2 clone
  * merges into one store; the baseline clone copied a memcpy'd store
  * through the stack. */
 typedef double vec4 __attribute__((vector_size(4 * sizeof(double))));
 typedef int64_t vec4i __attribute__((vector_size(sizeof(vec4))));
-#define VEC4_STORE(dst, v)                                                 \
+#define VEC_STORE(dst, v)                                                  \
     do {                                                                   \
         int l_;                                                            \
-        for (l_ = 0; l_ < 4; l_++)                                         \
+        for (l_ = 0; l_ < (int)(sizeof(v) / sizeof(double)); l_++)         \
             (dst)[l_] = (v)[l_];                                           \
     } while (0)
 
@@ -263,10 +252,18 @@ enum { W_CONST, W_R2, W_R4, W_POW };
 enum { Q_R2, Q_ONE, Q_POW };
 
 /* The pair kernel of one call with its exponent cases; wc is the weight of
- * W_CONST. */
+ * W_CONST. lane holds kf1, kfq, cg, tam and wc once more in each lane of
+ * a block row, for the tiles to load as vectors: where the tiles
+ * broadcast the scalars themselves, the x86-64 baseline build formed each
+ * vec4 through the stack, and its 4-row tile took 1.6-2.5x the time per
+ * call at d = 1 and 3. */
 struct pair_kernel {
     double kf1, kfq, qf, cg, tam, te, wc;
     int wm, qm;
+    struct {
+        double kf1[WIDE_ROWS], kfq[WIDE_ROWS], cg[WIDE_ROWS],
+            tam[WIDE_ROWS], wc[WIDE_ROWS];
+    } lane;
 };
 
 /* The pair factors of the m squared radii r2[l], as
@@ -364,74 +361,111 @@ ALWAYS_INLINE void pair_one(const struct pair_kernel *k,
 #define WIDE_SHUFFLE(a, b, ...) __builtin_shuffle(a, b, (vec8i){__VA_ARGS__})
 #endif
 
-/* A full block's rows, whose dk components are the lanes of a[c], against
- * the PAIR_TILE partners from j, in one pass: v of every pair with the
- * rows in the vector lanes and the partner broadcast; r2 from 0.0 over the
- * components in ascending order; the factors in the lanes; then per
- * component the products P = cf v and Q = gw v, each formed once, added
- * to the rows' sums af[c] and ag[c] in partner order and, through a 4 x 4
- * transpose, subtracted from the partners' sums in fs and gs in row
- * order. */
-ALWAYS_INLINE void pair_tile(const struct pair_kernel *k,
-                             const double *restrict xs, ptrdiff_t ns,
-                             ptrdiff_t dk, double (*a)[WIDE_ROWS],
-                             double (*af)[WIDE_ROWS], double (*ag)[WIDE_ROWS],
-                             ptrdiff_t j, double *restrict fs,
-                             double *restrict gs)
+/* The partners' four sums x[0..3] less m[0][r], ..., m[3][r] for the block
+ * rows r = 0, ..., 3 in row order, through a 4 x 4 transpose of m. */
+ALWAYS_INLINE void pair_mirror(double *x, const vec4 *m)
 {
-    vec4 r2[PAIR_TILE], cf[PAIR_TILE], gw[PAIR_TILE], p[PAIR_TILE],
-        q[PAIR_TILE], av, s, v, u0, u1, u2, u3;
-    double lr2[PAIR_ROWS * PAIR_TILE], lcf[PAIR_ROWS * PAIR_TILE],
-        lgw[PAIR_ROWS * PAIR_TILE];
-    ptrdiff_t c;
-    int t;
+    vec4 u0 = PAIR_SHUFFLE(m[0], m[1], 0, 4, 2, 6),
+         u1 = PAIR_SHUFFLE(m[0], m[1], 1, 5, 3, 7),
+         u2 = PAIR_SHUFFLE(m[2], m[3], 0, 4, 2, 6),
+         u3 = PAIR_SHUFFLE(m[2], m[3], 1, 5, 3, 7), s;
 
-    for (t = 0; t < PAIR_TILE; t++)
-        r2[t] = (vec4){0.0};
-    for (c = 0; c < dk; c++) {
-        memcpy(&av, a[c], sizeof av);
-        for (t = 0; t < PAIR_TILE; t++) {
-            v = av - xs[c * ns + j + t];
-            r2[t] = r2[t] + v * v;
-        }
-    }
-    memcpy(lr2, r2, sizeof r2);
-    pair_factors(k, lr2, lcf, lgw, PAIR_ROWS * PAIR_TILE);
-    memcpy(cf, lcf, sizeof cf);
-    memcpy(gw, lgw, sizeof gw);
-    for (c = 0; c < dk; c++) {
-        memcpy(&av, a[c], sizeof av);
-        for (t = 0; t < PAIR_TILE; t++) {
-            v = av - xs[c * ns + j + t];
-            p[t] = cf[t] * v;
-            q[t] = gw[t] * v;
-        }
-        /* own + m[0] + ... + m[3], lane by lane, and the partners' sums
-         * - (m[0][r], ..., m[3][r]) for r = 0, ..., 3 */
-#define PAIR_OWN(own, m)                                                   \
-        memcpy(&s, own[c], sizeof s);                                      \
-        for (t = 0; t < PAIR_TILE; t++)                                    \
-            s = s + m[t];                                                  \
-        VEC4_STORE(own[c], s);
-#define PAIR_MIRROR(sums, m)                                               \
-        u0 = PAIR_SHUFFLE(m[0], m[1], 0, 4, 2, 6);                         \
-        u1 = PAIR_SHUFFLE(m[0], m[1], 1, 5, 3, 7);                         \
-        u2 = PAIR_SHUFFLE(m[2], m[3], 0, 4, 2, 6);                         \
-        u3 = PAIR_SHUFFLE(m[2], m[3], 1, 5, 3, 7);                         \
-        memcpy(&s, sums + c * ns + j, sizeof s);                           \
-        s = s - PAIR_SHUFFLE(u0, u2, 0, 1, 4, 5);                          \
-        s = s - PAIR_SHUFFLE(u1, u3, 0, 1, 4, 5);                          \
-        s = s - PAIR_SHUFFLE(u0, u2, 2, 3, 6, 7);                          \
-        s = s - PAIR_SHUFFLE(u1, u3, 2, 3, 6, 7);                          \
-        VEC4_STORE(sums + c * ns + j, s);
-        PAIR_OWN(af, p)
-        PAIR_OWN(ag, q)
-        PAIR_MIRROR(fs, p)
-        PAIR_MIRROR(gs, q)
-#undef PAIR_MIRROR
-#undef PAIR_OWN
-    }
+    memcpy(&s, x, sizeof s);
+    s = s - PAIR_SHUFFLE(u0, u2, 0, 1, 4, 5);
+    s = s - PAIR_SHUFFLE(u1, u3, 0, 1, 4, 5);
+    s = s - PAIR_SHUFFLE(u0, u2, 2, 3, 6, 7);
+    s = s - PAIR_SHUFFLE(u1, u3, 2, 3, 6, 7);
+    VEC_STORE(x, s);
 }
+
+/* PAIR_TILE_AT(name, vec, mirror, attributes) defines the tile `name`: a
+ * full block's rows, whose dk components are the lanes of a[c] read as a
+ * vec, against the PAIR_TILE partners from j, in one pass. v = x_r - x_j
+ * of every pair has the rows in the vector lanes and the partner
+ * broadcast, and stays in registers up to PAIR_DIMS components (beyond,
+ * the product pass forms it again); r2 goes from 0.0 over the components
+ * in ascending order. The pair factors are formed in the lanes by
+ * pair_factors's operations in the exponent cases without pow, with the
+ * kernel's values from k->lane and each case tested once per tile (tested
+ * per partner, the 4-row AVX2 tile took 1.08-1.13x the time per call at
+ * d = 3, N = 256 and 1024), and through pair_factors's lane arrays and
+ * scalar libm pow in the pow cases. Then per component the products
+ * P = cf v and Q = gw v, each formed once, are added to the rows' sums
+ * af[c] and ag[c] in partner order and, through mirror's transpose,
+ * subtracted from the partners' sums in fs and gs in row order. */
+#define PAIR_TILE_AT(name, vec, mirror, attributes)                        \
+    attributes ALWAYS_INLINE void                                          \
+    name(const struct pair_kernel *k, const double *restrict xs,           \
+         ptrdiff_t ns, ptrdiff_t dk, double (*a)[WIDE_ROWS],               \
+         double (*af)[WIDE_ROWS], double (*ag)[WIDE_ROWS], ptrdiff_t j,    \
+         double *restrict fs, double *restrict gs)                         \
+    {                                                                      \
+        vec kv[PAIR_DIMS][PAIR_TILE], r2[PAIR_TILE], cf[PAIR_TILE],        \
+            gw[PAIR_TILE], p[PAIR_TILE], q[PAIR_TILE], av, v, sf, sg;      \
+        double lr2[PAIR_LANES], lcf[PAIR_LANES], lgw[PAIR_LANES];          \
+        ptrdiff_t c;                                                       \
+        int t;                                                             \
+                                                                           \
+        for (t = 0; t < PAIR_TILE; t++)                                    \
+            r2[t] = (vec){0.0};                                            \
+        for (c = 0; c < dk; c++) {                                         \
+            memcpy(&av, a[c], sizeof av);                                  \
+            for (t = 0; t < PAIR_TILE; t++) {                              \
+                v = av - xs[c * ns + j + t];                               \
+                if (dk <= PAIR_DIMS)                                       \
+                    kv[c][t] = v;                                          \
+                r2[t] = r2[t] + v * v;                                     \
+            }                                                              \
+        }                                                                  \
+        if (k->wm == W_POW || k->qm == Q_POW) {                            \
+            memcpy(lr2, r2, sizeof r2);                                    \
+            pair_factors(k, lr2, lcf, lgw,                                 \
+                         PAIR_TILE * (int)(sizeof av / sizeof(double)));   \
+            memcpy(cf, lcf, sizeof cf);                                    \
+            memcpy(gw, lgw, sizeof gw);                                    \
+        } else { /* gw holds the weight w until the last loop */           \
+            vec kf1, kfq, cg, tam;                                         \
+            memcpy(&kf1, k->lane.kf1, sizeof kf1);                         \
+            memcpy(&kfq, k->lane.kfq, sizeof kfq);                         \
+            memcpy(&cg, k->lane.cg, sizeof cg);                            \
+            memcpy(&tam, k->lane.tam, sizeof tam);                         \
+            if (k->wm == W_CONST)                                          \
+                for (t = 0; t < PAIR_TILE; t++)                            \
+                    memcpy(&gw[t], k->lane.wc, sizeof gw[t]);              \
+            else if (k->wm == W_R2)                                        \
+                for (t = 0; t < PAIR_TILE; t++)                            \
+                    gw[t] = 1.0 / (1.0 + tam * r2[t]);                     \
+            else                                                           \
+                for (t = 0; t < PAIR_TILE; t++)                            \
+                    gw[t] = 1.0 / (1.0 + tam * (r2[t] * r2[t]));           \
+            if (k->qm == Q_R2)                                             \
+                for (t = 0; t < PAIR_TILE; t++)                            \
+                    cf[t] = (kf1 + kfq * r2[t]) * gw[t];                   \
+            else                                                           \
+                for (t = 0; t < PAIR_TILE; t++)                            \
+                    cf[t] = (kf1 + kfq * 1.0) * gw[t];                     \
+            for (t = 0; t < PAIR_TILE; t++)                                \
+                gw[t] = cg * gw[t];                                        \
+        }                                                                  \
+        for (c = 0; c < dk; c++) {                                         \
+            memcpy(&av, a[c], sizeof av);                                  \
+            for (t = 0; t < PAIR_TILE; t++) {                              \
+                v = dk <= PAIR_DIMS ? kv[c][t] : av - xs[c * ns + j + t];  \
+                p[t] = cf[t] * v;                                          \
+                q[t] = gw[t] * v;                                          \
+            }                                                              \
+            memcpy(&sf, af[c], sizeof sf);                                 \
+            memcpy(&sg, ag[c], sizeof sg);                                 \
+            for (t = 0; t < PAIR_TILE; t++) {                              \
+                sf = sf + p[t];                                            \
+                sg = sg + q[t];                                            \
+            }                                                              \
+            VEC_STORE(af[c], sf);                                          \
+            VEC_STORE(ag[c], sg);                                          \
+            mirror(fs + c * ns + j, p);                                    \
+            mirror(gs + c * ns + j, q);                                    \
+        }                                                                  \
+    }
 
 /* The start of rows r0 to rows - 1 of the block from i0, on dk
  * components. Row i's sum is its mirrored terms, -f(x_j, x_i) from every
@@ -463,73 +497,79 @@ ALWAYS_INLINE void block_open(const struct pair_kernel *k,
     }
 }
 
-/* The end of the block that block_open started, once its tiles have taken
- * the partners before j: the partners from j to the last of the n rows one
- * at a time. Nothing adds to a row after its block, so its sums go to F
- * and G, divided by dn. */
-ALWAYS_INLINE void block_close(const struct pair_kernel *k,
-                               const double *restrict xs, ptrdiff_t n,
-                               ptrdiff_t ns, ptrdiff_t dk, ptrdiff_t i0,
-                               int rows, ptrdiff_t j, double (*a)[WIDE_ROWS],
-                               double (*af)[WIDE_ROWS],
-                               double (*ag)[WIDE_ROWS], double *restrict fs,
-                               double *restrict gs, double *F, double *G,
-                               double dn)
-{
-    ptrdiff_t c;
-    int r;
+/* PAIR_BLOCK_AT(name, h, tile, attributes) defines the block `name` of
+ * the loop in blocks of h rows: the terms of the block of `rows` rows
+ * from i0 of the n rows. The pairs inside it are taken as blocks of
+ * PAIR_ROWS take them: those among its first PAIR_ROWS rows, those of
+ * these rows with the rows after them (in one pair_tile in a full block of
+ * h = WIDE_ROWS, else one at a time), then those among the rows after
+ * them. The partners past the block go by `tile`, and those after its
+ * last whole tile one at a time. Nothing adds to a row after its block,
+ * so its sums go to F and G, divided by dn. Only the last block can be
+ * short; it has no partners past it. */
+#define PAIR_BLOCK_AT(name, h, tile, attributes)                           \
+    attributes ALWAYS_INLINE void                                          \
+    name(const struct pair_kernel *k, const double *restrict xs,           \
+         ptrdiff_t n, ptrdiff_t ns, ptrdiff_t dk, ptrdiff_t i0, int rows,  \
+         double (*a)[WIDE_ROWS], double (*af)[WIDE_ROWS],                  \
+         double (*ag)[WIDE_ROWS], double *restrict fs,                     \
+         double *restrict gs, double *F, double *G, double dn)             \
+    {                                                                      \
+        ptrdiff_t j = i0 + PAIR_ROWS, c;                                   \
+        int r;                                                             \
+                                                                           \
+        block_open(k, xs, ns, dk, i0, 0, rows < PAIR_ROWS ? rows          \
+                   : PAIR_ROWS, a, af, ag, fs, gs);                        \
+        if ((h) == WIDE_ROWS && rows == WIDE_ROWS)                         \
+            pair_tile(k, xs, ns, dk, a, af, ag, j, fs, gs);                \
+        else                                                               \
+            for (; j < i0 + rows; j++)                                     \
+                for (r = 0; r < PAIR_ROWS; r++)                            \
+                    pair_one(k, xs, ns, dk, a, af, ag, r, j, fs, gs);      \
+        block_open(k, xs, ns, dk, i0, PAIR_ROWS, rows, a, af, ag, fs, gs); \
+        for (j = i0 + rows; j + PAIR_TILE <= n; j += PAIR_TILE)            \
+            tile(k, xs, ns, dk, a, af, ag, j, fs, gs);                     \
+        for (; j < n; j++)                                                 \
+            for (r = 0; r < rows; r++)                                     \
+                pair_one(k, xs, ns, dk, a, af, ag, r, j, fs, gs);          \
+        for (r = 0; r < rows; r++)                                         \
+            for (c = 0; c < dk; c++) {                                     \
+                F[(i0 + r) * dk + c] = af[c][r] / dn;                      \
+                G[(i0 + r) * dk + c] = ag[c][r] / dn;                      \
+            }                                                              \
+    }
 
-    for (; j < n; j++)
-        for (r = 0; r < rows; r++)
-            pair_one(k, xs, ns, dk, a, af, ag, r, j, fs, gs);
-    for (r = 0; r < rows; r++)
-        for (c = 0; c < dk; c++) {
-            F[(i0 + r) * dk + c] = af[c][r] / dn;
-            G[(i0 + r) * dk + c] = ag[c][r] / dn;
-        }
-}
-
-/* The terms of the block of `rows` rows from i0 of the n rows: the pairs
- * inside the block, the partners past it in tiles, and those after the
- * last whole tile one at a time. Only the last block can be short (1 to
- * PAIR_ROWS - 1 rows); it has no partners past it. */
-ALWAYS_INLINE void pair_block(const struct pair_kernel *k,
-                              const double *restrict xs, ptrdiff_t n,
-                              ptrdiff_t ns, ptrdiff_t dk, ptrdiff_t i0,
-                              int rows, double (*a)[WIDE_ROWS],
-                              double (*af)[WIDE_ROWS],
-                              double (*ag)[WIDE_ROWS], double *restrict fs,
-                              double *restrict gs, double *F, double *G,
-                              double dn)
-{
-    ptrdiff_t j = i0 + rows;
-
-    block_open(k, xs, ns, dk, i0, 0, rows, a, af, ag, fs, gs);
-    for (; j + PAIR_TILE <= n; j += PAIR_TILE)
-        pair_tile(k, xs, ns, dk, a, af, ag, j, fs, gs);
-    block_close(k, xs, n, ns, dk, i0, rows, j, a, af, ag, fs, gs, F, G, dn);
-}
+PAIR_TILE_AT(pair_tile, vec4, pair_mirror, )
+PAIR_BLOCK_AT(pair_block, PAIR_ROWS, pair_tile, )
 
 /* The n rows in blocks of h, each by block(dk): with the literal dk up to
- * PAIR_DIMS, whose component loops unroll, and a block's arrays on the
- * stack (la, laf, lag); beyond, with dk = d and the arrays in the scratch
+ * PAIR_DIMS, whose component loops unroll, and a block's arrays a, af and
+ * ag on the stack (la); beyond, with dk = d and the arrays in the scratch
  * (wa). */
 #define PAIR_BLOCKS(block, h)                                              \
-    for (i0 = 0; i0 < n; i0 += (h)) {                                      \
-        rows = n - i0 < (h) ? (int)(n - i0) : (h);                         \
-        switch (d) {                                                       \
-        case 1: PAIR_BLOCK(block, 1); break;                               \
-        case 2: PAIR_BLOCK(block, 2); break;                               \
-        case 3: PAIR_BLOCK(block, 3); break;                               \
-        default: PAIR_BLOCK(block, d); break;                              \
+    do {                                                                   \
+        double la[3 * PAIR_DIMS][WIDE_ROWS],                               \
+            (*wa)[WIDE_ROWS] = (double (*)[WIDE_ROWS])(gs + ns * d);       \
+        ptrdiff_t i0;                                                      \
+        int rows;                                                          \
+                                                                           \
+        for (i0 = 0; i0 < n; i0 += (h)) {                                  \
+            rows = n - i0 < (h) ? (int)(n - i0) : (h);                     \
+            switch (d) {                                                   \
+            case 1: PAIR_BLOCK(block, 1, la); break;                       \
+            case 2: PAIR_BLOCK(block, 2, la); break;                       \
+            case 3: PAIR_BLOCK(block, 3, la); break;                       \
+            default: /* d > PAIR_DIMS, as d >= 1 */                        \
+                if (d <= PAIR_DIMS)                                        \
+                    __builtin_unreachable();                               \
+                PAIR_BLOCK(block, d, wa);                                  \
+                break;                                                     \
+            }                                                              \
         }                                                                  \
-    }
-#define PAIR_BLOCK(block, dk)                                              \
-    if ((dk) <= PAIR_DIMS)                                                 \
-        block(k, xs, n, ns, dk, i0, rows, la, laf, lag, fs, gs, F, G, dn); \
-    else                                                                   \
-        block(k, xs, n, ns, dk, i0, rows, wa, wa + d, wa + 2 * d, fs, gs,  \
-              F, G, dn)
+    } while (0)
+#define PAIR_BLOCK(block, dk, a)                                           \
+    block(k, xs, n, ns, dk, i0, rows, a, a + (dk), a + 2 * (dk), fs, gs,   \
+          F, G, dn)
 
 #ifdef WIDE_TILE
 #include <immintrin.h>
@@ -539,155 +579,47 @@ ALWAYS_INLINE void pair_block(const struct pair_kernel *k,
 typedef double vec8 __attribute__((vector_size(8 * sizeof(double))));
 typedef int64_t vec8i __attribute__((vector_size(sizeof(vec8))));
 
-/* The pair factors of a wide tile's 32 pairs, r2[t] lane r for row r and
- * partner t, as pair_factors forms them: in the vector lanes in the
- * exponent cases without pow, through pair_factors's lane arrays and
- * scalar libm pow in the others. */
-ALWAYS_INLINE void wide_factors(const struct pair_kernel *k, const vec8 *r2,
-                                vec8 *cf, vec8 *gw)
+/* The partners' four sums x[0..3] less m[0][r], ..., m[3][r] for the block
+ * rows r = 0, ..., 7 in row order, through an 8 x 4 transpose of m whose
+ * vectors hold two block rows each, e[r] = (row r + 4 | row r) for r < 4.
+ * The four sums, loaded into both halves of a vec8, take e[0] to e[3], so
+ * that the upper half holds the sums less rows 0 to 3; that half, copied
+ * to both, takes e[0] to e[3] again, and the lower half then holds the
+ * sums less rows 0 to 7 in row order. The other half of each subtraction
+ * is discarded. The load is one vbroadcastf64x4, by the intrinsic
+ * _mm512_broadcast_f64x4; written as a vec8 constructor of the four sums
+ * or as a shuffle of a vec4 load, it took the tile 0.99-1.03x the time per
+ * call (GCC 12.2, the Xeon VM above, d = 3 and 8). */
+WIDE_TILE
+ALWAYS_INLINE void wide_mirror(double *x, const vec8 *m)
 {
-    double lr2[PAIR_LANES], lcf[PAIR_LANES], lgw[PAIR_LANES];
-    vec8 w, rq;
+    vec8 u0 = WIDE_SHUFFLE(m[0], m[1], 0, 8, 2, 10, 4, 12, 6, 14),
+         u1 = WIDE_SHUFFLE(m[0], m[1], 1, 9, 3, 11, 5, 13, 7, 15),
+         u2 = WIDE_SHUFFLE(m[2], m[3], 0, 8, 2, 10, 4, 12, 6, 14),
+         u3 = WIDE_SHUFFLE(m[2], m[3], 1, 9, 3, 11, 5, 13, 7, 15), e[4], s;
     int t;
 
-    if (k->wm == W_POW || k->qm == Q_POW) {
-        memcpy(lr2, r2, sizeof lr2);
-        pair_factors(k, lr2, lcf, lgw, PAIR_LANES);
-        memcpy(cf, lcf, sizeof lcf);
-        memcpy(gw, lgw, sizeof lgw);
-        return;
-    }
-    for (t = 0; t < PAIR_TILE; t++) {
-        if (k->wm == W_CONST)
-            w = (vec8){0.0} + k->wc;
-        else if (k->wm == W_R2)
-            w = 1.0 / (1.0 + k->tam * r2[t]);
-        else
-            w = 1.0 / (1.0 + k->tam * (r2[t] * r2[t]));
-        if (k->qm == Q_R2)
-            rq = r2[t];
-        else
-            rq = (vec8){0.0} + 1.0;
-        cf[t] = (k->kf1 + k->kfq * rq) * w;
-        gw[t] = k->cg * w;
-    }
+    e[0] = WIDE_SHUFFLE(u0, u2, 4, 5, 12, 13, 0, 1, 8, 9);
+    e[1] = WIDE_SHUFFLE(u1, u3, 4, 5, 12, 13, 0, 1, 8, 9);
+    e[2] = WIDE_SHUFFLE(u0, u2, 6, 7, 14, 15, 2, 3, 10, 11);
+    e[3] = WIDE_SHUFFLE(u1, u3, 6, 7, 14, 15, 2, 3, 10, 11);
+    s = _mm512_broadcast_f64x4(_mm256_loadu_pd(x));
+    for (t = 0; t < 4; t++)
+        s = s - e[t];
+    s = WIDE_SHUFFLE(s, s, 4, 5, 6, 7, 4, 5, 6, 7);
+    for (t = 0; t < 4; t++)
+        s = s - e[t];
+    for (t = 0; t < 4; t++)
+        x[t] = s[t];
 }
 
-/* pair_tile on a full block of WIDE_ROWS rows, in the lanes of a vec8:
- * the differences v stay in registers between the r2 pass and the product
- * pass up to PAIR_DIMS components (beyond, the product pass forms them
- * again), the factors come from wide_factors, and the partners' sums
- * take - (m[0][r], ..., m[3][r]) for block rows r = 0, ..., 7 through an
- * 8 x 4 transpose whose vectors hold two block rows each,
- * e[r] = (row r + 4 | row r) for r < 4. The partners' four sums, loaded
- * into both halves of a vec8, take e[0] to e[3], so that the upper half
- * holds the sums less rows 0 to 3; that half, copied to both, takes e[0]
- * to e[3] again, and the lower half then holds the sums less rows 0 to 7
- * in row order. The other half of each subtraction is discarded. */
-WIDE_TILE
-ALWAYS_INLINE void wide_tile(const struct pair_kernel *k,
-                             const double *restrict xs, ptrdiff_t ns,
-                             ptrdiff_t dk, double (*a)[WIDE_ROWS],
-                             double (*af)[WIDE_ROWS], double (*ag)[WIDE_ROWS],
-                             ptrdiff_t j, double *restrict fs,
-                             double *restrict gs)
-{
-    vec8 kv[PAIR_DIMS][PAIR_TILE], r2[PAIR_TILE], cf[PAIR_TILE],
-        gw[PAIR_TILE], p[PAIR_TILE], q[PAIR_TILE], av, s8, v, u0, u1, u2,
-        u3, e[4];
-    double *x;
-    ptrdiff_t c;
-    int t;
-
-    for (t = 0; t < PAIR_TILE; t++)
-        r2[t] = (vec8){0.0};
-    for (c = 0; c < dk; c++) {
-        memcpy(&av, a[c], sizeof av);
-        for (t = 0; t < PAIR_TILE; t++) {
-            v = av - xs[c * ns + j + t];
-            if (dk <= PAIR_DIMS)
-                kv[c][t] = v;
-            r2[t] = r2[t] + v * v;
-        }
-    }
-    wide_factors(k, r2, cf, gw);
-    for (c = 0; c < dk; c++) {
-        memcpy(&av, a[c], sizeof av);
-        for (t = 0; t < PAIR_TILE; t++) {
-            if (dk <= PAIR_DIMS)
-                v = kv[c][t];
-            else
-                v = av - xs[c * ns + j + t];
-            p[t] = cf[t] * v;
-            q[t] = gw[t] * v;
-        }
-        /* own + m[0] + ... + m[3], lane by lane, and the partners' sums
-         * less rows 0 to 7 of the transpose of m */
-#define WIDE_OWN(own, m)                                                   \
-        memcpy(&s8, own[c], sizeof s8);                                    \
-        for (t = 0; t < PAIR_TILE; t++)                                    \
-            s8 = s8 + m[t];                                                \
-        memcpy(own[c], &s8, sizeof s8);
-#define WIDE_MIRROR(sums, m)                                               \
-        u0 = WIDE_SHUFFLE(m[0], m[1], 0, 8, 2, 10, 4, 12, 6, 14);          \
-        u1 = WIDE_SHUFFLE(m[0], m[1], 1, 9, 3, 11, 5, 13, 7, 15);          \
-        u2 = WIDE_SHUFFLE(m[2], m[3], 0, 8, 2, 10, 4, 12, 6, 14);          \
-        u3 = WIDE_SHUFFLE(m[2], m[3], 1, 9, 3, 11, 5, 13, 7, 15);          \
-        e[0] = WIDE_SHUFFLE(u0, u2, 4, 5, 12, 13, 0, 1, 8, 9);             \
-        e[1] = WIDE_SHUFFLE(u1, u3, 4, 5, 12, 13, 0, 1, 8, 9);             \
-        e[2] = WIDE_SHUFFLE(u0, u2, 6, 7, 14, 15, 2, 3, 10, 11);           \
-        e[3] = WIDE_SHUFFLE(u1, u3, 6, 7, 14, 15, 2, 3, 10, 11);           \
-        x = sums + c * ns + j;                                             \
-        s8 = _mm512_broadcast_f64x4(_mm256_loadu_pd(x));                   \
-        for (t = 0; t < 4; t++)                                            \
-            s8 = s8 - e[t];                                                \
-        s8 = WIDE_SHUFFLE(s8, s8, 4, 5, 6, 7, 4, 5, 6, 7);                 \
-        for (t = 0; t < 4; t++)                                            \
-            s8 = s8 - e[t];                                                \
-        VEC4_STORE(x, s8);
-        WIDE_OWN(af, p)
-        WIDE_OWN(ag, q)
-        WIDE_MIRROR(fs, p)
-        WIDE_MIRROR(gs, q)
-#undef WIDE_MIRROR
-#undef WIDE_OWN
-    }
-}
-
-/* pair_block with WIDE_ROWS rows and the wide tile. The pairs inside the
- * block are taken as in two blocks of PAIR_ROWS: those among its first 4
- * rows, those of these rows with the next 4 in one pair_tile (one at a
- * time in a short last block), then those among the next 4. */
-WIDE_TILE
-ALWAYS_INLINE void wide_block(const struct pair_kernel *k,
-                              const double *restrict xs, ptrdiff_t n,
-                              ptrdiff_t ns, ptrdiff_t dk, ptrdiff_t i0,
-                              int rows, double (*a)[WIDE_ROWS],
-                              double (*af)[WIDE_ROWS],
-                              double (*ag)[WIDE_ROWS], double *restrict fs,
-                              double *restrict gs, double *F, double *G,
-                              double dn)
-{
-    ptrdiff_t j = i0 + PAIR_ROWS;
-    int r;
-
-    block_open(k, xs, ns, dk, i0, 0, rows < PAIR_ROWS ? rows : PAIR_ROWS, a,
-               af, ag, fs, gs);
-    if (rows == WIDE_ROWS)
-        pair_tile(k, xs, ns, dk, a, af, ag, j, fs, gs);
-    else
-        for (; j < i0 + rows; j++)
-            for (r = 0; r < PAIR_ROWS; r++)
-                pair_one(k, xs, ns, dk, a, af, ag, r, j, fs, gs);
-    block_open(k, xs, ns, dk, i0, PAIR_ROWS, rows, a, af, ag, fs, gs);
-    for (j = i0 + rows; j + PAIR_TILE <= n; j += PAIR_TILE)
-        wide_tile(k, xs, ns, dk, a, af, ag, j, fs, gs);
-    block_close(k, xs, n, ns, dk, i0, rows, j, a, af, ag, fs, gs, F, G, dn);
-}
+PAIR_TILE_AT(wide_tile, vec8, wide_mirror, WIDE_TILE)
+PAIR_BLOCK_AT(wide_block, WIDE_ROWS, wide_tile, WIDE_TILE)
 
 /* The blocks of mvsde_pair_aggregate in WIDE_ROWS rows, on the scratch
  * that it laid out, compiled for AVX-512F, DQ and VL and called only on a
- * CPU that has them. */
+ * CPU that has them, at d >= 2: the hint leaves out a d = 1 loop that no
+ * call reaches. */
 WIDE_TILE
 static void pair_aggregate_wide(const struct pair_kernel *k,
                                 const double *restrict xs, ptrdiff_t n,
@@ -695,13 +627,9 @@ static void pair_aggregate_wide(const struct pair_kernel *k,
                                 double *restrict fs, double *restrict gs,
                                 double *F, double *G, double dn)
 {
-    double (*wa)[WIDE_ROWS] = (double (*)[WIDE_ROWS])(gs + ns * d);
-    double la[PAIR_DIMS][WIDE_ROWS], laf[PAIR_DIMS][WIDE_ROWS],
-        lag[PAIR_DIMS][WIDE_ROWS];
-    ptrdiff_t i0;
-    int rows;
-
-    PAIR_BLOCKS(wide_block, WIDE_ROWS)
+    if (d < 2)
+        __builtin_unreachable();
+    PAIR_BLOCKS(wide_block, WIDE_ROWS);
 }
 #endif
 
@@ -720,7 +648,7 @@ void mvsde_pair_aggregate(const double *restrict X, ptrdiff_t n,
                           double *restrict F, double *restrict G,
                           double *restrict work)
 {
-    const struct pair_kernel kern = {
+    struct pair_kernel kern = {
         kf1, kfq, qf, cg, tam, te,
         /* w at tam == 0 is exactly 1; at te == 0 it is 1 / (1 + tam 1) */
         tam == 0.0 ? 1.0 : 1.0 / (1.0 + tam * 1.0),
@@ -728,15 +656,19 @@ void mvsde_pair_aggregate(const double *restrict X, ptrdiff_t n,
         : te == 2.0             ? W_R2
         : te == 4.0             ? W_R4
                                 : W_POW,
-        qf == 2.0 ? Q_R2 : qf == 0.0 ? Q_ONE : Q_POW}, *k = &kern;
+        qf == 2.0 ? Q_R2 : qf == 0.0 ? Q_ONE : Q_POW,
+        {{0}, {0}, {0}, {0}, {0}}}, *k = &kern;
     ptrdiff_t ns = n + WIDE_ROWS;
     double *xs = work, *fs = xs + ns * d, *gs = fs + ns * d, dn = (double)n;
-    double (*wa)[WIDE_ROWS] = (double (*)[WIDE_ROWS])(gs + ns * d);
-    double la[PAIR_DIMS][WIDE_ROWS], laf[PAIR_DIMS][WIDE_ROWS],
-        lag[PAIR_DIMS][WIDE_ROWS];
-    ptrdiff_t i0, j, c;
-    int rows;
+    ptrdiff_t j, c;
 
+    for (j = 0; j < WIDE_ROWS; j++) {
+        kern.lane.kf1[j] = kf1;
+        kern.lane.kfq[j] = kfq;
+        kern.lane.cg[j] = cg;
+        kern.lane.tam[j] = tam;
+        kern.lane.wc[j] = kern.wc;
+    }
     for (j = 0; j < n; j++)
         for (c = 0; c < d; c++)
             xs[c * ns + j] = X[j * d + c];
@@ -749,7 +681,7 @@ void mvsde_pair_aggregate(const double *restrict X, ptrdiff_t n,
         return;
     }
 #endif
-    PAIR_BLOCKS(pair_block, PAIR_ROWS)
+    PAIR_BLOCKS(pair_block, PAIR_ROWS);
 }
 #undef PAIR_BLOCK
 #undef PAIR_BLOCKS
@@ -1617,7 +1549,7 @@ ALWAYS_INLINE void ndtri_chunk(double *a, ptrdiff_t m)
             tail[nt] = i + l;
             nt += central[l] == 0;
         }
-        VEC4_STORE(a + i, x);
+        VEC_STORE(a + i, x);
     }
     for (; i < m; i++) {
         ty[nt] = a[i];

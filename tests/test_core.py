@@ -46,6 +46,9 @@ SPECIAL = {
     "tam == 0": (0.0, -1.0, 2.0, 1.0, 0.0, 4.0),
     "q_f = 0": (-0.5, 0.0, 0.0, 0.2, 0.125, 0.0),
     "all-zero kernel": (0.0, 0.0, 2.0, 0.0, 0.125, 4.0),
+    # te = 2 with tam != 0: the weight 1 / (1 + tam r2) (the ergodic
+    # variant at q = 2)
+    "ergodic taming": (0.0, -1.0, 2.0, 0.2, 0.125, 2.0),
 }
 # exponents outside the special cases: libm pow in C, in the numpy
 # kernel (mvsde._core.pairwise_py.power) and in the oracle's scalar **
